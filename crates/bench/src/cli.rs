@@ -1,5 +1,4 @@
-//! The unified experiment CLI shared by `run_all` and every
-//! per-experiment binary.
+//! The unified experiment CLI behind `run_all`.
 //!
 //! ```text
 //! run_all --list                 # registry index
@@ -13,10 +12,8 @@
 //! run_all --trace t.trace        # replay a recorded service trace
 //! ```
 //!
-//! The per-experiment binaries (`e01_rselect`, …) accept the same flags
-//! minus `--only` (their experiment is fixed), so every former entry
-//! point keeps working while all behavior lives here, driven by
-//! [`crate::registry::REGISTRY`].
+//! All behavior lives here, driven by [`crate::registry::REGISTRY`];
+//! `--only eNN` is how one experiment runs on its own.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -57,28 +54,14 @@ pub struct Options {
     pub trace: Option<PathBuf>,
 }
 
-/// Usage text for `prog`; per-experiment binaries (`fixed` set) don't
-/// advertise `--only`, which they reject.
-fn usage(prog: &str, fixed: Option<&str>) -> String {
-    let only_synopsis = if fixed.is_none() {
-        " [--only SEL[,SEL…]]"
-    } else {
-        ""
-    };
-    let only_help = if fixed.is_none() {
-        "  --only SEL        run a subset: experiment id (e07), name (byzantine),\n                    \
-         or @tag; repeatable and comma-separable\n"
-    } else {
-        ""
-    };
-    let fixed_note = match fixed {
-        Some(id) => format!("\nThis binary is fixed to experiment {id}; use run_all for subsets."),
-        None => String::new(),
-    };
+/// Usage text for `prog`.
+fn usage(prog: &str) -> String {
     format!(
-        "usage: {prog} [--list]{only_synopsis} [--scale quick|full] [--threads N] \
+        "usage: {prog} [--list] [--only SEL[,SEL…]] [--scale quick|full] [--threads N] \
          [--timing shared|isolated] [--json [PATH]]\n\n  \
-         --list            print the experiment registry and exit\n{only_help}  \
+         --list            print the experiment registry and exit\n  \
+         --only SEL        run a subset: experiment id (e07), name (byzantine),\n                    \
+         or @tag; repeatable and comma-separable\n  \
          --scale SCALE     quick (default) or full (EXPERIMENTS.md sweep sizes;\n                    \
          BYZ_FULL=1 is the env equivalent)\n  \
          --threads N       cap total worker threads across all nested parallelism\n                    \
@@ -91,7 +74,7 @@ fn usage(prog: &str, fixed: Option<&str>) -> String {
          --trace PATH      replay a recorded byzscore-trace/v1 service workload and\n                    \
          print its op count and combined response digest (honors\n                    \
          --threads; the digest is thread-count invariant)\n  \
-         --help            this text{fixed_note}"
+         --help            this text"
     )
 }
 
@@ -480,10 +463,9 @@ fn replay_trace(path: &std::path::Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared `main` body: parse `std::env::args`, force the experiment to
-/// `fixed` when given (per-experiment binaries), run, exit non-zero on
+/// `main` for `run_all`: parse `std::env::args`, run, exit non-zero on
 /// error.
-fn main_with(fixed: Option<&str>) {
+pub fn run_all_main() {
     let prog = std::env::args()
         .next()
         .map(|p| {
@@ -493,11 +475,10 @@ fn main_with(fixed: Option<&str>) {
                 .unwrap_or_else(|| "run_all".into())
         })
         .unwrap_or_else(|| "run_all".into());
-    let parsed = parse(std::env::args().skip(1));
-    let mut opts = match parsed {
+    let opts = match parse(std::env::args().skip(1)) {
         Ok(opts) => opts,
         Err(msg) => {
-            let usage = usage(&prog, fixed);
+            let usage = usage(&prog);
             if msg.is_empty() {
                 println!("{usage}");
                 return;
@@ -506,28 +487,10 @@ fn main_with(fixed: Option<&str>) {
             std::process::exit(2);
         }
     };
-    if let Some(id) = fixed {
-        if !opts.only.is_empty() {
-            eprintln!("{prog}: this binary is fixed to experiment {id}; use run_all for --only");
-            std::process::exit(2);
-        }
-        opts.only = vec![id.to_string()];
-    }
     if let Err(msg) = execute(opts) {
         eprintln!("{prog}: {msg}");
         std::process::exit(2);
     }
-}
-
-/// `main` for `run_all`.
-pub fn run_all_main() {
-    main_with(None);
-}
-
-/// `main` for a per-experiment binary fixed to registry id `id`.
-pub fn single_main(id: &str) {
-    debug_assert!(registry::find(id).is_some(), "unregistered id {id}");
-    main_with(Some(id));
 }
 
 #[cfg(test)]
@@ -626,12 +589,8 @@ mod tests {
     }
 
     #[test]
-    fn usage_matches_binary_kind() {
-        let all = usage("run_all", None);
-        assert!(all.contains("--only"));
-        let fixed = usage("e07_error_vs_d", Some("e07"));
-        assert!(!fixed.contains("--only"), "fixed binaries reject --only");
-        assert!(fixed.contains("fixed to experiment e07"));
+    fn usage_advertises_only() {
+        assert!(usage("run_all").contains("--only"));
     }
 
     #[test]

@@ -189,8 +189,8 @@ pub fn e17_service_throughput(scale: Scale) -> Vec<Table> {
 /// connections. The digest must equal the manifest pin in
 /// traces/DIGESTS — the same cell the in-process replay, the
 /// determinism suite, and CI's service-e2e job gate — proving the
-/// socket path (framing, admission, per-shard workers, merge cells)
-/// adds no observable state. Busy retries are structurally zero here:
+/// socket path (framing, admission, the dispatch lane) adds no
+/// observable state. Busy retries are structurally zero here:
 /// the client pipelines at most 64 ops against a 256-deep queue.
 fn socket_replay_table() -> Table {
     let trace_path = concat!(
@@ -251,7 +251,7 @@ fn socket_replay_table() -> Table {
         ]);
     }
     tab.note(
-        "loopback TCP, default NetConfig (8 shard workers, queue depth 256); every cell except \
+        "loopback TCP, default NetConfig (one dispatch lane, queue depth 256); every cell except \
          reqs/sec is gated — the digest is pinned in traces/DIGESTS and bit-identical to the \
          in-process and stdin replays at any connection count",
     );

@@ -2,10 +2,9 @@
 //!
 //! Every experiment of the evaluation is described here once — id, human
 //! name, claim description, tags, and runner function — and everything
-//! else (the `run_all` CLI, the per-experiment binaries, DESIGN.md's
-//! index, the JSON artifacts) is driven off this table. Adding an
-//! experiment means adding one [`Experiment`] row and one
-//! `src/bin/<id>_<name>.rs` two-liner.
+//! else (the `run_all` CLI, DESIGN.md's index, the JSON artifacts) is
+//! driven off this table. Adding an experiment means adding one
+//! [`Experiment`] row; `run_all --only <id>` runs it alone.
 
 use crate::table::Table;
 use crate::{experiments as e, Scale};

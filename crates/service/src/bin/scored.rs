@@ -20,7 +20,7 @@
 //! gates — it is identical at any `--threads`); `serve` without
 //! `--listen` reads op lines from stdin and answers one line per op on
 //! stdout, while `--listen` starts the `byzscore-wire/v1` TCP
-//! front-end (per-shard worker threads, bounded admission) and prints
+//! front-end (bounded admission, one dispatch lane) and prints
 //! its stats counters at shutdown; `client` replays a trace file over
 //! the socket and prints the same `digest` line as `replay`, so the
 //! two are directly comparable — CI's `service-e2e` job gates exactly
@@ -51,8 +51,7 @@ use std::io::BufRead;
 use byzscore_board::par::set_thread_limit;
 use byzscore_service::{
     combined_digest, net, parse_op, CompactionPolicy, JournaledEngine, NetConfig, ReplayOptions,
-    Response, Server, ServiceAlgorithm, ServiceEngine, ServiceError, Trace, TraceSpec,
-    DEFAULT_SHARDS,
+    Response, Server, ServiceAlgorithm, ServiceError, Trace, TraceSpec, DEFAULT_SHARDS,
 };
 
 fn usage() -> ! {
@@ -258,40 +257,34 @@ fn serve_socket(addr: &str, config: NetConfig) {
 
 fn serve_stdin(config: &NetConfig) {
     let stdin = std::io::stdin();
-    // With a journal path the stdin loop gets the same durability as
-    // the socket server: append+fsync before execute, recovery replay
+    // The stdin loop drives the same pipeline as the socket server:
+    // with a journal path, append+fsync before execute, recovery replay
     // with `--recover`, per-seq dedupe (seq = input line index).
     let policy = CompactionPolicy {
         every: config.compact_every,
         bytes: config.compact_bytes,
     };
-    let mut journaled = match &config.journal {
-        Some(path) if config.recover => {
-            match JournaledEngine::recover_with(path, config.shards, policy) {
-                Ok((engine, report)) => {
-                    println!(
-                        "recovered {} ops from {}",
-                        report.replayed,
-                        report.source.describe()
-                    );
-                    Some(engine)
-                }
-                Err(e) => {
-                    eprintln!("scored: cannot recover {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
+    let opened = JournaledEngine::open(
+        config.journal.as_deref(),
+        config.recover,
+        config.shards,
+        policy,
+    );
+    let (mut pipeline, recovery) = match opened {
+        Ok(opened) => opened,
+        Err(e) => {
+            let verb = if config.recover { "recover" } else { "create" };
+            eprintln!("scored: cannot {verb} the journal: {e}");
+            std::process::exit(1);
         }
-        Some(path) => match JournaledEngine::create_with(path, config.shards, policy) {
-            Ok(engine) => Some(engine),
-            Err(e) => {
-                eprintln!("scored: cannot create journal {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        },
-        None => None,
     };
-    let mut engine = ServiceEngine::with_shards(config.shards);
+    if let Some(report) = recovery {
+        println!(
+            "recovered {} ops from {}",
+            report.replayed,
+            report.source.describe()
+        );
+    }
     for (index, line) in stdin.lock().lines().enumerate() {
         let line = match line {
             Ok(l) => l,
@@ -302,15 +295,12 @@ fn serve_stdin(config: &NetConfig) {
             continue;
         }
         let resp = match parse_op(trimmed) {
-            Ok(op) => match &mut journaled {
-                Some(j) => match j.submit(index as u64, &op) {
-                    Ok(resp) => resp,
-                    Err(e) => {
-                        eprintln!("scored: journal append failed: {e}");
-                        std::process::exit(1);
-                    }
-                },
-                None => engine.execute(std::slice::from_ref(&op)).remove(0),
+            Ok(op) => match pipeline.submit(index as u64, &op) {
+                Ok(resp) => resp,
+                Err(e) => {
+                    eprintln!("scored: journal append failed: {e}");
+                    std::process::exit(1);
+                }
             },
             // A malformed line answers typed like any other rejection
             // (and keeps serving) instead of a bare `err` string.

@@ -62,7 +62,7 @@ const TAG_SCORE: u64 = 0x5e_c3;
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Everything resident for one open session.
-pub(crate) struct SessionState {
+struct SessionState {
     spec: SessionSpec,
     /// Fixed identity pool (capacity `2 × players`).
     pool: Arc<dyn TruthSource>,
@@ -186,15 +186,6 @@ impl ServiceEngine {
             .map_or(0, |s| s.warm.pooled_selects())
     }
 
-    /// Fault-injection hook: panic from inside the engine while the
-    /// caller holds its lock. The socket dispatcher calls this under
-    /// the write lock to poison it, exercising the supervision path's
-    /// rebuild-from-journal recovery end to end.
-    #[cfg(feature = "fault-inject")]
-    pub fn inject_barrier_panic(&mut self) {
-        panic!("fault-inject: barrier panic");
-    }
-
     /// Execute a request batch; answers come back in request order.
     ///
     /// The answer stream is a pure function of the engine's session
@@ -232,11 +223,8 @@ impl ServiceEngine {
             .collect()
     }
 
-    /// Serial (world-mutating) ops. Also the entry point for the socket
-    /// front-end's dispatcher, which calls it under its exclusive engine
-    /// lock after draining the shard queues — the same flush-then-barrier
-    /// ordering `execute` enforces on a batch.
-    pub(crate) fn barrier(&mut self, req: &Request) -> Response {
+    /// Serial (world-mutating) ops.
+    fn barrier(&mut self, req: &Request) -> Response {
         match req {
             Request::Open(spec) => self.open(*spec),
             Request::ApplyChurn {
@@ -634,9 +622,9 @@ fn flush(
 /// Execute one probe op against a session: every probed bit is read
 /// through the memoized oracle and posted as a claim in the session's
 /// board scope. Side effects commute (atomic probe ledger, same-value
-/// claims), so concurrent probes — batch flush or socket shard workers —
-/// produce the same final state and per-op answer in any order.
-pub(crate) fn probe_response(
+/// claims), so the probes of one flush produce the same final state and
+/// per-op answer in any order.
+fn probe_response(
     board: &Board,
     state: &SessionState,
     session: u64,
@@ -662,7 +650,7 @@ pub(crate) fn probe_response(
 /// Execute one shard's slice of a preference query: per member
 /// `(original position, ones, row digest)`, pure reads of the cached
 /// score rows.
-pub(crate) fn query_part(
+fn query_part(
     state: &SessionState,
     members: &[(usize, u32)],
     objects: Option<&[u32]>,
@@ -690,10 +678,8 @@ pub(crate) fn query_part(
 }
 
 /// Fold completed query partials — indexed by original player position —
-/// into the final [`Response::Preferences`]. Both the batch flush and
-/// the socket merge cells call this, so the digest arithmetic cannot
-/// drift between the two front-ends.
-pub(crate) fn merge_preferences(session: u64, buf: &[Option<(u64, u64)>]) -> Response {
+/// into the final [`Response::Preferences`].
+fn merge_preferences(session: u64, buf: &[Option<(u64, u64)>]) -> Response {
     let mut total = 0u64;
     let mut digest = 0x9e4fu64;
     for cell in buf {
@@ -826,93 +812,6 @@ impl ServiceEngine {
         state.shard_of = shard_map(&state.rows, self.shards);
         state.oracle = Oracle::new(truth);
         state
-    }
-}
-
-/// Where a single shardable op should run: computed by the socket
-/// dispatcher under a shared engine lock, executed on the owning shard's
-/// worker thread.
-pub(crate) enum Routed {
-    /// Validation failed; answer immediately with this response.
-    Reject(Response),
-    /// A probe, owned entirely by one shard.
-    Probe {
-        /// Owning shard of the probing player.
-        shard: usize,
-    },
-    /// A query split by owning shard; partials merge by original
-    /// position via [`merge_preferences`].
-    Query {
-        /// Total players queried (the merge-buffer width).
-        width: usize,
-        /// Per-shard member lists: `(shard, [(original position, player)])`.
-        parts: Vec<(usize, Vec<(usize, u32)>)>,
-    },
-}
-
-impl ServiceEngine {
-    /// The shared bulletin board (for shard workers posting probe claims).
-    pub(crate) fn board(&self) -> &Board {
-        &self.board
-    }
-
-    /// Resolve an open session for a shard job.
-    pub(crate) fn session(&self, sid: u64) -> Result<&SessionState, ServiceError> {
-        session_ref(&self.sessions, sid)
-    }
-
-    /// Validate and route one shardable op exactly as a batch flush
-    /// would bucket it: same validation order, same shard key
-    /// (`shard_of` from the group graph), same query split.
-    pub(crate) fn route_shardable(&self, req: &Request) -> Routed {
-        match req {
-            Request::SubmitProbes {
-                session,
-                player,
-                objects,
-            } => {
-                let state = match session_ref(&self.sessions, *session) {
-                    Ok(s) => s,
-                    Err(e) => return Routed::Reject(Response::Rejected(e)),
-                };
-                if let Some(resp) = validate(state, *session, &[*player], Some(objects)) {
-                    return Routed::Reject(resp);
-                }
-                Routed::Probe {
-                    shard: state.shard_of[*player as usize] as usize,
-                }
-            }
-            Request::QueryPreferences {
-                session,
-                players,
-                objects,
-            } => {
-                let state = match session_ref(&self.sessions, *session) {
-                    Ok(s) => s,
-                    Err(e) => return Routed::Reject(Response::Rejected(e)),
-                };
-                if players.is_empty() {
-                    return Routed::Reject(Response::Rejected(ServiceError::EmptyQuery(*session)));
-                }
-                if let Some(resp) = validate(state, *session, players, objects.as_deref()) {
-                    return Routed::Reject(resp);
-                }
-                let mut parts: Vec<Vec<(usize, u32)>> =
-                    (0..self.shards).map(|_| Vec::new()).collect();
-                for (pos, &p) in players.iter().enumerate() {
-                    parts[state.shard_of[p as usize] as usize].push((pos, p));
-                }
-                Routed::Query {
-                    width: players.len(),
-                    parts: parts
-                        .into_iter()
-                        .enumerate()
-                        .filter(|(_, members)| !members.is_empty())
-                        .collect(),
-                }
-            }
-            _ => unreachable!("only shardable ops are routed"),
-        }
     }
 }
 

@@ -2,14 +2,14 @@
 //!
 //! A [`FaultPlan`] is a parsed schedule of injection points, each keyed
 //! to a 0-based *op index* maintained by the component that hosts the
-//! hook (the dispatcher's dispatch counter, the admission counter for
-//! connection-level faults). Every slot fires exactly once; with a
+//! hook (the op pipeline's `submit` counter — one per dispatched op —
+//! and the admission counter for connection-level faults). Every slot fires exactly once; with a
 //! single client connection the op indices are the trace indices, so a
 //! fault schedule is as reproducible as the trace itself.
 //!
 //! The plan type and parser are always compiled (and unit-tested); the
-//! hooks in `net.rs`/`engine.rs` only exist under the `fault-inject`
-//! cargo feature, so a production build carries no injection branches.
+//! hooks in `journal.rs`/`net/server.rs` only exist under the
+//! `fault-inject` cargo feature, so a production build carries no injection branches.
 //!
 //! # Spec grammar
 //!
@@ -17,8 +17,10 @@
 //!
 //! ```text
 //! kill@7                abort the process before dispatching op 7
-//! panic-worker@9        panic the shard worker executing op 9
-//! panic-barrier@4       panic inside op 4's barrier, write lock held
+//! panic-worker@9        panic op 9, a probe or query, after its journal
+//!                       append and before it executes
+//! panic-barrier@4       panic inside op 4's barrier, after its journal
+//!                       append (forces a rebuild from the journal)
 //! drop-conn@5           sever op 5's client connection at dispatch
 //! stall@3:600           sleep 600 ms in the connection thread before
 //!                       admitting op 3 (a wedged-server simulation)
@@ -40,9 +42,9 @@ use std::time::Duration;
 pub enum FaultKind {
     /// Abort the process (the in-process stand-in for `kill -9`).
     Kill,
-    /// Panic inside a shard worker's job execution.
+    /// Panic a shardable op (probe/query) before it executes.
     PanicWorker,
-    /// Panic inside the engine barrier path, while write-locked.
+    /// Panic a barrier op after its journal append.
     PanicBarrier,
     /// Sever the op's client connection (the op still executes).
     DropConn,
@@ -146,7 +148,8 @@ impl FaultPlan {
         }
     }
 
-    /// True when a worker panic is scheduled at `at` (claims the slot).
+    /// True when a shardable-op panic is scheduled at `at` (claims the
+    /// slot).
     pub fn worker_panic_at(&self, at: u64) -> bool {
         self.fire(at, |k| k == FaultKind::PanicWorker).is_some()
     }

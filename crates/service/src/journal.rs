@@ -45,10 +45,14 @@
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+#[cfg(feature = "fault-inject")]
+use std::sync::Arc;
 
-use crate::checkpoint::RecoverySource;
+use crate::checkpoint::{self, RecoverySource};
 use crate::engine::ServiceEngine;
+#[cfg(feature = "fault-inject")]
+use crate::fault::FaultPlan;
 use crate::request::{mix, Request, Response};
 use crate::workload::{format_op, parse_op, TraceError, TRACE_VERSION};
 
@@ -147,6 +151,7 @@ impl DedupeWindow {
 #[derive(Debug)]
 pub struct Journal {
     file: File,
+    path: PathBuf,
 }
 
 impl Journal {
@@ -156,14 +161,20 @@ impl Journal {
         file.write_all(TRACE_VERSION.as_bytes())?;
         file.write_all(b"\n")?;
         file.sync_data()?;
-        Ok(Journal { file })
+        Ok(Journal {
+            file,
+            path: path.to_path_buf(),
+        })
     }
 
     /// Open an existing journal for appending — call after
     /// [`recover`], which truncates any torn tail first.
     pub fn open_append(path: &Path) -> io::Result<Journal> {
         let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Journal { file })
+        Ok(Journal {
+            file,
+            path: path.to_path_buf(),
+        })
     }
 
     /// Append one mutating op (seq annotation + op line, one write) and
@@ -189,7 +200,7 @@ impl Journal {
         let tmp = {
             let mut os = path.as_os_str().to_os_string();
             os.push(".tail.tmp");
-            std::path::PathBuf::from(os)
+            PathBuf::from(os)
         };
         {
             let mut file = File::create(&tmp)?;
@@ -331,35 +342,6 @@ fn replay_entries(
     responses
 }
 
-/// Rebuild engine state from journal text alone. Text-level recovery
-/// cannot see checkpoint files, so it refuses a compacted journal
-/// (non-zero base): its entries are only a tail of the history. Use
-/// [`recover`] with the file path for checkpoint-aware recovery.
-pub fn recover_from_text(text: &str, shards: usize) -> Result<Recovered, TraceError> {
-    let ParsedJournal { base, entries } = parse_journal_with_base(text)?;
-    if base > 0 {
-        return Err(TraceError {
-            line: 0,
-            message: format!(
-                "journal was compacted at {base} ops; recover from the file path so the \
-                 checkpoint can be loaded"
-            ),
-        });
-    }
-    let mut engine = ServiceEngine::with_shards(shards);
-    let mut dedupe = DedupeWindow::new();
-    let responses = replay_entries(&mut engine, &mut dedupe, &entries);
-    Ok(Recovered {
-        engine,
-        dedupe,
-        responses,
-        replayed: entries.len(),
-        source: RecoverySource::FullJournal,
-        journal_base: 0,
-        history_ops: entries.len() as u64,
-    })
-}
-
 /// Rebuild engine state from a journal file, truncating a torn tail
 /// (anything after the last newline) on disk first so subsequent
 /// appends continue a well-formed file.
@@ -478,28 +460,88 @@ pub struct RecoveryReport {
     pub history_ops: u64,
 }
 
-/// A [`ServiceEngine`] fronted by the WAL + dedupe pipeline — the
-/// single-threaded counterpart of the socket dispatcher, used by the
-/// stdin serve loop, `scored compact`, and the e18/e19 experiments.
+/// The op state machine, implemented once: dedupe lookup → journal
+/// append + `sync_data` → execute → dedupe record → compact if due.
+/// Every front-end drives this type — the socket dispatcher, the stdin
+/// serve loop, `scored compact`, and the e18/e19 experiments — so the
+/// durability argument is made in one place. Without a journal
+/// ([`JournaledEngine::open`] with `journal: None`) the same steps run
+/// with nothing appended and nothing compacted.
 pub struct JournaledEngine {
     engine: ServiceEngine,
-    journal: Journal,
+    /// `None` runs journal-less: no appends, no compaction, and a
+    /// rebuild starts from a fresh engine.
+    journal: Option<Journal>,
     dedupe: DedupeWindow,
-    path: std::path::PathBuf,
     policy: CompactionPolicy,
-    /// Mutating ops applied over the full history.
+    /// Mutating ops journaled over the full history (checkpoint +
+    /// tail) — what a checkpoint written now would cover.
     ops_applied: u64,
     /// Ops covered by the last checkpoint (= the journal's base).
     base: u64,
     /// Bytes appended since the last checkpoint.
     tail_bytes: u64,
-    /// Completed compaction cycles this process ran.
+    /// Ops this process appended to the journal.
+    journaled: u64,
+    /// Resent barriers this process answered from the dedupe window.
+    deduped: u64,
+    /// Completed compaction cycles this process ran (keys the
+    /// checkpoint faults).
     checkpoints: u64,
     /// Journal entries removed by those cycles.
     truncated_ops: u64,
+    #[cfg(feature = "fault-inject")]
+    fault: Arc<FaultPlan>,
+    /// `submit` calls so far: the op index the fault plan is keyed by.
+    #[cfg(feature = "fault-inject")]
+    submitted: u64,
 }
 
 impl JournaledEngine {
+    fn new(journal: Option<Journal>, shards: usize, policy: CompactionPolicy) -> JournaledEngine {
+        JournaledEngine {
+            engine: ServiceEngine::with_shards(shards),
+            journal,
+            dedupe: DedupeWindow::new(),
+            policy,
+            ops_applied: 0,
+            base: 0,
+            tail_bytes: 0,
+            journaled: 0,
+            deduped: 0,
+            checkpoints: 0,
+            truncated_ops: 0,
+            #[cfg(feature = "fault-inject")]
+            fault: Arc::new(FaultPlan::none()),
+            #[cfg(feature = "fault-inject")]
+            submitted: 0,
+        }
+    }
+
+    /// The pipeline a front-end's flags describe: a fresh journal at
+    /// `journal`, a checkpoint-aware recovery of it when `recover` is
+    /// set (the report says what was replayed), or — with no path — a
+    /// journal-less pipeline that takes the same `submit` path.
+    pub fn open(
+        journal: Option<&Path>,
+        recover: bool,
+        shards: usize,
+        policy: CompactionPolicy,
+    ) -> io::Result<(JournaledEngine, Option<RecoveryReport>)> {
+        match (journal, recover) {
+            (Some(path), true) => JournaledEngine::recover_with(path, shards, policy)
+                .map(|(engine, report)| (engine, Some(report))),
+            (Some(path), false) => {
+                JournaledEngine::create_with(path, shards, policy).map(|engine| (engine, None))
+            }
+            (None, true) => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "recover requires a journal path",
+            )),
+            (None, false) => Ok((JournaledEngine::new(None, shards, policy), None)),
+        }
+    }
+
     /// Fresh engine over a fresh journal, compaction disabled.
     pub fn create(path: &Path, shards: usize) -> io::Result<JournaledEngine> {
         JournaledEngine::create_with(path, shards, CompactionPolicy::default())
@@ -511,18 +553,11 @@ impl JournaledEngine {
         shards: usize,
         policy: CompactionPolicy,
     ) -> io::Result<JournaledEngine> {
-        Ok(JournaledEngine {
-            engine: ServiceEngine::with_shards(shards),
-            journal: Journal::create(path)?,
-            dedupe: DedupeWindow::new(),
-            path: path.to_path_buf(),
+        Ok(JournaledEngine::new(
+            Some(Journal::create(path)?),
+            shards,
             policy,
-            ops_applied: 0,
-            base: 0,
-            tail_bytes: 0,
-            checkpoints: 0,
-            truncated_ops: 0,
-        })
+        ))
     }
 
     /// Rebuild from an existing journal (checkpoint-aware) and keep
@@ -547,46 +582,98 @@ impl JournaledEngine {
             source: rec.source,
             history_ops: rec.history_ops,
         };
-        let tail_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        Ok((
-            JournaledEngine {
-                engine: rec.engine,
-                journal: Journal::open_append(path)?,
-                dedupe: rec.dedupe,
-                path: path.to_path_buf(),
-                policy,
-                ops_applied: rec.history_ops,
-                base: rec.journal_base,
-                tail_bytes,
-                checkpoints: 0,
-                truncated_ops: 0,
-            },
-            report,
-        ))
+        let mut engine = JournaledEngine::new(Some(Journal::open_append(path)?), shards, policy);
+        engine.adopt(rec);
+        Ok((engine, report))
     }
 
-    /// Dedupe-check, journal (mutating ops), then execute one op — and
-    /// run a compaction cycle when the policy says the tail crossed a
-    /// threshold (the engine is quiescent between `submit` calls, so
-    /// every post-op point is a safe checkpoint point).
+    /// Install a recovery's state and re-derive the compaction counters
+    /// from what it saw — the authoritative history after any
+    /// checkpoint + truncation. The tail's on-disk size primes the byte
+    /// threshold, so neither a restart nor a rebuild resets byte-based
+    /// compaction progress.
+    fn adopt(&mut self, rec: Recovered) {
+        self.engine = rec.engine;
+        self.dedupe = rec.dedupe;
+        self.ops_applied = rec.history_ops;
+        self.base = rec.journal_base;
+        self.tail_bytes = self
+            .journal
+            .as_ref()
+            .and_then(|journal| std::fs::metadata(&journal.path).ok())
+            .map_or(0, |meta| meta.len());
+    }
+
+    /// Replace the engine and dedupe window — never trusted again after
+    /// a panic mid-barrier — with ones rebuilt from the journal, which
+    /// recorded the interrupted op before it ran. Journal-less, a fresh
+    /// engine is still sound: no replay promise was made, and a fresh
+    /// engine beats a corrupt one. An error means the journal no longer
+    /// describes a recoverable state; the caller must stop serving.
+    pub(crate) fn rebuild(&mut self) -> io::Result<()> {
+        let shards = self.engine.shards();
+        match &self.journal {
+            Some(journal) => {
+                let rec = recover(&journal.path, shards)?;
+                self.adopt(rec);
+            }
+            None => {
+                self.engine = ServiceEngine::with_shards(shards);
+                self.dedupe = DedupeWindow::new();
+            }
+        }
+        Ok(())
+    }
+
+    /// Run one op through the pipeline.
+    ///
+    /// Barriers are deduped before journaling: a resend of an already-
+    /// executed barrier must answer the recorded response, not re-apply
+    /// the world transition. Shardable ops skip the window — probes are
+    /// idempotent (same-value board claims) and queries are pure reads.
+    /// A mutating op then hits the fsynced journal *before* it
+    /// executes: crash after the append and recovery applies it; crash
+    /// before and the client's resend runs it fresh — either way
+    /// exactly once. An `Err` is a failed append: nothing executed.
+    /// The engine is quiescent between `submit` calls, so every post-op
+    /// point is a safe checkpoint point.
     pub fn submit(&mut self, seq: u64, op: &Request) -> io::Result<Response> {
-        if !op.is_shardable() {
-            if let Some(resp) = self.dedupe.lookup(op.session(), seq, op_key(op)) {
+        #[cfg(feature = "fault-inject")]
+        let index = {
+            let index = self.submitted;
+            self.submitted += 1;
+            self.fault.kill_at(index);
+            index
+        };
+        let barrier_key = (!op.is_shardable()).then(|| op_key(op));
+        if let Some(key) = barrier_key {
+            if let Some(resp) = self.dedupe.lookup(op.session(), seq, key) {
+                self.deduped += 1;
                 return Ok(resp.clone());
             }
         }
         if op.is_mutating() {
-            self.tail_bytes += self.journal.append(seq, op)? as u64;
-            self.ops_applied += 1;
+            if let Some(journal) = &mut self.journal {
+                self.tail_bytes += journal.append(seq, op)? as u64;
+                self.ops_applied += 1;
+                self.journaled += 1;
+            }
+        }
+        #[cfg(feature = "fault-inject")]
+        if op.is_shardable() {
+            if self.fault.worker_panic_at(index) {
+                panic!("fault-inject: panic before a shardable op executes");
+            }
+        } else if self.fault.barrier_panic_at(index) {
+            panic!("fault-inject: barrier panic");
         }
         let resp = self.engine.execute(std::slice::from_ref(op)).remove(0);
-        if !op.is_shardable() {
-            self.dedupe
-                .record(op.session(), seq, op_key(op), resp.clone());
+        if let Some(key) = barrier_key {
+            self.dedupe.record(op.session(), seq, key, resp.clone());
         }
-        if self.policy.due(self.tail_ops(), self.tail_bytes) {
-            // A failed compaction leaves the journal intact — log and
-            // keep serving; durability is unaffected.
+        if self.journal.is_some() && self.policy.due(self.tail_ops(), self.tail_bytes) {
+            // A failed cycle leaves the journal intact — log and keep
+            // serving; durability is unaffected.
             if let Err(err) = self.compact() {
                 eprintln!("compaction failed (serving continues): {err}");
             }
@@ -595,27 +682,54 @@ impl JournaledEngine {
     }
 
     /// Run one checkpoint + truncate cycle now, regardless of policy:
-    /// write the checkpoint at the current op count (rotating the
-    /// previous one), fsync it, truncate the journal to a fresh tail
-    /// via atomic rename, and adopt the new append handle.
+    /// write + fsync the checkpoint at the current op count (rotating
+    /// the previous one), then atomically truncate the journal to an
+    /// empty tail based at the same count and adopt the new append
+    /// handle. Ordering is the crash-safety argument — the checkpoint
+    /// is durable before the tail it replaces is dropped, so every kill
+    /// window leaves a recoverable (checkpoint, tail) pair.
     pub fn compact(&mut self) -> io::Result<()> {
-        crate::checkpoint::save_checkpoint(
-            &self.path,
-            &self.engine,
-            &self.dedupe,
-            self.ops_applied,
-        )?;
-        self.journal = Journal::truncate_to_base(&self.path, self.ops_applied)?;
+        let Some(journal) = &mut self.journal else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "no journal to compact",
+            ));
+        };
+        let path = journal.path.clone();
+        #[cfg(feature = "fault-inject")]
+        if self.fault.torn_checkpoint_at(self.checkpoints) {
+            checkpoint::save_torn_checkpoint(&path, &self.engine, &self.dedupe, self.ops_applied)?;
+            eprintln!(
+                "fault-inject: torn checkpoint at cycle {}; aborting before truncation",
+                self.checkpoints
+            );
+            std::process::abort();
+        }
+        checkpoint::save_checkpoint(&path, &self.engine, &self.dedupe, self.ops_applied)?;
+        // The old append handle points at the renamed-away inode.
+        *journal = Journal::truncate_to_base(&path, self.ops_applied)?;
         self.truncated_ops += self.ops_applied - self.base;
         self.base = self.ops_applied;
         self.tail_bytes = 0;
         self.checkpoints += 1;
+        #[cfg(feature = "fault-inject")]
+        self.fault.kill_checkpoint_at(self.checkpoints - 1);
         Ok(())
     }
 
     /// The engine behind the journal.
     pub fn engine(&self) -> &ServiceEngine {
         &self.engine
+    }
+
+    /// Ops this process appended to the journal.
+    pub fn journaled(&self) -> u64 {
+        self.journaled
+    }
+
+    /// Resent barriers this process answered from the dedupe window.
+    pub fn deduped(&self) -> u64 {
+        self.deduped
     }
 
     /// Completed compaction cycles this process ran.
@@ -639,11 +753,26 @@ impl JournaledEngine {
         self.ops_applied
     }
 
+    /// Install the fault schedule `submit` and `compact` fire from.
+    #[cfg(feature = "fault-inject")]
+    pub(crate) fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
+        self.fault = plan;
+    }
+
+    /// The op index the next `submit` call will carry.
+    #[cfg(feature = "fault-inject")]
+    pub(crate) fn submitted(&self) -> u64 {
+        self.submitted
+    }
+
     /// Fault-injection hook: journal an op *without* executing it, the
     /// on-disk state a crash between append and execute leaves behind.
     #[cfg(feature = "fault-inject")]
     pub fn journal_without_execute(&mut self, seq: u64, op: &Request) -> io::Result<()> {
-        self.journal.append(seq, op).map(|_| ())
+        match &mut self.journal {
+            Some(journal) => journal.append(seq, op).map(|_| ()),
+            None => Ok(()),
+        }
     }
 }
 

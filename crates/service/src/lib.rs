@@ -3,13 +3,18 @@
 //! A resident engine ([`ServiceEngine`]) holds many concurrent scoring
 //! sessions behind a typed request API ([`Request`]/[`Response`]):
 //! open a world, submit probes, query computed preferences, churn the
-//! population, advance the drift epoch, close. Requests are sharded
-//! across a fixed logical worker set keyed by the *group graph* of the
-//! current scores — same-group players route to the same worker, and
-//! cross-shard preference queries merge per-shard partials in request
-//! order. World transitions recompute scores incrementally through the
-//! warm-start path (group-cache refresh + pooled select machines) of
-//! `byzscore::Session::evolved`.
+//! population, advance the drift epoch, close. A batch's shardable ops
+//! are bucketed over a fixed logical shard set keyed by the *group
+//! graph* of the current scores — same-group players land in the same
+//! bucket, and cross-shard preference queries merge per-shard partials
+//! in request order. World transitions recompute scores incrementally
+//! through the warm-start path (group-cache refresh + pooled select
+//! machines) of `byzscore::Session::evolved`.
+//!
+//! Every front-end — the TCP server ([`net`]), the stdin loop, offline
+//! compaction — drives the engine through one op pipeline,
+//! [`JournaledEngine`]: dedupe lookup → journal append + fsync →
+//! execute → dedupe record → compact if due, with or without a journal.
 //!
 //! The [`workload`] module generates seeded request traces and
 //! round-trips them through the versioned `byzscore-trace/v1` file

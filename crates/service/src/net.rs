@@ -10,1694 +10,46 @@
 //!                    bounded admission queue
 //!                              │ recv (FIFO)
 //!                              ▼
-//!                         dispatcher ──────────────► barrier ops:
-//!                              │ route under            drain shards,
-//!                              │ engine read lock       engine write lock
-//!                              ▼
-//!                  bounded per-shard queues
+//!                   dispatcher: JournaledEngine::submit, one op at a time
 //!                              │
 //!                              ▼
-//!                 shard workers (engine read lock)
+//!                     answer on the op's connection
 //! ```
 //!
 //! # Why answers stay bit-identical to the in-process replay
 //!
-//! The batch engine's contract is: shardable ops (probes and preference
+//! The engine's contract is: shardable ops (probes and preference
 //! queries) may execute in any order between *barriers* (open, churn,
-//! epoch, close), which serialize. The socket path preserves exactly
-//! that contract with OS threads instead of batch buckets:
+//! epoch, close), which serialize. One serial lane trivially honours
+//! it, and it is the same lane every other front-end drives — the
+//! dispatcher owns a [`JournaledEngine`](crate::JournaledEngine) and
+//! calls `submit` once per admitted op, in admission order:
 //!
-//! * Shardable ops are validated and routed by the single dispatcher
-//!   thread using [`ServiceEngine::route_shardable`] — the same
-//!   validation order and group-graph shard key as a batch flush — and
-//!   then executed on per-shard worker threads under a shared lock.
-//!   Probe side effects commute (memoized oracle, same-value board
-//!   claims) and queries are pure reads, so worker interleaving is
-//!   unobservable.
-//! * A barrier op makes the dispatcher first drain every shard queue
-//!   (an outstanding-job counter on a condvar), then run
-//!   [`ServiceEngine`]'s barrier path under the exclusive lock. Every
-//!   op admitted before the barrier is therefore fully applied before
-//!   the world transition, exactly like the batch flush.
+//! * Probe side effects commute (memoized oracle, same-value board
+//!   claims) and queries are pure reads, so the order in which several
+//!   connections' shardable ops reach the queue is unobservable.
+//! * Every op admitted before a barrier is fully applied before the
+//!   world transition, because it was dequeued before it.
 //! * Overload is refused *at admission*: a full queue answers a typed
-//!   [`Response::Busy`] and executes nothing. An op that was accepted
-//!   is never dropped — queue hand-offs past admission block instead
-//!   of failing, so backpressure propagates to the client.
+//!   [`Response::Busy`](crate::Response::Busy) and executes nothing. An
+//!   op that was accepted is never dropped.
 //!
-//! The [`replay_over_socket`] client adds the client-side half of the
-//! ordering argument: all ops of a session ride one connection, opens
-//! are globally serialized (session ids are assigned in open order),
-//! and a session's barrier is only sent after all its earlier ops have
-//! been answered. Busy retries therefore reorder shardable ops only
-//! within a barrier-free window, where order does not matter.
-
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
-use std::thread;
-use std::time::{Duration, Instant};
-
-use crate::checkpoint::{self, RecoverySource};
-use crate::engine::{merge_preferences, probe_response, query_part, Routed, ServiceEngine};
-#[cfg(feature = "fault-inject")]
-use crate::fault::FaultPlan;
-use crate::journal::{self, op_key, CompactionPolicy, DedupeWindow, Journal};
-use crate::request::{mix, Request, Response, ServiceError};
-use crate::wire::{read_frame, write_frame, ClientFrame, ServerFrame, StatsSnapshot, WIRE_VERSION};
-use crate::workload::{format_op, parse_op};
-
-/// Poison-tolerant engine read: a panicked *writer* poisons the lock,
-/// but readers here only ever observe either pre-panic state (the
-/// injected panics fire before any mutation) or the post-rebuild
-/// engine, both structurally sound — and the dispatcher rebuilds from
-/// the journal before answering anything after a poisoning.
-fn read_engine(lock: &RwLock<ServiceEngine>) -> RwLockReadGuard<'_, ServiceEngine> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Poison-tolerant mutex lock (a writer panicking mid-`write_frame`
-/// must not cascade into every later answer on the connection).
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Tuning knobs for [`Server`]. The defaults match the batch engine's
-/// shard count and keep the admission queue small enough that overload
-/// surfaces as `Busy` quickly instead of as latency.
-#[derive(Clone, Debug)]
-pub struct NetConfig {
-    /// Shard worker threads (and engine shard count).
-    pub shards: usize,
-    /// Capacity of the admission queue and of each per-shard queue.
-    pub queue_depth: usize,
-    /// Retry delay suggested in `Busy` answers.
-    pub retry_after_ms: u32,
-    /// Per-connection socket read timeout in milliseconds (`0`
-    /// disables): a stalled client (slow-loris) gets its connection
-    /// closed instead of pinning a thread forever.
-    pub read_timeout_ms: u64,
-    /// Per-connection socket write timeout in milliseconds (`0`
-    /// disables): a client that stops reading cannot wedge answer
-    /// writes indefinitely.
-    pub write_timeout_ms: u64,
-    /// Write-ahead journal path. When set, every admitted mutating op
-    /// is appended and fsynced *before* it executes, so a killed server
-    /// can resume from the journal with bit-identical answers.
-    pub journal: Option<PathBuf>,
-    /// Rebuild the engine and dedupe window from `journal` before
-    /// serving (requires `journal`); the file keeps growing afterwards.
-    pub recover: bool,
-    /// Checkpoint + truncate the journal once this many mutating ops
-    /// accumulate past the last checkpoint (`--compact-every`).
-    pub compact_every: Option<u64>,
-    /// Checkpoint + truncate the journal once this many bytes
-    /// accumulate past the last checkpoint (`--compact-bytes`).
-    pub compact_bytes: Option<u64>,
-    /// Deterministic fault schedule (test builds only; the default
-    /// empty plan makes every hook a no-op).
-    #[cfg(feature = "fault-inject")]
-    pub fault: Arc<FaultPlan>,
-}
-
-impl Default for NetConfig {
-    fn default() -> NetConfig {
-        NetConfig {
-            shards: crate::engine::DEFAULT_SHARDS,
-            queue_depth: 256,
-            retry_after_ms: 2,
-            read_timeout_ms: 30_000,
-            write_timeout_ms: 30_000,
-            journal: None,
-            recover: false,
-            compact_every: None,
-            compact_bytes: None,
-            #[cfg(feature = "fault-inject")]
-            fault: Arc::new(FaultPlan::none()),
-        }
-    }
-}
-
-/// A bound TCP front-end around a fresh [`ServiceEngine`]. Construct
-/// with [`Server::bind`], then call [`Server::run`] (blocking) — it
-/// returns the final [`StatsSnapshot`] once a client sends a
-/// `shutdown` frame.
-pub struct Server {
-    listener: TcpListener,
-    local_addr: SocketAddr,
-    config: NetConfig,
-    engine: ServiceEngine,
-    dedupe: DedupeWindow,
-    journal: Option<Journal>,
-    /// Ops replayed from the journal at bind time (0 without
-    /// `recover`).
-    recovered_ops: usize,
-    /// Where the recovered state came from (`None` without `recover`).
-    recovery_source: Option<RecoverySource>,
-    /// Mutating ops across the full recovered history (checkpoint +
-    /// tail); the dispatcher's op counter starts here.
-    history_ops: u64,
-    /// Ops already covered by a checkpoint at bind time; the journal
-    /// tail starts past this base.
-    journal_base: u64,
-}
-
-impl Server {
-    /// Bind the listener and, when [`NetConfig::recover`] is set,
-    /// rebuild the engine from the journal before accepting anything.
-    /// Pass port 0 to let the OS choose (read it back with
-    /// [`Server::local_addr`]).
-    pub fn bind(addr: impl ToSocketAddrs, config: NetConfig) -> io::Result<Server> {
-        let (engine, dedupe, journal, recovered_ops, recovery) =
-            match (&config.journal, config.recover) {
-                (Some(path), true) => {
-                    let rec = journal::recover(path, config.shards)?;
-                    let journal = Journal::open_append(path)?;
-                    let recovery = (rec.source, rec.history_ops, rec.journal_base);
-                    (
-                        rec.engine,
-                        rec.dedupe,
-                        Some(journal),
-                        rec.replayed,
-                        Some(recovery),
-                    )
-                }
-                (Some(path), false) => (
-                    ServiceEngine::with_shards(config.shards),
-                    DedupeWindow::new(),
-                    Some(Journal::create(path)?),
-                    0,
-                    None,
-                ),
-                (None, true) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "recover requires a journal path",
-                    ))
-                }
-                (None, false) => (
-                    ServiceEngine::with_shards(config.shards),
-                    DedupeWindow::new(),
-                    None,
-                    0,
-                    None,
-                ),
-            };
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let (recovery_source, history_ops, journal_base) = match recovery {
-            Some((source, ops, base)) => (Some(source), ops, base),
-            None => (None, 0, 0),
-        };
-        Ok(Server {
-            listener,
-            local_addr,
-            config,
-            engine,
-            dedupe,
-            journal,
-            recovered_ops,
-            recovery_source,
-            history_ops,
-            journal_base,
-        })
-    }
-
-    /// Ops replayed from the journal at bind time (0 unless
-    /// [`NetConfig::recover`] was set).
-    pub fn recovered_ops(&self) -> usize {
-        self.recovered_ops
-    }
-
-    /// Where the recovered state came from: a checkpoint (plus the
-    /// journal tail) or the full journal. `None` without
-    /// [`NetConfig::recover`].
-    pub fn recovery_source(&self) -> Option<RecoverySource> {
-        self.recovery_source
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Serve until a client sends a `shutdown` frame, then drain all
-    /// queues and return the lifetime counters.
-    pub fn run(self) -> StatsSnapshot {
-        let Server {
-            listener,
-            local_addr,
-            config,
-            engine,
-            dedupe,
-            journal,
-            recovered_ops: _,
-            recovery_source: _,
-            history_ops,
-            journal_base,
-        } = self;
-        let engine = Arc::new(RwLock::new(engine));
-        let stats = Arc::new(StatsInner::new());
-        let outstanding = Arc::new(ShardDrain::default());
-
-        // Per-shard worker threads: execute probe/query-part jobs under
-        // the shared engine lock.
-        let mut shard_txs = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        for _ in 0..config.shards {
-            let (tx, rx) = mpsc::sync_channel::<ShardJob>(config.queue_depth);
-            shard_txs.push(tx);
-            let engine = engine.clone();
-            let outstanding = outstanding.clone();
-            let stats = stats.clone();
-            workers.push(thread::spawn(move || {
-                shard_worker(rx, engine, outstanding, stats)
-            }));
-        }
-
-        // The dispatcher: the only thread that submits shard jobs or
-        // runs barriers, which is what makes drain-before-barrier a
-        // local argument instead of a distributed one.
-        let (admission_tx, admission_rx) = mpsc::sync_channel::<Job>(config.queue_depth);
-        let dispatcher = {
-            // The recovered tail's on-disk size primes the byte
-            // threshold so a restart does not reset byte-based
-            // compaction progress.
-            let tail_bytes = config
-                .journal
-                .as_deref()
-                .and_then(|p| std::fs::metadata(p).ok())
-                .map_or(0, |m| m.len());
-            stats
-                .tail_len
-                .store(history_ops - journal_base, Ordering::Relaxed);
-            let state = Dispatcher {
-                shard_txs,
-                engine: engine.clone(),
-                stats: stats.clone(),
-                drain: outstanding.clone(),
-                journal,
-                dedupe,
-                journal_path: config.journal.clone(),
-                shards: config.shards,
-                dispatched: 0,
-                policy: CompactionPolicy {
-                    every: config.compact_every,
-                    bytes: config.compact_bytes,
-                },
-                ops_applied: history_ops,
-                base: journal_base,
-                tail_bytes,
-                cycles: 0,
-                #[cfg(feature = "fault-inject")]
-                fault: config.fault.clone(),
-            };
-            thread::spawn(move || dispatch(admission_rx, state))
-        };
-
-        // Accept loop. Connection threads are joined before the
-        // admission sender drops so the dispatcher drains completely.
-        let ctx = Arc::new(ConnCtx {
-            engine: engine.clone(),
-            stats: stats.clone(),
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            local_addr,
-            retry_after_ms: config.retry_after_ms,
-            #[cfg(feature = "fault-inject")]
-            fault: config.fault.clone(),
-        });
-        let mut conn_threads = Vec::new();
-        let mut next_conn_id = 0u64;
-        for stream in listener.incoming() {
-            if ctx.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            // Socket timeouts apply to the whole fd (reads in the
-            // connection loop, answer writes from workers sharing the
-            // writer clone), so a stalled peer bounds every wait.
-            if config.read_timeout_ms > 0 {
-                let _ =
-                    stream.set_read_timeout(Some(Duration::from_millis(config.read_timeout_ms)));
-            }
-            if config.write_timeout_ms > 0 {
-                let _ =
-                    stream.set_write_timeout(Some(Duration::from_millis(config.write_timeout_ms)));
-            }
-            let id = next_conn_id;
-            next_conn_id += 1;
-            let ctx = ctx.clone();
-            let tx = admission_tx.clone();
-            conn_threads.push(thread::spawn(move || serve_connection(stream, tx, ctx, id)));
-        }
-        for t in conn_threads {
-            let _ = t.join();
-        }
-        drop(admission_tx);
-        let _ = dispatcher.join();
-        for w in workers {
-            let _ = w.join();
-        }
-
-        let open_sessions = read_engine(&engine).open_sessions() as u64;
-        stats.snapshot(open_sessions)
-    }
-}
-
-/// One admitted op waiting for the dispatcher.
-struct Job {
-    req: Request,
-    reply: ReplyTo,
-}
-
-/// One unit of shard work.
-enum ShardJob {
-    /// A whole probe op, owned by one shard.
-    Probe {
-        session: u64,
-        player: u32,
-        objects: Vec<u32>,
-        reply: ReplyTo,
-        /// Fault-injection: panic before touching any state.
-        #[cfg(feature = "fault-inject")]
-        inject_panic: bool,
-    },
-    /// One shard's slice of a preference query.
-    Query {
-        members: Vec<(usize, u32)>,
-        objects: Arc<Option<Vec<u32>>>,
-        cell: Arc<MergeCell>,
-        /// Fault-injection: panic before touching any state.
-        #[cfg(feature = "fault-inject")]
-        inject_panic: bool,
-    },
-}
-
-/// Per-player query partials: `(ones, digest)` per queried member,
-/// `None` until its shard fills the slot; a countdown of unfilled
-/// slices tells the last shard to fold and answer; `failed` latches
-/// once a slice's worker panicked, so the query answers `Retryable`
-/// exactly once and never merges partial state.
-struct QuerySlots {
-    parts: Vec<Option<(u64, u64)>>,
-    remaining: usize,
-    failed: bool,
-}
-
-/// Merge buffer for a cross-shard query: the last shard to fill its
-/// slice folds the partials (in original request order) and answers.
-struct MergeCell {
-    session: u64,
-    slots: Mutex<QuerySlots>,
-    reply: ReplyTo,
-}
-
-impl MergeCell {
-    /// Latch the failure and answer once; later slices (filled or
-    /// failed) see the latch and stay silent.
-    fn fail(&self, resp: &Response) {
-        let mut slots = lock_ok(&self.slots);
-        if !slots.failed {
-            slots.failed = true;
-            self.reply.answer(resp);
-        }
-    }
-}
-
-/// Where and how to answer an admitted op.
-#[derive(Clone)]
-struct ReplyTo {
-    conn: Arc<Mutex<TcpStream>>,
-    seq: u64,
-    admitted: Instant,
-    stats: Arc<StatsInner>,
-}
-
-impl ReplyTo {
-    /// Write the final answer, count it, and record its latency. Write
-    /// errors are ignored: the op has executed either way, and a client
-    /// that hung up simply misses its answer.
-    fn answer(&self, resp: &Response) {
-        if matches!(resp, Response::Retryable { .. }) {
-            self.stats.retryable.fetch_add(1, Ordering::Relaxed);
-        }
-        self.stats.completed.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .record_latency(self.admitted.elapsed().as_micros() as u64);
-        let frame = ServerFrame::Resp {
-            seq: self.seq,
-            response: resp.clone(),
-        };
-        let mut conn = lock_ok(&self.conn);
-        let _ = write_frame(&mut *conn, frame.encode().as_bytes());
-    }
-
-    /// Sever the underlying socket (drop-connection fault injection).
-    #[cfg(feature = "fault-inject")]
-    fn sever(&self) {
-        let conn = lock_ok(&self.conn);
-        let _ = conn.shutdown(Shutdown::Both);
-    }
-}
-
-/// Outstanding shard-job counter: barriers wait on it to drain.
-#[derive(Default)]
-struct ShardDrain {
-    count: Mutex<usize>,
-    idle: Condvar,
-}
-
-impl ShardDrain {
-    fn add(&self, n: usize) {
-        *self.count.lock().unwrap() += n;
-    }
-
-    fn done_one(&self) {
-        let mut count = self.count.lock().unwrap();
-        *count -= 1;
-        if *count == 0 {
-            self.idle.notify_all();
-        }
-    }
-
-    fn wait_idle(&self) {
-        let mut count = self.count.lock().unwrap();
-        while *count > 0 {
-            count = self.idle.wait(count).unwrap();
-        }
-    }
-}
-
-/// Where a panicked shard job's `Retryable` answer goes.
-enum FaultHandle {
-    Reply(ReplyTo),
-    Cell(Arc<MergeCell>),
-}
-
-/// Supervised shard worker: a panicking job answers a typed
-/// [`Response::Retryable`] instead of tearing the thread (and with it
-/// the whole server) down. Probe jobs panic before any board or oracle
-/// mutation, and a query slice writes nothing on failure, so the
-/// surviving state stays exactly what the journal describes and a
-/// client resend re-executes cleanly.
-fn shard_worker(
-    rx: Receiver<ShardJob>,
-    engine: Arc<RwLock<ServiceEngine>>,
-    drain: Arc<ShardDrain>,
-    stats: Arc<StatsInner>,
-) {
-    while let Ok(job) = rx.recv() {
-        let handle = match &job {
-            ShardJob::Probe { reply, .. } => FaultHandle::Reply(reply.clone()),
-            ShardJob::Query { cell, .. } => FaultHandle::Cell(cell.clone()),
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_shard_job(&engine, job)));
-        if outcome.is_err() {
-            stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-            let resp = Response::Retryable {
-                reason: "shard worker panicked; resend the op".to_string(),
-            };
-            match handle {
-                FaultHandle::Reply(reply) => reply.answer(&resp),
-                FaultHandle::Cell(cell) => cell.fail(&resp),
-            }
-        }
-        // Always drain, success or panic: a barrier waiting on
-        // `wait_idle` must not deadlock on a dead job.
-        drain.done_one();
-    }
-}
-
-fn run_shard_job(engine: &RwLock<ServiceEngine>, job: ShardJob) {
-    let engine = read_engine(engine);
-    match job {
-        ShardJob::Probe {
-            session,
-            player,
-            objects,
-            reply,
-            #[cfg(feature = "fault-inject")]
-            inject_panic,
-        } => {
-            #[cfg(feature = "fault-inject")]
-            if inject_panic {
-                panic!("fault-inject: worker panic before probe execution");
-            }
-            // The dispatcher validated the session while routing
-            // and no barrier (the only thing that closes one)
-            // can run until this job drains.
-            let state = engine
-                .session(session)
-                .expect("routed probe outlives its session");
-            let resp = probe_response(engine.board(), state, session, player, &objects);
-            reply.answer(&resp);
-        }
-        ShardJob::Query {
-            members,
-            objects,
-            cell,
-            #[cfg(feature = "fault-inject")]
-            inject_panic,
-        } => {
-            #[cfg(feature = "fault-inject")]
-            if inject_panic {
-                panic!("fault-inject: worker panic before query slice");
-            }
-            let state = engine
-                .session(cell.session)
-                .expect("routed query outlives its session");
-            let part = query_part(state, &members, objects.as_deref());
-            let mut slots = lock_ok(&cell.slots);
-            if slots.failed {
-                // A sibling slice already answered Retryable; merging a
-                // partial result now would answer the seq twice.
-                return;
-            }
-            for (pos, ones, digest) in part {
-                slots.parts[pos] = Some((ones, digest));
-            }
-            slots.remaining -= 1;
-            if slots.remaining == 0 {
-                let resp = merge_preferences(cell.session, &slots.parts);
-                cell.reply.answer(&resp);
-            }
-        }
-    }
-}
-
-/// Everything the dispatcher thread owns: the shard queues, the shared
-/// engine, and the durability state (journal + dedupe window) that only
-/// this thread touches — which is what makes "append before execute"
-/// a straight-line argument instead of a concurrent one.
-struct Dispatcher {
-    shard_txs: Vec<SyncSender<ShardJob>>,
-    engine: Arc<RwLock<ServiceEngine>>,
-    stats: Arc<StatsInner>,
-    drain: Arc<ShardDrain>,
-    journal: Option<Journal>,
-    dedupe: DedupeWindow,
-    journal_path: Option<PathBuf>,
-    shards: usize,
-    dispatched: u64,
-    /// Checkpoint/truncate thresholds (disabled when both are `None`).
-    policy: CompactionPolicy,
-    /// Mutating ops journaled across the full history (checkpoint +
-    /// tail) — what a checkpoint written now would cover.
-    ops_applied: u64,
-    /// Ops covered by the last checkpoint; `ops_applied - base` is the
-    /// replayable tail length.
-    base: u64,
-    /// Bytes appended to the journal since the last truncation.
-    tail_bytes: u64,
-    /// Completed compaction cycles this process (keys checkpoint
-    /// faults; the lifetime stat lives in `stats.checkpoints`).
-    cycles: u64,
-    #[cfg(feature = "fault-inject")]
-    fault: Arc<FaultPlan>,
-}
-
-fn dispatch(admission_rx: Receiver<Job>, mut d: Dispatcher) {
-    while let Ok(Job { req, reply }) = admission_rx.recv() {
-        d.stats.depth.fetch_sub(1, Ordering::Relaxed);
-        let index = d.dispatched;
-        d.dispatched += 1;
-        d.handle(index, req, reply);
-    }
-}
-
-impl Dispatcher {
-    #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
-    fn handle(&mut self, index: u64, req: Request, reply: ReplyTo) {
-        #[cfg(feature = "fault-inject")]
-        {
-            self.fault.kill_at(index);
-            if self.fault.drop_conn_at(index) {
-                // Sever the client's socket; the op still executes and
-                // its answer write fails silently — exactly what a mid-
-                // flight network partition looks like to the server.
-                reply.sever();
-            }
-        }
-        // Dedupe barriers before journaling: a resend of an already-
-        // executed barrier must answer the recorded response, not
-        // re-apply the world transition. Shardable ops skip the window
-        // — probes are idempotent (same-value board claims) and queries
-        // are pure reads — so re-execution is already exact.
-        let key = op_key(&req);
-        if !req.is_shardable() {
-            if let Some(resp) = self.dedupe.lookup(req.session(), reply.seq, key) {
-                self.stats.deduped.fetch_add(1, Ordering::Relaxed);
-                reply.answer(resp);
-                return;
-            }
-        }
-        // Durability point: an admitted mutating op hits the fsynced
-        // journal *before* it executes. Crash after the append and the
-        // recovery replay applies it; crash before and the client's
-        // resend runs it fresh — either way exactly once.
-        if req.is_mutating() {
-            if let Some(journal) = &mut self.journal {
-                match journal.append(reply.seq, &req) {
-                    Err(_) => {
-                        // A journal we cannot write is a durability
-                        // promise we cannot keep: refuse the op, keep
-                        // serving.
-                        reply.answer(&Response::Retryable {
-                            reason: "journal append failed; resend the op".to_string(),
-                        });
-                        return;
-                    }
-                    Ok(bytes) => {
-                        self.stats.journaled.fetch_add(1, Ordering::Relaxed);
-                        self.ops_applied += 1;
-                        self.tail_bytes += bytes as u64;
-                        self.stats
-                            .tail_len
-                            .store(self.ops_applied - self.base, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        if req.is_shardable() {
-            #[cfg(feature = "fault-inject")]
-            let inject_panic = self.fault.worker_panic_at(index);
-            let routed = read_engine(&self.engine).route_shardable(&req);
-            match routed {
-                Routed::Reject(resp) => reply.answer(&resp),
-                Routed::Probe { shard } => {
-                    let Request::SubmitProbes {
-                        session,
-                        player,
-                        objects,
-                    } = req
-                    else {
-                        unreachable!("probe routing for a non-probe op");
-                    };
-                    self.drain.add(1);
-                    // Blocking send: an accepted op is never dropped;
-                    // a full shard queue backs pressure up to admission.
-                    self.shard_txs[shard]
-                        .send(ShardJob::Probe {
-                            session,
-                            player,
-                            objects,
-                            reply,
-                            #[cfg(feature = "fault-inject")]
-                            inject_panic,
-                        })
-                        .expect("shard worker outlives the dispatcher");
-                }
-                Routed::Query { width, parts } => {
-                    let Request::QueryPreferences {
-                        session, objects, ..
-                    } = req
-                    else {
-                        unreachable!("query routing for a non-query op");
-                    };
-                    let objects = Arc::new(objects);
-                    let cell = Arc::new(MergeCell {
-                        session,
-                        slots: Mutex::new(QuerySlots {
-                            parts: vec![None; width],
-                            remaining: parts.len(),
-                            failed: false,
-                        }),
-                        reply,
-                    });
-                    self.drain.add(parts.len());
-                    for (shard, members) in parts {
-                        self.shard_txs[shard]
-                            .send(ShardJob::Query {
-                                members,
-                                objects: objects.clone(),
-                                cell: cell.clone(),
-                                #[cfg(feature = "fault-inject")]
-                                inject_panic,
-                            })
-                            .expect("shard worker outlives the dispatcher");
-                    }
-                }
-            }
-        } else {
-            // Barrier: every admitted shardable op finishes first, so
-            // the world transition sees exactly the ops admitted before
-            // it — the batch flush contract, verbatim. The barrier runs
-            // supervised: a panic mid-transition leaves the engine in
-            // an unknown (and lock-poisoned) state, so it is never
-            // trusted again — the dispatcher rebuilds from the journal,
-            // which recorded this very op, before answering anything.
-            self.drain.wait_idle();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut guard = self.engine.write().unwrap_or_else(PoisonError::into_inner);
-                #[cfg(feature = "fault-inject")]
-                if self.fault.barrier_panic_at(index) {
-                    guard.inject_barrier_panic();
-                }
-                guard.barrier(&req)
-            }));
-            match outcome {
-                Ok(resp) => {
-                    self.dedupe
-                        .record(req.session(), reply.seq, key, resp.clone());
-                    reply.answer(&resp);
-                    // Compaction rides the barrier path because this is
-                    // the one place the engine is known quiescent: the
-                    // drain above emptied every shard queue and only
-                    // this thread submits new jobs, so a read lock sees
-                    // a consistent, fully-applied state to snapshot.
-                    self.maybe_compact();
-                }
-                Err(_) => {
-                    self.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
-                    self.rebuild();
-                    // The failed barrier is in the rebuilt state (it was
-                    // journaled before execution), so the client's
-                    // resend hits the dedupe window — exactly once.
-                    reply.answer(&Response::Retryable {
-                        reason: "barrier interrupted; state rebuilt from the journal".to_string(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Run a compaction cycle when a threshold is crossed. A failed
-    /// cycle is logged and absorbed: the journal tail still covers
-    /// everything, so serving (and durability) continue unharmed.
-    fn maybe_compact(&mut self) {
-        if self.journal.is_none()
-            || !self
-                .policy
-                .due(self.ops_applied - self.base, self.tail_bytes)
-        {
-            return;
-        }
-        if let Err(e) = self.compact() {
-            eprintln!("compaction failed (serving continues): {e}");
-        }
-    }
-
-    /// One compaction cycle: write + fsync a checkpoint at
-    /// `ops_applied`, then atomically truncate the journal to an empty
-    /// tail based at the same count. Ordering is the crash-safety
-    /// argument — the checkpoint is durable before the tail it
-    /// replaces is dropped, so every kill window leaves a recoverable
-    /// (checkpoint, tail) pair.
-    #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
-    fn compact(&mut self) -> io::Result<()> {
-        let path = self
-            .journal_path
-            .clone()
-            .expect("an open journal implies a journal path");
-        let cycle = self.cycles;
-        {
-            let engine = read_engine(&self.engine);
-            #[cfg(feature = "fault-inject")]
-            if self.fault.torn_checkpoint_at(cycle) {
-                checkpoint::save_torn_checkpoint(&path, &engine, &self.dedupe, self.ops_applied)?;
-                eprintln!(
-                    "fault-inject: torn checkpoint at cycle {cycle}; aborting before truncation"
-                );
-                std::process::abort();
-            }
-            checkpoint::save_checkpoint(&path, &engine, &self.dedupe, self.ops_applied)?;
-        }
-        // The old append handle points at the renamed-away inode; adopt
-        // the handle on the fresh tail.
-        self.journal = Some(Journal::truncate_to_base(&path, self.ops_applied)?);
-        let truncated = self.ops_applied - self.base;
-        self.base = self.ops_applied;
-        self.tail_bytes = 0;
-        self.cycles += 1;
-        self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .truncated_ops
-            .fetch_add(truncated, Ordering::Relaxed);
-        self.stats.tail_len.store(0, Ordering::Relaxed);
-        #[cfg(feature = "fault-inject")]
-        self.fault.kill_checkpoint_at(cycle);
-        Ok(())
-    }
-
-    /// Replace the (possibly poisoned, never-again-trusted) engine with
-    /// one rebuilt from the journal — or a fresh one when the server
-    /// runs without durability, which is still sound: an unjournaled
-    /// server makes no replay promise, and a fresh engine beats a
-    /// corrupt one.
-    fn rebuild(&mut self) {
-        let (engine, dedupe) = match &self.journal_path {
-            Some(path) => match journal::recover(path, self.shards) {
-                Ok(rec) => {
-                    // Re-derive the compaction counters from what the
-                    // recovery actually saw — the authoritative history
-                    // after any checkpoint + truncation.
-                    self.ops_applied = rec.history_ops;
-                    self.base = rec.journal_base;
-                    self.tail_bytes = std::fs::metadata(path).map_or(0, |m| m.len());
-                    self.stats
-                        .tail_len
-                        .store(self.ops_applied - self.base, Ordering::Relaxed);
-                    (rec.engine, rec.dedupe)
-                }
-                Err(_) => (ServiceEngine::with_shards(self.shards), DedupeWindow::new()),
-            },
-            None => (ServiceEngine::with_shards(self.shards), DedupeWindow::new()),
-        };
-        *self.engine.write().unwrap_or_else(PoisonError::into_inner) = engine;
-        self.engine.clear_poison();
-        self.dedupe = dedupe;
-    }
-}
-
-/// Shared state the connection threads need.
-struct ConnCtx {
-    engine: Arc<RwLock<ServiceEngine>>,
-    stats: Arc<StatsInner>,
-    shutdown: AtomicBool,
-    conns: Mutex<Vec<(u64, TcpStream)>>,
-    local_addr: SocketAddr,
-    retry_after_ms: u32,
-    #[cfg(feature = "fault-inject")]
-    fault: Arc<FaultPlan>,
-}
-
-impl ConnCtx {
-    /// Flip the shutdown flag, poke the acceptor awake, and unblock
-    /// every connection thread's pending read.
-    fn trigger_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.local_addr);
-        for (_, conn) in self.conns.lock().unwrap().iter() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-fn serve_connection(stream: TcpStream, admission_tx: SyncSender<Job>, ctx: Arc<ConnCtx>, id: u64) {
-    if let Ok(clone) = stream.try_clone() {
-        ctx.conns.lock().unwrap().push((id, clone));
-    }
-    connection_loop(&stream, admission_tx, &ctx);
-    // Sever the socket itself, not just this handle: the registry clone
-    // (and any straggler reply handle) keeps the fd alive, and without
-    // an explicit shutdown the peer would never see EOF.
-    let _ = stream.shutdown(Shutdown::Both);
-    ctx.conns.lock().unwrap().retain(|(cid, _)| *cid != id);
-}
-
-fn connection_loop(stream: &TcpStream, admission_tx: SyncSender<Job>, ctx: &Arc<ConnCtx>) {
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    let mut reader = stream;
-    let send = |frame: &ServerFrame| {
-        let mut w = writer.lock().unwrap();
-        write_frame(&mut *w, frame.encode().as_bytes())
-    };
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(p)) => p,
-            // Clean EOF, a lying length prefix (no way to resync), or a
-            // shutdown-severed socket: either way this stream is done.
-            Ok(None) => return,
-            // The socket read timeout fired: the peer stalled mid-frame
-            // (or went silent past the idle bound). Name the cause in
-            // the goodbye so a live-but-slow client knows what happened.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                let _ = send(&ServerFrame::Err {
-                    seq: 0,
-                    message: "connection idle past the read timeout".to_string(),
-                });
-                return;
-            }
-            Err(e) => {
-                let _ = send(&ServerFrame::Err {
-                    seq: 0,
-                    message: e.to_string(),
-                });
-                return;
-            }
-        };
-        let Ok(text) = std::str::from_utf8(&payload) else {
-            // Framing is still intact (the length prefix was honest),
-            // so answer typed and keep the connection alive.
-            let _ = send(&ServerFrame::Err {
-                seq: 0,
-                message: "frame payload is not UTF-8".to_string(),
-            });
-            continue;
-        };
-        let frame = match ClientFrame::decode(text) {
-            Ok(f) => f,
-            Err(message) => {
-                let _ = send(&ServerFrame::Err { seq: 0, message });
-                continue;
-            }
-        };
-        match frame {
-            ClientFrame::Hello => {
-                if send(&ServerFrame::Hello).is_err() {
-                    return;
-                }
-            }
-            ClientFrame::Op { seq, line } => match parse_op(&line) {
-                Err(message) => {
-                    // The satellite bugfix, shared with the stdin loop:
-                    // a malformed op line is a typed rejection, not a
-                    // dead session.
-                    ctx.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                    let _ = send(&ServerFrame::Resp {
-                        seq,
-                        response: Response::Rejected(ServiceError::Malformed { message }),
-                    });
-                }
-                Ok(req) => {
-                    // Fault-injection: wedge this connection thread for
-                    // a while before admission, as if the server ground
-                    // to a halt — the client's deadline should fire.
-                    #[cfg(feature = "fault-inject")]
-                    if let Some(stall) = ctx
-                        .fault
-                        .stall_at(ctx.stats.admitted.load(Ordering::Relaxed))
-                    {
-                        thread::sleep(stall);
-                    }
-                    let job = Job {
-                        req,
-                        reply: ReplyTo {
-                            conn: writer.clone(),
-                            seq,
-                            admitted: Instant::now(),
-                            stats: ctx.stats.clone(),
-                        },
-                    };
-                    ctx.stats.depth_enter();
-                    match admission_tx.try_send(job) {
-                        Ok(()) => {
-                            ctx.stats.admitted.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(TrySendError::Full(_)) => {
-                            ctx.stats.depth_leave();
-                            ctx.stats.busy.fetch_add(1, Ordering::Relaxed);
-                            let _ = send(&ServerFrame::Resp {
-                                seq,
-                                response: Response::Busy {
-                                    retry_after_ms: ctx.retry_after_ms,
-                                },
-                            });
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            ctx.stats.depth_leave();
-                            return;
-                        }
-                    }
-                }
-            },
-            ClientFrame::Stats { seq } => {
-                let open_sessions = ctx.engine.read().unwrap().open_sessions() as u64;
-                let _ = send(&ServerFrame::Stats {
-                    seq,
-                    stats: ctx.stats.snapshot(open_sessions),
-                });
-            }
-            ClientFrame::Shutdown { seq } => {
-                let _ = send(&ServerFrame::Bye { seq });
-                ctx.trigger_shutdown();
-                return;
-            }
-        }
-    }
-}
-
-/// Lock-free lifetime counters plus a log₂ latency histogram.
-struct StatsInner {
-    admitted: AtomicU64,
-    busy: AtomicU64,
-    malformed: AtomicU64,
-    completed: AtomicU64,
-    retryable: AtomicU64,
-    journaled: AtomicU64,
-    deduped: AtomicU64,
-    worker_panics: AtomicU64,
-    rebuilds: AtomicU64,
-    checkpoints: AtomicU64,
-    truncated_ops: AtomicU64,
-    /// Gauge, not a counter: the current replayable journal-tail
-    /// length in ops.
-    tail_len: AtomicU64,
-    depth: AtomicU64,
-    depth_peak: AtomicU64,
-    latency_us: [AtomicU64; 64],
-}
-
-impl StatsInner {
-    fn new() -> StatsInner {
-        StatsInner {
-            admitted: AtomicU64::new(0),
-            busy: AtomicU64::new(0),
-            malformed: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            retryable: AtomicU64::new(0),
-            journaled: AtomicU64::new(0),
-            deduped: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            rebuilds: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            truncated_ops: AtomicU64::new(0),
-            tail_len: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
-            depth_peak: AtomicU64::new(0),
-            latency_us: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// Count a queue slot *before* the `try_send` that fills it — the
-    /// dispatcher may drain the job (and decrement the gauge) before
-    /// the admitting thread runs another instruction, so incrementing
-    /// after the send would race the gauge below zero.
-    fn depth_enter(&self) {
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.depth_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Undo [`StatsInner::depth_enter`] when admission failed.
-    fn depth_leave(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn record_latency(&self, micros: u64) {
-        let bucket = if micros == 0 {
-            0
-        } else {
-            (64 - micros.leading_zeros() as usize).min(63)
-        };
-        self.latency_us[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn percentile(&self, counts: &[u64; 64], total: u64, numer: u64, denom: u64) -> u64 {
-        if total == 0 {
-            return 0;
-        }
-        let rank = (total * numer).div_ceil(denom).max(1);
-        let mut seen = 0;
-        for (bucket, &n) in counts.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if bucket == 0 { 0 } else { 1u64 << (bucket - 1) };
-            }
-        }
-        1u64 << 62
-    }
-
-    fn snapshot(&self, open_sessions: u64) -> StatsSnapshot {
-        let counts: [u64; 64] = std::array::from_fn(|i| self.latency_us[i].load(Ordering::Relaxed));
-        let total: u64 = counts.iter().sum();
-        StatsSnapshot {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            busy_rejected: self.busy.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            open_sessions,
-            queue_depth_peak: self.depth_peak.load(Ordering::Relaxed),
-            p50_us: self.percentile(&counts, total, 1, 2),
-            p99_us: self.percentile(&counts, total, 99, 100),
-            queue_depth: self.depth.load(Ordering::Relaxed),
-            retryable: self.retryable.load(Ordering::Relaxed),
-            journaled: self.journaled.load(Ordering::Relaxed),
-            deduped: self.deduped.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            rebuilds: self.rebuilds.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            truncated_ops: self.truncated_ops.load(Ordering::Relaxed),
-            tail_len: self.tail_len.load(Ordering::Relaxed),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Client side
-// ---------------------------------------------------------------------------
-
-/// What [`replay_over_socket`] brings back.
-#[derive(Clone, Debug)]
-pub struct SocketReplay {
-    /// Final answer per trace op, in trace order — digests over this
-    /// vector are comparable to `ServiceEngine::execute` output.
-    pub responses: Vec<Response>,
-    /// How many `Busy` answers were retried along the way (overload
-    /// evidence; zero information content for the digest).
-    pub busy_retries: u64,
-    /// How many `Retryable` answers were retried (fault evidence; like
-    /// `Busy`, never part of the digest).
-    pub retryable_retries: u64,
-    /// How many times a connection was re-established mid-replay.
-    pub reconnects: u64,
-}
-
-/// Max in-flight shardable ops per connection before the client reaps
-/// answers.
-const PIPELINE_WINDOW: usize = 64;
-
-/// Cap on the retry backoff window.
-const MAX_RETRY_MS: u64 = 50;
-
-/// Client-side resilience knobs for [`replay_with_options`].
-#[derive(Clone, Debug)]
-pub struct ReplayOptions {
-    /// Sockets to spread sessions over (min 1).
-    pub connections: usize,
-    /// Per-request deadline: an op unanswered this long gets its
-    /// connection torn down and every pending op on it resent. `None`
-    /// waits forever (the pre-fault-tolerance behavior).
-    pub deadline: Option<Duration>,
-    /// Seed for the deterministic backoff jitter — fixed seed, fixed
-    /// retry schedule, reproducible chaos runs.
-    pub retry_seed: u64,
-    /// Reconnect and resend when the server drops a connection with
-    /// ops in flight (`false` restores the old hard-error behavior).
-    pub reconnect: bool,
-    /// Total time to keep re-dialing one reconnect before giving up.
-    pub give_up_after: Duration,
-    /// Optional pause before each op — spreads a replay out in time so
-    /// an external fault (a `kill -9`) lands mid-trace instead of
-    /// after the burst already finished.
-    pub throttle: Option<Duration>,
-}
-
-impl Default for ReplayOptions {
-    fn default() -> ReplayOptions {
-        ReplayOptions {
-            connections: 1,
-            deadline: None,
-            retry_seed: 0xb0ff_5eed,
-            reconnect: true,
-            give_up_after: Duration::from_secs(30),
-            throttle: None,
-        }
-    }
-}
-
-/// Replay a trace over TCP across `connections` sockets and collect
-/// the final answers in trace order, with default [`ReplayOptions`].
-///
-/// Ordering contract (see the module docs): every op of a session uses
-/// the connection `session_id % connections`; an `Open` drains all
-/// connections and is awaited (ids are assigned in open order, so the
-/// k-th open of a fresh server gets id k); any other barrier drains and
-/// is awaited on its session's connection; shardable ops pipeline up to
-/// [`PIPELINE_WINDOW`] deep. `Busy` and `Retryable` answers are retried
-/// with capped exponential backoff and never appear in `responses`.
-pub fn replay_over_socket(
-    addr: impl ToSocketAddrs,
-    ops: &[Request],
-    connections: usize,
-) -> io::Result<SocketReplay> {
-    replay_with_options(
-        addr,
-        ops,
-        ReplayOptions {
-            connections,
-            ..ReplayOptions::default()
-        },
-    )
-}
-
-/// [`replay_over_socket`] with explicit resilience knobs: deadlines,
-/// reconnect-and-resend, seeded backoff, and an inter-op throttle.
-///
-/// Resends are safe end to end: the server dedupes resent barriers by
-/// `(session, seq, op)` and probe re-execution is idempotent, so a
-/// retried mutation applies exactly once no matter how many times the
-/// connection died under it.
-pub fn replay_with_options(
-    addr: impl ToSocketAddrs,
-    ops: &[Request],
-    options: ReplayOptions,
-) -> io::Result<SocketReplay> {
-    let connections = options.connections.max(1);
-    let addr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address to connect to"))?;
-    let mut client = ReplayClient::connect(addr, connections, options)?;
-    let mut opens_sent = 0usize;
-    for (index, op) in ops.iter().enumerate() {
-        let seq = index as u64;
-        if let Some(pause) = client.options.throttle {
-            thread::sleep(pause);
-        }
-        match op {
-            Request::Open(_) => {
-                let conn = opens_sent % connections;
-                opens_sent += 1;
-                client.drain_all()?;
-                client.send_op(conn, seq, op)?;
-                client.await_answer(seq)?;
-            }
-            _ if !op.is_shardable() => {
-                let conn = op.session().expect("non-open op has a session") as usize % connections;
-                client.drain_conn(conn)?;
-                client.send_op(conn, seq, op)?;
-                client.await_answer(seq)?;
-            }
-            _ => {
-                let conn = op.session().expect("shardable op has a session") as usize % connections;
-                while client.in_flight[conn] >= PIPELINE_WINDOW {
-                    client.pump_one()?;
-                }
-                client.send_op(conn, seq, op)?;
-            }
-        }
-    }
-    client.drain_all()?;
-    let responses = client
-        .responses
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.unwrap_or_else(|| panic!("op {i} finished the replay unanswered")))
-        .collect();
-    Ok(SocketReplay {
-        responses,
-        busy_retries: client.busy_retries,
-        retryable_retries: client.retryable_retries,
-        reconnects: client.reconnects,
-    })
-}
-
-/// An answered-or-dead message from one reader thread. `Closed` carries
-/// the connection *generation* so a stale reader (its socket already
-/// replaced by a reconnect) cannot retire the replacement.
-enum Event {
-    Frame(ServerFrame),
-    Closed(usize, u64),
-}
-
-/// One sent-but-unanswered op: enough to resend it verbatim on the
-/// right connection, plus the bookkeeping the deadline check needs.
-struct PendingOp {
-    conn: usize,
-    line: String,
-    attempts: u32,
-    sent_at: Instant,
-}
-
-struct ReplayClient {
-    addr: SocketAddr,
-    options: ReplayOptions,
-    writers: Vec<TcpStream>,
-    /// Bumped on every reconnect; readers report their generation.
-    generation: Vec<u64>,
-    /// A connection known dead (reader reported `Closed`); the next op
-    /// routed to it reconnects first.
-    dead: Vec<bool>,
-    /// Kept so reconnect-spawned readers share the original channel —
-    /// and so `events.recv()` never spuriously disconnects.
-    event_tx: mpsc::Sender<Event>,
-    events: mpsc::Receiver<Event>,
-    pending: HashMap<u64, PendingOp>,
-    in_flight: Vec<usize>,
-    responses: Vec<Option<Response>>,
-    busy_retries: u64,
-    retryable_retries: u64,
-    reconnects: u64,
-}
-
-/// Dial, handshake, and disable Nagle on one connection.
-fn connect_one(addr: SocketAddr) -> io::Result<TcpStream> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    handshake(&mut stream)?;
-    Ok(stream)
-}
-
-/// Spawn the reader thread for one connection generation: forwards
-/// decoded frames, reports `Closed(conn, generation)` when the socket
-/// dies or turns to garbage.
-fn spawn_reader(
-    event_tx: mpsc::Sender<Event>,
-    mut reader: TcpStream,
-    conn: usize,
-    generation: u64,
-) {
-    thread::spawn(move || {
-        while let Ok(Some(payload)) = read_frame(&mut reader) {
-            let frame = std::str::from_utf8(&payload)
-                .ok()
-                .and_then(|t| ServerFrame::decode(t).ok());
-            match frame {
-                Some(f) => {
-                    if event_tx.send(Event::Frame(f)).is_err() {
-                        return;
-                    }
-                }
-                // An undecodable server frame means the stream is
-                // unusable; report the close.
-                None => break,
-            }
-        }
-        let _ = event_tx.send(Event::Closed(conn, generation));
-    });
-}
-
-impl ReplayClient {
-    fn connect(
-        addr: SocketAddr,
-        connections: usize,
-        options: ReplayOptions,
-    ) -> io::Result<ReplayClient> {
-        let (event_tx, events) = mpsc::channel::<Event>();
-        let mut writers = Vec::with_capacity(connections);
-        for conn in 0..connections {
-            let stream = connect_one(addr)?;
-            let reader = stream.try_clone()?;
-            writers.push(stream);
-            spawn_reader(event_tx.clone(), reader, conn, 0);
-        }
-        Ok(ReplayClient {
-            addr,
-            options,
-            writers,
-            generation: vec![0; connections],
-            dead: vec![false; connections],
-            event_tx,
-            events,
-            pending: HashMap::new(),
-            in_flight: vec![0; connections],
-            responses: Vec::new(),
-            busy_retries: 0,
-            retryable_retries: 0,
-            reconnects: 0,
-        })
-    }
-
-    /// Register the op as pending *before* the write: if the write
-    /// fails into a reconnect, the reconnect's resend sweep already
-    /// covers this op.
-    fn send_op(&mut self, conn: usize, seq: u64, op: &Request) -> io::Result<()> {
-        let line = format_op(op);
-        if self.responses.len() <= seq as usize {
-            self.responses.resize(seq as usize + 1, None);
-        }
-        self.pending.insert(
-            seq,
-            PendingOp {
-                conn,
-                line: line.clone(),
-                attempts: 0,
-                sent_at: Instant::now(),
-            },
-        );
-        self.in_flight[conn] += 1;
-        self.dispatch_line(conn, seq, &line)
-    }
-
-    /// Write one op frame, reconnecting first (which resends every
-    /// pending op on the connection, including `seq`) when the
-    /// connection is known dead or the write fails.
-    fn dispatch_line(&mut self, conn: usize, seq: u64, line: &str) -> io::Result<()> {
-        if self.dead[conn] {
-            return self.reconnect(conn);
-        }
-        let frame = ClientFrame::Op {
-            seq,
-            line: line.to_string(),
-        };
-        match write_frame(&mut self.writers[conn], frame.encode().as_bytes()) {
-            Ok(()) => Ok(()),
-            Err(_) if self.options.reconnect => self.reconnect(conn),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Deterministic capped exponential backoff: attempt `a` draws from
-    /// `[window/2, window]` where `window = min(2^a, MAX_RETRY_MS)` ms,
-    /// jittered by a hash of `(seed, seq, attempt)` — no entropy, so a
-    /// fixed seed replays the exact retry schedule.
-    fn backoff_delay(&self, seq: u64, attempt: u32) -> Duration {
-        let window = (1u64 << attempt.min(6)).min(MAX_RETRY_MS);
-        let jitter = mix(mix(self.options.retry_seed, seq), u64::from(attempt)) % (window / 2 + 1);
-        Duration::from_millis(window / 2 + jitter)
-    }
-
-    /// Tear down one connection, dial until it comes back (bounded by
-    /// [`ReplayOptions::give_up_after`]), and resend its pending ops in
-    /// sequence order. Server-side dedupe + probe idempotency make the
-    /// resends exactly-once.
-    fn reconnect(&mut self, conn: usize) -> io::Result<()> {
-        self.reconnects += 1;
-        let _ = self.writers[conn].shutdown(Shutdown::Both);
-        self.generation[conn] += 1;
-        let generation = self.generation[conn];
-        let started = Instant::now();
-        let mut attempt = 0u32;
-        let stream = loop {
-            match connect_one(self.addr) {
-                Ok(s) => break s,
-                Err(e) => {
-                    if started.elapsed() >= self.options.give_up_after {
-                        return Err(e);
-                    }
-                    thread::sleep(self.backoff_delay(conn as u64, attempt));
-                    attempt = attempt.saturating_add(1);
-                }
-            }
-        };
-        let reader = stream.try_clone()?;
-        spawn_reader(self.event_tx.clone(), reader, conn, generation);
-        self.writers[conn] = stream;
-        self.dead[conn] = false;
-        let mut seqs: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.conn == conn)
-            .map(|(&seq, _)| seq)
-            .collect();
-        seqs.sort_unstable();
-        for seq in seqs {
-            let line = {
-                let p = self.pending.get_mut(&seq).expect("seq collected above");
-                p.attempts += 1;
-                p.sent_at = Instant::now();
-                p.line.clone()
-            };
-            let frame = ClientFrame::Op { seq, line };
-            if write_frame(&mut self.writers[conn], frame.encode().as_bytes()).is_err() {
-                // Died again mid-resend: the fresh reader will report
-                // `Closed` for this generation and the pump retries.
-                self.dead[conn] = true;
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Resend one op after its typed retry answer (`Busy` or
-    /// `Retryable`), honoring the seeded backoff.
-    fn resend_after(&mut self, seq: u64, retryable: bool) -> io::Result<()> {
-        let Some(p) = self.pending.get_mut(&seq) else {
-            // A duplicate retry answer for an op that a reconnect
-            // resend already got answered — nothing left to do.
-            return Ok(());
-        };
-        p.attempts += 1;
-        let (conn, attempts, line) = (p.conn, p.attempts, p.line.clone());
-        if retryable {
-            self.retryable_retries += 1;
-        } else {
-            self.busy_retries += 1;
-        }
-        thread::sleep(self.backoff_delay(seq, attempts));
-        if let Some(p) = self.pending.get_mut(&seq) {
-            p.sent_at = Instant::now();
-        }
-        self.dispatch_line(conn, seq, &line)
-    }
-
-    /// Tear down and resend every connection carrying an op that blew
-    /// its deadline.
-    fn enforce_deadlines(&mut self) -> io::Result<()> {
-        let Some(deadline) = self.options.deadline else {
-            return Ok(());
-        };
-        let mut conns: Vec<usize> = self
-            .pending
-            .values()
-            .filter(|p| p.sent_at.elapsed() >= deadline)
-            .map(|p| p.conn)
-            .collect();
-        conns.sort_unstable();
-        conns.dedup();
-        for conn in conns {
-            self.reconnect(conn)?;
-        }
-        Ok(())
-    }
-
-    /// Receive and apply one event: record an answer, resend on a
-    /// typed retry, or recover a closed connection. With a deadline
-    /// set, blocks in short slices so expired ops are noticed even
-    /// when the server goes completely silent.
-    fn pump_one(&mut self) -> io::Result<()> {
-        let event = match self.options.deadline {
-            None => self
-                .events
-                .recv()
-                .map_err(|_| broken("every reader thread died mid-replay"))?,
-            Some(_) => loop {
-                match self.events.recv_timeout(Duration::from_millis(10)) {
-                    Ok(event) => break event,
-                    Err(mpsc::RecvTimeoutError::Timeout) => self.enforce_deadlines()?,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(broken("every reader thread died mid-replay"))
-                    }
-                }
-            },
-        };
-        match event {
-            Event::Closed(conn, generation) => {
-                if generation != self.generation[conn] {
-                    // A reader of a socket some reconnect already
-                    // replaced; its report is stale.
-                    return Ok(());
-                }
-                self.dead[conn] = true;
-                if self.in_flight[conn] == 0 {
-                    return Ok(());
-                }
-                if self.options.reconnect {
-                    self.reconnect(conn)
-                } else {
-                    Err(broken("server closed a connection with ops in flight"))
-                }
-            }
-            Event::Frame(ServerFrame::Resp { seq, response }) => match response {
-                Response::Busy { .. } => self.resend_after(seq, false),
-                Response::Retryable { .. } => self.resend_after(seq, true),
-                response => match self.pending.remove(&seq) {
-                    Some(p) => {
-                        self.in_flight[p.conn] -= 1;
-                        self.responses[seq as usize] = Some(response);
-                        Ok(())
-                    }
-                    None => {
-                        // A resend can race its original answer; the
-                        // second copy (dedupe makes it identical) is
-                        // dropped here.
-                        if self
-                            .responses
-                            .get(seq as usize)
-                            .is_some_and(|r| r.is_some())
-                        {
-                            Ok(())
-                        } else {
-                            Err(broken("answer for an unknown sequence number"))
-                        }
-                    }
-                },
-            },
-            Event::Frame(ServerFrame::Err { message, .. }) => {
-                Err(broken(&format!("server protocol error: {message}")))
-            }
-            Event::Frame(_) => Ok(()),
-        }
-    }
-
-    fn drain_conn(&mut self, conn: usize) -> io::Result<()> {
-        while self.in_flight[conn] > 0 {
-            self.pump_one()?;
-        }
-        Ok(())
-    }
-
-    fn drain_all(&mut self) -> io::Result<()> {
-        while self.in_flight.iter().sum::<usize>() > 0 {
-            self.pump_one()?;
-        }
-        Ok(())
-    }
-
-    fn await_answer(&mut self, seq: u64) -> io::Result<()> {
-        while self.responses[seq as usize].is_none() {
-            self.pump_one()?;
-        }
-        Ok(())
-    }
-}
-
-fn broken(message: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.to_string())
-}
-
-/// Exchange `hello` frames on a fresh connection.
-fn handshake(stream: &mut (impl Read + Write)) -> io::Result<()> {
-    write_frame(stream, ClientFrame::Hello.encode().as_bytes())?;
-    let payload = read_frame(stream)?
-        .ok_or_else(|| broken("server closed before answering the handshake"))?;
-    let text = std::str::from_utf8(&payload).map_err(|_| broken("handshake is not UTF-8"))?;
-    match ServerFrame::decode(text) {
-        Ok(ServerFrame::Hello) => Ok(()),
-        Ok(other) => Err(broken(&format!(
-            "expected a {WIRE_VERSION} hello, got {other:?}"
-        ))),
-        Err(message) => Err(broken(&message)),
-    }
-}
-
-/// Ask a running server for its counters over a fresh connection.
-pub fn request_stats(addr: impl ToSocketAddrs) -> io::Result<StatsSnapshot> {
-    let mut stream = TcpStream::connect(addr)?;
-    handshake(&mut stream)?;
-    write_frame(
-        &mut stream,
-        ClientFrame::Stats { seq: 1 }.encode().as_bytes(),
-    )?;
-    loop {
-        let payload =
-            read_frame(&mut stream)?.ok_or_else(|| broken("server closed before the stats"))?;
-        let text = std::str::from_utf8(&payload).map_err(|_| broken("stats frame is not UTF-8"))?;
-        match ServerFrame::decode(text).map_err(|m| broken(&m))? {
-            ServerFrame::Stats { stats, .. } => return Ok(stats),
-            ServerFrame::Err { message, .. } => {
-                return Err(broken(&format!("server protocol error: {message}")))
-            }
-            _ => continue,
-        }
-    }
-}
-
-/// Ask a running server to drain and exit; returns once the `bye` is
-/// acknowledged.
-pub fn request_shutdown(addr: impl ToSocketAddrs) -> io::Result<()> {
-    let mut stream = TcpStream::connect(addr)?;
-    handshake(&mut stream)?;
-    write_frame(
-        &mut stream,
-        ClientFrame::Shutdown { seq: 1 }.encode().as_bytes(),
-    )?;
-    loop {
-        let payload = read_frame(&mut stream)?
-            .ok_or_else(|| broken("server closed before acknowledging shutdown"))?;
-        let text = std::str::from_utf8(&payload).map_err(|_| broken("bye frame is not UTF-8"))?;
-        match ServerFrame::decode(text).map_err(|m| broken(&m))? {
-            ServerFrame::Bye { .. } => return Ok(()),
-            ServerFrame::Err { message, .. } => {
-                return Err(broken(&format!("server protocol error: {message}")))
-            }
-            _ => continue,
-        }
-    }
-}
+//! A single-op `execute` costs ~2 µs against a loopback round trip in
+//! the tens of µs at best, so there is nothing for per-shard threads to
+//! win here (DESIGN.md §4.14 has the measurements); the engine's shard
+//! count only shapes its in-process batch flush.
+//!
+//! The `client` half adds the client side of the ordering argument: all
+//! ops of a session ride one connection, opens are globally serialized,
+//! and a session's barrier is only sent once its earlier ops are
+//! answered.
+
+mod client;
+mod server;
+mod stats;
+
+pub use client::{
+    replay_over_socket, replay_with_options, request_shutdown, request_stats, ReplayOptions,
+    SocketReplay,
+};
+pub use server::{NetConfig, Server};

@@ -21,10 +21,10 @@
 //! `shutdown <seq>`. Server frames are [`ServerFrame`]: `resp <seq>
 //! <response line>`, `stats <seq> <k=v …>`, `bye <seq>`, or `err <seq>
 //! <message>`. The `seq` is chosen by the client and echoed verbatim;
-//! responses may come back in any order (shard workers finish when they
-//! finish), and the sequence number is how the client reassembles
-//! request order — nothing in the protocol forces the server to answer
-//! in-order, which is what lets per-shard workers run free.
+//! responses may come back in any order (a `Busy` refusal overtakes
+//! the ops still queued ahead of it), and the sequence number is how
+//! the client reassembles request order — nothing in the protocol
+//! forces the server to answer in-order.
 //!
 //! # Determinism
 //!
@@ -287,7 +287,7 @@ pub struct StatsSnapshot {
     /// Resent barrier ops answered from the dedupe window instead of
     /// re-executing.
     pub deduped: u64,
-    /// Shard-worker panics caught and supervised.
+    /// Shardable-op (probe/query) panics caught and supervised.
     pub worker_panics: u64,
     /// Engine rebuilds from the journal after a poisoned barrier.
     pub rebuilds: u64,

@@ -587,7 +587,10 @@ proptest::proptest! {
         epoch_w in 0u32..3,
     ) {
         use byzscore_board::par::set_thread_limit;
-        use byzscore_service::{OpMix, ServiceAlgorithm, Trace, TraceSpec};
+        use byzscore_service::{
+            CompactionPolicy, JournaledEngine, OpMix, ServiceAlgorithm, Trace, TraceSpec,
+            DEFAULT_SHARDS,
+        };
         use proptest::prelude::prop_assert_eq;
 
         let spec = TraceSpec {
@@ -620,6 +623,25 @@ proptest::proptest! {
             prop_assert_eq!(&got, &reference);
         }
         set_thread_limit(None);
+
+        // The journal-less op pipeline (what an unjournaled server and
+        // `scored serve` drive) is one more executor that must agree,
+        // one op per `submit`.
+        let (mut pipeline, _) =
+            JournaledEngine::open(None, false, DEFAULT_SHARDS, CompactionPolicy::default())
+                .expect("a journal-less pipeline opens");
+        let piped: Vec<u64> = trace
+            .ops
+            .iter()
+            .enumerate()
+            .map(|(seq, op)| {
+                pipeline
+                    .submit(seq as u64, op)
+                    .expect("nothing to append, nothing to fail")
+                    .digest()
+            })
+            .collect();
+        prop_assert_eq!(&piped, &reference);
     }
 }
 

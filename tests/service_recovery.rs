@@ -14,10 +14,12 @@ use std::time::Duration;
 
 use byzscore_board::par::set_thread_limit;
 use byzscore_service::checkpoint::{checkpoint_path, previous_checkpoint_path};
-use byzscore_service::net::{replay_with_options, request_stats, ReplayOptions};
+use byzscore_service::net::{replay_with_options, request_shutdown, request_stats, ReplayOptions};
+use byzscore_service::wire::{read_frame, write_frame, ClientFrame, ServerFrame};
 use byzscore_service::{
-    combined_digest, parse_op, FaultPlan, JournaledEngine, NetConfig, RecoverySource, Request,
-    Server, ServiceEngine, Trace, TraceSpec, DEFAULT_SHARDS,
+    combined_digest, format_op, parse_op, CompactionPolicy, FaultPlan, JournaledEngine, NetConfig,
+    OpMix, RecoverySource, Request, Response, Server, ServiceEngine, Trace, TraceSpec,
+    DEFAULT_SHARDS,
 };
 
 fn spawn_server(config: NetConfig) -> SocketAddr {
@@ -476,4 +478,168 @@ fn durable_checkpoint_over_an_untruncated_journal_skips_covered_ops() {
         "answers diverged across an untruncated-journal recovery"
     );
     scrub(&path);
+}
+
+/// A barrier panic whose rebuild cannot recover — the journal was
+/// compacted and both checkpoint generations are gone, so the ops
+/// before its base exist nowhere on disk — must stop the server. It
+/// used to fall back to an empty engine and keep answering (the resent
+/// churn came back `Rejected(UnknownSession)`) while appending to a
+/// journal that no longer described its state.
+#[test]
+fn failed_rebuild_stops_the_server_instead_of_serving_an_empty_engine() {
+    let path = temp_journal("failed_rebuild");
+    scrub(&path);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        NetConfig {
+            journal: Some(path.clone()),
+            compact_every: Some(1),
+            fault: Arc::new(FaultPlan::parse("panic-barrier@4").expect("plan parses")),
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr();
+    let running = thread::spawn(move || server.run());
+
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut exchange = |frame: ClientFrame| -> Option<ServerFrame> {
+        write_frame(&mut stream, frame.encode().as_bytes()).ok()?;
+        let payload = read_frame(&mut stream).ok()??;
+        ServerFrame::decode(std::str::from_utf8(&payload).ok()?).ok()
+    };
+    assert_eq!(exchange(ClientFrame::Hello), Some(ServerFrame::Hello));
+    let script = fault_script();
+    let op_frame = |seq: usize| ClientFrame::Op {
+        seq: seq as u64,
+        line: format_op(&script[seq]),
+    };
+    for seq in 0..4 {
+        assert!(
+            matches!(exchange(op_frame(seq)), Some(ServerFrame::Resp { .. })),
+            "op {seq} answered before the fault"
+        );
+    }
+    // Compaction ran (every=1), so the journal's base marker is past
+    // op 0; lose every checkpoint generation that could cover it.
+    std::fs::remove_file(checkpoint_path(&path)).expect("primary checkpoint exists");
+    let _ = std::fs::remove_file(previous_checkpoint_path(&path));
+
+    match exchange(op_frame(4)) {
+        Some(ServerFrame::Resp {
+            seq: 4,
+            response: Response::Retryable { .. },
+        }) => {}
+        other => panic!("expected a Retryable for the interrupted churn, got {other:?}"),
+    }
+    // The resend must not be answered from an empty engine: the server
+    // severed the connection on its way down.
+    assert_eq!(
+        exchange(op_frame(4)),
+        None,
+        "the server kept answering after a failed rebuild"
+    );
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !running.is_finished() && std::time::Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(20));
+    }
+    assert!(running.is_finished(), "the server did not stop");
+    let stats = running.join().expect("server thread exits cleanly");
+    assert_eq!(stats.rebuilds, 1);
+    assert_eq!(stats.admitted, stats.completed);
+    scrub(&path);
+}
+
+/// One pipeline, pinned by bytes: the same durable trace driven through
+/// `JournaledEngine::submit` in-process and through a live `Server` at
+/// one connection (seq = op index on both) must leave byte-identical
+/// journal and checkpoint files, equal answers per op, and equal
+/// durability counters — the socket front-end adds transport, not a
+/// second state machine.
+#[test]
+fn socket_and_in_process_pipelines_write_identical_bytes() {
+    let trace = Trace::generate(&TraceSpec {
+        ops: 300,
+        mix: OpMix {
+            probe: 120,
+            query: 60,
+            churn: 1,
+            epoch: 1,
+        },
+        ..TraceSpec::small(43)
+    });
+    let every = 7;
+    let files = |journal: &PathBuf| {
+        [
+            journal.clone(),
+            checkpoint_path(journal),
+            previous_checkpoint_path(journal),
+        ]
+        .map(|file| std::fs::read(&file).unwrap_or_else(|e| panic!("{}: {e}", file.display())))
+    };
+
+    let local_path = temp_journal("bytes_local");
+    scrub(&local_path);
+    let policy = CompactionPolicy {
+        every: Some(every),
+        bytes: None,
+    };
+    let mut local =
+        JournaledEngine::create_with(&local_path, DEFAULT_SHARDS, policy).expect("create journal");
+    let local_answers: Vec<Response> = trace
+        .ops
+        .iter()
+        .enumerate()
+        .map(|(seq, op)| {
+            local
+                .submit(seq as u64, op)
+                .expect("journal append succeeds")
+        })
+        .collect();
+
+    let served_path = temp_journal("bytes_served");
+    scrub(&served_path);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        NetConfig {
+            journal: Some(served_path.clone()),
+            compact_every: Some(every),
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr();
+    let running = thread::spawn(move || server.run());
+    let served = replay_with_options(addr, &trace.ops, ReplayOptions::default())
+        .expect("socket replay succeeds");
+    let stats = request_stats(addr).expect("stats");
+    request_shutdown(addr).expect("server acknowledges shutdown");
+    running.join().expect("server thread exits cleanly");
+
+    assert_eq!(served.busy_retries + served.retryable_retries, 0);
+    assert_eq!(served.responses, local_answers, "answers differ per op");
+    assert!(local.checkpoints() >= 2, "the trace crosses several cycles");
+    assert_eq!(
+        (
+            stats.journaled,
+            stats.checkpoints,
+            stats.truncated_ops,
+            stats.tail_len
+        ),
+        (
+            local.journaled(),
+            local.checkpoints(),
+            local.truncated_ops(),
+            local.tail_ops()
+        ),
+        "durability counters differ"
+    );
+    let [journal, ckpt, prev] = files(&local_path);
+    let [served_journal, served_ckpt, served_prev] = files(&served_path);
+    assert!(journal == served_journal, "journal bytes differ");
+    assert!(ckpt == served_ckpt, "checkpoint bytes differ");
+    assert!(prev == served_prev, "previous-checkpoint bytes differ");
+    scrub(&local_path);
+    scrub(&served_path);
 }
