@@ -1,7 +1,7 @@
 //! Corruption models and dishonest-player strategies.
 //!
 //! The paper's fault model (§2, §7): up to `n/(3B)` players "may ignore the
-//! protocol, lying about [their] preferences and attempting to improperly
+//! protocol, lying about \[their\] preferences and attempting to improperly
 //! influence the output", possibly *colluding*. They cannot forge honest
 //! players' bulletin-board entries (enforced by the board's authenticated
 //! slots), but everything they post themselves is attacker-chosen.

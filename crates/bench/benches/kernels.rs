@@ -1,9 +1,9 @@
 //! Criterion microbenchmarks for the hot kernels (experiment K, part 1):
 //! Hamming distance (full / bounded / masked), majority folds, vote
 //! tallies, and neighbor discovery — the primitives every protocol phase
-//! leans on. The `neighbor_index` group measures the graph level: exact
-//! `O(n²)` discovery+peel against the banded (sound LSH prune, lazy peel)
-//! strategy on planted-cluster inputs.
+//! leans on. The `neighbor_index` group measures the graph level:
+//! discovery + peel under each representative index (exact, banded,
+//! multi-probe, and whatever `Auto` picks) on planted-cluster inputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
@@ -99,61 +99,47 @@ fn bench_neighbor_graph(c: &mut Criterion) {
     group.finish();
 }
 
-/// Graph-level: full neighbor discovery + peel, exact vs the lazy
-/// strategies, on many-small-cluster inputs (where pruning pays off most).
+/// Graph-level: full neighbor discovery (group, then index the
+/// representatives) and peel, one row per representative index. Labels name
+/// the index the strategy lands on: forced `Exact`, forced `Banded` (which
+/// is `banded` at τ = 10 and `multi-probe` at τ = 48 on 512-bit vectors),
+/// and `auto`.
 fn bench_neighbor_index(c: &mut Criterion) {
+    use NeighborStrategy::{Auto, Banded, Exact};
     let mut group = c.benchmark_group("neighbor_index");
     group.sample_size(10);
-    for (players, camps_n) in [(1024usize, 16usize), (4096, 64)] {
+    let all = [("exact", Exact), ("banded", Banded), ("auto", Auto)];
+    let mid_tau = [
+        ("exact-mid-tau", Exact),
+        ("multi-probe", Banded),
+        ("auto-mid-tau", Auto),
+    ];
+    // (label suffix, players, camps, spread, seed, τ, strategies).
+    let inputs: [(&str, usize, usize, usize, u64, usize, &[_]); 6] = [
+        // Many small clusters, nearly every vector distinct (G ≈ n) — where
+        // pruning pays off most. `auto` at 512 and 8192 shows both sides of
+        // `AUTO_EXACT_MAX`: representatives materialized vs banded.
+        ("", 512, 8, 4, 5, 10, &all[2..]),
+        ("", 1024, 16, 4, 5, 10, &all),
+        ("", 4096, 64, 4, 5, 10, &all),
+        ("", 8192, 128, 4, 5, 10, &all[2..]),
+        // Heavy z-vector collapse (SmallRadius outputs inside planted
+        // clusters), modeled as camps of exact duplicates — the group graph
+        // has 64 nodes for 4096 players.
+        ("-dup", 4096, 64, 0, 7, 10, &all),
+        // Mid-τ regime (512/(48+1) = 10-bit exact bands would be too
+        // narrow): `Banded` lands on single-bit-flip multi-probe bucketing.
+        ("", 2048, 32, 4, 6, 48, &mid_tau),
+    ];
+    for (suffix, players, camps_n, spread, seed, tau, strategies) in inputs {
         let per = players / camps_n;
-        let zs = camps(512, camps_n, per, 4, 5);
-        for (label, strategy) in [
-            ("exact", NeighborStrategy::Exact),
-            ("banded", NeighborStrategy::Banded),
-            ("grouped", NeighborStrategy::Grouped),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, players), &players, |bench, _| {
-                bench.iter(|| {
-                    let idx = NeighborIndex::build(&zs, 10, strategy);
-                    std::hint::black_box(idx.peel(per / 2).clusters.len())
-                });
-            });
-        }
-    }
-    // The grouped strategy's intended regime: heavy z-vector collapse
-    // (SmallRadius outputs inside planted clusters), here modeled as camps
-    // of exact duplicates — the group graph has 64 nodes for 4096 players.
-    {
-        let players = 4096usize;
-        let zs = camps(512, 64, players / 64, 0, 7);
-        for (label, strategy) in [
-            ("exact-dup", NeighborStrategy::Exact),
-            ("grouped-dup", NeighborStrategy::Grouped),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, players), &players, |bench, _| {
-                bench.iter(|| {
-                    let idx = NeighborIndex::build(&zs, 10, strategy);
-                    std::hint::black_box(idx.peel(32).clusters.len())
-                });
-            });
-        }
-    }
-    // Mid-τ regime (512/(48+1) = 10-bit exact bands would be too narrow):
-    // single-bit-flip multi-probe bucketing vs the old blocked-scan answer
-    // (exact) and the grouped route on duplicate-heavy input.
-    {
-        let players = 2048usize;
-        let tau = 48usize;
-        let zs = camps(512, 32, players / 32, 4, 6);
-        for (label, strategy) in [
-            ("exact-mid-tau", NeighborStrategy::Exact),
-            ("multi-probe", NeighborStrategy::Banded),
-            ("grouped-mid-tau", NeighborStrategy::Grouped),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, players), &players, |bench, _| {
+        let zs = camps(512, camps_n, per, spread, seed);
+        for &(name, strategy) in strategies {
+            let id = BenchmarkId::new(format!("{name}{suffix}"), players);
+            group.bench_with_input(id, &players, |bench, _| {
                 bench.iter(|| {
                     let idx = NeighborIndex::build(&zs, tau, strategy);
-                    std::hint::black_box(idx.peel(players / 64).clusters.len())
+                    std::hint::black_box(idx.peel(per / 2).clusters.len())
                 });
             });
         }
@@ -161,16 +147,16 @@ fn bench_neighbor_index(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cross-guess re-banding: the naive baseline's guess loop runs discovery
+/// Cross-guess re-indexing: the naive baseline's guess loop runs discovery
 /// once per diameter guess over the SAME z-vectors, only τ doubling. Cold
 /// = a fresh `NeighborIndex::build` per guess (grouping redone every
-/// time); warm = one `GroupCache` built up front, each guess re-banding
+/// time); warm = one `GroupCache` built up front, each guess re-indexing
 /// the cached group representatives via `cache.cluster(τ, ·)`. Same τ
 /// sweep, same peels — the gap is the per-guess hash-grouping work. The
-/// input is the grouped strategy's collapse regime (duplicate camps, as
-/// SmallRadius z-vectors inside planted clusters): there discovery per
-/// guess *is* mostly the grouping pass, so warm runs the sweep in
-/// roughly one guess's worth of grouping instead of |guesses| of them.
+/// input is grouping's collapse regime (duplicate camps, as SmallRadius
+/// z-vectors inside planted clusters): there discovery per guess *is*
+/// mostly the grouping pass, so warm runs the sweep in roughly one guess's
+/// worth of grouping instead of |guesses| of them.
 fn bench_rebanding(c: &mut Criterion) {
     let mut group = c.benchmark_group("rebanding");
     group.sample_size(10);
@@ -182,7 +168,7 @@ fn bench_rebanding(c: &mut Criterion) {
         bench.iter(|| {
             let mut total = 0usize;
             for &tau in &taus {
-                let idx = NeighborIndex::build(&zs, tau, NeighborStrategy::Grouped);
+                let idx = NeighborIndex::build(&zs, tau, NeighborStrategy::Auto);
                 total += idx.peel(min_size).clusters.len();
             }
             std::hint::black_box(total)
@@ -190,7 +176,7 @@ fn bench_rebanding(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("warm", players), &players, |bench, _| {
         bench.iter(|| {
-            let cache = GroupCache::build(&zs, NeighborStrategy::Grouped);
+            let cache = GroupCache::build(&zs, NeighborStrategy::Auto);
             let mut total = 0usize;
             for &tau in &taus {
                 total += cache.cluster(tau, min_size).clusters.len();
@@ -208,7 +194,7 @@ fn bench_rebanding(c: &mut Criterion) {
         |bench, _| {
             bench.iter(|| {
                 for &tau in &taus {
-                    let cache = GroupCache::build(&zs, NeighborStrategy::Grouped);
+                    let cache = GroupCache::build(&zs, NeighborStrategy::Auto);
                     std::hint::black_box(cache.index(tau));
                 }
             });
@@ -219,7 +205,7 @@ fn bench_rebanding(c: &mut Criterion) {
         &players,
         |bench, _| {
             bench.iter(|| {
-                let cache = GroupCache::build(&zs, NeighborStrategy::Grouped);
+                let cache = GroupCache::build(&zs, NeighborStrategy::Auto);
                 for &tau in &taus {
                     std::hint::black_box(cache.index(tau));
                 }

@@ -295,7 +295,7 @@ fn collect_each(
         .collect()
 }
 
-/// Execute `experiments` via [`collect_each`], rendering each table as
+/// Execute `experiments` via `collect_each`, rendering each table as
 /// markdown to stdout and per-experiment timing to stderr — streamed in
 /// registry order as experiments complete, so output is deterministic
 /// regardless of which experiment finishes first and a long run shows

@@ -13,7 +13,7 @@ use crate::{Scale, TimingMode};
 /// materialized, and outcomes stream per-player errors
 /// ([`byzscore::OutputSink::ErrorStream`]) instead of holding dense output
 /// matrices. `GlobalMajority` and `NaiveSampling` run at every size;
-/// neighbor discovery goes through the grouped `NeighborIndex` strategy —
+/// neighbor discovery goes through `NeighborIndex`'s one pipeline —
 /// bit-identical `z`-vectors (planted clusters collapse sample outputs
 /// heavily) are deduplicated before banding, so every diameter guess,
 /// including the mid-`τ` ones that used to fall onto the `O(n²)` blocked

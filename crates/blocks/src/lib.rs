@@ -30,7 +30,7 @@
 //! partitions, so we execute each recursion *once* over (player-set,
 //! object-set) nodes and account probes per player through the oracle —
 //! semantically identical and far cheaper to simulate. Dishonest players'
-//! posts are routed through the adversary's [`Behaviors`] table at every
+//! posts are routed through the adversary's [`Behaviors`](byzscore_adversary::Behaviors) table at every
 //! point where the protocol reads another player's claim.
 
 #![forbid(unsafe_code)]

@@ -2,50 +2,77 @@
 //! peeling (§6.5, Lemmas 8–9).
 //!
 //! The Lemma-8 edge set — `(p, q)` is an edge iff `|z(p) − z(q)| ≤ τ` — is
-//! produced by a [`NeighborIndex`], which offers three discovery strategies
-//! behind one API:
+//! produced by a [`NeighborIndex`] through **one pipeline at every `n`**:
 //!
-//! * [`NeighborStrategy::Exact`] — the literal all-pairs `O(n²)`
-//!   bounded-distance pass, adjacency materialized. Cheap and cache-friendly
-//!   up to a few thousand players.
-//! * [`NeighborStrategy::Banded`] — a *sound* LSH/bit-bucketing prefilter:
-//!   the `|S|` sample coordinates are split into `τ + 1` disjoint bands, and
-//!   by pigeonhole any pair within distance `τ` must agree **exactly** on at
-//!   least one band (if all `τ + 1` bands differed somewhere, the total
-//!   distance would be ≥ `τ + 1`). Only pairs sharing a band bucket are
-//!   candidates; each survivor is verified with an exact
-//!   [`hamming_within`](byzscore_bitset::Bits::hamming_within), so the edge
-//!   set is **identical** to the exact pass — the bands only prune, never
-//!   decide. Crucially the banded index also *peels lazily*: adjacency is
-//!   never materialized, so dense neighborhoods (a planted cluster of
-//!   `n/B = 12 500` players at `n = 10⁵` is a clique of ~7.8·10⁷ edges,
-//!   ~1.6·10⁸ adjacency-list entries) cost no memory.
+//! 1. **Group** bit-identical `z`-vectors (hash-bucket, confirm with
+//!    [`bits_eq`](byzscore_bitset::Bits::bits_eq)). Distance-0 players are
+//!    neighbors at any `τ ≥ 0` and `|z(p) − z(q)|` depends only on the
+//!    groups of `p` and `q`, so the edge set is exactly "same group, or
+//!    groups whose representatives are within `τ`": it factors through the
+//!    `G ≤ n` groups. `SmallRadius`/sample outputs collapse heavily inside
+//!    planted clusters, so `G` is usually far below `n` and the quadratic
+//!    part shrinks by `(G/n)²`; when nothing collapses (`G = n`) the group
+//!    graph *is* the player graph and the pipeline costs one extra hash
+//!    pass.
+//! 2. **Index the representatives.** One of four representative indexes
+//!    answers "which groups are within `τ` of group `g`":
+//!    * *complete* — `τ ≥ |S|`, every pair is an edge (the empty-sample
+//!      sabotage case); nothing is stored;
+//!    * *exact* — the literal all-pairs bounded-distance pass over the
+//!      representatives, adjacency materialized;
+//!    * *banded* — a **sound** bit-bucketing prefilter: the `|S|` sample
+//!      coordinates are split into `τ + 1` disjoint bands, and by
+//!      pigeonhole any pair within distance `τ` agrees **exactly** on at
+//!      least one band. Only pairs sharing a band bucket are candidates.
+//!      When `τ + 1` bands would be narrower than `MIN_BAND_BITS` it
+//!      *multi-probes* instead: `⌊τ/2⌋ + 1` wider bands, of which some
+//!      band differs in at most one bit, so probing the exact bucket plus
+//!      every single-bit-flip bucket keeps the prune sound;
+//!    * *scan* — even probe bands too narrow: every pair is checked on
+//!      demand behind a per-band popcount prefilter (the L1 distance of
+//!      two popcount profiles lower-bounds the Hamming distance).
 //!
-//! * [`NeighborStrategy::Grouped`] — deduplicate bit-identical `z`-vectors
-//!   first and work on the *group graph*. Distance-0 players are neighbors
-//!   at any `τ ≥ 0`, so every member of a group has exactly the same
-//!   neighborhood (its group mates plus every member of each group whose
-//!   representative is within `τ`): the Lemma-8 edge set factors through
-//!   groups, and discovery plus peeling run over `G ≤ n` representatives
-//!   weighted by multiplicity. `SmallRadius`/sample outputs collapse
-//!   heavily inside planted clusters, so at e13 scale `G` is orders of
-//!   magnitude below `n` and the quadratic part shrinks by `(G/n)²`.
-//!   When grouping barely collapses (`G > 7n/8`) the strategy falls back
-//!   to direct banding over players, which is strictly cheaper there.
+//!    Every candidate any prefilter lets through is verified with an exact
+//!    [`hamming_within`](byzscore_bitset::Bits::hamming_within) — the
+//!    prefilters only prune, never decide — so all four produce the
+//!    identical edge set. [`NeighborStrategy::Auto`] materializes up to
+//!    [`AUTO_EXACT_MAX`] representatives and picks among banded /
+//!    multi-probe / scan by band width beyond; `Exact` and `Banded` force
+//!    the choice (how tests and the kernel bench reach each kind).
+//! 3. **Peel once**, over the group graph ([`NeighborIndex::peel`]):
+//!    groups live and die wholesale and carry their multiplicity as
+//!    weight, so the output is identical to the player-level reference
+//!    ([`neighbor_graph`] + [`peel_clusters`], which share no code with
+//!    the index and are what the tests compare against).
 //!
-//! All strategies fall back to an explicit complete-graph shortcut when
-//! `τ ≥ |S|` (every pair is trivially within threshold — the empty-sample
-//! sabotage case). Banded discovery keeps pruning at mid-range thresholds
-//! via *multi-probe* bucketing: when `τ + 1` exact-match bands would be too
-//! narrow (`< MIN_BAND_BITS` bits), it uses `⌊τ/2⌋ + 1` wider bands — some
-//! band then differs in at most one bit, so probing the exact bucket plus
-//! every single-bit-flip bucket keeps the prune sound. Only when even those
-//! bands would be too narrow does discovery degrade to the unmaterialized
-//! blocked scan, and that scan now carries a per-band popcount prefilter:
-//! the L1 distance of two players' per-band popcount profiles lower-bounds
-//! their Hamming distance, so far pairs are rejected from a few bytes
-//! without touching the word kernels (ROADMAP "neighbor discovery beyond
-//! bands").
+//! # Why one pipeline
+//!
+//! Earlier revisions also kept a player-level index (banded buckets and a
+//! blocked scan over all `n` rows, with their own peel), a `Grouped`
+//! strategy beside `Auto`, a "weak collapse" fallback (`G > 7n/8` → band
+//! the players directly) and an `n ≤ 4096` cut below which `Auto` never
+//! grouped. A census of every index build (one line per build, printed
+//! from a scratch copy) decided what stays:
+//!
+//! | where | builds | path taken |
+//! |---|---|---|
+//! | `run_all` quick scale (CI's bench gate), 21 837 builds | 8 455 | players materialized (`n ≤ 4096`) |
+//! | | 7 928 | complete (`τ ≥ len`, the empty-sample case) |
+//! | | 20 | grouped, representatives materialized (n = 10⁴, G 2 310–2 628) |
+//! | | 1 / 1 / 3 | grouped, representatives banded / multi-probe / scan (e13 n = 10⁵, G = 18 427) |
+//! | | 2 702 | the service shard map's grouping at `τ = 0` |
+//! | | **0** | weak-collapse fallback |
+//! | | **0** | a player-level banded / scan index |
+//! | `perf` `batch_paper` (n = 512) | 63 / 17 | players materialized / complete |
+//! | `perf` `batch_scale` (n = 8192) | 60 / 24 | grouped, G 1 963–2 052, representatives materialized / complete |
+//! | `perf` serve / socket workloads (n ≈ 96) | 3 + 3 + 1 per recompute | materialized, complete, shard map |
+//!
+//! The player-level lazy index and the fallback ran only when a test
+//! asked for them by name, and below the cut the warm-start cache held no
+//! grouping at all. Grouping first makes the materialized pass no larger
+//! (`G ≤ n`), so the player-level paths are gone and the same input takes
+//! the same code path at every size. The service's shard map now reads
+//! [`group_ids`] directly instead of running discovery.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -89,28 +116,25 @@ impl Clustering {
     }
 }
 
-/// How [`NeighborIndex::build`] discovers the Lemma-8 edge set.
+/// Which representative index a [`NeighborIndex`] builds over the `G`
+/// distinct `z`-vectors (grouping always runs first; see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NeighborStrategy {
-    /// Pick per input shape: `Exact` up to [`AUTO_EXACT_MAX`] players
-    /// (materialization is cheap there), `Grouped` beyond (which itself
-    /// bands directly when dedup barely collapses).
+    /// Pick per input shape: materialize up to [`AUTO_EXACT_MAX`]
+    /// representatives, band (or multi-probe, or scan, by band width)
+    /// beyond.
     #[default]
     Auto,
-    /// All-pairs `O(n²)` bounded-distance pass with materialized adjacency.
+    /// Force the all-pairs `O(G²)` bounded-distance pass with materialized
+    /// group adjacency.
     Exact,
-    /// Banded prefilter + exact verification; adjacency never materialized.
+    /// Force the banded family (banded / multi-probe / scan by band
+    /// width); group adjacency is never materialized.
     Banded,
-    /// Deduplicate bit-identical vectors, discover edges over group
-    /// representatives (weighted by multiplicity), expand during peel.
-    /// Falls back to the banded path when grouping barely collapses
-    /// (`G > 7n/8`) — there the group indirection would cost more than
-    /// it prunes.
-    Grouped,
 }
 
-/// Largest player count for which [`NeighborStrategy::Auto`] still picks
-/// the materialized exact pass.
+/// Largest representative count for which [`NeighborStrategy::Auto`] still
+/// picks the materialized exact pass.
 pub const AUTO_EXACT_MAX: usize = 4096;
 
 /// Minimum band width (bits) for the banded prefilter to be worth its
@@ -122,10 +146,12 @@ const MIN_BAND_BITS: usize = 16;
 /// prefilter.
 const PC_BAND_BITS: usize = 8;
 
-enum Mode {
+/// Index over the pairwise-distinct representative rows; answers only
+/// "which groups are within `τ` of group `g`".
+enum RepIndex {
     /// `threshold ≥ |S|`: every pair is an edge; nothing is stored.
     Complete,
-    /// Exact strategy: full adjacency lists (sorted ascending).
+    /// Full group adjacency lists (sorted ascending).
     Materialized(Vec<Vec<u32>>),
     /// Banded prefilter: per-band hash buckets prune candidate pairs
     /// (exact-match bands, or wider multi-probe bands at mid-range `τ`).
@@ -134,10 +160,6 @@ enum Mode {
     /// with the blocked kernel behind a per-band popcount prefilter; never
     /// materialize.
     Scan(PopFilter),
-    /// Bit-identical vectors deduplicated; an inner index over the group
-    /// representatives answers group-graph queries, expanded back to
-    /// players on the fly.
-    Grouped(Groups),
 }
 
 struct Bands {
@@ -148,12 +170,12 @@ struct Bands {
     len: usize,
     /// Single-bit-flip probing active (mid-`τ` mode).
     probe: bool,
-    /// `keys[p * k + j]` = FNV hash of player `p`'s bits in band `j`.
+    /// `keys[g * k + j]` = FNV hash of row `g`'s bits in band `j`.
     keys: Vec<u64>,
     /// Raw band contents (`≤ 64` bits each); only filled when probing,
     /// where flipped-key computation needs them.
     contents: Vec<u64>,
-    /// Per-band: band key → players carrying it (ascending, by build order).
+    /// Per-band: band key → rows carrying it (ascending, by build order).
     buckets: Vec<HashMap<u64, Vec<u32>>>,
 }
 
@@ -204,16 +226,10 @@ impl Bands {
     }
 
     /// Visit every distinct candidate `q ≠ p` sharing at least one band
-    /// bucket with `p`, exactly once. `buckets` is passed explicitly so
-    /// peeling can substitute a compacted (alive-only) working copy.
-    fn for_candidates(
-        &self,
-        buckets: &[HashMap<u64, Vec<u32>>],
-        p: usize,
-        mut f: impl FnMut(usize),
-    ) {
+    /// bucket with `p`, exactly once.
+    fn for_candidates(&self, p: usize, mut f: impl FnMut(usize)) {
         if !self.probe {
-            for (j, bucket_map) in buckets.iter().enumerate() {
+            for (j, bucket_map) in self.buckets.iter().enumerate() {
                 let Some(bucket) = bucket_map.get(&self.key(p, j)) else {
                     continue;
                 };
@@ -232,7 +248,7 @@ impl Bands {
         // `p`'s band content. A candidate can surface through several
         // probes; collect + sort + dedup, order never matters to callers.
         let mut cands: Vec<u32> = Vec::new();
-        for (j, bucket_map) in buckets.iter().enumerate() {
+        for (j, bucket_map) in self.buckets.iter().enumerate() {
             if let Some(bucket) = bucket_map.get(&self.key(p, j)) {
                 cands.extend_from_slice(bucket);
             }
@@ -255,10 +271,10 @@ impl Bands {
     }
 }
 
-/// Per-band popcount profiles: the L1 distance between two players'
-/// profiles lower-bounds their Hamming distance (each band contributes at
-/// least `|pc_j(p) − pc_j(q)|` differing bits), so scan-mode pair checks
-/// reject far pairs from a handful of byte-sized counters.
+/// Per-band popcount profiles: the L1 distance between two rows' profiles
+/// lower-bounds their Hamming distance (each band contributes at least
+/// `|pc_j(p) − pc_j(q)|` differing bits), so scan-mode pair checks reject
+/// far pairs from a handful of byte-sized counters.
 struct PopFilter {
     k: usize,
     counts: Vec<u16>,
@@ -295,63 +311,75 @@ impl PopFilter {
     }
 }
 
-/// Bit-identical-vector grouping plus an inner index over representatives.
-///
-/// Soundness of the factoring: members of one group are at distance 0, so
-/// they are mutual neighbors at every `τ ≥ 0`, and `|z(p) − z(q)|` depends
-/// only on the groups of `p` and `q` — the Lemma-8 edge set is exactly
-/// "same group, or groups whose representatives are within `τ`".
-struct Groups {
-    /// Player → group id (ids in order of first appearance). Shared so a
-    /// [`GroupCache`] can reuse one grouping across every diameter guess.
-    group_of: Arc<Vec<u32>>,
-    /// Group member lists, each ascending; `members[g][0]` is the
-    /// representative (and the group's smallest player index).
-    members: Arc<Vec<Vec<u32>>>,
-    /// Index over the representative vectors, same threshold. Never
-    /// `Grouped` itself (groups are distinct by construction).
-    inner: Box<NeighborIndex>,
-}
-
-/// The banded-family mode for this shape: exact-match bands when `τ+1`
+/// The banded-family index for this shape: exact-match bands when `τ+1`
 /// bands are wide enough, multi-probe bands at mid-`τ`, prefiltered scan
 /// beyond.
-fn banded_mode(rows: &BitMatrix, threshold: usize) -> Mode {
+fn banded_mode(rows: &BitMatrix, threshold: usize) -> RepIndex {
     let len = rows.cols();
     let k_exact = threshold + 1;
     let k_probe = threshold / 2 + 1;
     if len / k_exact >= MIN_BAND_BITS {
-        Mode::Banded(Bands::build(rows, k_exact, false))
+        RepIndex::Banded(Bands::build(rows, k_exact, false))
     } else if len / k_probe >= MIN_BAND_BITS {
         // `len < MIN·(τ+1) ≤ 2·MIN·k_probe` here, so probe bands are
         // < 2·MIN = 32 bits — they fit one word.
-        Mode::Banded(Bands::build(rows, k_probe, true))
+        RepIndex::Banded(Bands::build(rows, k_probe, true))
     } else {
-        Mode::Scan(PopFilter::build(rows))
+        RepIndex::Scan(PopFilter::build(rows))
     }
 }
 
-/// Group players by bit-identical rows: hash-bucket candidates, confirm
-/// with exact word comparison so hash collisions cannot merge groups.
-fn group_players(rows: &BitMatrix) -> (Vec<u32>, Vec<Vec<u32>>) {
-    let hashes: Vec<u64> = (0..rows.rows())
-        .map(|p| rows.row(p).content_hash())
-        .collect();
-    group_players_hashed(rows, &hashes)
+/// The `τ`-independent half of discovery: which players carry
+/// bit-identical vectors, and one copy of each distinct vector. Built
+/// once per set of `z`-vectors and shared (by `Arc`) by every
+/// per-threshold [`NeighborIndex`] a [`GroupCache`] hands out.
+struct Groups {
+    /// Player → group id (ids in order of first appearance).
+    group_of: Vec<u32>,
+    /// Group member lists, each ascending; `members[g][0]` is the
+    /// representative (and the group's smallest player index).
+    members: Vec<Vec<u32>>,
+    /// Row `g` is the vector every member of group `g` carries.
+    reps: BitMatrix,
 }
 
-/// [`group_players`] with the per-row content hashes supplied by the
-/// caller — the [`GroupCache`] refresh path reuses hashes of rows that
-/// did not change since the previous round, so only changed rows pay the
-/// hash pass. The bucket assembly is identical either way, so the
-/// resulting grouping (ids in first-appearance order) is bit-identical to
-/// a fresh [`group_players`] run.
-fn group_players_hashed(rows: &BitMatrix, hashes: &[u64]) -> (Vec<u32>, Vec<Vec<u32>>) {
-    let n = rows.rows();
+impl Groups {
+    /// Group `rows` given their per-row content hashes.
+    fn build(rows: &BitMatrix, hashes: &[u64]) -> Groups {
+        let (group_of, members) = group_rows(rows, hashes);
+        let mut reps = BitMatrix::zeros(members.len(), rows.cols());
+        for (g, m) in members.iter().enumerate() {
+            reps.set_row(g, &rows.row(m[0] as usize));
+        }
+        Groups {
+            group_of,
+            members,
+            reps,
+        }
+    }
+
+    /// The vector player `p` carries.
+    fn row_of(&self, p: usize) -> impl Bits + '_ {
+        self.reps.row(self.group_of[p] as usize)
+    }
+}
+
+fn row_hashes(rows: &BitMatrix) -> Vec<u64> {
+    rows.iter_rows().map(|row| row.content_hash()).collect()
+}
+
+/// Group rows by bit-identical content: hash-bucket candidates, confirm
+/// with exact word comparison so hash collisions cannot merge groups.
+/// `hashes` are the rows' content hashes, supplied by the caller so a
+/// [`GroupCache::refresh`] can reuse those of unchanged rows; the bucket
+/// assembly never depends on where a hash came from, so the grouping (ids
+/// in first-appearance order) is the same either way.
+fn group_rows(rows: &BitMatrix, hashes: &[u64]) -> (Vec<u32>, Vec<Vec<u32>>) {
+    debug_assert_eq!(hashes.len(), rows.rows());
     let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
-    let mut group_of = Vec::with_capacity(n);
+    let mut group_of = Vec::with_capacity(hashes.len());
     let mut members: Vec<Vec<u32>> = Vec::new();
-    for (p, &hash) in hashes.iter().enumerate().take(n) {
+    for (p, &hash) in hashes.iter().enumerate() {
         let row = rows.row(p);
         let ids = by_hash.entry(hash).or_default();
         let gid = ids
@@ -368,6 +396,14 @@ fn group_players_hashed(rows: &BitMatrix, hashes: &[u64]) -> (Vec<u32>, Vec<Vec<
         members[gid as usize].push(p as u32);
     }
     (group_of, members)
+}
+
+/// Group id of every row of `rows`: two rows share an id iff they are
+/// bit-identical (ids in order of first appearance). This is step 1 of
+/// the discovery pipeline on its own, for callers that only need the
+/// grouping — the service's shard key.
+pub fn group_ids(rows: &BitMatrix) -> Vec<u32> {
+    group_rows(rows, &row_hashes(rows)).0
 }
 
 /// Band `j` of a `k`-band split covers bits `[j·len/k, (j+1)·len/k)`.
@@ -430,133 +466,48 @@ fn popcount_range(words: &[u64], start: usize, end: usize) -> usize {
 }
 
 /// Neighbor discovery over sample vectors: the Lemma-8 edge set
-/// `(p, q) ⇔ |z(p) − z(q)| ≤ threshold`, queryable without materializing
-/// adjacency (see module docs for the strategies).
+/// `(p, q) ⇔ |z(p) − z(q)| ≤ threshold`, held as a grouping of the
+/// players plus an index over the group representatives (see the module
+/// docs) — player adjacency is never materialized.
 pub struct NeighborIndex {
-    rows: Arc<BitMatrix>,
     threshold: usize,
-    mode: Mode,
-}
-
-/// One grouping pass, packaged for reuse: the shared player→group map and
-/// member lists plus the representative rows already packed into a matrix
-/// (what the per-`τ` inner index is built over).
-struct CachedGroups {
-    group_of: Arc<Vec<u32>>,
-    members: Arc<Vec<Vec<u32>>>,
-    rep_rows: Arc<BitMatrix>,
-}
-
-impl CachedGroups {
-    fn from_grouping(rows: &BitMatrix, group_of: Vec<u32>, members: Vec<Vec<u32>>) -> CachedGroups {
-        let reps: Vec<BitVec> = members
-            .iter()
-            .map(|m| rows.row(m[0] as usize).to_bitvec())
-            .collect();
-        CachedGroups {
-            group_of: Arc::new(group_of),
-            members: Arc::new(members),
-            rep_rows: Arc::new(BitMatrix::from_rows(&reps)),
-        }
-    }
+    groups: Arc<Groups>,
+    reps: RepIndex,
 }
 
 impl NeighborIndex {
     /// Build an index over `zvecs` (equal-length sample vectors) for the
     /// given edge `threshold`.
     pub fn build(zvecs: &[BitVec], threshold: usize, strategy: NeighborStrategy) -> NeighborIndex {
-        Self::build_shared(
-            Arc::new(BitMatrix::from_rows(zvecs)),
-            threshold,
-            strategy,
-            None,
-        )
+        GroupCache::build(zvecs, strategy).index(threshold)
     }
 
-    /// Core constructor over an already-packed (and possibly shared) row
-    /// matrix. When `cached` grouping is supplied (by a [`GroupCache`]),
-    /// the grouped path skips `group_players` and reuses the cached
-    /// representative matrix; every decision point (complete-graph
-    /// shortcut, `Auto` size cut, weak-collapse fallback, inner-strategy
-    /// pick) is evaluated exactly as the uncached build would, so the
-    /// resulting index is indistinguishable from a fresh one.
-    fn build_shared(
-        rows: Arc<BitMatrix>,
-        threshold: usize,
-        strategy: NeighborStrategy,
-        cached: Option<&CachedGroups>,
-    ) -> NeighborIndex {
-        let len = rows.cols();
-        let n = rows.rows();
-        let mode = if threshold >= len {
-            Mode::Complete
+    /// Index the representatives of an existing grouping at `threshold`.
+    fn over(groups: Arc<Groups>, threshold: usize, strategy: NeighborStrategy) -> NeighborIndex {
+        let rows = &groups.reps;
+        let reps = if threshold >= rows.cols() {
+            RepIndex::Complete
         } else {
             match strategy {
-                NeighborStrategy::Exact => Mode::Materialized(materialize(&rows, threshold)),
-                NeighborStrategy::Auto if n <= AUTO_EXACT_MAX => {
-                    Mode::Materialized(materialize(&rows, threshold))
+                NeighborStrategy::Auto if rows.rows() > AUTO_EXACT_MAX => {
+                    banded_mode(rows, threshold)
                 }
-                NeighborStrategy::Auto | NeighborStrategy::Grouped => {
-                    let owned;
-                    let groups = match cached {
-                        Some(c) => c,
-                        None => {
-                            let (group_of, members) = group_players(&rows);
-                            // Weak collapse (G ≈ n) means grouping buys
-                            // almost no pruning but would pay a duplicated
-                            // representative matrix and per-query
-                            // indirection — band the players directly
-                            // instead, exactly as `Banded` would.
-                            if members.len() * 8 > n * 7 {
-                                return NeighborIndex {
-                                    mode: banded_mode(&rows, threshold),
-                                    rows,
-                                    threshold,
-                                };
-                            }
-                            owned = CachedGroups::from_grouping(&rows, group_of, members);
-                            &owned
-                        }
-                    };
-                    // Cached groupings re-evaluate the same fallback so a
-                    // cache hit can never pick a different mode.
-                    if groups.members.len() * 8 > n * 7 {
-                        banded_mode(&rows, threshold)
-                    } else {
-                        // Groups are pairwise distinct, so re-grouping
-                        // cannot help: the inner index picks exact or
-                        // banded by size.
-                        let inner_strategy = if groups.members.len() <= AUTO_EXACT_MAX {
-                            NeighborStrategy::Exact
-                        } else {
-                            NeighborStrategy::Banded
-                        };
-                        let inner = Box::new(NeighborIndex::build_shared(
-                            groups.rep_rows.clone(),
-                            threshold,
-                            inner_strategy,
-                            None,
-                        ));
-                        Mode::Grouped(Groups {
-                            group_of: groups.group_of.clone(),
-                            members: groups.members.clone(),
-                            inner,
-                        })
-                    }
+                NeighborStrategy::Auto | NeighborStrategy::Exact => {
+                    RepIndex::Materialized(materialize(rows, threshold))
                 }
-                NeighborStrategy::Banded => banded_mode(&rows, threshold),
+                NeighborStrategy::Banded => banded_mode(rows, threshold),
             }
         };
         NeighborIndex {
-            rows,
             threshold,
-            mode,
+            groups,
+            reps,
         }
     }
 
     /// Number of players indexed.
     pub fn n(&self) -> usize {
-        self.rows.rows()
+        self.groups.group_of.len()
     }
 
     /// The edge threshold `τ`.
@@ -564,152 +515,92 @@ impl NeighborIndex {
         self.threshold
     }
 
-    /// Which internal path discovery takes (`"complete"`, `"exact"`,
-    /// `"banded"`, `"multiprobe"`, `"scan"`, or `"grouped"`) — for logs and
+    /// Which representative index answers queries (`"complete"`,
+    /// `"exact"`, `"banded"`, `"multiprobe"`, or `"scan"`) — for logs and
     /// bench labels.
     pub fn mode_name(&self) -> &'static str {
-        match &self.mode {
-            Mode::Complete => "complete",
-            Mode::Materialized(_) => "exact",
-            Mode::Banded(bands) if bands.probe => "multiprobe",
-            Mode::Banded(_) => "banded",
-            Mode::Scan(_) => "scan",
-            Mode::Grouped(_) => "grouped",
+        match &self.reps {
+            RepIndex::Complete => "complete",
+            RepIndex::Materialized(_) => "exact",
+            RepIndex::Banded(bands) if bands.probe => "multiprobe",
+            RepIndex::Banded(_) => "banded",
+            RepIndex::Scan(_) => "scan",
         }
     }
 
-    #[inline]
-    fn verify(&self, p: usize, q: usize) -> bool {
-        self.rows
-            .row(p)
-            .hamming_within(&self.rows.row(q), self.threshold)
-            .is_some()
-    }
-
-    /// [`NeighborIndex::verify`] behind the popcount prefilter when the
-    /// index runs in scan mode (a rejected pair is a proven non-edge).
-    #[inline]
-    fn verify_filtered(&self, p: usize, q: usize) -> bool {
-        if let Mode::Scan(filter) = &self.mode {
-            if !filter.admits(p, q, self.threshold) {
-                return false;
-            }
-        }
-        self.verify(p, q)
-    }
-
-    /// Enumerate the verified neighbors of `p`, each exactly once, in
-    /// unspecified order — the lazy primitive every query shares.
-    fn for_each_neighbor(&self, p: usize, mut f: impl FnMut(usize)) {
-        self.for_each_neighbor_dyn(p, &mut f);
-    }
-
-    /// Non-generic core of [`NeighborIndex::for_each_neighbor`]: the
-    /// grouped mode recurses into its inner index, and dynamic dispatch
-    /// keeps that recursion from instantiating closure types without
-    /// bound.
-    fn for_each_neighbor_dyn(&self, p: usize, f: &mut dyn FnMut(usize)) {
-        let n = self.n();
-        match &self.mode {
-            Mode::Complete => {
-                for q in (0..n).filter(|&q| q != p) {
-                    f(q);
-                }
-            }
-            Mode::Materialized(adj) => {
-                for &q in &adj[p] {
-                    f(q as usize);
-                }
-            }
-            Mode::Banded(bands) => bands.for_candidates(&bands.buckets, p, |q| {
-                if self.verify(p, q) {
-                    f(q);
+    /// Enumerate the groups adjacent to group `g` (representatives within
+    /// `τ`, exact-verified), each exactly once, in unspecified order —
+    /// the primitive every query shares.
+    fn for_each_adjacent_group(&self, g: usize, mut f: impl FnMut(usize)) {
+        let rows = &self.groups.reps;
+        let within = |h: usize| {
+            rows.row(g)
+                .hamming_within(&rows.row(h), self.threshold)
+                .is_some()
+        };
+        match &self.reps {
+            RepIndex::Complete => (0..rows.rows()).filter(|&h| h != g).for_each(f),
+            RepIndex::Materialized(adj) => adj[g].iter().for_each(|&h| f(h as usize)),
+            RepIndex::Banded(bands) => bands.for_candidates(g, |h| {
+                if within(h) {
+                    f(h);
                 }
             }),
-            Mode::Scan(filter) => {
-                for q in 0..n {
-                    if q != p && filter.admits(p, q, self.threshold) && self.verify(p, q) {
-                        f(q);
+            RepIndex::Scan(filter) => {
+                for h in 0..rows.rows() {
+                    if h != g && filter.admits(g, h, self.threshold) && within(h) {
+                        f(h);
                     }
                 }
-            }
-            Mode::Grouped(groups) => {
-                let g = groups.group_of[p] as usize;
-                for &q in &groups.members[g] {
-                    if q as usize != p {
-                        f(q as usize);
-                    }
-                }
-                groups.inner.for_each_neighbor_dyn(g, &mut |h| {
-                    for &q in &groups.members[h] {
-                        f(q as usize);
-                    }
-                });
             }
         }
     }
 
-    /// All neighbors of `p`, ascending — identical across strategies.
+    /// All neighbors of `p`, ascending — identical across strategies:
+    /// `p`'s group mates plus every member of each adjacent group.
     pub fn neighbors_of(&self, p: usize) -> Vec<u32> {
-        if let Mode::Materialized(adj) = &self.mode {
-            return adj[p].clone();
-        }
-        let mut out = Vec::new();
-        self.for_each_neighbor(p, |q| out.push(q as u32));
+        let members = &self.groups.members;
+        let g = self.groups.group_of[p] as usize;
+        let mut out: Vec<u32> = members[g]
+            .iter()
+            .copied()
+            .filter(|&q| q as usize != p)
+            .collect();
+        self.for_each_adjacent_group(g, |h| out.extend_from_slice(&members[h]));
         out.sort_unstable();
         out
     }
 
     /// Per-group degree: every member of a group has the same neighbor
     /// count (`|group| − 1` mates plus each adjacent group's multiplicity).
-    fn group_degrees(&self, groups: &Groups) -> Vec<usize> {
-        let sizes: Vec<usize> = groups.members.iter().map(Vec::len).collect();
-        par_map_players(groups.members.len(), |g| {
-            let mut deg = sizes[g] - 1;
-            groups.inner.for_each_neighbor(g, |h| deg += sizes[h]);
+    fn group_degrees(&self) -> Vec<usize> {
+        let members = &self.groups.members;
+        par_map_players(members.len(), |g| {
+            let mut deg = members[g].len() - 1;
+            self.for_each_adjacent_group(g, |h| deg += members[h].len());
             deg
         })
     }
 
-    /// Degree of every player (neighbor counts), in parallel.
+    /// Degree of every player (neighbor counts).
     pub fn degrees(&self) -> Vec<usize> {
-        let n = self.n();
-        match &self.mode {
-            Mode::Complete => vec![n.saturating_sub(1); n],
-            Mode::Materialized(adj) => adj.iter().map(Vec::len).collect(),
-            Mode::Grouped(groups) => {
-                let gdeg = self.group_degrees(groups);
-                (0..n).map(|p| gdeg[groups.group_of[p] as usize]).collect()
-            }
-            _ => par_map_players(n, |p| {
-                let mut deg = 0usize;
-                self.for_each_neighbor(p, |_| deg += 1);
-                deg
-            }),
-        }
+        let gdeg = self.group_degrees();
+        self.groups
+            .group_of
+            .iter()
+            .map(|&g| gdeg[g as usize])
+            .collect()
     }
 
-    /// Materialize the full adjacency (sorted rows). Intended for tests and
-    /// small inputs; defeats the purpose of the banded index at scale.
+    /// Materialize the full player adjacency (sorted rows). Intended for
+    /// tests and small inputs; defeats the purpose of the index at scale.
     pub fn adjacency(&self) -> Vec<Vec<u32>> {
-        match &self.mode {
-            Mode::Materialized(adj) => adj.clone(),
-            _ => par_map_players(self.n(), |p| self.neighbors_of(p)),
-        }
+        par_map_players(self.n(), |p| self.neighbors_of(p))
     }
 
-    /// Like [`NeighborIndex::adjacency`], but consumes the index so the
-    /// `Exact` strategy hands over its materialized lists without a copy.
-    pub fn into_adjacency(self) -> Vec<Vec<u32>> {
-        match self.mode {
-            Mode::Materialized(adj) => adj,
-            _ => self.adjacency(),
-        }
-    }
-
-    /// Greedy peeling of §6.5 driven by index queries instead of
-    /// materialized adjacency — output is identical to
-    /// [`peel_clusters`] on the exact edge set (pinned by tests):
+    /// Greedy peeling of §6.5 over the group graph — output is identical
+    /// to [`peel_clusters`] on the exact player edge set (pinned by
+    /// tests):
     ///
     /// 1. While some remaining player has ≥ `min_size − 1` remaining
     ///    neighbors, peel it and its neighbors off as a new cluster.
@@ -719,188 +610,18 @@ impl NeighborIndex {
     ///    diameter guesses produce such inputs routinely and `RSelect`
     ///    discards their candidates later).
     ///
-    /// For the banded index, per-peel work is confined to the peeled
-    /// members' *live* bucket mates: the working bucket copy is compacted
-    /// as players die, so tight clusters cost `O(cluster)` rather than
-    /// `O(cluster²)` bookkeeping after the first peel.
+    /// Groups live and die wholesale (a seed's neighborhood is its whole
+    /// group plus every adjacent group), degrees stay uniform within a
+    /// group, and phase-2 attachment answers neighbor queries through
+    /// per-group minima.
     pub fn peel(&self, min_size: usize) -> Clustering {
         let n = self.n();
         assert!(n > 0, "cannot cluster zero players");
-        if let Mode::Grouped(groups) = &self.mode {
-            return self.peel_grouped(groups, min_size);
-        }
-        let need = min_size.saturating_sub(1);
-
-        let mut alive = vec![true; n];
-        let mut degree = self.degrees();
-        let mut assignment: Vec<Option<u32>> = vec![None; n];
-        let mut clusters: Vec<Vec<u32>> = Vec::new();
-
-        // Working copy of the band buckets, compacted as players die.
-        let mut live_buckets: Option<Vec<HashMap<u64, Vec<u32>>>> = match &self.mode {
-            Mode::Banded(bands) => Some(bands.buckets.clone()),
-            _ => None,
-        };
-        // Dead entries still sitting in `live_buckets`; compaction is a
-        // pure performance device (decrementing a dead player's degree is
-        // harmless — it is never read again), so it can be batched.
-        let mut stale = 0usize;
-
-        // Phase 1: peel seeds with enough remaining neighbors. Highest
-        // current degree first — any qualifying seed satisfies Lemma 9;
-        // max-degree makes the run deterministic and compact.
-        loop {
-            let seed = (0..n)
-                .filter(|&p| alive[p] && degree[p] >= need)
-                .max_by_key(|&p| (degree[p], std::cmp::Reverse(p)));
-            let Some(seed) = seed else { break };
-            let mut members: Vec<u32> = vec![seed as u32];
-            match (&self.mode, live_buckets.as_ref()) {
-                (Mode::Complete, _) => {
-                    members.extend((0..n as u32).filter(|&q| q != seed as u32 && alive[q as usize]))
-                }
-                (Mode::Materialized(adj), _) => {
-                    members.extend(adj[seed].iter().copied().filter(|&q| alive[q as usize]))
-                }
-                (Mode::Banded(bands), Some(buckets)) => {
-                    bands.for_candidates(buckets, seed, |q| {
-                        if alive[q] && self.verify(seed, q) {
-                            members.push(q as u32);
-                        }
-                    });
-                }
-                _ => members.extend(
-                    (0..n as u32)
-                        .filter(|&q| q != seed as u32 && alive[q as usize])
-                        .filter(|&q| self.verify_filtered(seed, q as usize)),
-                ),
-            }
-            members.sort_unstable();
-            let id = clusters.len() as u32;
-            for &m in &members {
-                alive[m as usize] = false;
-                assignment[m as usize] = Some(id);
-            }
-            // Update residual degrees of everyone adjacent to the peeled
-            // set: every (peeled member, alive neighbor) pair subtracts 1.
-            match (&self.mode, live_buckets.as_mut()) {
-                // Everyone alive was peeled; nobody is left to update.
-                (Mode::Complete, _) => {}
-                (Mode::Materialized(adj), _) => {
-                    for &m in &members {
-                        for &q in &adj[m as usize] {
-                            if alive[q as usize] {
-                                degree[q as usize] = degree[q as usize].saturating_sub(1);
-                            }
-                        }
-                    }
-                }
-                (Mode::Banded(bands), Some(buckets)) => {
-                    // Drop the dead from the working buckets (batched: a
-                    // full sweep costs n·k, so small peels accumulate
-                    // first) so peeled members mostly walk *alive* bucket
-                    // mates. Stale dead entries that slip through only
-                    // decrement a dead player's degree — never read again.
-                    stale += members.len();
-                    if stale >= 1024 || stale * 4 >= n {
-                        for bucket_map in buckets.iter_mut() {
-                            for bucket in bucket_map.values_mut() {
-                                bucket.retain(|&q| alive[q as usize]);
-                            }
-                        }
-                        stale = 0;
-                    }
-                    for &m in &members {
-                        bands.for_candidates(buckets, m as usize, |q| {
-                            if alive[q] && self.verify(m as usize, q) {
-                                degree[q] = degree[q].saturating_sub(1);
-                            }
-                        });
-                    }
-                }
-                _ => {
-                    // Blocked scan: per alive player, count peeled
-                    // neighbors in one pass (exact integer sums, so the
-                    // result is thread-count independent).
-                    let dropped = par_map_players(n, |q| {
-                        if !alive[q] {
-                            return 0usize;
-                        }
-                        members
-                            .iter()
-                            .filter(|&&m| self.verify_filtered(q, m as usize))
-                            .count()
-                    });
-                    for (q, d) in dropped.into_iter().enumerate() {
-                        degree[q] = degree[q].saturating_sub(d);
-                    }
-                }
-            }
-            clusters.push(members);
-        }
-
-        // Phase 2: leftovers attach to a cluster containing an original
-        // neighbor (lowest cluster id), else to the z-nearest cluster seed.
-        for p in 0..n {
-            if assignment[p].is_some() {
-                continue;
-            }
-            let via_neighbor = self.assigned_neighbor_min(p, &assignment);
-            let id = via_neighbor.unwrap_or_else(|| {
-                if clusters.is_empty() {
-                    clusters.push(Vec::new());
-                }
-                // Nearest cluster by z-distance to the cluster's first
-                // member.
-                (0..clusters.len() as u32)
-                    .min_by_key(|&c| {
-                        clusters[c as usize].first().map_or(usize::MAX, |&m| {
-                            self.rows.row(p).hamming(&self.rows.row(m as usize))
-                        })
-                    })
-                    .expect("at least one cluster exists")
-            });
-            assignment[p] = Some(id);
-            let members = &mut clusters[id as usize];
-            let pos = members.partition_point(|&m| m < p as u32);
-            members.insert(pos, p as u32);
-        }
-
-        Clustering {
-            assignment: assignment
-                .into_iter()
-                .map(|a| a.expect("assigned"))
-                .collect(),
-            clusters,
-        }
-    }
-
-    /// Lowest cluster id among `p`'s original neighbors that are already
-    /// assigned (phase-2 attachment rule). Uses pristine (uncompacted)
-    /// adjacency: peeled neighbors count.
-    fn assigned_neighbor_min(&self, p: usize, assignment: &[Option<u32>]) -> Option<u32> {
-        let mut best: Option<u32> = None;
-        self.for_each_neighbor(p, |q| {
-            if let Some(a) = assignment[q] {
-                best = Some(best.map_or(a, |b| b.min(a)));
-            }
-        });
-        best
-    }
-
-    /// §6.5 peeling over the group graph — output identical to the
-    /// player-level reference (pinned by the proptests): groups live and
-    /// die wholesale (a seed's neighborhood is its whole group plus every
-    /// adjacent group), degrees stay uniform within a group, and phase-2
-    /// attachment answers neighbor queries through per-group minima.
-    fn peel_grouped(&self, groups: &Groups, min_size: usize) -> Clustering {
-        let n = self.n();
+        let groups = &*self.groups;
         let g_n = groups.members.len();
         let need = min_size.saturating_sub(1);
-        let sizes: Vec<usize> = groups.members.iter().map(Vec::len).collect();
-        let inner = &groups.inner;
 
-        let mut gdeg = self.group_degrees(groups);
+        let mut gdeg = self.group_degrees();
         let mut alive = vec![true; g_n];
         let mut alive_left = g_n;
         let mut assignment: Vec<Option<u32>> = vec![None; n];
@@ -909,18 +630,21 @@ impl NeighborIndex {
         // phase 2's neighbor queries reduce to minima over these.
         let mut g_min_assigned: Vec<Option<u32>> = vec![None; g_n];
 
-        // Phase 1. The player-level rule "max (degree, Reverse(index))"
-        // factors: all members of a group share its degree, so the winning
-        // player is the smallest member of the best (degree, Reverse(rep))
-        // group, and its neighborhood is exactly {seed's group} ∪ adjacent
-        // alive groups — peels are group-closed.
+        // Phase 1: peel seeds with enough remaining neighbors, highest
+        // current degree first — any qualifying seed satisfies Lemma 9;
+        // max-degree makes the run deterministic and compact. The
+        // player-level rule "max (degree, Reverse(index))" factors: all
+        // members of a group share its degree, so the winning player is
+        // the smallest member of the best (degree, Reverse(rep)) group, and
+        // its neighborhood is exactly {seed's group} ∪ adjacent alive
+        // groups — peels are group-closed.
         loop {
             let seed = (0..g_n)
                 .filter(|&g| alive[g] && gdeg[g] >= need)
                 .max_by_key(|&g| (gdeg[g], std::cmp::Reverse(groups.members[g][0])));
             let Some(seed) = seed else { break };
             let mut peeled: Vec<u32> = vec![seed as u32];
-            inner.for_each_neighbor(seed, |h| {
+            self.for_each_adjacent_group(seed, |h| {
                 if alive[h] {
                     peeled.push(h as u32);
                 }
@@ -941,9 +665,10 @@ impl NeighborIndex {
             // group loses that group's full multiplicity.
             if alive_left > 0 {
                 for &g in &peeled {
-                    inner.for_each_neighbor(g as usize, |h| {
+                    let lost = groups.members[g as usize].len();
+                    self.for_each_adjacent_group(g as usize, |h| {
                         if alive[h] {
-                            gdeg[h] = gdeg[h].saturating_sub(sizes[g as usize]);
+                            gdeg[h] = gdeg[h].saturating_sub(lost);
                         }
                     });
                 }
@@ -951,9 +676,10 @@ impl NeighborIndex {
             clusters.push(cluster_members);
         }
 
-        // Phase 2: leftovers attach in player-index order, exactly as the
-        // reference — a leftover's assigned neighbors are the assigned
-        // members of its own group plus those of adjacent groups.
+        // Phase 2: leftovers attach in player-index order to the lowest
+        // cluster id among their original neighbors — the assigned members
+        // of their own group plus those of adjacent groups — else to the
+        // z-nearest cluster seed.
         #[allow(clippy::needless_range_loop)] // assignment[p] is also written
         for p in 0..n {
             if assignment[p].is_some() {
@@ -961,7 +687,7 @@ impl NeighborIndex {
             }
             let g = groups.group_of[p] as usize;
             let mut best = g_min_assigned[g];
-            inner.for_each_neighbor(g, |h| {
+            self.for_each_adjacent_group(g, |h| {
                 if let Some(a) = g_min_assigned[h] {
                     best = Some(best.map_or(a, |b| b.min(a)));
                 }
@@ -970,10 +696,12 @@ impl NeighborIndex {
                 if clusters.is_empty() {
                     clusters.push(Vec::new());
                 }
+                // Nearest cluster by z-distance to the cluster's first
+                // member.
                 (0..clusters.len() as u32)
                     .min_by_key(|&c| {
                         clusters[c as usize].first().map_or(usize::MAX, |&m| {
-                            self.rows.row(p).hamming(&self.rows.row(m as usize))
+                            groups.row_of(p).hamming(&groups.row_of(m as usize))
                         })
                     })
                     .expect("at least one cluster exists")
@@ -996,7 +724,7 @@ impl NeighborIndex {
 }
 
 /// Exact all-pairs pass: adjacency rows in ascending order, parallel over
-/// players with early-exit popcounts on packed matrix rows.
+/// rows with early-exit popcounts on packed matrix rows.
 fn materialize(rows: &BitMatrix, threshold: usize) -> Vec<Vec<u32>> {
     let n = rows.rows();
     par_map_players(n, |p| {
@@ -1011,13 +739,13 @@ fn materialize(rows: &BitMatrix, threshold: usize) -> Vec<Vec<u32>> {
     })
 }
 
-/// Build the neighbor graph: `(p, q)` is an edge iff
-/// `|z(p) − z(q)| ≤ threshold` (Lemma 8) — the materialized exact edge set.
+/// The neighbor graph straight from the definition: `(p, q)` is an edge
+/// iff `|z(p) − z(q)| ≤ threshold` (Lemma 8), all pairs of *players*
+/// checked, adjacency materialized. With [`peel_clusters`] this is the
+/// reference the tests hold [`NeighborIndex`] to; it goes through neither
+/// grouping nor any prefilter.
 pub fn neighbor_graph(zvecs: &[BitVec], threshold: usize) -> Vec<Vec<u32>> {
-    if zvecs.is_empty() {
-        return Vec::new();
-    }
-    NeighborIndex::build(zvecs, threshold, NeighborStrategy::Exact).into_adjacency()
+    materialize(&BitMatrix::from_rows(zvecs), threshold)
 }
 
 /// Greedy peeling of §6.5 over a pre-materialized adjacency (the original
@@ -1133,80 +861,47 @@ pub fn cluster_players(zvecs: &[BitVec], threshold: usize, min_size: usize) -> C
 
 /// Cross-guess reusable neighbor-discovery state.
 ///
-/// The diameter-guess loop of `naive_sampling` rebuilds discovery from
-/// scratch for every guess even though the z-vectors are *identical*
-/// across guesses — only the edge threshold `τ` changes. Everything
-/// `τ`-independent is computed once here: the packed row matrix and (for
-/// the grouped strategies) the bit-identical-vector grouping plus the
-/// representative matrix. [`GroupCache::index`] then builds a per-`τ`
-/// [`NeighborIndex`] that only re-bands the representatives and re-runs
-/// verify/peel — the cheap part — while sharing the cached structure.
-///
-/// Equivalence contract (pinned by the `tests/neighbor_index.rs`
-/// proptests): for every `τ` and every strategy,
-/// `cache.index(τ)` produces the same edge set, degrees, and peel output
-/// as `NeighborIndex::build(&zvecs, τ, strategy)`.
+/// The diameter-guess loop of `naive_sampling` asks for discovery once per
+/// guess even though the z-vectors are *identical* across guesses — only
+/// the edge threshold `τ` changes. The `τ`-independent half of the
+/// pipeline — the grouping and the representative matrix — is computed
+/// once here; [`GroupCache::index`] then builds a per-`τ`
+/// [`NeighborIndex`] that only indexes the representatives, sharing the
+/// grouping. [`NeighborIndex::build`] is exactly a one-shot cache, so a
+/// cached index and a fresh one are the same construction (the
+/// `tests/neighbor_index.rs` proptests still pin it).
 ///
 /// [`GroupCache::refresh`] supports warm starts across `DynamicWorld`
-/// rounds: rows that did not change since the previous round reuse their
-/// cached content hash (the grouping pass itself reruns — group ids are
-/// assigned in first-appearance order, so any changed row can shift them
-/// and a partial regroup could diverge from a fresh build). Round beacons
-/// reseed the public sample every round, so in practice most rows *do*
-/// change and the honest win is bounded; the mechanism exists for drifts
-/// that leave the sample fixed (see DESIGN.md §4.12).
+/// rounds and service recomputes: rows that did not change since the
+/// previous round reuse their cached content hash (the grouping pass
+/// itself reruns — group ids are assigned in first-appearance order, so
+/// any changed row can shift them and a partial regroup could diverge from
+/// a fresh build). Round beacons reseed the public sample every round, so
+/// in practice most rows *do* change and the honest win is bounded; the
+/// mechanism exists for drifts that leave the sample fixed (see DESIGN.md
+/// §4.12).
 pub struct GroupCache {
-    rows: Arc<BitMatrix>,
     strategy: NeighborStrategy,
-    /// Per-row content hashes; populated iff `grouping` is.
+    /// Content hash of every cached row.
     row_hashes: Vec<u64>,
-    grouping: Option<CachedGroups>,
+    groups: Arc<Groups>,
 }
 
 impl GroupCache {
-    /// Pack `zvecs` once and precompute whatever the strategy can reuse
-    /// across thresholds.
+    /// Group `zvecs` once, for reuse across thresholds.
     pub fn build(zvecs: &[BitVec], strategy: NeighborStrategy) -> GroupCache {
-        let rows = Arc::new(BitMatrix::from_rows(zvecs));
-        let mut cache = GroupCache {
-            rows,
+        let rows = BitMatrix::from_rows(zvecs);
+        let row_hashes = row_hashes(&rows);
+        GroupCache {
             strategy,
-            row_hashes: Vec::new(),
-            grouping: None,
-        };
-        cache.regroup();
-        cache
-    }
-
-    /// True when this strategy/shape takes the grouped discovery path
-    /// (`Grouped`, or `Auto` above the exact-materialization cut) — the
-    /// only case with `τ`-independent structure beyond the row matrix.
-    fn wants_grouping(&self) -> bool {
-        match self.strategy {
-            NeighborStrategy::Grouped => true,
-            NeighborStrategy::Auto => self.rows.rows() > AUTO_EXACT_MAX,
-            NeighborStrategy::Exact | NeighborStrategy::Banded => false,
+            groups: Arc::new(Groups::build(&rows, &row_hashes)),
+            row_hashes,
         }
-    }
-
-    fn regroup(&mut self) {
-        if !self.wants_grouping() {
-            self.row_hashes.clear();
-            self.grouping = None;
-            return;
-        }
-        if self.row_hashes.is_empty() {
-            self.row_hashes = (0..self.rows.rows())
-                .map(|p| self.rows.row(p).content_hash())
-                .collect();
-        }
-        let (group_of, members) = group_players_hashed(&self.rows, &self.row_hashes);
-        self.grouping = Some(CachedGroups::from_grouping(&self.rows, group_of, members));
     }
 
     /// Number of players cached.
     pub fn n(&self) -> usize {
-        self.rows.rows()
+        self.row_hashes.len()
     }
 
     /// The strategy this cache was built for.
@@ -1214,21 +909,14 @@ impl GroupCache {
         self.strategy
     }
 
-    /// Distinct z-vector groups, when the grouped path applies.
+    /// Distinct z-vector groups (always `Some`: every strategy groups).
     pub fn group_count(&self) -> Option<usize> {
-        self.grouping.as_ref().map(|g| g.members.len())
+        Some(self.groups.members.len())
     }
 
-    /// Build the per-threshold index, sharing every cached `τ`-independent
-    /// piece. Equivalent to `NeighborIndex::build` over the original
-    /// vectors (see the type docs for the contract).
+    /// Build the per-threshold index over the cached grouping.
     pub fn index(&self, threshold: usize) -> NeighborIndex {
-        NeighborIndex::build_shared(
-            self.rows.clone(),
-            threshold,
-            self.strategy,
-            self.grouping.as_ref(),
-        )
+        NeighborIndex::over(self.groups.clone(), threshold, self.strategy)
     }
 
     /// Discovery + peel for one guess: `self.index(threshold).peel(..)`.
@@ -1242,27 +930,23 @@ impl GroupCache {
     /// combined hashes — bit-identical to a cold [`GroupCache::build`] on
     /// `zvecs`. Returns the number of unchanged rows.
     pub fn refresh(&mut self, zvecs: &[BitVec]) -> usize {
-        let new_rows = BitMatrix::from_rows(zvecs);
+        let rows = BitMatrix::from_rows(zvecs);
+        let old = &*self.groups;
         let mut unchanged = 0usize;
-        if self.wants_grouping() && !self.row_hashes.is_empty() {
-            let old = &self.rows;
-            let comparable = old.rows().min(new_rows.rows());
-            let mut hashes = Vec::with_capacity(new_rows.rows());
-            for p in 0..new_rows.rows() {
-                let row = new_rows.row(p);
-                if p < comparable && row.bits_eq(&old.row(p)) {
+        let hashes: Vec<u64> = rows
+            .iter_rows()
+            .enumerate()
+            .map(|(p, row)| {
+                if p < old.group_of.len() && row.bits_eq(&old.row_of(p)) {
                     unchanged += 1;
-                    hashes.push(self.row_hashes[p]);
+                    self.row_hashes[p]
                 } else {
-                    hashes.push(row.content_hash());
+                    row.content_hash()
                 }
-            }
-            self.row_hashes = hashes;
-        } else {
-            self.row_hashes.clear();
-        }
-        self.rows = Arc::new(new_rows);
-        self.regroup();
+            })
+            .collect();
+        self.groups = Arc::new(Groups::build(&rows, &hashes));
+        self.row_hashes = hashes;
         unchanged
     }
 }
@@ -1437,9 +1121,9 @@ mod tests {
         assert_eq!(c.cluster_of(0), &[0]);
     }
 
-    /// The lazy modes (complete / banded / multiprobe / scan / grouped)
-    /// against the materialized exact path, on structured and random
-    /// inputs.
+    /// Every representative index (complete / exact / banded / multiprobe
+    /// / scan), forced and under `Auto`, against the all-pairs player
+    /// reference, on structured and random inputs.
     #[test]
     fn banded_modes_match_exact() {
         let mut rng = SmallRng::seed_from_u64(6);
@@ -1451,20 +1135,24 @@ mod tests {
             ((0..14).map(|_| BitVec::random(&mut rng, 96)).collect(), 3),
         ];
         for (zs, threshold) in cases {
-            let exact = NeighborIndex::build(&zs, threshold, NeighborStrategy::Exact);
-            for strategy in [NeighborStrategy::Banded, NeighborStrategy::Grouped] {
-                let lazy = NeighborIndex::build(&zs, threshold, strategy);
+            let adjacency = neighbor_graph(&zs, threshold);
+            let degrees: Vec<usize> = adjacency.iter().map(Vec::len).collect();
+            for strategy in [
+                NeighborStrategy::Exact,
+                NeighborStrategy::Banded,
+                NeighborStrategy::Auto,
+            ] {
+                let idx = NeighborIndex::build(&zs, threshold, strategy);
                 assert_eq!(
-                    exact.adjacency(),
-                    lazy.adjacency(),
-                    "edge sets diverge at τ={threshold} (mode {})",
-                    lazy.mode_name()
+                    idx.adjacency(),
+                    adjacency,
+                    "edge sets diverge at τ={threshold} (index {})",
+                    idx.mode_name()
                 );
-                assert_eq!(exact.degrees(), lazy.degrees());
+                assert_eq!(idx.degrees(), degrees);
                 for min_size in [1usize, 3, 8] {
-                    let reference = peel_clusters(&zs, &exact.adjacency(), min_size);
-                    assert_eq!(exact.peel(min_size), reference);
-                    assert_eq!(lazy.peel(min_size), reference, "mode {}", lazy.mode_name());
+                    let reference = peel_clusters(&zs, &adjacency, min_size);
+                    assert_eq!(idx.peel(min_size), reference, "index {}", idx.mode_name());
                 }
             }
         }
@@ -1478,8 +1166,7 @@ mod tests {
         let zs = two_camps(256, 12, 11);
         let idx = NeighborIndex::build(&zs, 24, NeighborStrategy::Banded);
         assert_eq!(idx.mode_name(), "multiprobe");
-        let exact = NeighborIndex::build(&zs, 24, NeighborStrategy::Exact);
-        assert_eq!(idx.adjacency(), exact.adjacency());
+        assert_eq!(idx.adjacency(), neighbor_graph(&zs, 24));
     }
 
     #[test]
@@ -1489,24 +1176,30 @@ mod tests {
         let zs = two_camps(64, 6, 12);
         let idx = NeighborIndex::build(&zs, 12, NeighborStrategy::Banded);
         assert_eq!(idx.mode_name(), "scan");
-        let exact = NeighborIndex::build(&zs, 12, NeighborStrategy::Exact);
-        assert_eq!(idx.adjacency(), exact.adjacency());
-        assert_eq!(idx.peel(6), exact.peel(6));
+        let adjacency = neighbor_graph(&zs, 12);
+        assert_eq!(idx.adjacency(), adjacency);
+        assert_eq!(idx.peel(6), peel_clusters(&zs, &adjacency, 6));
     }
 
     #[test]
     fn grouped_collapses_duplicates() {
-        // Heavy duplication: 40 players over 5 distinct vectors.
+        // Heavy duplication: 40 players over 5 distinct vectors — the
+        // representative index sees 5 rows whatever the strategy.
         let mut rng = SmallRng::seed_from_u64(13);
         let distinct: Vec<BitVec> = (0..5).map(|_| BitVec::random(&mut rng, 128)).collect();
         let zs: Vec<BitVec> = (0..40).map(|i| distinct[i % 5].clone()).collect();
-        let grouped = NeighborIndex::build(&zs, 8, NeighborStrategy::Grouped);
-        assert_eq!(grouped.mode_name(), "grouped");
-        let exact = NeighborIndex::build(&zs, 8, NeighborStrategy::Exact);
-        assert_eq!(grouped.adjacency(), exact.adjacency());
-        assert_eq!(grouped.degrees(), exact.degrees());
-        for min_size in [1usize, 4, 8, 16] {
-            assert_eq!(grouped.peel(min_size), exact.peel(min_size));
+        assert_eq!(
+            group_ids(&BitMatrix::from_rows(&zs))[..7],
+            [0, 1, 2, 3, 4, 0, 1]
+        );
+        let adjacency = neighbor_graph(&zs, 8);
+        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Banded] {
+            let idx = NeighborIndex::build(&zs, 8, strategy);
+            assert_eq!(idx.groups.members.len(), 5);
+            assert_eq!(idx.adjacency(), adjacency);
+            for min_size in [1usize, 4, 8, 16] {
+                assert_eq!(idx.peel(min_size), peel_clusters(&zs, &adjacency, min_size));
+            }
         }
     }
 
@@ -1518,7 +1211,7 @@ mod tests {
         for strategy in [
             NeighborStrategy::Exact,
             NeighborStrategy::Banded,
-            NeighborStrategy::Grouped,
+            NeighborStrategy::Auto,
         ] {
             let idx = NeighborIndex::build(&zs, 0, strategy);
             assert_eq!(idx.mode_name(), "complete");

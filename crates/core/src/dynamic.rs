@@ -38,7 +38,7 @@ use byzscore_model::Planted;
 use byzscore_random::derive_seed;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::cluster::WarmStart;
 use crate::runner::{Algorithm, Outcome, OutputSink, Session};
@@ -211,22 +211,25 @@ impl DynamicWorld {
         let warm = Arc::new(WarmStart::new());
 
         for round in 0..rounds {
-            let (retired, joined) = if round > 0 {
-                self.apply_churn(&mut map, &mut next_fresh, pool_rows, round)
-            } else {
-                (Vec::new(), Vec::new())
+            // Churn is applied entering every round after the first.
+            let (retired, joined) = match &self.churn {
+                Some(churn) if round > 0 => {
+                    let seed = derive_seed(churn.seed, &[TAG_CHURN, round as u64]);
+                    churn_step(
+                        &mut map,
+                        &mut next_fresh,
+                        pool_rows,
+                        churn.retire,
+                        churn.join,
+                        &mut SmallRng::seed_from_u64(seed),
+                    )
+                }
+                _ => (Vec::new(), Vec::new()),
             };
             let n = map.len();
 
-            // Compose the round's substrate: (pool → drift epoch r) → remap.
             let epoch = self.drift.as_ref().map_or(0, |_| round as u64);
-            let stepped: Arc<dyn TruthSource> = match &self.drift {
-                Some(schedule) => Arc::new(
-                    DriftingTruth::new(self.pool.clone(), schedule.clone()).at_epoch(epoch),
-                ),
-                None => self.pool.clone(),
-            };
-            let truth: Arc<dyn TruthSource> = Arc::new(RemappedTruth::new(stepped, map.clone()));
+            let truth = compose_world(&self.pool, self.drift.as_ref(), epoch, &map);
             let planted = self.pool_planted.as_ref().map(|p| remap_planted(p, &map));
 
             let round_seed = derive_seed(seed, &[TAG_ROUND, round as u64]);
@@ -274,41 +277,62 @@ impl DynamicWorld {
         }
         DynamicOutcome { rounds: reports }
     }
+}
 
-    /// Retire/join entering `round`; returns the retired and joined pool
-    /// identities. Survivors keep relative order; joiners append.
-    fn apply_churn(
-        &self,
-        map: &mut Vec<u32>,
-        next_fresh: &mut u32,
-        pool_rows: u32,
-        round: usize,
-    ) -> (Vec<u32>, Vec<u32>) {
-        let Some(churn) = &self.churn else {
-            return (Vec::new(), Vec::new());
-        };
-        let mut rng = SmallRng::seed_from_u64(derive_seed(churn.seed, &[TAG_CHURN, round as u64]));
-        // Pick the retiring slots by shuffle; never retire below one player.
-        let retire = churn.retire.min(map.len().saturating_sub(1));
-        let mut slots: Vec<usize> = (0..map.len()).collect();
-        slots.shuffle(&mut rng);
-        let mut retiring: Vec<usize> = slots[..retire].to_vec();
-        retiring.sort_unstable();
-        let retired: Vec<u32> = retiring.iter().map(|&s| map[s]).collect();
-        for &s in retiring.iter().rev() {
-            map.remove(s);
-        }
-        let mut joined = Vec::new();
-        for _ in 0..churn.join {
-            if *next_fresh >= pool_rows {
-                break; // pool exhausted: world stops growing, documented
-            }
-            joined.push(*next_fresh);
-            map.push(*next_fresh);
-            *next_fresh += 1;
-        }
-        (retired, joined)
+/// The churn law, one step: retire `retire` active slots of `map` (chosen
+/// by shuffle under `rng`; never below one player) and append up to `join`
+/// fresh pool identities starting at `next_fresh` (stopping when the
+/// `pool_rows`-row pool is exhausted — the world then stops growing).
+/// Survivors keep relative order and joiners take the tail, so the remap
+/// is deterministic and auditable. Returns the retired and joined pool
+/// identities. [`DynamicWorld`] and the scoring service both step their
+/// populations through this function; only their seeds differ.
+pub fn churn_step(
+    map: &mut Vec<u32>,
+    next_fresh: &mut u32,
+    pool_rows: u32,
+    retire: usize,
+    join: usize,
+    rng: &mut impl Rng,
+) -> (Vec<u32>, Vec<u32>) {
+    let retire = retire.min(map.len().saturating_sub(1));
+    let mut slots: Vec<usize> = (0..map.len()).collect();
+    slots.shuffle(rng);
+    let mut retiring: Vec<usize> = slots[..retire].to_vec();
+    retiring.sort_unstable();
+    let retired: Vec<u32> = retiring.iter().map(|&s| map[s]).collect();
+    for &s in retiring.iter().rev() {
+        map.remove(s);
     }
+    let mut joined = Vec::new();
+    for _ in 0..join {
+        if *next_fresh >= pool_rows {
+            break;
+        }
+        joined.push(*next_fresh);
+        map.push(*next_fresh);
+        *next_fresh += 1;
+    }
+    (retired, joined)
+}
+
+/// The world active slots see at `epoch`: `pool` → drift to `epoch` (when
+/// a schedule is given) → identity remap through `map` (active slot →
+/// pool identity). Adapters composed over the truth substrate, never
+/// mutation. [`remap_planted`] gives the matching planted metadata.
+pub fn compose_world(
+    pool: &Arc<dyn TruthSource>,
+    drift: Option<&DriftSchedule>,
+    epoch: u64,
+    map: &[u32],
+) -> Arc<dyn TruthSource> {
+    let stepped: Arc<dyn TruthSource> = match drift {
+        Some(schedule) => {
+            Arc::new(DriftingTruth::new(pool.clone(), schedule.clone()).at_epoch(epoch))
+        }
+        None => pool.clone(),
+    };
+    Arc::new(RemappedTruth::new(stepped, map.to_vec()))
 }
 
 /// Distill the adversary's between-round observation from a completed

@@ -28,10 +28,10 @@
 //! guesses (Lemma 12 / Theorem 14).
 //!
 //! Dishonest players cannot be allowed to bias the shared randomness, so
-//! the robust wrapper ([`robust`]) elects a leader per repetition with
-//! Feige's lightest-bin protocol (§7.1, `byzscore-election`), runs the
-//! whole pipeline once per beacon, and lets `RSelect` discard the
-//! repetitions whose leader was dishonest.
+//! the robust wrapper ([`robust_calculate_preferences`]) elects a leader
+//! per repetition with Feige's lightest-bin protocol (§7.1,
+//! `byzscore-election`), runs the whole pipeline once per beacon, and lets
+//! `RSelect` discard the repetitions whose leader was dishonest.
 //!
 //! # Quick start
 //!
@@ -93,7 +93,8 @@ pub use cluster::{
     cluster_players_with, Clustering, GroupCache, NeighborIndex, NeighborStrategy, WarmStart,
 };
 pub use dynamic::{
-    remap_planted, ChurnSchedule, DynamicOutcome, DynamicWorld, DynamicWorldBuilder, RoundReport,
+    churn_step, compose_world, remap_planted, ChurnSchedule, DynamicOutcome, DynamicWorld,
+    DynamicWorldBuilder, RoundReport,
 };
 pub use params::ProtocolParams;
 pub use protocol::calculate_preferences;

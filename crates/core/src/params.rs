@@ -55,10 +55,12 @@ pub struct ProtocolParams {
     /// fixed. Either way the §7.1 defense (repetition + RSelect) is what
     /// must absorb it.
     pub leader_sabotage: bool,
-    /// How step 1.d discovers the Lemma-8 neighbor graph: the exact
-    /// `O(n²)` pass, the sound banded prefilter, or a per-size automatic
-    /// choice. All strategies produce the identical edge set; this only
-    /// trades discovery time and memory.
+    /// Which index step 1.d builds over the distinct `z`-vectors to
+    /// discover the Lemma-8 neighbor graph: the exact all-pairs pass, the
+    /// sound banded prefilter, or a per-size automatic choice. All
+    /// strategies produce the identical edge set; this only trades
+    /// discovery time and memory. `Auto` at every construction site — the
+    /// other two exist so tests and benches can force an index kind.
     pub neighbor_strategy: NeighborStrategy,
 }
 

@@ -17,7 +17,7 @@
 //! mix-fold digest. A checkpoint whose footer is missing, short, or
 //! inconsistent is *torn* — the crash landed mid-write — and recovery
 //! falls back to the previous checkpoint (`<journal>.ckpt.prev`, kept
-//! by the rotation in [`save`]) or, absent that, to full-journal
+//! by the rotation in [`save_checkpoint`]) or, absent that, to full-journal
 //! replay. The footer is written before the file is renamed into
 //! place, so a *renamed* checkpoint can only be torn by media-level
 //! truncation, and the fallback chain still recovers (the journal is

@@ -18,8 +18,8 @@
 //!
 //! A player's shard is its component in the group graph of the current
 //! scores: players whose score rows are bit-identical share a group
-//! (`byzscore::cluster_players_with` at threshold 0 over the cached
-//! rows), and `shard = group mod shards`. Same-group players — the ones
+//! (`byzscore::cluster::group_ids` over the cached rows), and
+//! `shard = group mod shards`. Same-group players — the ones
 //! whose requests touch the same cluster state — therefore always route
 //! to the same worker.
 //!
@@ -35,9 +35,10 @@
 
 use std::sync::Arc;
 
+use byzscore::cluster::group_ids;
 use byzscore::{
-    cluster_players_with, remap_planted, DriftSchedule, DriftingTruth, NeighborStrategy,
-    ProceduralTruth, ProtocolParams, RemappedTruth, Session, TruthSource, WarmStart,
+    churn_step, remap_planted, DriftSchedule, ProceduralTruth, ProtocolParams, Session,
+    TruthSource, WarmStart,
 };
 use byzscore_adversary::{Corruption, Inverter};
 use byzscore_bitset::{BitMatrix, Bits};
@@ -46,7 +47,6 @@ use byzscore_board::{Board, BoardStats, ClusterSpec, Oracle};
 use byzscore_model::Planted;
 use byzscore_random::derive_seed;
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::request::{mix, Request, Response, ServiceError, SessionSpec};
@@ -279,32 +279,19 @@ impl ServiceEngine {
             Err(e) => return Response::Rejected(e),
         };
         state.churns += 1;
-        // Mirrors the dynamic-world churn law exactly: seeded shuffle
-        // picks the retiring slots (never below one player), survivors
-        // keep relative order, joiners take fresh pool rows at the tail.
         let mut rng = SmallRng::seed_from_u64(derive_seed(
             state.spec.world_seed,
             &[TAG_CHURN, state.churns],
         ));
-        let retire = retire.min(state.map.len().saturating_sub(1));
-        let mut slots: Vec<usize> = (0..state.map.len()).collect();
-        slots.shuffle(&mut rng);
-        let mut retiring: Vec<usize> = slots[..retire].to_vec();
-        retiring.sort_unstable();
-        let retired: Vec<u32> = retiring.iter().map(|&s| state.map[s]).collect();
-        for &s in retiring.iter().rev() {
-            state.map.remove(s);
-        }
         let pool_rows = state.pool.players() as u32;
-        let mut joined = Vec::new();
-        for _ in 0..join {
-            if state.next_fresh >= pool_rows {
-                break; // pool exhausted: the world stops growing
-            }
-            joined.push(state.next_fresh);
-            state.map.push(state.next_fresh);
-            state.next_fresh += 1;
-        }
+        let (retired, joined) = churn_step(
+            &mut state.map,
+            &mut state.next_fresh,
+            pool_rows,
+            retire,
+            join,
+            &mut rng,
+        );
         recompute(state, shards);
         Response::Churned {
             session: sid,
@@ -446,16 +433,13 @@ fn recompute(state: &mut SessionState, shards: usize) {
 /// remap — and its remapped planted structure. A pure function of
 /// `(spec, map, epoch)`, shared by `recompute` and checkpoint restore.
 fn compose_world(state: &SessionState) -> (Arc<dyn TruthSource>, Planted) {
-    let stepped: Arc<dyn TruthSource> = if state.spec.drift_ppm > 0 {
-        let schedule = DriftSchedule::uniform(
+    let drift = (state.spec.drift_ppm > 0).then(|| {
+        DriftSchedule::uniform(
             state.spec.drift_ppm as f64 / 1e6,
             derive_seed(state.spec.world_seed, &[TAG_DRIFT]),
-        );
-        Arc::new(DriftingTruth::new(state.pool.clone(), schedule).at_epoch(state.epoch))
-    } else {
-        state.pool.clone()
-    };
-    let truth: Arc<dyn TruthSource> = Arc::new(RemappedTruth::new(stepped, state.map.clone()));
+        )
+    });
+    let truth = byzscore::compose_world(&state.pool, drift.as_ref(), state.epoch, &state.map);
     let planted = remap_planted(&state.pool_planted, &state.map);
     (truth, planted)
 }
@@ -463,12 +447,9 @@ fn compose_world(state: &SessionState) -> (Arc<dyn TruthSource>, Planted) {
 /// Shard key: the group graph of the scores — players with identical
 /// rows share a group; groups spread round-robin over the shards.
 fn shard_map(rows: &BitMatrix, shards: usize) -> Vec<u32> {
-    let zvecs: Vec<_> = (0..rows.rows()).map(|p| rows.row(p).to_bitvec()).collect();
-    let grouping = cluster_players_with(&zvecs, 0, 1, NeighborStrategy::Grouped);
-    grouping
-        .assignment
-        .iter()
-        .map(|&g| g % shards as u32)
+    group_ids(rows)
+        .into_iter()
+        .map(|g| g % shards as u32)
         .collect()
 }
 

@@ -5,7 +5,7 @@
 //! Ops are already `byzscore-trace/v1` text, so the journal reuses the
 //! format verbatim: the header line, then one op line per mutating op,
 //! each preceded by a `# wal seq=N` comment carrying the client's wire
-//! sequence number. Comments are ignored by [`Trace::from_text`], so a
+//! sequence number. Comments are ignored by [`Trace::from_text`](crate::workload::Trace::from_text), so a
 //! journal *is* a valid trace — `scored replay wal.journal` replays a
 //! crashed server's history directly, and recovery is nothing more than
 //! [`ServiceEngine::execute`] over the parsed ops (the batch path, the

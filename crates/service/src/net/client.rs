@@ -86,7 +86,7 @@ impl Default for ReplayOptions {
 /// connections and is awaited (ids are assigned in open order, so the
 /// k-th open of a fresh server gets id k); any other barrier drains and
 /// is awaited on its session's connection; shardable ops pipeline up to
-/// [`PIPELINE_WINDOW`] deep. `Busy` and `Retryable` answers are retried
+/// `PIPELINE_WINDOW` deep. `Busy` and `Retryable` answers are retried
 /// with capped exponential backoff and never appear in `responses`.
 pub fn replay_over_socket(
     addr: impl ToSocketAddrs,

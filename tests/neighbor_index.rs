@@ -1,11 +1,13 @@
-//! `NeighborIndex` equivalence: the lazy strategies — banded (sound LSH
-//! prune, with single-bit-flip multi-probing at mid-`τ` and a popcount
-//! prefilter in scan mode) and grouped (bit-identical vectors
-//! deduplicated, discovery over weighted group representatives) — must
+//! `NeighborIndex` equivalence: the one discovery pipeline — bit-identical
+//! vectors grouped, the representatives indexed (materialized exact pass,
+//! sound banded prune with single-bit-flip multi-probing at mid-`τ`, or a
+//! popcount-prefiltered scan), one peel over the group graph — must
 //! produce the *identical* Lemma-8 edge set and the identical `Clustering`
-//! as the materialized exact `O(n²)` pass, on structured and adversarially
-//! random inputs alike. This is the pinned contract that lets e13 run
-//! `NaiveSampling` at n=10⁵ without changing a single output bit.
+//! as the all-pairs definition over players (`brute_adjacency`,
+//! `neighbor_graph` + `peel_clusters`), whichever representative index is
+//! forced, on structured and adversarially random inputs alike. This is
+//! the pinned contract that lets e13 run `NaiveSampling` at n=10⁵ without
+//! changing a single output bit.
 
 use byzscore::cluster::{
     cluster_players, neighbor_graph, peel_clusters, GroupCache, NeighborIndex, NeighborStrategy,
@@ -48,17 +50,40 @@ fn mixed_zvecs(seed: u64, n: usize, len: usize, spread: usize) -> Vec<BitVec> {
         .collect()
 }
 
-const LAZY: [NeighborStrategy; 2] = [NeighborStrategy::Banded, NeighborStrategy::Grouped];
+/// The no-collapse regime (every row distinct, so `G = n` — where the
+/// index used to leave the grouped path): stamp each player's index into
+/// the low bits of its vector. Lengths too short to hold `n` distinct
+/// stamps are left as they are.
+fn make_distinct(zvecs: &mut [BitVec]) {
+    let n = zvecs.len();
+    let bits = (usize::BITS - (n - 1).leading_zeros()) as usize;
+    if zvecs[0].len() < bits {
+        return;
+    }
+    for (i, v) in zvecs.iter_mut().enumerate() {
+        for b in 0..bits {
+            v.set(b, (i >> b) & 1 == 1);
+        }
+    }
+    let cache = GroupCache::build(zvecs, NeighborStrategy::Auto);
+    assert_eq!(cache.group_count(), Some(n));
+}
+
+/// The forced representative indexes other than `Exact`, plus `Auto`.
+const LAZY: [NeighborStrategy; 2] = [NeighborStrategy::Banded, NeighborStrategy::Auto];
 
 proptest! {
     /// Edge sets are identical across strategies and match brute force,
     /// across random sizes, lengths, and thresholds — covering all
-    /// internal modes (exact / banded / multiprobe / scan / complete /
-    /// grouped).
+    /// representative indexes (exact / banded / multiprobe / scan /
+    /// complete), with duplicates (`distinct == 0`) and without.
     #[test]
-    fn lazy_edge_sets_equal_exact(seed in 0u64..60, n in 2usize..36, len in 1usize..300, t_raw in 0usize..330) {
+    fn lazy_edge_sets_equal_exact(seed in 0u64..60, n in 2usize..36, len in 1usize..300, t_raw in 0usize..330, distinct in 0usize..2) {
         let spread = (len / 16).max(1);
-        let zvecs = mixed_zvecs(seed, n, len, spread);
+        let mut zvecs = mixed_zvecs(seed, n, len, spread);
+        if distinct == 1 {
+            make_distinct(&mut zvecs);
+        }
         let threshold = t_raw % (len + 2); // sometimes ≥ len ⇒ complete graph
         let exact = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Exact);
         let brute = brute_adjacency(&zvecs, threshold);
@@ -77,9 +102,12 @@ proptest! {
     /// Clustering is identical across strategies and matches the original
     /// materialized `peel_clusters` reference, for every min_size regime.
     #[test]
-    fn lazy_peels_equal_exact(seed in 100u64..150, n in 2usize..30, len in 8usize..220, t_raw in 0usize..240, min_size in 1usize..12) {
+    fn lazy_peels_equal_exact(seed in 100u64..150, n in 2usize..30, len in 8usize..220, t_raw in 0usize..240, min_size in 1usize..12, distinct in 0usize..2) {
         let spread = (len / 16).max(1);
-        let zvecs = mixed_zvecs(seed, n, len, spread);
+        let mut zvecs = mixed_zvecs(seed, n, len, spread);
+        if distinct == 1 {
+            make_distinct(&mut zvecs);
+        }
         let threshold = t_raw % (len + 2);
         let exact = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Exact);
         let reference = peel_clusters(&zvecs, &neighbor_graph(&zvecs, threshold), min_size);
@@ -99,8 +127,7 @@ proptest! {
         }
     }
 
-    /// `cluster_players` (Auto, which picks grouped discovery past the
-    /// exact cutoff) stays pinned to the reference path.
+    /// `cluster_players` (Auto) stays pinned to the reference path.
     #[test]
     fn auto_strategy_matches_reference(seed in 200u64..230, n in 2usize..24, len in 4usize..160) {
         let zvecs = mixed_zvecs(seed, n, len, (len / 8).max(1));
@@ -112,7 +139,7 @@ proptest! {
         prop_assert_eq!(auto.clusters, reference.clusters);
     }
 
-    /// Cross-guess reuse: a `GroupCache` built once and re-banded for a
+    /// Cross-guess reuse: a `GroupCache` built once and re-indexed for a
     /// sweep of thresholds must yield, at every τ and for every strategy,
     /// the identical edge set and identical `Clustering` as an index built
     /// fresh from the same z-vectors — the pinned contract behind the
@@ -122,7 +149,7 @@ proptest! {
         let spread = (len / 16).max(1);
         let zvecs = mixed_zvecs(seed, n, len, spread);
         let min_size = (n / 4).max(1);
-        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Banded, NeighborStrategy::Grouped] {
+        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Banded, NeighborStrategy::Exact] {
             let cache = GroupCache::build(&zvecs, strategy);
             // Doubling τ sweep, like the diameter-guess loop.
             let mut tau = 1usize;
@@ -149,7 +176,7 @@ proptest! {
     #[test]
     fn group_cache_refresh_equals_cold_build(seed in 500u64..530, n in 4usize..30, len in 16usize..200, touched in 1usize..6) {
         let zvecs = mixed_zvecs(seed, n, len, (len / 16).max(1));
-        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Grouped] {
+        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Banded] {
             let mut cache = GroupCache::build(&zvecs, strategy);
             let mut drifted = zvecs.clone();
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xd21f7);
@@ -158,14 +185,9 @@ proptest! {
                 drifted[p].flip(rng.gen_range(0..len));
             }
             let reused = cache.refresh(&drifted);
-            // Hash reuse only exists on the grouped path (Auto stays exact
-            // at these sizes and caches nothing); there, flips may collide
-            // on the same row, so the untouched count is a lower bound.
-            if cache.group_count().is_some() {
-                prop_assert!(reused >= n.saturating_sub(touched.min(n)));
-            } else {
-                prop_assert_eq!(reused, 0);
-            }
+            // Flips may collide on the same row, so the untouched count
+            // is a lower bound.
+            prop_assert!(reused >= n.saturating_sub(touched.min(n)));
             let cold = GroupCache::build(&drifted, strategy);
             for tau in [1usize, len / 8 + 1, len / 2] {
                 let a = cache.cluster(tau, 2);
@@ -176,8 +198,8 @@ proptest! {
         }
     }
 
-    /// Heavy duplication (few distinct vectors, many copies): the grouped
-    /// strategy's collapse regime, checked against brute force.
+    /// Heavy duplication (few distinct vectors, many copies): grouping's
+    /// collapse regime, checked against brute force.
     #[test]
     fn grouped_heavy_duplication_equals_exact(seed in 300u64..330, distinct in 1usize..6, copies in 1usize..8, len in 16usize..120, t_raw in 0usize..130) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -185,7 +207,7 @@ proptest! {
         let n = distinct * copies;
         let zvecs: Vec<BitVec> = (0..n).map(|i| base[i % distinct].clone()).collect();
         let threshold = t_raw % (len + 2);
-        let grouped = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Grouped);
+        let grouped = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Auto);
         let brute = brute_adjacency(&zvecs, threshold);
         prop_assert_eq!(&grouped.adjacency(), &brute);
         let min_size = (copies / 2).max(1);
@@ -238,8 +260,8 @@ fn multiprobe_and_scan_modes_multi_peel() {
     }
 }
 
-/// Deterministic grouped case with duplicates spread across camps (the
-/// inner index over ~330 groups runs the materialized exact pass).
+/// Deterministic case with duplicates spread across camps: ~330 groups,
+/// so `Auto` materializes the representatives.
 #[test]
 fn grouped_bucket_mode_multi_peel() {
     let mut zvecs = mixed_zvecs(11, 380, 640, 6);
@@ -249,27 +271,31 @@ fn grouped_bucket_mode_multi_peel() {
         zvecs.push(v.clone());
         zvecs.push(v);
     }
-    let grouped = NeighborIndex::build(&zvecs, 30, NeighborStrategy::Grouped);
-    assert_eq!(grouped.mode_name(), "grouped");
-    let exact = NeighborIndex::build(&zvecs, 30, NeighborStrategy::Exact);
-    assert_eq!(grouped.adjacency(), exact.adjacency());
-    assert_eq!(grouped.degrees(), exact.degrees());
+    let grouped = NeighborIndex::build(&zvecs, 30, NeighborStrategy::Auto);
+    assert_eq!(grouped.mode_name(), "exact");
+    // `Auto` and `Exact` are the same construction at this size, so the
+    // reference here is the player-level definition.
+    let exact = neighbor_graph(&zvecs, 30);
+    assert_eq!(grouped.adjacency(), exact);
+    assert_eq!(
+        grouped.degrees(),
+        exact.iter().map(Vec::len).collect::<Vec<_>>()
+    );
     for min_size in [3usize, 40, 90] {
         let a = grouped.peel(min_size);
-        let b = peel_clusters(&zvecs, &exact.adjacency(), min_size);
+        let b = peel_clusters(&zvecs, &exact, min_size);
         assert_eq!(a.assignment, b.assignment, "min_size={min_size}");
         assert_eq!(a.clusters, b.clusters, "min_size={min_size}");
     }
 }
 
-/// The production-scale recursion e13 hits: more than `AUTO_EXACT_MAX`
-/// groups survive dedup, so the grouped strategy's *inner* index runs
-/// banded over the representatives. 400 camps × (center + 12 single-bit
-/// variants), centers duplicated ×2 ⇒ n = 6000, G = 5200 > 4096 (and
-/// ≤ 7n/8, so grouping does not fall back to direct banding). τ = 6 with
-/// 512-bit vectors keeps the inner τ+1 bands 73 bits wide — the banded
-/// bucket path. Pinned against the banded player-level index, which the
-/// other tests pin against brute force.
+/// The production-scale case e13 hits: more than `AUTO_EXACT_MAX` groups
+/// survive dedup, so `Auto` bands the representatives. 400 camps ×
+/// (center + 12 single-bit variants), centers duplicated ×2 ⇒ n = 6000,
+/// G = 5200 > 4096. τ = 6 with 512-bit vectors keeps the τ+1 bands 73
+/// bits wide — the banded bucket path. Pinned against the forced
+/// materialized index over the same representatives, which the other
+/// tests pin against brute force.
 #[test]
 fn grouped_with_banded_inner_index() {
     let len = 512usize;
@@ -288,23 +314,49 @@ fn grouped_with_banded_inner_index() {
     }
     assert_eq!(zvecs.len(), 6000);
     let tau = 6usize;
-    let grouped = NeighborIndex::build(&zvecs, tau, NeighborStrategy::Grouped);
-    assert_eq!(grouped.mode_name(), "grouped");
-    let banded = NeighborIndex::build(&zvecs, tau, NeighborStrategy::Banded);
-    assert_eq!(banded.mode_name(), "banded");
-    assert_eq!(grouped.degrees(), banded.degrees());
+    let cache = GroupCache::build(&zvecs, NeighborStrategy::Auto);
+    assert_eq!(cache.group_count(), Some(5200));
+    let grouped = cache.index(tau);
+    assert_eq!(grouped.mode_name(), "banded");
+    let exact = NeighborIndex::build(&zvecs, tau, NeighborStrategy::Exact);
+    assert_eq!(exact.mode_name(), "exact");
+    assert_eq!(grouped.degrees(), exact.degrees());
     for p in [0usize, 1, 14, 2999, 5999] {
-        assert_eq!(
-            grouped.neighbors_of(p),
-            banded.neighbors_of(p),
-            "player {p}"
-        );
+        assert_eq!(grouped.neighbors_of(p), exact.neighbors_of(p), "player {p}");
     }
     for min_size in [10usize, 15] {
         let a = grouped.peel(min_size);
-        let b = banded.peel(min_size);
+        let b = exact.peel(min_size);
         assert_eq!(a.assignment, b.assignment, "min_size={min_size}");
         assert_eq!(a.clusters, b.clusters, "min_size={min_size}");
         assert!(a.is_partition());
+    }
+}
+
+/// The serving-size case: 96 players over 5 distinct vectors under `Auto`.
+/// Grouping happens at every `n`, so the cache holds 5 groups, a refresh
+/// on unchanged rows reuses all 96 hashes, and the peel still equals the
+/// player-level reference.
+#[test]
+fn small_sessions_are_grouped_and_refresh_reuses_rows() {
+    let mut rng = SmallRng::seed_from_u64(23);
+    let mut distinct: Vec<BitVec> = vec![BitVec::random(&mut rng, 128)];
+    for flips in [2usize, 4, 64, 66] {
+        let mut v = distinct[0].clone();
+        v.flip_random_distinct(&mut rng, flips);
+        distinct.push(v);
+    }
+    let zvecs: Vec<BitVec> = (0..96).map(|i| distinct[i % 5].clone()).collect();
+    let mut cache = GroupCache::build(&zvecs, NeighborStrategy::Auto);
+    assert_eq!(cache.group_count(), Some(5));
+    assert_eq!(cache.refresh(&zvecs), 96);
+    assert_eq!(cache.group_count(), Some(5));
+    for (tau, min_size) in [(0usize, 10usize), (5, 30), (5, 60), (70, 96)] {
+        let reference = peel_clusters(&zvecs, &neighbor_graph(&zvecs, tau), min_size);
+        assert_eq!(
+            cache.cluster(tau, min_size),
+            reference,
+            "τ={tau} min={min_size}"
+        );
     }
 }
