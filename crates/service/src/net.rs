@@ -4,17 +4,39 @@
 //! # Topology
 //!
 //! ```text
-//! clients ──► acceptor ──► connection threads (one per socket)
-//!                              │ try_send            ╲ full → typed Busy
-//!                              ▼
-//!                    bounded admission queue
-//!                              │ recv (FIFO)
-//!                              ▼
+//! clients ──► acceptor (TCP_NODELAY) ──► connection threads (one per socket,
+//!                              │                              buffered reads)
+//!                              │ try_send        ╲ full → typed Busy ───┐
+//!                              ▼                                        │
+//!                    bounded admission queue                            │
+//!                              │ try_recv (FIFO); empty → flush, recv   │
+//!                              ▼                                        │
 //!                   dispatcher: JournaledEngine::submit, one op at a time
-//!                              │
-//!                              ▼
-//!                     answer on the op's connection
+//!                              │ append the answer frame                │
+//!                              ▼                                        ▼
+//!                   per-connection out-buffer {stream, out}  ◄── hello / busy / err /
+//!                              │ one write per flush             stats / bye, flushed
+//!                              ▼                                 at once
+//!                           socket
 //! ```
+//!
+//! # The reply path: one write per frame, no kernel timer
+//!
+//! A frame is assembled whole and written with one `write`
+//! ([`write_frame`](crate::wire::write_frame)), and both ends set
+//! `TCP_NODELAY`, so no answer ever waits for the peer's delayed ACK.
+//! With Nagle off the kernel no longer merges a pipelined burst of small
+//! answers into few segments, so the server does that itself and
+//! deterministically: every server frame is appended to its
+//! connection's out-buffer, and the dispatcher writes the buffers of
+//! the connections it touched — one `write` each — whenever `try_recv`
+//! finds the admission queue empty, before it blocks. One-outstanding
+//! traffic sees an empty queue after every op, so its answer leaves at
+//! once; a 64-deep window leaves as one write per burst. Frames from
+//! the connection thread share the buffer and flush it immediately, so
+//! only whole frames ever reach the socket. Buffered answers are
+//! flushed before a failed rebuild severs the sockets and when the
+//! dispatcher exits.
 //!
 //! # Why answers stay bit-identical to the in-process replay
 //!
@@ -34,8 +56,8 @@
 //!   [`Response::Busy`](crate::Response::Busy) and executes nothing. An
 //!   op that was accepted is never dropped.
 //!
-//! A single-op `execute` costs ~2 µs against a loopback round trip in
-//! the tens of µs at best, so there is nothing for per-shard threads to
+//! A single-op `execute` costs ~2 µs against a loopback round trip of
+//! ~70 µs, so there is nothing for per-shard threads to
 //! win here (DESIGN.md §4.14 has the measurements); the engine's shard
 //! count only shapes its in-process batch flush.
 //!

@@ -9,7 +9,7 @@
 //! only within a barrier-free window, where order does not matter.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::thread;
@@ -116,11 +116,7 @@ pub fn replay_with_options(
     options: ReplayOptions,
 ) -> io::Result<SocketReplay> {
     let connections = options.connections.max(1);
-    let addr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address to connect to"))?;
-    let mut client = ReplayClient::connect(addr, connections, options)?;
+    let mut client = ReplayClient::connect(resolve(addr)?, connections, options)?;
     let mut opens_sent = 0usize;
     for (index, op) in ops.iter().enumerate() {
         let seq = index as u64;
@@ -211,6 +207,12 @@ struct ReplayClient {
     reconnects: u64,
 }
 
+fn resolve(addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
+    addr.to_socket_addrs()?
+        .next()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address to connect to"))
+}
+
 /// Dial, handshake, and disable Nagle on one connection.
 fn connect_one(addr: SocketAddr) -> io::Result<TcpStream> {
     let mut stream = TcpStream::connect(addr)?;
@@ -221,14 +223,11 @@ fn connect_one(addr: SocketAddr) -> io::Result<TcpStream> {
 
 /// Spawn the reader thread for one connection generation: forwards
 /// decoded frames, reports `Closed(conn, generation)` when the socket
-/// dies or turns to garbage.
-fn spawn_reader(
-    event_tx: mpsc::Sender<Event>,
-    mut reader: TcpStream,
-    conn: usize,
-    generation: u64,
-) {
+/// dies or turns to garbage. Reads are buffered, so a coalesced burst
+/// of answers is drained many frames per syscall.
+fn spawn_reader(event_tx: mpsc::Sender<Event>, reader: TcpStream, conn: usize, generation: u64) {
     thread::spawn(move || {
+        let mut reader = BufReader::new(reader);
         while let Ok(Some(payload)) = read_frame(&mut reader) {
             let frame = std::str::from_utf8(&payload)
                 .ok()
@@ -519,62 +518,71 @@ fn broken(message: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.to_string())
 }
 
+/// Read and decode one server frame; a close (named by
+/// `closed_before`) is an error.
+fn recv_frame(stream: &mut impl Read, closed_before: &str) -> io::Result<ServerFrame> {
+    let payload = read_frame(stream)?
+        .ok_or_else(|| broken(&format!("server closed before {closed_before}")))?;
+    let text = std::str::from_utf8(&payload).map_err(|_| broken("server frame is not UTF-8"))?;
+    ServerFrame::decode(text).map_err(|m| broken(&m))
+}
+
 /// Exchange `hello` frames on a fresh connection.
 fn handshake(stream: &mut (impl Read + Write)) -> io::Result<()> {
     write_frame(stream, ClientFrame::Hello.encode().as_bytes())?;
-    let payload = read_frame(stream)?
-        .ok_or_else(|| broken("server closed before answering the handshake"))?;
-    let text = std::str::from_utf8(&payload).map_err(|_| broken("handshake is not UTF-8"))?;
-    match ServerFrame::decode(text) {
-        Ok(ServerFrame::Hello) => Ok(()),
-        Ok(other) => Err(broken(&format!(
+    match recv_frame(stream, "answering the handshake")? {
+        ServerFrame::Hello => Ok(()),
+        other => Err(broken(&format!(
             "expected a {WIRE_VERSION} hello, got {other:?}"
         ))),
-        Err(message) => Err(broken(&message)),
+    }
+}
+
+/// One request on a fresh connection: send `request`, then read frames
+/// until `wanted` picks the answer out; a typed `err` frame or a close
+/// (named by `closed_before`) fails the call.
+fn one_shot<T>(
+    addr: impl ToSocketAddrs,
+    request: ClientFrame,
+    closed_before: &str,
+    wanted: impl Fn(ServerFrame) -> Option<T>,
+) -> io::Result<T> {
+    let mut stream = connect_one(resolve(addr)?)?;
+    write_frame(&mut stream, request.encode().as_bytes())?;
+    loop {
+        match recv_frame(&mut stream, closed_before)? {
+            ServerFrame::Err { message, .. } => {
+                return Err(broken(&format!("server protocol error: {message}")))
+            }
+            frame => {
+                if let Some(answer) = wanted(frame) {
+                    return Ok(answer);
+                }
+            }
+        }
     }
 }
 
 /// Ask a running server for its counters over a fresh connection.
 pub fn request_stats(addr: impl ToSocketAddrs) -> io::Result<StatsSnapshot> {
-    let mut stream = TcpStream::connect(addr)?;
-    handshake(&mut stream)?;
-    write_frame(
-        &mut stream,
-        ClientFrame::Stats { seq: 1 }.encode().as_bytes(),
-    )?;
-    loop {
-        let payload =
-            read_frame(&mut stream)?.ok_or_else(|| broken("server closed before the stats"))?;
-        let text = std::str::from_utf8(&payload).map_err(|_| broken("stats frame is not UTF-8"))?;
-        match ServerFrame::decode(text).map_err(|m| broken(&m))? {
-            ServerFrame::Stats { stats, .. } => return Ok(stats),
-            ServerFrame::Err { message, .. } => {
-                return Err(broken(&format!("server protocol error: {message}")))
-            }
-            _ => continue,
-        }
-    }
+    one_shot(
+        addr,
+        ClientFrame::Stats { seq: 1 },
+        "the stats",
+        |frame| match frame {
+            ServerFrame::Stats { stats, .. } => Some(stats),
+            _ => None,
+        },
+    )
 }
 
 /// Ask a running server to drain and exit; returns once the `bye` is
 /// acknowledged.
 pub fn request_shutdown(addr: impl ToSocketAddrs) -> io::Result<()> {
-    let mut stream = TcpStream::connect(addr)?;
-    handshake(&mut stream)?;
-    write_frame(
-        &mut stream,
-        ClientFrame::Shutdown { seq: 1 }.encode().as_bytes(),
-    )?;
-    loop {
-        let payload = read_frame(&mut stream)?
-            .ok_or_else(|| broken("server closed before acknowledging shutdown"))?;
-        let text = std::str::from_utf8(&payload).map_err(|_| broken("bye frame is not UTF-8"))?;
-        match ServerFrame::decode(text).map_err(|m| broken(&m))? {
-            ServerFrame::Bye { .. } => return Ok(()),
-            ServerFrame::Err { message, .. } => {
-                return Err(broken(&format!("server protocol error: {message}")))
-            }
-            _ => continue,
-        }
-    }
+    one_shot(
+        addr,
+        ClientFrame::Shutdown { seq: 1 },
+        "acknowledging shutdown",
+        |frame| matches!(frame, ServerFrame::Bye { .. }).then_some(()),
+    )
 }

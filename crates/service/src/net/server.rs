@@ -1,12 +1,12 @@
 //! The server half: acceptor, connection threads, bounded admission,
 //! and the single dispatcher lane that owns the op pipeline.
 
-use std::io;
+use std::io::{self, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -17,13 +17,13 @@ use crate::checkpoint::RecoverySource;
 use crate::fault::FaultPlan;
 use crate::journal::{CompactionPolicy, JournaledEngine, RecoveryReport};
 use crate::request::{Request, Response, ServiceError};
-use crate::wire::{read_frame, write_frame, ClientFrame, ServerFrame, StatsSnapshot};
+use crate::wire::{append_frame, read_frame, ClientFrame, ServerFrame, StatsSnapshot};
 use crate::workload::parse_op;
 
 /// Poison-tolerant mutex lock: the data behind every mutex here (a
-/// socket handle, the connection registry) is valid at every step, so a
-/// thread that panicked mid-`write_frame` must not cascade into every
-/// later answer on the connection.
+/// connection's out-buffer of whole frames, the connection registry) is
+/// valid at every step, so a thread that panicked mid-write must not
+/// cascade into every later answer on the connection.
 fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -177,6 +177,7 @@ impl Server {
                 pipeline,
                 ctx: ctx.clone(),
                 halted: false,
+                unflushed: Vec::new(),
             };
             thread::spawn(move || dispatch(admission_rx, state))
         };
@@ -193,6 +194,11 @@ impl Server {
                 Ok(s) => s,
                 Err(_) => continue,
             };
+            // Nagle off: a lone reply must never sit behind an un-ACKed
+            // segment waiting out the peer's delayed-ACK timer. The
+            // coalescing Nagle did for pipelined replies is done
+            // deterministically instead, by `ConnOut` and the dispatcher.
+            let _ = stream.set_nodelay(true);
             // Socket timeouts apply to the whole fd (reads in the
             // connection loop, answer writes from the dispatcher through
             // the writer clone), so a stalled peer bounds every wait.
@@ -225,38 +231,84 @@ struct Job {
     reply: ReplyTo,
 }
 
-/// Where and how to answer an admitted op.
-struct ReplyTo {
-    conn: Arc<Mutex<TcpStream>>,
-    seq: u64,
-    admitted: Instant,
+/// Past this many buffered bytes a connection's answers are written
+/// without waiting for the admission queue to go idle.
+const FLUSH_BYTES: usize = 32 * 1024;
+
+/// A connection's write half. Server frames are appended whole to `out`
+/// and reach the socket one `write` per flush, so frames from the
+/// dispatcher and from the connection thread can never interleave
+/// mid-frame and a pipelined burst of answers costs one syscall.
+struct ConnOut {
+    stream: TcpStream,
+    out: Vec<u8>,
     stats: Arc<StatsInner>,
 }
 
-impl ReplyTo {
-    /// Write the final answer, count it, and record its latency. Write
-    /// errors are ignored: the op has executed either way, and a client
-    /// that hung up simply misses its answer.
-    fn answer(&self, resp: &Response) {
-        if matches!(resp, Response::Retryable { .. }) {
-            self.stats.retryable.fetch_add(1, Ordering::Relaxed);
+impl ConnOut {
+    /// Queue one whole frame. A frame over the wire cap (the peer could
+    /// only answer it by killing the connection) is replaced by a typed
+    /// `err` carrying its `seq`, so the client's op fails by name.
+    fn push(&mut self, frame: &ServerFrame) {
+        if let Err(e) = append_frame(&mut self.out, frame.encode().as_bytes()) {
+            let err = ServerFrame::Err {
+                seq: frame.seq(),
+                message: e.to_string(),
+            };
+            append_frame(&mut self.out, err.encode().as_bytes())
+                .expect("a cap-violation message is far below the cap");
         }
-        self.stats.completed.fetch_add(1, Ordering::Relaxed);
-        self.stats
+        self.stats.frames_out.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Write everything queued with one `write_all`. Sent or lost, the
+    /// buffer is emptied: a failed write means the peer is gone and
+    /// simply misses its answers (the ops have executed either way).
+    fn flush(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        self.stats.socket_writes.fetch_add(1, Ordering::Relaxed);
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        written
+    }
+}
+
+/// Where and how to answer an admitted op.
+struct ReplyTo {
+    conn: Arc<Mutex<ConnOut>>,
+    seq: u64,
+    admitted: Instant,
+}
+
+impl ReplyTo {
+    /// Queue the final answer on the op's connection, count it, and
+    /// record its latency. The dispatcher flushes the connection when
+    /// the admission queue goes idle; a buffer past [`FLUSH_BYTES`] is
+    /// written here.
+    fn answer(&self, resp: &Response) {
+        let mut conn = lock_ok(&self.conn);
+        if matches!(resp, Response::Retryable { .. }) {
+            conn.stats.retryable.fetch_add(1, Ordering::Relaxed);
+        }
+        conn.stats.completed.fetch_add(1, Ordering::Relaxed);
+        conn.stats
             .record_latency(self.admitted.elapsed().as_micros() as u64);
-        let frame = ServerFrame::Resp {
+        conn.push(&ServerFrame::Resp {
             seq: self.seq,
             response: resp.clone(),
-        };
-        let mut conn = lock_ok(&self.conn);
-        let _ = write_frame(&mut *conn, frame.encode().as_bytes());
+        });
+        if conn.out.len() >= FLUSH_BYTES {
+            let _ = conn.flush();
+        }
     }
 
     /// Sever the underlying socket (drop-connection fault injection).
     #[cfg(feature = "fault-inject")]
     fn sever(&self) {
         let conn = lock_ok(&self.conn);
-        let _ = conn.shutdown(Shutdown::Both);
+        let _ = conn.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -268,6 +320,8 @@ struct Dispatcher {
     /// journal, so nothing more executes or appends while the server
     /// shuts down.
     halted: bool,
+    /// Connections holding answers queued since the last flush.
+    unflushed: Vec<Arc<Mutex<ConnOut>>>,
 }
 
 fn retryable(reason: &str) -> Response {
@@ -279,10 +333,27 @@ fn retryable(reason: &str) -> Response {
 fn dispatch(admission_rx: Receiver<Job>, mut d: Dispatcher) {
     // A recovered pipeline starts with a tail and open sessions.
     d.ctx.stats.mirror(&d.pipeline, true);
-    while let Ok(Job { req, reply }) = admission_rx.recv() {
+    loop {
+        // Flush on idle: answers stay buffered while more admitted ops
+        // are waiting, and go out — one write per connection — the
+        // moment the queue is empty, before blocking. One-outstanding
+        // traffic finds the queue empty after every op, so its answer
+        // leaves at once; a pipelined burst leaves as one write.
+        let job = match admission_rx.try_recv() {
+            Ok(job) => job,
+            Err(TryRecvError::Empty) => {
+                d.flush();
+                match admission_rx.recv() {
+                    Ok(job) => job,
+                    Err(_) => break,
+                }
+            }
+            Err(TryRecvError::Disconnected) => break,
+        };
         d.ctx.stats.depth.fetch_sub(1, Ordering::Relaxed);
-        d.handle(req, reply);
+        d.handle(job.req, job.reply);
     }
+    d.flush();
 }
 
 impl Dispatcher {
@@ -292,7 +363,10 @@ impl Dispatcher {
     fn handle(&mut self, req: Request, reply: ReplyTo) {
         let stats = &self.ctx.stats;
         if self.halted {
-            reply.answer(&retryable("the server is shutting down; resend later"));
+            self.answer(
+                reply,
+                &retryable("the server is shutting down; resend later"),
+            );
             return;
         }
         #[cfg(feature = "fault-inject")]
@@ -336,9 +410,26 @@ impl Dispatcher {
             }
         };
         stats.mirror(&self.pipeline, !req.is_shardable());
-        reply.answer(&resp);
+        self.answer(reply, &resp);
         if self.halted {
+            // Flush before severing, or the client never learns why.
+            self.flush();
             self.ctx.trigger_shutdown();
+        }
+    }
+
+    /// Queue `resp` on the op's connection and remember to flush it.
+    fn answer(&mut self, reply: ReplyTo, resp: &Response) {
+        reply.answer(resp);
+        if !self.unflushed.iter().any(|c| Arc::ptr_eq(c, &reply.conn)) {
+            self.unflushed.push(reply.conn);
+        }
+    }
+
+    /// Write every connection's queued answers, one write each.
+    fn flush(&mut self) {
+        for conn in self.unflushed.drain(..) {
+            let _ = lock_ok(&conn).flush();
         }
     }
 }
@@ -381,11 +472,23 @@ fn serve_connection(stream: TcpStream, admission_tx: SyncSender<Job>, ctx: Arc<C
 
 fn connection_loop(stream: &TcpStream, admission_tx: SyncSender<Job>, ctx: &Arc<ConnCtx>) {
     let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
+        Ok(stream) => Arc::new(Mutex::new(ConnOut {
+            stream,
+            out: Vec::new(),
+            stats: ctx.stats.clone(),
+        })),
         Err(_) => return,
     };
-    let mut reader = stream;
-    let send = |frame: &ServerFrame| write_frame(&mut *lock_ok(&writer), frame.encode().as_bytes());
+    // Buffered: a frame's length-then-payload pair costs one `read`, and
+    // a pipelined burst is drained many frames per syscall.
+    let mut reader = BufReader::new(stream);
+    // Connection-thread frames share the answers' buffer and flush at
+    // once (taking any answers queued ahead of them along).
+    let send = |frame: &ServerFrame| {
+        let mut out = lock_ok(&writer);
+        out.push(frame);
+        out.flush()
+    };
     loop {
         let payload = match read_frame(&mut reader) {
             Ok(Some(p)) => p,
@@ -465,16 +568,13 @@ fn connection_loop(stream: &TcpStream, admission_tx: SyncSender<Job>, ctx: &Arc<
                             conn: writer.clone(),
                             seq,
                             admitted: Instant::now(),
-                            stats: ctx.stats.clone(),
                         },
                     };
-                    ctx.stats.depth_enter();
+                    ctx.stats.admit_enter();
                     match admission_tx.try_send(job) {
-                        Ok(()) => {
-                            ctx.stats.admitted.fetch_add(1, Ordering::Relaxed);
-                        }
+                        Ok(()) => {}
                         Err(TrySendError::Full(_)) => {
-                            ctx.stats.depth_leave();
+                            ctx.stats.admit_leave();
                             ctx.stats.busy.fetch_add(1, Ordering::Relaxed);
                             let _ = send(&ServerFrame::Resp {
                                 seq,
@@ -484,7 +584,7 @@ fn connection_loop(stream: &TcpStream, admission_tx: SyncSender<Job>, ctx: &Arc<
                             });
                         }
                         Err(TrySendError::Disconnected(_)) => {
-                            ctx.stats.depth_leave();
+                            ctx.stats.admit_leave();
                             return;
                         }
                     }
@@ -502,5 +602,89 @@ fn connection_loop(stream: &TcpStream, admission_tx: SyncSender<Job>, ctx: &Arc<
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::MAX_FRAME_BYTES;
+
+    /// A `ReplyTo` whose connection is one end of a loopback pair; the
+    /// other end and the counters come back with it.
+    fn reply_over_loopback(seq: u64) -> (ReplyTo, TcpStream, Arc<StatsInner>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let stats = Arc::new(StatsInner::new());
+        let reply = ReplyTo {
+            conn: Arc::new(Mutex::new(ConnOut {
+                stream,
+                out: Vec::new(),
+                stats: stats.clone(),
+            })),
+            seq,
+            admitted: Instant::now(),
+        };
+        (reply, client, stats)
+    }
+
+    fn next_frame(client: &mut TcpStream) -> ServerFrame {
+        let payload = read_frame(client).expect("read").expect("open");
+        ServerFrame::decode(std::str::from_utf8(&payload).expect("UTF-8")).expect("decodes")
+    }
+
+    /// An answer too large for a frame fails the op by name: the client
+    /// gets a typed `err` with the op's own `seq`, and the connection
+    /// (and the frames queued around it) stays intact.
+    #[test]
+    fn an_over_cap_answer_becomes_a_typed_err_with_its_seq() {
+        let (reply, mut client, stats) = reply_over_loopback(41);
+        let busy = Response::Busy { retry_after_ms: 3 };
+        reply.answer(&busy);
+        reply.answer(&Response::Retryable {
+            reason: "x".repeat(MAX_FRAME_BYTES),
+        });
+        reply.answer(&busy);
+        lock_ok(&reply.conn).flush().expect("flush");
+        let busy = ServerFrame::Resp {
+            seq: 41,
+            response: busy,
+        };
+        assert_eq!(next_frame(&mut client), busy);
+        match next_frame(&mut client) {
+            ServerFrame::Err { seq: 41, message } => {
+                assert!(message.contains("exceeds"), "{message:?}")
+            }
+            other => panic!("expected a typed err for seq 41, got {other:?}"),
+        }
+        assert_eq!(next_frame(&mut client), busy);
+        let snapshot = stats.snapshot();
+        assert_eq!((snapshot.frames_out, snapshot.socket_writes), (3, 1));
+    }
+
+    /// Answers wait in the out-buffer for the dispatcher's idle flush,
+    /// but only up to `FLUSH_BYTES`: past it `answer` writes on its own.
+    #[test]
+    fn a_full_out_buffer_flushes_without_waiting_for_idle() {
+        let (reply, mut client, stats) = reply_over_loopback(7);
+        let resp = Response::Retryable {
+            reason: "y".repeat(1000),
+        };
+        let mut queued = 0;
+        while stats.snapshot().socket_writes == 0 {
+            reply.answer(&resp);
+            queued += 1;
+            assert!(queued * 1000 <= 2 * FLUSH_BYTES, "never flushed");
+        }
+        assert!(queued * 1000 >= FLUSH_BYTES - 1000, "flushed early");
+        assert!(lock_ok(&reply.conn).out.is_empty());
+        for _ in 0..queued {
+            assert!(matches!(
+                next_frame(&mut client),
+                ServerFrame::Resp { seq: 7, .. }
+            ));
+        }
+        assert_eq!(stats.snapshot().socket_writes, 1);
     }
 }

@@ -16,6 +16,10 @@ pub(super) struct StatsInner {
     pub(super) retryable: AtomicU64,
     pub(super) worker_panics: AtomicU64,
     pub(super) rebuilds: AtomicU64,
+    /// Frames queued for a socket, and the `write` calls that carried
+    /// them (one per flush of a connection's out-buffer).
+    pub(super) frames_out: AtomicU64,
+    pub(super) socket_writes: AtomicU64,
     // Mirrors of the op pipeline's own counters, refreshed by the
     // dispatcher after every op so a stats frame never touches the
     // engine. `tail_len` and `open_sessions` are gauges.
@@ -42,6 +46,8 @@ impl StatsInner {
             deduped: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
+            frames_out: AtomicU64::new(0),
+            socket_writes: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             truncated_ops: AtomicU64::new(0),
             tail_len: AtomicU64::new(0),
@@ -52,17 +58,21 @@ impl StatsInner {
         }
     }
 
-    /// Count a queue slot *before* the `try_send` that fills it — the
-    /// dispatcher may drain the job (and decrement the gauge) before
-    /// the admitting thread runs another instruction, so incrementing
-    /// after the send would race the gauge below zero.
-    pub(super) fn depth_enter(&self) {
+    /// Count an admission — the op and its queue slot — *before* the
+    /// `try_send` that makes it: the dispatcher may drain the job,
+    /// answer it, and have the client's next `stats` frame served before
+    /// the admitting thread runs another instruction, so counting after
+    /// the send would race the gauge below zero and let a snapshot show
+    /// `completed` ahead of `admitted`.
+    pub(super) fn admit_enter(&self) {
+        self.admitted.fetch_add(1, Ordering::Relaxed);
         let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.depth_peak.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Undo [`StatsInner::depth_enter`] when admission failed.
-    pub(super) fn depth_leave(&self) {
+    /// Undo [`StatsInner::admit_enter`] when admission failed.
+    pub(super) fn admit_leave(&self) {
+        self.admitted.fetch_sub(1, Ordering::Relaxed);
         self.depth.fetch_sub(1, Ordering::Relaxed);
     }
 
@@ -131,6 +141,8 @@ impl StatsInner {
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             truncated_ops: self.truncated_ops.load(Ordering::Relaxed),
             tail_len: self.tail_len.load(Ordering::Relaxed),
+            frames_out: self.frames_out.load(Ordering::Relaxed),
+            socket_writes: self.socket_writes.load(Ordering::Relaxed),
         }
     }
 }

@@ -7,10 +7,13 @@
 //! followed by that many bytes of UTF-8 text. A declared length above
 //! [`MAX_FRAME_BYTES`] is a protocol violation — the stream cannot be
 //! resynchronized after a lying prefix, so the peer answers a typed
-//! `err` frame and closes. Everything *inside* a frame is text on
-//! purpose: request payloads reuse the `byzscore-trace/v1` op lines
-//! (one serialization to audit, and a recorded trace file is literally
-//! a list of valid wire payloads), and responses use the line grammar
+//! `err` frame and closes; [`write_frame`] refuses to put one on the
+//! wire in the first place. A frame is assembled whole and handed to
+//! the socket in one `write`, so length prefix and payload never travel
+//! as two segments. Everything *inside* a frame is text on purpose:
+//! request payloads reuse the `byzscore-trace/v1` op lines (one
+//! serialization to audit, and a recorded trace file is literally a
+//! list of valid wire payloads), and responses use the line grammar
 //! below, so a wire capture is human-readable end to end.
 //!
 //! # Envelopes
@@ -46,11 +49,34 @@ pub const WIRE_VERSION: &str = "byzscore-wire/v1";
 /// small enough that a hostile length prefix cannot balloon allocation.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-/// Write one frame: 4-byte big-endian length, then the payload.
+/// Append one whole frame — 4-byte big-endian length, then the payload —
+/// to `out`. A payload above [`MAX_FRAME_BYTES`] is
+/// [`io::ErrorKind::InvalidInput`] and appends nothing: the peer could
+/// only answer such a frame by killing the connection.
+pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
+    if payload.len() > MAX_FRAME_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame payload of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
+                payload.len()
+            ),
+        ));
+    }
+    out.reserve(4 + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Write one frame with one `write_all`: on a socket that is one
+/// syscall and one segment, so the payload never sits behind an
+/// un-ACKed length prefix. An over-cap payload is
+/// [`io::ErrorKind::InvalidInput`] and writes nothing.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_BYTES);
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::new();
+    append_frame(&mut frame, payload)?;
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -197,6 +223,17 @@ pub enum ServerFrame {
 }
 
 impl ServerFrame {
+    /// The echoed sequence number (0 for the handshake, which has none).
+    pub fn seq(&self) -> u64 {
+        match self {
+            ServerFrame::Hello => 0,
+            ServerFrame::Resp { seq, .. }
+            | ServerFrame::Stats { seq, .. }
+            | ServerFrame::Bye { seq }
+            | ServerFrame::Err { seq, .. } => *seq,
+        }
+    }
+
     /// Serialize to the frame payload text.
     pub fn encode(&self) -> String {
         match self {
@@ -298,6 +335,12 @@ pub struct StatsSnapshot {
     /// Mutating ops currently in the journal tail — what a crash right
     /// now would replay (a gauge, not a counter).
     pub tail_len: u64,
+    /// Server frames queued for a socket (answers, `Busy`, `err`,
+    /// `stats`, `bye`, `hello`).
+    pub frames_out: u64,
+    /// `write` calls that carried them: `frames_out / socket_writes` is
+    /// the reply-coalescing ratio (1.0 for one-outstanding traffic).
+    pub socket_writes: u64,
 }
 
 impl StatsSnapshot {
@@ -307,7 +350,7 @@ impl StatsSnapshot {
         format!(
             "admitted={} busy={} malformed={} completed={} sessions={} depth_peak={} p50_us={} p99_us={} \
              depth={} retryable={} journaled={} deduped={} panics={} rebuilds={} ckpts={} \
-             truncated={} tail={}",
+             truncated={} tail={} frames_out={} socket_writes={}",
             self.admitted,
             self.busy_rejected,
             self.malformed,
@@ -325,6 +368,8 @@ impl StatsSnapshot {
             self.checkpoints,
             self.truncated_ops,
             self.tail_len,
+            self.frames_out,
+            self.socket_writes,
         )
     }
 
@@ -358,6 +403,8 @@ impl StatsSnapshot {
                 "ckpts" => s.checkpoints = v,
                 "truncated" => s.truncated_ops = v,
                 "tail" => s.tail_len = v,
+                "frames_out" => s.frames_out = v,
+                "socket_writes" => s.socket_writes = v,
                 _ => {}
             }
         }
@@ -692,6 +739,8 @@ mod tests {
                     checkpoints: 2,
                     truncated_ops: 40,
                     tail_len: 3,
+                    frames_out: 104,
+                    socket_writes: 9,
                 },
             },
             ServerFrame::Bye { seq: 12 },
@@ -749,6 +798,8 @@ mod tests {
             checkpoints: 5,
             truncated_ops: 320,
             tail_len: 6,
+            frames_out: 4096,
+            socket_writes: 64,
         };
         let text = stats.encode();
         assert_eq!(StatsSnapshot::decode(&text), Ok(stats), "{text:?}");
@@ -759,6 +810,7 @@ mod tests {
         assert_eq!(decoded.admitted, 5);
         assert_eq!(decoded.retryable, 0);
         assert_eq!(decoded.rebuilds, 0);
+        assert_eq!((decoded.frames_out, decoded.socket_writes), (0, 0));
         // A future key is skipped, not an error.
         assert!(StatsSnapshot::decode("admitted=1 warp_factor=9").is_ok());
         for bad in ["admitted", "admitted=x", "=5"] {
@@ -781,6 +833,87 @@ mod tests {
             self.pos += n;
             Ok(n)
         }
+    }
+
+    /// A `Write` sink that counts `write` calls (each is a syscall on a
+    /// `TcpStream`) and accepts at most `chunk` bytes per call.
+    struct Sink {
+        data: Vec<u8>,
+        calls: usize,
+        chunk: usize,
+    }
+
+    impl Sink {
+        fn taking(chunk: usize) -> Sink {
+            Sink {
+                data: Vec::new(),
+                calls: 0,
+                chunk,
+            }
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = self.chunk.min(buf.len());
+            self.data.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One frame is one `write` whatever its size — a second call would
+    /// be a second segment for Nagle to hold behind the first's ACK.
+    #[test]
+    fn a_frame_is_exactly_one_write_call() {
+        for len in [0usize, 1, 35, 65_536, MAX_FRAME_BYTES] {
+            let payload = vec![b'x'; len];
+            let mut sink = Sink::taking(usize::MAX);
+            write_frame(&mut sink, &payload).unwrap();
+            assert_eq!(sink.calls, 1, "{len}-byte payload");
+            assert_eq!(
+                read_frame(&mut io::Cursor::new(sink.data)).unwrap(),
+                Some(payload)
+            );
+        }
+    }
+
+    /// A sink that takes at most 7 bytes per call (short writes are
+    /// legal) still receives the whole frame, prefix included.
+    #[test]
+    fn short_writes_still_deliver_a_whole_frame() {
+        let mut sink = Sink::taking(7);
+        let payload = b"resp 7 probed 0 3 2 12345";
+        write_frame(&mut sink, payload).unwrap();
+        assert_eq!(sink.calls, (4 + payload.len()).div_ceil(7));
+        let mut cursor = io::Cursor::new(sink.data);
+        assert_eq!(
+            read_frame(&mut cursor).unwrap().as_deref(),
+            Some(&payload[..])
+        );
+        assert_eq!(read_frame(&mut cursor).unwrap(), None);
+    }
+
+    /// The cap holds in release builds too: an over-cap payload is a
+    /// typed error and not one byte reaches the wire.
+    #[test]
+    fn an_over_cap_payload_is_invalid_input_and_writes_nothing() {
+        let payload = vec![0u8; MAX_FRAME_BYTES + 1];
+        let mut sink = Sink::taking(usize::MAX);
+        assert_eq!(
+            write_frame(&mut sink, &payload).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        assert_eq!((sink.calls, sink.data.len()), (0, 0));
+        let mut out = b"kept".to_vec();
+        assert_eq!(
+            append_frame(&mut out, &payload).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        assert_eq!(out, b"kept");
     }
 
     /// A frame split across arbitrary segment boundaries — including a

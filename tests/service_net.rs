@@ -8,6 +8,7 @@ use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::OnceLock;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use byzscore_service::net::{replay_over_socket, request_stats};
 use byzscore_service::wire::{read_frame, write_frame, ClientFrame, ServerFrame, MAX_FRAME_BYTES};
@@ -181,7 +182,7 @@ fn overload_answers_busy_and_loses_nothing() {
 }
 
 /// Regression for the admission-gauge audit: malformed op lines and
-/// other early-return paths answer *before* `depth_enter`, so a burst
+/// other early-return paths answer *before* `admit_enter`, so a burst
 /// of garbage must leave the live queue-depth gauge at exactly zero —
 /// a leak here would eventually wedge admission control by making the
 /// queue look permanently full.
@@ -441,4 +442,197 @@ proptest::proptest! {
             other => panic!("expected a typed rejection, got {other:?}"),
         }
     }
+}
+
+/// One request outstanding at a time must cost a loopback round trip,
+/// not a kernel timer: the server writes each answer as one segment
+/// with `TCP_NODELAY` set, so neither Nagle nor the client's delayed
+/// ACK (40 ms a trip when a frame went out as two writes) can park it —
+/// whether or not the client disabled Nagle on its own side. Each lone
+/// answer is flushed the moment the admission queue is seen empty, so
+/// the server's own counters show one socket write per frame.
+#[test]
+fn round_trips_have_no_timer_floor() {
+    const TRIPS: u64 = 200;
+    for nodelay in [true, false] {
+        let addr = spawn_server(NetConfig::default());
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(nodelay).unwrap();
+        handshake(&mut stream);
+        let mut exchange = |seq: u64, line: &str| {
+            let frame = ClientFrame::Op {
+                seq,
+                line: line.to_string(),
+            };
+            write_frame(&mut stream, frame.encode().as_bytes()).expect("send op");
+            match read_server_frame(&mut stream) {
+                ServerFrame::Resp {
+                    seq: echoed,
+                    response,
+                } if echoed == seq => response,
+                other => panic!("expected the answer to op {seq}, got {other:?}"),
+            }
+        };
+        assert!(matches!(
+            exchange(0, "open 24 48 3 3 11 naive 4 1 2000 13"),
+            Response::Opened { session: 0, .. }
+        ));
+        let start = Instant::now();
+        for seq in 1..=TRIPS {
+            let answer = exchange(seq, &format!("query 0 {} -", seq % 24));
+            assert!(
+                matches!(answer, Response::Preferences { .. }),
+                "op {seq}: {answer:?}"
+            );
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "{TRIPS} round trips took {elapsed:?} with client nodelay={nodelay}: \
+             something on the reply path waits on a timer"
+        );
+        let stats = request_stats(addr).expect("stats");
+        // Two hellos (this connection's and the stats request's), the
+        // open and the queries — each written alone.
+        assert_eq!(stats.frames_out, TRIPS + 3);
+        assert_eq!(stats.socket_writes, stats.frames_out);
+    }
+}
+
+/// Two connections each blast 64 shardable ops without reading a single
+/// answer, then reap: every frame must decode (a torn or interleaved
+/// frame would not), every op must be answered exactly once within
+/// `read_timeout` of the previous frame, and the answers must equal the
+/// in-process engine's. `Busy` answers — written by the connection
+/// threads into the same out-buffers the dispatcher fills — are resent
+/// verbatim. With `slow_barrier` an epoch recompute admitted ahead of
+/// the burst keeps the dispatcher busy while the burst arrives. Returns
+/// how many `Busy` answers were seen.
+fn pipelined_burst(queue_depth: usize, slow_barrier: bool, read_timeout: Duration) -> u64 {
+    const BURST: usize = 64;
+    let addr = spawn_server(NetConfig {
+        queue_depth,
+        retry_after_ms: 1,
+        ..NetConfig::default()
+    });
+    let mut lines = vec!["open 64 128 4 4 11 calculate 6 2 2000 13".to_string()];
+    if slow_barrier {
+        lines.push("epoch 0".to_string());
+    }
+    let first = lines.len();
+    for i in 0..2 * BURST {
+        lines.push(if i % 4 < 2 {
+            format!("probe 0 {} {}", i % 64, i)
+        } else {
+            format!("query 0 {} -", i % 64)
+        });
+    }
+    let script: Vec<Request> = lines.iter().map(|l| parse_op(l).unwrap()).collect();
+    let expected = ServiceEngine::new().execute(&script);
+
+    let mut streams: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.set_nodelay(true).unwrap();
+            s.set_read_timeout(Some(read_timeout)).unwrap();
+            handshake(&mut s);
+            s
+        })
+        .collect();
+    let send = |stream: &mut TcpStream, seq: usize| {
+        let frame = ClientFrame::Op {
+            seq: seq as u64,
+            line: lines[seq].clone(),
+        };
+        write_frame(stream, frame.encode().as_bytes()).expect("send op");
+    };
+    let mut answers: Vec<Option<Response>> = vec![None; lines.len()];
+    let mut busy = 0u64;
+    // Read one frame: record a final answer, resend a `Busy` one.
+    let mut reap =
+        |stream: &mut TcpStream, answers: &mut Vec<Option<Response>>| match read_server_frame(
+            stream,
+        ) {
+            ServerFrame::Resp {
+                seq,
+                response: Response::Busy { .. },
+            } => {
+                busy += 1;
+                send(stream, seq as usize);
+            }
+            ServerFrame::Resp { seq, response } => {
+                let slot = &mut answers[seq as usize];
+                assert!(slot.is_none(), "op {seq} answered twice");
+                *slot = Some(response);
+            }
+            other => panic!("unexpected frame {other:?}"),
+        };
+
+    // The open is awaited (the burst addresses its session).
+    send(&mut streams[0], 0);
+    reap(&mut streams[0], &mut answers);
+    // Ops alternate between the connections; connection 0 goes first,
+    // barrier in front. Its first frame back proves the barrier was
+    // admitted — frames of one connection are handled in order — so the
+    // reference order (open, epoch, then ops that commute) holds however
+    // the two bursts interleave.
+    let conn_of = |seq: usize| (seq - first) % 2;
+    for seq in (1..lines.len()).filter(|&seq| seq < first || conn_of(seq) == 0) {
+        send(&mut streams[0], seq);
+    }
+    if slow_barrier {
+        reap(&mut streams[0], &mut answers);
+    }
+    for seq in (first..lines.len()).filter(|&seq| conn_of(seq) == 1) {
+        send(&mut streams[1], seq);
+    }
+    for (conn, stream) in streams.iter_mut().enumerate() {
+        let mine = |seq: usize| {
+            if seq < first {
+                conn == 0
+            } else {
+                conn_of(seq) == conn
+            }
+        };
+        while (0..lines.len()).any(|seq| mine(seq) && answers[seq].is_none()) {
+            reap(stream, &mut answers);
+        }
+    }
+    let answers: Vec<Response> = answers.into_iter().map(Option::unwrap).collect();
+    assert_eq!(answers, expected, "burst answers differ from in-process");
+
+    let stats = request_stats(addr).expect("stats");
+    assert_eq!(stats.busy_rejected, busy);
+    assert_eq!(stats.admitted, lines.len() as u64);
+    assert_eq!(
+        stats.admitted, stats.completed,
+        "an accepted op went unanswered"
+    );
+    // Hellos of the two connections and the stats request, every
+    // admitted answer, every Busy — none lost, none written twice.
+    assert_eq!(stats.frames_out, 3 + stats.completed + busy);
+    assert!(stats.socket_writes <= stats.frames_out);
+    busy
+}
+
+/// Answers are buffered per connection and flushed when the admission
+/// queue goes idle: the last answers of a burst must not wait for a
+/// *next* op to push them out.
+#[test]
+fn pipelined_replies_are_never_stranded() {
+    let busy = pipelined_burst(256, false, Duration::from_secs(2));
+    assert_eq!(busy, 0, "128 ops fit a 256-deep queue");
+}
+
+/// The same burst against a depth-1 queue behind a slow barrier: the
+/// connection threads' `Busy` frames and the dispatcher's answers share
+/// each connection's out-buffer, and whole frames are all that ever
+/// reaches the socket.
+#[test]
+fn busy_frames_interleave_with_replies_without_tearing() {
+    let busy = pipelined_burst(1, true, Duration::from_secs(30));
+    assert!(
+        busy > 0,
+        "a depth-1 queue behind a slow barrier must overflow into Busy"
+    );
 }
