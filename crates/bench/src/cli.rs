@@ -6,7 +6,7 @@
 //! run_all --only e07,e09         # subset by id or name
 //! run_all --only @byzantine      # subset by tag
 //! run_all --scale full           # EXPERIMENTS.md sweep sizes
-//! run_all --threads 4            # cap phase parallelism (default: all cores)
+//! run_all --threads 4            # cap the engine + sweep fan-out (default: all cores)
 //! run_all --only e01 --json      # + BENCH_e01.json artifact
 //! run_all --json results.json    # one combined JSON document
 //! run_all --trace t.trace        # replay a recorded service trace
@@ -64,7 +64,7 @@ fn usage(prog: &str) -> String {
          or @tag; repeatable and comma-separable\n  \
          --scale SCALE     quick (default) or full (EXPERIMENTS.md sweep sizes;\n                    \
          BYZ_FULL=1 is the env equivalent)\n  \
-         --threads N       cap total worker threads across all nested parallelism\n                    \
+         --threads N       cap total worker threads across the engine and sweep fan-out\n                    \
          (default: all cores)\n  \
          --timing MODE     shared (default): timed cells run concurrently, elapsed ms\n                    \
          includes contention; isolated: each timed cell reruns serially\n                    \
@@ -72,8 +72,7 @@ fn usage(prog: &str) -> String {
          --json [PATH]     write JSON tables: bare --json emits one BENCH_<id>.json\n                    \
          per experiment; with PATH (or --json=PATH), one combined document\n  \
          --trace PATH      replay a recorded byzscore-trace/v1 service workload and\n                    \
-         print its op count and combined response digest (honors\n                    \
-         --threads; the digest is thread-count invariant)\n  \
+         print its op count and combined response digest\n  \
          --help            this text"
     )
 }

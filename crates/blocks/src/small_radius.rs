@@ -67,9 +67,8 @@ pub fn small_radius(
         let mut rng = ctx.beacon.sub_rng(&part_tags);
         let groups = partition_into(&mut rng, objects, s);
 
-        // Steps 2–3 per group, in parallel across groups (each group's
-        // ZeroRadius + Select chain is independent; the oracle and board
-        // are internally synchronized and order-independent).
+        // Steps 2–3 per group (each group's ZeroRadius + Select chain is
+        // independent; the oracle and board are order-independent).
         let group_ids: Vec<(usize, &Vec<u32>)> = groups.iter().enumerate().collect();
         let group_results: Vec<Vec<BitVec>> = par_map_items(&group_ids, |&(gi, group)| {
             per_group(

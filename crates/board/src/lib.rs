@@ -1,6 +1,6 @@
 //! The execution substrate of the paper's model (§2): a probe oracle with
-//! per-player metering, a shared bulletin board, and a phase-parallel
-//! player runtime.
+//! per-player metering, a shared bulletin board, and the phase helpers
+//! every "all players do X" step runs through.
 //!
 //! The paper's players proceed in synchronous rounds; in each round a player
 //! may probe one object (learning its *own* preference for it) and may read
@@ -31,9 +31,10 @@
 //!   opened with [`Board::scope`] can be *retired* when their step
 //!   completes, so long runs hold only the current step's working set
 //!   ([`BoardStats`] reports the peak).
-//! * [`par::par_map_players`] — scoped-thread data parallelism over players
-//!   with deterministic, index-ordered results: simulation speed without
-//!   giving up reproducibility.
+//! * [`par`] — "all players do X" phase helpers that run in order on the
+//!   calling thread, plus [`par::par_map_coarse`], the workspace's one
+//!   compute fork (whole runs and sweep points, under one thread budget)
+//!   with index-ordered results: speed without giving up reproducibility.
 //!
 //! Synchrony is modeled at *phase* granularity rather than per-probe
 //! lockstep: every protocol step of Figures 1–2 is a bulk "all players do X,

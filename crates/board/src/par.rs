@@ -1,41 +1,33 @@
-//! Deterministic phase-parallelism over players, under one hierarchical
-//! work budget.
+//! Phases run inline; one coarse fan-out forks, under one thread budget.
 //!
-//! Every step of Figures 1–2 has the shape "all players do X"; the
-//! simulator executes such phases with scoped threads over player ranges.
-//! Outputs are collected *by player index*, so results are bit-identical
-//! regardless of the number of worker threads — reproducibility is a
-//! property the experiments rely on (see `tests/determinism.rs`).
+//! Every step of Figures 1–2 has the shape "all players do X". The paper
+//! counts *probes*, not wall-clock, and its phases are synchronous over a
+//! free billboard, so the order a phase visits its players in carries no
+//! semantics. The rule here: **a phase runs on the thread that entered
+//! it** — [`par_map_players`], [`par_map_items`] and [`par_update_items`]
+//! are in-order loops that keep the "all players do X" reading at their
+//! call sites — and [`par_map_coarse`] is the only place the workspace
+//! forks for compute (CI enforces it). A phase-level fork never paid on
+//! any measured workload (DESIGN.md §4.10 has the numbers).
 //!
-//! # The permit pool
+//! # The budget
 //!
-//! Parallel regions nest: the engine fans out over experiments, an
-//! experiment over sweep points, a sweep point over protocol phases. A
-//! per-level worker cap would multiply across levels (engine × sweep ×
-//! phase workers); instead every region — coarse or fine — draws *extra*
-//! workers from one process-wide pool of `budget − 1` permits (the
-//! region's own calling thread is always free, because it is either the
-//! root thread or a worker that already holds a permit). A region takes
-//! what is available without waiting, runs with `1 + taken` workers, and
-//! each worker returns its permit the moment it runs out of chunks, so
-//! permits flow down the hierarchy to whatever has runnable work. Total
-//! live workers never exceed the budget, at any nesting depth, and no
-//! acquisition blocks — the pool cannot deadlock.
-//!
-//! # Chunk-level work stealing
-//!
-//! Within a region, work is not pre-assigned: items are cut into chunks
-//! (oversplit ~4× relative to the budget) and workers *claim* chunks from
-//! a shared atomic cursor. Two consequences: a straggler chunk no longer
-//! serializes the tail of the phase, and — because every worker re-checks
-//! the permit pool after each chunk — a phase that started while the pool
-//! was drained recruits extra workers the moment permits free up
-//! mid-phase, instead of staying sequential to the end. Outputs are still
-//! collected *by item index*, so the claim order never affects results.
+//! Coarse regions nest: the bench engine fans out over experiments, an
+//! experiment over sweep points. A per-level worker cap would multiply
+//! across levels; instead every region draws its *extra* workers from one
+//! process-wide counter capped at `budget − 1` (a region's calling thread
+//! is free: it is the root thread or a worker that already holds a
+//! permit). A region takes what is available when it starts, without
+//! waiting, and each worker returns its permit the moment the region runs
+//! out of items — unwinding included — so freed workers flow to whichever
+//! region starts next. Total live workers never exceed the budget at any
+//! nesting depth, and no acquisition blocks, so the budget cannot
+//! deadlock.
 //!
 //! The budget defaults to all available cores and can be capped
 //! process-wide with [`set_thread_limit`] (plumbed from the bench CLI's
-//! `--threads` flag); the cap affects only speed, never results.
+//! `--threads` flag). Results are collected *by item index*, so the cap
+//! affects only speed, never results (see `tests/determinism.rs`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -44,10 +36,10 @@ use std::sync::Mutex;
 /// available cores).
 static THREAD_LIMIT: AtomicUsize = AtomicUsize::new(0);
 
-/// Cap the total number of worker threads across every nested parallel
+/// Cap the total number of worker threads across every nested coarse
 /// region (`None` restores the default of all available cores).
 ///
-/// The cap is global and takes effect for subsequently started phases;
+/// The cap is global and takes effect for subsequently started regions;
 /// results are identical under any cap by construction. `Some(0)` is
 /// clamped to `Some(1)` (fully sequential) — zero is the internal
 /// "uncapped" sentinel and must not invert a caller's request for
@@ -73,246 +65,140 @@ fn budget() -> usize {
     thread_limit().unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |v| v.get()))
 }
 
-/// Phases below this many items run sequentially — thread spawn costs more
-/// than the work.
-const SEQ_CUTOFF: usize = 32;
+/// One extra worker's share of the budget. Dropping returns it, so a
+/// worker that unwinds out of a panicking item cannot leak it.
+struct Permit;
 
-/// A batch of extra-worker permits drawn from the global pool. Dropping
-/// returns the remaining permits; [`Permits::split_one`] peels a single
-/// permit off so each worker can release its own as soon as it finishes.
-struct Permits(usize);
-
-impl Permits {
-    /// Take up to `want` permits without waiting (possibly zero).
-    fn acquire(want: usize) -> Permits {
-        if want == 0 {
-            return Permits(0);
-        }
+impl Permit {
+    /// Take a permit if the budget has one free; never waits.
+    fn try_acquire() -> Option<Permit> {
         let pool = budget().saturating_sub(1);
-        let mut cur = EXTRA_WORKERS.load(Ordering::Relaxed);
-        loop {
-            let take = want.min(pool.saturating_sub(cur));
-            if take == 0 {
-                return Permits(0);
-            }
-            match EXTRA_WORKERS.compare_exchange_weak(
-                cur,
-                cur + take,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Permits(take),
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Move one held permit into its own batch.
-    fn split_one(&mut self) -> Permits {
-        debug_assert!(self.0 > 0, "no permit left to split");
-        self.0 -= 1;
-        Permits(1)
+        // Relaxed: the counter bounds a head count and publishes no data.
+        EXTRA_WORKERS
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
+                (live < pool).then_some(live + 1)
+            })
+            .ok()
+            .map(|_| Permit)
     }
 }
 
-impl Drop for Permits {
+impl Drop for Permit {
     fn drop(&mut self) {
-        if self.0 > 0 {
-            EXTRA_WORKERS.fetch_sub(self.0, Ordering::Relaxed);
-        }
+        EXTRA_WORKERS.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Chunk oversplit factor: fine phases are cut into roughly
-/// `budget × OVERSPLIT` chunks so late-joining workers have something to
-/// steal and stragglers do not serialize the tail.
-const OVERSPLIT: usize = 4;
-
-/// Smallest fine-phase chunk worth its claim overhead.
-const MIN_CHUNK: usize = 16;
-
-/// Shared state of one stealing region: a claim cursor over `n_chunks`
-/// chunks plus the per-chunk work closure. Chunks are claimed with a
-/// `fetch_add`, so each is processed exactly once, by whichever worker
-/// gets there first.
-struct Steal<'a> {
-    work: &'a (dyn Fn(usize) + Sync),
-    next: AtomicUsize,
-    n_chunks: usize,
-}
-
-/// One worker: claim chunks until the cursor runs out. After finishing a
-/// chunk, if unclaimed chunks remain, try to recruit extra workers from
-/// the permit pool — permits freed by other regions *mid-phase* (the old
-/// fixed-assignment fork only looked at the pool once, at region start)
-/// are picked up here, so a phase that began while the pool was drained
-/// regains parallelism as soon as permits return.
-fn steal_worker<'scope, 'env>(
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    st: &'env Steal<'env>,
-) {
-    loop {
-        let c = st.next.fetch_add(1, Ordering::Relaxed);
-        if c >= st.n_chunks {
-            return;
-        }
-        (st.work)(c);
-        let claimed = st.next.load(Ordering::Relaxed);
-        if claimed < st.n_chunks {
-            let mut extra = Permits::acquire(st.n_chunks - claimed);
-            while extra.0 > 0 {
-                let permit = extra.split_one();
-                scope.spawn(move || {
-                    let _permit = permit;
-                    steal_worker(scope, st);
-                });
-            }
-        }
-    }
-}
-
-/// Run `work(c)` for every chunk `c ∈ 0..n_chunks` under the permit pool,
-/// with chunk-level stealing and mid-phase worker recruitment.
-fn run_stealing(n_chunks: usize, work: &(dyn Fn(usize) + Sync)) {
-    let shared = Steal {
-        work,
-        next: AtomicUsize::new(0),
-        n_chunks,
-    };
-    let mut permits = Permits::acquire(n_chunks.saturating_sub(1));
-    std::thread::scope(|scope| {
-        // Each worker carries its own permit and frees it on exit, so
-        // siblings (or nested phases) can pick it up before the whole
-        // region joins.
-        while permits.0 > 0 {
-            let permit = permits.split_one();
-            let shared = &shared;
-            scope.spawn(move || {
-                let _permit = permit;
-                steal_worker(scope, shared);
-            });
-        }
-        // The calling thread is always a worker (it holds no permit).
-        steal_worker(scope, &shared);
-    });
-}
-
-/// Chunk size for a fine region of `n` items: oversplit relative to the
-/// whole budget so work can migrate, but never below [`MIN_CHUNK`].
-fn fine_chunk(n: usize) -> usize {
-    n.div_ceil(budget() * OVERSPLIT).max(MIN_CHUNK)
-}
-
-/// Shared fork: run `f` over `0..n`, order-collected. `coarse` regions
-/// skip the tiny-phase sequential cutoff (whole protocol runs are worth a
-/// thread each even at 2 items) and use single-item chunks.
-fn par_run<T, F>(n: usize, coarse: bool, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    if !coarse && n < SEQ_CUTOFF {
-        return (0..n).map(f).collect();
-    }
-    let chunk = if coarse { 1 } else { fine_chunk(n) };
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    // Chunks are claimed uniquely via the cursor, so each Mutex is locked
-    // exactly once and never contended — it exists to hand the disjoint
-    // output slices across threads safely.
-    let slots: Vec<Mutex<&mut [Option<T>]>> = out.chunks_mut(chunk).map(Mutex::new).collect();
-    let work = |c: usize| {
-        let start = c * chunk;
-        let mut slice = slots[c].lock().expect("chunk mutex");
-        for (i, slot) in slice.iter_mut().enumerate() {
-            *slot = Some(f(start + i));
-        }
-    };
-    run_stealing(slots.len(), &work);
-    drop(slots);
-    out.into_iter()
-        .map(|s| s.expect("worker filled slot"))
-        .collect()
-}
-
-/// Mutate every item of `items` in place, in parallel: `f(i, &mut
-/// items[i])`, called exactly once per item. The in-place sibling of
-/// [`par_map_items`] for phases that advance per-player state (the fused
-/// `RSelect` tournaments) instead of producing fresh vectors. Same
-/// determinism contract: items are partitioned by index, so results never
-/// depend on the worker count.
-pub fn par_update_items<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    if n < SEQ_CUTOFF {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = fine_chunk(n);
-    let slots: Vec<Mutex<&mut [T]>> = items.chunks_mut(chunk).map(Mutex::new).collect();
-    let work = |c: usize| {
-        let start = c * chunk;
-        let mut slice = slots[c].lock().expect("chunk mutex");
-        for (i, item) in slice.iter_mut().enumerate() {
-            f(start + i, item);
-        }
-    };
-    run_stealing(slots.len(), &work);
-}
-
-/// Apply `f` to every player index in `0..n`, in parallel, returning results
-/// in player order.
-///
-/// `f` must be `Sync` (players share read-only state plus the internally
-/// synchronized board/ledger) and is called exactly once per player.
-pub fn par_map_players<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_run(n, false, f)
-}
-
-/// Apply `f` to each item of `items` in parallel, preserving order.
-pub fn par_map_items<I, T, F>(items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    par_run(items.len(), false, |i| f(&items[i]))
-}
-
-/// Apply `f` to each item in parallel like [`par_map_items`], but without
-/// the tiny-phase sequential cutoff: intended for *coarse* work items
-/// (whole experiments, protocol runs, sweep points) where even 2–8 items
-/// are worth a thread each. Coarse and fine regions share the one permit
-/// pool (module docs), so nesting coarse maps never multiplies worker
-/// counts. Results are order-preserving, so output is bit-identical under
-/// any thread count.
+/// Apply `f` to each item on up to `budget` threads, preserving order —
+/// the workspace's one compute fork, for *coarse* work items (whole
+/// experiments, protocol runs, sweep points) where even two items are
+/// worth a thread each. Workers claim items one at a time from a shared
+/// cursor and results land by index, so output is bit-identical under any
+/// thread count; nested regions share the one budget (module docs), so
+/// nesting never multiplies worker counts. A panicking item propagates
+/// once every worker of the region has been joined.
 pub fn par_map_coarse<I, T, F>(items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    par_run(items.len(), true, |i| f(&items[i]))
+    // Each slot is locked once, by the worker that claimed its index; the
+    // Mutex only hands the result back across threads.
+    let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    // Relaxed: the cursor only deals out indices; results are published
+    // by the slot mutexes and the scope's join.
+    let cursor = AtomicUsize::new(0);
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { return };
+        let out = f(item);
+        *slots[i].lock().expect("slot locked only by its claimant") = Some(out);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..items.len() {
+            let Some(permit) = Permit::try_acquire() else {
+                break;
+            };
+            let work = &work;
+            scope.spawn(move || {
+                let _permit = permit;
+                work();
+            });
+        }
+        // The calling thread is always a worker (it holds no permit).
+        work();
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().ok().flatten().expect("slot filled"))
+        .collect()
+}
+
+/// Apply `f` to every player index in `0..n`, in player order, on the
+/// calling thread.
+pub fn par_map_players<T, F>(n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    (0..n).map(f).collect()
+}
+
+/// Apply `f` to each item of `items`, in order, on the calling thread.
+pub fn par_map_items<I, T, F>(items: &[I], f: F) -> Vec<T>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(&I) -> T + Sync,
+{
+    items.iter().map(f).collect()
+}
+
+/// Mutate every item of `items` in place: `f(i, &mut items[i])`, in
+/// order, on the calling thread. The in-place sibling of
+/// [`par_map_items`] for phases that advance per-player state (the fused
+/// `RSelect` tournaments) instead of producing fresh vectors.
+pub fn par_update_items<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    for (i, item) in items.iter_mut().enumerate() {
+        f(i, item);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::thread;
+    use std::time::{Duration, Instant};
+
+    /// The thread limit and the extra-worker counter are process-global;
+    /// tests that set one or assert on the other must not interleave.
+    /// (Poisoning is ignored: a panicked holder already failed its own
+    /// assertions.)
+    static LIMIT_GATE: Mutex<()> = Mutex::new(());
+
+    fn gate() -> std::sync::MutexGuard<'static, ()> {
+        LIMIT_GATE.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// An item body that returns `true` only once two items are running
+    /// at the same time, i.e. the region really has a second worker.
+    fn rendezvous(arrived: &AtomicUsize) -> bool {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while arrived.load(Ordering::SeqCst) < 2 {
+            if Instant::now() > deadline {
+                return false;
+            }
+            thread::yield_now();
+        }
+        true
+    }
 
     #[test]
     fn results_in_player_order() {
@@ -338,6 +224,8 @@ mod tests {
     fn empty_and_tiny() {
         assert!(par_map_players(0, |p| p).is_empty());
         assert_eq!(par_map_players(1, |p| p + 1), vec![1]);
+        assert!(par_map_coarse(&[] as &[usize], |&i| i).is_empty());
+        assert_eq!(par_map_coarse(&[7usize], |&i| i + 1), vec![8]);
     }
 
     #[test]
@@ -357,21 +245,84 @@ mod tests {
     }
 
     #[test]
+    fn phases_run_in_index_order_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let visit = |i: usize| {
+            assert_eq!(thread::current().id(), caller, "a phase left its thread");
+            seen.lock().unwrap().push(i);
+        };
+        let items: Vec<usize> = (0..100).collect();
+        par_map_players(100, visit);
+        par_map_items(&items, |&i| visit(i));
+        par_update_items(&mut items.clone(), |i, _| visit(i));
+        let expected: Vec<usize> = (0..100).chain(0..100).chain(0..100).collect();
+        assert_eq!(*seen.lock().unwrap(), expected);
+    }
+
+    #[test]
     fn nested_regions_share_one_pool() {
-        // A coarse fan-out whose items run fine phases: results must be
-        // identical to the sequential composition at whatever worker
-        // counts the pool hands out.
-        let items: Vec<usize> = (0..6).collect();
-        let nested = par_map_coarse(&items, |&i| {
-            par_map_players(100, move |p| p * i)
-                .into_iter()
-                .sum::<usize>()
+        // Coarse inside coarse, as `bench/cli.rs::collect` over
+        // experiments → `Session::run_sweep` over sweep points: live
+        // workers never exceed the budget at either level, and results
+        // equal the sequential composition whatever the budget hands out.
+        let _gate = gate();
+        set_thread_limit(Some(3));
+        let (live, high_water) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let outer: Vec<usize> = (0..6).collect();
+        let inner: Vec<usize> = (0..4).collect();
+        let nested = par_map_coarse(&outer, |&i| {
+            par_map_coarse(&inner, |&p| {
+                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                high_water.fetch_max(now, Ordering::SeqCst);
+                // Widens the overlap; the bound below holds without it.
+                thread::sleep(Duration::from_millis(1));
+                live.fetch_sub(1, Ordering::SeqCst);
+                p * i
+            })
+            .into_iter()
+            .sum::<usize>()
         });
-        let flat: Vec<usize> = items
+        set_thread_limit(None);
+        let flat: Vec<usize> = outer
             .iter()
-            .map(|&i| (0..100).map(|p| p * i).sum::<usize>())
+            .map(|&i| inner.iter().map(|&p| p * i).sum::<usize>())
             .collect();
         assert_eq!(nested, flat);
+        let peak = high_water.load(Ordering::SeqCst);
+        assert!(peak <= 3, "{peak} live workers under a budget of 3");
+    }
+
+    #[test]
+    fn a_panicking_item_returns_its_permit() {
+        // The server survives barrier panics by design, so a leaked
+        // permit would shrink the budget for the life of the process.
+        let _gate = gate();
+        set_thread_limit(Some(2));
+        let before = EXTRA_WORKERS.load(Ordering::Relaxed);
+        let caller = thread::current().id();
+        let arrived = AtomicUsize::new(0);
+        // Both items are running before the one on the extra worker (the
+        // permit holder) panics.
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            par_map_coarse(&[0, 1], |_| {
+                let met = rendezvous(&arrived);
+                if met && thread::current().id() != caller {
+                    panic!("item on the extra worker fails");
+                }
+                met
+            })
+        }));
+        assert!(crashed.is_err(), "the region swallowed its worker's panic");
+        assert_eq!(
+            EXTRA_WORKERS.load(Ordering::Relaxed),
+            before,
+            "the panicking worker leaked its permit"
+        );
+        let arrived = AtomicUsize::new(0);
+        let met = par_map_coarse(&[0, 1], |_| rendezvous(&arrived));
+        set_thread_limit(None);
+        assert_eq!(met, [true, true], "the next region lost its second worker");
     }
 
     #[test]
@@ -386,42 +337,9 @@ mod tests {
         for (i, v) in items.iter().enumerate() {
             assert_eq!(*v, 2 * i);
         }
-        // Tiny inputs take the sequential path.
         let mut small = vec![7usize; 3];
         par_update_items(&mut small, |i, v| *v += i);
         assert_eq!(small, vec![7, 8, 9]);
         par_update_items(&mut [] as &mut [usize], |_, _: &mut usize| {});
-    }
-
-    #[test]
-    fn stealing_covers_every_chunk_exactly_once() {
-        // More chunks than any plausible worker count: the claim cursor
-        // must hand out each chunk once no matter who processes it.
-        let n = 10_000;
-        let out = par_map_players(n, |p| p ^ 0x5a);
-        for (p, v) in out.iter().enumerate() {
-            assert_eq!(*v, p ^ 0x5a);
-        }
-    }
-
-    #[test]
-    fn permits_respect_the_pool_bound() {
-        // Two batches held at once can never exceed the pool (other tests
-        // may hold permits concurrently — the bound still applies).
-        let pool = budget().saturating_sub(1);
-        let a = Permits::acquire(usize::MAX);
-        let b = Permits::acquire(usize::MAX);
-        assert!(a.0 + b.0 <= pool, "over-acquired: {} + {}", a.0, b.0);
-        drop(a);
-        drop(b);
-        // A split permit releases independently of its parent batch.
-        let mut c = Permits::acquire(2);
-        if c.0 > 0 {
-            let held = c.0;
-            let one = c.split_one();
-            assert_eq!(one.0 + c.0, held);
-            drop(one);
-        }
-        drop(c);
     }
 }

@@ -723,8 +723,8 @@ impl NeighborIndex {
     }
 }
 
-/// Exact all-pairs pass: adjacency rows in ascending order, parallel over
-/// rows with early-exit popcounts on packed matrix rows.
+/// Exact all-pairs pass: adjacency rows in ascending order, with
+/// early-exit popcounts on packed matrix rows.
 fn materialize(rows: &BitMatrix, threshold: usize) -> Vec<Vec<u32>> {
     let n = rows.rows();
     par_map_players(n, |p| {

@@ -193,9 +193,8 @@ impl DynamicWorld {
     /// map; churn is applied entering every round after the first; the
     /// adaptive adversary sees the observations of all completed rounds
     /// (bounded by its window). Rounds are sequential by construction —
-    /// each depends on the last — but each round's *internal* phases use
-    /// the full worker budget, and the trajectory is bit-identical at any
-    /// thread count.
+    /// each depends on the last — and the trajectory is bit-identical at
+    /// any thread count.
     pub fn run(&self, algorithm: Algorithm, rounds: usize, seed: u64) -> DynamicOutcome {
         let mut map: Vec<u32> = (0..self.active as u32).collect();
         let mut next_fresh = self.active as u32;

@@ -68,8 +68,7 @@ impl FusedSelect {
         FusedSelect { states }
     }
 
-    /// Feed one guess's candidates (one per player) into the tournaments,
-    /// in parallel over players.
+    /// Feed one guess's candidates (one per player) into the tournaments.
     pub(crate) fn absorb(&mut self, ctx: &Ctx<'_>, w_d: Vec<BitVec>, objects: &[u32]) {
         assert_eq!(w_d.len(), self.states.len(), "one candidate per player");
         let mut pairs: Vec<(Option<BitVec>, &mut PlayerState)> = w_d

@@ -82,8 +82,7 @@ pub struct OptBounds {
 /// Compute [`OptBounds`] for every player against sets of size `set_size`
 /// (the paper's `n/B`).
 ///
-/// Work is `O(n²)` row distances plus one `O(k²)` diameter per player;
-/// parallelized over players with scoped threads.
+/// Work is `O(n²)` row distances plus one `O(k²)` diameter per player.
 pub fn opt_bounds(truth: &BitMatrix, set_size: usize) -> OptBounds {
     let n = truth.rows();
     assert!(set_size >= 1 && set_size <= n, "set_size in [1, n]");
@@ -91,39 +90,25 @@ pub fn opt_bounds(truth: &BitMatrix, set_size: usize) -> OptBounds {
 
     let mut lower = vec![0usize; n];
     let mut upper = vec![0usize; n];
+    if k == 0 {
+        return OptBounds { lower, upper };
+    }
 
-    let threads = available_threads().min(n.max(1));
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let lower_chunks = lower.chunks_mut(chunk);
-        let upper_chunks = upper.chunks_mut(chunk);
-        for (t, (lo, up)) in lower_chunks.zip(upper_chunks).enumerate() {
-            let start = t * chunk;
-            scope.spawn(move || {
-                let mut dists: Vec<(usize, u32)> = Vec::with_capacity(n);
-                for (i, (lo_p, up_p)) in lo.iter_mut().zip(up.iter_mut()).enumerate() {
-                    let p = start + i;
-                    dists.clear();
-                    let row_p = truth.row(p);
-                    for q in 0..n {
-                        if q != p {
-                            dists.push((truth.row(q).hamming(&row_p), q as u32));
-                        }
-                    }
-                    if k == 0 {
-                        *lo_p = 0;
-                        *up_p = 0;
-                        continue;
-                    }
-                    dists.select_nth_unstable(k - 1);
-                    *lo_p = dists[k - 1].0;
-                    let mut members: Vec<u32> = dists[..k].iter().map(|&(_, q)| q).collect();
-                    members.push(p as u32);
-                    *up_p = truth.diameter_of(&members);
-                }
-            });
+    let mut dists: Vec<(usize, u32)> = Vec::with_capacity(n);
+    for p in 0..n {
+        dists.clear();
+        let row_p = truth.row(p);
+        for q in 0..n {
+            if q != p {
+                dists.push((truth.row(q).hamming(&row_p), q as u32));
+            }
         }
-    });
+        dists.select_nth_unstable(k - 1);
+        lower[p] = dists[k - 1].0;
+        let mut members: Vec<u32> = dists[..k].iter().map(|&(_, q)| q).collect();
+        members.push(p as u32);
+        upper[p] = truth.diameter_of(&members);
+    }
 
     OptBounds { lower, upper }
 }
@@ -177,10 +162,6 @@ pub fn approx_ratios(errors: &[usize], bounds: &OptBounds) -> (f64, f64) {
         vs_upper = vs_upper.max(e as f64 / bounds.upper[p].max(1) as f64);
     }
     (vs_lower, vs_upper)
-}
-
-fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |v| v.get())
 }
 
 #[cfg(test)]
@@ -265,6 +246,34 @@ mod tests {
                 b.upper[p] <= planted_diam.max(b.lower[p]) || b.upper[p] <= 8,
                 "upper bound should not exceed planted diameter"
             );
+        }
+
+        // By definition, for each player: lower = distance to the
+        // (set_size−1)-th nearest row, upper = diameter of those nearest
+        // rows ∪ {p} (ties broken by row index, as the pairs sort).
+        let tiny = Workload::UniformRandom {
+            players: 3,
+            objects: 32,
+        }
+        .generate(4);
+        for (truth, set_size) in [(inst.truth(), 8), (inst.truth(), 32), (tiny.truth(), 2)] {
+            let b = opt_bounds(truth, set_size);
+            for p in 0..truth.rows() {
+                let mut near: Vec<(usize, usize)> = (0..truth.rows())
+                    .filter(|&q| q != p)
+                    .map(|q| (truth.row(q).hamming(&truth.row(p)), q))
+                    .collect();
+                near.sort_unstable();
+                near.truncate(set_size - 1);
+                assert_eq!(b.lower[p], near[set_size - 2].0, "lower, player {p}");
+                let set: Vec<usize> = near.iter().map(|&(_, q)| q).chain([p]).collect();
+                let diameter = set
+                    .iter()
+                    .flat_map(|&a| set.iter().map(move |&c| (a, c)))
+                    .map(|(a, c)| truth.row(a).hamming(&truth.row(c)))
+                    .max();
+                assert_eq!(Some(b.upper[p]), diameter, "upper, player {p}");
+            }
         }
     }
 

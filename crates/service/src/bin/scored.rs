@@ -5,8 +5,8 @@
 //!                        [--clusters N] [--diameter N] [--budget N] [--corrupt N]
 //!                        [--drift-ppm N] [--algorithm naive|calculate|oracle|majority]
 //!                        [--skew N] [--seed S]
-//! scored replay <in.trace> [--threads T]
-//! scored serve [--listen ADDR] [--shards N] [--queue-depth N] [--threads T]
+//! scored replay <in.trace>
+//! scored serve [--listen ADDR] [--shards N] [--queue-depth N]
 //!              [--journal PATH | --recover PATH]
 //!              [--compact-every N] [--compact-bytes N]
 //!              [--read-timeout-ms N] [--write-timeout-ms N]
@@ -17,9 +17,8 @@
 //!
 //! `gen` writes a deterministic trace file; `replay` executes one and
 //! prints the op count and combined digest (the digest is the cell CI
-//! gates — it is identical at any `--threads`); `serve` without
-//! `--listen` reads op lines from stdin and answers one line per op on
-//! stdout, while `--listen` starts the `byzscore-wire/v1` TCP
+//! gates); `serve` without `--listen` reads op lines from stdin and
+//! answers one line per op on stdout, while `--listen` starts the `byzscore-wire/v1` TCP
 //! front-end (bounded admission, one dispatch lane) and prints
 //! its stats counters at shutdown; `client` replays a trace file over
 //! the socket and prints the same `digest` line as `replay`, so the
@@ -48,7 +47,6 @@
 
 use std::io::BufRead;
 
-use byzscore_board::par::set_thread_limit;
 use byzscore_service::{
     combined_digest, net, parse_op, CompactionPolicy, JournaledEngine, NetConfig, ReplayOptions,
     Response, Server, ServiceAlgorithm, ServiceError, Trace, TraceSpec, DEFAULT_SHARDS,
@@ -59,8 +57,8 @@ fn usage() -> ! {
         "usage: scored gen <out.trace> [--sessions N] [--ops N] [--players N] [--objects N]\n\
          \u{20}                        [--clusters N] [--diameter N] [--budget N] [--corrupt N]\n\
          \u{20}                        [--drift-ppm N] [--algorithm NAME] [--skew N] [--seed S]\n\
-         \u{20}      scored replay <in.trace> [--threads T]\n\
-         \u{20}      scored serve [--listen ADDR] [--shards N] [--queue-depth N] [--threads T]\n\
+         \u{20}      scored replay <in.trace>\n\
+         \u{20}      scored serve [--listen ADDR] [--shards N] [--queue-depth N]\n\
          \u{20}                   [--journal PATH | --recover PATH]\n\
          \u{20}                   [--compact-every N] [--compact-bytes N]\n\
          \u{20}                   [--read-timeout-ms N] [--write-timeout-ms N]\n\
@@ -155,13 +153,8 @@ fn replay(args: &[String]) {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         usage();
     };
-    let rest: Vec<String> = args[1..].to_vec();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--threads" => set_thread_limit(Some(parse_num(&mut it, flag))),
-            _ => usage(),
-        }
+    if args.len() > 1 {
+        usage();
     }
     let trace = read_trace(path);
     let start = std::time::Instant::now();
@@ -195,7 +188,6 @@ fn serve(args: &[String]) {
             },
             "--shards" => config.shards = parse_num(&mut it, flag),
             "--queue-depth" => config.queue_depth = parse_num(&mut it, flag),
-            "--threads" => set_thread_limit(Some(parse_num(&mut it, flag))),
             "--journal" | "--recover" => match it.next() {
                 Some(path) => {
                     config.journal = Some(path.into());

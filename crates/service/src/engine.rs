@@ -7,12 +7,14 @@
 //! ops ([`Request::SubmitProbes`], [`Request::QueryPreferences`]) are
 //! buffered; a barrier op (open/churn/epoch/close) first flushes the
 //! buffer, then runs serially. A flush buckets the buffered ops by
-//! *shard* and runs the buckets concurrently (index-ordered parallel
-//! map), each bucket processing its ops sequentially; answers land back
-//! at their request index. The shard count is a fixed logical constant —
-//! it never follows the thread budget — and each answer is additionally
-//! independent of the shard layout (cross-shard queries merge partials in
-//! request order), so a trace replays bit-identically at any `--threads`.
+//! *shard* and runs the buckets one after another on the calling thread;
+//! answers land back at their request index. The shard layout is a
+//! routing/merge layout only: the count is a fixed logical constant,
+//! buckets have never run concurrently, and each answer is independent of
+//! the layout (cross-shard queries merge partials in request order), so a
+//! trace replays bit-identically at any shard count. Removing the layout
+//! waits on a paired benchmark-only PR (ROADMAP direction 4(c): `perf/`
+//! calls [`ServiceEngine::with_shards`] and [`DEFAULT_SHARDS`]).
 //!
 //! # Shard key
 //!
@@ -21,7 +23,7 @@
 //! (`byzscore::cluster::group_ids` over the cached rows), and
 //! `shard = group mod shards`. Same-group players — the ones
 //! whose requests touch the same cluster state — therefore always route
-//! to the same worker.
+//! to the same bucket.
 //!
 //! # Incremental recompute
 //!
@@ -42,7 +44,6 @@ use byzscore::{
 };
 use byzscore_adversary::{Corruption, Inverter};
 use byzscore_bitset::{BitMatrix, Bits};
-use byzscore_board::par::par_map_items;
 use byzscore_board::{Board, BoardStats, ClusterSpec, Oracle};
 use byzscore_model::Planted;
 use byzscore_random::derive_seed;
@@ -58,7 +59,7 @@ const TAG_CHURN: u64 = 0x5e_c1;
 const TAG_DRIFT: u64 = 0x5e_c2;
 const TAG_SCORE: u64 = 0x5e_c3;
 
-/// Default logical shard count (fixed; independent of the thread budget).
+/// Default logical shard count (fixed).
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Everything resident for one open session.
@@ -121,13 +122,6 @@ impl Default for ServiceEngine {
     }
 }
 
-/// What one shard job produces: a full answer, or one query's partial
-/// rows (original position, ones, row digest) to merge in request order.
-enum JobOut {
-    Full(Response),
-    Part(Vec<(usize, u64, u64)>),
-}
-
 /// One unit of work routed to a shard bucket.
 enum ShardJob<'a> {
     Probe {
@@ -153,7 +147,8 @@ impl ServiceEngine {
     }
 
     /// Engine with an explicit logical shard count (≥ 1). Answers do not
-    /// depend on the choice — it only controls available concurrency.
+    /// depend on the choice, and neither does concurrency: it only sets
+    /// how a flush buckets its ops (module docs).
     pub fn with_shards(shards: usize) -> ServiceEngine {
         ServiceEngine {
             shards: shards.max(1),
@@ -190,7 +185,7 @@ impl ServiceEngine {
     ///
     /// The answer stream is a pure function of the engine's session
     /// history and the batch — identical however the batch is split
-    /// across `execute` calls, whatever the thread budget.
+    /// across `execute` calls.
     pub fn execute(&mut self, requests: &[Request]) -> Vec<Response> {
         let mut responses: Vec<Option<Response>> = (0..requests.len()).map(|_| None).collect();
         let mut pending: Vec<usize> = Vec::new();
@@ -453,8 +448,8 @@ fn shard_map(rows: &BitMatrix, shards: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Run the buffered shardable ops: validate serially, bucket by shard,
-/// run buckets concurrently (each sequential), scatter answers back by
+/// Run the buffered shardable ops: validate, bucket by shard, run the
+/// buckets in order on the calling thread, scatter answers back by
 /// request index, merging cross-shard query partials in request order.
 fn flush(
     sessions: &[Option<SessionState>],
@@ -541,51 +536,39 @@ fn flush(
     }
     pending.clear();
 
-    // Index-ordered parallel map over the shard buckets; each bucket runs
-    // its jobs sequentially. Probe side effects (oracle ledger, board
-    // claims) are commutative atomics / same-value posts, so the final
-    // state is order-independent.
-    let bucket_outs: Vec<Vec<(usize, JobOut)>> = par_map_items(&buckets, |bucket| {
-        bucket
-            .iter()
-            .map(|job| match job {
-                ShardJob::Probe {
-                    idx,
-                    session,
-                    state,
-                    player,
-                    objects,
-                } => (
-                    *idx,
-                    JobOut::Full(probe_response(board, state, *session, *player, objects)),
-                ),
-                ShardJob::QueryPart {
-                    idx,
-                    state,
-                    members,
-                    objects,
-                } => (*idx, JobOut::Part(query_part(state, members, *objects))),
-            })
-            .collect()
-    });
-
-    // Scatter: full answers land directly; query partials accumulate into
-    // per-request merge buffers keyed by original player position.
-    // Per player slot: (ones, digest) once its shard's partial arrives.
+    // Per-request merge buffers for query partials, keyed by original
+    // player position: (ones, digest) once the owning bucket has run.
     type MergeBuf = Vec<Option<(u64, u64)>>;
     let mut merges: std::collections::HashMap<usize, (MergeBuf, u64)> = query_width
         .into_iter()
         .map(|(idx, width, session)| (idx, (vec![None; width], session)))
         .collect();
-    for outs in bucket_outs {
-        for (idx, out) in outs {
-            match out {
-                JobOut::Full(resp) => responses[idx] = Some(resp),
-                JobOut::Part(part) => {
-                    let (buf, _) = merges.get_mut(&idx).expect("query registered");
-                    for (pos, ones, digest) in part {
-                        buf[pos] = Some((ones, digest));
-                    }
+
+    // Buckets run one after another on the calling thread, each job
+    // scattering as it finishes: full answers land directly, query
+    // partials accumulate. The bucket order is immaterial — probe side
+    // effects (oracle ledger, board claims) are commutative atomics /
+    // same-value posts, and every answer lands at its request index.
+    for job in buckets.iter().flatten() {
+        match job {
+            ShardJob::Probe {
+                idx,
+                session,
+                state,
+                player,
+                objects,
+            } => {
+                responses[*idx] = Some(probe_response(board, state, *session, *player, objects));
+            }
+            ShardJob::QueryPart {
+                idx,
+                state,
+                members,
+                objects,
+            } => {
+                let (buf, _) = merges.get_mut(idx).expect("query registered");
+                for (pos, ones, digest) in query_part(state, members, *objects) {
+                    buf[pos] = Some((ones, digest));
                 }
             }
         }
