@@ -29,11 +29,11 @@
 //! mutating op (fsync before execute); after a crash, `--recover PATH`
 //! rebuilds the engine by replaying the journal and keeps appending to
 //! it, and CI's `service-chaos` job gates that a `kill -9` mid-replay
-//! plus `--recover` still lands the pinned digest. The journal is
-//! itself a valid `byzscore-trace/v1` file: `scored replay wal.journal`
-//! works. Fault-injected builds (`--features fault-inject`) add
-//! `serve --fault SPEC` with deterministic kill/panic/drop/stall
-//! schedules.
+//! plus `--recover` still lands the pinned digest. The journal is a
+//! valid `byzscore-trace/v1` file followed by zero padding, which trace
+//! readers skip: `scored replay wal.journal` works. Fault-injected
+//! builds (`--features fault-inject`) add `serve --fault SPEC` with
+//! deterministic kill/panic/drop/stall schedules.
 //!
 //! Compaction: `--compact-every N` / `--compact-bytes B` bound the
 //! journal tail — once the threshold is crossed, the server writes a

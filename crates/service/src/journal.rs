@@ -11,6 +11,20 @@
 //! [`ServiceEngine::execute`] over the parsed ops (the batch path, the
 //! same code every digest gate already pins).
 //!
+//! # On disk: text, then zero padding
+//!
+//! The file is that text followed by a run of NUL bytes reserved in
+//! advance; readers stop at the first NUL (a NUL followed by anything
+//! else is an error), and recovery heals to the last complete line and
+//! re-pads. An append overwrites padding in place instead of extending
+//! the file, so its `sync_data` flushes data only: a write that grows
+//! the file would also make the filesystem commit the new size (on
+//! ext4, a second device flush through its own journal). When an entry
+//! would cross the reservation the file is zero-filled out to twice
+//! the text end — one size commit per doubling, not per op. A fresh
+//! journal reserves one 4 KiB page; a compacted tail reserves the
+//! high-water of the tail it replaces, rounded up to a page.
+//!
 //! # Durability contract
 //!
 //! An entry is appended and fsynced **before** its op executes, and the
@@ -23,9 +37,10 @@
 //! * journaled, never executed — recovery applies it for the first
 //!   time; identical outcome by engine determinism.
 //! * torn tail (the crash landed mid-append) — the partial last line is
-//!   dropped and the file truncated to the last newline. The op was
-//!   never executed and never answered, so the resend simply runs it
-//!   fresh.
+//!   dropped and the file truncated to the last newline before the
+//!   first NUL, which also discards any orphan bytes a torn write left
+//!   past the padding. The op was never executed and never answered,
+//!   so the resend simply runs it fresh.
 //!
 //! Queries are *not* journaled: they read score rows that change only
 //! at barriers, so they are pure functions of the journaled history.
@@ -44,7 +59,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 #[cfg(feature = "fault-inject")]
 use std::sync::Arc;
@@ -54,7 +69,7 @@ use crate::engine::ServiceEngine;
 #[cfg(feature = "fault-inject")]
 use crate::fault::FaultPlan;
 use crate::request::{mix, Request, Response};
-use crate::workload::{format_op, parse_op, TraceError, TRACE_VERSION};
+use crate::workload::{format_op, parse_op, strip_padding, TraceError, TRACE_VERSION};
 
 /// Resent-op memory per dedupe partition (one partition per session,
 /// plus one for session-less `open` ops). A client pipelines at most a
@@ -147,75 +162,149 @@ impl DedupeWindow {
     }
 }
 
-/// Append handle on a write-ahead journal file.
+/// Zero padding is reserved in whole pages, at least one.
+const PAGE: u64 = 4096;
+
+/// The reservation for a journal whose text has reached `high_water`
+/// bytes: that many rounded up to a whole page (one page at least).
+fn reservation(high_water: u64) -> u64 {
+    high_water.div_ceil(PAGE).max(1) * PAGE
+}
+
+/// Where a journal's text ends: at its first NUL, past which every
+/// byte is padding (or, after a torn write, an orphan).
+fn text_end(bytes: &[u8]) -> usize {
+    bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len())
+}
+
+/// The bytes one journaled op occupies: its `# wal seq=N` annotation
+/// and its op line.
+fn entry_text(seq: u64, op: &Request) -> String {
+    format!("# wal seq={seq}\n{}\n", format_op(op))
+}
+
+/// Write handle on a write-ahead journal file: the text, then zero
+/// padding up to `reserved`. Appends overwrite padding in place.
 #[derive(Debug)]
 pub struct Journal {
     file: File,
     path: PathBuf,
+    /// End of the text: where the next entry is written.
+    offset: u64,
+    /// File length: text plus the zero padding already written.
+    reserved: u64,
 }
 
 impl Journal {
-    /// Create (truncate) a fresh journal: header line, fsynced.
+    /// Create (truncate) a fresh journal: header line plus one page of
+    /// padding, fsynced.
     pub fn create(path: &Path) -> io::Result<Journal> {
-        let mut file = File::create(path)?;
-        file.write_all(TRACE_VERSION.as_bytes())?;
-        file.write_all(b"\n")?;
-        file.sync_data()?;
-        Ok(Journal {
-            file,
+        let header = format!("{TRACE_VERSION}\n");
+        Journal::write_new(path, &header, reservation(header.len() as u64))
+    }
+
+    /// `text` then zeros out to `reserved`, fsynced, in a new file.
+    fn write_new(path: &Path, text: &str, reserved: u64) -> io::Result<Journal> {
+        let mut journal = Journal {
+            file: File::create(path)?,
             path: path.to_path_buf(),
-        })
+            offset: text.len() as u64,
+            reserved,
+        };
+        journal.file.write_all(text.as_bytes())?;
+        journal.zero_fill(journal.offset, reserved)?;
+        journal.file.sync_data()?;
+        Ok(journal)
     }
 
     /// Open an existing journal for appending — call after
-    /// [`recover`], which truncates any torn tail first.
+    /// [`recover`], which heals the file to its last complete line.
+    /// The text ends at the first NUL (or the end of the file); every
+    /// byte past it is zeroed afresh, out to at least a page-rounded
+    /// reservation. The next append's `sync_data` makes the padding
+    /// durable.
     pub fn open_append(path: &Path) -> io::Result<Journal> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Journal {
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let offset = text_end(&bytes) as u64;
+        let reserved = reservation(offset).max(bytes.len() as u64);
+        let mut journal = Journal {
             file,
             path: path.to_path_buf(),
-        })
+            offset,
+            reserved,
+        };
+        journal.zero_fill(offset, reserved)?;
+        Ok(journal)
+    }
+
+    /// Overwrite `from..to` with zeros.
+    fn zero_fill(&mut self, from: u64, to: u64) -> io::Result<()> {
+        self.file.seek(SeekFrom::Start(from))?;
+        io::copy(&mut io::repeat(0).take(to - from), &mut self.file)?;
+        Ok(())
     }
 
     /// Append one mutating op (seq annotation + op line, one write) and
     /// fsync before returning — the caller only executes the op once
     /// this succeeds. Returns the bytes appended (for byte-threshold
     /// compaction accounting).
+    ///
+    /// The entry overwrites padding, so the file keeps its length and
+    /// the `sync_data` flushes data only — no size change for the
+    /// filesystem to commit. An entry that would cross the reservation
+    /// first zero-fills out to twice the new text end: the file grows
+    /// once per doubling, never once per op. A failed append zeroes
+    /// what it may have written, so a resend lands on clean padding.
     pub fn append(&mut self, seq: u64, op: &Request) -> io::Result<usize> {
-        let entry = format!("# wal seq={seq}\n{}\n", format_op(op));
-        self.file.write_all(entry.as_bytes())?;
-        self.file.sync_data()?;
+        let entry = entry_text(seq, op);
+        let end = self.offset + entry.len() as u64;
+        if end > self.reserved {
+            self.zero_fill(self.reserved, 2 * end)?;
+            self.reserved = 2 * end;
+        }
+        let written = self
+            .file
+            .seek(SeekFrom::Start(self.offset))
+            .and_then(|_| self.file.write_all(entry.as_bytes()))
+            .and_then(|()| self.file.sync_data());
+        if let Err(err) = written {
+            let _ = self.zero_fill(self.offset, end);
+            return Err(err);
+        }
+        self.offset = end;
         Ok(entry.len())
     }
 
     /// Start a fresh post-checkpoint tail atomically: write a sibling
     /// tmp file holding the header plus a `# ckpt ops=K` base marker,
-    /// fsync it, rename it over the journal, and return an append
-    /// handle on the new file. The marker is a comment, so the tail is
+    /// zero-padded to the high-water of the tail it replaces (rounded
+    /// up to a page), fsync it, rename it over the journal, and adopt
+    /// the tmp file's handle. The marker is a comment, so the tail is
     /// still a valid `byzscore-trace/v1` file — and the rename is the
     /// *last* step of a compaction cycle, after the checkpoint at `K`
     /// is durable, so a crash anywhere leaves a journal whose base is
-    /// covered by a loadable checkpoint.
-    pub fn truncate_to_base(path: &Path, base: u64) -> io::Result<Journal> {
+    /// covered by a loadable checkpoint. An error before the rename
+    /// leaves this handle on the old, intact journal.
+    pub fn truncate_to_base(&mut self, base: u64) -> io::Result<()> {
         let tmp = {
-            let mut os = path.as_os_str().to_os_string();
+            let mut os = self.path.as_os_str().to_os_string();
             os.push(".tail.tmp");
             PathBuf::from(os)
         };
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(format!("{TRACE_VERSION}\n# ckpt ops={base}\n").as_bytes())?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent() {
+        let text = format!("{TRACE_VERSION}\n# ckpt ops={base}\n");
+        let high_water = self.offset.max(text.len() as u64);
+        let mut fresh = Journal::write_new(&tmp, &text, reservation(high_water))?;
+        std::fs::rename(&tmp, &self.path)?;
+        if let Some(dir) = self.path.parent() {
             if let Ok(d) = File::open(dir) {
                 let _ = d.sync_all();
             }
         }
-        // The old append handle (if any) points at the unlinked inode;
-        // the caller must adopt this handle on the renamed file.
-        Journal::open_append(path)
+        fresh.path = std::mem::take(&mut self.path);
+        *self = fresh;
+        Ok(())
     }
 }
 
@@ -241,12 +330,14 @@ pub struct ParsedJournal {
 }
 
 /// Parse journal text (assumed complete — see [`recover`] for the
-/// torn-tail file path), including its `# ckpt ops=K` base marker. A
-/// trailing `# wal seq=N` with no following op line is ignored: the
-/// annotated op was never appended, so it was never executed.
+/// torn-tail file path), including its `# ckpt ops=K` base marker.
+/// Trailing zero padding is skipped; a NUL followed by anything else
+/// is an error. A trailing `# wal seq=N` with no following op line is
+/// ignored: the annotated op was never appended, so it was never
+/// executed.
 pub fn parse_journal_with_base(text: &str) -> Result<ParsedJournal, TraceError> {
     let trace_err = |line: usize, message: String| TraceError { line, message };
-    let mut lines = text.lines().enumerate();
+    let mut lines = strip_padding(text)?.lines().enumerate();
     match lines.next() {
         Some((_, header)) if header.trim() == TRACE_VERSION => {}
         Some((_, header)) => {
@@ -320,6 +411,9 @@ pub struct Recovered {
     pub journal_base: u64,
     /// Mutating ops across the full history (base + tail).
     pub history_ops: u64,
+    /// Entry bytes in the journal tail — what the live appends since
+    /// the base counted, header and base marker excluded.
+    pub tail_bytes: u64,
 }
 
 /// Execute `entries` against `engine`, restocking `dedupe` from the
@@ -342,9 +436,11 @@ fn replay_entries(
     responses
 }
 
-/// Rebuild engine state from a journal file, truncating a torn tail
-/// (anything after the last newline) on disk first so subsequent
-/// appends continue a well-formed file.
+/// Rebuild engine state from a journal file, healing it on disk first:
+/// the file is cut just after the last newline before the first NUL,
+/// which drops a torn last line, the zero padding, and any orphan
+/// bytes a torn write left past the padding. [`Journal::open_append`]
+/// then pads the healed text afresh.
 ///
 /// # Recovery decision tree
 ///
@@ -366,7 +462,10 @@ pub fn recover(path: &Path, shards: usize) -> io::Result<Recovered> {
     let mut file = OpenOptions::new().read(true).write(true).open(path)?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)?;
-    let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let keep = bytes[..text_end(&bytes)]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
     if keep < bytes.len() {
         file.set_len(keep as u64)?;
         file.sync_data()?;
@@ -377,6 +476,13 @@ pub fn recover(path: &Path, shards: usize) -> io::Result<Recovered> {
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "journal is not UTF-8"))?;
     let ParsedJournal { base, entries } = parse_journal_with_base(&text)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let tail_bytes = entries
+        .iter()
+        .map(|e| match e.seq {
+            Some(seq) => entry_text(seq, &e.op).len() as u64,
+            None => format_op(&e.op).len() as u64 + 1,
+        })
+        .sum();
     if let Some((ckpt, source)) = crate::checkpoint::load_latest(path, shards) {
         if ckpt.ops >= base {
             let skip = ((ckpt.ops - base) as usize).min(entries.len());
@@ -392,6 +498,7 @@ pub fn recover(path: &Path, shards: usize) -> io::Result<Recovered> {
                 source,
                 journal_base: base,
                 history_ops: base + entries.len() as u64,
+                tail_bytes,
             });
         }
         return Err(io::Error::new(
@@ -420,6 +527,7 @@ pub fn recover(path: &Path, shards: usize) -> io::Result<Recovered> {
         source: RecoverySource::FullJournal,
         journal_base: 0,
         history_ops: entries.len() as u64,
+        tail_bytes,
     })
 }
 
@@ -479,7 +587,8 @@ pub struct JournaledEngine {
     ops_applied: u64,
     /// Ops covered by the last checkpoint (= the journal's base).
     base: u64,
-    /// Bytes appended since the last checkpoint.
+    /// Entry bytes appended since the last checkpoint (header, base
+    /// marker and padding excluded).
     tail_bytes: u64,
     /// Ops this process appended to the journal.
     journaled: u64,
@@ -589,19 +698,15 @@ impl JournaledEngine {
 
     /// Install a recovery's state and re-derive the compaction counters
     /// from what it saw — the authoritative history after any
-    /// checkpoint + truncation. The tail's on-disk size primes the byte
-    /// threshold, so neither a restart nor a rebuild resets byte-based
-    /// compaction progress.
+    /// checkpoint + truncation. The tail's entry bytes prime the byte
+    /// threshold, so neither a restart nor a rebuild moves byte-based
+    /// compaction off the op an uninterrupted run would compact at.
     fn adopt(&mut self, rec: Recovered) {
         self.engine = rec.engine;
         self.dedupe = rec.dedupe;
         self.ops_applied = rec.history_ops;
         self.base = rec.journal_base;
-        self.tail_bytes = self
-            .journal
-            .as_ref()
-            .and_then(|journal| std::fs::metadata(&journal.path).ok())
-            .map_or(0, |meta| meta.len());
+        self.tail_bytes = rec.tail_bytes;
     }
 
     /// Replace the engine and dedupe window — never trusted again after
@@ -612,9 +717,12 @@ impl JournaledEngine {
     /// describes a recoverable state; the caller must stop serving.
     pub(crate) fn rebuild(&mut self) -> io::Result<()> {
         let shards = self.engine.shards();
-        match &self.journal {
+        match &mut self.journal {
             Some(journal) => {
                 let rec = recover(&journal.path, shards)?;
+                // Recovery healed the file under this handle (padding
+                // cut); pad it afresh before the next append.
+                *journal = Journal::open_append(&journal.path)?;
                 self.adopt(rec);
             }
             None => {
@@ -695,19 +803,22 @@ impl JournaledEngine {
                 "no journal to compact",
             ));
         };
-        let path = journal.path.clone();
         #[cfg(feature = "fault-inject")]
         if self.fault.torn_checkpoint_at(self.checkpoints) {
-            checkpoint::save_torn_checkpoint(&path, &self.engine, &self.dedupe, self.ops_applied)?;
+            checkpoint::save_torn_checkpoint(
+                &journal.path,
+                &self.engine,
+                &self.dedupe,
+                self.ops_applied,
+            )?;
             eprintln!(
                 "fault-inject: torn checkpoint at cycle {}; aborting before truncation",
                 self.checkpoints
             );
             std::process::abort();
         }
-        checkpoint::save_checkpoint(&path, &self.engine, &self.dedupe, self.ops_applied)?;
-        // The old append handle points at the renamed-away inode.
-        *journal = Journal::truncate_to_base(&path, self.ops_applied)?;
+        checkpoint::save_checkpoint(&journal.path, &self.engine, &self.dedupe, self.ops_applied)?;
+        journal.truncate_to_base(self.ops_applied)?;
         self.truncated_ops += self.ops_applied - self.base;
         self.base = self.ops_applied;
         self.tail_bytes = 0;
@@ -837,6 +948,12 @@ mod tests {
             parse_journal(&format!("{TRACE_VERSION}\nepoch zero\n")).is_err(),
             "a complete unparsable op line is corruption"
         );
+        let padded = format!("{text}{}", "\0".repeat(64));
+        assert_eq!(parse_journal(&padded), Ok(entries), "text + NUL* parses");
+        assert!(
+            parse_journal(&format!("{text}\0\0close 0\n\0\0")).is_err(),
+            "an op line past the padding is corruption"
+        );
     }
 
     /// Kill the "server" (drop the journaled engine) at every op index
@@ -881,22 +998,39 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A torn tail — partial bytes after the last newline — is dropped
-    /// on recovery and the file keeps accepting appends.
+    /// Where the journal file's text ends, checking padding follows.
+    fn padded_text_end(path: &Path) -> u64 {
+        let bytes = std::fs::read(path).expect("read journal");
+        let end = text_end(&bytes);
+        assert!(end < bytes.len(), "journal carries padding");
+        end as u64
+    }
+
+    /// Overwrite the file at `offset` — the image a write that landed
+    /// there before a crash leaves behind.
+    fn write_at(path: &Path, offset: u64, bytes: &[u8]) {
+        let mut f = OpenOptions::new().write(true).open(path).unwrap();
+        f.seek(SeekFrom::Start(offset)).unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
+    fn open_and_epoch(path: &Path) -> JournaledEngine {
+        let mut je = JournaledEngine::create(path, 2).expect("create");
+        je.submit(0, &parse_op("open 8 16 2 2 5 naive 2 0 0 7").unwrap())
+            .expect("open");
+        je.submit(1, &parse_op("epoch 0").unwrap()).expect("epoch");
+        je
+    }
+
+    /// A torn tail — partial bytes after the last newline, written at
+    /// the text end where the crashed append landed — is dropped on
+    /// recovery and the file keeps accepting appends.
     #[test]
     fn torn_tail_is_truncated_and_appends_continue() {
-        use std::io::Write as _;
         let path = temp_path("torn");
-        let mut je = JournaledEngine::create(&path, 2).expect("create");
-        let open = parse_op("open 8 16 2 2 5 naive 2 0 0 7").unwrap();
-        let epoch = parse_op("epoch 0").unwrap();
-        je.submit(0, &open).expect("open");
-        je.submit(1, &epoch).expect("epoch");
-        drop(je);
+        drop(open_and_epoch(&path));
         // Simulate a crash mid-append: partial annotation, no newline.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"# wal seq=2\nchurn 0 1").unwrap();
-        drop(f);
+        write_at(&path, padded_text_end(&path), b"# wal seq=2\nchurn 0 1");
         let (mut je, replayed) = JournaledEngine::recover(&path, 2).expect("recover");
         assert_eq!(replayed, 2, "the torn entry was never executed");
         let resp = je.submit(2, &parse_op("close 0").unwrap()).expect("close");
@@ -905,6 +1039,134 @@ mod tests {
         let (_, replayed) = JournaledEngine::recover(&path, 2).expect("re-recover");
         assert_eq!(replayed, 3);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A torn write can persist a later sector of an entry without the
+    /// first: complete op lines sitting past the padding. They were
+    /// never acknowledged, so recovery discards them, appends continue,
+    /// and a second recovery returns exactly the submitted history.
+    #[test]
+    fn orphan_bytes_past_the_padding_are_discarded() {
+        let path = temp_path("orphan");
+        drop(open_and_epoch(&path));
+        write_at(&path, padded_text_end(&path) + 7, b"probe 0 1 2,3\n");
+        let (mut je, replayed) = JournaledEngine::recover(&path, 2).expect("recover");
+        assert_eq!(replayed, 2, "the orphan line never counts");
+        let close = parse_op("close 0").unwrap();
+        je.submit(2, &close).expect("close");
+        drop(je);
+        let rec = recover(&path, 2).expect("re-recover");
+        let text = std::fs::read_to_string(&path).expect("read journal");
+        let history: Vec<Request> = parse_journal(&text)
+            .expect("healed journal parses")
+            .into_iter()
+            .map(|e| e.op)
+            .collect();
+        assert_eq!(rec.replayed, 3);
+        assert_eq!(
+            history,
+            vec![
+                parse_op("open 8 16 2 2 5 naive 2 0 0 7").unwrap(),
+                parse_op("epoch 0").unwrap(),
+                close,
+            ]
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The mechanism, checked without timing: appends that fit the
+    /// reservation never change the file's length (so `sync_data` has
+    /// no size to commit), crossing it doubles the text end, and a
+    /// compacted tail is padded to the high-water of the tail it
+    /// replaced, rounded up to a page.
+    #[test]
+    fn appends_overwrite_padding_and_tails_are_sized_by_high_water() {
+        let path = temp_path("fence");
+        let mut journal = Journal::create(&path).expect("create");
+        let len = || std::fs::metadata(&path).expect("stat").len();
+        let header = TRACE_VERSION.len() as u64 + 1;
+        assert_eq!((journal.offset, journal.reserved), (header, PAGE));
+        assert_eq!(len(), PAGE);
+        let op = parse_op("probe 0 1 2,3").unwrap();
+        let mut seq = 0;
+        while journal.offset + entry_text(seq, &op).len() as u64 <= PAGE {
+            journal.append(seq, &op).expect("append");
+            assert_eq!(len(), PAGE, "append {seq} grew the file");
+            seq += 1;
+        }
+        journal.append(seq, &op).expect("crossing append");
+        let high_water = journal.offset;
+        assert!(high_water > PAGE);
+        assert_eq!(
+            journal.reserved,
+            2 * high_water,
+            "growth doubles the text end"
+        );
+        assert_eq!(len(), 2 * high_water);
+
+        journal.truncate_to_base(seq + 1).expect("truncate");
+        let text = format!("{TRACE_VERSION}\n# ckpt ops={}\n", seq + 1);
+        assert_eq!(journal.offset, text.len() as u64);
+        assert_eq!(
+            journal.reserved,
+            2 * PAGE,
+            "high-water {high_water} rounds up"
+        );
+        assert_eq!(len(), 2 * PAGE);
+        journal.append(0, &op).expect("append to the fresh tail");
+        assert_eq!(len(), 2 * PAGE);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Byte-threshold compaction counts entry bytes only, on every
+    /// path: a server recovered at any op compacts at exactly the ops
+    /// an uninterrupted run compacts at.
+    #[test]
+    fn byte_threshold_compaction_survives_recovery() {
+        let trace = Trace::generate(&TraceSpec::small(47));
+        let policy = CompactionPolicy {
+            every: None,
+            bytes: Some(200),
+        };
+        let path = temp_path("bytes");
+        let scrub = || {
+            for file in [
+                path.clone(),
+                checkpoint::checkpoint_path(&path),
+                checkpoint::previous_checkpoint_path(&path),
+            ] {
+                let _ = std::fs::remove_file(file);
+            }
+        };
+        // The tail length after every op, crashing and recovering just
+        // before op `kill`.
+        let tails = |kill: usize| -> Vec<u64> {
+            scrub();
+            let mut je = JournaledEngine::create_with(&path, 2, policy).expect("create");
+            let mut tails = Vec::with_capacity(trace.ops.len());
+            for (seq, op) in trace.ops.iter().enumerate() {
+                if seq == kill {
+                    drop(je);
+                    je = JournaledEngine::recover_with(&path, 2, policy)
+                        .expect("recover")
+                        .0;
+                }
+                je.submit(seq as u64, op).expect("submit");
+                tails.push(je.tail_ops());
+            }
+            tails
+        };
+        let expected = tails(usize::MAX);
+        let cycles = expected.windows(2).filter(|w| w[1] < w[0]).count();
+        assert!(cycles >= 2, "the trace crosses several cycles");
+        for kill in (1..trace.ops.len()).step_by(5) {
+            assert_eq!(
+                tails(kill),
+                expected,
+                "compaction moved after a kill at op {kill}"
+            );
+        }
+        scrub();
     }
 
     /// A resent barrier answers the recorded response without

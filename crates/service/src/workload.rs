@@ -257,9 +257,10 @@ impl Trace {
         out
     }
 
-    /// Parse the `byzscore-trace/v1` line format.
+    /// Parse the `byzscore-trace/v1` line format. Trailing zero padding
+    /// (a journal's reserved tail) is skipped.
     pub fn from_text(text: &str) -> Result<Trace, TraceError> {
-        let mut lines = text.lines().enumerate();
+        let mut lines = strip_padding(text)?.lines().enumerate();
         match lines.next() {
             Some((_, header)) if header.trim() == TRACE_VERSION => {}
             Some((_, header)) => {
@@ -280,6 +281,20 @@ impl Trace {
         }
         Ok(Trace { ops })
     }
+}
+
+/// The text before a journal's zero padding: everything up to the first
+/// NUL, provided every byte from there on is NUL too. A NUL followed by
+/// anything else is an error — padding is only ever a suffix.
+pub(crate) fn strip_padding(text: &str) -> Result<&str, TraceError> {
+    let Some(end) = text.find('\0') else {
+        return Ok(text);
+    };
+    if text.as_bytes()[end..].iter().all(|&b| b == 0) {
+        return Ok(&text[..end]);
+    }
+    let line = text[..end].matches('\n').count() + 1;
+    Err(err(line, "bytes after zero padding"))
 }
 
 /// Pick a player with integer skew: the minimum of `skew + 1` uniform
@@ -481,6 +496,7 @@ mod tests {
             "open 8 8 2 2 1 robust 4 0 0 1", // unknown algorithm
             "close 0 extra",                 // trailing token
             "frobnicate 1",                  // unknown verb
+            "epoch 0\n\0\0epoch 1",          // an op line past zero padding
         ] {
             let text = format!("{TRACE_VERSION}\n{bad}\n");
             assert!(Trace::from_text(&text).is_err(), "accepted {bad:?}");
@@ -489,9 +505,14 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines_are_ignored() {
-        let text = format!("{TRACE_VERSION}\n\n# a comment\nepoch 0\n");
-        let trace = Trace::from_text(&text).expect("parse");
-        assert_eq!(trace.ops, vec![Request::AdvanceEpoch { session: 0 }]);
+        // A journal's trailing zero padding is skipped too.
+        for text in [
+            format!("{TRACE_VERSION}\n\n# a comment\nepoch 0\n"),
+            format!("{TRACE_VERSION}\n\n# a comment\nepoch 0\n\0\0\0\0"),
+        ] {
+            let trace = Trace::from_text(&text).expect("parse");
+            assert_eq!(trace.ops, vec![Request::AdvanceEpoch { session: 0 }]);
+        }
     }
 
     #[test]

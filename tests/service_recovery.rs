@@ -125,7 +125,7 @@ fn socket_recovery_resumes_with_identical_answers() {
 /// truncated from the file, and the journal keeps accepting appends.
 #[test]
 fn torn_journal_tail_is_dropped_and_recovery_continues() {
-    use std::io::Write as _;
+    use std::io::{Seek as _, SeekFrom, Write as _};
 
     let trace = Trace::generate(&TraceSpec::small(29));
     let expected = trace.replay();
@@ -141,13 +141,21 @@ fn torn_journal_tail_is_dropped_and_recovery_continues() {
         .expect("prefix replay succeeds");
 
     // A crash mid-append: a seq annotation and half an op line, no
-    // trailing newline.
+    // trailing newline, written where the append landed — the text end,
+    // over the journal's zero padding.
+    let text_end = std::fs::read(&path)
+        .expect("journal exists")
+        .iter()
+        .position(|&b| b == 0)
+        .expect("journal carries zero padding");
     let mut file = std::fs::OpenOptions::new()
-        .append(true)
+        .write(true)
         .open(&path)
         .expect("journal exists");
+    file.seek(SeekFrom::Start(text_end as u64))
+        .expect("seek to the text end");
     file.write_all(b"# wal seq=9999\nchurn 0 9")
-        .expect("append torn tail");
+        .expect("write torn tail");
     drop(file);
 
     let recovered = Server::bind(
