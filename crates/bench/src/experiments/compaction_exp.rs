@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use byzscore_service::checkpoint::{checkpoint_path, previous_checkpoint_path};
 use byzscore_service::{
     combined_digest, mix, parse_digests, CompactionPolicy, JournaledEngine, RecoverySource,
-    Request, Response, Trace, DEFAULT_SHARDS,
+    Request, Response, Trace,
 };
 
 use crate::table::Table;
@@ -88,8 +88,8 @@ fn compacting_run(
     let mut responses = Vec::with_capacity(ops.len());
     let (mut checkpoints, mut truncated_ops);
     {
-        let mut engine = JournaledEngine::create_with(&path, DEFAULT_SHARDS, policy)
-            .expect("journal create succeeds");
+        let mut engine =
+            JournaledEngine::create_with(&path, policy).expect("journal create succeeds");
         for (seq, op) in ops[..split].iter().enumerate() {
             responses.push(
                 engine
@@ -123,7 +123,7 @@ fn compacting_run(
         std::fs::write(&primary, &bytes[..bytes.len() * 2 / 3]).expect("tear primary");
     }
     let (mut engine, report) =
-        JournaledEngine::recover_with(&path, DEFAULT_SHARDS, policy).expect("recovery succeeds");
+        JournaledEngine::recover_with(&path, policy).expect("recovery succeeds");
     for (seq, op) in ops.iter().enumerate().skip(split) {
         responses.push(
             engine
@@ -247,15 +247,15 @@ pub fn e19_compaction(scale: Scale) -> Vec<Table> {
     let path = journal_path("offline");
     scrub(&path);
     {
-        let mut engine = JournaledEngine::create(&path, DEFAULT_SHARDS).expect("create");
+        let mut engine =
+            JournaledEngine::create_with(&path, CompactionPolicy::default()).expect("create");
         for (seq, op) in ops.iter().enumerate() {
             engine.submit(seq as u64, op).expect("submit");
         }
         engine.compact().expect("offline compact");
     }
-    let (engine, report) =
-        JournaledEngine::recover_with(&path, DEFAULT_SHARDS, CompactionPolicy::default())
-            .expect("recover after offline compact");
+    let (engine, report) = JournaledEngine::recover_with(&path, CompactionPolicy::default())
+        .expect("recover after offline compact");
     edges.row(vec![
         "offline `scored compact` cycle".into(),
         report.source.describe().to_string(),

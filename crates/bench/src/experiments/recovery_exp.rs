@@ -19,8 +19,8 @@ use std::time::Duration;
 
 use byzscore_service::net::{replay_with_options, request_shutdown, request_stats, ReplayOptions};
 use byzscore_service::{
-    combined_digest, mix, parse_digests, FaultPlan, JournaledEngine, NetConfig, Request, Response,
-    Server, Trace, DEFAULT_SHARDS,
+    combined_digest, mix, parse_digests, CompactionPolicy, FaultPlan, JournaledEngine, NetConfig,
+    Request, Response, Server, Trace,
 };
 
 use crate::table::Table;
@@ -61,8 +61,8 @@ fn killed_run(ops: &[Request], kill_at: usize, mid_op: bool, tag: &str) -> (Vec<
     let _ = std::fs::remove_file(&path);
     let mut responses = Vec::with_capacity(ops.len());
     {
-        let mut engine =
-            JournaledEngine::create(&path, DEFAULT_SHARDS).expect("journal create succeeds");
+        let mut engine = JournaledEngine::create_with(&path, CompactionPolicy::default())
+            .expect("journal create succeeds");
         for (seq, op) in ops[..kill_at].iter().enumerate() {
             responses.push(
                 engine
@@ -78,8 +78,7 @@ fn killed_run(ops: &[Request], kill_at: usize, mid_op: bool, tag: &str) -> (Vec<
         // Dropping the engine IS the kill: nothing beyond the fsynced
         // journal survives.
     }
-    let (mut engine, replayed) =
-        JournaledEngine::recover(&path, DEFAULT_SHARDS).expect("recovery succeeds");
+    let (mut engine, replayed) = JournaledEngine::recover(&path).expect("recovery succeeds");
     for (seq, op) in ops.iter().enumerate().skip(kill_at) {
         responses.push(
             engine

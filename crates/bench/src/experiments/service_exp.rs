@@ -3,8 +3,8 @@
 //! The service engine answers a recorded request trace; the experiment
 //! measures sustained request throughput and per-op latency while CI
 //! gates only the deterministic cells: the combined response digest
-//! (bit-identical at any `--threads`, any shard count, and any batch
-//! split of the same trace) and the rejected-op count. `reqs/sec` and
+//! (bit-identical at any `--threads` and any batch split of the same
+//! trace) and the rejected-op count. `reqs/sec` and
 //! the latency percentiles are machine-dependent and report-only.
 
 use std::time::Instant;
@@ -12,21 +12,26 @@ use std::time::Instant;
 use byzscore_service::net::{replay_over_socket, request_shutdown};
 use byzscore_service::{
     combined_digest, parse_digests, NetConfig, OpMix, Response, Server, ServiceAlgorithm,
-    ServiceEngine, Trace, TraceSpec, DEFAULT_SHARDS,
+    ServiceEngine, Trace, TraceSpec,
 };
 
 use crate::table::{f2, Table};
 use crate::Scale;
 
 /// Ops per `execute` call during the timed replay. Responses are
-/// independent of this split (the engine flushes shardable batches at
-/// barriers either way); it only sets the latency sampling granularity.
+/// independent of this split (the engine answers one op at a time
+/// either way); it only sets the latency sampling granularity.
 const BATCH: usize = 1024;
 
-/// Replay `trace` on a fresh engine with `shards` logical workers and
-/// fold the answers: `(digest, rejected ops)`.
-fn replay_with_shards(trace: &Trace, shards: usize) -> (u64, usize) {
-    let responses = ServiceEngine::with_shards(shards).execute(&trace.ops);
+/// Replay `trace` on a fresh engine in `execute` calls of `chunk` ops
+/// and fold the answers: `(digest, rejected ops)`.
+fn replay_in_chunks(trace: &Trace, chunk: usize) -> (u64, usize) {
+    let mut engine = ServiceEngine::new();
+    let responses: Vec<Response> = trace
+        .ops
+        .chunks(chunk.max(1))
+        .flat_map(|ops| engine.execute(ops))
+        .collect();
     let rejected = responses
         .iter()
         .filter(|r| matches!(r, Response::Rejected(_)))
@@ -43,8 +48,8 @@ struct Timed {
     p99_ms: f64,
 }
 
-fn timed_replay(trace: &Trace, shards: usize) -> Timed {
-    let mut engine = ServiceEngine::with_shards(shards);
+fn timed_replay(trace: &Trace) -> Timed {
+    let mut engine = ServiceEngine::new();
     let mut responses = Vec::with_capacity(trace.ops.len());
     // Per-batch mean op latency, weighted by batch size — enough for
     // p50/p99 without storing one sample per op at full scale.
@@ -89,42 +94,43 @@ fn ms4(x: f64) -> String {
 }
 
 /// E17: resident service engine replaying recorded workloads — digest
-/// determinism across shard layouts, then sustained throughput at
-/// 10⁵ (quick) / 10⁶ (full) requests.
+/// determinism across `execute` batch splits, then sustained throughput
+/// at 10⁵ (quick) / 10⁶ (full) requests.
 pub fn e17_service_throughput(scale: Scale) -> Vec<Table> {
-    // Table 1 — determinism: small mixed traces, each replayed under
-    // three shard layouts; every deterministic cell is CI-gated.
+    // Table 1 — determinism: small mixed traces, each replayed whole,
+    // one op per call, and in 7-op chunks; every deterministic cell is
+    // CI-gated.
     let mut det = Table::new(
-        "E17: service trace determinism (digest vs shard layout)",
+        "E17: service trace determinism (digest vs execute() batch split)",
         &[
             "seed",
             "sessions",
             "ops",
             "rejected",
             "digest",
-            "shards 1/8/16 agree",
+            "batch splits agree",
         ],
     );
     for seed in [1u64, 2] {
         let spec = TraceSpec::small(seed);
         let trace = Trace::generate(&spec);
-        let (digest, rejected) = replay_with_shards(&trace, DEFAULT_SHARDS);
-        let (d1, _) = replay_with_shards(&trace, 1);
-        let (d16, _) = replay_with_shards(&trace, 16);
+        let (digest, rejected) = replay_in_chunks(&trace, trace.ops.len());
+        let (d1, _) = replay_in_chunks(&trace, 1);
+        let (d7, _) = replay_in_chunks(&trace, 7);
         det.row(vec![
             seed.to_string(),
             spec.sessions.to_string(),
             trace.ops.len().to_string(),
             rejected.to_string(),
             format!("{digest:016x}"),
-            if d1 == digest && d16 == digest {
+            if d1 == digest && d7 == digest {
                 "yes".into()
             } else {
                 "NO".into()
             },
         ]);
     }
-    det.note("digest folds every response in request order; identical at any --threads, shard count, and execute() batch split");
+    det.note("digest folds every response in request order; identical at any --threads and execute() batch split (whole trace, one op per call, 7-op chunks)");
 
     // Table 2 — throughput: a read-heavy steady-state trace (probes and
     // queries dominate; churn/epoch recomputes are ~1% of ops).
@@ -152,26 +158,21 @@ pub fn e17_service_throughput(scale: Scale) -> Vec<Table> {
     let trace = Trace::generate(&spec);
     let mut thr = Table::new(
         "E17: service throughput @scale",
-        &[
-            "shards", "ops", "rejected", "reqs/sec", "p50 ms", "p99 ms", "digest",
-        ],
+        &["ops", "rejected", "reqs/sec", "p50 ms", "p99 ms", "digest"],
     );
-    for shards in [1usize, DEFAULT_SHARDS] {
-        let t = timed_replay(&trace, shards);
-        thr.row(vec![
-            shards.to_string(),
-            trace.ops.len().to_string(),
-            t.rejected.to_string(),
-            f2(t.reqs_per_sec),
-            ms4(t.p50_ms),
-            ms4(t.p99_ms),
-            format!("{:016x}", t.digest),
-        ]);
-    }
+    let t = timed_replay(&trace);
+    thr.row(vec![
+        trace.ops.len().to_string(),
+        t.rejected.to_string(),
+        f2(t.reqs_per_sec),
+        ms4(t.p50_ms),
+        ms4(t.p99_ms),
+        format!("{:016x}", t.digest),
+    ]);
     thr.note(format!(
-        "{} requests over {} sessions (n={}, m={}, {} corrupt, {} ppm drift, skew {}); \
-         reqs/sec and latency percentiles are report-only, digest and rejected are gated \
-         and equal across the shard rows",
+        "{} requests over {} sessions (n={}, m={}, {} corrupt, {} ppm drift, skew {}) in \
+         {BATCH}-op execute() calls; reqs/sec and latency percentiles are report-only, digest \
+         and rejected are gated",
         trace.ops.len(),
         spec.sessions,
         spec.players,

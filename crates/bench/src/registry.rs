@@ -155,7 +155,7 @@ pub static REGISTRY: &[Experiment] = &[
         id: "e17",
         name: "service_throughput",
         description:
-            "Scoring as a service: resident sharded engine replaying recorded request traces — reqs/sec, p50/p99 latency, gated response digests",
+            "Scoring as a service: resident engine replaying recorded request traces — reqs/sec, p50/p99 latency, gated response digests",
         tags: &["service", "scale", "perf"],
         runner: e::e17_service_throughput,
     },

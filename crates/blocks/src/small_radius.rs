@@ -69,8 +69,8 @@ pub fn small_radius(
 
         // Steps 2–3 per group (each group's ZeroRadius + Select chain is
         // independent; the oracle and board are order-independent).
-        let group_ids: Vec<(usize, &Vec<u32>)> = groups.iter().enumerate().collect();
-        let group_results: Vec<Vec<BitVec>> = par_map_items(&group_ids, |&(gi, group)| {
+        let indexed: Vec<(usize, &Vec<u32>)> = groups.iter().enumerate().collect();
+        let group_results: Vec<Vec<BitVec>> = par_map_items(&indexed, |&(gi, group)| {
             per_group(
                 ctx,
                 players,

@@ -154,7 +154,7 @@ impl StreamingRSelect {
     /// cursor, liveness, and byte accounting restart from scratch while
     /// the candidate-slot allocation is retained. This is the pooling
     /// hook for callers that run many tournaments back to back — e.g. the
-    /// per-shard select state a resident service session reuses across
+    /// per-player select state a resident service session reuses across
     /// recomputes — and a reset machine replays a fresh one draw for draw
     /// (`reset_machine_replays_fresh_machine` pins this).
     pub fn reset(&mut self, ctx: &Ctx<'_>) {
@@ -622,7 +622,7 @@ mod tests {
 
     /// A reset machine must be indistinguishable from a fresh one: same
     /// winner, same probes, same RNG stream — the contract the pooled
-    /// per-shard reuse in the service layer depends on.
+    /// per-session reuse in the service layer depends on.
     #[test]
     fn reset_machine_replays_fresh_machine() {
         use rand::RngCore;

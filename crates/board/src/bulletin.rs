@@ -152,7 +152,7 @@ impl Board {
     }
 
     #[inline]
-    fn shard_of(scope: u64, salt: u32) -> usize {
+    fn shard_index(scope: u64, salt: u32) -> usize {
         // Cheap mix; shard only needs to spread load.
         let h = scope ^ u64::from(salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         (h as usize >> 3) % SHARD_COUNT
@@ -184,7 +184,7 @@ impl Board {
     /// Post (or overwrite) `author`'s vector in `scope`'s slot.
     pub fn post_vector(&self, scope: u64, author: u32, v: BitVec) {
         self.vector_posts.fetch_add(1, Ordering::Relaxed);
-        let fresh = self.vectors[Self::shard_of(scope, author)]
+        let fresh = self.vectors[Self::shard_index(scope, author)]
             .lock()
             .insert((scope, author), v)
             .is_none();
@@ -211,7 +211,7 @@ impl Board {
 
     /// `author`'s vector in `scope`, if posted.
     pub fn vector_of(&self, scope: u64, author: u32) -> Option<BitVec> {
-        self.vectors[Self::shard_of(scope, author)]
+        self.vectors[Self::shard_index(scope, author)]
             .lock()
             .get(&(scope, author))
             .cloned()
@@ -222,7 +222,7 @@ impl Board {
     pub fn post_claim(&self, scope: u64, author: u32, object: u32, value: bool) {
         self.claim_posts.fetch_add(1, Ordering::Relaxed);
         let fresh = {
-            let mut guard = self.claims[Self::shard_of(scope, object)].lock();
+            let mut guard = self.claims[Self::shard_index(scope, object)].lock();
             let entries = guard.entry((scope, object)).or_default();
             match entries.iter_mut().find(|(a, _)| *a == author) {
                 Some(slot) => {
@@ -242,7 +242,7 @@ impl Board {
 
     /// All claims about `object` in `scope`, sorted by author id.
     pub fn claims(&self, scope: u64, object: u32) -> Vec<(u32, bool)> {
-        let guard = self.claims[Self::shard_of(scope, object)].lock();
+        let guard = self.claims[Self::shard_index(scope, object)].lock();
         let mut out = guard.get(&(scope, object)).cloned().unwrap_or_default();
         out.sort_unstable_by_key(|&(a, _)| a);
         out

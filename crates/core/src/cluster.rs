@@ -71,8 +71,9 @@
 //! asked for them by name, and below the cut the warm-start cache held no
 //! grouping at all. Grouping first makes the materialized pass no larger
 //! (`G ≤ n`), so the player-level paths are gone and the same input takes
-//! the same code path at every size. The service's shard map now reads
-//! [`group_ids`] directly instead of running discovery.
+//! the same code path at every size. The census's service "shard map"
+//! rows are gone too: the service engine answers in one ordered pass
+//! and groups nothing outside the scoring run.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -396,14 +397,6 @@ fn group_rows(rows: &BitMatrix, hashes: &[u64]) -> (Vec<u32>, Vec<Vec<u32>>) {
         members[gid as usize].push(p as u32);
     }
     (group_of, members)
-}
-
-/// Group id of every row of `rows`: two rows share an id iff they are
-/// bit-identical (ids in order of first appearance). This is step 1 of
-/// the discovery pipeline on its own, for callers that only need the
-/// grouping — the service's shard key.
-pub fn group_ids(rows: &BitMatrix) -> Vec<u32> {
-    group_rows(rows, &row_hashes(rows)).0
 }
 
 /// Band `j` of a `k`-band split covers bits `[j·len/k, (j+1)·len/k)`.
@@ -963,7 +956,7 @@ pub struct WarmStart {
     slot: std::sync::Mutex<Option<GroupCache>>,
     reused_rows: std::sync::atomic::AtomicUsize,
     /// Recycled per-player `RSelect` machines from the previous run's
-    /// fused tournament — the reusable per-shard select state: a resident
+    /// fused tournament — the reusable per-player select state: a resident
     /// service session recomputes on every churn/epoch transition, and
     /// re-allocating `n` tournament machines each time is pure churn.
     /// Machines are `reset` before reuse, which is draw-for-draw
@@ -1188,13 +1181,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(13);
         let distinct: Vec<BitVec> = (0..5).map(|_| BitVec::random(&mut rng, 128)).collect();
         let zs: Vec<BitVec> = (0..40).map(|i| distinct[i % 5].clone()).collect();
-        assert_eq!(
-            group_ids(&BitMatrix::from_rows(&zs))[..7],
-            [0, 1, 2, 3, 4, 0, 1]
-        );
         let adjacency = neighbor_graph(&zs, 8);
         for strategy in [NeighborStrategy::Auto, NeighborStrategy::Banded] {
             let idx = NeighborIndex::build(&zs, 8, strategy);
+            assert_eq!(idx.groups.group_of[..7], [0, 1, 2, 3, 4, 0, 1]);
             assert_eq!(idx.groups.members.len(), 5);
             assert_eq!(idx.adjacency(), adjacency);
             for min_size in [1usize, 4, 8, 16] {

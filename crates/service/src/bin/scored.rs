@@ -6,13 +6,13 @@
 //!                        [--drift-ppm N] [--algorithm naive|calculate|oracle|majority]
 //!                        [--skew N] [--seed S]
 //! scored replay <in.trace>
-//! scored serve [--listen ADDR] [--shards N] [--queue-depth N]
+//! scored serve [--listen ADDR] [--queue-depth N]
 //!              [--journal PATH | --recover PATH]
 //!              [--compact-every N] [--compact-bytes N]
 //!              [--read-timeout-ms N] [--write-timeout-ms N]
 //! scored client <ADDR> <in.trace> [--connections N] [--shutdown]
 //!              [--deadline-ms N] [--retry-seed S] [--throttle-ms N]
-//! scored compact <journal> [--shards N]
+//! scored compact <journal>
 //! ```
 //!
 //! `gen` writes a deterministic trace file; `replay` executes one and
@@ -49,7 +49,7 @@ use std::io::BufRead;
 
 use byzscore_service::{
     combined_digest, net, parse_op, CompactionPolicy, JournaledEngine, NetConfig, ReplayOptions,
-    Response, Server, ServiceAlgorithm, ServiceError, Trace, TraceSpec, DEFAULT_SHARDS,
+    Response, Server, ServiceAlgorithm, ServiceError, Trace, TraceSpec,
 };
 
 fn usage() -> ! {
@@ -58,13 +58,13 @@ fn usage() -> ! {
          \u{20}                        [--clusters N] [--diameter N] [--budget N] [--corrupt N]\n\
          \u{20}                        [--drift-ppm N] [--algorithm NAME] [--skew N] [--seed S]\n\
          \u{20}      scored replay <in.trace>\n\
-         \u{20}      scored serve [--listen ADDR] [--shards N] [--queue-depth N]\n\
+         \u{20}      scored serve [--listen ADDR] [--queue-depth N]\n\
          \u{20}                   [--journal PATH | --recover PATH]\n\
          \u{20}                   [--compact-every N] [--compact-bytes N]\n\
          \u{20}                   [--read-timeout-ms N] [--write-timeout-ms N]\n\
          \u{20}      scored client <ADDR> <in.trace> [--connections N] [--shutdown]\n\
          \u{20}                   [--deadline-ms N] [--retry-seed S] [--throttle-ms N]\n\
-         \u{20}      scored compact <journal> [--shards N]"
+         \u{20}      scored compact <journal>"
     );
     std::process::exit(2);
 }
@@ -186,7 +186,6 @@ fn serve(args: &[String]) {
                     std::process::exit(2);
                 }
             },
-            "--shards" => config.shards = parse_num(&mut it, flag),
             "--queue-depth" => config.queue_depth = parse_num(&mut it, flag),
             "--journal" | "--recover" => match it.next() {
                 Some(path) => {
@@ -256,12 +255,7 @@ fn serve_stdin(config: &NetConfig) {
         every: config.compact_every,
         bytes: config.compact_bytes,
     };
-    let opened = JournaledEngine::open(
-        config.journal.as_deref(),
-        config.recover,
-        config.shards,
-        policy,
-    );
+    let opened = JournaledEngine::open(config.journal.as_deref(), config.recover, policy);
     let (mut pipeline, recovery) = match opened {
         Ok(opened) => opened,
         Err(e) => {
@@ -366,18 +360,12 @@ fn compact(args: &[String]) {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         usage();
     };
-    let mut shards = DEFAULT_SHARDS;
-    let rest: Vec<String> = args[1..].to_vec();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--shards" => shards = parse_num(&mut it, flag),
-            _ => usage(),
-        }
+    if args.len() > 1 {
+        usage();
     }
     let path = std::path::PathBuf::from(path);
     let (mut engine, report) =
-        match JournaledEngine::recover_with(&path, shards, CompactionPolicy::default()) {
+        match JournaledEngine::recover_with(&path, CompactionPolicy::default()) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("scored: cannot recover {}: {e}", path.display());

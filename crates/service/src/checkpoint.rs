@@ -7,9 +7,10 @@
 //! churn/epoch counters, the cached score rows (verbatim, hex words),
 //! and the session's board claims; plus every dedupe entry in FIFO
 //! order. Everything else resident — the identity pool, the evolved
-//! world, the probe oracle, the shard map — is a pure function of
-//! those fields and is *recomputed* at restore, so a checkpoint is
-//! small and loading one never re-runs the scoring algorithm.
+//! world, the probe oracle — is a pure function of those fields and is
+//! *recomputed* at restore, so a checkpoint is small and loading one
+//! never re-runs the scoring algorithm. The reader ignores unknown
+//! `meta` keys, so files that still carry a `shards=` key restore too.
 //!
 //! # Torn-write detection
 //!
@@ -30,7 +31,7 @@ use std::path::{Path, PathBuf};
 use byzscore_bitset::{BitMatrix, BitVec, Bits};
 
 use crate::engine::{ServiceEngine, SessionImage};
-use crate::journal::DedupeWindow;
+use crate::journal::{sync_parent_dir, DedupeWindow};
 use crate::request::{mix, Request};
 use crate::wire::{format_response, parse_response};
 use crate::workload::{format_op, parse_op};
@@ -128,8 +129,7 @@ pub fn encode_checkpoint(engine: &ServiceEngine, dedupe: &DedupeWindow, ops: u64
     out.push_str(CKPT_VERSION);
     out.push('\n');
     out.push_str(&format!(
-        "meta ops={ops} shards={} slots={}\n",
-        engine.shards(),
+        "meta ops={ops} slots={}\n",
         engine.session_slots()
     ));
     for (sid, image) in engine.images() {
@@ -251,10 +251,17 @@ fn verified_body(text: &str) -> Result<&str, CheckpointError> {
     Ok(body)
 }
 
-/// Decode a checkpoint file into a restored engine. `shards` is the
-/// *caller's* shard count (answers are shard-invariant, so a restarted
-/// server may restore with a different layout than the writer used).
-pub fn decode_checkpoint(text: &str, shards: usize) -> Result<RestoredCheckpoint, CheckpointError> {
+/// Decode a checkpoint file into a restored engine. The second argument
+/// is ignored; it remains only because the `perf/` benchmark passes it.
+pub fn decode_checkpoint(
+    text: &str,
+    _shards: usize,
+) -> Result<RestoredCheckpoint, CheckpointError> {
+    decode(text)
+}
+
+/// The body of [`decode_checkpoint`].
+fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
     let body = verified_body(text)?;
     let corrupt = |why: String| CheckpointError::Corrupt(why);
     let mut lines = body.lines();
@@ -433,7 +440,7 @@ pub fn decode_checkpoint(text: &str, shards: usize) -> Result<RestoredCheckpoint
         ));
     }
     Ok(RestoredCheckpoint {
-        engine: ServiceEngine::from_images(shards, slots, images),
+        engine: ServiceEngine::from_images(slots, images),
         dedupe,
         ops,
     })
@@ -443,7 +450,8 @@ pub fn decode_checkpoint(text: &str, shards: usize) -> Result<RestoredCheckpoint
 /// write `<journal>.ckpt.tmp`, fsync it, rotate any existing current
 /// checkpoint to `.ckpt.prev`, and rename the tmp into place. Every
 /// mutation is an atomic rename, so a crash anywhere leaves either the
-/// old or the new checkpoint loadable.
+/// old or the new checkpoint loadable; the directory is fsynced last so
+/// the renames themselves are durable before this returns `Ok`.
 fn install_text(journal: &Path, text: &str) -> io::Result<()> {
     let current = checkpoint_path(journal);
     let tmp = sibling(journal, ".ckpt.tmp");
@@ -456,13 +464,7 @@ fn install_text(journal: &Path, text: &str) -> io::Result<()> {
         std::fs::rename(&current, previous_checkpoint_path(journal))?;
     }
     std::fs::rename(&tmp, &current)?;
-    // Best-effort directory sync so the renames themselves are durable.
-    if let Some(dir) = journal.parent() {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    sync_parent_dir(&current)
 }
 
 /// Write the current engine + dedupe state as the checkpoint beside
@@ -496,7 +498,7 @@ pub fn save_torn_checkpoint(
 /// one, else (when that is missing or torn) the rotated previous one.
 /// `None` when neither loads. Corrupt-but-complete files are treated
 /// like torn ones for fallback purposes, with a note on stderr.
-pub fn load_latest(journal: &Path, shards: usize) -> Option<(RestoredCheckpoint, RecoverySource)> {
+pub fn load_latest(journal: &Path) -> Option<(RestoredCheckpoint, RecoverySource)> {
     for (path, source) in [
         (checkpoint_path(journal), RecoverySource::Checkpoint),
         (
@@ -507,7 +509,7 @@ pub fn load_latest(journal: &Path, shards: usize) -> Option<(RestoredCheckpoint,
         let Ok(text) = std::fs::read_to_string(&path) else {
             continue;
         };
-        match decode_checkpoint(&text, shards) {
+        match decode(&text) {
             Ok(restored) => return Some((restored, source)),
             Err(err) => {
                 eprintln!("skipping {}: {err}", path.display());
@@ -546,7 +548,7 @@ mod tests {
     fn checkpoint_round_trips_and_future_answers_match() {
         let (engine, dedupe, ops, all) = driven_engine(31, 9);
         let text = encode_checkpoint(&engine, &dedupe, ops);
-        let restored = decode_checkpoint(&text, engine.shards()).expect("round trip decodes");
+        let restored = decode(&text).expect("round trip decodes");
         assert_eq!(restored.ops, ops);
         assert_eq!(restored.dedupe.len(), dedupe.len());
         // The restored engine must answer the rest of the trace exactly
@@ -568,7 +570,7 @@ mod tests {
         let slots = engine.session_slots();
         let open = engine.open_sessions();
         let text = encode_checkpoint(&engine, &dedupe, ops);
-        let restored = decode_checkpoint(&text, 4).expect("decodes at a different shard count");
+        let restored = decode(&text).expect("round trip decodes");
         assert_eq!(restored.engine.session_slots(), slots, "ids never reused");
         assert_eq!(restored.engine.open_sessions(), open);
     }
@@ -580,10 +582,7 @@ mod tests {
         for frac in [1usize, 3, 7, 9] {
             let cut = text.len() * frac / 10;
             assert!(
-                matches!(
-                    decode_checkpoint(&text[..cut], DEFAULT_SHARDS_FOR_TEST),
-                    Err(CheckpointError::Torn(_))
-                ),
+                matches!(decode(&text[..cut]), Err(CheckpointError::Torn(_))),
                 "a {frac}0% prefix must read as torn"
             );
         }
@@ -592,13 +591,41 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] = bytes[mid].wrapping_add(1);
         let flipped = String::from_utf8_lossy(&bytes).into_owned();
-        assert!(matches!(
-            decode_checkpoint(&flipped, DEFAULT_SHARDS_FOR_TEST),
-            Err(CheckpointError::Torn(_))
-        ));
+        assert!(matches!(decode(&flipped), Err(CheckpointError::Torn(_))));
     }
 
-    const DEFAULT_SHARDS_FOR_TEST: usize = 8;
+    /// Every checkpoint written before the engine lost its shard layout
+    /// carries `shards=8` in its `meta` line. Such a file (footer
+    /// recomputed over the edited body) restores to the same images and
+    /// answers the rest of the trace identically.
+    #[test]
+    fn checkpoints_with_a_shards_meta_key_still_restore() {
+        let (engine, dedupe, ops, all) = driven_engine(35, 11);
+        let text = encode_checkpoint(&engine, &dedupe, ops);
+        let meta = format!("meta ops={ops} slots={}\n", engine.session_slots());
+        let legacy_meta = format!("meta ops={ops} shards=8 slots={}\n", engine.session_slots());
+        let body_end = text.rfind("footer ").expect("footer line");
+        assert!(text[..body_end].contains(&meta));
+        let body = text[..body_end].replacen(&meta, &legacy_meta, 1);
+        let legacy = format!(
+            "{body}footer len={} digest={:016x}\n",
+            body.len(),
+            body_digest(body.as_bytes())
+        );
+
+        let restored = decode(&legacy).expect("a shards= meta key is ignored");
+        assert_eq!(restored.ops, ops);
+        assert_eq!(restored.dedupe.entries(), dedupe.entries());
+        assert_eq!(
+            encode_checkpoint(&restored.engine, &restored.dedupe, restored.ops),
+            text,
+            "the restored engine re-encodes to the same images"
+        );
+        let mut original = engine;
+        let mut recovered = restored.engine;
+        let tail = &all[11..];
+        assert_eq!(original.execute(tail), recovered.execute(tail));
+    }
 
     #[test]
     fn save_rotates_previous_and_load_latest_falls_back() {
@@ -609,20 +636,20 @@ mod tests {
 
         let (engine, dedupe, ops, _) = driven_engine(34, 6);
         save_checkpoint(&journal, &engine, &dedupe, ops).expect("first save");
-        let (first, source) = load_latest(&journal, 8).expect("loads current");
+        let (first, source) = load_latest(&journal).expect("loads current");
         assert_eq!(source, RecoverySource::Checkpoint);
         assert_eq!(first.ops, ops);
 
         let (engine2, dedupe2, ops2, _) = driven_engine(34, 9);
         save_checkpoint(&journal, &engine2, &dedupe2, ops2).expect("second save rotates");
-        let (latest, _) = load_latest(&journal, 8).expect("loads newer");
+        let (latest, _) = load_latest(&journal).expect("loads newer");
         assert_eq!(latest.ops, ops2);
 
         // Tear the current file: fallback must surface the rotated one.
         let current = checkpoint_path(&journal);
         let text = std::fs::read_to_string(&current).expect("current readable");
         std::fs::write(&current, &text[..text.len() / 2]).expect("truncate current");
-        let (fallback, source) = load_latest(&journal, 8).expect("previous still loads");
+        let (fallback, source) = load_latest(&journal).expect("previous still loads");
         assert_eq!(source, RecoverySource::PreviousCheckpoint);
         assert_eq!(fallback.ops, ops, "rotated file is the older snapshot");
 

@@ -1,29 +1,16 @@
-//! The resident engine: many concurrent sessions, sharded by the group
-//! graph, answering typed requests.
+//! The resident engine: many concurrent sessions on one shared board,
+//! answering typed requests.
 //!
 //! # Execution model
 //!
-//! [`ServiceEngine::execute`] walks a request batch in order. Shardable
-//! ops ([`Request::SubmitProbes`], [`Request::QueryPreferences`]) are
-//! buffered; a barrier op (open/churn/epoch/close) first flushes the
-//! buffer, then runs serially. A flush buckets the buffered ops by
-//! *shard* and runs the buckets one after another on the calling thread;
-//! answers land back at their request index. The shard layout is a
-//! routing/merge layout only: the count is a fixed logical constant,
-//! buckets have never run concurrently, and each answer is independent of
-//! the layout (cross-shard queries merge partials in request order), so a
-//! trace replays bit-identically at any shard count. Removing the layout
-//! waits on a paired benchmark-only PR (ROADMAP direction 4(c): `perf/`
-//! calls [`ServiceEngine::with_shards`] and [`DEFAULT_SHARDS`]).
-//!
-//! # Shard key
-//!
-//! A player's shard is its component in the group graph of the current
-//! scores: players whose score rows are bit-identical share a group
-//! (`byzscore::cluster::group_ids` over the cached rows), and
-//! `shard = group mod shards`. Same-group players — the ones
-//! whose requests touch the same cluster state — therefore always route
-//! to the same bucket.
+//! [`ServiceEngine::execute_one`] answers one request, and
+//! [`ServiceEngine::execute`] is that call over a batch, in order: a
+//! probe or query is validated and answered on the spot, and a barrier
+//! op (open/churn/epoch/close) runs where it stands. Probes and queries commute with each other between barriers
+//! (probe side effects are atomic ledger counts and same-value board
+//! claims; queries read the cached score rows), so answers are a pure
+//! function of the session history and never depend on how a trace is
+//! split into `execute` calls.
 //!
 //! # Incremental recompute
 //!
@@ -37,7 +24,6 @@
 
 use std::sync::Arc;
 
-use byzscore::cluster::group_ids;
 use byzscore::{
     churn_step, remap_planted, DriftSchedule, ProceduralTruth, ProtocolParams, Session,
     TruthSource, WarmStart,
@@ -59,8 +45,10 @@ const TAG_CHURN: u64 = 0x5e_c1;
 const TAG_DRIFT: u64 = 0x5e_c2;
 const TAG_SCORE: u64 = 0x5e_c3;
 
-/// Default logical shard count (fixed).
-pub const DEFAULT_SHARDS: usize = 8;
+/// Ignored: the engine has no shard layout. Kept only because the
+/// `perf/` benchmark still reads it.
+#[doc(hidden)]
+pub const DEFAULT_SHARDS: usize = 1;
 
 /// Everything resident for one open session.
 struct SessionState {
@@ -83,8 +71,6 @@ struct SessionState {
     oracle: Oracle,
     /// Cached scores of the current world.
     rows: BitMatrix,
-    /// Active slot → shard (group graph mod shard count).
-    shard_of: Vec<u32>,
     /// Board scope id of this session's posts.
     scope: u64,
     last_max_err: u64,
@@ -109,57 +95,23 @@ struct SessionState {
 /// assert!(matches!(answers[0], Response::Opened { session: 0, .. }));
 /// assert!(matches!(answers[2], Response::Closed { .. }));
 /// ```
+#[derive(Default)]
 pub struct ServiceEngine {
-    shards: usize,
     board: Board,
     /// Index = session id; `None` = closed. Ids are never reused.
     sessions: Vec<Option<SessionState>>,
 }
 
-impl Default for ServiceEngine {
-    fn default() -> Self {
-        ServiceEngine::new()
-    }
-}
-
-/// One unit of work routed to a shard bucket.
-enum ShardJob<'a> {
-    Probe {
-        idx: usize,
-        session: u64,
-        state: &'a SessionState,
-        player: u32,
-        objects: &'a [u32],
-    },
-    QueryPart {
-        idx: usize,
-        state: &'a SessionState,
-        /// `(original position in the request's player list, player)`.
-        members: Vec<(usize, u32)>,
-        objects: Option<&'a [u32]>,
-    },
-}
-
 impl ServiceEngine {
-    /// Engine with the default shard count.
+    /// An engine with no sessions.
     pub fn new() -> ServiceEngine {
-        ServiceEngine::with_shards(DEFAULT_SHARDS)
+        ServiceEngine::default()
     }
 
-    /// Engine with an explicit logical shard count (≥ 1). Answers do not
-    /// depend on the choice, and neither does concurrency: it only sets
-    /// how a flush buckets its ops (module docs).
-    pub fn with_shards(shards: usize) -> ServiceEngine {
-        ServiceEngine {
-            shards: shards.max(1),
-            board: Board::new(),
-            sessions: Vec::new(),
-        }
-    }
-
-    /// The fixed logical shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
+    /// [`ServiceEngine::new`]; the argument is ignored. Kept only because
+    /// the `perf/` benchmark still calls it.
+    pub fn with_shards(_shards: usize) -> ServiceEngine {
+        ServiceEngine::new()
     }
 
     /// Currently open sessions.
@@ -187,40 +139,42 @@ impl ServiceEngine {
     /// history and the batch — identical however the batch is split
     /// across `execute` calls.
     pub fn execute(&mut self, requests: &[Request]) -> Vec<Response> {
-        let mut responses: Vec<Option<Response>> = (0..requests.len()).map(|_| None).collect();
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, req) in requests.iter().enumerate() {
-            if req.is_shardable() {
-                pending.push(i);
-            } else {
-                flush(
-                    &self.sessions,
-                    &self.board,
-                    self.shards,
-                    requests,
-                    &mut pending,
-                    &mut responses,
-                );
-                responses[i] = Some(self.barrier(req));
-            }
-        }
-        flush(
-            &self.sessions,
-            &self.board,
-            self.shards,
-            requests,
-            &mut pending,
-            &mut responses,
-        );
-        responses
-            .into_iter()
-            .map(|r| r.expect("every request answered"))
-            .collect()
+        requests.iter().map(|r| self.execute_one(r)).collect()
     }
 
-    /// Serial (world-mutating) ops.
-    fn barrier(&mut self, req: &Request) -> Response {
+    /// Answer one request. Probes and queries are validated, then
+    /// answered against the session's resident oracle and cached rows;
+    /// open/churn/epoch/close mutate the session world.
+    pub(crate) fn execute_one(&mut self, req: &Request) -> Response {
         match req {
+            Request::SubmitProbes {
+                session,
+                player,
+                objects,
+            } => {
+                let state = match session_ref(&self.sessions, *session) {
+                    Ok(s) => s,
+                    Err(e) => return Response::Rejected(e),
+                };
+                validate(state, *session, &[*player], Some(objects)).unwrap_or_else(|| {
+                    probe_response(&self.board, state, *session, *player, objects)
+                })
+            }
+            Request::QueryPreferences {
+                session,
+                players,
+                objects,
+            } => {
+                let state = match session_ref(&self.sessions, *session) {
+                    Ok(s) => s,
+                    Err(e) => return Response::Rejected(e),
+                };
+                if players.is_empty() {
+                    return Response::Rejected(ServiceError::EmptyQuery(*session));
+                }
+                validate(state, *session, players, objects.as_deref())
+                    .unwrap_or_else(|| preferences(state, *session, players, objects.as_deref()))
+            }
             Request::Open(spec) => self.open(*spec),
             Request::ApplyChurn {
                 session,
@@ -229,7 +183,6 @@ impl ServiceEngine {
             } => self.churn(*session, *retire, *join),
             Request::AdvanceEpoch { session } => self.epoch(*session),
             Request::CloseSession { session } => self.close(*session),
-            _ => unreachable!("shardable ops never reach the barrier"),
         }
     }
 
@@ -253,11 +206,10 @@ impl ServiceEngine {
             // Placeholders; `recompute` installs the real world.
             oracle: Oracle::new_uncached(Arc::new(EmptyTruth) as Arc<dyn TruthSource>),
             rows: BitMatrix::zeros(0, 0),
-            shard_of: Vec::new(),
             scope,
             last_max_err: 0,
         };
-        recompute(&mut state, self.shards);
+        recompute(&mut state);
         let response = Response::Opened {
             session: sid,
             players: state.map.len(),
@@ -268,7 +220,6 @@ impl ServiceEngine {
     }
 
     fn churn(&mut self, sid: u64, retire: usize, join: usize) -> Response {
-        let shards = self.shards;
         let state = match session_mut(&mut self.sessions, sid) {
             Ok(s) => s,
             Err(e) => return Response::Rejected(e),
@@ -287,7 +238,7 @@ impl ServiceEngine {
             join,
             &mut rng,
         );
-        recompute(state, shards);
+        recompute(state);
         Response::Churned {
             session: sid,
             retired,
@@ -298,13 +249,12 @@ impl ServiceEngine {
     }
 
     fn epoch(&mut self, sid: u64) -> Response {
-        let shards = self.shards;
         let state = match session_mut(&mut self.sessions, sid) {
             Ok(s) => s,
             Err(e) => return Response::Rejected(e),
         };
         state.epoch += 1;
-        recompute(state, shards);
+        recompute(state);
         Response::Epoch {
             session: sid,
             epoch: state.epoch,
@@ -408,9 +358,9 @@ fn session_mut(
 
 /// Rebuild a session's world and scores after a transition (or at open):
 /// compose pool → drift epoch → identity remap, evolve the session onto
-/// it, run the scoring algorithm, and refresh the caches every shardable
-/// op reads (score rows, shard map, probe oracle).
-fn recompute(state: &mut SessionState, shards: usize) {
+/// it, run the scoring algorithm, and refresh the caches probes and
+/// queries read (score rows, probe oracle).
+fn recompute(state: &mut SessionState) {
     let (truth, planted) = compose_world(state);
     state.session = state.session.evolved(truth.clone(), Some(planted));
     let seed = derive_seed(
@@ -420,7 +370,6 @@ fn recompute(state: &mut SessionState, shards: usize) {
     let outcome = state.session.run(state.spec.algorithm.core(), seed);
     state.last_max_err = outcome.errors.max as u64;
     state.rows = outcome.output.expect("service sessions use the dense sink");
-    state.shard_of = shard_map(&state.rows, shards);
     state.oracle = Oracle::new(truth);
 }
 
@@ -439,155 +388,11 @@ fn compose_world(state: &SessionState) -> (Arc<dyn TruthSource>, Planted) {
     (truth, planted)
 }
 
-/// Shard key: the group graph of the scores — players with identical
-/// rows share a group; groups spread round-robin over the shards.
-fn shard_map(rows: &BitMatrix, shards: usize) -> Vec<u32> {
-    group_ids(rows)
-        .into_iter()
-        .map(|g| g % shards as u32)
-        .collect()
-}
-
-/// Run the buffered shardable ops: validate, bucket by shard, run the
-/// buckets in order on the calling thread, scatter answers back by
-/// request index, merging cross-shard query partials in request order.
-fn flush(
-    sessions: &[Option<SessionState>],
-    board: &Board,
-    shards: usize,
-    requests: &[Request],
-    pending: &mut Vec<usize>,
-    responses: &mut [Option<Response>],
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let mut buckets: Vec<Vec<ShardJob<'_>>> = (0..shards).map(|_| Vec::new()).collect();
-    // Per query-request index: how many players it asked for (to size the
-    // merge buffer).
-    let mut query_width: Vec<(usize, usize, u64)> = Vec::new();
-    for &idx in pending.iter() {
-        match &requests[idx] {
-            Request::SubmitProbes {
-                session,
-                player,
-                objects,
-            } => {
-                let state = match session_ref(sessions, *session) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        responses[idx] = Some(Response::Rejected(e));
-                        continue;
-                    }
-                };
-                if let Some(resp) = validate(state, *session, &[*player], Some(objects)) {
-                    responses[idx] = Some(resp);
-                    continue;
-                }
-                let shard = state.shard_of[*player as usize] as usize;
-                buckets[shard].push(ShardJob::Probe {
-                    idx,
-                    session: *session,
-                    state,
-                    player: *player,
-                    objects,
-                });
-            }
-            Request::QueryPreferences {
-                session,
-                players,
-                objects,
-            } => {
-                let state = match session_ref(sessions, *session) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        responses[idx] = Some(Response::Rejected(e));
-                        continue;
-                    }
-                };
-                if players.is_empty() {
-                    responses[idx] = Some(Response::Rejected(ServiceError::EmptyQuery(*session)));
-                    continue;
-                }
-                if let Some(resp) = validate(state, *session, players, objects.as_deref()) {
-                    responses[idx] = Some(resp);
-                    continue;
-                }
-                // Split the player list by owning shard; each partial
-                // remembers the players' original positions.
-                let mut parts: Vec<Vec<(usize, u32)>> = (0..shards).map(|_| Vec::new()).collect();
-                for (pos, &p) in players.iter().enumerate() {
-                    parts[state.shard_of[p as usize] as usize].push((pos, p));
-                }
-                for (shard, members) in parts.into_iter().enumerate() {
-                    if !members.is_empty() {
-                        buckets[shard].push(ShardJob::QueryPart {
-                            idx,
-                            state,
-                            members,
-                            objects: objects.as_deref(),
-                        });
-                    }
-                }
-                query_width.push((idx, players.len(), *session));
-            }
-            _ => unreachable!("only shardable ops are buffered"),
-        }
-    }
-    pending.clear();
-
-    // Per-request merge buffers for query partials, keyed by original
-    // player position: (ones, digest) once the owning bucket has run.
-    type MergeBuf = Vec<Option<(u64, u64)>>;
-    let mut merges: std::collections::HashMap<usize, (MergeBuf, u64)> = query_width
-        .into_iter()
-        .map(|(idx, width, session)| (idx, (vec![None; width], session)))
-        .collect();
-
-    // Buckets run one after another on the calling thread, each job
-    // scattering as it finishes: full answers land directly, query
-    // partials accumulate. The bucket order is immaterial — probe side
-    // effects (oracle ledger, board claims) are commutative atomics /
-    // same-value posts, and every answer lands at its request index.
-    for job in buckets.iter().flatten() {
-        match job {
-            ShardJob::Probe {
-                idx,
-                session,
-                state,
-                player,
-                objects,
-            } => {
-                responses[*idx] = Some(probe_response(board, state, *session, *player, objects));
-            }
-            ShardJob::QueryPart {
-                idx,
-                state,
-                members,
-                objects,
-            } => {
-                let (buf, _) = merges.get_mut(idx).expect("query registered");
-                for (pos, ones, digest) in query_part(state, members, *objects) {
-                    buf[pos] = Some((ones, digest));
-                }
-            }
-        }
-    }
-    let mut merged: Vec<(usize, Response)> = merges
-        .into_iter()
-        .map(|(idx, (buf, session))| (idx, merge_preferences(session, &buf)))
-        .collect();
-    merged.sort_unstable_by_key(|&(idx, _)| idx);
-    for (idx, resp) in merged {
-        responses[idx] = Some(resp);
-    }
-}
-
 /// Execute one probe op against a session: every probed bit is read
 /// through the memoized oracle and posted as a claim in the session's
 /// board scope. Side effects commute (atomic probe ledger, same-value
-/// claims), so the probes of one flush produce the same final state and
-/// per-op answer in any order.
+/// claims), so probes between two barriers produce the same final state
+/// and per-op answers in any order.
 fn probe_response(
     board: &Board,
     state: &SessionState,
@@ -611,49 +416,38 @@ fn probe_response(
     }
 }
 
-/// Execute one shard's slice of a preference query: per member
-/// `(original position, ones, row digest)`, pure reads of the cached
-/// score rows.
-fn query_part(
+/// Answer a preference query — pure reads of the cached score rows:
+/// fold each player's `(ones, row digest)` in request order into
+/// [`Response::Preferences`].
+fn preferences(
     state: &SessionState,
-    members: &[(usize, u32)],
+    session: u64,
+    players: &[u32],
     objects: Option<&[u32]>,
-) -> Vec<(usize, u64, u64)> {
-    let rows = &state.rows;
-    members
-        .iter()
-        .map(|&(pos, p)| {
-            let row = rows.row(p as usize);
-            match objects {
-                None => (pos, row.count_ones() as u64, row.content_hash()),
-                Some(objs) => {
-                    let mut ones = 0u64;
-                    let mut digest = 0x9ae5u64;
-                    for &o in objs.iter() {
-                        let bit = row.get(o as usize);
-                        ones += bit as u64;
-                        digest = mix(digest, mix(o as u64, bit as u64));
-                    }
-                    (pos, ones, digest)
-                }
-            }
-        })
-        .collect()
-}
-
-/// Fold completed query partials — indexed by original player position —
-/// into the final [`Response::Preferences`].
-fn merge_preferences(session: u64, buf: &[Option<(u64, u64)>]) -> Response {
+) -> Response {
     let mut total = 0u64;
     let mut digest = 0x9e4fu64;
-    for cell in buf {
-        let (ones, d) = cell.expect("every queried player answered");
+    for &p in players {
+        let row = state.rows.row(p as usize);
+        let (ones, row_digest) = match objects {
+            None => (row.count_ones() as u64, row.content_hash()),
+            Some(objs) => {
+                let mut ones = 0u64;
+                let mut d = 0x9ae5u64;
+                for &o in objs.iter() {
+                    let bit = row.get(o as usize);
+                    ones += bit as u64;
+                    d = mix(d, mix(o as u64, bit as u64));
+                }
+                (ones, d)
+            }
+        };
         total += ones;
-        digest = mix(digest, mix(ones, d));
+        digest = mix(digest, mix(ones, row_digest));
     }
     Response::Preferences {
         session,
-        players: buf.len() as u32,
+        players: players.len() as u32,
         ones: total,
         digest,
     }
@@ -661,10 +455,10 @@ fn merge_preferences(session: u64, buf: &[Option<(u64, u64)>]) -> Response {
 
 /// The durable slice of one resident session — everything a checkpoint
 /// must carry to reconstruct [`SessionState`] without replaying its
-/// history. The pool, the evolved world, the probe oracle, and the
-/// shard map are all pure functions of these fields, so they are
-/// *recomputed* at restore rather than serialized; the score rows are
-/// carried verbatim so restore never re-runs the scoring algorithm.
+/// history. The pool, the evolved world and the probe oracle are all
+/// pure functions of these fields, so they are *recomputed* at restore
+/// rather than serialized; the score rows are carried verbatim so
+/// restore never re-runs the scoring algorithm.
 pub(crate) struct SessionImage {
     pub spec: SessionSpec,
     pub map: Vec<u32>,
@@ -710,15 +504,11 @@ impl ServiceEngine {
 
     /// Rebuild an engine from checkpoint images: `slots` closed slots,
     /// then each image installed at its id. Derived state (pool, world,
-    /// oracle, shard map) is recomputed from the image's fields; the
-    /// score rows come from the image, so nothing re-runs the scorer —
-    /// restore cost is bounded by the checkpoint size, not the history.
-    pub(crate) fn from_images(
-        shards: usize,
-        slots: usize,
-        images: Vec<(u64, SessionImage)>,
-    ) -> ServiceEngine {
-        let mut engine = ServiceEngine::with_shards(shards);
+    /// oracle) is recomputed from the image's fields; the score rows
+    /// come from the image, so nothing re-runs the scorer — restore cost
+    /// is bounded by the checkpoint size, not the history.
+    pub(crate) fn from_images(slots: usize, images: Vec<(u64, SessionImage)>) -> ServiceEngine {
+        let mut engine = ServiceEngine::new();
         engine.sessions = (0..slots).map(|_| None).collect();
         for (sid, image) in images {
             let state = engine.restore_state(sid, image);
@@ -734,7 +524,7 @@ impl ServiceEngine {
     /// Reconstruct one [`SessionState`] from its image: re-derive the
     /// pool and a fresh (never-run) session exactly as `open` would,
     /// re-register the board scope and re-post its claims, then install
-    /// the checkpointed rows and recompute the caches they determine.
+    /// the checkpointed rows and the probe oracle over their world.
     /// The session itself is left un-evolved — the next barrier's
     /// `recompute` evolves it onto the same world a cold open would,
     /// and warm-vs-cold bit-identity is pinned in core.
@@ -768,12 +558,10 @@ impl ServiceEngine {
             session,
             oracle: Oracle::new_uncached(Arc::new(EmptyTruth) as Arc<dyn TruthSource>),
             rows,
-            shard_of: Vec::new(),
             scope,
             last_max_err,
         };
         let (truth, _planted) = compose_world(&state);
-        state.shard_of = shard_map(&state.rows, self.shards);
         state.oracle = Oracle::new(truth);
         state
     }
@@ -924,7 +712,7 @@ mod tests {
     }
 
     #[test]
-    fn answers_do_not_depend_on_batch_splits_or_shard_count() {
+    fn answers_do_not_depend_on_batch_splits() {
         let ops = vec![
             Request::Open(spec(4)),
             Request::SubmitProbes {
@@ -963,11 +751,12 @@ mod tests {
             .flat_map(|op| split_engine.execute(std::slice::from_ref(op)))
             .collect();
         assert_eq!(whole, split, "batch splits must not change answers");
-        // Different logical shard counts agree too (merge order is the
-        // request order, not the shard order).
-        for shards in [1, 3, 16] {
-            let other = ServiceEngine::with_shards(shards).execute(&ops);
-            assert_eq!(whole, other, "shards={shards} changed answers");
+        // Fixed-size chunks that cut across barriers agree too.
+        for chunk in [2, 3, 5] {
+            let mut engine = ServiceEngine::new();
+            let chunked: Vec<Response> =
+                ops.chunks(chunk).flat_map(|c| engine.execute(c)).collect();
+            assert_eq!(whole, chunked, "chunks of {chunk} changed answers");
         }
     }
 

@@ -8,8 +8,8 @@
 //! sequence number. Comments are ignored by [`Trace::from_text`](crate::workload::Trace::from_text), so a
 //! journal *is* a valid trace — `scored replay wal.journal` replays a
 //! crashed server's history directly, and recovery is nothing more than
-//! [`ServiceEngine::execute`] over the parsed ops (the batch path, the
-//! same code every digest gate already pins).
+//! the engine's single-op `execute_one` over each parsed op (the call
+//! every front-end makes, and the code every digest gate already pins).
 //!
 //! # On disk: text, then zero padding
 //!
@@ -177,6 +177,21 @@ fn text_end(bytes: &[u8]) -> usize {
     bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len())
 }
 
+/// The directory holding `path`. A bare file name's parent is the empty
+/// path, which `File::open` refuses; it names the current directory.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
+/// Fsync the directory holding `path`, making a create or rename of it
+/// durable.
+pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    File::open(parent_dir(path))?.sync_all()
+}
+
 /// The bytes one journaled op occupies: its `# wal seq=N` annotation
 /// and its op line.
 fn entry_text(seq: u64, op: &Request) -> String {
@@ -197,10 +212,12 @@ pub struct Journal {
 
 impl Journal {
     /// Create (truncate) a fresh journal: header line plus one page of
-    /// padding, fsynced.
+    /// padding, fsynced, then its directory entry fsynced.
     pub fn create(path: &Path) -> io::Result<Journal> {
         let header = format!("{TRACE_VERSION}\n");
-        Journal::write_new(path, &header, reservation(header.len() as u64))
+        let journal = Journal::write_new(path, &header, reservation(header.len() as u64))?;
+        sync_parent_dir(path)?;
+        Ok(journal)
     }
 
     /// `text` then zeros out to `reserved`, fsynced, in a new file.
@@ -286,7 +303,8 @@ impl Journal {
     /// *last* step of a compaction cycle, after the checkpoint at `K`
     /// is durable, so a crash anywhere leaves a journal whose base is
     /// covered by a loadable checkpoint. An error before the rename
-    /// leaves this handle on the old, intact journal.
+    /// leaves this handle on the old, intact journal; a failed directory
+    /// sync after it is reported with the new handle already adopted.
     pub fn truncate_to_base(&mut self, base: u64) -> io::Result<()> {
         let tmp = {
             let mut os = self.path.as_os_str().to_os_string();
@@ -297,14 +315,9 @@ impl Journal {
         let high_water = self.offset.max(text.len() as u64);
         let mut fresh = Journal::write_new(&tmp, &text, reservation(high_water))?;
         std::fs::rename(&tmp, &self.path)?;
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
         fresh.path = std::mem::take(&mut self.path);
         *self = fresh;
-        Ok(())
+        sync_parent_dir(&self.path)
     }
 }
 
@@ -424,16 +437,18 @@ fn replay_entries(
     dedupe: &mut DedupeWindow,
     entries: &[JournalEntry],
 ) -> Vec<Response> {
-    let ops: Vec<Request> = entries.iter().map(|e| e.op.clone()).collect();
-    let responses = engine.execute(&ops);
-    for (entry, resp) in entries.iter().zip(&responses) {
-        if let Some(seq) = entry.seq {
-            if !entry.op.is_shardable() {
-                dedupe.record(entry.op.session(), seq, op_key(&entry.op), resp.clone());
+    entries
+        .iter()
+        .map(|entry| {
+            let resp = engine.execute_one(&entry.op);
+            if let Some(seq) = entry.seq {
+                if !entry.op.is_shardable() {
+                    dedupe.record(entry.op.session(), seq, op_key(&entry.op), resp.clone());
+                }
             }
-        }
-    }
-    responses
+            resp
+        })
+        .collect()
 }
 
 /// Rebuild engine state from a journal file, healing it on disk first:
@@ -458,7 +473,15 @@ fn replay_entries(
 ///    ops exist nowhere on disk — refuse loudly rather than serve a
 ///    silently rewound history (only reachable by deleting/corrupting
 ///    both checkpoint files out from under a compacted journal).
-pub fn recover(path: &Path, shards: usize) -> io::Result<Recovered> {
+///
+/// The second argument is ignored; it remains only because the `perf/`
+/// benchmark still passes it.
+pub fn recover(path: &Path, _shards: usize) -> io::Result<Recovered> {
+    recover_journal(path)
+}
+
+/// The body of [`recover`].
+fn recover_journal(path: &Path) -> io::Result<Recovered> {
     let mut file = OpenOptions::new().read(true).write(true).open(path)?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)?;
@@ -483,7 +506,7 @@ pub fn recover(path: &Path, shards: usize) -> io::Result<Recovered> {
             None => format_op(&e.op).len() as u64 + 1,
         })
         .sum();
-    if let Some((ckpt, source)) = crate::checkpoint::load_latest(path, shards) {
+    if let Some((ckpt, source)) = crate::checkpoint::load_latest(path) {
         if ckpt.ops >= base {
             let skip = ((ckpt.ops - base) as usize).min(entries.len());
             let tail = &entries[skip..];
@@ -516,7 +539,7 @@ pub fn recover(path: &Path, shards: usize) -> io::Result<Recovered> {
             format!("journal was compacted at {base} ops but no usable checkpoint loads"),
         ));
     }
-    let mut engine = ServiceEngine::with_shards(shards);
+    let mut engine = ServiceEngine::new();
     let mut dedupe = DedupeWindow::new();
     let responses = replay_entries(&mut engine, &mut dedupe, &entries);
     Ok(Recovered {
@@ -607,9 +630,9 @@ pub struct JournaledEngine {
 }
 
 impl JournaledEngine {
-    fn new(journal: Option<Journal>, shards: usize, policy: CompactionPolicy) -> JournaledEngine {
+    fn new(journal: Option<Journal>, policy: CompactionPolicy) -> JournaledEngine {
         JournaledEngine {
-            engine: ServiceEngine::with_shards(shards),
+            engine: ServiceEngine::new(),
             journal,
             dedupe: DedupeWindow::new(),
             policy,
@@ -634,47 +657,39 @@ impl JournaledEngine {
     pub fn open(
         journal: Option<&Path>,
         recover: bool,
-        shards: usize,
         policy: CompactionPolicy,
     ) -> io::Result<(JournaledEngine, Option<RecoveryReport>)> {
         match (journal, recover) {
-            (Some(path), true) => JournaledEngine::recover_with(path, shards, policy)
+            (Some(path), true) => JournaledEngine::recover_with(path, policy)
                 .map(|(engine, report)| (engine, Some(report))),
             (Some(path), false) => {
-                JournaledEngine::create_with(path, shards, policy).map(|engine| (engine, None))
+                JournaledEngine::create_with(path, policy).map(|engine| (engine, None))
             }
             (None, true) => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "recover requires a journal path",
             )),
-            (None, false) => Ok((JournaledEngine::new(None, shards, policy), None)),
+            (None, false) => Ok((JournaledEngine::new(None, policy), None)),
         }
     }
 
-    /// Fresh engine over a fresh journal, compaction disabled.
-    pub fn create(path: &Path, shards: usize) -> io::Result<JournaledEngine> {
-        JournaledEngine::create_with(path, shards, CompactionPolicy::default())
+    /// Fresh engine over a fresh journal, compaction disabled. The
+    /// second argument is ignored; it remains only because the `perf/`
+    /// benchmark still passes it.
+    pub fn create(path: &Path, _shards: usize) -> io::Result<JournaledEngine> {
+        JournaledEngine::create_with(path, CompactionPolicy::default())
     }
 
     /// Fresh engine over a fresh journal with a compaction policy.
-    pub fn create_with(
-        path: &Path,
-        shards: usize,
-        policy: CompactionPolicy,
-    ) -> io::Result<JournaledEngine> {
-        Ok(JournaledEngine::new(
-            Some(Journal::create(path)?),
-            shards,
-            policy,
-        ))
+    pub fn create_with(path: &Path, policy: CompactionPolicy) -> io::Result<JournaledEngine> {
+        Ok(JournaledEngine::new(Some(Journal::create(path)?), policy))
     }
 
     /// Rebuild from an existing journal (checkpoint-aware) and keep
     /// appending to it. Returns the engine and how many ops were
     /// replayed — the journal tail only, when a checkpoint loads.
-    pub fn recover(path: &Path, shards: usize) -> io::Result<(JournaledEngine, usize)> {
-        let (engine, report) =
-            JournaledEngine::recover_with(path, shards, CompactionPolicy::default())?;
+    pub fn recover(path: &Path) -> io::Result<(JournaledEngine, usize)> {
+        let (engine, report) = JournaledEngine::recover_with(path, CompactionPolicy::default())?;
         Ok((engine, report.replayed))
     }
 
@@ -682,16 +697,15 @@ impl JournaledEngine {
     /// the replayed tail length and the recovery source.
     pub fn recover_with(
         path: &Path,
-        shards: usize,
         policy: CompactionPolicy,
     ) -> io::Result<(JournaledEngine, RecoveryReport)> {
-        let rec = recover(path, shards)?;
+        let rec = recover_journal(path)?;
         let report = RecoveryReport {
             replayed: rec.replayed,
             source: rec.source,
             history_ops: rec.history_ops,
         };
-        let mut engine = JournaledEngine::new(Some(Journal::open_append(path)?), shards, policy);
+        let mut engine = JournaledEngine::new(Some(Journal::open_append(path)?), policy);
         engine.adopt(rec);
         Ok((engine, report))
     }
@@ -716,17 +730,16 @@ impl JournaledEngine {
     /// engine beats a corrupt one. An error means the journal no longer
     /// describes a recoverable state; the caller must stop serving.
     pub(crate) fn rebuild(&mut self) -> io::Result<()> {
-        let shards = self.engine.shards();
         match &mut self.journal {
             Some(journal) => {
-                let rec = recover(&journal.path, shards)?;
+                let rec = recover_journal(&journal.path)?;
                 // Recovery healed the file under this handle (padding
                 // cut); pad it afresh before the next append.
                 *journal = Journal::open_append(&journal.path)?;
                 self.adopt(rec);
             }
             None => {
-                self.engine = ServiceEngine::with_shards(shards);
+                self.engine = ServiceEngine::new();
                 self.dedupe = DedupeWindow::new();
             }
         }
@@ -775,7 +788,7 @@ impl JournaledEngine {
         } else if self.fault.barrier_panic_at(index) {
             panic!("fault-inject: barrier panic");
         }
-        let resp = self.engine.execute(std::slice::from_ref(op)).remove(0);
+        let resp = self.engine.execute_one(op);
         if let Some(key) = barrier_key {
             self.dedupe.record(op.session(), seq, key, resp.clone());
         }
@@ -973,14 +986,14 @@ mod tests {
         for k in kill_points {
             let mut responses = Vec::new();
             {
-                let mut je = JournaledEngine::create(&path, 4).expect("create journal");
+                let mut je = JournaledEngine::create_with(&path, CompactionPolicy::default())
+                    .expect("create journal");
                 for (i, op) in trace.ops[..k].iter().enumerate() {
                     responses.push(je.submit(i as u64, op).expect("submit"));
                 }
                 // Crash: je dropped without any shutdown handshake.
             }
-            let (mut je, replayed) =
-                JournaledEngine::recover(&path, 4).expect("recover from journal");
+            let (mut je, replayed) = JournaledEngine::recover(&path).expect("recover from journal");
             assert_eq!(
                 replayed,
                 trace.ops[..k].iter().filter(|o| o.is_mutating()).count(),
@@ -1015,7 +1028,8 @@ mod tests {
     }
 
     fn open_and_epoch(path: &Path) -> JournaledEngine {
-        let mut je = JournaledEngine::create(path, 2).expect("create");
+        let mut je =
+            JournaledEngine::create_with(path, CompactionPolicy::default()).expect("create");
         je.submit(0, &parse_op("open 8 16 2 2 5 naive 2 0 0 7").unwrap())
             .expect("open");
         je.submit(1, &parse_op("epoch 0").unwrap()).expect("epoch");
@@ -1031,12 +1045,12 @@ mod tests {
         drop(open_and_epoch(&path));
         // Simulate a crash mid-append: partial annotation, no newline.
         write_at(&path, padded_text_end(&path), b"# wal seq=2\nchurn 0 1");
-        let (mut je, replayed) = JournaledEngine::recover(&path, 2).expect("recover");
+        let (mut je, replayed) = JournaledEngine::recover(&path).expect("recover");
         assert_eq!(replayed, 2, "the torn entry was never executed");
         let resp = je.submit(2, &parse_op("close 0").unwrap()).expect("close");
         assert!(matches!(resp, Response::Closed { .. }));
         // The resumed file is still a valid journal end to end.
-        let (_, replayed) = JournaledEngine::recover(&path, 2).expect("re-recover");
+        let (_, replayed) = JournaledEngine::recover(&path).expect("re-recover");
         assert_eq!(replayed, 3);
         let _ = std::fs::remove_file(&path);
     }
@@ -1050,12 +1064,12 @@ mod tests {
         let path = temp_path("orphan");
         drop(open_and_epoch(&path));
         write_at(&path, padded_text_end(&path) + 7, b"probe 0 1 2,3\n");
-        let (mut je, replayed) = JournaledEngine::recover(&path, 2).expect("recover");
+        let (mut je, replayed) = JournaledEngine::recover(&path).expect("recover");
         assert_eq!(replayed, 2, "the orphan line never counts");
         let close = parse_op("close 0").unwrap();
         je.submit(2, &close).expect("close");
         drop(je);
-        let rec = recover(&path, 2).expect("re-recover");
+        let rec = recover_journal(&path).expect("re-recover");
         let text = std::fs::read_to_string(&path).expect("read journal");
         let history: Vec<Request> = parse_journal(&text)
             .expect("healed journal parses")
@@ -1142,12 +1156,12 @@ mod tests {
         // before op `kill`.
         let tails = |kill: usize| -> Vec<u64> {
             scrub();
-            let mut je = JournaledEngine::create_with(&path, 2, policy).expect("create");
+            let mut je = JournaledEngine::create_with(&path, policy).expect("create");
             let mut tails = Vec::with_capacity(trace.ops.len());
             for (seq, op) in trace.ops.iter().enumerate() {
                 if seq == kill {
                     drop(je);
-                    je = JournaledEngine::recover_with(&path, 2, policy)
+                    je = JournaledEngine::recover_with(&path, policy)
                         .expect("recover")
                         .0;
                 }
@@ -1179,13 +1193,14 @@ mod tests {
             parse_op("open 8 16 2 2 5 naive 2 0 1000 7").unwrap(),
             parse_op("churn 0 1 1").unwrap(),
         ];
-        let mut je = JournaledEngine::create(&path, 2).expect("create");
+        let mut je =
+            JournaledEngine::create_with(&path, CompactionPolicy::default()).expect("create");
         let first = je.submit(0, &ops[0]).expect("open");
         let churned = je.submit(1, &ops[1]).expect("churn");
         // Resend before the crash: recorded answer, no second churn.
         assert_eq!(je.submit(1, &ops[1]).expect("resend"), churned);
         drop(je);
-        let (mut je, _) = JournaledEngine::recover(&path, 2).expect("recover");
+        let (mut je, _) = JournaledEngine::recover(&path).expect("recover");
         assert_eq!(
             je.submit(1, &ops[1]).expect("resend after recovery"),
             churned,
@@ -1200,13 +1215,29 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A bare file name syncs the current directory instead of failing
+    /// to open the empty path its `parent()` returns.
+    #[test]
+    fn bare_file_names_sync_the_current_directory() {
+        assert_eq!(Path::new("wal2.journal").parent(), Some(Path::new("")));
+        assert_eq!(parent_dir(Path::new("wal2.journal")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("dir/wal2.journal")), Path::new("dir"));
+        assert_eq!(
+            parent_dir(Path::new("/tmp/wal2.journal")),
+            Path::new("/tmp")
+        );
+        sync_parent_dir(Path::new("wal2.journal")).expect("the current directory syncs");
+        assert!(sync_parent_dir(Path::new("no-such-dir/wal2.journal")).is_err());
+    }
+
     /// The journal is a valid `byzscore-trace/v1` file: `Trace::from_text`
     /// parses it directly.
     #[test]
     fn journal_is_a_replayable_trace_file() {
         let path = temp_path("astrace");
         let trace = Trace::generate(&TraceSpec::small(31));
-        let mut je = JournaledEngine::create(&path, 4).expect("create");
+        let mut je =
+            JournaledEngine::create_with(&path, CompactionPolicy::default()).expect("create");
         for (i, op) in trace.ops.iter().enumerate() {
             je.submit(i as u64, op).expect("submit");
         }

@@ -3,13 +3,12 @@
 //! A resident engine ([`ServiceEngine`]) holds many concurrent scoring
 //! sessions behind a typed request API ([`Request`]/[`Response`]):
 //! open a world, submit probes, query computed preferences, churn the
-//! population, advance the drift epoch, close. A batch's shardable ops
-//! are bucketed over a fixed logical shard set keyed by the *group
-//! graph* of the current scores — same-group players land in the same
-//! bucket, and cross-shard preference queries merge per-shard partials
-//! in request order. World transitions recompute scores incrementally
-//! through the warm-start path (group-cache refresh + pooled select
-//! machines) of `byzscore::Session::evolved`.
+//! population, advance the drift epoch, close. Requests are answered in
+//! order, one at a time, against one shared bulletin board — the
+//! paper's model has no partitioning, and probes and queries commute
+//! between world transitions anyway. World transitions recompute scores
+//! incrementally through the warm-start path (group-cache refresh +
+//! pooled select machines) of `byzscore::Session::evolved`.
 //!
 //! Every front-end — the TCP server ([`net`]), the stdin loop, offline
 //! compaction — drives the engine through one op pipeline,
@@ -18,7 +17,8 @@
 //!
 //! The [`workload`] module generates seeded request traces and
 //! round-trips them through the versioned `byzscore-trace/v1` file
-//! format; a trace replays bit-identically at any thread count, which is
+//! format; a trace replays bit-identically at any thread count and any
+//! batch split, which is
 //! what the `e17_service_throughput` benchmark and the determinism suite
 //! gate on. The `scored` binary wraps generate/replay/serve for the
 //! command line.

@@ -40,8 +40,8 @@
 //!
 //! # Why answers stay bit-identical to the in-process replay
 //!
-//! The engine's contract is: shardable ops (probes and preference
-//! queries) may execute in any order between *barriers* (open, churn,
+//! The engine's contract is: probes and preference queries commute —
+//! they may execute in any order between *barriers* (open, churn,
 //! epoch, close), which serialize. One serial lane trivially honours
 //! it, and it is the same lane every other front-end drives — the
 //! dispatcher owns a [`JournaledEngine`](crate::JournaledEngine) and
@@ -49,17 +49,16 @@
 //!
 //! * Probe side effects commute (memoized oracle, same-value board
 //!   claims) and queries are pure reads, so the order in which several
-//!   connections' shardable ops reach the queue is unobservable.
+//!   connections' probes and queries reach the queue is unobservable.
 //! * Every op admitted before a barrier is fully applied before the
 //!   world transition, because it was dequeued before it.
 //! * Overload is refused *at admission*: a full queue answers a typed
 //!   [`Response::Busy`](crate::Response::Busy) and executes nothing. An
 //!   op that was accepted is never dropped.
 //!
-//! A single-op `execute` costs ~2 µs against a loopback round trip of
-//! ~70 µs, so there is nothing for per-shard threads to
-//! win here (DESIGN.md §4.14 has the measurements); the engine's shard
-//! count only shapes its in-process batch flush.
+//! A single-op `execute_one` costs ~2 µs against a loopback round trip
+//! of ~70 µs, so there is nothing for worker threads to win here
+//! (DESIGN.md §4.14 has the measurements).
 //!
 //! The `client` half adds the client side of the ordering argument: all
 //! ops of a session ride one connection, opens are globally serialized,

@@ -28,13 +28,11 @@ fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Tuning knobs for [`Server`]. The defaults match the batch engine's
-/// shard count and keep the admission queue small enough that overload
-/// surfaces as `Busy` quickly instead of as latency.
+/// Tuning knobs for [`Server`]. The defaults keep the admission queue
+/// small enough that overload surfaces as `Busy` quickly instead of as
+/// latency.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// The engine's logical shard count (answers never depend on it).
-    pub shards: usize,
     /// Capacity of the admission queue.
     pub queue_depth: usize,
     /// Retry delay suggested in `Busy` answers.
@@ -69,7 +67,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
-            shards: crate::engine::DEFAULT_SHARDS,
             queue_depth: 256,
             retry_after_ms: 2,
             read_timeout_ms: 30_000,
@@ -108,12 +105,8 @@ impl Server {
             bytes: config.compact_bytes,
         };
         #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
-        let (mut pipeline, recovery) = JournaledEngine::open(
-            config.journal.as_deref(),
-            config.recover,
-            config.shards,
-            policy,
-        )?;
+        let (mut pipeline, recovery) =
+            JournaledEngine::open(config.journal.as_deref(), config.recover, policy)?;
         #[cfg(feature = "fault-inject")]
         pipeline.set_fault_plan(config.fault.clone());
         let listener = TcpListener::bind(addr)?;

@@ -3,7 +3,7 @@
 //! Every field on both sides of the API is an integer (or a list of
 //! integers): responses are digested into `u64`s with integer-only
 //! mixing, so a replayed trace produces bit-identical digests on any
-//! host, thread count, or shard layout. Quantities that are naturally
+//! host, thread count, or batch split. Quantities that are naturally
 //! fractional are carried as integers — preference drift as
 //! parts-per-million, workload skew as an extra-draw count.
 
@@ -111,9 +111,8 @@ pub enum Request {
         objects: Vec<u32>,
     },
     /// Read computed preference scores for a set of players, optionally
-    /// restricted to a set of objects (`None` = full rows). Players may
-    /// live on different shards; partial answers are merged back in
-    /// request order.
+    /// restricted to a set of objects (`None` = full rows). Per-player
+    /// answers fold in request order.
     QueryPreferences {
         /// Target session.
         session: u64,
@@ -157,9 +156,9 @@ impl Request {
         }
     }
 
-    /// True for the ops the engine may execute concurrently across shards
-    /// (reads and probe writes); false for the barrier ops that mutate
-    /// session worlds and must serialize.
+    /// True for the ops that commute with every other op between barriers
+    /// (preference reads and probe writes); false for the barrier ops
+    /// that mutate session worlds and must serialize.
     pub fn is_shardable(&self) -> bool {
         matches!(
             self,
@@ -209,7 +208,7 @@ pub enum Response {
         /// queried objects when a restriction was given).
         ones: u64,
         /// Integer digest of the per-player `(ones, row-digest)` sequence
-        /// in request order — independent of the shard layout.
+        /// in request order.
         digest: u64,
     },
     /// Churn applied and scores recomputed.

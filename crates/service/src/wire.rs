@@ -635,7 +635,7 @@ mod tests {
             },
             Response::Busy { retry_after_ms: 5 },
             Response::Retryable {
-                reason: "shard worker panicked".to_string(),
+                reason: "the op panicked".to_string(),
             },
             Response::Rejected(ServiceError::UnknownSession(77)),
             Response::Rejected(ServiceError::SessionClosed(0)),

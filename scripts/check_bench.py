@@ -402,7 +402,7 @@ def self_test():
     # Report-only rate columns (e17 "reqs/sec") never gate, but their
     # deterministic neighbors — hex digests, rejected counts — still do:
     # digests are non-numeric, so they must match EXACTLY.
-    svc_headers = ("shards", "reqs/sec", "p50 ms", "digest")
+    svc_headers = ("batch", "reqs/sec", "p50 ms", "digest")
     svc_base = doc([["8", "5000.00", "0.1600", "ae1c51929c5e0fad"]], headers=svc_headers)
     fails, _, _ = compare_docs(
         svc_base, doc([["8", "9999.99", "0.9999", "ae1c51929c5e0fad"]], headers=svc_headers)

@@ -589,7 +589,6 @@ proptest::proptest! {
         use byzscore_board::par::set_thread_limit;
         use byzscore_service::{
             CompactionPolicy, JournaledEngine, OpMix, ServiceAlgorithm, Trace, TraceSpec,
-            DEFAULT_SHARDS,
         };
         use proptest::prelude::prop_assert_eq;
 
@@ -627,9 +626,8 @@ proptest::proptest! {
         // The journal-less op pipeline (what an unjournaled server and
         // `scored serve` drive) is one more executor that must agree,
         // one op per `submit`.
-        let (mut pipeline, _) =
-            JournaledEngine::open(None, false, DEFAULT_SHARDS, CompactionPolicy::default())
-                .expect("a journal-less pipeline opens");
+        let (mut pipeline, _) = JournaledEngine::open(None, false, CompactionPolicy::default())
+            .expect("a journal-less pipeline opens");
         let piped: Vec<u64> = trace
             .ops
             .iter()

@@ -101,7 +101,6 @@ fn loopback_round_trips_every_request_type() {
 fn overload_answers_busy_and_loses_nothing() {
     const PROBES: u64 = 48;
     let addr = spawn_server(NetConfig {
-        shards: 4,
         queue_depth: 1,
         retry_after_ms: 1,
         ..NetConfig::default()

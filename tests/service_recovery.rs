@@ -19,7 +19,6 @@ use byzscore_service::wire::{read_frame, write_frame, ClientFrame, ServerFrame};
 use byzscore_service::{
     combined_digest, format_op, parse_op, CompactionPolicy, FaultPlan, JournaledEngine, NetConfig,
     OpMix, RecoverySource, Request, Response, Server, ServiceEngine, Trace, TraceSpec,
-    DEFAULT_SHARDS,
 };
 
 fn spawn_server(config: NetConfig) -> SocketAddr {
@@ -200,9 +199,10 @@ fn run_with_faults(
     (replay, addr, path)
 }
 
-/// A shard worker panicking mid-probe answers a typed `Retryable`, the
-/// server keeps running, and the client's resend lands the exact
-/// in-process answer — the probe applies once (idempotent re-post).
+/// A probe panicking inside the supervised `submit` answers a typed
+/// `Retryable`, the server keeps running, and the client's resend lands
+/// the exact in-process answer — the probe applies once (idempotent
+/// re-post).
 #[test]
 fn worker_panic_on_a_probe_is_retried_through() {
     let expected = ServiceEngine::new().execute(&fault_script());
@@ -220,8 +220,8 @@ fn worker_panic_on_a_probe_is_retried_through() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A worker panicking on one slice of a cross-shard query fails the
-/// whole query exactly once (no partial merge), and the retry answers
+/// A query panicking inside the supervised `submit` fails the whole
+/// query exactly once (no partial answer), and the retry answers
 /// identically — queries are pure reads, so nothing double-applies.
 #[test]
 fn worker_panic_on_a_query_slice_fails_the_query_once() {
@@ -444,8 +444,8 @@ fn durable_checkpoint_over_an_untruncated_journal_skips_covered_ops() {
 
     let mut responses = Vec::with_capacity(trace.ops.len());
     {
-        let mut engine =
-            JournaledEngine::create(&path, DEFAULT_SHARDS).expect("journal create succeeds");
+        let mut engine = JournaledEngine::create_with(&path, CompactionPolicy::default())
+            .expect("journal create succeeds");
         for (seq, op) in trace.ops[..cut].iter().enumerate() {
             responses.push(
                 engine
@@ -462,8 +462,7 @@ fn durable_checkpoint_over_an_untruncated_journal_skips_covered_ops() {
         std::fs::write(&path, pre_compaction).expect("restore the untruncated journal");
     }
 
-    let (mut engine, report) =
-        JournaledEngine::recover(&path, DEFAULT_SHARDS).expect("recovery succeeds");
+    let (mut engine, report) = JournaledEngine::recover(&path).expect("recovery succeeds");
     let mutating = trace.ops[..cut].iter().filter(|o| o.is_mutating()).count();
     assert_eq!(
         report, 0,
@@ -593,8 +592,7 @@ fn socket_and_in_process_pipelines_write_identical_bytes() {
         every: Some(every),
         bytes: None,
     };
-    let mut local =
-        JournaledEngine::create_with(&local_path, DEFAULT_SHARDS, policy).expect("create journal");
+    let mut local = JournaledEngine::create_with(&local_path, policy).expect("create journal");
     let local_answers: Vec<Response> = trace
         .ops
         .iter()
