@@ -18,7 +18,11 @@
 //!   omits ("a deterministic version of RSelect"). We reconstruct it as a
 //!   *batched score-and-eliminate* tournament with `O(k log n)` probes
 //!   (linear in the candidate count, which Theorem 5's probe bound
-//!   requires); see DESIGN.md §4.2 for the reconstruction rationale.
+//!   requires); see DESIGN.md §4.2 for the reconstruction rationale. It
+//!   splits into a player-independent plan (deduped candidates, one bit
+//!   column per coordinate, the disputed coordinates) and a per-player
+//!   pass that only probes and tallies, so `SmallRadius` builds one plan
+//!   per candidate list and runs every player against it.
 //! * [`zero_radius`] — Theorem 4: recursive halving of players and objects;
 //!   exact recovery when `n/B'` clones exist, `O(B' log n)` probes.
 //! * [`small_radius`] — Theorem 5: random object partition + `ZeroRadius`
@@ -29,9 +33,12 @@
 //! The pseudocode is per-player, but all players share the beacon-derived
 //! partitions, so we execute each recursion *once* over (player-set,
 //! object-set) nodes and account probes per player through the oracle —
-//! semantically identical and far cheaper to simulate. Dishonest players'
-//! posts are routed through the adversary's [`Behaviors`](byzscore_adversary::Behaviors) table at every
-//! point where the protocol reads another player's claim.
+//! semantically identical and far cheaper to simulate. The same holds
+//! inside `Select`: only probes and their tallies are per player, and
+//! protocol code learns the truth only through `Oracle::probe` (no plan
+//! precomputes agreement). Dishonest players' posts are routed through
+//! the adversary's [`Behaviors`](byzscore_adversary::Behaviors) table at
+//! every point where the protocol reads another player's claim.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,10 +13,9 @@
 
 use byzscore_adversary::Phase;
 use byzscore_bitset::{BitVec, Bits};
-use byzscore_board::par::par_map_items;
 use byzscore_random::{partition_into, tags};
 
-use crate::tournament::select_among;
+use crate::tournament::SelectPlan;
 use crate::votes::candidate_vectors;
 use crate::zero_radius::zero_radius;
 use crate::Ctx;
@@ -50,67 +49,58 @@ pub fn small_radius(
         .floor()
         .max(1.0) as usize;
 
-    let pos_of: std::collections::HashMap<u32, u32> = objects
-        .iter()
-        .enumerate()
-        .map(|(i, &o)| (o, i as u32))
-        .collect();
-
     // One candidate vector per player per iteration.
     let mut candidates: Vec<Vec<BitVec>> = vec![Vec::with_capacity(iters); players.len()];
+    let positions: Vec<u32> = (0..objects.len() as u32).collect();
 
     for t in 0..iters {
         // Step 1: shared random partition of the objects into s groups.
+        // Partitioning positions draws exactly as partitioning the ids
+        // (one draw per item), and lets the stitch index by position.
         let mut part_tags = vec![tags::SR_PARTITION];
         part_tags.extend_from_slice(scope_path);
         part_tags.push(t as u64);
         let mut rng = ctx.beacon.sub_rng(&part_tags);
-        let groups = partition_into(&mut rng, objects, s);
+        let groups = partition_into(&mut rng, &positions, s);
 
-        // Steps 2–3 per group (each group's ZeroRadius + Select chain is
-        // independent; the oracle and board are order-independent).
-        let indexed: Vec<(usize, &Vec<u32>)> = groups.iter().enumerate().collect();
-        let group_results: Vec<Vec<BitVec>> = par_map_items(&indexed, |&(gi, group)| {
+        // Steps 2–3 per group, each stitched straight into every player's
+        // full candidate.
+        let mut full: Vec<BitVec> = vec![BitVec::zeros(objects.len()); players.len()];
+        for (gi, group) in groups.iter().enumerate() {
             per_group(
                 ctx,
                 players,
+                objects,
                 group,
                 zr_budget,
                 popular_threshold,
                 scope_path,
                 t,
                 gi,
-            )
-        });
-
-        // Concatenate each player's group vectors into a full candidate.
-        for (pi, _) in players.iter().enumerate() {
-            let mut full = BitVec::zeros(objects.len());
-            for (g, group) in groups.iter().enumerate() {
-                let part = &group_results[g][pi];
-                for (k, &o) in group.iter().enumerate() {
-                    if part.get(k) {
-                        full.set(pos_of[&o] as usize, true);
-                    }
-                }
-            }
-            candidates[pi].push(full);
+                &mut full,
+            );
+        }
+        for (c, f) in candidates.iter_mut().zip(full) {
+            c.push(f);
         }
     }
 
     // Final step: each player selects among its per-iteration candidates.
-    let indexed: Vec<(usize, u32)> = players.iter().copied().enumerate().collect();
-    let out: Vec<BitVec> = par_map_items(&indexed, |&(pi, p)| {
-        if ctx.behaviors.is_dishonest(p) {
-            ctx.behaviors
-                .vector_claim(Phase::ClusterFormation, p, objects)
-        } else {
-            let mut rng = ctx.player_rng(p, &[scope_path.first().copied().unwrap_or(0), 0xf1a1]);
-            let c = &candidates[pi];
-            let won = select_among(ctx, p, c, objects, &mut rng);
-            c[won].clone()
-        }
-    });
+    let out: Vec<BitVec> = players
+        .iter()
+        .zip(candidates)
+        .map(|(&p, mut c)| {
+            if ctx.behaviors.is_dishonest(p) {
+                ctx.behaviors
+                    .vector_claim(Phase::ClusterFormation, p, objects)
+            } else {
+                let mut rng =
+                    ctx.player_rng(p, &[scope_path.first().copied().unwrap_or(0), 0xf1a1]);
+                let won = SelectPlan::new(&c).select(ctx, p, objects, &mut rng);
+                c.swap_remove(won)
+            }
+        })
+        .collect();
 
     let scope = ctx
         .board
@@ -121,45 +111,50 @@ pub fn small_radius(
     out
 }
 
-/// Steps 2–3 of one iteration for one object group: run `ZeroRadius` with
-/// the relaxed budget, keep the popular outputs `U_i`, and let every player
-/// `Select` its best match.
+/// Steps 2–3 of one iteration for one object group (`group` holds
+/// positions into `objects`): run `ZeroRadius` with the relaxed budget,
+/// keep the popular outputs `U_i`, let every player `Select` its best
+/// match against one shared [`SelectPlan`], and set the chosen bits in
+/// `full[player]` at the group's positions.
 #[allow(clippy::too_many_arguments)]
 fn per_group(
     ctx: &Ctx<'_>,
     players: &[u32],
+    objects: &[u32],
     group: &[u32],
     zr_budget: usize,
     popular_threshold: usize,
     scope_path: &[u64],
     iter: usize,
     group_index: usize,
-) -> Vec<BitVec> {
+    full: &mut [BitVec],
+) {
     if group.is_empty() {
-        return vec![BitVec::zeros(0); players.len()];
+        return;
     }
+    let ids: Vec<u32> = group.iter().map(|&k| objects[k as usize]).collect();
     let mut zr_path = Vec::with_capacity(scope_path.len() + 2);
     zr_path.extend_from_slice(scope_path);
     zr_path.push(0x5a11);
     zr_path.push(((iter as u64) << 32) | group_index as u64);
 
-    let zr_out = zero_radius(ctx, players, group, zr_budget, &zr_path);
+    let zr_out = zero_radius(ctx, players, &ids, zr_budget, &zr_path);
     let u_i = candidate_vectors(&zr_out, popular_threshold, 3 * ctx.params.budget_b);
+    let plan = (!u_i.is_empty()).then(|| SelectPlan::new(&u_i));
 
-    players
-        .iter()
-        .enumerate()
-        .map(|(pi, &p)| {
-            if ctx.behaviors.is_dishonest(p) {
-                ctx.behaviors
-                    .vector_claim(Phase::ClusterFormation, p, group)
-            } else if u_i.is_empty() {
-                zr_out[pi].clone()
-            } else {
-                let mut rng = ctx.player_rng(p, &[0x5e1ec7, iter as u64, group_index as u64]);
-                let won = select_among(ctx, p, &u_i, group, &mut rng);
-                u_i[won].clone()
-            }
-        })
-        .collect()
+    for ((pi, &p), dst) in players.iter().enumerate().zip(full) {
+        let claim;
+        let part = if ctx.behaviors.is_dishonest(p) {
+            claim = ctx.behaviors.vector_claim(Phase::ClusterFormation, p, &ids);
+            &claim
+        } else if let Some(plan) = &plan {
+            let mut rng = ctx.player_rng(p, &[0x5e1ec7, iter as u64, group_index as u64]);
+            &u_i[plan.select(ctx, p, &ids, &mut rng)]
+        } else {
+            &zr_out[pi]
+        };
+        for k in part.iter_ones() {
+            dst.set(group[k] as usize, true);
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Candidate-selection tournaments: `RSelect` (Figure 1) and the
 //! reconstructed `Select`.
 
-use byzscore_bitset::{disagreement_indices, BitVec, Bits};
+use byzscore_bitset::{disagreement_indices, words_for, BitVec, Bits, WORD_BITS};
 use byzscore_random::choose_k;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -22,6 +22,9 @@ use crate::Ctx;
 /// Guarantee (Theorem 3): with high probability the output `w` satisfies
 /// `|v(p) − w| ≤ O(|v(p) − w*|)` for the best candidate `w*`, using
 /// `O(k² log n)` probes.
+///
+/// One implementation serves both shapes: this pushes every candidate into
+/// a [`StreamingRSelect`] and finishes it.
 pub fn rselect(
     ctx: &Ctx<'_>,
     player: u32,
@@ -29,52 +32,11 @@ pub fn rselect(
     objects: &[u32],
     rng: &mut SmallRng,
 ) -> usize {
-    assert!(
-        !candidates.is_empty(),
-        "rselect needs at least one candidate"
-    );
-    let sample = (ctx.params.c_rselect * ctx.ln_n()).ceil() as usize;
-    let threshold = ctx.params.rselect_threshold;
-    let k = candidates.len();
-    let mut alive = vec![true; k];
-
-    for i in 0..k {
-        if !alive[i] {
-            continue;
-        }
-        for j in (i + 1)..k {
-            if !alive[j] || !alive[i] {
-                break;
-            }
-            let diff = candidates[i].diff_indices(&candidates[j]);
-            if diff.is_empty() {
-                alive[j] = false; // exact duplicate
-                continue;
-            }
-            let t = sample.min(diff.len()).max(1);
-            let picks = choose_k(rng, diff.len(), t);
-            let mut agree_i = 0usize;
-            for &x in &picks {
-                let coord = diff[x as usize] as usize;
-                let truth = ctx.oracle.probe(player, objects[coord]);
-                if candidates[i].get(coord) == truth {
-                    agree_i += 1;
-                }
-            }
-            let agree_j = t - agree_i; // complementary on the diff set
-            if agree_i as f64 >= threshold * t as f64 {
-                alive[j] = false;
-            } else if agree_j as f64 >= threshold * t as f64 {
-                alive[i] = false;
-            }
-            // Otherwise both survive this pairing (the paper keeps both).
-        }
+    let mut sel = StreamingRSelect::new(ctx);
+    for c in candidates {
+        sel.push(ctx, player, c.clone(), objects, rng);
     }
-
-    alive
-        .iter()
-        .position(|&a| a)
-        .expect("at least one candidate survives")
+    sel.finish(ctx, player, objects, rng).0
 }
 
 /// Incremental [`rselect`]: the same tournament, driven one candidate at a
@@ -83,9 +45,10 @@ pub fn rselect(
 ///
 /// # Replay contract
 ///
-/// The batch loop visits pairs `(i, j)` in lexicographic order with two
-/// quirks that this machine reproduces exactly (pinned by
-/// `streaming_replays_batch_draw_for_draw`):
+/// The tournament is defined by a batch loop over the full list (kept as
+/// `rselect_reference` in this module's tests). It visits pairs `(i, j)`
+/// in lexicographic order with two quirks that this machine reproduces
+/// exactly (pinned by `streaming_replays_batch_draw_for_draw`):
 ///
 /// * a **dead `j` breaks** the inner loop (it does not `continue`), so
 ///   later pairs `(i, j')` with `j' > j` are skipped for this `i`;
@@ -99,7 +62,7 @@ pub fn rselect(
 /// [`StreamingRSelect::finish`] resolves the remaining bound checks. Every
 /// pair decision and every `choose_k` draw happens in the batch order, so
 /// the RNG stream, the probe sequence, and the winner are bit-identical to
-/// [`rselect`] over the full candidate list.
+/// the batch loop over the full candidate list.
 ///
 /// Eliminated candidates are freed immediately — they are never probed or
 /// compared again, and the winner is the first *alive* index — which is
@@ -170,7 +133,7 @@ impl StreamingRSelect {
 
     /// Feed the next candidate and advance the tournament as far as the
     /// arrived prefix allows. Probes are charged to `player` and pair
-    /// samples are drawn from `rng`, exactly as [`rselect`] would.
+    /// samples are drawn from `rng`, exactly as the batch loop would.
     pub fn push(
         &mut self,
         ctx: &Ctx<'_>,
@@ -187,8 +150,8 @@ impl StreamingRSelect {
     }
 
     /// Declare the candidate list complete, run the tournament to the end,
-    /// and return the winning candidate (first surviving index, as in
-    /// [`rselect`]) together with its index.
+    /// and return the winning candidate (the first surviving index)
+    /// together with its index.
     pub fn finish(
         mut self,
         ctx: &Ctx<'_>,
@@ -315,6 +278,10 @@ impl StreamingRSelect {
 /// distance in expectation) while far candidates lose quickly; total probes
 /// are `O(|V| · log n)` — linear, as Theorem 5's probe accounting needs.
 /// Returns the index of the selected candidate in `candidates`.
+///
+/// This is `SelectPlan::new` followed by one `SelectPlan::select`;
+/// `SmallRadius`, which runs many players against one candidate list,
+/// builds the plan once instead (DESIGN.md §4.2).
 pub fn select_among(
     ctx: &Ctx<'_>,
     player: u32,
@@ -322,86 +289,170 @@ pub fn select_among(
     objects: &[u32],
     rng: &mut SmallRng,
 ) -> usize {
-    assert!(
-        !candidates.is_empty(),
-        "select needs at least one candidate"
-    );
-    let batch = (ctx.params.c_select * ctx.ln_n()).ceil() as usize;
-    let margin = ctx.params.select_margin;
+    SelectPlan::new(candidates).select(ctx, player, objects, rng)
+}
 
-    // Dedup identical candidates first: votes produce many duplicates and
-    // k² duplicate pairings would waste probes.
-    let mut reps: Vec<usize> = Vec::new();
-    'outer: for (i, c) in candidates.iter().enumerate() {
-        for &r in &reps {
-            if candidates[r].bits_eq(c) {
-                continue 'outer;
-            }
-        }
-        reps.push(i);
-    }
+/// The player-independent half of [`select_among`], built once per
+/// candidate list and shared by every player that selects from it
+/// (DESIGN.md §4.2).
+///
+/// It holds the distinct candidates (*representatives*) in first-seen
+/// order, one bit column per coordinate — bit `r` of column `c` is
+/// representative `r`'s bit `c`, and every column is `⌈k/64⌉` words for
+/// `k` representatives — and the coordinates on which the representatives
+/// do not all agree, ascending. [`SelectPlan::select`] only probes and
+/// tallies: a round's disputed set is this list filtered by the alive
+/// mask, and a probed coordinate scores every survivor with one masked
+/// word operation per column word.
+pub(crate) struct SelectPlan {
+    /// `reps[r]` is representative `r`'s index in the candidate list.
+    reps: Vec<usize>,
+    /// Words per column.
+    stride: usize,
+    /// Column `c` occupies `columns[c * stride..(c + 1) * stride]`.
+    columns: Vec<u64>,
+    /// Coordinates where the representatives disagree, ascending.
+    disputed: Vec<u32>,
+}
 
-    let mut cumulative: Vec<i64> = vec![0; reps.len()];
-    let mut alive: Vec<usize> = (0..reps.len()).collect();
-
-    while alive.len() > 1 {
-        let views: Vec<&BitVec> = alive.iter().map(|&a| &candidates[reps[a]]).collect();
-        let disputed = disagreement_indices(&views);
-        if disputed.is_empty() {
-            break;
-        }
-        let t = batch.min(disputed.len()).max(1);
-        let mut picks = disputed;
-        picks.shuffle(rng);
-        picks.truncate(t);
-
-        let mut scores: Vec<usize> = vec![0; alive.len()];
-        for &coord in &picks {
-            let truth = ctx.oracle.probe(player, objects[coord as usize]);
-            for (s, &a) in scores.iter_mut().zip(&alive) {
-                if candidates[reps[a]].get(coord as usize) == truth {
-                    *s += 1;
+impl SelectPlan {
+    /// Dedupe `candidates` (equal-length vectors), transpose the
+    /// representatives into bit columns, and compute their disputed
+    /// coordinates. Panics on an empty list.
+    pub(crate) fn new(candidates: &[BitVec]) -> SelectPlan {
+        assert!(
+            !candidates.is_empty(),
+            "select needs at least one candidate"
+        );
+        // Votes produce many duplicates, and k² duplicate pairings would
+        // waste probes.
+        let mut reps: Vec<usize> = Vec::new();
+        'outer: for (i, c) in candidates.iter().enumerate() {
+            for &r in &reps {
+                if candidates[r].bits_eq(c) {
+                    continue 'outer;
                 }
             }
-        }
-        for (&a, &s) in alive.iter().zip(&scores) {
-            cumulative[a] += s as i64;
+            reps.push(i);
         }
 
-        let best = *scores.iter().max().expect("non-empty");
-        let cut = best.saturating_sub((margin * t as f64).ceil() as usize);
-        let before = alive.len();
-        let survivors: Vec<usize> = alive
-            .iter()
-            .zip(&scores)
-            .filter(|&(_, &s)| s >= cut)
-            .map(|(&a, _)| a)
-            .collect();
-        alive = if survivors.len() < before {
-            survivors
-        } else {
-            // No clear loser: drop the single worst (ties: latest index) so
-            // the loop always progresses.
-            let worst_pos = scores
-                .iter()
-                .enumerate()
-                .min_by_key(|&(pos, &s)| (s, std::cmp::Reverse(pos)))
-                .map(|(pos, _)| pos)
-                .expect("non-empty");
-            alive
-                .iter()
-                .enumerate()
-                .filter(|&(pos, _)| pos != worst_pos)
-                .map(|(_, &a)| a)
-                .collect()
-        };
+        let stride = words_for(reps.len());
+        let mut columns = vec![0u64; candidates[0].len() * stride];
+        for (r, &i) in reps.iter().enumerate() {
+            let (word, bit) = (r / WORD_BITS, 1u64 << (r % WORD_BITS));
+            for c in candidates[i].iter_ones() {
+                columns[c * stride + word] |= bit;
+            }
+        }
+        let views: Vec<&BitVec> = reps.iter().map(|&i| &candidates[i]).collect();
+        let disputed = disagreement_indices(&views);
+        SelectPlan {
+            reps,
+            stride,
+            columns,
+            disputed,
+        }
     }
 
-    let winner = alive
-        .into_iter()
-        .max_by_key(|&a| cumulative[a])
-        .expect("one candidate remains");
-    reps[winner]
+    fn column(&self, coord: u32) -> &[u64] {
+        &self.columns[coord as usize * self.stride..][..self.stride]
+    }
+
+    /// True when the alive representatives do not all agree on `coord`.
+    fn splits(&self, coord: u32, alive: &BitVec) -> bool {
+        let (mut ones, mut zeros) = (0u64, 0u64);
+        for (&col, &live) in self.column(coord).iter().zip(alive.words()) {
+            ones |= col & live;
+            zeros |= !col & live;
+        }
+        ones != 0 && zeros != 0
+    }
+
+    /// Run `player`'s tournament over the plan's candidates and return the
+    /// winner's index in the list the plan was built from. Probes are
+    /// charged to `player` and batches are drawn from `rng`; `objects`
+    /// maps coordinates to global object ids.
+    pub(crate) fn select(
+        &self,
+        ctx: &Ctx<'_>,
+        player: u32,
+        objects: &[u32],
+        rng: &mut SmallRng,
+    ) -> usize {
+        let batch = (ctx.params.c_select * ctx.ln_n()).ceil() as usize;
+        let margin = ctx.params.select_margin;
+        let k = self.reps.len();
+
+        let mut alive = BitVec::ones(k);
+        let mut alive_count = k;
+        let mut cumulative: Vec<i64> = vec![0; k];
+        let mut scores: Vec<usize> = vec![0; k];
+        let mut picks: Vec<u32> = Vec::with_capacity(self.disputed.len());
+
+        while alive_count > 1 {
+            // The survivors are a subset of the representatives, so their
+            // disputed set is a sub-list of the plan's, in the same order.
+            picks.clear();
+            if alive_count == k {
+                picks.extend_from_slice(&self.disputed);
+            } else {
+                picks.extend(
+                    self.disputed
+                        .iter()
+                        .copied()
+                        .filter(|&c| self.splits(c, &alive)),
+                );
+            }
+            if picks.is_empty() {
+                break;
+            }
+            let t = batch.min(picks.len()).max(1);
+            picks.shuffle(rng);
+            picks.truncate(t);
+
+            scores.fill(0);
+            for &coord in &picks {
+                let truth = ctx.oracle.probe(player, objects[coord as usize]);
+                for (w, (&col, &live)) in self.column(coord).iter().zip(alive.words()).enumerate() {
+                    let mut agree = if truth { col } else { !col } & live;
+                    while agree != 0 {
+                        scores[w * WORD_BITS + agree.trailing_zeros() as usize] += 1;
+                        agree &= agree - 1;
+                    }
+                }
+            }
+            let mut best = 0;
+            for r in alive.iter_ones() {
+                cumulative[r] += scores[r] as i64;
+                best = best.max(scores[r]);
+            }
+
+            let cut = best.saturating_sub((margin * t as f64).ceil() as usize);
+            let losers: Vec<usize> = alive.iter_ones().filter(|&r| scores[r] < cut).collect();
+            if losers.is_empty() {
+                // No clear loser: drop the single worst (ties: latest
+                // position) so the loop always progresses.
+                let worst = alive
+                    .iter_ones()
+                    .min_by_key(|&r| (scores[r], std::cmp::Reverse(r)))
+                    .expect("non-empty");
+                alive.set(worst, false);
+                alive_count -= 1;
+            } else {
+                for &r in &losers {
+                    alive.set(r, false);
+                }
+                alive_count -= losers.len();
+            }
+        }
+
+        // Highest cumulative score; ties go to the latest position.
+        let winner = alive
+            .iter_ones()
+            .max_by_key(|&r| cumulative[r])
+            .expect("one candidate remains");
+        self.reps[winner]
+    }
 }
 
 /// Convenience: run [`select_among`] and clone out the winning vector.
@@ -432,6 +483,151 @@ mod tests {
 
     fn all_objects(n: usize) -> Vec<u32> {
         (0..n as u32).collect()
+    }
+
+    /// The batch `RSelect` loop over the full candidate list: the
+    /// definition [`StreamingRSelect`] replays.
+    fn rselect_reference(
+        ctx: &Ctx<'_>,
+        player: u32,
+        candidates: &[BitVec],
+        objects: &[u32],
+        rng: &mut SmallRng,
+    ) -> usize {
+        assert!(
+            !candidates.is_empty(),
+            "rselect needs at least one candidate"
+        );
+        let sample = (ctx.params.c_rselect * ctx.ln_n()).ceil() as usize;
+        let threshold = ctx.params.rselect_threshold;
+        let k = candidates.len();
+        let mut alive = vec![true; k];
+
+        for i in 0..k {
+            if !alive[i] {
+                continue;
+            }
+            for j in (i + 1)..k {
+                if !alive[j] || !alive[i] {
+                    break;
+                }
+                let diff = candidates[i].diff_indices(&candidates[j]);
+                if diff.is_empty() {
+                    alive[j] = false; // exact duplicate
+                    continue;
+                }
+                let t = sample.min(diff.len()).max(1);
+                let picks = choose_k(rng, diff.len(), t);
+                let mut agree_i = 0usize;
+                for &x in &picks {
+                    let coord = diff[x as usize] as usize;
+                    let truth = ctx.oracle.probe(player, objects[coord]);
+                    if candidates[i].get(coord) == truth {
+                        agree_i += 1;
+                    }
+                }
+                let agree_j = t - agree_i; // complementary on the diff set
+                if agree_i as f64 >= threshold * t as f64 {
+                    alive[j] = false;
+                } else if agree_j as f64 >= threshold * t as f64 {
+                    alive[i] = false;
+                }
+                // Otherwise both survive this pairing (the paper keeps both).
+            }
+        }
+
+        alive
+            .iter()
+            .position(|&a| a)
+            .expect("at least one candidate survives")
+    }
+
+    /// `Select` as one self-contained loop: per call it dedupes, recomputes
+    /// every round's disputed set from the survivors' vectors and scores
+    /// them bit by bit. The definition [`SelectPlan`] must replay.
+    fn select_reference(
+        ctx: &Ctx<'_>,
+        player: u32,
+        candidates: &[BitVec],
+        objects: &[u32],
+        rng: &mut SmallRng,
+    ) -> usize {
+        assert!(
+            !candidates.is_empty(),
+            "select needs at least one candidate"
+        );
+        let batch = (ctx.params.c_select * ctx.ln_n()).ceil() as usize;
+        let margin = ctx.params.select_margin;
+
+        let mut reps: Vec<usize> = Vec::new();
+        'outer: for (i, c) in candidates.iter().enumerate() {
+            for &r in &reps {
+                if candidates[r].bits_eq(c) {
+                    continue 'outer;
+                }
+            }
+            reps.push(i);
+        }
+
+        let mut cumulative: Vec<i64> = vec![0; reps.len()];
+        let mut alive: Vec<usize> = (0..reps.len()).collect();
+
+        while alive.len() > 1 {
+            let views: Vec<&BitVec> = alive.iter().map(|&a| &candidates[reps[a]]).collect();
+            let disputed = disagreement_indices(&views);
+            if disputed.is_empty() {
+                break;
+            }
+            let t = batch.min(disputed.len()).max(1);
+            let mut picks = disputed;
+            picks.shuffle(rng);
+            picks.truncate(t);
+
+            let mut scores: Vec<usize> = vec![0; alive.len()];
+            for &coord in &picks {
+                let truth = ctx.oracle.probe(player, objects[coord as usize]);
+                for (s, &a) in scores.iter_mut().zip(&alive) {
+                    if candidates[reps[a]].get(coord as usize) == truth {
+                        *s += 1;
+                    }
+                }
+            }
+            for (&a, &s) in alive.iter().zip(&scores) {
+                cumulative[a] += s as i64;
+            }
+
+            let best = *scores.iter().max().expect("non-empty");
+            let cut = best.saturating_sub((margin * t as f64).ceil() as usize);
+            let before = alive.len();
+            let survivors: Vec<usize> = alive
+                .iter()
+                .zip(&scores)
+                .filter(|&(_, &s)| s >= cut)
+                .map(|(&a, _)| a)
+                .collect();
+            alive = if survivors.len() < before {
+                survivors
+            } else {
+                let worst_pos = scores
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(pos, &s)| (s, std::cmp::Reverse(pos)))
+                    .map(|(pos, _)| pos)
+                    .expect("non-empty");
+                alive
+                    .iter()
+                    .enumerate()
+                    .filter(|&(pos, _)| pos != worst_pos)
+                    .map(|(_, &a)| a)
+                    .collect()
+            };
+        }
+
+        let winner = alive
+            .into_iter()
+            .max_by_key(|&a| cumulative[a])
+            .expect("one candidate remains");
+        reps[winner]
     }
 
     #[test]
@@ -568,7 +764,7 @@ mod tests {
             let before_b = oracle_b.ledger().total();
 
             let mut batch_rng = SmallRng::seed_from_u64(1000 + case_no as u64);
-            let won = rselect(&ctx_a, 0, &cands, &objects, &mut batch_rng);
+            let won = rselect_reference(&ctx_a, 0, &cands, &objects, &mut batch_rng);
 
             let mut stream_rng = SmallRng::seed_from_u64(1000 + case_no as u64);
             let mut sel = StreamingRSelect::new(&ctx_b);
@@ -765,5 +961,83 @@ mod tests {
         let mut prng = SmallRng::seed_from_u64(8);
         let won = select_among(&ctx, 0, &[bad, good.clone()], &objects, &mut prng);
         assert_eq!(won, 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// One plan, reused by four players in sequence as `per_group`
+        /// reuses it, replays [`select_reference`] draw for draw: same
+        /// winner, same charged probes on a literal-accounting oracle, and
+        /// the private RNG left in the same state. `k` crosses the one-word
+        /// column boundary at 64; the pool sizes give all-distinct lists,
+        /// lists with repeats, and lists of one repeated vector.
+        #[test]
+        fn plan_replays_reference_draw_for_draw(
+            seed in 0u64..1_000_000,
+            k in 1usize..=80,
+            len_choice in 0usize..5,
+            pool_choice in 0usize..3,
+        ) {
+            use rand::{Rng, RngCore};
+            let len = [1usize, 63, 64, 65, 340][len_choice];
+            let players = 4u32;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let rows: Vec<BitVec> = (0..players)
+                .map(|_| BitVec::random(&mut rng, len + 7))
+                .collect();
+            let truth = BitMatrix::from_rows(&rows);
+            // Coordinates map to scattered global ids.
+            let mut objects = all_objects(len + 7);
+            objects.shuffle(&mut rng);
+            objects.truncate(len);
+
+            let base = rows[0].project(&objects);
+            let distinct = match pool_choice {
+                0 => k,
+                1 => rng.gen_range(1..=k.div_ceil(3)),
+                _ => 1,
+            };
+            let pool: Vec<BitVec> = (0..distinct)
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        let flips = rng.gen_range(0..=len.min(12));
+                        let mut v = base.clone();
+                        v.flip_random_distinct(&mut rng, flips);
+                        v
+                    } else {
+                        BitVec::random(&mut rng, len)
+                    }
+                })
+                .collect();
+            let cands: Vec<BitVec> = (0..k)
+                .map(|i| {
+                    let pick = if i < distinct { i } else { rng.gen_range(0..distinct) };
+                    pool[pick].clone()
+                })
+                .collect();
+
+            let params = BlockParams::default();
+            let board = Board::new();
+            let behaviors = Behaviors::all_honest(&truth);
+            let oracle_a = Oracle::new_uncached(&truth);
+            let oracle_b = Oracle::new_uncached(&truth);
+            let ctx_a = Ctx::new(&oracle_a, &board, &behaviors, Beacon::honest(1), &params);
+            let ctx_b = Ctx::new(&oracle_b, &board, &behaviors, Beacon::honest(1), &params);
+
+            let plan = SelectPlan::new(&cands);
+            for player in 0..players {
+                let mut rng_a = SmallRng::seed_from_u64(seed ^ (u64::from(player) << 40));
+                let mut rng_b = SmallRng::seed_from_u64(seed ^ (u64::from(player) << 40));
+                let want = select_reference(&ctx_a, player, &cands, &objects, &mut rng_a);
+                let got = plan.select(&ctx_b, player, &objects, &mut rng_b);
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(
+                    oracle_b.ledger().count(player),
+                    oracle_a.ledger().count(player)
+                );
+                proptest::prop_assert_eq!(rng_b.next_u64(), rng_a.next_u64());
+            }
+        }
     }
 }

@@ -55,6 +55,21 @@ impl VoteTally {
             .collect()
     }
 
+    /// How many leading entries have at least `threshold` (≥ 1) voters.
+    fn supported(&self, threshold: usize) -> usize {
+        self.entries
+            .iter()
+            .take_while(|(_, c)| *c >= threshold.max(1))
+            .count()
+    }
+
+    /// The `k` most-supported vectors, moved out of the tally (the one
+    /// clone per distinct vector is the one [`VoteTally::tally`] made).
+    fn into_top(mut self, k: usize) -> Vec<BitVec> {
+        self.entries.truncate(k);
+        self.entries.into_iter().map(|(v, _)| v).collect()
+    }
+
     /// Total number of votes tallied.
     pub fn total_votes(&self) -> usize {
         self.entries.iter().map(|(_, c)| c).sum()
@@ -68,12 +83,13 @@ impl VoteTally {
 /// always has candidates — a liveness guard documented in DESIGN.md §4.3.
 pub fn popular_vectors(votes: &[BitVec], threshold: usize, fallback_k: usize) -> Vec<BitVec> {
     let tally = VoteTally::tally(votes.iter());
-    let popular = tally.at_least(threshold.max(1));
-    if popular.is_empty() {
-        tally.top_k(fallback_k.max(1))
+    let popular = tally.supported(threshold);
+    let keep = if popular == 0 {
+        fallback_k.max(1)
     } else {
         popular
-    }
+    };
+    tally.into_top(keep)
 }
 
 /// Candidate set for vote resolution: every vector meeting `threshold`
@@ -88,13 +104,11 @@ pub fn popular_vectors(votes: &[BitVec], threshold: usize, fallback_k: usize) ->
 /// anyway, and `cap` bounds the probes exactly as the threshold bound did.
 pub fn candidate_vectors(votes: &[BitVec], threshold: usize, cap: usize) -> Vec<BitVec> {
     let tally = VoteTally::tally(votes.iter());
-    let popular_count = tally
-        .entries
-        .iter()
-        .take_while(|(_, c)| *c >= threshold.max(1))
-        .count();
-    let keep = popular_count.max(cap.min(tally.entries.len())).max(1);
-    tally.top_k(keep)
+    let keep = tally
+        .supported(threshold)
+        .max(cap.min(tally.entries.len()))
+        .max(1);
+    tally.into_top(keep)
 }
 
 #[cfg(test)]

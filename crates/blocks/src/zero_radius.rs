@@ -13,7 +13,7 @@
 //! candidate, and the player's clones in the sibling half guarantee the true
 //! vector is popular.
 
-use byzscore_bitset::{disagreement_indices, BitVec, Bits};
+use byzscore_bitset::{BitVec, Bits, WORD_BITS};
 use byzscore_random::{halve, tags};
 
 use crate::votes::candidate_vectors;
@@ -78,17 +78,22 @@ fn zr_node(
     }
 
     // Step 2: shared random halving — every player derives the same split.
+    // Halving positions draws exactly as halving the ids (one draw per
+    // item), and lets the assembly below index by position.
     let mut tag_buf = Vec::with_capacity(path.len() + 1);
     tag_buf.push(tags::ZR_PARTITION);
     tag_buf.extend_from_slice(path);
     let mut rng = ctx.beacon.sub_rng(&tag_buf);
     let (p1, p2) = halve(&mut rng, players);
-    let (o1, o2) = halve(&mut rng, objects);
-    if p1.is_empty() || p2.is_empty() || o1.is_empty() || o2.is_empty() {
+    let positions: Vec<u32> = (0..objects.len() as u32).collect();
+    let (k1, k2) = halve(&mut rng, &positions);
+    if p1.is_empty() || p2.is_empty() || k1.is_empty() || k2.is_empty() {
         // Degenerate split (vanishingly rare above the base threshold):
         // fall back to probing everything.
         return base_case(ctx, players, objects);
     }
+    let ids = |ks: &[u32]| -> Vec<u32> { ks.iter().map(|&k| objects[k as usize]).collect() };
+    let (o1, o2) = (ids(&k1), ids(&k2));
 
     // Step 3: each half recursively solves its own objects.
     path.push(1);
@@ -103,19 +108,22 @@ fn zr_node(
     let completed1 = resolve_sibling(ctx, &p1, &o2, &p2, &out2, bprime);
     let completed2 = resolve_sibling(ctx, &p2, &o1, &p1, &out1, bprime);
 
-    // Assemble each player's vector over this node's `objects`.
-    let pos_of = position_index(objects);
+    // Assemble each player's vector over this node's `objects`. `halve`
+    // keeps order, so one merge walk over `p1`/`p2` finds every player's
+    // half and row.
     let mut result = Vec::with_capacity(players.len());
-    let find = |set: &[u32], p: u32| set.iter().position(|&q| q == p);
+    let (mut i1, mut i2) = (0, 0);
     for &p in players {
         let mut full = BitVec::zeros(objects.len());
-        if let Some(i) = find(&p1, p) {
-            scatter(&mut full, &out1[i], &o1, &pos_of);
-            scatter(&mut full, &completed1[i], &o2, &pos_of);
+        if p1.get(i1) == Some(&p) {
+            scatter(&mut full, &out1[i1], &k1);
+            scatter(&mut full, &completed1[i1], &k2);
+            i1 += 1;
         } else {
-            let i = find(&p2, p).expect("player is in one half");
-            scatter(&mut full, &out2[i], &o2, &pos_of);
-            scatter(&mut full, &completed2[i], &o1, &pos_of);
+            debug_assert_eq!(p2[i2], p, "player is in one half");
+            scatter(&mut full, &out2[i2], &k2);
+            scatter(&mut full, &completed2[i2], &k1);
+            i2 += 1;
         }
         result.push(full);
     }
@@ -177,12 +185,12 @@ fn resolve_sibling(
             let mut alive: Vec<usize> = (0..candidates.len()).collect();
             let mut probed: Vec<(usize, bool)> = Vec::new();
             while alive.len() > 1 {
-                let views: Vec<&BitVec> = alive.iter().map(|&i| &candidates[i]).collect();
-                let disputes = disagreement_indices(&views);
-                let Some(&c) = disputes.first() else { break };
-                let truth = ctx.oracle.probe(p, sib_objects[c as usize]);
-                probed.push((c as usize, truth));
-                alive.retain(|&i| candidates[i].get(c as usize) == truth);
+                let Some(c) = first_disagreement(&candidates, &alive) else {
+                    break;
+                };
+                let truth = ctx.oracle.probe(p, sib_objects[c]);
+                probed.push((c, truth));
+                alive.retain(|&i| candidates[i].get(c) == truth);
                 if alive.is_empty() {
                     // No candidate matches the player exactly: keep the one
                     // most consistent with everything probed so far.
@@ -202,28 +210,24 @@ fn resolve_sibling(
         .collect()
 }
 
-/// Map each global object id of `objects` to its coordinate.
-fn position_index(objects: &[u32]) -> std::collections::HashMap<u32, u32> {
-    objects
-        .iter()
-        .enumerate()
-        .map(|(i, &o)| (o, i as u32))
-        .collect()
+/// The lowest coordinate on which the `alive` candidates do not all agree:
+/// the first entry of their disagreement set, found without building it.
+fn first_disagreement(candidates: &[BitVec], alive: &[usize]) -> Option<usize> {
+    let (&first, rest) = alive.split_first()?;
+    let words0 = candidates[first].words();
+    (0..words0.len()).find_map(|wi| {
+        let diff = rest
+            .iter()
+            .fold(0u64, |d, &i| d | (candidates[i].words()[wi] ^ words0[wi]));
+        (diff != 0).then(|| wi * WORD_BITS + diff.trailing_zeros() as usize)
+    })
 }
 
-/// Write `src` (over the global ids `src_objects`) into `dst` (over the
-/// node's coordinate space given by `pos_of`).
-fn scatter(
-    dst: &mut BitVec,
-    src: &BitVec,
-    src_objects: &[u32],
-    pos_of: &std::collections::HashMap<u32, u32>,
-) {
-    debug_assert_eq!(src.len(), src_objects.len());
-    for (k, &o) in src_objects.iter().enumerate() {
-        if src.get(k) {
-            dst.set(pos_of[&o] as usize, true);
-        }
+/// Set the ones of `src` in `dst` at the node coordinates `positions`.
+fn scatter(dst: &mut BitVec, src: &BitVec, positions: &[u32]) {
+    debug_assert_eq!(src.len(), positions.len());
+    for k in src.iter_ones() {
+        dst.set(positions[k] as usize, true);
     }
 }
 

@@ -90,6 +90,14 @@ impl Oracle {
 
     /// Player `player` probes `object`, learning its own true preference.
     /// Charged to the ledger (first evaluation only, in memoized mode).
+    ///
+    /// In memoized mode the seen bit is read with a plain load first: a
+    /// repeat (most calls in a protocol run) is then one load and no
+    /// read-modify-write. Seen bits are only ever set, so a set bit is
+    /// final; when the load sees it clear, the `fetch_or` decides the
+    /// charge, so a first evaluation is charged exactly once even when
+    /// threads race on it. A seen bit publishes no other data, so both
+    /// accesses are `Relaxed`.
     #[inline]
     pub fn probe(&self, player: u32, object: u32) -> bool {
         let charge = match &self.seen {
@@ -97,8 +105,9 @@ impl Oracle {
             Some(seen) => {
                 let bit = player as usize * self.cols + object as usize;
                 let mask = 1u64 << (bit % 64);
-                let prev = seen[bit / 64].fetch_or(mask, Ordering::Relaxed);
-                prev & mask == 0
+                let word = &seen[bit / 64];
+                word.load(Ordering::Relaxed) & mask == 0
+                    && word.fetch_or(mask, Ordering::Relaxed) & mask == 0
             }
         };
         if charge {

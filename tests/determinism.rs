@@ -41,6 +41,77 @@ fn robust_mode_is_deterministic() {
     assert_eq!(leaders_a, leaders_b);
 }
 
+/// FNV-1a fold of every output row's content hash, in player order.
+fn output_digest(out: &byzscore::Outcome) -> u64 {
+    use byzscore_bitset::Bits;
+    let rows = out.output();
+    (0..rows.rows()).fold(0xcbf2_9ce4_8422_2325, |h, p| {
+        (h ^ rows.row(p).content_hash()).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+#[test]
+fn figure2_outputs_are_pinned() {
+    // Value pins for Figure 2 (CalculatePreferences) and its robust
+    // wrapper on one planted world under the paper's n/(3B) inverters.
+    // The self-consistency tests above only compare two runs with each
+    // other; these constants catch a refactor that changes both alike —
+    // a different RNG draw, probe order, charged probe or board post.
+    let inst = Workload::PlantedClusters {
+        players: 128,
+        objects: 256,
+        clusters: 4,
+        diameter: 8,
+        balance: Balance::Even,
+    }
+    .generate(27);
+    let session = Session::builder()
+        .instance(&inst)
+        .budget(4)
+        .adversary(
+            Corruption::Count {
+                count: Corruption::paper_threshold(128, 4),
+            },
+            Inverter,
+        )
+        .build();
+    // (algorithm, seed, output digest, probes total, max honest probes,
+    // claim posts)
+    let pins = [
+        (
+            Algorithm::CalculatePreferences,
+            42,
+            7_728_118_120_948_937_213,
+            30_152,
+            256,
+            17_920,
+        ),
+        (
+            Algorithm::Robust,
+            43,
+            12_957_990_705_383_396_101,
+            30_208,
+            256,
+            72_960,
+        ),
+    ];
+    for (alg, seed, digest, total, max_honest, posts) in pins {
+        let out = session.run(alg, seed);
+        let got = (
+            output_digest(&out),
+            out.probes.total(),
+            out.max_honest_probes,
+            out.board.claim_posts,
+        );
+        assert_eq!(
+            got,
+            (digest, total, max_honest, posts),
+            "{}: (output digest, probes, max honest probes, claim posts) moved",
+            alg.name()
+        );
+    }
+}
+
 #[test]
 fn byzantine_runs_are_deterministic() {
     let inst = world(3);
