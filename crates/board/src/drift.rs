@@ -19,11 +19,17 @@
 //! is the base value XOR the parity of the flip decisions over epochs
 //! `1..=t` — hence [`DriftingTruth::materialize_at`] has one canonical
 //! dense twin that `tests/dynamic_world.rs` replays bit for bit.
+//!
+//! A holder of a *mutable* dense world ages it with
+//! [`DriftSchedule::fold_epoch`] instead: one epoch's flips per call, so
+//! each bit pays one hash step per epoch once, rather than a replay of
+//! every past epoch on every read. The service engine's resident
+//! sessions and [`DriftingTruth::materialize_trajectory`] take this path.
 
 use std::sync::Arc;
 
 use byzscore_bitset::{BitMatrix, BitVec, Bits};
-use byzscore_random::derive_seed;
+use byzscore_random::{derive_seed, derive_step};
 
 use crate::truth::{IntoTruthSource, TruthSource};
 
@@ -158,6 +164,32 @@ impl DriftSchedule {
         }
         flip
     }
+
+    /// Apply epoch `epoch`'s flips to `world` in place: every bit where
+    /// [`DriftSchedule::flips`]`(epoch, p, o)` holds is toggled, rows
+    /// being players and columns objects. Folding epochs `1..=t` over a
+    /// materialized base yields [`DriftingTruth::materialize_at`]`(t)`.
+    ///
+    /// This is how a resident world ages: one hash step per driftable bit
+    /// per epoch, where a [`DriftingTruth`] read replays every past epoch.
+    /// The `[TAG_DRIFT, epoch, p]` seed prefix is derived once per row,
+    /// so each object costs one [`derive_step`] rather than a full
+    /// [`derive_seed`]. Epoch 0 and a zero rate change nothing.
+    pub fn fold_epoch(&self, epoch: u64, world: &mut BitMatrix) {
+        if epoch == 0 || self.threshold == 0 {
+            return;
+        }
+        let (start, end) = self.locality.bounds(world.cols());
+        for p in 0..world.rows() {
+            let row_seed = derive_seed(self.seed, &[TAG_DRIFT, epoch, p as u64]);
+            for o in start..end {
+                let h = derive_step(row_seed, o as u64);
+                if (h & (RATE_ONE - 1)) < self.threshold && self.locality.contains(o as u32) {
+                    world.set(p, o, !world.get(p, o));
+                }
+            }
+        }
+    }
 }
 
 /// A truth source whose preferences drift over epochs.
@@ -229,28 +261,21 @@ impl DriftingTruth {
 
     /// All epochs `0..=epochs` materialized in one incremental replay:
     /// `out[t]` is bit-identical to [`DriftingTruth::materialize_at`]`(t)`,
-    /// but the flip history is applied epoch over epoch, so the whole
-    /// trajectory costs `O(players · locality · epochs)` hash evaluations
+    /// but the base is materialized once and then
+    /// [`DriftSchedule::fold_epoch`] applies one epoch at a time, so the
+    /// whole trajectory costs `O(players · locality · epochs)` hash steps
     /// instead of the `O(… · epochs²)` that `epochs` separate
     /// `materialize_at` calls pay — each of those replays `1..=t` from
     /// scratch, as does every single [`TruthSource::value`] probe (the
     /// price of the pure `O(1)`-memory law). Dense trajectory consumers
     /// (graded drift, equivalence tests) should take this path.
     pub fn materialize_trajectory(&self, epochs: u64) -> Vec<BitMatrix> {
-        let players = self.base.players();
-        let mut rows: Vec<BitVec> = (0..players as u32).map(|p| self.base.row(p)).collect();
+        let mut world = self.materialize_at(0);
         let mut out = Vec::with_capacity(epochs as usize + 1);
-        out.push(BitMatrix::from_rows(&rows));
-        let (start, end) = self.schedule.locality.bounds(self.base.objects());
+        out.push(world.clone());
         for e in 1..=epochs {
-            for (p, row) in rows.iter_mut().enumerate() {
-                for o in start..end {
-                    if self.schedule.flips(e, p as u32, o as u32) {
-                        row.flip(o);
-                    }
-                }
-            }
-            out.push(BitMatrix::from_rows(&rows));
+            self.schedule.fold_epoch(e, &mut world);
+            out.push(world.clone());
         }
         out
     }

@@ -30,4 +30,4 @@ mod splitmix;
 
 pub use beacon::{tags, Beacon, Provenance};
 pub use sampling::{bernoulli_subset, choose_k, halve, partition_into, shuffled};
-pub use splitmix::{derive_seed, SplitMix64};
+pub use splitmix::{derive_seed, derive_step, SplitMix64};

@@ -35,18 +35,49 @@ impl SplitMix64 {
 /// mechanism behind every shared random choice in the protocol.
 pub fn derive_seed(base: u64, tags: &[u64]) -> u64 {
     let mut mixer = SplitMix64::new(base ^ 0xd1b5_4a32_d192_ed03);
-    let mut acc = mixer.next_u64();
-    for &t in tags {
-        // Feed each tag through the mixer state so order matters.
-        let mut m = SplitMix64::new(acc ^ t.wrapping_mul(0xff51_afd7_ed55_8ccd));
-        acc = m.next_u64();
-    }
-    acc
+    tags.iter()
+        .fold(mixer.next_u64(), |acc, &t| derive_step(acc, t))
+}
+
+/// Feed one more tag into a [`derive_seed`] accumulator, so that
+/// `derive_seed(b, ts ++ [t]) == derive_step(derive_seed(b, ts), t)`.
+///
+/// Callers deriving many seeds that share a tag prefix compute the
+/// prefix once and pay one step per final tag: the resident drift fold
+/// hashes `[TAG_DRIFT, epoch, player]` once per row and steps once per
+/// object.
+#[inline]
+pub fn derive_step(acc: u64, tag: u64) -> u64 {
+    // Feed the tag through the mixer state so order matters.
+    SplitMix64::new(acc ^ tag.wrapping_mul(0xff51_afd7_ed55_8ccd)).next_u64()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Stepping a prefix's seed by one tag is deriving the longer
+        /// list: the law the resident drift fold's hoisted row prefix
+        /// rests on.
+        #[test]
+        fn derive_step_extends_the_tag_list(
+            base in 0u64..=u64::MAX,
+            len in 0usize..=6,
+            tags_seed in 0u64..=u64::MAX,
+            last in 0u64..=u64::MAX,
+        ) {
+            let mut gen = SplitMix64::new(tags_seed);
+            let tags: Vec<u64> = (0..len).map(|_| gen.next_u64()).collect();
+            let mut longer = tags.clone();
+            longer.push(last);
+            prop_assert_eq!(
+                derive_step(derive_seed(base, &tags), last),
+                derive_seed(base, &longer)
+            );
+        }
+    }
 
     #[test]
     fn deterministic_stream() {

@@ -6,10 +6,13 @@
 //! op count: per open session the spec, the slot→identity map, the
 //! churn/epoch counters, the cached score rows (verbatim, hex words),
 //! and the session's board claims; plus every dedupe entry in FIFO
-//! order. Everything else resident — the identity pool, the evolved
-//! world, the probe oracle — is a pure function of those fields and is
-//! *recomputed* at restore, so a checkpoint is small and loading one
-//! never re-runs the scoring algorithm. The reader ignores unknown
+//! order. Everything else resident — the identity pool re-folded to its
+//! epoch, the active world, the probe oracle — is a pure function of
+//! those fields and is *recomputed* at restore, so a checkpoint is small
+//! and loading one never re-runs the scoring algorithm. `decode` rejects
+//! fields the engine could not have written (map entries outside the
+//! pool, mis-shaped score rows, more epochs than covered ops) as
+//! [`CheckpointError::Corrupt`] before anything indexes with them. The reader ignores unknown
 //! `meta` keys, so files that still carry a `shards=` key restore too.
 //!
 //! # Torn-write detection
@@ -425,25 +428,62 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
         if sid as usize >= slots {
             return Err(corrupt(format!("session {sid} outside {slots} slots")));
         }
-        images.push((
-            sid,
-            SessionImage {
-                spec,
-                map,
-                next_fresh,
-                epoch,
-                churns,
-                last_max_err,
-                rows,
-                claims: partial.claims,
-            },
-        ));
+        let image = SessionImage {
+            spec,
+            map,
+            next_fresh,
+            epoch,
+            churns,
+            last_max_err,
+            rows,
+            claims: partial.claims,
+        };
+        check_image(sid, &image, ops).map_err(corrupt)?;
+        images.push((sid, image));
     }
     Ok(RestoredCheckpoint {
         engine: ServiceEngine::from_images(slots, images),
         dedupe,
         ops,
     })
+}
+
+/// Reject a session image the engine could not have written, before
+/// restore indexes or folds anything with it: every map entry and
+/// `next_fresh` must lie in the `2 × players` pool, the score rows must
+/// be `map.len() × objects`, and the epoch and churn counts cannot exceed
+/// the covered `ops` (each epoch or churn is one journaled mutating op,
+/// which also bounds restore's per-epoch fold).
+fn check_image(sid: u64, image: &SessionImage, ops: u64) -> Result<(), String> {
+    let pool = (image.spec.players.max(1) as u64).saturating_mul(2);
+    if let Some(id) = image.map.iter().find(|&&id| u64::from(id) >= pool) {
+        return Err(format!(
+            "session {sid} map entry {id} outside its {pool}-row pool"
+        ));
+    }
+    if u64::from(image.next_fresh) > pool {
+        return Err(format!(
+            "session {sid} next_fresh {} past its {pool}-row pool",
+            image.next_fresh
+        ));
+    }
+    let objects = image.spec.objects.max(1);
+    let shape = (image.rows.rows(), image.rows.cols());
+    if shape != (image.map.len(), objects) {
+        return Err(format!(
+            "session {sid} rows are {}x{}, want {}x{objects}",
+            shape.0,
+            shape.1,
+            image.map.len()
+        ));
+    }
+    if image.epoch > ops || image.churns > ops {
+        return Err(format!(
+            "session {sid} epoch {} / churns {} exceed the {ops} covered ops",
+            image.epoch, image.churns
+        ));
+    }
+    Ok(())
 }
 
 /// Durably install `text` as the current checkpoint beside `journal`:
@@ -594,6 +634,40 @@ mod tests {
         assert!(matches!(decode(&flipped), Err(CheckpointError::Torn(_))));
     }
 
+    /// `text` with the first body line starting `prefix` rewritten by
+    /// `edit` and the footer recomputed, so the file verifies and only
+    /// the body's meaning changed.
+    fn reforge(text: &str, prefix: &str, edit: impl Fn(&str) -> String) -> String {
+        let body_end = text.rfind("footer ").expect("footer line");
+        let line = text[..body_end]
+            .lines()
+            .find(|line| line.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no {prefix:?} line"));
+        let body = text[..body_end].replacen(line, &edit(line), 1);
+        format!(
+            "{body}footer len={} digest={:016x}\n",
+            body.len(),
+            body_digest(body.as_bytes())
+        )
+    }
+
+    /// `line` with its whitespace-separated field `at` replaced.
+    fn with_field(line: &str, at: usize, value: &str) -> String {
+        let mut fields: Vec<&str> = line.split(' ').collect();
+        fields[at] = value;
+        fields.join(" ")
+    }
+
+    /// Decode `text` and return the `Corrupt` reason; any other outcome
+    /// fails the test.
+    fn corrupt_reason(text: &str) -> String {
+        match decode(text) {
+            Err(CheckpointError::Corrupt(why)) => why,
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("expected Corrupt, the checkpoint decoded"),
+        }
+    }
+
     /// Every checkpoint written before the engine lost its shard layout
     /// carries `shards=8` in its `meta` line. Such a file (footer
     /// recomputed over the edited body) restores to the same images and
@@ -602,16 +676,10 @@ mod tests {
     fn checkpoints_with_a_shards_meta_key_still_restore() {
         let (engine, dedupe, ops, all) = driven_engine(35, 11);
         let text = encode_checkpoint(&engine, &dedupe, ops);
-        let meta = format!("meta ops={ops} slots={}\n", engine.session_slots());
-        let legacy_meta = format!("meta ops={ops} shards=8 slots={}\n", engine.session_slots());
-        let body_end = text.rfind("footer ").expect("footer line");
-        assert!(text[..body_end].contains(&meta));
-        let body = text[..body_end].replacen(&meta, &legacy_meta, 1);
-        let legacy = format!(
-            "{body}footer len={} digest={:016x}\n",
-            body.len(),
-            body_digest(body.as_bytes())
-        );
+        let meta = format!("meta ops={ops} slots={}", engine.session_slots());
+        let legacy_meta = format!("meta ops={ops} shards=8 slots={}", engine.session_slots());
+        assert!(text.contains(&format!("{meta}\n")));
+        let legacy = reforge(&text, &meta, |_| legacy_meta.clone());
 
         let restored = decode(&legacy).expect("a shards= meta key is ignored");
         assert_eq!(restored.ops, ops);
@@ -625,6 +693,60 @@ mod tests {
         let mut recovered = restored.engine;
         let tail = &all[11..];
         assert_eq!(original.execute(tail), recovered.execute(tail));
+    }
+
+    /// A map entry past the `2 × players` pool is corrupt, not a panic
+    /// when restore gathers the active world.
+    #[test]
+    fn a_map_entry_past_the_pool_is_corrupt() {
+        let (engine, dedupe, ops, _) = driven_engine(35, 11);
+        let text = encode_checkpoint(&engine, &dedupe, ops);
+        let hostile = reforge(&text, "map ", |line| {
+            let (head, ids) = line.rsplit_once(' ').expect("map line has ids");
+            let rest = ids.split_once(',').map_or("", |(_, rest)| rest);
+            format!("{head} 4000000000,{rest}")
+        });
+        assert!(corrupt_reason(&hostile).contains("map entry 4000000000"));
+    }
+
+    /// `next_fresh` past the pool is corrupt.
+    #[test]
+    fn next_fresh_past_the_pool_is_corrupt() {
+        let (engine, dedupe, ops, _) = driven_engine(35, 11);
+        let text = encode_checkpoint(&engine, &dedupe, ops);
+        let hostile = reforge(&text, "state ", |line| with_field(line, 2, "4000000000"));
+        assert!(corrupt_reason(&hostile).contains("next_fresh 4000000000"));
+    }
+
+    /// Score rows must be `map.len() × objects`: a matrix one column wide
+    /// (same hex length at 64 objects) or one row short is corrupt, not a
+    /// panic on the first query past it.
+    #[test]
+    fn score_rows_of_the_wrong_shape_are_corrupt() {
+        let (engine, dedupe, ops, _) = driven_engine(35, 11);
+        let text = encode_checkpoint(&engine, &dedupe, ops);
+        let narrow = reforge(&text, "rows ", |line| with_field(line, 3, "1"));
+        assert!(corrupt_reason(&narrow).contains("rows are"));
+        let short_map = reforge(&text, "map ", |line| {
+            line.rsplit_once(',')
+                .expect("map has two ids")
+                .0
+                .to_string()
+        });
+        assert!(corrupt_reason(&short_map).contains("rows are"));
+    }
+
+    /// Each epoch or churn is one journaled mutating op, so neither count
+    /// can exceed the covered `ops`; this also bounds restore's fold.
+    #[test]
+    fn epochs_or_churns_past_the_covered_ops_are_corrupt() {
+        let (engine, dedupe, ops, _) = driven_engine(35, 11);
+        let text = encode_checkpoint(&engine, &dedupe, ops);
+        let too_many = (ops + 1).to_string();
+        for field in [3, 4] {
+            let hostile = reforge(&text, "state ", |line| with_field(line, field, &too_many));
+            assert!(corrupt_reason(&hostile).contains("exceed the"));
+        }
     }
 
     #[test]

@@ -12,15 +12,29 @@
 //! function of the session history and never depend on how a trace is
 //! split into `execute` calls.
 //!
+//! # Resident world
+//!
+//! Each session keeps its whole identity pool as bits: a `2 × players`
+//! by `objects` [`BitMatrix`], drifted to the session's current epoch.
+//! `AdvanceEpoch` folds that epoch's flips into it in place
+//! ([`DriftSchedule::fold_epoch`], one hash step per pool bit), churn
+//! leaves it untouched, and every barrier gathers the active slots' rows
+//! through the churn map into one [`DenseTruth`]. Probes and the scorer
+//! therefore read bits, never the procedural formula or a replay of past
+//! epochs. The bits are the ones core's pool → drift → remap adapter
+//! composition denotes (what `DynamicWorld` still runs), and a unit test
+//! below pins the two barrier by barrier. The cost is
+//! `2 · players · objects` bits per session (4.6 KB at 96 × 192).
+//!
 //! # Incremental recompute
 //!
 //! Churn and epoch transitions recompute scores through
-//! [`Session::evolved`]: the new world (pool → drift epoch → identity
-//! remap) replaces the truth while the session keeps its parameters,
-//! adversary, and — crucially — its [`WarmStart`] slot, so a `Naive`
-//! session refreshes the previous group cache and reuses its pooled
-//! select machines instead of rebuilding from scratch. Outputs stay
-//! bit-identical to a cold session over the same world (pinned in core).
+//! [`Session::evolved`]: the new world replaces the truth while the
+//! session keeps its parameters, adversary, and — crucially — its
+//! [`WarmStart`] slot, so a `Naive` session refreshes the previous group
+//! cache and reuses its pooled select machines instead of rebuilding from
+//! scratch. Outputs stay bit-identical to a cold session over the same
+//! world (pinned in core).
 
 use std::sync::Arc;
 
@@ -30,7 +44,7 @@ use byzscore::{
 };
 use byzscore_adversary::{Corruption, Inverter};
 use byzscore_bitset::{BitMatrix, Bits};
-use byzscore_board::{Board, BoardStats, ClusterSpec, Oracle};
+use byzscore_board::{Board, BoardStats, ClusterSpec, DenseTruth, Oracle};
 use byzscore_model::Planted;
 use byzscore_random::derive_seed;
 use rand::rngs::SmallRng;
@@ -53,8 +67,12 @@ pub const DEFAULT_SHARDS: usize = 1;
 /// Everything resident for one open session.
 struct SessionState {
     spec: SessionSpec,
-    /// Fixed identity pool (capacity `2 × players`).
-    pool: Arc<dyn TruthSource>,
+    /// The fixed identity pool (capacity `2 × players` rows) as bits,
+    /// drifted to `epoch`. Derived state like the oracle: never
+    /// serialized, rebuilt at restore by folding epochs `1..=epoch`.
+    world: BitMatrix,
+    /// The session's drift law (`None` at 0 ppm), built once at open.
+    drift: Option<DriftSchedule>,
     pool_planted: Planted,
     /// Active slot → pool identity.
     map: Vec<u32>,
@@ -189,13 +207,15 @@ impl ServiceEngine {
     fn open(&mut self, spec: SessionSpec) -> Response {
         let sid = self.sessions.len() as u64;
         let players = spec.players.max(1);
-        let (pool, pool_planted) = pool_of(&spec);
+        let drift = drift_of(&spec);
+        let (world, pool_planted) = pool_of(&spec, drift.as_ref(), 0);
         let warm = Arc::new(WarmStart::new());
-        let session = fresh_session(&spec, &pool, &warm);
+        let session = fresh_session(&spec, &warm);
         let scope = self.board.scope(&[TAG_SERVICE, sid]).id();
         let mut state = SessionState {
             spec,
-            pool,
+            world,
+            drift,
             pool_planted,
             map: (0..players as u32).collect(),
             next_fresh: players as u32,
@@ -229,7 +249,7 @@ impl ServiceEngine {
             state.spec.world_seed,
             &[TAG_CHURN, state.churns],
         ));
-        let pool_rows = state.pool.players() as u32;
+        let pool_rows = state.world.rows() as u32;
         let (retired, joined) = churn_step(
             &mut state.map,
             &mut state.next_fresh,
@@ -254,6 +274,9 @@ impl ServiceEngine {
             Err(e) => return Response::Rejected(e),
         };
         state.epoch += 1;
+        if let Some(drift) = &state.drift {
+            drift.fold_epoch(state.epoch, &mut state.world);
+        }
         recompute(state);
         Response::Epoch {
             session: sid,
@@ -279,19 +302,43 @@ impl ServiceEngine {
     }
 }
 
-/// The fixed identity pool (capacity `2 × players`) and its planted
-/// structure, a pure function of the spec — `open` and checkpoint
-/// restore derive identical pools from identical specs.
-fn pool_of(spec: &SessionSpec) -> (Arc<dyn TruthSource>, Planted) {
+/// The procedural identity pool (capacity `2 × players`) a spec denotes.
+fn pool_source(spec: &SessionSpec) -> ProceduralTruth {
     let players = spec.players.max(1);
-    let pool_spec = ClusterSpec {
+    ProceduralTruth::new(ClusterSpec {
         players: players * 2,
         objects: spec.objects.max(1),
         clusters: spec.clusters.clamp(1, players),
         diameter: spec.diameter,
         seed: spec.world_seed,
-    };
-    let source = ProceduralTruth::new(pool_spec);
+    })
+}
+
+/// The spec's drift law: uniform at `drift_ppm`, `None` at 0.
+fn drift_of(spec: &SessionSpec) -> Option<DriftSchedule> {
+    (spec.drift_ppm > 0).then(|| {
+        DriftSchedule::uniform(
+            spec.drift_ppm as f64 / 1e6,
+            derive_seed(spec.world_seed, &[TAG_DRIFT]),
+        )
+    })
+}
+
+/// The pool as bits, drifted to `epoch` by folding epochs `1..=epoch`,
+/// and its planted structure — a pure function of the spec and the
+/// epoch, so `open` (epoch 0) and checkpoint restore derive identical
+/// worlds.
+fn pool_of(spec: &SessionSpec, drift: Option<&DriftSchedule>, epoch: u64) -> (BitMatrix, Planted) {
+    let source = pool_source(spec);
+    let mut world = BitMatrix::zeros(source.players(), source.objects());
+    for p in 0..world.rows() {
+        world.set_row(p, &source.row(p as u32));
+    }
+    if let Some(drift) = drift {
+        for e in 1..=epoch {
+            drift.fold_epoch(e, &mut world);
+        }
+    }
     let pool_planted = Planted {
         assignment: source.assignment(),
         clusters: source.clusters(),
@@ -299,18 +346,15 @@ fn pool_of(spec: &SessionSpec) -> (Arc<dyn TruthSource>, Planted) {
         target_diameter: source.spec().diameter,
         special_objects: None,
     };
-    (Arc::new(source) as Arc<dyn TruthSource>, pool_planted)
+    (world, pool_planted)
 }
 
-/// A never-run session over the pool, carrying the spec's parameters,
-/// adversary, and the shared warm-start slot.
-fn fresh_session(
-    spec: &SessionSpec,
-    pool: &Arc<dyn TruthSource>,
-    warm: &Arc<WarmStart>,
-) -> Session {
+/// A never-run session carrying the spec's parameters, adversary, and
+/// the shared warm-start slot; `recompute` evolves it onto the world
+/// before its first run.
+fn fresh_session(spec: &SessionSpec, warm: &Arc<WarmStart>) -> Session {
     Session::builder()
-        .truth(pool.clone())
+        .truth(Arc::new(EmptyTruth) as Arc<dyn TruthSource>)
         .params(ProtocolParams::with_budget(spec.budget.max(1)))
         .adversary(
             Corruption::Count {
@@ -322,7 +366,8 @@ fn fresh_session(
         .build()
 }
 
-/// A zero-player truth used only as the pre-`recompute` placeholder.
+/// A zero-player truth used only as the pre-`recompute` placeholder of
+/// the session and the oracle.
 struct EmptyTruth;
 
 impl TruthSource for EmptyTruth {
@@ -356,10 +401,10 @@ fn session_mut(
     }
 }
 
-/// Rebuild a session's world and scores after a transition (or at open):
-/// compose pool → drift epoch → identity remap, evolve the session onto
-/// it, run the scoring algorithm, and refresh the caches probes and
-/// queries read (score rows, probe oracle).
+/// Rebuild a session's scores after a transition (or at open): gather
+/// the active world from the resident pool, evolve the session onto it,
+/// run the scoring algorithm, and refresh the caches probes and queries
+/// read (score rows, probe oracle).
 fn recompute(state: &mut SessionState) {
     let (truth, planted) = compose_world(state);
     state.session = state.session.evolved(truth.clone(), Some(planted));
@@ -373,19 +418,17 @@ fn recompute(state: &mut SessionState) {
     state.oracle = Oracle::new(truth);
 }
 
-/// Compose the session's current world — pool → drift epoch → identity
-/// remap — and its remapped planted structure. A pure function of
-/// `(spec, map, epoch)`, shared by `recompute` and checkpoint restore.
+/// The world the active slots see: row `map[slot]` of the resident pool
+/// (already drifted to `epoch`) for each slot, gathered into one dense
+/// truth, plus the remapped planted structure. Shared by `recompute` and
+/// checkpoint restore.
 fn compose_world(state: &SessionState) -> (Arc<dyn TruthSource>, Planted) {
-    let drift = (state.spec.drift_ppm > 0).then(|| {
-        DriftSchedule::uniform(
-            state.spec.drift_ppm as f64 / 1e6,
-            derive_seed(state.spec.world_seed, &[TAG_DRIFT]),
-        )
-    });
-    let truth = byzscore::compose_world(&state.pool, drift.as_ref(), state.epoch, &state.map);
+    let mut active = BitMatrix::zeros(state.map.len(), state.world.cols());
+    for (slot, &id) in state.map.iter().enumerate() {
+        active.set_row(slot, &state.world.row(id as usize));
+    }
     let planted = remap_planted(&state.pool_planted, &state.map);
-    (truth, planted)
+    (Arc::new(DenseTruth::new(active)), planted)
 }
 
 /// Execute one probe op against a session: every probed bit is read
@@ -455,10 +498,13 @@ fn preferences(
 
 /// The durable slice of one resident session — everything a checkpoint
 /// must carry to reconstruct [`SessionState`] without replaying its
-/// history. The pool, the evolved world and the probe oracle are all
-/// pure functions of these fields, so they are *recomputed* at restore
-/// rather than serialized; the score rows are carried verbatim so
-/// restore never re-runs the scoring algorithm.
+/// history. The resident world (the pool drifted to `epoch`) and the
+/// probe oracle are pure functions of these fields, so they are
+/// *recomputed* at restore rather than serialized — a folded world is
+/// `2 · players · objects` bits, the fold is cheap next to the scorer,
+/// and leaving it out keeps the checkpoint format unchanged. The score
+/// rows are carried verbatim so restore never re-runs the scoring
+/// algorithm.
 pub(crate) struct SessionImage {
     pub spec: SessionSpec,
     pub map: Vec<u32>,
@@ -503,10 +549,11 @@ impl ServiceEngine {
     }
 
     /// Rebuild an engine from checkpoint images: `slots` closed slots,
-    /// then each image installed at its id. Derived state (pool, world,
-    /// oracle) is recomputed from the image's fields; the score rows
-    /// come from the image, so nothing re-runs the scorer — restore cost
-    /// is bounded by the checkpoint size, not the history.
+    /// then each image installed at its id. Derived state (resident
+    /// world, oracle) is recomputed from the image's fields; the score
+    /// rows come from the image, so nothing re-runs the scorer. Restore
+    /// costs the checkpoint size plus one fold per past epoch and pool
+    /// bit (`decode` bounds each epoch count by the covered ops).
     pub(crate) fn from_images(slots: usize, images: Vec<(u64, SessionImage)>) -> ServiceEngine {
         let mut engine = ServiceEngine::new();
         engine.sessions = (0..slots).map(|_| None).collect();
@@ -522,12 +569,13 @@ impl ServiceEngine {
     }
 
     /// Reconstruct one [`SessionState`] from its image: re-derive the
-    /// pool and a fresh (never-run) session exactly as `open` would,
-    /// re-register the board scope and re-post its claims, then install
-    /// the checkpointed rows and the probe oracle over their world.
-    /// The session itself is left un-evolved — the next barrier's
-    /// `recompute` evolves it onto the same world a cold open would,
-    /// and warm-vs-cold bit-identity is pinned in core.
+    /// pool, fold it to the image's epoch, and build a fresh (never-run)
+    /// session exactly as `open` would, re-register the board scope and
+    /// re-post its claims, then install the checkpointed rows and the
+    /// probe oracle over their world. The session itself is left
+    /// un-evolved — the next barrier's `recompute` evolves it onto the
+    /// same world a cold open would, and warm-vs-cold bit-identity is
+    /// pinned in core.
     fn restore_state(&self, sid: u64, image: SessionImage) -> SessionState {
         let SessionImage {
             spec,
@@ -539,16 +587,18 @@ impl ServiceEngine {
             rows,
             claims,
         } = image;
-        let (pool, pool_planted) = pool_of(&spec);
+        let drift = drift_of(&spec);
+        let (world, pool_planted) = pool_of(&spec, drift.as_ref(), epoch);
         let warm = Arc::new(WarmStart::new());
-        let session = fresh_session(&spec, &pool, &warm);
+        let session = fresh_session(&spec, &warm);
         let scope = self.board.scope(&[TAG_SERVICE, sid]).id();
         for &(object, author, value) in &claims {
             self.board.post_claim(scope, author, object, value);
         }
         let mut state = SessionState {
             spec,
-            pool,
+            world,
+            drift,
             pool_planted,
             map,
             next_fresh,
@@ -804,6 +854,66 @@ mod tests {
             engine.pooled_selects(0) > 0,
             "recomputes keep recycling machines"
         );
+    }
+
+    /// The resident world is the adapter composition, bit for bit: after
+    /// every barrier of a churn + epoch trace at 2000 ppm, each session's
+    /// gathered truth equals `byzscore::compose_world` over its
+    /// procedural pool, and a checkpoint restore re-folds the same world.
+    #[test]
+    fn resident_world_matches_the_adapter_composition() {
+        use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
+        use crate::journal::DedupeWindow;
+        use crate::workload::{OpMix, Trace, TraceSpec};
+
+        let trace = Trace::generate(&TraceSpec {
+            ops: 120,
+            mix: OpMix {
+                probe: 2,
+                query: 1,
+                churn: 2,
+                epoch: 3,
+            },
+            ..TraceSpec::small(41)
+        });
+        let mut engine = ServiceEngine::new();
+        let mut mutating = 0u64;
+        let mut restored_at = None;
+        for op in &trace.ops {
+            assert!(!matches!(engine.execute_one(op), Response::Rejected(_)));
+            mutating += u64::from(op.is_mutating());
+            if op.is_shardable() {
+                continue;
+            }
+            for state in engine.sessions.iter().flatten() {
+                let pool = Arc::new(pool_source(&state.spec)) as Arc<dyn TruthSource>;
+                let reference =
+                    byzscore::compose_world(&pool, state.drift.as_ref(), state.epoch, &state.map);
+                let live = state.session.truth();
+                assert!(Arc::ptr_eq(live, state.oracle.truth()));
+                assert_eq!(live.players(), reference.players());
+                for p in 0..reference.players() as u32 {
+                    assert_eq!(live.row(p), reference.row(p), "epoch {}", state.epoch);
+                }
+            }
+            let aged = engine.sessions.iter().flatten().any(|s| s.epoch >= 3);
+            if aged && restored_at.is_none() {
+                let text = encode_checkpoint(&engine, &DedupeWindow::new(), mutating);
+                let restored = decode_checkpoint(&text, 1)
+                    .expect("checkpoint decodes")
+                    .engine;
+                let pairs = engine.sessions.iter().zip(&restored.sessions);
+                for (live, back) in pairs.filter_map(|(a, b)| a.as_ref().zip(b.as_ref())) {
+                    assert_eq!(back.world, live.world, "restore re-folds the world");
+                    let (a, b) = (live.oracle.truth(), back.oracle.truth());
+                    for p in 0..live.map.len() as u32 {
+                        assert_eq!(a.row(p), b.row(p));
+                    }
+                }
+                restored_at = engine.sessions.iter().flatten().map(|s| s.epoch).max();
+            }
+        }
+        assert!(restored_at >= Some(3), "the trace must age a session");
     }
 
     #[test]

@@ -150,6 +150,46 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(240))]
+
+    /// Folding epochs `1..=k` one at a time over the materialized base
+    /// (`DriftSchedule::fold_epoch`, the resident-world path) is
+    /// `materialize_at(k)`, for every locality shape, column counts on
+    /// both sides of the word boundaries, and rates from frozen to
+    /// flip-everything; folding epoch 0 changes nothing.
+    #[test]
+    fn folding_epochs_equals_materialize_at(
+        seed in 0u64..1000,
+        players in 3usize..12,
+        cols_ix in 0usize..5,
+        rate_ix in 0usize..4,
+        kind in 0u8..3,
+        k in 0u64..=6,
+    ) {
+        let objects = [1, 63, 64, 65, 130][cols_ix];
+        let rate = [0.0, 1e-3, 0.3, 1.0][rate_ix];
+        let locality = match kind {
+            0 => DriftLocality::Global,
+            1 => DriftLocality::Window { start: objects / 3, len: objects / 2 + 1 },
+            // Shorter than the object axis: the tail beyond it is frozen.
+            _ => DriftLocality::Mask(BitVec::from_fn(objects - objects / 4, |o| o % 3 != 1)),
+        };
+        let schedule = DriftSchedule::new(rate, locality, seed ^ 0xf01d);
+        let world = DriftingTruth::new(
+            ProceduralTruth::new(spec(players, objects, seed)),
+            schedule.clone(),
+        );
+        let mut folded = world.materialize_at(0);
+        schedule.fold_epoch(0, &mut folded);
+        prop_assert_eq!(&folded, &world.materialize_at(0), "epoch 0 folds nothing");
+        for e in 1..=k {
+            schedule.fold_epoch(e, &mut folded);
+        }
+        prop_assert_eq!(&folded, &world.materialize_at(k), "epoch {}", k);
+    }
+}
+
 #[test]
 fn remapped_truth_is_an_identity_view() {
     let pool = ProceduralTruth::new(spec(20, 48, 7));
