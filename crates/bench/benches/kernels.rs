@@ -1,4 +1,4 @@
-//! Criterion microbenchmarks for the hot kernels (experiment K, part 1):
+//! Criterion microbenchmarks for the hot kernels:
 //! Hamming distance (full / bounded / masked), majority folds, vote
 //! tallies, and neighbor discovery — the primitives every protocol phase
 //! leans on. The `neighbor_index` group measures the graph level:

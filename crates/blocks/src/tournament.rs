@@ -113,24 +113,6 @@ impl StreamingRSelect {
         self.peak_bytes
     }
 
-    /// Rearm the machine for a fresh tournament under `ctx`'s constants:
-    /// cursor, liveness, and byte accounting restart from scratch while
-    /// the candidate-slot allocation is retained. This is the pooling
-    /// hook for callers that run many tournaments back to back — e.g. the
-    /// per-player select state a resident service session reuses across
-    /// recomputes — and a reset machine replays a fresh one draw for draw
-    /// (`reset_machine_replays_fresh_machine` pins this).
-    pub fn reset(&mut self, ctx: &Ctx<'_>) {
-        self.sample = (ctx.params.c_rselect * ctx.ln_n()).ceil() as usize;
-        self.threshold = ctx.params.rselect_threshold;
-        self.cands.clear();
-        self.alive.clear();
-        self.i = 0;
-        self.j = 1;
-        self.resident_bytes = 0;
-        self.peak_bytes = 0;
-    }
-
     /// Feed the next candidate and advance the tournament as far as the
     /// arrived prefix allows. Probes are charged to `player` and pair
     /// samples are drawn from `rng`, exactly as the batch loop would.
@@ -162,10 +144,10 @@ impl StreamingRSelect {
         self.finish_round(ctx, player, objects, rng)
     }
 
-    /// [`StreamingRSelect::finish`] without consuming the machine, so a
-    /// pool owner can [`StreamingRSelect::reset`] and reuse it. The
-    /// machine is spent until reset (pushing after `finish_round` is a
-    /// contract violation, as it would be after `finish`).
+    /// [`StreamingRSelect::finish`] through a `&mut` borrow, for callers
+    /// that hold their machines in place (`peak_bytes` stays readable
+    /// afterwards). The machine is spent: pushing after `finish_round` is
+    /// a contract violation, as it would be after `finish`.
     pub fn finish_round(
         &mut self,
         ctx: &Ctx<'_>,
@@ -814,63 +796,6 @@ mod tests {
         let (won, _) = sel.finish(&ctx, 0, &objects, &mut rng);
         assert_eq!(won, 0);
         assert_eq!(oracle.ledger().total(), 0);
-    }
-
-    /// A reset machine must be indistinguishable from a fresh one: same
-    /// winner, same probes, same RNG stream — the contract the pooled
-    /// per-session reuse in the service layer depends on.
-    #[test]
-    fn reset_machine_replays_fresh_machine() {
-        use rand::RngCore;
-        let mut rng = SmallRng::seed_from_u64(23);
-        let truth = BitVec::random(&mut rng, 200);
-        let (m, params) = world(truth.clone());
-        // Uncached oracles: the burn run would otherwise memoize probes
-        // and skew the probe-count comparison below.
-        let oracle_a = Oracle::new_uncached(&m);
-        let oracle_b = Oracle::new_uncached(&m);
-        let board = Board::new();
-        let behaviors = Behaviors::all_honest(&m);
-        let objects = all_objects(200);
-        let mut far = truth.clone();
-        far.flip_random_distinct(&mut rng, 90);
-        let mut near = truth.clone();
-        near.flip_random_distinct(&mut rng, 5);
-        let cands = vec![far, near, truth.clone()];
-
-        let ctx_a = Ctx::new(&oracle_a, &board, &behaviors, Beacon::honest(1), &params);
-        let ctx_b = Ctx::new(&oracle_b, &board, &behaviors, Beacon::honest(1), &params);
-
-        // Burn one tournament on the pooled machine, then reset it.
-        let mut pooled = StreamingRSelect::new(&ctx_b);
-        let mut burn_rng = SmallRng::seed_from_u64(99);
-        for c in &cands {
-            pooled.push(&ctx_b, 0, c.clone(), &objects, &mut burn_rng);
-        }
-        pooled.finish_round(&ctx_b, 0, &objects, &mut burn_rng);
-        pooled.reset(&ctx_b);
-        assert_eq!(pooled.peak_bytes(), 0, "accounting restarts on reset");
-        let burned_probes = oracle_b.ledger().total();
-
-        let mut fresh = StreamingRSelect::new(&ctx_a);
-        let mut rng_a = SmallRng::seed_from_u64(7);
-        let mut rng_b = SmallRng::seed_from_u64(7);
-        let before_a = oracle_a.ledger().total();
-        for c in &cands {
-            fresh.push(&ctx_a, 0, c.clone(), &objects, &mut rng_a);
-            pooled.push(&ctx_b, 0, c.clone(), &objects, &mut rng_b);
-        }
-        let (won_a, vec_a) = fresh.finish_round(&ctx_a, 0, &objects, &mut rng_a);
-        let (won_b, vec_b) = pooled.finish_round(&ctx_b, 0, &objects, &mut rng_b);
-        assert_eq!(won_a, won_b, "winner diverged after reset");
-        assert!(vec_a.bits_eq(&vec_b), "winner vector diverged after reset");
-        assert_eq!(fresh.peak_bytes(), pooled.peak_bytes());
-        assert_eq!(
-            oracle_a.ledger().total() - before_a,
-            oracle_b.ledger().total() - burned_probes,
-            "probe counts diverged after reset"
-        );
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod truth;
 pub use bulletin::{scope_id, Board, BoardStats, ScopeHandle};
 pub use drift::{DriftLocality, DriftSchedule, DriftingTruth};
 pub use ledger::{LedgerSnapshot, ProbeLedger};
-pub use oracle::Oracle;
+pub use oracle::{Oracle, MEMO_LIMIT_BITS};
 pub use truth::{
     ClusterSpec, DenseTruth, IntoTruthSource, ProceduralTruth, RemappedTruth, TruthSource,
 };

@@ -9,7 +9,7 @@ use crate::{IntoTruthSource, LedgerSnapshot, ProbeLedger, TruthSource};
 /// dense "seen" bitmap would itself become the memory wall the streaming
 /// truth backends exist to avoid, so [`Oracle::new`] degrades to raw
 /// per-call accounting (2²⁸ bits = 32 MB).
-const MEMO_LIMIT_BITS: usize = 1 << 28;
+pub const MEMO_LIMIT_BITS: usize = 1 << 28;
 
 /// The only sanctioned path from protocol code to the hidden truth.
 ///

@@ -23,31 +23,19 @@ use byzscore_board::par::par_map_players;
 use byzscore_model::Planted;
 use byzscore_random::{choose_k, tags};
 
-use crate::cluster::{Clustering, GroupCache, WarmStart};
+use crate::cluster::{Clustering, GroupCache};
 use crate::fused::FusedSelect;
 use crate::share::share_work;
 use crate::ProtocolParams;
 
 /// §6.2's "natural approach" / prior-art proxy (see module docs).
-pub fn naive_sampling(ctx: &Ctx<'_>, params: &ProtocolParams) -> Vec<BitVec> {
-    naive_sampling_with(ctx, params, None)
-}
-
-/// [`naive_sampling`] with an optional cross-round [`WarmStart`] slot.
 ///
 /// Unlike Figure 2, the naive sample `R` is drawn **once** — the z-vectors
 /// are the same for every diameter guess, only the edge threshold `τ`
 /// changes. So hash-grouping is done once in a [`GroupCache`] and each
 /// guess merely re-bands the group representatives for its `τ`, instead of
-/// redoing the full `n`-row discovery `guesses` times. With `warm` set
-/// (the `DynamicWorld` round loop), the previous round's cache is refreshed
-/// against the new z-vectors — rows whose bits did not change keep their
-/// cached hash — and handed back for the next round.
-pub fn naive_sampling_with(
-    ctx: &Ctx<'_>,
-    params: &ProtocolParams,
-    warm: Option<&WarmStart>,
-) -> Vec<BitVec> {
+/// redoing the full `n`-row discovery `guesses` times.
+pub fn naive_sampling(ctx: &Ctx<'_>, params: &ProtocolParams) -> Vec<BitVec> {
     let n = ctx.n();
     let m = ctx.oracle.objects();
     let b = params.budget();
@@ -70,14 +58,7 @@ pub fn naive_sampling_with(
     });
 
     // Group the z-vectors ONCE — they are guess-invariant (see above).
-    // Warm path: refresh last round's cache instead of regrouping cold.
-    let (cache, reused) = match warm.and_then(|w| w.take(params.neighbor_strategy)) {
-        Some(mut cache) if cache.n() == n => {
-            let reused = cache.refresh(&zvecs);
-            (cache, reused)
-        }
-        _ => (GroupCache::build(&zvecs, params.neighbor_strategy), 0),
-    };
+    let cache = GroupCache::build(&zvecs, params.neighbor_strategy);
 
     // Doubling diameter guesses on raw sample distances; share work with
     // NO redundancy (prior art's non-robust sharing). Each guess's
@@ -85,8 +66,7 @@ pub fn naive_sampling_with(
     // so only surviving candidates stay resident.
     let min_cluster = params.peel_min_size(n);
     let all_objects: Vec<u32> = (0..m as u32).collect();
-    let select_pool = warm.map(|w| w.take_select_pool()).unwrap_or_default();
-    let mut fused = FusedSelect::with_pool(ctx, &[0x7a1e], select_pool);
+    let mut fused = FusedSelect::new(ctx, &[0x7a1e]);
     for (di, &diameter) in params.diameter_guesses(n, m).iter().enumerate() {
         // Expected sample distance of a D-pair is |R|·D/m; edge at 3×.
         let tau = ((3.0 * sample.len() as f64 * diameter as f64 / m as f64).ceil() as usize).max(1);
@@ -97,12 +77,7 @@ pub fn naive_sampling_with(
         ctx.board.retire_prefix(&[0x7a1e, di as u64]);
     }
 
-    let (rows, spent) = fused.finish_recycling(ctx, &all_objects);
-    if let Some(w) = warm {
-        w.put(cache, reused);
-        w.put_select_pool(spent);
-    }
-    rows
+    fused.finish(ctx, &all_objects)
 }
 
 /// No collaboration beyond a public pool of probe results.

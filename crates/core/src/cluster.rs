@@ -68,8 +68,7 @@
 //! | `perf` serve / socket workloads (n ≈ 96) | 3 + 3 + 1 per recompute | materialized, complete, shard map |
 //!
 //! The player-level lazy index and the fallback ran only when a test
-//! asked for them by name, and below the cut the warm-start cache held no
-//! grouping at all. Grouping first makes the materialized pass no larger
+//! asked for them by name. Grouping first makes the materialized pass no larger
 //! (`G ≤ n`), so the player-level paths are gone and the same input takes
 //! the same code path at every size. The census's service "shard map"
 //! rows are gone too: the service engine answers in one ordered pass
@@ -345,9 +344,9 @@ struct Groups {
 }
 
 impl Groups {
-    /// Group `rows` given their per-row content hashes.
-    fn build(rows: &BitMatrix, hashes: &[u64]) -> Groups {
-        let (group_of, members) = group_rows(rows, hashes);
+    /// Group `rows` by bit-identical content.
+    fn build(rows: &BitMatrix) -> Groups {
+        let (group_of, members) = group_rows(rows);
         let mut reps = BitMatrix::zeros(members.len(), rows.cols());
         for (g, m) in members.iter().enumerate() {
             reps.set_row(g, &rows.row(m[0] as usize));
@@ -365,24 +364,15 @@ impl Groups {
     }
 }
 
-fn row_hashes(rows: &BitMatrix) -> Vec<u64> {
-    rows.iter_rows().map(|row| row.content_hash()).collect()
-}
-
 /// Group rows by bit-identical content: hash-bucket candidates, confirm
 /// with exact word comparison so hash collisions cannot merge groups.
-/// `hashes` are the rows' content hashes, supplied by the caller so a
-/// [`GroupCache::refresh`] can reuse those of unchanged rows; the bucket
-/// assembly never depends on where a hash came from, so the grouping (ids
-/// in first-appearance order) is the same either way.
-fn group_rows(rows: &BitMatrix, hashes: &[u64]) -> (Vec<u32>, Vec<Vec<u32>>) {
-    debug_assert_eq!(hashes.len(), rows.rows());
+/// Group ids are assigned in first-appearance order.
+fn group_rows(rows: &BitMatrix) -> (Vec<u32>, Vec<Vec<u32>>) {
     let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
-    let mut group_of = Vec::with_capacity(hashes.len());
+    let mut group_of = Vec::with_capacity(rows.rows());
     let mut members: Vec<Vec<u32>> = Vec::new();
-    for (p, &hash) in hashes.iter().enumerate() {
-        let row = rows.row(p);
-        let ids = by_hash.entry(hash).or_default();
+    for (p, row) in rows.iter_rows().enumerate() {
+        let ids = by_hash.entry(row.content_hash()).or_default();
         let gid = ids
             .iter()
             .copied()
@@ -864,42 +854,20 @@ pub fn cluster_players(zvecs: &[BitVec], threshold: usize, min_size: usize) -> C
 /// cached index and a fresh one are the same construction (the
 /// `tests/neighbor_index.rs` proptests still pin it).
 ///
-/// [`GroupCache::refresh`] supports warm starts across `DynamicWorld`
-/// rounds and service recomputes: rows that did not change since the
-/// previous round reuse their cached content hash (the grouping pass
-/// itself reruns — group ids are assigned in first-appearance order, so
-/// any changed row can shift them and a partial regroup could diverge from
-/// a fresh build). Round beacons reseed the public sample every round, so
-/// in practice most rows *do* change and the honest win is bounded; the
-/// mechanism exists for drifts that leave the sample fixed (see DESIGN.md
-/// §4.12).
+/// A cache lives for one run: every run draws a fresh public sample, so
+/// nothing carries across runs (DESIGN.md §4.12).
 pub struct GroupCache {
     strategy: NeighborStrategy,
-    /// Content hash of every cached row.
-    row_hashes: Vec<u64>,
     groups: Arc<Groups>,
 }
 
 impl GroupCache {
     /// Group `zvecs` once, for reuse across thresholds.
     pub fn build(zvecs: &[BitVec], strategy: NeighborStrategy) -> GroupCache {
-        let rows = BitMatrix::from_rows(zvecs);
-        let row_hashes = row_hashes(&rows);
         GroupCache {
             strategy,
-            groups: Arc::new(Groups::build(&rows, &row_hashes)),
-            row_hashes,
+            groups: Arc::new(Groups::build(&BitMatrix::from_rows(zvecs))),
         }
-    }
-
-    /// Number of players cached.
-    pub fn n(&self) -> usize {
-        self.row_hashes.len()
-    }
-
-    /// The strategy this cache was built for.
-    pub fn strategy(&self) -> NeighborStrategy {
-        self.strategy
     }
 
     /// Distinct z-vector groups (always `Some`: every strategy groups).
@@ -917,98 +885,38 @@ impl GroupCache {
         self.index(threshold).peel(min_size)
     }
 
-    /// Warm-start the cache on next-round vectors: rows bit-identical to
-    /// the cached ones keep their content hash (skipping the hash pass),
-    /// changed rows are re-hashed, and the grouping is rebuilt from the
-    /// combined hashes — bit-identical to a cold [`GroupCache::build`] on
-    /// `zvecs`. Returns the number of unchanged rows.
+    /// Perf-only: counts the rows of `zvecs` bit-identical to the cached
+    /// ones, then rebuilds the cache cold on `zvecs`. Kept only because
+    /// the `perf/` benchmark still calls it.
+    #[doc(hidden)]
     pub fn refresh(&mut self, zvecs: &[BitVec]) -> usize {
-        let rows = BitMatrix::from_rows(zvecs);
         let old = &*self.groups;
-        let mut unchanged = 0usize;
-        let hashes: Vec<u64> = rows
-            .iter_rows()
+        let unchanged = zvecs
+            .iter()
             .enumerate()
-            .map(|(p, row)| {
-                if p < old.group_of.len() && row.bits_eq(&old.row_of(p)) {
-                    unchanged += 1;
-                    self.row_hashes[p]
-                } else {
-                    row.content_hash()
-                }
-            })
-            .collect();
-        self.groups = Arc::new(Groups::build(&rows, &hashes));
-        self.row_hashes = hashes;
+            .filter(|(p, row)| *p < old.group_of.len() && row.bits_eq(&old.row_of(*p)))
+            .count();
+        *self = GroupCache::build(zvecs, self.strategy);
         unchanged
     }
 }
 
-/// A hand-off slot that carries a [`GroupCache`] across protocol runs —
-/// the `DynamicWorld` warm-start mechanism. The world builds one
-/// `WarmStart`, each round's `naive_sampling` takes the previous round's
-/// cache out, [`GroupCache::refresh`]es it on the new z-vectors, uses it
-/// for every diameter guess, and puts it back. Interior mutability keeps
-/// the algorithm signatures immutable; the slot is only ever touched at
-/// round boundaries (rounds are sequential), so the mutex is uncontended.
+/// Perf-only and ignored: every run builds cold, so there is nothing to
+/// carry between runs. Kept only because the `perf/` benchmark still
+/// constructs one and reads its reuse count, which is always 0.
+#[doc(hidden)]
 #[derive(Default)]
-pub struct WarmStart {
-    slot: std::sync::Mutex<Option<GroupCache>>,
-    reused_rows: std::sync::atomic::AtomicUsize,
-    /// Recycled per-player `RSelect` machines from the previous run's
-    /// fused tournament — the reusable per-player select state: a resident
-    /// service session recomputes on every churn/epoch transition, and
-    /// re-allocating `n` tournament machines each time is pure churn.
-    /// Machines are `reset` before reuse, which is draw-for-draw
-    /// indistinguishable from a fresh machine (pinned in blocks).
-    select_pool: std::sync::Mutex<Vec<byzscore_blocks::StreamingRSelect>>,
-}
+pub struct WarmStart;
 
 impl WarmStart {
-    /// Empty slot: the first round builds cold.
-    pub fn new() -> WarmStart {
-        WarmStart::default()
+    /// Perf-only: an ignored slot.
+    pub fn new() -> Self {
+        Self
     }
 
-    /// Take the carried cache if it matches `strategy` (a mismatched one
-    /// is dropped — refreshing it would change discovery modes).
-    pub(crate) fn take(&self, strategy: NeighborStrategy) -> Option<GroupCache> {
-        let mut slot = self.slot.lock().expect("warm-start slot");
-        match slot.take() {
-            Some(c) if c.strategy() == strategy => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Store the cache for the next round and record how many rows the
-    /// refresh reused (0 for a cold build).
-    pub(crate) fn put(&self, cache: GroupCache, reused: usize) {
-        self.reused_rows
-            .store(reused, std::sync::atomic::Ordering::Relaxed);
-        *self.slot.lock().expect("warm-start slot") = Some(cache);
-    }
-
-    /// Rows whose cached hash survived the most recent refresh —
-    /// observability for experiments and tests (round beacons reseed the
-    /// sample each round, so this is usually small; it grows only when
-    /// drift leaves the sampled coordinates untouched).
+    /// Perf-only: always 0.
     pub fn last_reused_rows(&self) -> usize {
-        self.reused_rows.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Take the recycled select machines (empty on the first run).
-    pub(crate) fn take_select_pool(&self) -> Vec<byzscore_blocks::StreamingRSelect> {
-        std::mem::take(&mut *self.select_pool.lock().expect("select pool"))
-    }
-
-    /// Return a run's select machines for the next run to reuse.
-    pub(crate) fn put_select_pool(&self, pool: Vec<byzscore_blocks::StreamingRSelect>) {
-        *self.select_pool.lock().expect("select pool") = pool;
-    }
-
-    /// Number of select machines currently pooled for reuse.
-    pub fn pooled_selects(&self) -> usize {
-        self.select_pool.lock().expect("select pool").len()
+        0
     }
 }
 

@@ -40,7 +40,6 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::cluster::WarmStart;
 use crate::runner::{Algorithm, Outcome, OutputSink, Session};
 use crate::ProtocolParams;
 
@@ -201,13 +200,6 @@ impl DynamicWorld {
         let pool_rows = self.pool.players() as u32;
         let mut history: Vec<Observation> = Vec::new();
         let mut reports = Vec::new();
-        // One warm-start slot spans the whole trajectory: round r+1's
-        // NaiveSampling refreshes round r's group cache instead of
-        // regrouping cold, re-hashing only rows drift/churn touched (rows
-        // whose sampled bits are unchanged keep their cached hash). Rounds
-        // are sequential, so the hand-off is race-free; other algorithms
-        // simply never consult the slot.
-        let warm = Arc::new(WarmStart::new());
 
         for round in 0..rounds {
             // Churn is applied entering every round after the first.
@@ -243,8 +235,7 @@ impl DynamicWorld {
                     Corruption::Explicit { mask: mask.clone() },
                     self.strategy.clone(),
                 )
-                .output_sink(self.sink)
-                .warm_start(warm.clone());
+                .output_sink(self.sink);
             if let Some(p) = planted.clone() {
                 builder = builder.planted(p);
             }

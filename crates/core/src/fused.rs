@@ -36,33 +36,10 @@ impl FusedSelect {
     /// Set up tournaments for all players; `rng_tags` are the private
     /// stream tags the batch caller would pass to `Ctx::player_rng`.
     pub(crate) fn new(ctx: &Ctx<'_>, rng_tags: &[u64]) -> FusedSelect {
-        FusedSelect::with_pool(ctx, rng_tags, Vec::new())
-    }
-
-    /// [`FusedSelect::new`] drawing honest players' machines from `pool`
-    /// (reset under `ctx`) before allocating fresh ones — the reusable
-    /// select state a warm-started session carries across recomputes
-    /// ([`crate::cluster::WarmStart`]). A reset machine replays a fresh
-    /// one draw for draw, so outputs are bit-identical either way.
-    pub(crate) fn with_pool(
-        ctx: &Ctx<'_>,
-        rng_tags: &[u64],
-        mut pool: Vec<StreamingRSelect>,
-    ) -> FusedSelect {
         let states = (0..ctx.n() as u32)
             .map(|p| {
-                if ctx.behaviors.is_dishonest(p) {
-                    None
-                } else {
-                    let sel = match pool.pop() {
-                        Some(mut sel) => {
-                            sel.reset(ctx);
-                            sel
-                        }
-                        None => StreamingRSelect::new(ctx),
-                    };
-                    Some((sel, ctx.player_rng(p, rng_tags)))
-                }
+                (!ctx.behaviors.is_dishonest(p))
+                    .then(|| (StreamingRSelect::new(ctx), ctx.player_rng(p, rng_tags)))
             })
             .collect();
         FusedSelect { states }
@@ -89,17 +66,6 @@ impl FusedSelect {
     /// when one is attached (the sum of deterministic per-player peaks is
     /// itself deterministic, whatever the thread count).
     pub(crate) fn finish(self, ctx: &Ctx<'_>, objects: &[u32]) -> Vec<BitVec> {
-        self.finish_recycling(ctx, objects).0
-    }
-
-    /// [`FusedSelect::finish`] that also hands back the spent honest-player
-    /// machines so the caller can pool them for the next run (they carry
-    /// their candidate-slot allocations; `reset` rearms them).
-    pub(crate) fn finish_recycling(
-        self,
-        ctx: &Ctx<'_>,
-        objects: &[u32],
-    ) -> (Vec<BitVec>, Vec<StreamingRSelect>) {
         type Slot = (PlayerState, Option<BitVec>, u64);
         let mut slots: Vec<Slot> = self.states.into_iter().map(|s| (s, None, 0)).collect();
         par_update_items(&mut slots, |p, (state, out, peak)| match state.as_mut() {
@@ -115,14 +81,9 @@ impl FusedSelect {
         if let Some(meter) = ctx.meter {
             meter.add_peak(slots.iter().map(|(_, _, peak)| peak).sum());
         }
-        let mut outputs = Vec::with_capacity(slots.len());
-        let mut recycled = Vec::new();
-        for (state, out, _) in slots {
-            if let Some((sel, _)) = state {
-                recycled.push(sel);
-            }
-            outputs.push(out.expect("every player produced an output"));
-        }
-        (outputs, recycled)
+        slots
+            .into_iter()
+            .map(|(_, out, _)| out.expect("every player produced an output"))
+            .collect()
     }
 }

@@ -89,9 +89,8 @@ pub use byzscore_board::{
     ClusterSpec, DenseTruth, DriftLocality, DriftSchedule, DriftingTruth, ProceduralTruth,
     RemappedTruth, TruthSource,
 };
-pub use cluster::{
-    cluster_players_with, Clustering, GroupCache, NeighborIndex, NeighborStrategy, WarmStart,
-};
+pub use cluster::WarmStart;
+pub use cluster::{cluster_players_with, Clustering, GroupCache, NeighborIndex, NeighborStrategy};
 pub use dynamic::{
     churn_step, compose_world, remap_planted, ChurnSchedule, DynamicOutcome, DynamicWorld,
     DynamicWorldBuilder, RoundReport,

@@ -18,7 +18,6 @@ use byzscore_model::metrics::ErrorReport;
 use byzscore_model::{Instance, Planted};
 use byzscore_random::Beacon;
 
-use crate::cluster::WarmStart;
 use crate::robust::RepetitionLog;
 use crate::{baseline, calculate_preferences, robust_calculate_preferences, ProtocolParams};
 
@@ -210,7 +209,6 @@ pub struct Session {
     strategy: Arc<dyn Strategy>,
     election_adversary: Arc<dyn BinStrategy>,
     sink: OutputSink,
-    warm: Option<Arc<WarmStart>>,
 }
 
 impl Session {
@@ -224,7 +222,6 @@ impl Session {
             strategy: None,
             election_adversary: None,
             sink: OutputSink::Dense,
-            warm: None,
         }
     }
 
@@ -253,14 +250,11 @@ impl Session {
         self.planted.as_ref()
     }
 
-    /// A session over a *changed* world that keeps everything else:
-    /// parameters, adversary, sink — and, crucially, the shared
-    /// [`WarmStart`] slot, so the next `NaiveSampling` run refreshes the
-    /// previous world's group cache (and reuses its pooled select
-    /// machines) instead of rebuilding from scratch. This is the
-    /// incremental recompute path the resident service engine drives on
-    /// every churn/epoch transition (DESIGN.md §4.13); results stay
-    /// bit-identical to a cold session over the same world.
+    /// The same configuration over a new world: parameters, adversary and
+    /// sink carry over, nothing else does. A run on the result is a cold
+    /// run, identical to one on a [`Session::builder`] session built over
+    /// `truth` with the same configuration. The resident service engine
+    /// calls this on every churn/epoch barrier (DESIGN.md §4.13).
     pub fn evolved(&self, truth: Arc<dyn TruthSource>, planted: Option<Planted>) -> Session {
         Session {
             truth,
@@ -270,7 +264,6 @@ impl Session {
             strategy: self.strategy.clone(),
             election_adversary: self.election_adversary.clone(),
             sink: self.sink,
-            warm: self.warm.clone(),
         }
     }
 
@@ -305,9 +298,7 @@ impl Session {
                 repetitions = logs;
                 rows
             }
-            Algorithm::NaiveSampling => {
-                baseline::naive_sampling_with(&ctx, &self.params, self.warm.as_deref())
-            }
+            Algorithm::NaiveSampling => baseline::naive_sampling(&ctx, &self.params),
             Algorithm::Solo => baseline::solo(&ctx, &self.params),
             Algorithm::GlobalMajority => baseline::global_majority(&ctx, &self.params),
             Algorithm::OracleClusters => {
@@ -389,7 +380,6 @@ pub struct SessionBuilder {
     strategy: Option<Arc<dyn Strategy>>,
     election_adversary: Option<Arc<dyn BinStrategy>>,
     sink: OutputSink,
-    warm: Option<Arc<WarmStart>>,
 }
 
 impl SessionBuilder {
@@ -479,14 +469,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Attach a shared [`WarmStart`] slot: `NaiveSampling` runs take the
-    /// previous run's group cache, refresh it against the new z-vectors,
-    /// and put it back. Used by [`crate::DynamicWorld`] to carry the
-    /// survivor group graph across rounds; leave unset for independent
-    /// runs (a sweep sharing one slot across concurrent points would make
-    /// cache hand-offs racy — warm starts are for *sequential* rounds).
-    pub fn warm_start(mut self, warm: Arc<WarmStart>) -> Self {
-        self.warm = Some(warm);
+    /// Perf-only: the argument is ignored and the builder is returned
+    /// unchanged. Kept only because the `perf/` benchmark still calls it.
+    #[doc(hidden)]
+    pub fn warm_start(self, _warm: Arc<crate::cluster::WarmStart>) -> Self {
         self
     }
 
@@ -513,7 +499,6 @@ impl SessionBuilder {
                 .election_adversary
                 .unwrap_or_else(|| Arc::new(GreedyInfiltrate) as Arc<dyn BinStrategy>),
             sink: self.sink,
-            warm: self.warm,
         })
     }
 }
@@ -642,6 +627,9 @@ mod tests {
         assert!(Session::builder().instance(&instance()).try_build().is_ok());
     }
 
+    /// `evolved` onto the same world and onto a drifted, churned one: each
+    /// run equals a cold builder session over that world with the same
+    /// adversary and seed.
     #[test]
     fn evolved_session_keeps_params_and_matches_cold() {
         let inst = instance();
@@ -650,12 +638,33 @@ mod tests {
             .budget(4)
             .adversary(Corruption::Count { count: 3 }, Inverter)
             .build();
-        let evolved = sys.evolved(sys.truth().clone(), sys.planted().cloned());
-        assert_eq!(evolved.params().budget(), sys.params().budget());
-        let a = sys.run(Algorithm::NaiveSampling, 6);
-        let b = evolved.run(Algorithm::NaiveSampling, 6);
-        assert_eq!(a.output, b.output, "same world ⇒ same outcome");
-        assert_eq!(a.dishonest_count, b.dishonest_count);
+        let map: Vec<u32> = (4..64).chain([1, 0]).collect();
+        let drift = byzscore_board::DriftSchedule::uniform(0.02, 9);
+        let changed = crate::compose_world(sys.truth(), Some(&drift), 3, &map);
+        let worlds = [
+            (sys.truth().clone(), inst.planted().cloned()),
+            (
+                changed,
+                inst.planted().map(|p| crate::remap_planted(p, &map)),
+            ),
+        ];
+        for (truth, planted) in worlds {
+            let evolved = sys.evolved(truth.clone(), planted.clone());
+            assert_eq!(evolved.params().budget(), sys.params().budget());
+            assert_eq!(evolved.players(), truth.players());
+            let mut cold = Session::builder()
+                .truth(truth)
+                .budget(4)
+                .adversary(Corruption::Count { count: 3 }, Inverter);
+            if let Some(p) = planted {
+                cold = cold.planted(p);
+            }
+            let a = cold.build().run(Algorithm::NaiveSampling, 6);
+            let b = evolved.run(Algorithm::NaiveSampling, 6);
+            assert_eq!(a.output, b.output, "{} players", b.output().rows());
+            assert_eq!(a.probes.counts(), b.probes.counts());
+            assert_eq!(a.dishonest_count, b.dishonest_count);
+        }
     }
 
     #[test]

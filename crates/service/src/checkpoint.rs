@@ -709,6 +709,19 @@ mod tests {
         assert!(corrupt_reason(&hostile).contains("map entry 4000000000"));
     }
 
+    /// A session spec whose pool passes the oracle's memo cap, or whose
+    /// pool size overflows, is corrupt: the `session` line is rejected as
+    /// it parses, before restore sizes anything by it.
+    #[test]
+    fn an_oversized_session_spec_is_corrupt() {
+        let (engine, dedupe, ops, _) = driven_engine(35, 11);
+        let text = encode_checkpoint(&engine, &dedupe, ops);
+        for objects in ["268435456", "9223372036854775807"] {
+            let hostile = reforge(&text, "session ", |line| with_field(line, 3, objects));
+            assert!(corrupt_reason(&hostile).contains("pool bits"), "{objects}");
+        }
+    }
+
     /// `next_fresh` past the pool is corrupt.
     #[test]
     fn next_fresh_past_the_pool_is_corrupt() {

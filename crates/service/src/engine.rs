@@ -26,21 +26,18 @@
 //! below pins the two barrier by barrier. The cost is
 //! `2 · players · objects` bits per session (4.6 KB at 96 × 192).
 //!
-//! # Incremental recompute
+//! # Recompute
 //!
-//! Churn and epoch transitions recompute scores through
-//! [`Session::evolved`]: the new world replaces the truth while the
-//! session keeps its parameters, adversary, and — crucially — its
-//! [`WarmStart`] slot, so a `Naive` session refreshes the previous group
-//! cache and reuses its pooled select machines instead of rebuilding from
-//! scratch. Outputs stay bit-identical to a cold session over the same
-//! world (pinned in core).
+//! Every barrier (open, churn, epoch) rescores the session cold through
+//! [`Session::evolved`]: the new world replaces the truth, the session's
+//! parameters and adversary carry over, and nothing else does. Each
+//! barrier draws a fresh score seed and so a fresh public sample, which
+//! leaves nothing worth carrying from the previous run (DESIGN.md §4.12).
 
 use std::sync::Arc;
 
 use byzscore::{
-    churn_step, remap_planted, DriftSchedule, ProceduralTruth, ProtocolParams, Session,
-    TruthSource, WarmStart,
+    churn_step, remap_planted, DriftSchedule, ProceduralTruth, ProtocolParams, Session, TruthSource,
 };
 use byzscore_adversary::{Corruption, Inverter};
 use byzscore_bitset::{BitMatrix, Bits};
@@ -80,9 +77,6 @@ struct SessionState {
     epoch: u64,
     /// Churn transitions applied so far (feeds churn + score seeds).
     churns: u64,
-    /// Carries the group cache and pooled select machines across
-    /// recomputes.
-    warm: Arc<WarmStart>,
     /// The current evolved session (world of `epoch`/`map`).
     session: Session,
     /// Resident probe oracle over the current world.
@@ -140,15 +134,6 @@ impl ServiceEngine {
     /// Traffic and memory counters of the shared bulletin board.
     pub fn board_stats(&self) -> BoardStats {
         self.board.stats()
-    }
-
-    /// Pooled select machines currently parked in session `s`'s warm
-    /// slot (0 for closed/unknown sessions or non-`Naive` algorithms).
-    pub fn pooled_selects(&self, session: u64) -> usize {
-        self.sessions
-            .get(session as usize)
-            .and_then(|s| s.as_ref())
-            .map_or(0, |s| s.warm.pooled_selects())
     }
 
     /// Execute a request batch; answers come back in request order.
@@ -209,8 +194,7 @@ impl ServiceEngine {
         let players = spec.players.max(1);
         let drift = drift_of(&spec);
         let (world, pool_planted) = pool_of(&spec, drift.as_ref(), 0);
-        let warm = Arc::new(WarmStart::new());
-        let session = fresh_session(&spec, &warm);
+        let session = fresh_session(&spec);
         let scope = self.board.scope(&[TAG_SERVICE, sid]).id();
         let mut state = SessionState {
             spec,
@@ -221,7 +205,6 @@ impl ServiceEngine {
             next_fresh: players as u32,
             epoch: 0,
             churns: 0,
-            warm,
             session,
             // Placeholders; `recompute` installs the real world.
             oracle: Oracle::new_uncached(Arc::new(EmptyTruth) as Arc<dyn TruthSource>),
@@ -349,10 +332,9 @@ fn pool_of(spec: &SessionSpec, drift: Option<&DriftSchedule>, epoch: u64) -> (Bi
     (world, pool_planted)
 }
 
-/// A never-run session carrying the spec's parameters, adversary, and
-/// the shared warm-start slot; `recompute` evolves it onto the world
-/// before its first run.
-fn fresh_session(spec: &SessionSpec, warm: &Arc<WarmStart>) -> Session {
+/// A never-run session carrying the spec's parameters and adversary;
+/// `recompute` evolves it onto the world before its first run.
+fn fresh_session(spec: &SessionSpec) -> Session {
     Session::builder()
         .truth(Arc::new(EmptyTruth) as Arc<dyn TruthSource>)
         .params(ProtocolParams::with_budget(spec.budget.max(1)))
@@ -362,7 +344,6 @@ fn fresh_session(spec: &SessionSpec, warm: &Arc<WarmStart>) -> Session {
             },
             Inverter,
         )
-        .warm_start(warm.clone())
         .build()
 }
 
@@ -573,9 +554,8 @@ impl ServiceEngine {
     /// session exactly as `open` would, re-register the board scope and
     /// re-post its claims, then install the checkpointed rows and the
     /// probe oracle over their world. The session itself is left
-    /// un-evolved — the next barrier's `recompute` evolves it onto the
-    /// same world a cold open would, and warm-vs-cold bit-identity is
-    /// pinned in core.
+    /// un-evolved — the next barrier's `recompute` evolves it onto its
+    /// world and scores cold, exactly as the live engine does.
     fn restore_state(&self, sid: u64, image: SessionImage) -> SessionState {
         let SessionImage {
             spec,
@@ -589,8 +569,7 @@ impl ServiceEngine {
         } = image;
         let drift = drift_of(&spec);
         let (world, pool_planted) = pool_of(&spec, drift.as_ref(), epoch);
-        let warm = Arc::new(WarmStart::new());
-        let session = fresh_session(&spec, &warm);
+        let session = fresh_session(&spec);
         let scope = self.board.scope(&[TAG_SERVICE, sid]).id();
         for &(object, author, value) in &claims {
             self.board.post_claim(scope, author, object, value);
@@ -604,7 +583,6 @@ impl ServiceEngine {
             next_fresh,
             epoch,
             churns,
-            warm,
             session,
             oracle: Oracle::new_uncached(Arc::new(EmptyTruth) as Arc<dyn TruthSource>),
             rows,
@@ -838,22 +816,6 @@ mod tests {
             .execute(&[Request::AdvanceEpoch { session: 0 }])
             .remove(0);
         assert!(matches!(epoch, Response::Epoch { epoch: 1, .. }));
-    }
-
-    #[test]
-    fn naive_sessions_reuse_pooled_select_machines_across_recomputes() {
-        let mut engine = ServiceEngine::new();
-        engine.execute(&[Request::Open(spec(6))]);
-        let after_open = engine.pooled_selects(0);
-        assert!(
-            after_open > 0,
-            "the opening recompute must park select machines"
-        );
-        engine.execute(&[Request::AdvanceEpoch { session: 0 }]);
-        assert!(
-            engine.pooled_selects(0) > 0,
-            "recomputes keep recycling machines"
-        );
     }
 
     /// The resident world is the adapter composition, bit for bit: after

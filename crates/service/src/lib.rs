@@ -6,9 +6,9 @@
 //! population, advance the drift epoch, close. Requests are answered in
 //! order, one at a time, against one shared bulletin board — the
 //! paper's model has no partitioning, and probes and queries commute
-//! between world transitions anyway. World transitions recompute scores
-//! incrementally through the warm-start path (group-cache refresh +
-//! pooled select machines) of `byzscore::Session::evolved`.
+//! between world transitions anyway. Every world transition rescores the
+//! session cold: `byzscore::Session::evolved` keeps the configuration and
+//! swaps in the new world, and nothing else carries between runs.
 //!
 //! Every front-end — the TCP server ([`net`]), the stdin loop, offline
 //! compaction — drives the engine through one op pipeline,

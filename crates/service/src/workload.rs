@@ -23,6 +23,7 @@
 //! close <sid>
 //! ```
 
+use byzscore_board::MEMO_LIMIT_BITS;
 use byzscore_random::{choose_k, derive_seed};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -377,27 +378,34 @@ pub fn format_op(op: &Request) -> String {
     }
 }
 
-/// Parse one op line (shared by [`Trace::from_text`] and the `scored`
-/// binary's line-at-a-time serve mode).
+/// Parse one op line. Every front-end parses through here: trace files,
+/// journals, checkpoint `session` lines, wire frames and the `scored`
+/// binary's stdin serve mode. An `open` whose session pool would exceed
+/// [`MEMO_LIMIT_BITS`] is rejected here, before anything is allocated.
 pub fn parse_op(line: &str) -> Result<Request, String> {
     let mut toks = line.split_whitespace();
     let verb = toks.next().ok_or("empty op line")?;
     let op = match verb {
-        "open" => Request::Open(SessionSpec {
-            players: num(toks.next(), "players")?,
-            objects: num(toks.next(), "objects")?,
-            clusters: num(toks.next(), "clusters")?,
-            diameter: num(toks.next(), "diameter")?,
-            world_seed: num(toks.next(), "world_seed")?,
-            algorithm: {
-                let name = toks.next().ok_or("missing algorithm")?;
-                ServiceAlgorithm::parse(name).ok_or_else(|| format!("bad algorithm {name:?}"))?
-            },
-            budget: num(toks.next(), "budget")?,
-            corrupt: num(toks.next(), "corrupt")?,
-            drift_ppm: num(toks.next(), "drift_ppm")?,
-            score_seed: num(toks.next(), "score_seed")?,
-        }),
+        "open" => {
+            let spec = SessionSpec {
+                players: num(toks.next(), "players")?,
+                objects: num(toks.next(), "objects")?,
+                clusters: num(toks.next(), "clusters")?,
+                diameter: num(toks.next(), "diameter")?,
+                world_seed: num(toks.next(), "world_seed")?,
+                algorithm: {
+                    let name = toks.next().ok_or("missing algorithm")?;
+                    ServiceAlgorithm::parse(name)
+                        .ok_or_else(|| format!("bad algorithm {name:?}"))?
+                },
+                budget: num(toks.next(), "budget")?,
+                corrupt: num(toks.next(), "corrupt")?,
+                drift_ppm: num(toks.next(), "drift_ppm")?,
+                score_seed: num(toks.next(), "score_seed")?,
+            };
+            check_pool_bits(&spec)?;
+            Request::Open(spec)
+        }
         "probe" => Request::SubmitProbes {
             session: num(toks.next(), "session")?,
             player: num(toks.next(), "player")?,
@@ -428,6 +436,24 @@ pub fn parse_op(line: &str) -> Result<Request, String> {
         return Err(format!("trailing token {extra:?}"));
     }
     Ok(op)
+}
+
+/// A session's resident pool is `2 · players · objects` bits, and its
+/// active world never has more rows than the pool. Capping the pool at the
+/// oracle's memo limit keeps memoized probe accounting for every admitted
+/// session and turns a hostile spec into a typed rejection rather than an
+/// allocation failure.
+fn check_pool_bits(spec: &SessionSpec) -> Result<(), String> {
+    let bits = (spec.players.max(1))
+        .checked_mul(2)
+        .and_then(|rows| rows.checked_mul(spec.objects.max(1)));
+    match bits {
+        Some(bits) if bits <= MEMO_LIMIT_BITS => Ok(()),
+        _ => Err(format!(
+            "open {}x{}: 2·players·objects pool bits exceed {MEMO_LIMIT_BITS}",
+            spec.players, spec.objects
+        )),
+    }
 }
 
 /// Parse the committed `traces/DIGESTS` manifest: one
@@ -497,10 +523,17 @@ mod tests {
             "close 0 extra",                 // trailing token
             "frobnicate 1",                  // unknown verb
             "epoch 0\n\0\0epoch 1",          // an op line past zero padding
+            // A pool one column past 2^28 bits, then 2·players and
+            // 2·players·objects overflowing.
+            "open 16384 8193 2 2 1 naive 4 0 0 1",
+            "open 18446744073709551615 2 2 2 1 naive 4 0 0 1",
+            "open 2 9223372036854775807 2 2 1 naive 4 0 0 1",
         ] {
             let text = format!("{TRACE_VERSION}\n{bad}\n");
             assert!(Trace::from_text(&text).is_err(), "accepted {bad:?}");
         }
+        // A pool of exactly 2^28 bits is admitted.
+        assert!(parse_op("open 16384 8192 2 2 1 naive 4 0 0 1").is_ok());
     }
 
     #[test]
