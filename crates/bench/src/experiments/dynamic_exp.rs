@@ -4,8 +4,8 @@
 //! The paper's guarantees are proved against a static adversary on a
 //! fixed planted clustering; these experiments measure what survives when
 //! the world moves between repetitions. Every scenario is a pure function
-//! of its seeds (rounds are sequential), so all non-timing cells are gated
-//! by `check_bench.py` like any static experiment.
+//! of its seeds (rounds are sequential), so every cell is gated by
+//! `check_bench.py` like any static experiment.
 
 use byzscore::graded::{score_graded_drift, DriftingGrades, GradeMatrix};
 use byzscore::{

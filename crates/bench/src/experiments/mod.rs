@@ -28,27 +28,11 @@ pub use recovery_exp::e18_fault_recovery;
 pub use scale_exp::e13_scale_frontier;
 pub use service_exp::e17_service_throughput;
 
-use byzscore::{Outcome, Session, SweepPoint};
 use byzscore_adversary::Behaviors;
 use byzscore_bitset::BitMatrix;
 use byzscore_blocks::{BlockParams, Ctx};
 use byzscore_board::{Board, Oracle};
 use byzscore_random::Beacon;
-
-/// Run sweep points under the current timing mode: one parallel
-/// [`Session::run_sweep`] (shared — throughput, contended `elapsed ms`),
-/// or one cell at a time with the whole worker budget to itself
-/// (isolated). Results are bit-identical either way; experiments with
-/// timed columns route their sweeps through this.
-pub(crate) fn run_points(session: &Session, points: &[SweepPoint]) -> Vec<Outcome> {
-    match crate::timing_mode() {
-        crate::TimingMode::Shared => session.run_sweep(points),
-        crate::TimingMode::Isolated => points
-            .iter()
-            .map(|pt| session.run(pt.algorithm, pt.seed))
-            .collect(),
-    }
-}
 
 /// A self-owned honest-world harness around a truth matrix: oracle, board,
 /// behaviours, and params, with a [`Harness::ctx`] accessor. Keeps the

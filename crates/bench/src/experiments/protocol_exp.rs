@@ -93,13 +93,7 @@ pub fn e06_probe_complexity(scale: Scale) -> Vec<Table> {
 
     let mut table = Table::new(
         format!("E6 (Lemmas 10–11): probe complexity vs n — B={b}, planted D={d}"),
-        &[
-            "n",
-            "max honest probes",
-            "probes/(B·ln³n)",
-            "total probes",
-            crate::elapsed_header(),
-        ],
+        &["n", "max honest probes", "probes/(B·ln³n)", "total probes"],
     );
 
     let mut points = Vec::new();
@@ -121,7 +115,6 @@ pub fn e06_probe_complexity(scale: Scale) -> Vec<Table> {
             out.max_honest_probes.to_string(),
             f3(out.max_honest_probes as f64 / (b as f64 * ln3)),
             out.probes.total().to_string(),
-            out.elapsed.as_millis().to_string(),
         ]);
     }
     table.note(format!(
@@ -135,13 +128,7 @@ pub fn e06_probe_complexity(scale: Scale) -> Vec<Table> {
     // probed fraction of m falls as n grows.
     let mut table_b = Table::new(
         "E6b: probe fraction vs n — B=2, lightened constants (crossover into the polylog regime)",
-        &[
-            "n",
-            "max honest probes",
-            "fraction of m",
-            "max err",
-            crate::elapsed_header(),
-        ],
+        &["n", "max honest probes", "fraction of m", "max err"],
     );
     let ns_b = scale.pick(vec![512usize, 1024, 2048], vec![1024, 2048, 4096]);
     let mut points_b = Vec::new();
@@ -171,7 +158,6 @@ pub fn e06_probe_complexity(scale: Scale) -> Vec<Table> {
             out.max_honest_probes.to_string(),
             f3(out.max_honest_probes as f64 / n as f64),
             out.errors.max.to_string(),
-            out.elapsed.as_millis().to_string(),
         ]);
     }
     table_b.note(format!(
@@ -351,14 +337,7 @@ pub fn e12_budgets(scale: Scale) -> Vec<Table> {
 
     let mut table = Table::new(
         format!("E12 (§8): budget sweep — n={n}, m={m}, planted D={d}"),
-        &[
-            "B",
-            "n/B",
-            "max err",
-            "mean err",
-            "max honest probes",
-            crate::elapsed_header(),
-        ],
+        &["B", "n/B", "max err", "mean err", "max honest probes"],
     );
 
     for &b in &bs {
@@ -378,7 +357,6 @@ pub fn e12_budgets(scale: Scale) -> Vec<Table> {
             out.errors.max.to_string(),
             f2(out.errors.mean),
             out.max_honest_probes.to_string(),
-            out.elapsed.as_millis().to_string(),
         ]);
     }
     vec![table]

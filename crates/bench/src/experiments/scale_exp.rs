@@ -4,7 +4,7 @@
 use byzscore::{Algorithm, ClusterSpec, ProtocolParams, Session, SweepPoint};
 
 use crate::table::{f2, Table};
-use crate::{Scale, TimingMode};
+use crate::Scale;
 
 /// **E13 / ROADMAP "scale the substrate past simulation sizes"** — sweep
 /// `n` up to 10⁵ players (2·10⁵ at full scale) on
@@ -19,7 +19,7 @@ use crate::{Scale, TimingMode};
 /// including the mid-`τ` ones that used to fall onto the `O(n²)` blocked
 /// scan, runs over a group graph orders of magnitude smaller than `n`
 /// (DESIGN.md §4.8). Each size's algorithms execute as one parallel
-/// [`Session::run_sweep`] (serially under `--timing isolated`).
+/// [`Session::run_sweep`].
 pub fn e13_scale_frontier(scale: Scale) -> Vec<Table> {
     let m = 1024usize;
     let b = 8usize;
@@ -42,7 +42,6 @@ pub fn e13_scale_frontier(scale: Scale) -> Vec<Table> {
             "peak claim slots",
             "claim posts",
             "peak candidate bytes",
-            crate::elapsed_header(),
         ],
     );
 
@@ -64,7 +63,7 @@ pub fn e13_scale_frontier(scale: Scale) -> Vec<Table> {
             SweepPoint::new(Algorithm::GlobalMajority, 41),
             SweepPoint::new(Algorithm::NaiveSampling, 43),
         ];
-        for out in super::run_points(&session, &points) {
+        for out in session.run_sweep(&points) {
             table.row(vec![
                 n.to_string(),
                 out.algorithm.clone(),
@@ -74,7 +73,6 @@ pub fn e13_scale_frontier(scale: Scale) -> Vec<Table> {
                 out.board.peak_claim_slots.to_string(),
                 out.board.claim_posts.to_string(),
                 out.peak_candidate_bytes.to_string(),
-                out.elapsed.as_millis().to_string(),
             ]);
         }
     }
@@ -93,17 +91,9 @@ pub fn e13_scale_frontier(scale: Scale) -> Vec<Table> {
          per-player peak residency of the streaming RSelect tournaments — \
          fused into the guess loop it stays near n·m/8 instead of the \
          batch path's n·guesses·m/8 (zero for GlobalMajority, which runs \
-         no tournament). {}",
+         no tournament).",
         (100_000.0 / b as f64).powi(2) / 1.0e8,
         100_000.0 * m as f64 / 8.0 / 1.0e6,
-        match crate::timing_mode() {
-            TimingMode::Shared =>
-                "elapsed ms is wall-clock under concurrent sweep execution \
-                 (rerun with --timing isolated for uncontended cells).",
-            TimingMode::Isolated =>
-                "elapsed ms (isolated) is wall-clock with each cell run \
-                 serially, the full worker budget to itself.",
-        }
     ));
     vec![table]
 }

@@ -1,13 +1,11 @@
-//! E17 — scoring-as-a-service throughput (DESIGN.md §4.13).
+//! E17 — scoring as a service (DESIGN.md §4.13).
 //!
-//! The service engine answers a recorded request trace; the experiment
-//! measures sustained request throughput and per-op latency while CI
-//! gates only the deterministic cells: the combined response digest
-//! (bit-identical at any `--threads` and any batch split of the same
-//! trace) and the rejected-op count. `reqs/sec` and
-//! the latency percentiles are machine-dependent and report-only.
-
-use std::time::Instant;
+//! The service engine answers recorded request traces; every cell is
+//! deterministic and gated: the combined response digest (bit-identical
+//! at any `--threads`, any batch split of the same trace, and over the
+//! socket) and the rejected-op count. Throughput and latency are
+//! measured by the `perf/` benchmark's `serve_*` and `socket_*`
+//! workloads, not here.
 
 use byzscore_service::net::{replay_over_socket, request_shutdown};
 use byzscore_service::{
@@ -15,12 +13,12 @@ use byzscore_service::{
     ServiceEngine, Trace, TraceSpec,
 };
 
-use crate::table::{f2, Table};
+use crate::table::Table;
 use crate::Scale;
 
-/// Ops per `execute` call during the timed replay. Responses are
+/// Ops per `execute` call during the @scale replay. Responses are
 /// independent of this split (the engine answers one op at a time
-/// either way); it only sets the latency sampling granularity.
+/// either way).
 const BATCH: usize = 1024;
 
 /// Replay `trace` on a fresh engine in `execute` calls of `chunk` ops
@@ -39,63 +37,9 @@ fn replay_in_chunks(trace: &Trace, chunk: usize) -> (u64, usize) {
     (combined_digest(&responses), rejected)
 }
 
-/// One timed replay in [`BATCH`]-sized `execute` calls.
-struct Timed {
-    digest: u64,
-    rejected: usize,
-    reqs_per_sec: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-}
-
-fn timed_replay(trace: &Trace) -> Timed {
-    let mut engine = ServiceEngine::new();
-    let mut responses = Vec::with_capacity(trace.ops.len());
-    // Per-batch mean op latency, weighted by batch size — enough for
-    // p50/p99 without storing one sample per op at full scale.
-    let mut batches: Vec<(u64, usize)> = Vec::with_capacity(trace.ops.len() / BATCH + 1);
-    let start = Instant::now();
-    for chunk in trace.ops.chunks(BATCH) {
-        let t = Instant::now();
-        responses.extend(engine.execute(chunk));
-        let ns = t.elapsed().as_nanos() as u64;
-        batches.push((ns / chunk.len() as u64, chunk.len()));
-    }
-    let seconds = start.elapsed().as_secs_f64().max(1e-9);
-    batches.sort_unstable();
-    let total: usize = trace.ops.len();
-    let percentile = |q_num: usize, q_den: usize| -> f64 {
-        let target = total * q_num / q_den;
-        let mut seen = 0usize;
-        for &(ns, k) in &batches {
-            seen += k;
-            if seen > target {
-                return ns as f64 / 1e6;
-            }
-        }
-        batches.last().map_or(0.0, |&(ns, _)| ns as f64 / 1e6)
-    };
-    let rejected = responses
-        .iter()
-        .filter(|r| matches!(r, Response::Rejected(_)))
-        .count();
-    Timed {
-        digest: combined_digest(&responses),
-        rejected,
-        reqs_per_sec: total as f64 / seconds,
-        p50_ms: percentile(1, 2),
-        p99_ms: percentile(99, 100),
-    }
-}
-
-/// Latency cell: milliseconds with enough precision for µs-scale ops.
-fn ms4(x: f64) -> String {
-    format!("{x:.4}")
-}
-
 /// E17: resident service engine replaying recorded workloads — digest
-/// determinism across `execute` batch splits, then sustained throughput
-/// at 10⁵ (quick) / 10⁶ (full) requests.
+/// determinism across `execute` batch splits, the digest of a 10⁵
+/// (quick) / 10⁶ (full) request trace, and the socket replay.
 pub fn e17_service_throughput(scale: Scale) -> Vec<Table> {
     // Table 1 — determinism: small mixed traces, each replayed whole,
     // one op per call, and in 7-op chunks; every deterministic cell is
@@ -132,7 +76,7 @@ pub fn e17_service_throughput(scale: Scale) -> Vec<Table> {
     }
     det.note("digest folds every response in request order; identical at any --threads and execute() batch split (whole trace, one op per call, 7-op chunks)");
 
-    // Table 2 — throughput: a read-heavy steady-state trace (probes and
+    // Table 2 — @scale: a read-heavy steady-state trace (probes and
     // queries dominate; churn/epoch recomputes are ~1% of ops).
     let ops = scale.pick(100_000, 1_000_000);
     let spec = TraceSpec {
@@ -156,23 +100,16 @@ pub fn e17_service_throughput(scale: Scale) -> Vec<Table> {
         seed: 17,
     };
     let trace = Trace::generate(&spec);
-    let mut thr = Table::new(
-        "E17: service throughput @scale",
-        &["ops", "rejected", "reqs/sec", "p50 ms", "p99 ms", "digest"],
-    );
-    let t = timed_replay(&trace);
+    let mut thr = Table::new("E17: service digest @scale", &["ops", "rejected", "digest"]);
+    let (digest, rejected) = replay_in_chunks(&trace, BATCH);
     thr.row(vec![
         trace.ops.len().to_string(),
-        t.rejected.to_string(),
-        f2(t.reqs_per_sec),
-        ms4(t.p50_ms),
-        ms4(t.p99_ms),
-        format!("{:016x}", t.digest),
+        rejected.to_string(),
+        format!("{digest:016x}"),
     ]);
     thr.note(format!(
         "{} requests over {} sessions (n={}, m={}, {} corrupt, {} ppm drift, skew {}) in \
-         {BATCH}-op execute() calls; reqs/sec and latency percentiles are report-only, digest \
-         and rejected are gated",
+         {BATCH}-op execute() calls",
         trace.ops.len(),
         spec.sessions,
         spec.players,
@@ -216,7 +153,6 @@ fn socket_replay_table() -> Table {
             "ops",
             "rejected",
             "busy retries",
-            "reqs/sec",
             "digest",
             "matches traces/DIGESTS",
         ],
@@ -225,10 +161,8 @@ fn socket_replay_table() -> Table {
         let server = Server::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
         let addr = server.local_addr();
         let running = std::thread::spawn(move || server.run());
-        let start = Instant::now();
         let replay =
             replay_over_socket(addr, &trace.ops, connections).expect("socket replay succeeds");
-        let seconds = start.elapsed().as_secs_f64().max(1e-9);
         request_shutdown(addr).expect("server acknowledges shutdown");
         running.join().expect("server thread exits cleanly");
         let digest = combined_digest(&replay.responses);
@@ -242,7 +176,6 @@ fn socket_replay_table() -> Table {
             replay.responses.len().to_string(),
             rejected.to_string(),
             replay.busy_retries.to_string(),
-            f2(replay.responses.len() as f64 / seconds),
             format!("{digest:016x}"),
             if digest == pinned {
                 "yes".into()
@@ -252,9 +185,9 @@ fn socket_replay_table() -> Table {
         ]);
     }
     tab.note(
-        "loopback TCP, default NetConfig (one dispatch lane, queue depth 256); every cell except \
-         reqs/sec is gated — the digest is pinned in traces/DIGESTS and bit-identical to the \
-         in-process and stdin replays at any connection count",
+        "loopback TCP, default NetConfig (one dispatch lane, queue depth 256); the digest is \
+         pinned in traces/DIGESTS and bit-identical to the in-process and stdin replays at any \
+         connection count",
     );
     tab
 }

@@ -9,13 +9,14 @@
 //! ```text
 //! cargo run -p byzscore-bench --release --bin run_all -- --list
 //! cargo run -p byzscore-bench --release --bin run_all -- --only e07,e09
-//! cargo run -p byzscore-bench --release --bin e07_error_vs_d
 //! ```
 //!
 //! Experiment runners are plain functions `fn(Scale) -> Vec<Table>`; they
 //! never print. The engine renders markdown to stdout and, with `--json`,
 //! serializes the same tables into `BENCH_*.json` artifacts so runs are
-//! diffable across commits.
+//! diffable across commits. Every cell is a pure function of the seeds —
+//! counts, errors, digests — so every cell gates; wall-clock lives in the
+//! `perf/` benchmark, not here.
 //!
 //! Scale: experiments default to a quick preset that finishes in seconds to
 //! a few minutes each; `--scale full` (or `BYZ_FULL=1`) selects the larger
@@ -56,50 +57,5 @@ impl Scale {
             Scale::Quick => q,
             Scale::Full => f,
         }
-    }
-}
-
-/// How experiments time their per-cell `elapsed ms` columns, selected by
-/// the CLI's `--timing` flag.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum TimingMode {
-    /// Cells run as concurrent sweep points: throughput-oriented, but a
-    /// cell's wall-clock includes contention from its siblings (and, with
-    /// concurrent experiments, from other experiments).
-    #[default]
-    Shared,
-    /// Each timed cell is executed serially, one at a time with the whole
-    /// worker budget to itself, so `elapsed ms` is an isolated measurement.
-    /// Results are bit-identical either way (runs are pure functions of
-    /// their seeds); only the timing column and its label change.
-    Isolated,
-}
-
-static TIMING_ISOLATED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Set the process-wide timing mode (the engine calls this from `--timing`).
-pub fn set_timing_mode(mode: TimingMode) {
-    TIMING_ISOLATED.store(
-        mode == TimingMode::Isolated,
-        std::sync::atomic::Ordering::Relaxed,
-    );
-}
-
-/// The timing mode experiments should honor for timed sweep cells.
-pub fn timing_mode() -> TimingMode {
-    if TIMING_ISOLATED.load(std::sync::atomic::Ordering::Relaxed) {
-        TimingMode::Isolated
-    } else {
-        TimingMode::Shared
-    }
-}
-
-/// The header for wall-clock columns under the current [`timing_mode`] —
-/// isolated timings are labeled as such so JSON artifacts from different
-/// modes cannot be confused.
-pub fn elapsed_header() -> &'static str {
-    match timing_mode() {
-        TimingMode::Shared => "elapsed ms",
-        TimingMode::Isolated => "elapsed ms (isolated)",
     }
 }

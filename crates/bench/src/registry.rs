@@ -24,7 +24,7 @@ pub struct Experiment {
     /// *concurrently* with other registry entries (`cli::collect`), so
     /// they must be pure functions of `(scale, hard-coded seeds)` — no
     /// shared mutable state beyond the process-wide knobs the engine sets
-    /// before the fan-out (thread budget, timing mode).
+    /// before the fan-out (the thread budget).
     pub runner: fn(Scale) -> Vec<Table>,
 }
 
@@ -155,7 +155,7 @@ pub static REGISTRY: &[Experiment] = &[
         id: "e17",
         name: "service_throughput",
         description:
-            "Scoring as a service: resident engine replaying recorded request traces — reqs/sec, p50/p99 latency, gated response digests",
+            "Scoring as a service: resident engine replaying recorded request traces — gated response digests across batch splits, @scale and over the socket",
         tags: &["service", "scale", "perf"],
         runner: e::e17_service_throughput,
     },

@@ -8,60 +8,37 @@ use byzscore_bench::cli::{collect, resolve};
 use byzscore_bench::Scale;
 use byzscore_board::par::set_thread_limit;
 
-/// Strip timing cells (same marker rule as `scripts/check_bench.py`):
-/// wall-clock is the one column allowed to differ between runs.
-fn stable_cells(records: &[byzscore_bench::cli::RunRecord]) -> Vec<Vec<Vec<String>>> {
+/// Every table of every record, whole: title, headers, every cell and
+/// every note. No column is exempt — the registry carries no wall-clock.
+fn tables(records: &[byzscore_bench::cli::RunRecord]) -> Vec<Vec<String>> {
     records
         .iter()
-        .map(|rec| {
-            rec.tables
-                .iter()
-                .map(|t| {
-                    let keep: Vec<usize> = t
-                        .headers()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, h)| {
-                            let h = h.to_lowercase();
-                            h != "ms"
-                                && !h.contains("elapsed")
-                                && !h.contains(" ms")
-                                && !h.contains("seconds")
-                        })
-                        .map(|(i, _)| i)
-                        .collect();
-                    let mut cells = vec![t.title().to_string()];
-                    cells.extend(keep.iter().map(|&i| t.headers()[i].clone()));
-                    for row in t.rows() {
-                        cells.extend(keep.iter().map(|&i| row[i].clone()));
-                    }
-                    cells
-                })
-                .collect()
-        })
+        .map(|rec| rec.tables.iter().map(|t| t.to_json()).collect())
         .collect()
 }
 
 #[test]
 fn concurrent_experiments_are_bit_identical_across_thread_counts() {
     // A cheap but heterogeneous slice of the registry: block-level,
-    // protocol-level, and election experiments, all with sub-second quick
-    // runs. They execute concurrently inside one `collect` call.
+    // protocol-level, and election experiments, all with sub-second to
+    // few-second quick runs, plus e12, whose table used to carry a
+    // wall-clock column. They execute concurrently inside one `collect`.
     let picked = resolve(&[
         "e01".to_string(),
         "e02".to_string(),
         "e04".to_string(),
         "e10".to_string(),
+        "e12".to_string(),
     ])
     .expect("selectors resolve");
 
     set_thread_limit(Some(1));
-    let reference = stable_cells(&collect(&picked, Scale::Quick));
-    assert_eq!(reference.len(), 4, "one record per experiment, in order");
+    let reference = tables(&collect(&picked, Scale::Quick));
+    assert_eq!(reference.len(), 5, "one record per experiment, in order");
 
     for threads in [2usize, 8] {
         set_thread_limit(Some(threads));
-        let got = stable_cells(&collect(&picked, Scale::Quick));
+        let got = tables(&collect(&picked, Scale::Quick));
         assert_eq!(
             got, reference,
             "experiment tables differ at {threads} worker thread(s)"

@@ -285,7 +285,7 @@ pub fn churn_step(
     join: usize,
     rng: &mut impl Rng,
 ) -> (Vec<u32>, Vec<u32>) {
-    let retire = retire.min(map.len().saturating_sub(1));
+    let (retire, join) = churn_counts(map.len(), *next_fresh, pool_rows, retire, join);
     let mut slots: Vec<usize> = (0..map.len()).collect();
     slots.shuffle(rng);
     let mut retiring: Vec<usize> = slots[..retire].to_vec();
@@ -294,16 +294,27 @@ pub fn churn_step(
     for &s in retiring.iter().rev() {
         map.remove(s);
     }
-    let mut joined = Vec::new();
-    for _ in 0..join {
-        if *next_fresh >= pool_rows {
-            break;
-        }
-        joined.push(*next_fresh);
-        map.push(*next_fresh);
-        *next_fresh += 1;
-    }
+    let joined: Vec<u32> = (*next_fresh..*next_fresh + join as u32).collect();
+    map.extend_from_slice(&joined);
+    *next_fresh += join as u32;
     (retired, joined)
+}
+
+/// How many players one [`churn_step`] over `active` players retires and
+/// admits: at most `retire`, never leaving fewer than one player, and at
+/// most `join`, stopping when the `pool_rows`-row pool has no fresh
+/// identity left at `next_fresh`.
+pub fn churn_counts(
+    active: usize,
+    next_fresh: u32,
+    pool_rows: u32,
+    retire: usize,
+    join: usize,
+) -> (usize, usize) {
+    (
+        retire.min(active.saturating_sub(1)),
+        join.min(pool_rows.saturating_sub(next_fresh) as usize),
+    )
 }
 
 /// The world active slots see at `epoch`: `pool` → drift to `epoch` (when

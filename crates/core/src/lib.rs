@@ -92,8 +92,8 @@ pub use byzscore_board::{
 pub use cluster::WarmStart;
 pub use cluster::{cluster_players_with, Clustering, GroupCache, NeighborIndex, NeighborStrategy};
 pub use dynamic::{
-    churn_step, compose_world, remap_planted, ChurnSchedule, DynamicOutcome, DynamicWorld,
-    DynamicWorldBuilder, RoundReport,
+    churn_counts, churn_step, compose_world, remap_planted, ChurnSchedule, DynamicOutcome,
+    DynamicWorld, DynamicWorldBuilder, RoundReport,
 };
 pub use params::ProtocolParams;
 pub use protocol::calculate_preferences;

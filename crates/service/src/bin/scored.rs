@@ -124,6 +124,10 @@ fn gen(args: &[String]) {
             _ => usage(),
         }
     }
+    if spec.sessions == 0 {
+        eprintln!("scored: --sessions must be at least 1");
+        usage();
+    }
     let trace = Trace::generate(&spec);
     if let Err(e) = std::fs::write(path, trace.to_text()) {
         eprintln!("scored: cannot write {path}: {e}");

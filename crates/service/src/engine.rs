@@ -37,7 +37,8 @@
 use std::sync::Arc;
 
 use byzscore::{
-    churn_step, remap_planted, DriftSchedule, ProceduralTruth, ProtocolParams, Session, TruthSource,
+    churn_counts, churn_step, remap_planted, DriftSchedule, ProceduralTruth, ProtocolParams,
+    Session, TruthSource,
 };
 use byzscore_adversary::{Corruption, Inverter};
 use byzscore_bitset::{BitMatrix, Bits};
@@ -190,8 +191,11 @@ impl ServiceEngine {
     }
 
     fn open(&mut self, spec: SessionSpec) -> Response {
-        let sid = self.sessions.len() as u64;
         let players = spec.players.max(1);
+        if let Err(e) = scorable("open", players, spec.corrupt) {
+            return Response::Rejected(e);
+        }
+        let sid = self.sessions.len() as u64;
         let drift = drift_of(&spec);
         let (world, pool_planted) = pool_of(&spec, drift.as_ref(), 0);
         let session = fresh_session(&spec);
@@ -227,12 +231,17 @@ impl ServiceEngine {
             Ok(s) => s,
             Err(e) => return Response::Rejected(e),
         };
+        let pool_rows = state.world.rows() as u32;
+        let active = state.map.len();
+        let (retiring, joining) = churn_counts(active, state.next_fresh, pool_rows, retire, join);
+        if let Err(e) = scorable("churn", active - retiring + joining, state.spec.corrupt) {
+            return Response::Rejected(e);
+        }
         state.churns += 1;
         let mut rng = SmallRng::seed_from_u64(derive_seed(
             state.spec.world_seed,
             &[TAG_CHURN, state.churns],
         ));
-        let pool_rows = state.world.rows() as u32;
         let (retired, joined) = churn_step(
             &mut state.map,
             &mut state.next_fresh,
@@ -283,6 +292,20 @@ impl ServiceEngine {
             freed_slots: freed,
         }
     }
+}
+
+/// A session can be scored only while its population exceeds its corrupt
+/// count: the adversary corrupts exactly `corrupt` players and the error
+/// report needs at least one honest one. `op` would leave `population`.
+fn scorable(op: &str, population: usize, corrupt: usize) -> Result<(), ServiceError> {
+    if population > corrupt {
+        return Ok(());
+    }
+    Err(ServiceError::Malformed {
+        message: format!(
+            "{op} leaves population {population}, which must exceed corrupt {corrupt}"
+        ),
+    })
 }
 
 /// The procedural identity pool (capacity `2 × players`) a spec denotes.
@@ -876,6 +899,75 @@ mod tests {
             }
         }
         assert!(restored_at >= Some(3), "the trace must age a session");
+    }
+
+    /// An `open` whose corrupt count covers every player, and a `churn`
+    /// that leaves no more players than the corrupt count, are typed
+    /// rejections that change nothing: no session id is consumed and the
+    /// churn counter (which seeds the next churn) does not move.
+    #[test]
+    fn unscorable_populations_are_rejected_before_any_state_changes() {
+        let all_corrupt = SessionSpec {
+            players: 8,
+            objects: 16,
+            clusters: 1,
+            diameter: 2,
+            corrupt: 8,
+            drift_ppm: 0,
+            ..spec(1)
+        };
+        let two_corrupt = SessionSpec {
+            corrupt: 2,
+            ..all_corrupt
+        };
+        let churn = |retire| Request::ApplyChurn {
+            session: 0,
+            retire,
+            join: 0,
+        };
+        let malformed = |resp: &Response| match resp {
+            Response::Rejected(ServiceError::Malformed { message }) => message.clone(),
+            other => panic!("expected a Malformed rejection, got {other:?}"),
+        };
+        let mut engine = ServiceEngine::new();
+        // One honest player is enough: both boundaries are scored.
+        let answers = engine.execute(&[
+            Request::Open(all_corrupt),
+            Request::Open(two_corrupt),
+            churn(7),
+            churn(5),
+            Request::Open(SessionSpec {
+                corrupt: 7,
+                ..all_corrupt
+            }),
+        ]);
+        let open = malformed(&answers[0]);
+        assert!(
+            open.contains("population 8") && open.contains("corrupt 8"),
+            "{open}"
+        );
+        assert!(matches!(
+            answers[1],
+            Response::Opened {
+                session: 0,
+                players: 8,
+                ..
+            }
+        ));
+        let churned = malformed(&answers[2]);
+        assert!(
+            churned.contains("population 1") && churned.contains("corrupt 2"),
+            "{churned}"
+        );
+        let clean = ServiceEngine::new().execute(&[Request::Open(two_corrupt), churn(5)]);
+        assert_eq!(answers[1], clean[0]);
+        assert_eq!(
+            answers[3], clean[1],
+            "the rejected churn moved the churn seed"
+        );
+        assert!(matches!(answers[3], Response::Churned { players: 3, .. }));
+        assert!(matches!(answers[4], Response::Opened { session: 1, .. }));
+        assert_eq!(engine.open_sessions(), 2);
     }
 
     #[test]

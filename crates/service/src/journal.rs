@@ -1215,6 +1215,44 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A journal can hold ops the engine cannot score — an `open` whose
+    /// corrupt count covers every player, a `churn` that leaves no more
+    /// players than the corrupt count — because ops are journaled before
+    /// they execute. Recovery replays them as typed rejections, and the
+    /// recovered engine keeps serving.
+    #[test]
+    fn journal_holding_a_poisoned_open_recovers() {
+        let path = temp_path("poison");
+        let poisoned_open = "open 8 16 1 2 1 naive 4 8 0 1";
+        std::fs::write(
+            &path,
+            format!(
+                "{TRACE_VERSION}\n# wal seq=0\n{poisoned_open}\n\
+                 # wal seq=1\nopen 8 16 1 2 1 naive 4 2 0 1\n# wal seq=2\nchurn 0 7 0\n"
+            ),
+        )
+        .expect("write journal");
+        let (mut je, replayed) = JournaledEngine::recover(&path).expect("recover");
+        assert_eq!(replayed, 3);
+        assert_eq!(
+            je.engine().open_sessions(),
+            1,
+            "the poisoned open took no id"
+        );
+        let resent = je
+            .submit(0, &parse_op(poisoned_open).unwrap())
+            .expect("resend");
+        assert!(matches!(resent, Response::Rejected(_)), "{resent:?}");
+        let epoch = je.submit(3, &parse_op("epoch 0").unwrap()).expect("epoch");
+        assert!(
+            matches!(epoch, Response::Epoch { epoch: 1, .. }),
+            "{epoch:?}"
+        );
+        let (_, replayed) = JournaledEngine::recover(&path).expect("re-recover");
+        assert_eq!(replayed, 4);
+        let _ = std::fs::remove_file(&path);
+    }
+
     /// A bare file name syncs the current directory instead of failing
     /// to open the empty path its `parent()` returns.
     #[test]

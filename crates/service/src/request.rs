@@ -294,11 +294,13 @@ pub enum ServiceError {
     /// A preference query named no players.
     EmptyQuery(u64),
     /// The request text could not be parsed at all (bad op line on the
-    /// stdin loop, bad frame payload on the socket). Typed so that every
-    /// input — however mangled — still gets a digestible answer instead
-    /// of tearing down the session loop or the connection.
+    /// stdin loop, bad frame payload on the socket), or it parsed into a
+    /// session the engine cannot score: an `open` or `churn` whose
+    /// population would not exceed the session's corrupt count. Typed so
+    /// that every input — however mangled — still gets a digestible
+    /// answer instead of tearing down the session loop or the connection.
     Malformed {
-        /// What failed to parse, human-readable.
+        /// What was wrong with the request, human-readable.
         message: String,
     },
 }

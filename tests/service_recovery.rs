@@ -265,6 +265,55 @@ fn barrier_panic_rebuilds_from_the_journal() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// One wire frame must not brick a journaled server. An `open` whose
+/// corrupt count covers every player and a `churn` that leaves no more
+/// players than the corrupt count are journaled (appends precede
+/// execution), answered with a typed rejection, and the server keeps
+/// serving. A server recovered from that journal — the same replay a
+/// barrier-panic rebuild runs — answers the rest identically.
+#[test]
+fn poison_ops_are_rejected_typed_and_their_journal_recovers() {
+    let script = ops(&[
+        "open 8 16 1 2 1 naive 4 8 0 1",
+        "open 8 16 1 2 1 naive 4 2 0 1",
+        "churn 0 7 0",
+        "query 0 0,1 -",
+        "epoch 0",
+    ]);
+    let expected = ServiceEngine::new().execute(&script);
+    for poisoned in [&expected[0], &expected[2]] {
+        assert!(matches!(poisoned, Response::Rejected(_)), "{poisoned:?}");
+    }
+    let path = temp_journal("poison");
+    scrub(&path);
+    let before = spawn_server(NetConfig {
+        journal: Some(path.clone()),
+        ..NetConfig::default()
+    });
+    let first = replay_with_options(before, &script[..3], ReplayOptions::default())
+        .expect("the poisoned frames are answered");
+    assert_eq!(first.responses, expected[..3]);
+    let stats = request_stats(before).expect("the server survived the poison ops");
+    assert_eq!(stats.admitted, stats.completed);
+
+    let recovered = Server::bind(
+        "127.0.0.1:0",
+        NetConfig {
+            journal: Some(path.clone()),
+            recover: true,
+            ..NetConfig::default()
+        },
+    )
+    .expect("a journal holding the poison ops recovers");
+    assert_eq!(recovered.recovered_ops(), 3);
+    let after = recovered.local_addr();
+    thread::spawn(move || recovered.run());
+    let rest = replay_with_options(after, &script[3..], ReplayOptions::default())
+        .expect("the recovered server keeps serving");
+    assert_eq!(rest.responses, expected[3..]);
+    scrub(&path);
+}
+
 /// The server severing a connection mid-dispatch (the op executes, the
 /// answer is lost) looks like a network partition: the client
 /// reconnects, resends its pending ops, and finishes with the exact
