@@ -5,16 +5,17 @@
 //! threshold without changing a single answer**. Table 1 drives the
 //! committed quick trace through a journaled engine under `every=N`
 //! policies — uninterrupted and killed at a seeded op schedule — and
-//! gates that the tail stays ≤ N ops, that cycles actually ran, and
-//! that the concatenated response digest is the `traces/DIGESTS` pin
-//! (recovery now starts from the checkpoint, not op 0). Table 2 gates
+//! gates that the tail stays ≤ N ops, that cycles actually ran, the
+//! bytes every cycle's checkpoint took on disk, and that the
+//! concatenated response digest is the `traces/DIGESTS` pin (recovery
+//! now starts from the checkpoint, not op 0). Table 2 gates
 //! the failure edges: a torn primary checkpoint (footer lost) falls
 //! back to the rotated previous checkpoint, an offline `compact` cycle
 //! leaves an empty recoverable tail, and the post-truncation journal is
 //! still a valid `byzscore-trace/v1` file. Every cell is deterministic
 //! and CI-gated; there are no report-only columns.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use byzscore_service::checkpoint::{checkpoint_path, previous_checkpoint_path};
 use byzscore_service::{
@@ -62,7 +63,36 @@ struct CompactRun {
     checkpoints: u64,
     truncated_ops: u64,
     tail_ops: u64,
+    /// Σ bytes of the checkpoints the run's cycles wrote.
+    ckpt_bytes: u64,
     source: Option<RecoverySource>,
+}
+
+/// Submit `ops` (each with its trace index as seq) to `engine`, pushing
+/// the answers onto `responses`; returns the summed size of every
+/// checkpoint a compaction cycle wrote meanwhile, read from disk right
+/// after the op that ran the cycle.
+fn submit_all<'a>(
+    engine: &mut JournaledEngine,
+    path: &Path,
+    ops: impl Iterator<Item = (usize, &'a Request)>,
+    responses: &mut Vec<Response>,
+) -> u64 {
+    let mut ckpt_bytes = 0;
+    for (seq, op) in ops {
+        let cycles = engine.checkpoints();
+        responses.push(
+            engine
+                .submit(seq as u64, op)
+                .expect("journal append succeeds"),
+        );
+        if engine.checkpoints() > cycles {
+            ckpt_bytes += std::fs::metadata(checkpoint_path(path))
+                .expect("a cycle installs a checkpoint")
+                .len();
+        }
+    }
+    ckpt_bytes
 }
 
 /// Drive the trace through a journaled engine with `every`-op
@@ -86,17 +116,16 @@ fn compacting_run(
     scrub(&path);
     let split = kill_at.unwrap_or(ops.len());
     let mut responses = Vec::with_capacity(ops.len());
-    let (mut checkpoints, mut truncated_ops);
+    let (mut checkpoints, mut truncated_ops, mut ckpt_bytes);
     {
         let mut engine =
             JournaledEngine::create_with(&path, policy).expect("journal create succeeds");
-        for (seq, op) in ops[..split].iter().enumerate() {
-            responses.push(
-                engine
-                    .submit(seq as u64, op)
-                    .expect("journal append succeeds"),
-            );
-        }
+        ckpt_bytes = submit_all(
+            &mut engine,
+            &path,
+            ops[..split].iter().enumerate(),
+            &mut responses,
+        );
         checkpoints = engine.checkpoints();
         truncated_ops = engine.truncated_ops();
         if kill_at.is_none() {
@@ -107,6 +136,7 @@ fn compacting_run(
                 checkpoints,
                 truncated_ops,
                 tail_ops,
+                ckpt_bytes,
                 source: None,
             };
         }
@@ -124,13 +154,12 @@ fn compacting_run(
     }
     let (mut engine, report) =
         JournaledEngine::recover_with(&path, policy).expect("recovery succeeds");
-    for (seq, op) in ops.iter().enumerate().skip(split) {
-        responses.push(
-            engine
-                .submit(seq as u64, op)
-                .expect("journal append succeeds"),
-        );
-    }
+    ckpt_bytes += submit_all(
+        &mut engine,
+        &path,
+        ops.iter().enumerate().skip(split),
+        &mut responses,
+    );
     checkpoints += engine.checkpoints();
     truncated_ops += engine.truncated_ops();
     let tail_ops = engine.tail_ops();
@@ -140,6 +169,7 @@ fn compacting_run(
         checkpoints,
         truncated_ops,
         tail_ops,
+        ckpt_bytes,
         source: Some(report.source),
     }
 }
@@ -177,6 +207,7 @@ pub fn e19_compaction(scale: Scale) -> Vec<Table> {
             "truncated ops",
             "tail ops",
             "tail \u{2264} every",
+            "ckpt bytes",
             "digest",
             "matches traces/DIGESTS",
         ],
@@ -207,6 +238,7 @@ pub fn e19_compaction(scale: Scale) -> Vec<Table> {
                 run.truncated_ops.to_string(),
                 run.tail_ops.to_string(),
                 yes_no(run.tail_ops <= every && run.checkpoints >= min_cycles),
+                run.ckpt_bytes.to_string(),
                 format!("{digest:016x}"),
                 yes_no(digest == pinned),
             ]);
@@ -216,7 +248,8 @@ pub fn e19_compaction(scale: Scale) -> Vec<Table> {
         "a checkpoint + truncate cycle runs whenever the journal tail reaches `every` mutating \
          ops, so recovery replays at most one threshold's worth of ops on top of the decoded \
          checkpoint; kills land between ops and recovery resumes from the newest usable \
-         checkpoint — the digest is the traces/DIGESTS pin in every row; every cell is gated",
+         checkpoint — the digest is the traces/DIGESTS pin in every row; `ckpt bytes` sums the \
+         on-disk size of every checkpoint the row's cycles wrote; every cell is gated",
     );
 
     // Table 2 — failure edges: torn primary falls back to the rotated

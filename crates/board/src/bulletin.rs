@@ -74,8 +74,7 @@ pub struct BoardStats {
 
 impl BoardStats {
     /// Total currently occupied slots of either kind — the board's live
-    /// working set, the quantity a well-behaved session lifecycle must
-    /// return to its pre-open level on close.
+    /// working set.
     pub fn live_slots(&self) -> u64 {
         self.live_vector_slots + self.live_claim_slots
     }
@@ -117,11 +116,6 @@ impl<'b> ScopeHandle<'b> {
     /// All claims about `object` in this scope, sorted by author id.
     pub fn claims(&self, object: u32) -> Vec<(u32, bool)> {
         self.board.claims(self.id, object)
-    }
-
-    /// Every claim in this scope, sorted by `(object, author)`.
-    pub fn all_claims(&self) -> Vec<(u32, u32, bool)> {
-        self.board.scope_claims(self.id)
     }
 
     /// Release every post in this scope and unregister it.
@@ -245,23 +239,6 @@ impl Board {
         let guard = self.claims[Self::shard_index(scope, object)].lock();
         let mut out = guard.get(&(scope, object)).cloned().unwrap_or_default();
         out.sort_unstable_by_key(|&(a, _)| a);
-        out
-    }
-
-    /// Every claim in `scope` as `(object, author, value)` triples, sorted
-    /// by `(object, author)` — the full-scope counterpart of [`Board::claims`],
-    /// for audits and state snapshots.
-    pub fn scope_claims(&self, scope: u64) -> Vec<(u32, u32, bool)> {
-        let mut out: Vec<(u32, u32, bool)> = Vec::new();
-        for shard in &self.claims {
-            let guard = shard.lock();
-            for (&(s, object), slot) in guard.iter() {
-                if s == scope {
-                    out.extend(slot.iter().map(|&(author, value)| (object, author, value)));
-                }
-            }
-        }
-        out.sort_unstable_by_key(|&(object, author, _)| (object, author));
         out
     }
 
@@ -431,25 +408,6 @@ mod tests {
         assert!(b.claims(2, 10).is_empty());
         assert_eq!(b.stats().claim_posts, 3);
         assert_eq!(b.stats().live_claim_slots, 2);
-    }
-
-    #[test]
-    fn scope_claims_enumerates_sorted_and_isolated() {
-        let b = Board::new();
-        b.post_claim(1, 4, 10, true);
-        b.post_claim(1, 3, 10, false);
-        b.post_claim(1, 0, 2, true);
-        b.post_claim(1, 0, 2, false); // overwrite, not a second triple
-        b.post_claim(2, 9, 9, true); // other scope
-        assert_eq!(
-            b.scope_claims(1),
-            vec![(2, 0, false), (10, 3, false), (10, 4, true)],
-            "sorted by (object, author), last write wins, scopes isolated"
-        );
-        assert_eq!(b.scope_claims(3), vec![]);
-        let scope = b.scope(&[1, 2]);
-        scope.post_claim(5, 7, true);
-        assert_eq!(scope.all_claims(), vec![(7, 5, true)]);
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! Versioned engine checkpoints: the compaction half of the durability
 //! story (DESIGN.md §4.16).
 //!
-//! A checkpoint file (`byzscore-ckpt/v1`) captures the full resident
+//! A checkpoint file (`byzscore-ckpt/v2`) captures the full resident
 //! state of a [`ServiceEngine`] plus its [`DedupeWindow`] at a known
 //! op count: per open session the spec, the slot→identity map, the
 //! churn/epoch counters, the cached score rows (verbatim, hex words),
-//! and the session's board claims; plus every dedupe entry in FIFO
-//! order. Everything else resident — the identity pool re-folded to its
-//! epoch, the active world, the probe oracle — is a pure function of
+//! and the probed set (one `probed` line of ascending indices
+//! `slot · objects + object`, `-` when empty); plus every dedupe entry
+//! in FIFO order. Everything else resident — the identity pool re-folded
+//! to its epoch, the active world probes read — is a pure function of
 //! those fields and is *recomputed* at restore, so a checkpoint is small
 //! and loading one never re-runs the scoring algorithm. `decode` rejects
-//! fields the engine could not have written (map entries outside the
-//! pool, mis-shaped score rows, more epochs than covered ops) as
-//! [`CheckpointError::Corrupt`] before anything indexes with them. The reader ignores unknown
-//! `meta` keys, so files that still carry a `shards=` key restore too.
+//! fields the engine could not have written (more session ids than
+//! covered ops, map entries or probed indices outside the pool,
+//! mis-shaped score rows, more epochs than covered ops) as
+//! [`CheckpointError::Corrupt`] before anything allocates or indexes
+//! with them. The reader ignores unknown `meta` keys, so files that
+//! still carry a `shards=` key restore too. It reads only `v2`: a `v1`
+//! file (per-claim `claim` lines) is corrupt, and recovery falls back
+//! as it does for any checkpoint that does not load.
 //!
 //! # Torn-write detection
 //!
@@ -40,7 +45,7 @@ use crate::wire::{format_response, parse_response};
 use crate::workload::{format_op, parse_op};
 
 /// Version header of the checkpoint format.
-pub const CKPT_VERSION: &str = "byzscore-ckpt/v1";
+pub const CKPT_VERSION: &str = "byzscore-ckpt/v2";
 
 /// Where a recovered engine's state came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,7 +131,7 @@ fn body_digest(body: &[u8]) -> u64 {
 }
 
 /// Serialize `engine` + `dedupe` at `ops` applied mutating ops into a
-/// complete `byzscore-ckpt/v1` file body (footer included).
+/// complete `byzscore-ckpt/v2` file body (footer included).
 pub fn encode_checkpoint(engine: &ServiceEngine, dedupe: &DedupeWindow, ops: u64) -> String {
     let mut out = String::new();
     out.push_str(CKPT_VERSION);
@@ -153,9 +158,13 @@ pub fn encode_checkpoint(engine: &ServiceEngine, dedupe: &DedupeWindow, ops: u64
             image.rows.cols(),
             encode_rows(&image.rows)
         ));
-        for (object, author, value) in image.claims {
-            out.push_str(&format!("claim {sid} {object} {author} {}\n", value as u8));
-        }
+        let probed: Vec<String> = image.probed.iter().map(|i| i.to_string()).collect();
+        let probed = if probed.is_empty() {
+            "-".to_string()
+        } else {
+            probed.join(",")
+        };
+        out.push_str(&format!("probed {sid} {probed}\n"));
     }
     for (partition, seq, key, resp) in dedupe.entries() {
         let part = partition.map_or_else(|| "-".to_string(), |p| p.to_string());
@@ -216,7 +225,7 @@ struct PartialImage {
     state: Option<(u32, u64, u64, u64)>,
     map: Option<Vec<u32>>,
     rows: Option<BitMatrix>,
-    claims: Vec<(u32, u32, bool)>,
+    probed: Vec<u64>,
 }
 
 /// Verify the footer and split off the body, or report the file torn.
@@ -293,7 +302,7 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
                     if let Some(v) = tok.strip_prefix("ops=") {
                         ops = v.parse::<u64>().ok();
                     } else if let Some(v) = tok.strip_prefix("slots=") {
-                        slots = v.parse::<usize>().ok();
+                        slots = v.parse::<u64>().ok();
                     }
                 }
             }
@@ -359,30 +368,24 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
                 partials.entry(sid).or_default().rows =
                     Some(decode_rows(toks[3], nrows, ncols).map_err(corrupt)?);
             }
-            "claim" => {
-                let toks: Vec<&str> = rest.split_whitespace().collect();
-                if toks.len() != 4 {
-                    return Err(corrupt(format!("claim line wants 4 fields: {line:?}")));
+            "probed" => {
+                let (sid, indices) = rest
+                    .split_once(' ')
+                    .ok_or_else(|| corrupt(format!("short probed line {line:?}")))?;
+                let sid: u64 = sid
+                    .parse()
+                    .map_err(|e| corrupt(format!("bad probed id: {e}")))?;
+                let probed = &mut partials.entry(sid).or_default().probed;
+                let indices = indices.trim();
+                if indices != "-" {
+                    for index in indices.split(',') {
+                        probed.push(
+                            index
+                                .parse()
+                                .map_err(|e| corrupt(format!("bad probed index: {e}")))?,
+                        );
+                    }
                 }
-                let sid: u64 = toks[0]
-                    .parse()
-                    .map_err(|e| corrupt(format!("bad claim id: {e}")))?;
-                let object: u32 = toks[1]
-                    .parse()
-                    .map_err(|e| corrupt(format!("bad claim object: {e}")))?;
-                let author: u32 = toks[2]
-                    .parse()
-                    .map_err(|e| corrupt(format!("bad claim author: {e}")))?;
-                let value = match toks[3] {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(corrupt(format!("bad claim value {other:?}"))),
-                };
-                partials
-                    .entry(sid)
-                    .or_default()
-                    .claims
-                    .push((object, author, value));
             }
             "dedupe" => {
                 let toks: Vec<&str> = rest.splitn(4, ' ').collect();
@@ -410,6 +413,12 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
     }
     let ops = ops.ok_or_else(|| corrupt("missing meta ops".into()))?;
     let slots = slots.ok_or_else(|| corrupt("missing meta slots".into()))?;
+    if slots > ops {
+        // Every session id was assigned by one journaled `open`.
+        return Err(corrupt(format!(
+            "{slots} session slots exceed the {ops} covered ops"
+        )));
+    }
     let mut images = Vec::with_capacity(order.len());
     for sid in order {
         let partial = partials.remove(&sid).expect("ordered ids were inserted");
@@ -425,7 +434,7 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
         let rows = partial
             .rows
             .ok_or_else(|| corrupt(format!("session {sid} missing rows")))?;
-        if sid as usize >= slots {
+        if sid >= slots {
             return Err(corrupt(format!("session {sid} outside {slots} slots")));
         }
         let image = SessionImage {
@@ -436,7 +445,7 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
             churns,
             last_max_err,
             rows,
-            claims: partial.claims,
+            probed: partial.probed,
         };
         check_image(sid, &image, ops).map_err(corrupt)?;
         images.push((sid, image));
@@ -450,8 +459,9 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
 
 /// Reject a session image the engine could not have written, before
 /// restore indexes or folds anything with it: every map entry and
-/// `next_fresh` must lie in the `2 × players` pool, the score rows must
-/// be `map.len() × objects`, and the epoch and churn counts cannot exceed
+/// `next_fresh` must lie in the `2 × players` pool, every probed index in
+/// the pool's `pool · objects` pairs, the score rows must be
+/// `map.len() × objects`, and the epoch and churn counts cannot exceed
 /// the covered `ops` (each epoch or churn is one journaled mutating op,
 /// which also bounds restore's per-epoch fold).
 fn check_image(sid: u64, image: &SessionImage, ops: u64) -> Result<(), String> {
@@ -468,6 +478,12 @@ fn check_image(sid: u64, image: &SessionImage, ops: u64) -> Result<(), String> {
         ));
     }
     let objects = image.spec.objects.max(1);
+    let pairs = pool.saturating_mul(objects as u64);
+    if let Some(index) = image.probed.iter().find(|&&index| index >= pairs) {
+        return Err(format!(
+            "session {sid} probed index {index} outside its {pairs} pool pairs"
+        ));
+    }
     let shape = (image.rows.rows(), image.rows.cols());
     if shape != (image.map.len(), objects) {
         return Err(format!(
@@ -696,7 +712,9 @@ mod tests {
     }
 
     /// A map entry past the `2 × players` pool is corrupt, not a panic
-    /// when restore gathers the active world.
+    /// when restore gathers the active world; so is a probed index past
+    /// the pool's `pool · objects` pairs, not a panic when restore sets
+    /// its bit, and a probed index that is not a number.
     #[test]
     fn a_map_entry_past_the_pool_is_corrupt() {
         let (engine, dedupe, ops, _) = driven_engine(35, 11);
@@ -707,6 +725,35 @@ mod tests {
             format!("{head} 4000000000,{rest}")
         });
         assert!(corrupt_reason(&hostile).contains("map entry 4000000000"));
+
+        let spec = engine.images()[0].1.spec;
+        let pairs = 2 * spec.players.max(1) as u64 * spec.objects.max(1) as u64;
+        for (index, reason) in [
+            (pairs.to_string(), format!("probed index {pairs}")),
+            ("7x".to_string(), "bad probed index".to_string()),
+        ] {
+            let hostile = reforge(&text, "probed ", |line| with_field(line, 2, &index));
+            assert!(corrupt_reason(&hostile).contains(&reason), "{index}");
+        }
+        // The last pair of the pool is a valid index.
+        let last = reforge(&text, "probed ", |line| {
+            with_field(line, 2, &(pairs - 1).to_string())
+        });
+        assert!(decode(&last).is_ok());
+    }
+
+    /// Every session id was assigned by one journaled `open`, so a
+    /// `slots=` count past the covered ops is corrupt — not an
+    /// allocation sized by the file.
+    #[test]
+    fn session_slots_past_the_covered_ops_are_corrupt() {
+        let (engine, dedupe, ops, _) = driven_engine(35, 11);
+        let text = encode_checkpoint(&engine, &dedupe, ops);
+        let meta = format!("meta ops={ops} slots={}", engine.session_slots());
+        for slots in [ops + 1, 1 << 62] {
+            let hostile = reforge(&text, &meta, |_| format!("meta ops={ops} slots={slots}"));
+            assert!(corrupt_reason(&hostile).contains("session slots exceed"));
+        }
     }
 
     /// A session spec whose pool passes the oracle's memo cap, or whose

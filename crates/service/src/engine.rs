@@ -1,16 +1,17 @@
-//! The resident engine: many concurrent sessions on one shared board,
-//! answering typed requests.
+//! The resident engine: many concurrent sessions answering typed
+//! requests.
 //!
 //! # Execution model
 //!
 //! [`ServiceEngine::execute_one`] answers one request, and
 //! [`ServiceEngine::execute`] is that call over a batch, in order: a
 //! probe or query is validated and answered on the spot, and a barrier
-//! op (open/churn/epoch/close) runs where it stands. Probes and queries commute with each other between barriers
-//! (probe side effects are atomic ledger counts and same-value board
-//! claims; queries read the cached score rows), so answers are a pure
-//! function of the session history and never depend on how a trace is
-//! split into `execute` calls.
+//! op (open/churn/epoch/close) runs where it stands. Probes and queries
+//! commute with each other between barriers (a probe reads the resident
+//! world and sets bits in the session's probed set, and setting a bit is
+//! idempotent and order-free; queries read the cached score rows), so
+//! answers are a pure function of the session history and never depend
+//! on how a trace is split into `execute` calls.
 //!
 //! # Resident world
 //!
@@ -26,6 +27,14 @@
 //! below pins the two barrier by barrier. The cost is
 //! `2 · players · objects` bits per session (4.6 KB at 96 × 192).
 //!
+//! # Probed set
+//!
+//! The only trace a probe leaves is one bit per probed `(slot, object)`
+//! pair, in a second matrix of the pool's shape. `close` answers with
+//! its population count (`freed_slots`), and a checkpoint carries it as
+//! a list of indices: `close` reads which pairs were probed, never their
+//! values or order.
+//!
 //! # Recompute
 //!
 //! Every barrier (open, churn, epoch) rescores the session cold through
@@ -34,6 +43,7 @@
 //! barrier draws a fresh score seed and so a fresh public sample, which
 //! leaves nothing worth carrying from the previous run (DESIGN.md §4.12).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use byzscore::{
@@ -42,7 +52,7 @@ use byzscore::{
 };
 use byzscore_adversary::{Corruption, Inverter};
 use byzscore_bitset::{BitMatrix, Bits};
-use byzscore_board::{Board, BoardStats, ClusterSpec, DenseTruth, Oracle};
+use byzscore_board::{ClusterSpec, DenseTruth};
 use byzscore_model::Planted;
 use byzscore_random::derive_seed;
 use rand::rngs::SmallRng;
@@ -50,9 +60,6 @@ use rand::SeedableRng;
 
 use crate::request::{mix, Request, Response, ServiceError, SessionSpec};
 
-/// Root tag of every service board scope: session `s` posts under the
-/// path `[TAG_SERVICE, s]`.
-pub const TAG_SERVICE: u64 = 0x5e_c0;
 const TAG_CHURN: u64 = 0x5e_c1;
 const TAG_DRIFT: u64 = 0x5e_c2;
 const TAG_SCORE: u64 = 0x5e_c3;
@@ -66,8 +73,8 @@ pub const DEFAULT_SHARDS: usize = 1;
 struct SessionState {
     spec: SessionSpec,
     /// The fixed identity pool (capacity `2 × players` rows) as bits,
-    /// drifted to `epoch`. Derived state like the oracle: never
-    /// serialized, rebuilt at restore by folding epochs `1..=epoch`.
+    /// drifted to `epoch`. Never serialized: restore rebuilds it by
+    /// folding epochs `1..=epoch`.
     world: BitMatrix,
     /// The session's drift law (`None` at 0 ppm), built once at open.
     drift: Option<DriftSchedule>,
@@ -78,15 +85,70 @@ struct SessionState {
     epoch: u64,
     /// Churn transitions applied so far (feeds churn + score seeds).
     churns: u64,
-    /// The current evolved session (world of `epoch`/`map`).
+    /// The current evolved session; its truth is the active world probes
+    /// read.
     session: Session,
-    /// Resident probe oracle over the current world.
-    oracle: Oracle,
     /// Cached scores of the current world.
     rows: BitMatrix,
-    /// Board scope id of this session's posts.
-    scope: u64,
+    /// One bit per `(slot, object)` pair probed while the session was
+    /// open, in the pool's shape (`map.len() ≤ next_fresh ≤` pool rows).
+    probed: BitMatrix,
     last_max_err: u64,
+}
+
+impl SessionState {
+    /// A session at `epoch` with the given churn history: its pool folded
+    /// to `epoch` and a session with the spec's parameters and adversary
+    /// on the active world, with no scores and nothing probed yet. `open`
+    /// and checkpoint restore both start here, so both derive identical
+    /// worlds.
+    fn new(spec: SessionSpec, map: Vec<u32>, next_fresh: u32, epoch: u64, churns: u64) -> Self {
+        let drift = drift_of(&spec);
+        let (world, pool_planted) = pool_of(&spec, drift.as_ref(), epoch);
+        let (truth, planted) = active_world(&world, &pool_planted, &map);
+        let session = Session::builder()
+            .truth(truth)
+            .planted(planted)
+            .params(ProtocolParams::with_budget(spec.budget.max(1)))
+            .adversary(
+                Corruption::Count {
+                    count: spec.corrupt,
+                },
+                Inverter,
+            )
+            .build();
+        SessionState {
+            spec,
+            probed: BitMatrix::zeros(world.rows(), world.cols()),
+            world,
+            drift,
+            pool_planted,
+            map,
+            next_fresh,
+            epoch,
+            churns,
+            session,
+            rows: BitMatrix::zeros(0, 0),
+            last_max_err: 0,
+        }
+    }
+
+    /// Run the scoring algorithm on the current world and cache the
+    /// score rows queries read.
+    fn score(&mut self) {
+        let seed = derive_seed(self.spec.score_seed, &[TAG_SCORE, self.epoch, self.churns]);
+        let outcome = self.session.run(self.spec.algorithm.core(), seed);
+        self.last_max_err = outcome.errors.max as u64;
+        self.rows = outcome.output.expect("service sessions use the dense sink");
+    }
+
+    /// After a world transition: evolve the session onto the new active
+    /// world and rescore it.
+    fn recompute(&mut self) {
+        let (truth, planted) = active_world(&self.world, &self.pool_planted, &self.map);
+        self.session = self.session.evolved(truth, Some(planted));
+        self.score();
+    }
 }
 
 /// The resident scoring service.
@@ -110,9 +172,11 @@ struct SessionState {
 /// ```
 #[derive(Default)]
 pub struct ServiceEngine {
-    board: Board,
-    /// Index = session id; `None` = closed. Ids are never reused.
-    sessions: Vec<Option<SessionState>>,
+    /// Open sessions by id; a closed session's state is dropped.
+    sessions: BTreeMap<u64, SessionState>,
+    /// The id the next `open` assigns. Ids are never reused, so an id
+    /// below it that is absent from `sessions` was closed.
+    next_sid: u64,
 }
 
 impl ServiceEngine {
@@ -129,12 +193,7 @@ impl ServiceEngine {
 
     /// Currently open sessions.
     pub fn open_sessions(&self) -> usize {
-        self.sessions.iter().flatten().count()
-    }
-
-    /// Traffic and memory counters of the shared bulletin board.
-    pub fn board_stats(&self) -> BoardStats {
-        self.board.stats()
+        self.sessions.len()
     }
 
     /// Execute a request batch; answers come back in request order.
@@ -147,7 +206,7 @@ impl ServiceEngine {
     }
 
     /// Answer one request. Probes and queries are validated, then
-    /// answered against the session's resident oracle and cached rows;
+    /// answered against the session's resident world and cached rows;
     /// open/churn/epoch/close mutate the session world.
     pub(crate) fn execute_one(&mut self, req: &Request) -> Response {
         match req {
@@ -156,20 +215,19 @@ impl ServiceEngine {
                 player,
                 objects,
             } => {
-                let state = match session_ref(&self.sessions, *session) {
+                let state = match self.session_mut(*session) {
                     Ok(s) => s,
                     Err(e) => return Response::Rejected(e),
                 };
-                validate(state, *session, &[*player], Some(objects)).unwrap_or_else(|| {
-                    probe_response(&self.board, state, *session, *player, objects)
-                })
+                validate(state, *session, &[*player], Some(objects))
+                    .unwrap_or_else(|| probe_response(state, *session, *player, objects))
             }
             Request::QueryPreferences {
                 session,
                 players,
                 objects,
             } => {
-                let state = match session_ref(&self.sessions, *session) {
+                let state = match self.session_mut(*session) {
                     Ok(s) => s,
                     Err(e) => return Response::Rejected(e),
                 };
@@ -190,44 +248,37 @@ impl ServiceEngine {
         }
     }
 
+    /// The open session `sid`, or why there is none: an id below the
+    /// next one to be assigned was opened and has since closed.
+    fn session_mut(&mut self, sid: u64) -> Result<&mut SessionState, ServiceError> {
+        match self.sessions.get_mut(&sid) {
+            Some(state) => Ok(state),
+            None if sid < self.next_sid => Err(ServiceError::SessionClosed(sid)),
+            None => Err(ServiceError::UnknownSession(sid)),
+        }
+    }
+
     fn open(&mut self, spec: SessionSpec) -> Response {
         let players = spec.players.max(1);
         if let Err(e) = scorable("open", players, spec.corrupt) {
             return Response::Rejected(e);
         }
-        let sid = self.sessions.len() as u64;
-        let drift = drift_of(&spec);
-        let (world, pool_planted) = pool_of(&spec, drift.as_ref(), 0);
-        let session = fresh_session(&spec);
-        let scope = self.board.scope(&[TAG_SERVICE, sid]).id();
-        let mut state = SessionState {
-            spec,
-            world,
-            drift,
-            pool_planted,
-            map: (0..players as u32).collect(),
-            next_fresh: players as u32,
-            epoch: 0,
-            churns: 0,
-            session,
-            // Placeholders; `recompute` installs the real world.
-            oracle: Oracle::new_uncached(Arc::new(EmptyTruth) as Arc<dyn TruthSource>),
-            rows: BitMatrix::zeros(0, 0),
-            scope,
-            last_max_err: 0,
-        };
-        recompute(&mut state);
+        let sid = self.next_sid;
+        let mut state =
+            SessionState::new(spec, (0..players as u32).collect(), players as u32, 0, 0);
+        state.score();
         let response = Response::Opened {
             session: sid,
             players: state.map.len(),
             max_err: state.last_max_err,
         };
-        self.sessions.push(Some(state));
+        self.sessions.insert(sid, state);
+        self.next_sid += 1;
         response
     }
 
     fn churn(&mut self, sid: u64, retire: usize, join: usize) -> Response {
-        let state = match session_mut(&mut self.sessions, sid) {
+        let state = match self.session_mut(sid) {
             Ok(s) => s,
             Err(e) => return Response::Rejected(e),
         };
@@ -250,7 +301,7 @@ impl ServiceEngine {
             join,
             &mut rng,
         );
-        recompute(state);
+        state.recompute();
         Response::Churned {
             session: sid,
             retired,
@@ -261,7 +312,7 @@ impl ServiceEngine {
     }
 
     fn epoch(&mut self, sid: u64) -> Response {
-        let state = match session_mut(&mut self.sessions, sid) {
+        let state = match self.session_mut(sid) {
             Ok(s) => s,
             Err(e) => return Response::Rejected(e),
         };
@@ -269,7 +320,7 @@ impl ServiceEngine {
         if let Some(drift) = &state.drift {
             drift.fold_epoch(state.epoch, &mut state.world);
         }
-        recompute(state);
+        state.recompute();
         Response::Epoch {
             session: sid,
             epoch: state.epoch,
@@ -278,18 +329,16 @@ impl ServiceEngine {
     }
 
     fn close(&mut self, sid: u64) -> Response {
-        if let Err(e) = session_mut(&mut self.sessions, sid) {
+        if let Err(e) = self.session_mut(sid) {
             return Response::Rejected(e);
         }
-        let before = self.board.stats().live_slots();
-        // Retire through the scope handle: re-resolving the path yields
-        // the same scope id the session posted under.
-        self.board.scope(&[TAG_SERVICE, sid]).retire();
-        let freed = before - self.board.stats().live_slots();
-        self.sessions[sid as usize] = None;
+        let probed = self
+            .sessions
+            .remove(&sid)
+            .map_or(0, |s| s.probed.count_ones());
         Response::Closed {
             session: sid,
-            freed_slots: freed,
+            freed_slots: probed as u64,
         }
     }
 }
@@ -355,103 +404,39 @@ fn pool_of(spec: &SessionSpec, drift: Option<&DriftSchedule>, epoch: u64) -> (Bi
     (world, pool_planted)
 }
 
-/// A never-run session carrying the spec's parameters and adversary;
-/// `recompute` evolves it onto the world before its first run.
-fn fresh_session(spec: &SessionSpec) -> Session {
-    Session::builder()
-        .truth(Arc::new(EmptyTruth) as Arc<dyn TruthSource>)
-        .params(ProtocolParams::with_budget(spec.budget.max(1)))
-        .adversary(
-            Corruption::Count {
-                count: spec.corrupt,
-            },
-            Inverter,
-        )
-        .build()
-}
-
-/// A zero-player truth used only as the pre-`recompute` placeholder of
-/// the session and the oracle.
-struct EmptyTruth;
-
-impl TruthSource for EmptyTruth {
-    fn players(&self) -> usize {
-        0
-    }
-    fn objects(&self) -> usize {
-        0
-    }
-    fn value(&self, _player: u32, _object: u32) -> bool {
-        false
-    }
-}
-
-fn session_ref(sessions: &[Option<SessionState>], sid: u64) -> Result<&SessionState, ServiceError> {
-    match sessions.get(sid as usize) {
-        None => Err(ServiceError::UnknownSession(sid)),
-        Some(None) => Err(ServiceError::SessionClosed(sid)),
-        Some(Some(state)) => Ok(state),
-    }
-}
-
-fn session_mut(
-    sessions: &mut [Option<SessionState>],
-    sid: u64,
-) -> Result<&mut SessionState, ServiceError> {
-    match sessions.get_mut(sid as usize) {
-        None => Err(ServiceError::UnknownSession(sid)),
-        Some(None) => Err(ServiceError::SessionClosed(sid)),
-        Some(Some(state)) => Ok(state),
-    }
-}
-
-/// Rebuild a session's scores after a transition (or at open): gather
-/// the active world from the resident pool, evolve the session onto it,
-/// run the scoring algorithm, and refresh the caches probes and queries
-/// read (score rows, probe oracle).
-fn recompute(state: &mut SessionState) {
-    let (truth, planted) = compose_world(state);
-    state.session = state.session.evolved(truth.clone(), Some(planted));
-    let seed = derive_seed(
-        state.spec.score_seed,
-        &[TAG_SCORE, state.epoch, state.churns],
-    );
-    let outcome = state.session.run(state.spec.algorithm.core(), seed);
-    state.last_max_err = outcome.errors.max as u64;
-    state.rows = outcome.output.expect("service sessions use the dense sink");
-    state.oracle = Oracle::new(truth);
-}
-
 /// The world the active slots see: row `map[slot]` of the resident pool
-/// (already drifted to `epoch`) for each slot, gathered into one dense
-/// truth, plus the remapped planted structure. Shared by `recompute` and
-/// checkpoint restore.
-fn compose_world(state: &SessionState) -> (Arc<dyn TruthSource>, Planted) {
-    let mut active = BitMatrix::zeros(state.map.len(), state.world.cols());
-    for (slot, &id) in state.map.iter().enumerate() {
-        active.set_row(slot, &state.world.row(id as usize));
+/// (already drifted to the session's epoch) for each slot, gathered into
+/// one dense truth, plus the remapped planted structure.
+fn active_world(
+    world: &BitMatrix,
+    pool_planted: &Planted,
+    map: &[u32],
+) -> (Arc<dyn TruthSource>, Planted) {
+    let mut active = BitMatrix::zeros(map.len(), world.cols());
+    for (slot, &id) in map.iter().enumerate() {
+        active.set_row(slot, &world.row(id as usize));
     }
-    let planted = remap_planted(&state.pool_planted, &state.map);
-    (Arc::new(DenseTruth::new(active)), planted)
+    let truth = Arc::new(DenseTruth::new(active)) as Arc<dyn TruthSource>;
+    (truth, remap_planted(pool_planted, map))
 }
 
-/// Execute one probe op against a session: every probed bit is read
-/// through the memoized oracle and posted as a claim in the session's
-/// board scope. Side effects commute (atomic probe ledger, same-value
-/// claims), so probes between two barriers produce the same final state
-/// and per-op answers in any order.
+/// Execute one probe op against a session: every probed bit is read from
+/// the session's active world and its `(player, object)` pair is marked
+/// in the probed set. Setting a bit twice is setting it once, so probes
+/// between two barriers produce the same final state and per-op answers
+/// in any order, and a resent probe changes nothing.
 fn probe_response(
-    board: &Board,
-    state: &SessionState,
+    state: &mut SessionState,
     session: u64,
     player: u32,
     objects: &[u32],
 ) -> Response {
+    let truth = state.session.truth();
     let mut ones = 0u32;
     let mut digest = 0x920beu64;
     for &o in objects.iter() {
-        let bit = state.oracle.probe(player, o);
-        board.post_claim(state.scope, player, o, bit);
+        let bit = truth.value(player, o);
+        state.probed.set(player as usize, o as usize, true);
         ones += bit as u32;
         digest = mix(digest, mix(o as u64, bit as u64));
     }
@@ -503,12 +488,11 @@ fn preferences(
 /// The durable slice of one resident session — everything a checkpoint
 /// must carry to reconstruct [`SessionState`] without replaying its
 /// history. The resident world (the pool drifted to `epoch`) and the
-/// probe oracle are pure functions of these fields, so they are
-/// *recomputed* at restore rather than serialized — a folded world is
-/// `2 · players · objects` bits, the fold is cheap next to the scorer,
-/// and leaving it out keeps the checkpoint format unchanged. The score
-/// rows are carried verbatim so restore never re-runs the scoring
-/// algorithm.
+/// active world probes read are pure functions of these fields, so they
+/// are *recomputed* at restore rather than serialized: a folded world is
+/// `2 · players · objects` bits and the fold is cheap next to the scorer.
+/// The score rows are carried verbatim so restore never re-runs the
+/// scoring algorithm.
 pub(crate) struct SessionImage {
     pub spec: SessionSpec,
     pub map: Vec<u32>,
@@ -517,104 +501,77 @@ pub(crate) struct SessionImage {
     pub churns: u64,
     pub last_max_err: u64,
     pub rows: BitMatrix,
-    /// `(object, author, value)` claims in the session's board scope.
-    pub claims: Vec<(u32, u32, bool)>,
+    /// The probed set as ascending indices `slot · objects + object`.
+    pub probed: Vec<u64>,
 }
 
 impl ServiceEngine {
-    /// Total session slots ever allocated (open + closed; ids are never
-    /// reused, so a restored engine must preserve this count).
-    pub(crate) fn session_slots(&self) -> usize {
-        self.sessions.len()
+    /// Session ids ever assigned (open + closed; ids are never reused,
+    /// so a restored engine must preserve this count).
+    pub(crate) fn session_slots(&self) -> u64 {
+        self.next_sid
     }
 
     /// Snapshot every open session as a [`SessionImage`], in id order.
     pub(crate) fn images(&self) -> Vec<(u64, SessionImage)> {
         self.sessions
             .iter()
-            .enumerate()
-            .filter_map(|(sid, slot)| {
-                let state = slot.as_ref()?;
-                Some((
-                    sid as u64,
-                    SessionImage {
-                        spec: state.spec,
-                        map: state.map.clone(),
-                        next_fresh: state.next_fresh,
-                        epoch: state.epoch,
-                        churns: state.churns,
-                        last_max_err: state.last_max_err,
-                        rows: state.rows.clone(),
-                        claims: self.board.scope_claims(state.scope),
-                    },
-                ))
+            .map(|(&sid, state)| {
+                let objects = state.probed.cols() as u64;
+                let mut probed = Vec::new();
+                for slot in 0..state.probed.rows() {
+                    let base = slot as u64 * objects;
+                    probed.extend(state.probed.row(slot).iter_ones().map(|o| base + o as u64));
+                }
+                let image = SessionImage {
+                    spec: state.spec,
+                    map: state.map.clone(),
+                    next_fresh: state.next_fresh,
+                    epoch: state.epoch,
+                    churns: state.churns,
+                    last_max_err: state.last_max_err,
+                    rows: state.rows.clone(),
+                    probed,
+                };
+                (sid, image)
             })
             .collect()
     }
 
-    /// Rebuild an engine from checkpoint images: `slots` closed slots,
-    /// then each image installed at its id. Derived state (resident
-    /// world, oracle) is recomputed from the image's fields; the score
-    /// rows come from the image, so nothing re-runs the scorer. Restore
-    /// costs the checkpoint size plus one fold per past epoch and pool
-    /// bit (`decode` bounds each epoch count by the covered ops).
-    pub(crate) fn from_images(slots: usize, images: Vec<(u64, SessionImage)>) -> ServiceEngine {
-        let mut engine = ServiceEngine::new();
-        engine.sessions = (0..slots).map(|_| None).collect();
-        for (sid, image) in images {
-            let state = engine.restore_state(sid, image);
-            let slot = engine
-                .sessions
-                .get_mut(sid as usize)
-                .expect("image id within slot count");
-            *slot = Some(state);
+    /// Rebuild an engine from checkpoint images: `slots` ids assigned,
+    /// then each image installed at its id. Each session is rebuilt by
+    /// [`SessionState::new`] exactly as `open` builds one (pool folded to
+    /// the image's epoch, session evolved onto the active world), then
+    /// takes the image's score rows and probed set, so nothing re-runs
+    /// the scorer. Restore costs the checkpoint size plus one fold per
+    /// past epoch and pool bit (`decode` bounds each epoch count by the
+    /// covered ops, and every probed index by the pool).
+    pub(crate) fn from_images(slots: u64, images: Vec<(u64, SessionImage)>) -> ServiceEngine {
+        let sessions = images
+            .into_iter()
+            .map(|(sid, image)| {
+                let mut state = SessionState::new(
+                    image.spec,
+                    image.map,
+                    image.next_fresh,
+                    image.epoch,
+                    image.churns,
+                );
+                state.rows = image.rows;
+                state.last_max_err = image.last_max_err;
+                let objects = state.probed.cols() as u64;
+                for index in image.probed {
+                    state
+                        .probed
+                        .set((index / objects) as usize, (index % objects) as usize, true);
+                }
+                (sid, state)
+            })
+            .collect();
+        ServiceEngine {
+            sessions,
+            next_sid: slots,
         }
-        engine
-    }
-
-    /// Reconstruct one [`SessionState`] from its image: re-derive the
-    /// pool, fold it to the image's epoch, and build a fresh (never-run)
-    /// session exactly as `open` would, re-register the board scope and
-    /// re-post its claims, then install the checkpointed rows and the
-    /// probe oracle over their world. The session itself is left
-    /// un-evolved — the next barrier's `recompute` evolves it onto its
-    /// world and scores cold, exactly as the live engine does.
-    fn restore_state(&self, sid: u64, image: SessionImage) -> SessionState {
-        let SessionImage {
-            spec,
-            map,
-            next_fresh,
-            epoch,
-            churns,
-            last_max_err,
-            rows,
-            claims,
-        } = image;
-        let drift = drift_of(&spec);
-        let (world, pool_planted) = pool_of(&spec, drift.as_ref(), epoch);
-        let session = fresh_session(&spec);
-        let scope = self.board.scope(&[TAG_SERVICE, sid]).id();
-        for &(object, author, value) in &claims {
-            self.board.post_claim(scope, author, object, value);
-        }
-        let mut state = SessionState {
-            spec,
-            world,
-            drift,
-            pool_planted,
-            map,
-            next_fresh,
-            epoch,
-            churns,
-            session,
-            oracle: Oracle::new_uncached(Arc::new(EmptyTruth) as Arc<dyn TruthSource>),
-            rows,
-            scope,
-            last_max_err,
-        };
-        let (truth, _planted) = compose_world(&state);
-        state.oracle = Oracle::new(truth);
-        state
     }
 }
 
@@ -712,54 +669,62 @@ mod tests {
         assert_eq!(engine.open_sessions(), 0);
     }
 
+    /// `freed_slots` counts distinct `(slot, object)` pairs: a repeated
+    /// probe, a repeat inside one op, and a slot re-probed after a churn
+    /// each count once, and a checkpoint taken between the probes and the
+    /// close carries the count exactly.
     #[test]
-    fn closing_a_session_returns_board_live_slots_to_pre_open_level() {
-        // Satellite: `ScopeHandle::retire` under the service lifecycle.
-        let mut engine = ServiceEngine::new();
-        engine.execute(&[Request::Open(spec(2))]);
-        let pre_open = engine.board_stats().live_slots();
-        let answers = engine.execute(&[
+    fn closing_a_session_reports_each_probed_pair_once() {
+        use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
+        use crate::journal::DedupeWindow;
+
+        let probe = |session, player, objects: &[u32]| Request::SubmitProbes {
+            session,
+            player,
+            objects: objects.to_vec(),
+        };
+        let ops = [
+            Request::Open(spec(2)),
             Request::Open(spec(3)),
-            Request::SubmitProbes {
+            probe(1, 0, &[1, 2, 3, 4, 5]),
+            probe(1, 0, &[5, 4, 1]),
+            probe(1, 9, &[1, 8, 8]),
+            Request::ApplyChurn {
                 session: 1,
-                player: 0,
-                objects: vec![1, 2, 3, 4, 5],
+                retire: 3,
+                join: 2,
             },
-            Request::SubmitProbes {
-                session: 1,
-                player: 9,
-                objects: vec![1, 8],
-            },
-        ]);
+            probe(1, 9, &[1, 8, 10]),
+            probe(0, 9, &[7]),
+        ];
+        let mut engine = ServiceEngine::new();
+        let answers = engine.execute(&ops);
         assert!(answers.iter().all(|r| !matches!(r, Response::Rejected(_))));
-        let while_open = engine.board_stats().live_slots();
-        assert!(
-            while_open > pre_open,
-            "probe claims must occupy live slots ({while_open} vs {pre_open})"
-        );
-        let closed = engine
-            .execute(&[Request::CloseSession { session: 1 }])
-            .remove(0);
+        let mutating = ops.iter().filter(|op| op.is_mutating()).count() as u64;
+        let text = encode_checkpoint(&engine, &DedupeWindow::new(), mutating);
+        let mut restored = decode_checkpoint(&text, 1)
+            .expect("checkpoint decodes")
+            .engine;
+
+        let close = |session| [Request::CloseSession { session }];
+        let live = engine.execute(&close(1));
         assert_eq!(
-            engine.board_stats().live_slots(),
-            pre_open,
-            "retiring the session scope must free exactly its slots"
-        );
-        match closed {
-            Response::Closed { freed_slots, .. } => {
-                assert_eq!(freed_slots, while_open - pre_open)
+            live[0],
+            Response::Closed {
+                session: 1,
+                freed_slots: 5 + 2 + 1,
             }
-            other => panic!("expected Closed, got {other:?}"),
-        }
-        // Session 0's scope is untouched by session 1's close.
-        let again = engine
-            .execute(&[Request::QueryPreferences {
+        );
+        assert_eq!(restored.execute(&close(1)), live, "restore kept the set");
+        // Session 0's probed set is its own.
+        assert_eq!(
+            engine.execute(&close(0))[0],
+            Response::Closed {
                 session: 0,
-                players: vec![0],
-                objects: None,
-            }])
-            .remove(0);
-        assert!(matches!(again, Response::Preferences { .. }));
+                freed_slots: 1,
+            }
+        );
+        assert_eq!(engine.open_sessions(), 0);
     }
 
     #[test]
@@ -870,32 +835,33 @@ mod tests {
             if op.is_shardable() {
                 continue;
             }
-            for state in engine.sessions.iter().flatten() {
+            for state in engine.sessions.values() {
                 let pool = Arc::new(pool_source(&state.spec)) as Arc<dyn TruthSource>;
                 let reference =
                     byzscore::compose_world(&pool, state.drift.as_ref(), state.epoch, &state.map);
                 let live = state.session.truth();
-                assert!(Arc::ptr_eq(live, state.oracle.truth()));
                 assert_eq!(live.players(), reference.players());
                 for p in 0..reference.players() as u32 {
                     assert_eq!(live.row(p), reference.row(p), "epoch {}", state.epoch);
                 }
             }
-            let aged = engine.sessions.iter().flatten().any(|s| s.epoch >= 3);
+            let aged = engine.sessions.values().any(|s| s.epoch >= 3);
             if aged && restored_at.is_none() {
                 let text = encode_checkpoint(&engine, &DedupeWindow::new(), mutating);
                 let restored = decode_checkpoint(&text, 1)
                     .expect("checkpoint decodes")
                     .engine;
-                let pairs = engine.sessions.iter().zip(&restored.sessions);
-                for (live, back) in pairs.filter_map(|(a, b)| a.as_ref().zip(b.as_ref())) {
+                assert!(restored.sessions.keys().eq(engine.sessions.keys()));
+                for (live, back) in engine.sessions.values().zip(restored.sessions.values()) {
                     assert_eq!(back.world, live.world, "restore re-folds the world");
-                    let (a, b) = (live.oracle.truth(), back.oracle.truth());
+                    assert_eq!(back.probed, live.probed, "restore keeps the probed set");
+                    let (a, b) = (live.session.truth(), back.session.truth());
+                    assert_eq!(a.players(), b.players());
                     for p in 0..live.map.len() as u32 {
                         assert_eq!(a.row(p), b.row(p));
                     }
                 }
-                restored_at = engine.sessions.iter().flatten().map(|s| s.epoch).max();
+                restored_at = engine.sessions.values().map(|s| s.epoch).max();
             }
         }
         assert!(restored_at >= Some(3), "the trace must age a session");

@@ -42,7 +42,7 @@ use std::time::Duration;
 pub enum FaultKind {
     /// Abort the process (the in-process stand-in for `kill -9`).
     Kill,
-    /// Panic a shardable op (probe/query) before it executes.
+    /// Panic a probe or query before it executes.
     PanicWorker,
     /// Panic a barrier op after its journal append.
     PanicBarrier,
@@ -148,7 +148,7 @@ impl FaultPlan {
         }
     }
 
-    /// True when a shardable-op panic is scheduled at `at` (claims the
+    /// True when a probe or query panic is scheduled at `at` (claims the
     /// slot).
     pub fn worker_panic_at(&self, at: u64) -> bool {
         self.fire(at, |k| k == FaultKind::PanicWorker).is_some()

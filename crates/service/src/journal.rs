@@ -47,10 +47,10 @@
 //!
 //! # Why resends never double-apply
 //!
-//! Probes are naturally idempotent — the board holds one claim slot per
-//! `(scope, object, author)` and re-posting overwrites with the same
-//! value, so re-executing a probe changes nothing (including the
-//! `freed_slots` a later close reports). Barriers are *not* idempotent
+//! Probes are naturally idempotent — a probe sets one bit per probed
+//! `(slot, object)` pair in its session's probed set, and setting a bit
+//! again changes nothing, so re-executing a probe changes nothing
+//! (including the `freed_slots` a later close reports). Barriers are *not* idempotent
 //! (a churn retires players each time), so the engine keeps a bounded
 //! per-session [`DedupeWindow`]: a resent barrier whose `(seq, op)`
 //! pair was already answered gets the recorded response back without
@@ -750,8 +750,9 @@ impl JournaledEngine {
     ///
     /// Barriers are deduped before journaling: a resend of an already-
     /// executed barrier must answer the recorded response, not re-apply
-    /// the world transition. Shardable ops skip the window — probes are
-    /// idempotent (same-value board claims) and queries are pure reads.
+    /// the world transition. Probes and queries skip the window — probes
+    /// are idempotent (they only set probed-set bits) and queries are
+    /// pure reads.
     /// A mutating op then hits the fsynced journal *before* it
     /// executes: crash after the append and recovery applies it; crash
     /// before and the client's resend runs it fresh — either way

@@ -4,9 +4,8 @@
 //! sessions behind a typed request API ([`Request`]/[`Response`]):
 //! open a world, submit probes, query computed preferences, churn the
 //! population, advance the drift epoch, close. Requests are answered in
-//! order, one at a time, against one shared bulletin board — the
-//! paper's model has no partitioning, and probes and queries commute
-//! between world transitions anyway. Every world transition rescores the
+//! order, one at a time — the paper's model has no partitioning, and
+//! probes and queries commute between world transitions anyway. Every world transition rescores the
 //! session cold: `byzscore::Session::evolved` keeps the configuration and
 //! swaps in the new world, and nothing else carries between runs.
 //!
@@ -36,7 +35,7 @@ pub mod wire;
 pub mod workload;
 
 pub use checkpoint::{CheckpointError, RecoverySource, CKPT_VERSION};
-pub use engine::{ServiceEngine, DEFAULT_SHARDS, TAG_SERVICE};
+pub use engine::{ServiceEngine, DEFAULT_SHARDS};
 pub use fault::{FaultKind, FaultPlan};
 pub use journal::{
     CompactionPolicy, DedupeWindow, Journal, JournaledEngine, Recovered, RecoveryReport,

@@ -47,9 +47,10 @@
 //! dispatcher owns a [`JournaledEngine`](crate::JournaledEngine) and
 //! calls `submit` once per admitted op, in admission order:
 //!
-//! * Probe side effects commute (memoized oracle, same-value board
-//!   claims) and queries are pure reads, so the order in which several
-//!   connections' probes and queries reach the queue is unobservable.
+//! * A probe's only side effect is setting bits in its session's
+//!   probed set, which commutes, and queries are pure reads, so the
+//!   order in which several connections' probes and queries reach the
+//!   queue is unobservable.
 //! * Every op admitted before a barrier is fully applied before the
 //!   world transition, because it was dequeued before it.
 //! * Overload is refused *at admission*: a full queue answers a typed

@@ -375,10 +375,10 @@ impl Dispatcher {
             // A journal we cannot write is a durability promise we
             // cannot keep: refuse the op, keep serving.
             Ok(Err(_)) => retryable("journal append failed; resend the op"),
-            // A shardable op panicked. Probes post same-value claims
-            // and queries write nothing, so the surviving state is
-            // still what the journal describes and a resend re-executes
-            // cleanly.
+            // A probe or query panicked. A probe only sets bits in its
+            // session's probed set, which a resend sets again, and a
+            // query writes nothing, so the surviving state is still what
+            // the journal describes and a resend re-executes cleanly.
             Err(_) if req.is_shardable() => {
                 stats.worker_panics.fetch_add(1, Ordering::Relaxed);
                 retryable("the op panicked; resend the op")

@@ -101,8 +101,8 @@ impl ServiceAlgorithm {
 pub enum Request {
     /// Open a session; answers [`Response::Opened`] with its id.
     Open(SessionSpec),
-    /// One player probes a set of objects against the hidden truth; the
-    /// results are posted as claims in the session's board scope.
+    /// One player probes a set of objects against the hidden truth; each
+    /// `(player, object)` pair joins the session's probed set.
     SubmitProbes {
         /// Target session.
         session: u64,
@@ -137,7 +137,7 @@ pub enum Request {
         /// Target session.
         session: u64,
     },
-    /// Close the session and retire its board scope.
+    /// Close the session and drop its resident state.
     CloseSession {
         /// Target session.
         session: u64,
@@ -169,7 +169,7 @@ impl Request {
 
     /// True for ops that change engine state and therefore must be
     /// journaled before execution (everything except preference reads).
-    /// Probes mutate too — their board claims feed the `freed_slots`
+    /// Probes mutate too — their probed pairs feed the `freed_slots`
     /// count a later `close` answers with.
     pub fn is_mutating(&self) -> bool {
         !matches!(self, Request::QueryPreferences { .. })
@@ -235,11 +235,12 @@ pub enum Response {
         /// Max honest error of the recomputed scores.
         max_err: u64,
     },
-    /// Session closed; its board scope was retired.
+    /// Session closed; its resident state was dropped.
     Closed {
         /// Session answered.
         session: u64,
-        /// Board slots freed by retiring the session's scope.
+        /// Distinct `(slot, object)` pairs probed while the session was
+        /// open.
         freed_slots: u64,
     },
     /// The request was rejected; the engine state is unchanged.

@@ -438,11 +438,11 @@ pub fn parse_op(line: &str) -> Result<Request, String> {
     Ok(op)
 }
 
-/// A session's resident pool is `2 · players · objects` bits, and its
-/// active world never has more rows than the pool. Capping the pool at the
-/// oracle's memo limit keeps memoized probe accounting for every admitted
-/// session and turns a hostile spec into a typed rejection rather than an
-/// allocation failure.
+/// A session's resident pool is `2 · players · objects` bits, its probed
+/// set is the same size, and its active world never has more rows than
+/// the pool. Capping the pool at [`MEMO_LIMIT_BITS`] (32 MB) bounds all
+/// three per admitted session and turns a hostile spec into a typed
+/// rejection rather than an allocation failure.
 fn check_pool_bits(spec: &SessionSpec) -> Result<(), String> {
     let bits = (spec.players.max(1))
         .checked_mul(2)

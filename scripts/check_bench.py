@@ -321,35 +321,31 @@ def self_test():
     # e19's compaction table gates the tail bound alongside the digest:
     # "tail ops" is numeric (so it gates at REL_TOL — an inflated tail
     # means compaction stopped bounding recovery), "tail ≤ every" and
-    # the digest are non-numeric and must match exactly.
+    # the digest are non-numeric and must match exactly, and "ckpt bytes"
+    # (the summed on-disk size of the row's checkpoints) gates at REL_TOL
+    # so a fatter checkpoint format cannot land silently.
     cmp_headers = (
         "every", "kill at", "checkpoints", "truncated ops", "tail ops",
-        "tail ≤ every", "digest", "matches traces/DIGESTS",
+        "tail ≤ every", "ckpt bytes", "digest", "matches traces/DIGESTS",
     )
-    cmp_base = doc(
-        [["4", "34", "10", "40", "2", "yes", "742004f52561bb35", "yes"]],
-        headers=cmp_headers,
-    )
+
+    def cmp_row(tail="2", within="yes", ckpt="27026", digest="742004f52561bb35"):
+        return doc(
+            [["4", "34", "10", "40", tail, within, ckpt, digest, "yes"]],
+            headers=cmp_headers,
+        )
+
+    cmp_base = cmp_row()
     fails, _, _ = compare_docs(cmp_base, cmp_base)
     assert not fails, fails
-    fails, _, _ = compare_docs(
-        cmp_base,
-        doc(
-            [["4", "34", "10", "40", "2", "yes", "742004f52561bb45", "yes"]],
-            headers=cmp_headers,
-        ),
-    )
+    fails, _, _ = compare_docs(cmp_base, cmp_row(digest="742004f52561bb45"))
     assert len(fails) == 1 and "digest" in fails[0], fails
-    fails, _, _ = compare_docs(
-        cmp_base,
-        doc(
-            [["4", "34", "10", "40", "42", "NO", "742004f52561bb35", "yes"]],
-            headers=cmp_headers,
-        ),
-    )
+    fails, _, _ = compare_docs(cmp_base, cmp_row(tail="42", within="NO"))
     assert len(fails) == 2, fails
     assert any("tail ops" in f_ for f_ in fails), fails
     assert any("tail ≤ every" in f_ for f_ in fails), fails
+    fails, _, _ = compare_docs(cmp_base, cmp_row(ckpt="47423"))
+    assert len(fails) == 1 and "ckpt bytes" in fails[0], fails
 
     # A whole experiment dropped from the current artifact fails — even
     # when it contributed no tables, the case the per-table loop cannot
