@@ -3,8 +3,9 @@
 //! The paper's fault model (§2, §7): up to `n/(3B)` players "may ignore the
 //! protocol, lying about \[their\] preferences and attempting to improperly
 //! influence the output", possibly *colluding*. They cannot forge honest
-//! players' bulletin-board entries (enforced by the board's authenticated
-//! slots), but everything they post themselves is attacker-chosen.
+//! players' bulletin-board entries (every tally takes one entry per author,
+//! and the runtime supplies the author id), but everything they post
+//! themselves is attacker-chosen.
 //!
 //! We implement the strongest admissible adversary: **omniscient** (reads
 //! the whole hidden truth matrix and the set of corrupted players) and

@@ -99,12 +99,17 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String>
             "--list" | "-l" => opts.list = true,
             "--only" => {
                 let v = flag_value("--only", &mut inline, &mut it, "a selector list")?;
+                let before = opts.only.len();
                 opts.only.extend(
                     v.split(',')
                         .map(str::trim)
                         .filter(|s| !s.is_empty())
                         .map(String::from),
                 );
+                // An empty `only` means "everything"; a blank list must not.
+                if opts.only.len() == before {
+                    return Err("--only needs a selector list".into());
+                }
             }
             "--scale" => {
                 let v = flag_value("--scale", &mut inline, &mut it, "quick|full")?;
@@ -501,6 +506,15 @@ mod tests {
         // The removed timing-mode flag is an unknown argument now (spelled
         // in two pieces so a grep for the flag finds no live use of it).
         assert!(parse(args(&[concat!("--", "timing"), "isolated"])).is_err());
+        // A blank selector list would leave `only` empty, which runs the
+        // whole registry.
+        for blank in [&["--only="][..], &["--only", ",,"], &["--only", " , "]] {
+            assert_eq!(
+                parse(args(blank)).unwrap_err(),
+                "--only needs a selector list",
+                "{blank:?}"
+            );
+        }
         assert_eq!(parse(args(&["--help"])).unwrap_err(), "");
     }
 

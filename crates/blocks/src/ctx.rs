@@ -148,7 +148,8 @@ impl CandidateMeter {
 pub struct Ctx<'a> {
     /// Metered access to hidden preferences.
     pub oracle: &'a Oracle,
-    /// The shared bulletin board.
+    /// The bulletin board, which counts each step's posts (it stores no
+    /// values; outputs pass between steps in memory).
     pub board: &'a Board,
     /// Who is dishonest and what they post.
     pub behaviors: &'a Behaviors<'a>,

@@ -3,7 +3,7 @@
 //! \[2,3\] and Awerbuch et al. \[4\], as restated by the paper in §5).
 //!
 //! Everything here is expressed against the execution substrate of
-//! `byzscore-board` (oracle + bulletin board), the shared-randomness
+//! `byzscore-board` (oracle + bulletin-board meter), the shared-randomness
 //! [`Beacon`](byzscore_random::Beacon), and the adversary table of
 //! `byzscore-adversary`: the same implementations serve both the honest
 //! analysis (§6) and the Byzantine analysis (§7), exactly as in the paper

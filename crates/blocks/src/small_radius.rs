@@ -28,7 +28,8 @@ use crate::Ctx;
 /// * `scope_path` — scope for randomness derivation and board posts.
 ///
 /// Returns one vector per player (aligned with `players`, over `objects`'
-/// coordinates); each is posted on the board under this invocation's scope.
+/// coordinates); the board counts one vector post per player under this
+/// invocation's scope.
 ///
 /// Guarantee (Theorem 5): if ≥ `n/B` players lie within distance `D` of
 /// `p`, then whp `|w(p) − v(p)| ≤ 5D`, with `O(B·log n·D^{3/2}(D + log n))`
@@ -102,12 +103,9 @@ pub fn small_radius(
         })
         .collect();
 
-    let scope = ctx
-        .board
-        .scope(&[scope_path, &[tags::SR_PARTITION]].concat());
-    for (&p, v) in players.iter().zip(&out) {
-        scope.post_vector(p, v.clone());
-    }
+    ctx.board
+        .scope(&[scope_path, &[tags::SR_PARTITION]].concat())
+        .post_vectors(players.len());
     out
 }
 

@@ -31,8 +31,8 @@ use crate::Ctx;
 ///   the bulletin-board scope for this invocation's outputs.
 ///
 /// Returns one output vector per player (aligned with `players`, over
-/// `objects`' coordinates) and posts each player's vector on the board
-/// under this invocation's scope. Dishonest players' outputs are their
+/// `objects`' coordinates) and counts one vector post per player on the
+/// board under this invocation's scope. Dishonest players' outputs are their
 /// strategy's claims.
 pub fn zero_radius(
     ctx: &Ctx<'_>,
@@ -45,16 +45,13 @@ pub fn zero_radius(
     let mut path = Vec::with_capacity(scope_path.len() + 4);
     path.extend_from_slice(scope_path);
     let out = zr_node(ctx, players, objects, bprime, &mut path);
-    // Publish assembled outputs for this invocation (SmallRadius tallies
-    // these; recursion-internal nodes exchange in memory — same data flow).
-    // Registered via `Board::scope` so enclosing drivers can retire the
-    // whole step's posts by path prefix.
-    let scope = ctx
-        .board
-        .scope(&[scope_path, &[tags::ZR_PARTITION]].concat());
-    for (&p, v) in players.iter().zip(&out) {
-        scope.post_vector(p, v.clone());
-    }
+    // Meter this invocation's outputs as one vector post per player; the
+    // vectors themselves go back to the caller in memory. Registered via
+    // `Board::scope` so enclosing drivers can retire the whole step's
+    // posts by path prefix.
+    ctx.board
+        .scope(&[scope_path, &[tags::ZR_PARTITION]].concat())
+        .post_vectors(players.len());
     out
 }
 
@@ -236,7 +233,7 @@ mod tests {
     use super::*;
     use crate::BlockParams;
     use byzscore_adversary::{Behaviors, Corruption, Inverter};
-    use byzscore_board::{scope_id, Board, Oracle};
+    use byzscore_board::{Board, Oracle};
     use byzscore_model::{Balance, Workload};
     use byzscore_random::Beacon;
 
@@ -331,8 +328,10 @@ mod tests {
         let players: Vec<u32> = (0..32).collect();
         let objects: Vec<u32> = (0..32).collect();
         zero_radius(&ctx, &players, &objects, 8, &[7, 7]);
-        let scope = scope_id(&[7, 7, tags::ZR_PARTITION]);
-        assert_eq!(board.vectors(scope).len(), 32);
+        let stats = board.stats();
+        assert_eq!((stats.vector_posts, stats.live_vector_slots), (32, 32));
+        board.retire_prefix(&[7, 7, tags::ZR_PARTITION]);
+        assert_eq!(board.stats().live_vector_slots, 0);
     }
 
     #[test]

@@ -1,345 +1,137 @@
-//! Authenticated-slot bulletin board with scope lifecycle.
+//! The bulletin board as a communication meter: post counts per scope.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 
-use byzscore_bitset::BitVec;
 use parking_lot::Mutex;
 
-const SHARD_COUNT: usize = 64;
-
-/// Claims about one object in one scope: `(author, claimed bit)` pairs.
-type ClaimSlot = Vec<(u32, bool)>;
-
-/// A public bulletin board with authenticated single-writer slots.
+/// The paper's public bulletin board (§2), kept as a meter: each step of
+/// Figures 1–2 hands its outputs to the next in memory and posts only a
+/// count — one vector per `(scope, author)`, one bit claim per
+/// `(scope, object, author)`. No step posts twice into one slot.
 ///
-/// The paper's model: "Players have access to a public bulletin board…
-/// A dishonest player cannot modify the data written by honest players."
-/// We realize this with *slots*: a vector slot is keyed by
-/// `(scope, author)`, a claim slot by `(scope, object, author)`. The runtime
-/// passes the author id on behalf of the executing player, so impersonation
-/// is impossible by construction, and one-slot-per-author means a Byzantine
-/// player can lie but cannot vote twice in any tally.
-///
-/// Writes from concurrently executing players land in sharded hash maps;
-/// reads return snapshots sorted by author id so every consumer is
-/// deterministic regardless of scheduling.
-///
-/// # Scope lifecycle
-///
-/// `scope` values identify a protocol step instance (e.g. one `ZeroRadius`
-/// recursion node in one diameter iteration). Producers open scopes with
-/// [`Board::scope`], which *registers* the scope's path; a finished step's
-/// posts are then released with [`ScopeHandle::retire`] or — for whole
-/// subtrees, e.g. one robust-mode repetition — [`Board::retire_prefix`].
-/// Without retirement a long run accumulates every phase's posts forever;
-/// with it, live slots track the *working set* of the current step, and
-/// [`BoardStats`] reports the peak, which is the board's real memory
-/// high-water mark. (Raw `scope_id` posting still works and is still
-/// audit-readable; unregistered scopes simply cannot be retired by prefix.)
+/// [`Board::scope`] registers a step instance's path; [`Board::retire_prefix`]
+/// releases a finished subtree, so live slots track the current step's
+/// working set and [`BoardStats`] keeps the peaks. Posts to an unregistered
+/// id count but are never retired.
+#[derive(Default)]
 pub struct Board {
-    vectors: Vec<Mutex<HashMap<(u64, u32), BitVec>>>,
-    claims: Vec<Mutex<HashMap<(u64, u32), ClaimSlot>>>,
-    vector_posts: AtomicU64,
-    claim_posts: AtomicU64,
-    live_vector_slots: AtomicU64,
-    live_claim_slots: AtomicU64,
-    peak_vector_slots: AtomicU64,
-    peak_claim_slots: AtomicU64,
-    retired_scopes: AtomicU64,
-    /// Registered scopes: id → creation path (for prefix retirement).
-    registry: Mutex<HashMap<u64, Vec<u64>>>,
+    state: Mutex<State>,
 }
 
-/// Counters describing board traffic and memory (communication-cost
-/// reporting, §8's open question about communication complexity, and the
-/// ROADMAP memory-scaling item).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Default)]
+struct State {
+    scopes: HashMap<u64, Scope>,
+    stats: BoardStats,
+}
+
+/// One scope: its registered path (if any) and its live post counts.
+#[derive(Default)]
+struct Scope {
+    path: Option<Vec<u64>>,
+    vectors: u64,
+    claims: u64,
+}
+
+/// Board traffic and working-set counters (§8's open question about
+/// communication complexity).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BoardStats {
-    /// Total vector posts accepted (including slot overwrites).
+    /// Vector posts over the board's lifetime.
     pub vector_posts: u64,
-    /// Total claim posts accepted.
+    /// Claim posts over the board's lifetime.
     pub claim_posts: u64,
-    /// Vector slots currently occupied (posts minus retired/overwritten).
+    /// Vector posts in scopes not yet retired.
     pub live_vector_slots: u64,
-    /// Claim slots currently occupied.
+    /// Claim posts in scopes not yet retired.
     pub live_claim_slots: u64,
-    /// High-water mark of simultaneously occupied vector slots.
+    /// High-water mark of `live_vector_slots`.
     pub peak_vector_slots: u64,
-    /// High-water mark of simultaneously occupied claim slots.
+    /// High-water mark of `live_claim_slots`.
     pub peak_claim_slots: u64,
-    /// Number of scopes retired over the board's lifetime.
+    /// Registered scopes retired by [`Board::retire_prefix`].
     pub retired_scopes: u64,
 }
 
-impl BoardStats {
-    /// Total currently occupied slots of either kind — the board's live
-    /// working set.
-    pub fn live_slots(&self) -> u64 {
-        self.live_vector_slots + self.live_claim_slots
-    }
-}
-
-/// A registered posting scope on a [`Board`].
-///
-/// Cheap to copy (a board reference plus the scope id); post through it
-/// during the step, read back for tallies/audits, and [`ScopeHandle::retire`]
-/// when the step's posts are dead. Handles for the same path are
-/// interchangeable — the scope id is the identity.
+/// A registered posting scope on a [`Board`]. Cheap to copy; handles for the
+/// same path are interchangeable, since the scope id is the identity.
 #[derive(Clone, Copy)]
 pub struct ScopeHandle<'b> {
     board: &'b Board,
     id: u64,
 }
 
-impl<'b> ScopeHandle<'b> {
-    /// The scope id (usable with the raw [`Board`] read methods).
+impl ScopeHandle<'_> {
+    /// The scope id, for [`Board::post_claim`].
+    #[doc(hidden)]
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    /// Post (or overwrite) `author`'s vector in this scope's slot.
-    pub fn post_vector(&self, author: u32, v: BitVec) {
-        self.board.post_vector(self.id, author, v);
+    /// Count `count` vector posts, one per author, in this scope.
+    pub fn post_vectors(&self, count: usize) {
+        self.board.post(self.id, count as u64, 0);
     }
 
-    /// Post `author`'s bit claim about `object` in this scope.
-    pub fn post_claim(&self, author: u32, object: u32, value: bool) {
-        self.board.post_claim(self.id, author, object, value);
-    }
-
-    /// All vectors posted in this scope, sorted by author id.
-    pub fn vectors(&self) -> Vec<(u32, BitVec)> {
-        self.board.vectors(self.id)
-    }
-
-    /// All claims about `object` in this scope, sorted by author id.
-    pub fn claims(&self, object: u32) -> Vec<(u32, bool)> {
-        self.board.claims(self.id, object)
-    }
-
-    /// Release every post in this scope and unregister it.
-    pub fn retire(self) {
-        self.board.retire_scope(self.id);
+    /// Count `count` claim posts, one per `(object, author)`, in this scope.
+    pub fn post_claims(&self, count: usize) {
+        self.board.post(self.id, 0, count as u64);
     }
 }
 
 impl Board {
     /// Empty board.
     pub fn new() -> Self {
-        Board {
-            vectors: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            claims: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            vector_posts: AtomicU64::new(0),
-            claim_posts: AtomicU64::new(0),
-            live_vector_slots: AtomicU64::new(0),
-            live_claim_slots: AtomicU64::new(0),
-            peak_vector_slots: AtomicU64::new(0),
-            peak_claim_slots: AtomicU64::new(0),
-            retired_scopes: AtomicU64::new(0),
-            registry: Mutex::new(HashMap::new()),
-        }
-    }
-
-    #[inline]
-    fn shard_index(scope: u64, salt: u32) -> usize {
-        // Cheap mix; shard only needs to spread load.
-        let h = scope ^ u64::from(salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h as usize >> 3) % SHARD_COUNT
-    }
-
-    /// New-slot accounting: bump a live counter and fold it into its peak.
-    ///
-    /// Within a posting phase slots only grow and retirement happens in the
-    /// single-threaded driver between phases, so the observed peak is the
-    /// same under any thread schedule — determinism the experiment artifacts
-    /// rely on.
-    #[inline]
-    fn bump_live(live: &AtomicU64, peak: &AtomicU64, added: u64) {
-        let now = live.fetch_add(added, Ordering::Relaxed) + added;
-        peak.fetch_max(now, Ordering::Relaxed);
+        Self::default()
     }
 
     /// Open (and register) the scope named by `path`; see [`scope_id`] for
     /// the id derivation. Re-opening a path returns an equivalent handle.
     pub fn scope(&self, path: &[u64]) -> ScopeHandle<'_> {
         let id = scope_id(path);
-        self.registry
-            .lock()
-            .entry(id)
-            .or_insert_with(|| path.to_vec());
+        let mut state = self.state.lock();
+        let scope = state.scopes.entry(id).or_default();
+        scope.path.get_or_insert_with(|| path.to_vec());
         ScopeHandle { board: self, id }
     }
 
-    /// Post (or overwrite) `author`'s vector in `scope`'s slot.
-    pub fn post_vector(&self, scope: u64, author: u32, v: BitVec) {
-        self.vector_posts.fetch_add(1, Ordering::Relaxed);
-        let fresh = self.vectors[Self::shard_index(scope, author)]
-            .lock()
-            .insert((scope, author), v)
-            .is_none();
-        if fresh {
-            Self::bump_live(&self.live_vector_slots, &self.peak_vector_slots, 1);
-        }
+    /// Count one claim post in `scope`.
+    #[doc(hidden)]
+    pub fn post_claim(&self, scope: u64, _author: u32, _object: u32, _value: bool) {
+        self.post(scope, 0, 1);
     }
 
-    /// All vectors posted in `scope`, sorted by author id.
-    pub fn vectors(&self, scope: u64) -> Vec<(u32, BitVec)> {
-        let mut out: Vec<(u32, BitVec)> = Vec::new();
-        for shard in &self.vectors {
-            let guard = shard.lock();
-            out.extend(
-                guard
-                    .iter()
-                    .filter(|((s, _), _)| *s == scope)
-                    .map(|(&(_, a), v)| (a, v.clone())),
-            );
-        }
-        out.sort_unstable_by_key(|&(a, _)| a);
-        out
+    fn post(&self, id: u64, vectors: u64, claims: u64) {
+        let mut state = self.state.lock();
+        let State { scopes, stats } = &mut *state;
+        let scope = scopes.entry(id).or_default();
+        scope.vectors += vectors;
+        scope.claims += claims;
+        stats.vector_posts += vectors;
+        stats.claim_posts += claims;
+        stats.live_vector_slots += vectors;
+        stats.live_claim_slots += claims;
+        stats.peak_vector_slots = stats.peak_vector_slots.max(stats.live_vector_slots);
+        stats.peak_claim_slots = stats.peak_claim_slots.max(stats.live_claim_slots);
     }
 
-    /// `author`'s vector in `scope`, if posted.
-    pub fn vector_of(&self, scope: u64, author: u32) -> Option<BitVec> {
-        self.vectors[Self::shard_index(scope, author)]
-            .lock()
-            .get(&(scope, author))
-            .cloned()
-    }
-
-    /// Post `author`'s bit claim about `object` in `scope`. One slot per
-    /// `(scope, object, author)`: re-posting overwrites.
-    pub fn post_claim(&self, scope: u64, author: u32, object: u32, value: bool) {
-        self.claim_posts.fetch_add(1, Ordering::Relaxed);
-        let fresh = {
-            let mut guard = self.claims[Self::shard_index(scope, object)].lock();
-            let entries = guard.entry((scope, object)).or_default();
-            match entries.iter_mut().find(|(a, _)| *a == author) {
-                Some(slot) => {
-                    slot.1 = value;
-                    false
-                }
-                None => {
-                    entries.push((author, value));
-                    true
-                }
-            }
-        };
-        if fresh {
-            Self::bump_live(&self.live_claim_slots, &self.peak_claim_slots, 1);
-        }
-    }
-
-    /// All claims about `object` in `scope`, sorted by author id.
-    pub fn claims(&self, scope: u64, object: u32) -> Vec<(u32, bool)> {
-        let guard = self.claims[Self::shard_index(scope, object)].lock();
-        let mut out = guard.get(&(scope, object)).cloned().unwrap_or_default();
-        out.sort_unstable_by_key(|&(a, _)| a);
-        out
-    }
-
-    /// Release every post in `scope` and unregister it.
-    ///
-    /// Idempotent; counts toward [`BoardStats::retired_scopes`] only when
-    /// something (a registration or at least one slot) was actually freed.
-    pub fn retire_scope(&self, scope: u64) {
-        let registered = self.registry.lock().remove(&scope).is_some();
-        let mut freed_vectors = 0u64;
-        for shard in &self.vectors {
-            let mut guard = shard.lock();
-            let before = guard.len();
-            guard.retain(|&(s, _), _| s != scope);
-            freed_vectors += (before - guard.len()) as u64;
-        }
-        let mut freed_claims = 0u64;
-        for shard in &self.claims {
-            let mut guard = shard.lock();
-            guard.retain(|&(s, _), slot| {
-                if s == scope {
-                    freed_claims += slot.len() as u64;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        self.live_vector_slots
-            .fetch_sub(freed_vectors, Ordering::Relaxed);
-        self.live_claim_slots
-            .fetch_sub(freed_claims, Ordering::Relaxed);
-        if registered || freed_vectors + freed_claims > 0 {
-            self.retired_scopes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Retire every *registered* scope whose creation path starts with
-    /// `prefix` — how drivers release a whole protocol step (one diameter
-    /// guess, one robust repetition) in one call. Batched: one retain pass
-    /// over each shard regardless of how many scopes match.
+    /// Retire (and unregister) every registered scope under `prefix`.
     pub fn retire_prefix(&self, prefix: &[u64]) {
-        let ids: HashSet<u64> = {
-            let mut registry = self.registry.lock();
-            let matched: Vec<u64> = registry
-                .iter()
-                .filter(|(_, path)| path.len() >= prefix.len() && path[..prefix.len()] == *prefix)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in &matched {
-                registry.remove(id);
+        let mut state = self.state.lock();
+        let State { scopes, stats } = &mut *state;
+        scopes.retain(|_, scope| {
+            let hit = scope.path.as_deref().is_some_and(|p| p.starts_with(prefix));
+            if hit {
+                stats.live_vector_slots -= scope.vectors;
+                stats.live_claim_slots -= scope.claims;
+                stats.retired_scopes += 1;
             }
-            matched.into_iter().collect()
-        };
-        if ids.is_empty() {
-            return;
-        }
-        let mut freed_vectors = 0u64;
-        for shard in &self.vectors {
-            let mut guard = shard.lock();
-            let before = guard.len();
-            guard.retain(|&(s, _), _| !ids.contains(&s));
-            freed_vectors += (before - guard.len()) as u64;
-        }
-        let mut freed_claims = 0u64;
-        for shard in &self.claims {
-            let mut guard = shard.lock();
-            guard.retain(|&(s, _), slot| {
-                if ids.contains(&s) {
-                    freed_claims += slot.len() as u64;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        self.live_vector_slots
-            .fetch_sub(freed_vectors, Ordering::Relaxed);
-        self.live_claim_slots
-            .fetch_sub(freed_claims, Ordering::Relaxed);
-        self.retired_scopes
-            .fetch_add(ids.len() as u64, Ordering::Relaxed);
+            !hit
+        });
     }
 
     /// Traffic and memory counters.
     pub fn stats(&self) -> BoardStats {
-        BoardStats {
-            vector_posts: self.vector_posts.load(Ordering::Relaxed),
-            claim_posts: self.claim_posts.load(Ordering::Relaxed),
-            live_vector_slots: self.live_vector_slots.load(Ordering::Relaxed),
-            live_claim_slots: self.live_claim_slots.load(Ordering::Relaxed),
-            peak_vector_slots: self.peak_vector_slots.load(Ordering::Relaxed),
-            peak_claim_slots: self.peak_claim_slots.load(Ordering::Relaxed),
-            retired_scopes: self.retired_scopes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Default for Board {
-    fn default() -> Self {
-        Self::new()
+        self.state.lock().stats
     }
 }
 
@@ -359,76 +151,47 @@ pub fn scope_id(path: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byzscore_bitset::Bits;
-
-    #[test]
-    fn vector_slots_overwrite_not_duplicate() {
-        let b = Board::new();
-        b.post_vector(1, 5, BitVec::zeros(4));
-        b.post_vector(1, 5, BitVec::ones(4));
-        let vs = b.vectors(1);
-        assert_eq!(vs.len(), 1, "one slot per author");
-        assert_eq!(vs[0].0, 5);
-        assert_eq!(vs[0].1.count_ones(), 4, "last write wins");
-        assert_eq!(b.stats().vector_posts, 2);
-        assert_eq!(b.stats().live_vector_slots, 1, "overwrite is not a slot");
-        assert_eq!(b.stats().peak_vector_slots, 1);
-    }
-
-    #[test]
-    fn vectors_sorted_by_author() {
-        let b = Board::new();
-        for &a in &[9u32, 2, 7, 0] {
-            b.post_vector(3, a, BitVec::zeros(2));
-        }
-        let authors: Vec<u32> = b.vectors(3).into_iter().map(|(a, _)| a).collect();
-        assert_eq!(authors, vec![0, 2, 7, 9]);
-    }
 
     #[test]
     fn scopes_are_isolated() {
+        // Counts add up per scope: retiring one leaves the other's intact.
         let b = Board::new();
-        b.post_vector(1, 0, BitVec::zeros(2));
-        b.post_vector(2, 1, BitVec::ones(2));
-        assert_eq!(b.vectors(1).len(), 1);
-        assert_eq!(b.vectors(2).len(), 1);
-        assert!(b.vector_of(1, 1).is_none());
-        assert!(b.vector_of(2, 1).is_some());
-    }
-
-    #[test]
-    fn claim_slots_overwrite() {
-        let b = Board::new();
-        b.post_claim(1, 3, 10, true);
-        b.post_claim(1, 3, 10, false);
-        b.post_claim(1, 4, 10, true);
-        let cs = b.claims(1, 10);
-        assert_eq!(cs, vec![(3, false), (4, true)]);
-        assert!(b.claims(1, 11).is_empty());
-        assert!(b.claims(2, 10).is_empty());
-        assert_eq!(b.stats().claim_posts, 3);
-        assert_eq!(b.stats().live_claim_slots, 2);
+        let one = b.scope(&[1]);
+        let two = b.scope(&[2]);
+        one.post_vectors(3);
+        one.post_claims(5);
+        two.post_vectors(2);
+        two.post_claims(7);
+        one.post_claims(1);
+        let s = b.stats();
+        assert_eq!((s.vector_posts, s.claim_posts), (5, 13));
+        assert_eq!((s.live_vector_slots, s.live_claim_slots), (5, 13));
+        b.retire_prefix(&[1]);
+        let s = b.stats();
+        assert_eq!((s.live_vector_slots, s.live_claim_slots), (2, 7));
+        assert_eq!(
+            (s.vector_posts, s.claim_posts),
+            (5, 13),
+            "posts are cumulative"
+        );
     }
 
     #[test]
     fn scope_handle_posts_and_retires() {
         let b = Board::new();
         let scope = b.scope(&[1, 2]);
-        scope.post_vector(0, BitVec::zeros(4));
-        scope.post_claim(0, 9, true);
         assert_eq!(scope.id(), scope_id(&[1, 2]));
-        assert_eq!(scope.vectors().len(), 1);
-        assert_eq!(scope.claims(9).len(), 1);
-        scope.retire();
-        assert!(b.vectors(scope_id(&[1, 2])).is_empty());
-        assert!(b.claims(scope_id(&[1, 2]), 9).is_empty());
+        scope.post_vectors(1);
+        scope.post_claims(1);
+        b.retire_prefix(&[1, 2]);
         let s = b.stats();
-        assert_eq!(s.live_vector_slots, 0);
-        assert_eq!(s.live_claim_slots, 0);
-        assert_eq!(s.peak_vector_slots, 1, "peak survives retirement");
-        assert_eq!(s.peak_claim_slots, 1);
+        assert_eq!((s.live_vector_slots, s.live_claim_slots), (0, 0));
+        assert_eq!(
+            (s.peak_vector_slots, s.peak_claim_slots),
+            (1, 1),
+            "peak survives"
+        );
         assert_eq!(s.retired_scopes, 1);
-        assert_eq!(s.live_slots(), 0, "live_slots sums both slot kinds");
     }
 
     #[test]
@@ -436,11 +199,9 @@ mod tests {
         let b = Board::new();
         for step in 0..10u64 {
             let scope = b.scope(&[7, step]);
-            for a in 0..4u32 {
-                scope.post_vector(a, BitVec::zeros(2));
-                scope.post_claim(a, 0, true);
-            }
-            scope.retire();
+            scope.post_vectors(4);
+            scope.post_claims(4);
+            b.retire_prefix(&[7, step]);
         }
         let s = b.stats();
         assert_eq!(s.vector_posts, 40, "posts are cumulative");
@@ -453,53 +214,59 @@ mod tests {
     #[test]
     fn retire_prefix_releases_subtree_only() {
         let b = Board::new();
-        b.scope(&[5, 0, 1]).post_vector(0, BitVec::zeros(1));
-        b.scope(&[5, 0, 2]).post_claim(1, 3, false);
-        b.scope(&[5, 1]).post_vector(2, BitVec::zeros(1));
+        b.scope(&[5, 0, 1]).post_vectors(1);
+        b.scope(&[5, 0, 2]).post_claims(1);
+        b.scope(&[5, 0, 3]);
+        b.scope(&[5, 1]).post_vectors(1);
         b.retire_prefix(&[5, 0]);
         let s = b.stats();
         assert_eq!(s.live_vector_slots, 1, "sibling subtree untouched");
         assert_eq!(s.live_claim_slots, 0);
-        assert_eq!(s.retired_scopes, 2);
-        assert_eq!(b.vectors(scope_id(&[5, 1])).len(), 1);
+        assert_eq!(s.retired_scopes, 3, "an empty registered scope retires too");
         // Idempotent.
         b.retire_prefix(&[5, 0]);
-        assert_eq!(b.stats().retired_scopes, 2);
+        assert_eq!(b.stats(), s);
     }
 
     #[test]
-    fn retiring_unregistered_scope_frees_raw_posts() {
+    fn raw_posts_to_unregistered_ids_survive_prefix_retire() {
         let b = Board::new();
-        b.post_vector(77, 0, BitVec::zeros(1));
-        b.retire_scope(77);
-        assert_eq!(b.stats().live_vector_slots, 0);
-        assert_eq!(b.stats().retired_scopes, 1);
-        // Nothing there: no-op, not another retirement.
-        b.retire_scope(77);
-        assert_eq!(b.stats().retired_scopes, 1);
+        b.post_claim(77, 0, 0, true);
+        // A retired handle that posts again lands in an unregistered scope.
+        let late = b.scope(&[9]);
+        b.retire_prefix(&[9]);
+        late.post_claims(2);
+        b.retire_prefix(&[]);
+        let s = b.stats();
+        assert_eq!(s.live_claim_slots, 3);
+        assert_eq!(s.retired_scopes, 1);
+        // Registering the id again makes its posts retirable.
+        b.scope(&[9]);
+        b.retire_prefix(&[9]);
+        assert_eq!(b.stats().live_claim_slots, 1);
     }
 
     #[test]
     fn concurrent_posts_all_land() {
         let b = Board::new();
         std::thread::scope(|s| {
-            for t in 0..8u32 {
+            for t in 0..8u64 {
                 let b = &b;
                 s.spawn(move || {
+                    let scope = b.scope(&[t]);
                     for i in 0..50u32 {
-                        b.post_vector(7, t * 50 + i, BitVec::zeros(1));
-                        b.post_claim(8, t * 50 + i, i % 5, true);
+                        scope.post_vectors(1);
+                        b.post_claim(8, t as u32, i, true);
                     }
                 });
             }
         });
-        assert_eq!(b.vectors(7).len(), 400);
-        let total_claims: usize = (0..5).map(|o| b.claims(8, o).len()).sum();
-        assert_eq!(total_claims, 400);
         let s = b.stats();
-        assert_eq!(s.live_vector_slots, 400);
-        assert_eq!(s.peak_vector_slots, 400);
-        assert_eq!(s.live_claim_slots, 400);
+        assert_eq!(
+            (s.vector_posts, s.live_vector_slots, s.peak_vector_slots),
+            (400, 400, 400)
+        );
+        assert_eq!((s.claim_posts, s.live_claim_slots), (400, 400));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The execution substrate of the paper's model (§2): a probe oracle with
-//! per-player metering, a shared bulletin board, and the phase helpers
-//! every "all players do X" step runs through.
+//! per-player metering, a bulletin board that meters communication, and the
+//! phase helpers every "all players do X" step runs through.
 //!
 //! The paper's players proceed in synchronous rounds; in each round a player
 //! may probe one object (learning its *own* preference for it) and may read
@@ -22,15 +22,14 @@
 //!   counted against the probing player in a lock-free [`ProbeLedger`].
 //!   Probe complexity is the paper's sole cost measure, so the ledger is the
 //!   measurement instrument for every experiment.
-//! * [`Board`] — an authenticated-slot bulletin board: one vector post per
-//!   `(scope, author)` slot and one bit claim per `(scope, object, author)`
-//!   slot, so a Byzantine player can lie but can neither forge another
-//!   player's entry nor stuff ballot boxes with duplicates. Sharded mutexes
-//!   (parking_lot) make concurrent phase writes cheap; reads return
-//!   author-sorted snapshots so downstream code is deterministic. Scopes
-//!   opened with [`Board::scope`] can be *retired* when their step
-//!   completes, so long runs hold only the current step's working set
-//!   ([`BoardStats`] reports the peak).
+//! * [`Board`] — the bulletin board as a communication meter. Each step
+//!   hands its outputs to the next in memory and posts only a count: one
+//!   vector post per `(scope, author)`, one claim post per
+//!   `(scope, object, author)`. One mutex guards the per-scope counts and
+//!   the [`BoardStats`] totals. Scopes opened with [`Board::scope`] are
+//!   *retired* by path prefix when their step completes, so the live
+//!   counts track the current step's working set and the stats keep the
+//!   peak.
 //! * [`par`] — "all players do X" phase helpers that run in order on the
 //!   calling thread, plus [`par::par_map_coarse`], the workspace's one
 //!   compute fork (whole runs and sweep points, under one thread budget)

@@ -88,7 +88,6 @@ pub fn solo(ctx: &Ctx<'_>, params: &ProtocolParams) -> Vec<BitVec> {
     let budget = ((params.budget() as f64 * ln_n).ceil() as usize).clamp(1, m);
 
     // Everyone probes their own random objects and posts the results.
-    let scope = ctx.board.scope(&[0x5010]);
     let probes: Vec<Vec<(u32, bool)>> = par_map_players(n, |p| {
         let p32 = p as u32;
         let mut rng = ctx.player_rng(p32, &[0x5010]);
@@ -101,11 +100,14 @@ pub fn solo(ctx: &Ctx<'_>, params: &ProtocolParams) -> Vec<BitVec> {
                 } else {
                     ctx.oracle.probe(p32, o)
                 };
-                scope.post_claim(p32, o, v);
                 (o, v)
             })
             .collect()
     });
+
+    ctx.board
+        .scope(&[0x5010])
+        .post_claims(probes.iter().map(Vec::len).sum());
 
     // Global per-object majority over all posted claims.
     let mut counter = ColumnCounter::new(m);

@@ -113,8 +113,8 @@ pub struct Outcome {
     /// Maximum probes spent by any honest player — the budget the paper's
     /// Lemmas 10–11 bound.
     pub max_honest_probes: u64,
-    /// Bulletin-board traffic and memory (including the peak live-slot
-    /// counts from scope-lifecycle accounting).
+    /// Bulletin-board traffic: post counts and the peak live-slot counts
+    /// from scope-lifecycle accounting.
     pub board: BoardStats,
     /// Whether probe counts used memoized accounting (repeats free) or the
     /// paper's literal per-call accounting. The oracle auto-degrades to

@@ -22,8 +22,8 @@ use crate::cluster::Clustering;
 ///
 /// Returns one predicted vector per *cluster* (all members adopt their
 /// cluster's vector, as in the paper) plus the per-player expansion.
-/// Claims are posted on the board under a scope derived from `scope_path`
-/// so experiments can audit the vote record.
+/// The claims are tallied in memory and metered on the board, one claim
+/// post per assignee and object, under a scope derived from `scope_path`.
 /// `rig` models the strongest "biased shared randomness" attack §7.1 is
 /// about: a dishonest elected leader crafts the published bits so that the
 /// step-1.e assignment always lands on dishonest cluster members first. The
@@ -70,9 +70,6 @@ fn cluster_majority(
     if members.is_empty() {
         return BitVec::zeros(n_objects);
     }
-    let scope = ctx
-        .board
-        .scope(&[scope_path, &[tags::ASSIGN, cluster_index as u64]].concat());
     let path_tag = scope_id(scope_path);
     let mut counter = ColumnCounter::new(n_objects);
     let k = reps.min(members.len()).max(1);
@@ -85,6 +82,7 @@ fn cluster_majority(
         [bad, good].concat()
     });
 
+    let mut claims = 0;
     for o in 0..n_objects as u32 {
         // Assignment comes from the shared beacon: dishonest players cannot
         // steer who probes what (§7.1's whole point) — unless the beacon
@@ -111,10 +109,13 @@ fn cluster_majority(
             } else {
                 ctx.oracle.probe(p, o)
             };
-            scope.post_claim(p, o, claim);
             counter.add_bit(o as usize, claim, 1);
         }
+        claims += picks.len();
     }
+    ctx.board
+        .scope(&[scope_path, &[tags::ASSIGN, cluster_index as u64]].concat())
+        .post_claims(claims);
     counter.majority(false)
 }
 
@@ -240,10 +241,10 @@ mod tests {
         let params = BlockParams::with_budget(1);
         let ctx = Ctx::new(&oracle, &board, &behaviors, Beacon::honest(23), &params);
         share_work(&ctx, &clustering, 8, 3, &[7], false);
-        let scope = scope_id(&[7, tags::ASSIGN, 0]);
-        for o in 0..8 {
-            assert_eq!(board.claims(scope, o).len(), 3, "object {o} missing votes");
-        }
+        // Three votes on each of the 8 objects, all in one cluster's scope.
+        assert_eq!(board.stats().live_claim_slots, 3 * 8);
+        board.retire_prefix(&[7, tags::ASSIGN, 0]);
+        assert_eq!(board.stats().live_claim_slots, 0);
     }
 
     #[test]

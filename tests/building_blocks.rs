@@ -111,11 +111,14 @@ fn board_scopes_isolate_block_invocations() {
     let objects: Vec<u32> = (0..32).collect();
     zero_radius(&ctx, &players, &objects, 4, &[100]);
     zero_radius(&ctx, &players, &objects, 4, &[200]);
-    let scope_a = byzscore_board::scope_id(&[100, byzscore_random::tags::ZR_PARTITION]);
-    let scope_b = byzscore_board::scope_id(&[200, byzscore_random::tags::ZR_PARTITION]);
-    assert_eq!(board.vectors(scope_a).len(), 32);
-    assert_eq!(board.vectors(scope_b).len(), 32);
-    assert_ne!(scope_a, scope_b);
+    assert_eq!(board.stats().live_vector_slots, 64);
+    // Retiring one invocation's path frees its 32 posts and leaves the
+    // other's live.
+    board.retire_prefix(&[100]);
+    let stats = board.stats();
+    assert_eq!((stats.live_vector_slots, stats.retired_scopes), (32, 1));
+    board.retire_prefix(&[200]);
+    assert_eq!(board.stats().live_vector_slots, 0);
 }
 
 #[test]

@@ -52,8 +52,9 @@ fn output_digest(out: &byzscore::Outcome) -> u64 {
 
 #[test]
 fn figure2_outputs_are_pinned() {
-    // Value pins for Figure 2 (CalculatePreferences) and its robust
-    // wrapper on one planted world under the paper's n/(3B) inverters.
+    // Value pins for Figure 2 (CalculatePreferences), its robust wrapper
+    // and two baselines on one planted world under the paper's n/(3B)
+    // inverters.
     // The self-consistency tests above only compare two runs with each
     // other; these constants catch a refactor that changes both alike —
     // a different RNG draw, probe order, charged probe or board post.
@@ -76,7 +77,8 @@ fn figure2_outputs_are_pinned() {
         )
         .build();
     // (algorithm, seed, output digest, probes total, max honest probes,
-    // claim posts)
+    // every `BoardStats` counter in field order). NaiveSampling posts
+    // through `share_work` without redundancy, Solo through `baseline.rs`.
     let pins = [
         (
             Algorithm::CalculatePreferences,
@@ -84,7 +86,7 @@ fn figure2_outputs_are_pinned() {
             7_728_118_120_948_937_213,
             30_152,
             256,
-            17_920,
+            [6_912, 17_920, 0, 0, 1_152, 5_120, 68],
         ),
         (
             Algorithm::Robust,
@@ -92,21 +94,46 @@ fn figure2_outputs_are_pinned() {
             12_957_990_705_383_396_101,
             30_208,
             256,
-            72_960,
+            [27_648, 72_960, 0, 0, 1_152, 5_120, 273],
+        ),
+        (
+            Algorithm::NaiveSampling,
+            44,
+            14_309_225_867_247_680_221,
+            13_011,
+            129,
+            [0, 3_584, 0, 0, 0, 1_024, 14],
+        ),
+        (
+            Algorithm::Solo,
+            45,
+            15_802_060_735_283_471_578,
+            2_360,
+            20,
+            [0, 2_560, 0, 2_560, 0, 2_560, 0],
         ),
     ];
-    for (alg, seed, digest, total, max_honest, posts) in pins {
+    for (alg, seed, digest, total, max_honest, board) in pins {
         let out = session.run(alg, seed);
+        let b = out.board;
         let got = (
             output_digest(&out),
             out.probes.total(),
             out.max_honest_probes,
-            out.board.claim_posts,
+            [
+                b.vector_posts,
+                b.claim_posts,
+                b.live_vector_slots,
+                b.live_claim_slots,
+                b.peak_vector_slots,
+                b.peak_claim_slots,
+                b.retired_scopes,
+            ],
         );
         assert_eq!(
             got,
-            (digest, total, max_honest, posts),
-            "{}: (output digest, probes, max honest probes, claim posts) moved",
+            (digest, total, max_honest, board),
+            "{}: (output digest, probes, max honest probes, board counters) moved",
             alg.name()
         );
     }
