@@ -9,7 +9,6 @@
 //! run_all --threads 4            # cap the engine + sweep fan-out (default: all cores)
 //! run_all --only e01 --json      # + BENCH_e01.json artifact
 //! run_all --json results.json    # one combined JSON document
-//! run_all --trace t.trace        # replay a recorded service trace
 //! ```
 //!
 //! All behavior lives here, driven by [`crate::registry::REGISTRY`];
@@ -47,9 +46,6 @@ pub struct Options {
     pub threads: Option<usize>,
     /// `--json` artifact destination.
     pub json: Option<JsonOut>,
-    /// `--trace`: replay a recorded service trace file instead of
-    /// running registry experiments.
-    pub trace: Option<PathBuf>,
 }
 
 /// Usage text for `prog`.
@@ -66,8 +62,6 @@ fn usage(prog: &str) -> String {
          (default: all cores)\n  \
          --json [PATH]     write JSON tables: bare --json emits one BENCH_<id>.json\n                    \
          per experiment; with PATH (or --json=PATH), one combined document\n  \
-         --trace PATH      replay a recorded byzscore-trace/v1 service workload and\n                    \
-         print its op count and combined response digest\n  \
          --help            this text"
     )
 }
@@ -155,10 +149,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String>
                     Some(p) => JsonOut::Path(PathBuf::from(p)),
                     None => JsonOut::PerExperiment,
                 });
-            }
-            "--trace" => {
-                let v = flag_value("--trace", &mut inline, &mut it, "a trace file path")?;
-                opts.trace = Some(PathBuf::from(v));
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument {other:?} (--help for usage)")),
@@ -374,15 +364,6 @@ pub fn execute(opts: Options) -> Result<(), String> {
         print!("{}", render_list());
         return Ok(());
     }
-    if let Some(path) = &opts.trace {
-        if !opts.only.is_empty() || opts.json.is_some() {
-            return Err(
-                "--trace replays a workload; it does not combine with --only or --json".into(),
-            );
-        }
-        byzscore_board::par::set_thread_limit(opts.threads);
-        return replay_trace(path);
-    }
     let experiments = resolve(&opts.only)?;
     if let Some(JsonOut::Path(path)) = &opts.json {
         // Fail fast: a full-scale run can take hours, and discovering an
@@ -405,32 +386,6 @@ pub fn execute(opts: Options) -> Result<(), String> {
             eprintln!("wrote {}", p.display());
         }
     }
-    Ok(())
-}
-
-/// `--trace` mode: parse and replay a recorded service workload on a
-/// fresh [`byzscore_service::ServiceEngine`], printing the op count,
-/// the rejection count, and the combined response digest (the digest is
-/// the cell CI pins — identical at any `--threads`).
-fn replay_trace(path: &std::path::Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read trace {}: {e}", path.display()))?;
-    let trace = byzscore_service::Trace::from_text(&text).map_err(|e| e.to_string())?;
-    let start = Instant::now();
-    let responses = byzscore_service::ServiceEngine::new().execute(&trace.ops);
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    let rejected = responses
-        .iter()
-        .filter(|r| matches!(r, byzscore_service::Response::Rejected(_)))
-        .count();
-    println!(
-        "replayed {} ops in {elapsed_ms:.1} ms ({rejected} rejected)",
-        responses.len()
-    );
-    println!(
-        "digest {:016x}",
-        byzscore_service::combined_digest(&responses)
-    );
     Ok(())
 }
 
@@ -506,6 +461,8 @@ mod tests {
         // The removed timing-mode flag is an unknown argument now (spelled
         // in two pieces so a grep for the flag finds no live use of it).
         assert!(parse(args(&[concat!("--", "timing"), "isolated"])).is_err());
+        // Trace replay is `scored replay`'s job; `run_all` has no such flag.
+        assert!(parse(args(&[concat!("--", "trace"), "t.trace"])).is_err());
         // A blank selector list would leave `only` empty, which runs the
         // whole registry.
         for blank in [&["--only="][..], &["--only", ",,"], &["--only", " , "]] {
@@ -589,43 +546,6 @@ mod tests {
                 x.id
             );
         }
-    }
-
-    #[test]
-    fn trace_flag_parses_and_replays() {
-        let o = parse(args(&["--trace", "t.trace", "--threads", "2"])).unwrap();
-        assert_eq!(o.trace, Some(PathBuf::from("t.trace")));
-        let o = parse(args(&["--trace=t.trace"])).unwrap();
-        assert_eq!(o.trace, Some(PathBuf::from("t.trace")));
-        assert!(parse(args(&["--trace"])).is_err(), "--trace needs a path");
-
-        // Replay mode is exclusive with experiment selection/artifacts.
-        let err = execute(Options {
-            trace: Some(PathBuf::from("t.trace")),
-            only: vec!["e01".into()],
-            ..Options::default()
-        })
-        .unwrap_err();
-        assert!(err.contains("--trace"), "unhelpful message: {err}");
-
-        // Missing files fail with a readable message, not a panic.
-        let err = execute(Options {
-            trace: Some(PathBuf::from("/nonexistent-dir-byzscore/t.trace")),
-            ..Options::default()
-        })
-        .unwrap_err();
-        assert!(err.contains("cannot read trace"), "{err}");
-
-        // A real round trip: generate, write, replay through the engine path.
-        let path = std::env::temp_dir().join("byzscore_cli_trace_test.trace");
-        let trace = byzscore_service::Trace::generate(&byzscore_service::TraceSpec::small(5));
-        std::fs::write(&path, trace.to_text()).unwrap();
-        execute(Options {
-            trace: Some(path.clone()),
-            ..Options::default()
-        })
-        .unwrap();
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

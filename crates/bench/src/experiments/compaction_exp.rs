@@ -118,8 +118,8 @@ fn compacting_run(
     let mut responses = Vec::with_capacity(ops.len());
     let (mut checkpoints, mut truncated_ops, mut ckpt_bytes);
     {
-        let mut engine =
-            JournaledEngine::create_with(&path, policy).expect("journal create succeeds");
+        let (mut engine, _) =
+            JournaledEngine::open(Some(&path), false, policy).expect("journal create succeeds");
         ckpt_bytes = submit_all(
             &mut engine,
             &path,
@@ -153,7 +153,7 @@ fn compacting_run(
         std::fs::write(&primary, &bytes[..bytes.len() * 2 / 3]).expect("tear primary");
     }
     let (mut engine, report) =
-        JournaledEngine::recover_with(&path, policy).expect("recovery succeeds");
+        JournaledEngine::open(Some(&path), true, policy).expect("recovery succeeds");
     ckpt_bytes += submit_all(
         &mut engine,
         &path,
@@ -170,7 +170,7 @@ fn compacting_run(
         truncated_ops,
         tail_ops,
         ckpt_bytes,
-        source: Some(report.source),
+        source: report.map(|r| r.source),
     }
 }
 
@@ -280,15 +280,16 @@ pub fn e19_compaction(scale: Scale) -> Vec<Table> {
     let path = journal_path("offline");
     scrub(&path);
     {
-        let mut engine =
-            JournaledEngine::create_with(&path, CompactionPolicy::default()).expect("create");
+        let (mut engine, _) =
+            JournaledEngine::open(Some(&path), false, CompactionPolicy::default()).expect("create");
         for (seq, op) in ops.iter().enumerate() {
             engine.submit(seq as u64, op).expect("submit");
         }
         engine.compact().expect("offline compact");
     }
-    let (engine, report) = JournaledEngine::recover_with(&path, CompactionPolicy::default())
+    let (engine, report) = JournaledEngine::open(Some(&path), true, CompactionPolicy::default())
         .expect("recover after offline compact");
+    let report = report.expect("a recovering open reports");
     edges.row(vec![
         "offline `scored compact` cycle".into(),
         report.source.describe().to_string(),

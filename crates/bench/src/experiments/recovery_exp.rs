@@ -61,8 +61,9 @@ fn killed_run(ops: &[Request], kill_at: usize, mid_op: bool, tag: &str) -> (Vec<
     let _ = std::fs::remove_file(&path);
     let mut responses = Vec::with_capacity(ops.len());
     {
-        let mut engine = JournaledEngine::create_with(&path, CompactionPolicy::default())
-            .expect("journal create succeeds");
+        let (mut engine, _) =
+            JournaledEngine::open(Some(&path), false, CompactionPolicy::default())
+                .expect("journal create succeeds");
         for (seq, op) in ops[..kill_at].iter().enumerate() {
             responses.push(
                 engine
@@ -78,7 +79,9 @@ fn killed_run(ops: &[Request], kill_at: usize, mid_op: bool, tag: &str) -> (Vec<
         // Dropping the engine IS the kill: nothing beyond the fsynced
         // journal survives.
     }
-    let (mut engine, replayed) = JournaledEngine::recover(&path).expect("recovery succeeds");
+    let (mut engine, report) =
+        JournaledEngine::open(Some(&path), true, CompactionPolicy::default())
+            .expect("recovery succeeds");
     for (seq, op) in ops.iter().enumerate().skip(kill_at) {
         responses.push(
             engine
@@ -87,7 +90,7 @@ fn killed_run(ops: &[Request], kill_at: usize, mid_op: bool, tag: &str) -> (Vec<
         );
     }
     let _ = std::fs::remove_file(&path);
-    (responses, replayed)
+    (responses, report.map_or(0, |r| r.replayed))
 }
 
 /// One fault-injected socket run over the committed trace: returns the

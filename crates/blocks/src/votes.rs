@@ -46,15 +46,6 @@ impl VoteTally {
             .collect()
     }
 
-    /// The `k` most-supported vectors.
-    pub fn top_k(&self, k: usize) -> Vec<BitVec> {
-        self.entries
-            .iter()
-            .take(k)
-            .map(|(v, _)| v.clone())
-            .collect()
-    }
-
     /// How many leading entries have at least `threshold` (≥ 1) voters.
     fn supported(&self, threshold: usize) -> usize {
         self.entries

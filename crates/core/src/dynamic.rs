@@ -118,11 +118,6 @@ impl DynamicOutcome {
             .map(|r| r.outcome.errors.max as u64)
             .collect()
     }
-
-    /// Worst max honest error across all rounds.
-    pub fn worst_err(&self) -> u64 {
-        self.max_err_trajectory().into_iter().max().unwrap_or(0)
-    }
 }
 
 /// An executable dynamic world: a pool substrate plus the change laws.
@@ -434,13 +429,6 @@ impl DynamicWorldBuilder {
         let source = ProceduralTruth::new(spec);
         self.pool_planted = Some(planted_of(&source));
         self.pool = Some(Arc::new(DenseTruth::new(source.materialize())));
-        self
-    }
-
-    /// Arbitrary pool source with optional planted metadata.
-    pub fn pool_truth(mut self, pool: Arc<dyn TruthSource>, planted: Option<Planted>) -> Self {
-        self.pool = Some(pool);
-        self.pool_planted = planted;
         self
     }
 

@@ -20,7 +20,11 @@
 //! gates); `serve` without `--listen` reads op lines from stdin and
 //! answers one line per op on stdout, while `--listen` starts the `byzscore-wire/v1` TCP
 //! front-end (bounded admission, one dispatch lane) and prints
-//! its stats counters at shutdown; `client` replays a trace file over
+//! its stats counters at shutdown. Both are transports over the same
+//! supervised pipeline: on stdin too, a panicking op answers
+//! `Retryable`, a panicking barrier rebuilds from the journal, a failed
+//! rebuild stops serving (exit 1, restart with `--recover`), and
+//! `--fault` is honoured; `client` replays a trace file over
 //! the socket and prints the same `digest` line as `replay`, so the
 //! two are directly comparable — CI's `service-e2e` job gates exactly
 //! that equality.
@@ -45,11 +49,9 @@
 //! (checkpoint vs full journal); the post-truncation tail is still a
 //! valid trace file.
 
-use std::io::BufRead;
-
 use byzscore_service::{
-    combined_digest, net, parse_op, CompactionPolicy, JournaledEngine, NetConfig, ReplayOptions,
-    Response, Server, ServiceAlgorithm, ServiceError, Trace, TraceSpec,
+    combined_digest, net, CompactionPolicy, JournaledEngine, NetConfig, RecoveryReport,
+    ReplayOptions, Response, Server, ServiceAlgorithm, Trace, TraceSpec,
 };
 
 fn usage() -> ! {
@@ -233,16 +235,7 @@ fn serve_socket(addr: &str, config: NetConfig) {
             std::process::exit(1);
         }
     };
-    // The chaos harness greps `^recovered` — keep the "recovered N
-    // ops" prefix; the trailing source names checkpoint vs full-journal
-    // recovery.
-    if let Some(source) = server.recovery_source() {
-        println!(
-            "recovered {} ops from {}",
-            server.recovered_ops(),
-            source.describe()
-        );
-    }
+    announce(server.recovery());
     // The e2e harness greps this line for the actual port (`--listen
     // 127.0.0.1:0` lets the OS choose).
     println!("listening on {}", server.local_addr());
@@ -251,16 +244,7 @@ fn serve_socket(addr: &str, config: NetConfig) {
 }
 
 fn serve_stdin(config: &NetConfig) {
-    let stdin = std::io::stdin();
-    // The stdin loop drives the same pipeline as the socket server:
-    // with a journal path, append+fsync before execute, recovery replay
-    // with `--recover`, per-seq dedupe (seq = input line index).
-    let policy = CompactionPolicy {
-        every: config.compact_every,
-        bytes: config.compact_bytes,
-    };
-    let opened = JournaledEngine::open(config.journal.as_deref(), config.recover, policy);
-    let (mut pipeline, recovery) = match opened {
+    let (mut pipeline, recovery) = match config.open_pipeline() {
         Ok(opened) => opened,
         Err(e) => {
             let verb = if config.recover { "recover" } else { "create" };
@@ -268,35 +252,11 @@ fn serve_stdin(config: &NetConfig) {
             std::process::exit(1);
         }
     };
-    if let Some(report) = recovery {
-        println!(
-            "recovered {} ops from {}",
-            report.replayed,
-            report.source.describe()
-        );
-    }
-    for (index, line) in stdin.lock().lines().enumerate() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let resp = match parse_op(trimmed) {
-            Ok(op) => match pipeline.submit(index as u64, &op) {
-                Ok(resp) => resp,
-                Err(e) => {
-                    eprintln!("scored: journal append failed: {e}");
-                    std::process::exit(1);
-                }
-            },
-            // A malformed line answers typed like any other rejection
-            // (and keeps serving) instead of a bare `err` string.
-            Err(message) => Response::Rejected(ServiceError::Malformed { message }),
-        };
-        println!("{:016x} {resp:?}", resp.digest());
+    announce(recovery);
+    let served = net::serve_lines(&mut pipeline, std::io::stdin().lock(), std::io::stdout());
+    if let Err(e) = served {
+        eprintln!("scored: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -357,6 +317,19 @@ fn client(args: &[String]) {
     }
 }
 
+/// Print what a recovering open replayed. The chaos harness greps
+/// `^recovered` — keep the "recovered N ops" prefix; the trailing source
+/// names checkpoint vs full-journal recovery.
+fn announce(recovery: Option<RecoveryReport>) {
+    if let Some(report) = recovery {
+        println!(
+            "recovered {} ops from {}",
+            report.replayed,
+            report.source.describe()
+        );
+    }
+}
+
 /// Offline compaction of an idle journal: recover (checkpoint-aware),
 /// then run one checkpoint + truncate cycle so the next recovery
 /// replays an empty tail. Only safe with no server appending.
@@ -367,20 +340,16 @@ fn compact(args: &[String]) {
     if args.len() > 1 {
         usage();
     }
-    let path = std::path::PathBuf::from(path);
-    let (mut engine, report) =
-        match JournaledEngine::recover_with(&path, CompactionPolicy::default()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("scored: cannot recover {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-    println!(
-        "recovered {} ops from {}",
-        report.replayed,
-        report.source.describe()
-    );
+    let path = std::path::Path::new(path);
+    let opened = JournaledEngine::open(Some(path), true, CompactionPolicy::default());
+    let (mut engine, recovery) = match opened {
+        Ok(opened) => opened,
+        Err(e) => {
+            eprintln!("scored: cannot recover {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    };
+    announce(recovery);
     if let Err(e) = engine.compact() {
         eprintln!("scored: compaction failed: {e}");
         std::process::exit(1);

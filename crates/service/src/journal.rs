@@ -56,10 +56,34 @@
 //! pair was already answered gets the recorded response back without
 //! re-executing. Recovery restocks the window from the `# wal seq=N`
 //! annotations, so the exactly-once guarantee spans crashes.
+//!
+//! # Failure policy
+//!
+//! [`JournaledEngine::submit`] runs each op under `catch_unwind`, so a
+//! panic never reaches a front-end:
+//!
+//! * a panicking probe or query answers `Ok(Retryable)` and counts
+//!   [`worker_panics`](JournaledEngine::worker_panics): the state it
+//!   may have touched is still what the journal describes;
+//! * a panicking barrier rebuilds the engine and dedupe window from the
+//!   journal (which recorded the barrier before it ran), answers
+//!   `Ok(Retryable)` and counts [`rebuilds`](JournaledEngine::rebuilds);
+//!   the resend then answers from the dedupe window;
+//! * a rebuild that fails latches [`halted`](JournaledEngine::halted):
+//!   every later `submit` answers `Retryable` without appending or
+//!   executing, and the front-end stops serving (restart with
+//!   `--recover`).
+//!
+//! `Err` is reserved for a journal append that failed: nothing executed.
+//! The transports — the socket dispatcher ([`Server`](crate::Server))
+//! and the line transport behind stdin `scored serve`
+//! ([`serve_lines`](crate::net::serve_lines)) — only frame ops in and
+//! answers out; neither carries a failure policy of its own.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 #[cfg(feature = "fault-inject")]
 use std::sync::Arc;
@@ -569,18 +593,13 @@ pub struct CompactionPolicy {
 }
 
 impl CompactionPolicy {
-    /// True when either threshold is set.
-    pub fn is_enabled(&self) -> bool {
-        self.every.is_some() || self.bytes.is_some()
-    }
-
     /// True when the current tail crosses a threshold.
     pub fn due(&self, tail_ops: u64, tail_bytes: u64) -> bool {
         self.every.is_some_and(|n| tail_ops >= n) || self.bytes.is_some_and(|b| tail_bytes >= b)
     }
 }
 
-/// What [`JournaledEngine::recover_with`] reports about a recovery.
+/// What [`JournaledEngine::open`] reports about a recovery.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryReport {
     /// Journal-tail ops re-executed.
@@ -592,10 +611,11 @@ pub struct RecoveryReport {
 }
 
 /// The op state machine, implemented once: dedupe lookup → journal
-/// append + `sync_data` → execute → dedupe record → compact if due.
+/// append + `sync_data` → execute → dedupe record → compact if due,
+/// supervised by the failure policy in [`JournaledEngine::submit`].
 /// Every front-end drives this type — the socket dispatcher, the stdin
-/// serve loop, `scored compact`, and the e18/e19 experiments — so the
-/// durability argument is made in one place. Without a journal
+/// line transport, `scored compact`, and the e18/e19 experiments — so
+/// the durability and failure arguments are made in one place. Without a journal
 /// ([`JournaledEngine::open`] with `journal: None`) the same steps run
 /// with nothing appended and nothing compacted.
 pub struct JournaledEngine {
@@ -617,6 +637,13 @@ pub struct JournaledEngine {
     journaled: u64,
     /// Resent barriers this process answered from the dedupe window.
     deduped: u64,
+    /// Probes and queries that panicked and answered `Retryable`.
+    worker_panics: u64,
+    /// Barrier panics that rebuilt the engine from the journal.
+    rebuilds: u64,
+    /// Latched by a failed rebuild: the engine no longer matches its
+    /// journal, so nothing more appends or executes.
+    halted: bool,
     /// Completed compaction cycles this process ran (keys the
     /// checkpoint faults).
     checkpoints: u64,
@@ -641,6 +668,9 @@ impl JournaledEngine {
             tail_bytes: 0,
             journaled: 0,
             deduped: 0,
+            worker_panics: 0,
+            rebuilds: 0,
+            halted: false,
             checkpoints: 0,
             truncated_ops: 0,
             #[cfg(feature = "fault-inject")]
@@ -650,21 +680,32 @@ impl JournaledEngine {
         }
     }
 
-    /// The pipeline a front-end's flags describe: a fresh journal at
-    /// `journal`, a checkpoint-aware recovery of it when `recover` is
-    /// set (the report says what was replayed), or — with no path — a
-    /// journal-less pipeline that takes the same `submit` path.
+    /// Open a pipeline: a fresh journal at `journal`, a checkpoint-aware
+    /// recovery of it when `recover` is set (the report says what was
+    /// replayed — the journal tail only, when a checkpoint loads), or —
+    /// with no path — a journal-less pipeline that takes the same
+    /// `submit` path. A recovered journal keeps being appended to.
     pub fn open(
         journal: Option<&Path>,
         recover: bool,
         policy: CompactionPolicy,
     ) -> io::Result<(JournaledEngine, Option<RecoveryReport>)> {
         match (journal, recover) {
-            (Some(path), true) => JournaledEngine::recover_with(path, policy)
-                .map(|(engine, report)| (engine, Some(report))),
-            (Some(path), false) => {
-                JournaledEngine::create_with(path, policy).map(|engine| (engine, None))
+            (Some(path), true) => {
+                let rec = recover_journal(path)?;
+                let report = RecoveryReport {
+                    replayed: rec.replayed,
+                    source: rec.source,
+                    history_ops: rec.history_ops,
+                };
+                let mut engine = JournaledEngine::new(Some(Journal::open_append(path)?), policy);
+                engine.adopt(rec);
+                Ok((engine, Some(report)))
             }
+            (Some(path), false) => Ok((
+                JournaledEngine::new(Some(Journal::create(path)?), policy),
+                None,
+            )),
             (None, true) => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "recover requires a journal path",
@@ -676,38 +717,9 @@ impl JournaledEngine {
     /// Fresh engine over a fresh journal, compaction disabled. The
     /// second argument is ignored; it remains only because the `perf/`
     /// benchmark still passes it.
+    #[doc(hidden)]
     pub fn create(path: &Path, _shards: usize) -> io::Result<JournaledEngine> {
-        JournaledEngine::create_with(path, CompactionPolicy::default())
-    }
-
-    /// Fresh engine over a fresh journal with a compaction policy.
-    pub fn create_with(path: &Path, policy: CompactionPolicy) -> io::Result<JournaledEngine> {
-        Ok(JournaledEngine::new(Some(Journal::create(path)?), policy))
-    }
-
-    /// Rebuild from an existing journal (checkpoint-aware) and keep
-    /// appending to it. Returns the engine and how many ops were
-    /// replayed — the journal tail only, when a checkpoint loads.
-    pub fn recover(path: &Path) -> io::Result<(JournaledEngine, usize)> {
-        let (engine, report) = JournaledEngine::recover_with(path, CompactionPolicy::default())?;
-        Ok((engine, report.replayed))
-    }
-
-    /// Checkpoint-aware recovery with a compaction policy, reporting
-    /// the replayed tail length and the recovery source.
-    pub fn recover_with(
-        path: &Path,
-        policy: CompactionPolicy,
-    ) -> io::Result<(JournaledEngine, RecoveryReport)> {
-        let rec = recover_journal(path)?;
-        let report = RecoveryReport {
-            replayed: rec.replayed,
-            source: rec.source,
-            history_ops: rec.history_ops,
-        };
-        let mut engine = JournaledEngine::new(Some(Journal::open_append(path)?), policy);
-        engine.adopt(rec);
-        Ok((engine, report))
+        JournaledEngine::open(Some(path), false, CompactionPolicy::default()).map(|(je, _)| je)
     }
 
     /// Install a recovery's state and re-derive the compaction counters
@@ -728,8 +740,8 @@ impl JournaledEngine {
     /// recorded the interrupted op before it ran. Journal-less, a fresh
     /// engine is still sound: no replay promise was made, and a fresh
     /// engine beats a corrupt one. An error means the journal no longer
-    /// describes a recoverable state; the caller must stop serving.
-    pub(crate) fn rebuild(&mut self) -> io::Result<()> {
+    /// describes a recoverable state; the pipeline must stop serving.
+    fn rebuild(&mut self) -> io::Result<()> {
         match &mut self.journal {
             Some(journal) => {
                 let rec = recover_journal(&journal.path)?;
@@ -746,7 +758,46 @@ impl JournaledEngine {
         Ok(())
     }
 
-    /// Run one op through the pipeline.
+    /// Run one op through the pipeline under the failure policy (see
+    /// the module docs): a panic answers `Ok(Retryable)`, never an
+    /// unwind. An `Err` is a failed journal append: nothing executed.
+    pub fn submit(&mut self, seq: u64, op: &Request) -> io::Result<Response> {
+        let reason = if self.halted {
+            "the server is shutting down; resend later"
+        } else {
+            match catch_unwind(AssertUnwindSafe(|| self.run_op(seq, op))) {
+                Ok(answer) => return answer,
+                // A probe only sets bits a resend sets again and a query
+                // writes nothing, so the state still matches the journal.
+                Err(_) if op.is_shardable() => {
+                    self.worker_panics += 1;
+                    "the op panicked; resend the op"
+                }
+                // A panic mid-transition leaves the engine untrusted:
+                // rebuild it from the journal, which recorded this very
+                // op before it ran, so the resend hits the dedupe window.
+                Err(_) => {
+                    self.rebuilds += 1;
+                    match self.rebuild() {
+                        Ok(()) => "barrier interrupted; state rebuilt from the journal",
+                        Err(err) => {
+                            eprintln!(
+                                "rebuild from the journal failed ({err}); shutting down — \
+                                 restart with --recover"
+                            );
+                            self.halted = true;
+                            "barrier interrupted and the rebuild failed; shutting down"
+                        }
+                    }
+                }
+            }
+        };
+        Ok(Response::Retryable {
+            reason: reason.to_string(),
+        })
+    }
+
+    /// The unsupervised body of [`JournaledEngine::submit`].
     ///
     /// Barriers are deduped before journaling: a resend of an already-
     /// executed barrier must answer the recorded response, not re-apply
@@ -756,10 +807,9 @@ impl JournaledEngine {
     /// A mutating op then hits the fsynced journal *before* it
     /// executes: crash after the append and recovery applies it; crash
     /// before and the client's resend runs it fresh — either way
-    /// exactly once. An `Err` is a failed append: nothing executed.
-    /// The engine is quiescent between `submit` calls, so every post-op
-    /// point is a safe checkpoint point.
-    pub fn submit(&mut self, seq: u64, op: &Request) -> io::Result<Response> {
+    /// exactly once. The engine is quiescent between ops, so every
+    /// post-op point is a safe checkpoint point.
+    fn run_op(&mut self, seq: u64, op: &Request) -> io::Result<Response> {
         #[cfg(feature = "fault-inject")]
         let index = {
             let index = self.submitted;
@@ -857,6 +907,23 @@ impl JournaledEngine {
         self.deduped
     }
 
+    /// Probes and queries that panicked and answered `Retryable`.
+    pub fn worker_panics(&self) -> u64 {
+        self.worker_panics
+    }
+
+    /// Barrier panics that rebuilt the engine from the journal.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
+    }
+
+    /// True once a rebuild failed: every later `submit` answers
+    /// `Retryable` without appending or executing, and the front-end
+    /// should stop serving.
+    pub fn halted(&self) -> bool {
+        self.halted
+    }
+
     /// Completed compaction cycles this process ran.
     pub fn checkpoints(&self) -> u64 {
         self.checkpoints
@@ -906,6 +973,17 @@ mod tests {
     use super::*;
     use crate::request::combined_digest;
     use crate::workload::{Trace, TraceSpec};
+
+    /// A fresh journaled pipeline at `path`.
+    fn create(path: &Path, policy: CompactionPolicy) -> io::Result<JournaledEngine> {
+        JournaledEngine::open(Some(path), false, policy).map(|(je, _)| je)
+    }
+
+    /// Recover the pipeline at `path`: the engine and the ops replayed.
+    fn reopen(path: &Path) -> io::Result<(JournaledEngine, usize)> {
+        let (je, report) = JournaledEngine::open(Some(path), true, CompactionPolicy::default())?;
+        Ok((je, report.map_or(0, |r| r.replayed)))
+    }
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -987,14 +1065,13 @@ mod tests {
         for k in kill_points {
             let mut responses = Vec::new();
             {
-                let mut je = JournaledEngine::create_with(&path, CompactionPolicy::default())
-                    .expect("create journal");
+                let mut je = create(&path, CompactionPolicy::default()).expect("create journal");
                 for (i, op) in trace.ops[..k].iter().enumerate() {
                     responses.push(je.submit(i as u64, op).expect("submit"));
                 }
                 // Crash: je dropped without any shutdown handshake.
             }
-            let (mut je, replayed) = JournaledEngine::recover(&path).expect("recover from journal");
+            let (mut je, replayed) = reopen(&path).expect("recover from journal");
             assert_eq!(
                 replayed,
                 trace.ops[..k].iter().filter(|o| o.is_mutating()).count(),
@@ -1029,8 +1106,7 @@ mod tests {
     }
 
     fn open_and_epoch(path: &Path) -> JournaledEngine {
-        let mut je =
-            JournaledEngine::create_with(path, CompactionPolicy::default()).expect("create");
+        let mut je = create(path, CompactionPolicy::default()).expect("create");
         je.submit(0, &parse_op("open 8 16 2 2 5 naive 2 0 0 7").unwrap())
             .expect("open");
         je.submit(1, &parse_op("epoch 0").unwrap()).expect("epoch");
@@ -1046,12 +1122,12 @@ mod tests {
         drop(open_and_epoch(&path));
         // Simulate a crash mid-append: partial annotation, no newline.
         write_at(&path, padded_text_end(&path), b"# wal seq=2\nchurn 0 1");
-        let (mut je, replayed) = JournaledEngine::recover(&path).expect("recover");
+        let (mut je, replayed) = reopen(&path).expect("recover");
         assert_eq!(replayed, 2, "the torn entry was never executed");
         let resp = je.submit(2, &parse_op("close 0").unwrap()).expect("close");
         assert!(matches!(resp, Response::Closed { .. }));
         // The resumed file is still a valid journal end to end.
-        let (_, replayed) = JournaledEngine::recover(&path).expect("re-recover");
+        let (_, replayed) = reopen(&path).expect("re-recover");
         assert_eq!(replayed, 3);
         let _ = std::fs::remove_file(&path);
     }
@@ -1065,7 +1141,7 @@ mod tests {
         let path = temp_path("orphan");
         drop(open_and_epoch(&path));
         write_at(&path, padded_text_end(&path) + 7, b"probe 0 1 2,3\n");
-        let (mut je, replayed) = JournaledEngine::recover(&path).expect("recover");
+        let (mut je, replayed) = reopen(&path).expect("recover");
         assert_eq!(replayed, 2, "the orphan line never counts");
         let close = parse_op("close 0").unwrap();
         je.submit(2, &close).expect("close");
@@ -1157,12 +1233,12 @@ mod tests {
         // before op `kill`.
         let tails = |kill: usize| -> Vec<u64> {
             scrub();
-            let mut je = JournaledEngine::create_with(&path, policy).expect("create");
+            let mut je = create(&path, policy).expect("create");
             let mut tails = Vec::with_capacity(trace.ops.len());
             for (seq, op) in trace.ops.iter().enumerate() {
                 if seq == kill {
                     drop(je);
-                    je = JournaledEngine::recover_with(&path, policy)
+                    je = JournaledEngine::open(Some(&path), true, policy)
                         .expect("recover")
                         .0;
                 }
@@ -1194,14 +1270,13 @@ mod tests {
             parse_op("open 8 16 2 2 5 naive 2 0 1000 7").unwrap(),
             parse_op("churn 0 1 1").unwrap(),
         ];
-        let mut je =
-            JournaledEngine::create_with(&path, CompactionPolicy::default()).expect("create");
+        let mut je = create(&path, CompactionPolicy::default()).expect("create");
         let first = je.submit(0, &ops[0]).expect("open");
         let churned = je.submit(1, &ops[1]).expect("churn");
         // Resend before the crash: recorded answer, no second churn.
         assert_eq!(je.submit(1, &ops[1]).expect("resend"), churned);
         drop(je);
-        let (mut je, _) = JournaledEngine::recover(&path).expect("recover");
+        let (mut je, _) = reopen(&path).expect("recover");
         assert_eq!(
             je.submit(1, &ops[1]).expect("resend after recovery"),
             churned,
@@ -1233,7 +1308,7 @@ mod tests {
             ),
         )
         .expect("write journal");
-        let (mut je, replayed) = JournaledEngine::recover(&path).expect("recover");
+        let (mut je, replayed) = reopen(&path).expect("recover");
         assert_eq!(replayed, 3);
         assert_eq!(
             je.engine().open_sessions(),
@@ -1249,8 +1324,107 @@ mod tests {
             matches!(epoch, Response::Epoch { epoch: 1, .. }),
             "{epoch:?}"
         );
-        let (_, replayed) = JournaledEngine::recover(&path).expect("re-recover");
+        let (_, replayed) = reopen(&path).expect("re-recover");
         assert_eq!(replayed, 4);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The op shapes the supervision tests address by index: a probe at
+    /// 1 and 4, a query at 2, barriers at 0, 3, 5 and 6.
+    #[cfg(feature = "fault-inject")]
+    const SUPERVISED: [&str; 7] = [
+        "open 24 48 3 3 11 naive 4 1 2000 13",
+        "probe 0 3 1,2,9",
+        "query 0 1,3 -",
+        "churn 0 2 2",
+        "probe 0 1 7",
+        "epoch 0",
+        "close 0",
+    ];
+
+    /// Drive [`SUPERVISED`] through a journaled pipeline carrying `plan`,
+    /// resending op `faulted` once after its `Retryable`: every final
+    /// answer must be the plain engine's.
+    #[cfg(feature = "fault-inject")]
+    fn supervised_run(tag: &str, plan: &str, faulted: usize) -> JournaledEngine {
+        let ops: Vec<Request> = SUPERVISED.iter().map(|l| parse_op(l).unwrap()).collect();
+        let expected = ServiceEngine::new().execute(&ops);
+        let path = temp_path(tag);
+        let mut je = create(&path, CompactionPolicy::default()).expect("create");
+        je.set_fault_plan(Arc::new(FaultPlan::parse(plan).expect("plan parses")));
+        for (seq, op) in ops.iter().enumerate() {
+            let mut resp = je.submit(seq as u64, op).expect("a panic is not an Err");
+            if seq == faulted {
+                assert!(
+                    matches!(resp, Response::Retryable { .. }),
+                    "op {seq}: {resp:?}"
+                );
+                resp = je.submit(seq as u64, op).expect("resend");
+            }
+            assert_eq!(resp, expected[seq], "op {seq}");
+        }
+        let _ = std::fs::remove_file(&path);
+        je
+    }
+
+    /// A probe that panics inside `submit` answers `Ok(Retryable)`, not
+    /// an unwind, and its resend executes as if nothing happened.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn a_panicking_probe_answers_retryable_and_its_resend_executes() {
+        let je = supervised_run("panic_worker", "panic-worker@1", 1);
+        assert_eq!((je.worker_panics(), je.rebuilds(), je.deduped()), (1, 0, 0));
+        assert!(!je.halted());
+    }
+
+    /// A barrier that panics after its append rebuilds the engine from
+    /// the journal; the resend answers from the dedupe window, so the
+    /// churn applies exactly once.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn a_panicking_barrier_rebuilds_and_its_resend_is_deduped() {
+        let je = supervised_run("panic_barrier", "panic-barrier@3", 3);
+        assert_eq!((je.worker_panics(), je.rebuilds(), je.deduped()), (0, 1, 1));
+        assert!(!je.halted());
+    }
+
+    /// A rebuild that cannot recover — the journal was compacted and
+    /// both checkpoint generations are gone — halts the pipeline: every
+    /// later `submit` answers `Retryable` and leaves the journal as it
+    /// was.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn a_failed_rebuild_halts_without_appending_or_executing() {
+        let path = temp_path("halt");
+        let policy = CompactionPolicy {
+            every: Some(1),
+            bytes: None,
+        };
+        let mut je = create(&path, policy).expect("create");
+        je.set_fault_plan(Arc::new(FaultPlan::parse("panic-barrier@3").unwrap()));
+        for (seq, line) in SUPERVISED[..3].iter().enumerate() {
+            je.submit(seq as u64, &parse_op(line).unwrap())
+                .expect("submit");
+        }
+        std::fs::remove_file(checkpoint::checkpoint_path(&path)).expect("a checkpoint exists");
+        let _ = std::fs::remove_file(checkpoint::previous_checkpoint_path(&path));
+        let churn = parse_op(SUPERVISED[3]).unwrap();
+        let resp = je.submit(3, &churn).expect("a panic is not an Err");
+        assert!(matches!(resp, Response::Retryable { .. }), "{resp:?}");
+        assert!(je.halted());
+        let journal = std::fs::read(&path).expect("read journal");
+        for (seq, line) in SUPERVISED.iter().enumerate().skip(3) {
+            let resp = je
+                .submit(seq as u64, &parse_op(line).unwrap())
+                .expect("submit");
+            assert!(matches!(resp, Response::Retryable { .. }), "{resp:?}");
+        }
+        assert_eq!(std::fs::read(&path).expect("read journal"), journal);
+        assert_eq!(
+            (je.rebuilds(), je.journaled()),
+            (1, 3),
+            "open, probe, churn"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1275,8 +1449,7 @@ mod tests {
     fn journal_is_a_replayable_trace_file() {
         let path = temp_path("astrace");
         let trace = Trace::generate(&TraceSpec::small(31));
-        let mut je =
-            JournaledEngine::create_with(&path, CompactionPolicy::default()).expect("create");
+        let mut je = create(&path, CompactionPolicy::default()).expect("create");
         for (i, op) in trace.ops.iter().enumerate() {
             je.submit(i as u64, op).expect("submit");
         }

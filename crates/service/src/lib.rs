@@ -9,10 +9,11 @@
 //! session cold: `byzscore::Session::evolved` keeps the configuration and
 //! swaps in the new world, and nothing else carries between runs.
 //!
-//! Every front-end — the TCP server ([`net`]), the stdin loop, offline
-//! compaction — drives the engine through one op pipeline,
-//! [`JournaledEngine`]: dedupe lookup → journal append + fsync →
-//! execute → dedupe record → compact if due, with or without a journal.
+//! Every front-end — the TCP server and the stdin line transport
+//! ([`net`]), offline compaction — drives the engine through one op
+//! pipeline, [`JournaledEngine`]: dedupe lookup → journal append + fsync
+//! → execute → dedupe record → compact if due, with or without a
+//! journal, supervised so a panicking op answers `Retryable`.
 //!
 //! The [`workload`] module generates seeded request traces and
 //! round-trips them through the versioned `byzscore-trace/v1` file

@@ -1,5 +1,12 @@
-//! TCP front-end for the service engine: threaded server, admission
-//! control, and the socket replay client.
+//! Front-ends for the service engine: the TCP server with admission
+//! control, the socket replay client, and the line transport behind
+//! stdin `scored serve` ([`serve_lines`]). Both transports open their
+//! pipeline with [`NetConfig::open_pipeline`] and only frame ops in and
+//! answers out; dedupe, durability and the failure policy live in
+//! [`JournaledEngine`](crate::JournaledEngine). The two stay separate
+//! on purpose: the socket speaks length-prefixed frames and admits with
+//! `try_send` (a full queue answers `Busy`), stdin speaks text lines in
+//! blocking order, and shared framing code would branch on its caller.
 //!
 //! # Topology
 //!
@@ -35,7 +42,7 @@
 //! once; a 64-deep window leaves as one write per burst. Frames from
 //! the connection thread share the buffer and flush it immediately, so
 //! only whole frames ever reach the socket. Buffered answers are
-//! flushed before a failed rebuild severs the sockets and when the
+//! flushed before a halted pipeline severs the sockets and when the
 //! dispatcher exits.
 //!
 //! # Why answers stay bit-identical to the in-process replay
@@ -67,6 +74,7 @@
 //! answered.
 
 mod client;
+mod lines;
 mod server;
 mod stats;
 
@@ -74,4 +82,5 @@ pub use client::{
     replay_over_socket, replay_with_options, request_shutdown, request_stats, ReplayOptions,
     SocketReplay,
 };
+pub use lines::serve_lines;
 pub use server::{NetConfig, Server};

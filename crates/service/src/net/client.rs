@@ -42,6 +42,9 @@ const PIPELINE_WINDOW: usize = 64;
 /// Cap on the retry backoff window.
 const MAX_RETRY_MS: u64 = 50;
 
+/// Total time to keep re-dialing one reconnect before giving up.
+const GIVE_UP_AFTER: Duration = Duration::from_secs(30);
+
 /// Client-side resilience knobs for [`replay_with_options`].
 #[derive(Clone, Debug)]
 pub struct ReplayOptions {
@@ -54,11 +57,6 @@ pub struct ReplayOptions {
     /// Seed for the deterministic backoff jitter — fixed seed, fixed
     /// retry schedule, reproducible chaos runs.
     pub retry_seed: u64,
-    /// Reconnect and resend when the server drops a connection with
-    /// ops in flight (`false` restores the old hard-error behavior).
-    pub reconnect: bool,
-    /// Total time to keep re-dialing one reconnect before giving up.
-    pub give_up_after: Duration,
     /// Optional pause before each op — spreads a replay out in time so
     /// an external fault (a `kill -9`) lands mid-trace instead of
     /// after the burst already finished.
@@ -71,8 +69,6 @@ impl Default for ReplayOptions {
             connections: 1,
             deadline: None,
             retry_seed: 0xb0ff_5eed,
-            reconnect: true,
-            give_up_after: Duration::from_secs(30),
             throttle: None,
         }
     }
@@ -312,8 +308,7 @@ impl ReplayClient {
         };
         match write_frame(&mut self.writers[conn], frame.encode().as_bytes()) {
             Ok(()) => Ok(()),
-            Err(_) if self.options.reconnect => self.reconnect(conn),
-            Err(e) => Err(e),
+            Err(_) => self.reconnect(conn),
         }
     }
 
@@ -327,8 +322,8 @@ impl ReplayClient {
         Duration::from_millis(window / 2 + jitter)
     }
 
-    /// Tear down one connection, dial until it comes back (bounded by
-    /// [`ReplayOptions::give_up_after`]), and resend its pending ops in
+    /// Tear down one connection, dial until it comes back (for at most
+    /// [`GIVE_UP_AFTER`]), and resend its pending ops in
     /// sequence order. Server-side dedupe + probe idempotency make the
     /// resends exactly-once.
     fn reconnect(&mut self, conn: usize) -> io::Result<()> {
@@ -342,7 +337,7 @@ impl ReplayClient {
             match connect_one(self.addr) {
                 Ok(s) => break s,
                 Err(e) => {
-                    if started.elapsed() >= self.options.give_up_after {
+                    if started.elapsed() >= GIVE_UP_AFTER {
                         return Err(e);
                     }
                     thread::sleep(self.backoff_delay(conn as u64, attempt));
@@ -454,11 +449,7 @@ impl ReplayClient {
                 if self.in_flight[conn] == 0 {
                     return Ok(());
                 }
-                if self.options.reconnect {
-                    self.reconnect(conn)
-                } else {
-                    Err(broken("server closed a connection with ops in flight"))
-                }
+                self.reconnect(conn)
             }
             Event::Frame(ServerFrame::Resp { seq, response }) => match response {
                 Response::Busy { .. } => self.resend_after(seq, false),

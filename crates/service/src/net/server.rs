@@ -1,9 +1,11 @@
 //! The server half: acceptor, connection threads, bounded admission,
-//! and the single dispatcher lane that owns the op pipeline.
+//! and the single dispatcher lane that owns the op pipeline. The
+//! dispatcher only frames and answers: [`JournaledEngine::submit`] owns
+//! dedupe, durability and the failure policy, and once the pipeline
+//! halts the dispatcher flushes and shuts the server down.
 
 use std::io::{self, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
@@ -12,7 +14,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use super::stats::StatsInner;
-use crate::checkpoint::RecoverySource;
 #[cfg(feature = "fault-inject")]
 use crate::fault::FaultPlan;
 use crate::journal::{CompactionPolicy, JournaledEngine, RecoveryReport};
@@ -28,15 +29,16 @@ fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Tuning knobs for [`Server`]. The defaults keep the admission queue
-/// small enough that overload surfaces as `Busy` quickly instead of as
-/// latency.
+/// Retry delay suggested in `Busy` answers.
+const RETRY_AFTER_MS: u32 = 2;
+
+/// Tuning knobs for [`Server`] and the pipeline behind every front-end.
+/// The defaults keep the admission queue small enough that overload
+/// surfaces as `Busy` quickly instead of as latency.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Capacity of the admission queue.
     pub queue_depth: usize,
-    /// Retry delay suggested in `Busy` answers.
-    pub retry_after_ms: u32,
     /// Per-connection socket read timeout in milliseconds (`0`
     /// disables): a stalled client (slow-loris) gets its connection
     /// closed instead of pinning a thread forever.
@@ -68,7 +70,6 @@ impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             queue_depth: 256,
-            retry_after_ms: 2,
             read_timeout_ms: 30_000,
             write_timeout_ms: 30_000,
             journal: None,
@@ -78,6 +79,25 @@ impl Default for NetConfig {
             #[cfg(feature = "fault-inject")]
             fault: Arc::new(FaultPlan::none()),
         }
+    }
+}
+
+impl NetConfig {
+    /// Open the pipeline this configuration describes: the journal,
+    /// its recovery when [`NetConfig::recover`] is set, the compaction
+    /// policy and, in `fault-inject` builds, the fault plan. Every
+    /// front-end opens its pipeline here.
+    pub fn open_pipeline(&self) -> io::Result<(JournaledEngine, Option<RecoveryReport>)> {
+        let policy = CompactionPolicy {
+            every: self.compact_every,
+            bytes: self.compact_bytes,
+        };
+        #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
+        let (mut pipeline, recovery) =
+            JournaledEngine::open(self.journal.as_deref(), self.recover, policy)?;
+        #[cfg(feature = "fault-inject")]
+        pipeline.set_fault_plan(self.fault.clone());
+        Ok((pipeline, recovery))
     }
 }
 
@@ -100,15 +120,7 @@ impl Server {
     /// Pass port 0 to let the OS choose (read it back with
     /// [`Server::local_addr`]).
     pub fn bind(addr: impl ToSocketAddrs, config: NetConfig) -> io::Result<Server> {
-        let policy = CompactionPolicy {
-            every: config.compact_every,
-            bytes: config.compact_bytes,
-        };
-        #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
-        let (mut pipeline, recovery) =
-            JournaledEngine::open(config.journal.as_deref(), config.recover, policy)?;
-        #[cfg(feature = "fault-inject")]
-        pipeline.set_fault_plan(config.fault.clone());
+        let (pipeline, recovery) = config.open_pipeline()?;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         Ok(Server {
@@ -126,11 +138,10 @@ impl Server {
         self.recovery.map_or(0, |report| report.replayed)
     }
 
-    /// Where the recovered state came from: a checkpoint (plus the
-    /// journal tail) or the full journal. `None` without
-    /// [`NetConfig::recover`].
-    pub fn recovery_source(&self) -> Option<RecoverySource> {
-        self.recovery.map(|report| report.source)
+    /// What recovery replayed at bind time and where the recovered
+    /// state came from. `None` without [`NetConfig::recover`].
+    pub fn recovery(&self) -> Option<RecoveryReport> {
+        self.recovery
     }
 
     /// The bound address.
@@ -138,8 +149,8 @@ impl Server {
         self.local_addr
     }
 
-    /// Serve until a client sends a `shutdown` frame (or a failed
-    /// rebuild stops the server), then drain the admission queue and
+    /// Serve until a client sends a `shutdown` frame (or the pipeline
+    /// halts after a failed rebuild), then drain the admission queue and
     /// return the lifetime counters.
     pub fn run(self) -> StatsSnapshot {
         let Server {
@@ -155,7 +166,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             local_addr,
-            retry_after_ms: config.retry_after_ms,
             #[cfg(feature = "fault-inject")]
             fault: config.fault.clone(),
         });
@@ -169,7 +179,6 @@ impl Server {
             let state = Dispatcher {
                 pipeline,
                 ctx: ctx.clone(),
-                halted: false,
                 unflushed: Vec::new(),
             };
             thread::spawn(move || dispatch(admission_rx, state))
@@ -309,18 +318,8 @@ impl ReplyTo {
 struct Dispatcher {
     pipeline: JournaledEngine,
     ctx: Arc<ConnCtx>,
-    /// Latched by a failed rebuild: the pipeline no longer matches its
-    /// journal, so nothing more executes or appends while the server
-    /// shuts down.
-    halted: bool,
     /// Connections holding answers queued since the last flush.
     unflushed: Vec<Arc<Mutex<ConnOut>>>,
-}
-
-fn retryable(reason: &str) -> Response {
-    Response::Retryable {
-        reason: reason.to_string(),
-    }
 }
 
 fn dispatch(admission_rx: Receiver<Job>, mut d: Dispatcher) {
@@ -350,18 +349,10 @@ fn dispatch(admission_rx: Receiver<Job>, mut d: Dispatcher) {
 }
 
 impl Dispatcher {
-    /// Run one admitted op through the pipeline, supervised: a panic
-    /// answers a typed [`Response::Retryable`] instead of tearing the
-    /// thread (and with it the whole server) down.
+    /// Run one admitted op through the pipeline and answer it. The
+    /// pipeline supervises the op itself; once it halts, the server
+    /// flushes and shuts down.
     fn handle(&mut self, req: Request, reply: ReplyTo) {
-        let stats = &self.ctx.stats;
-        if self.halted {
-            self.answer(
-                reply,
-                &retryable("the server is shutting down; resend later"),
-            );
-            return;
-        }
         #[cfg(feature = "fault-inject")]
         if self.ctx.fault.drop_conn_at(self.pipeline.submitted()) {
             // Sever the client's socket; the op still executes and its
@@ -369,42 +360,17 @@ impl Dispatcher {
             // network partition looks like to the server.
             reply.sever();
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.pipeline.submit(reply.seq, &req)));
-        let resp = match outcome {
-            Ok(Ok(resp)) => resp,
+        let resp = match self.pipeline.submit(reply.seq, &req) {
+            Ok(resp) => resp,
             // A journal we cannot write is a durability promise we
             // cannot keep: refuse the op, keep serving.
-            Ok(Err(_)) => retryable("journal append failed; resend the op"),
-            // A probe or query panicked. A probe only sets bits in its
-            // session's probed set, which a resend sets again, and a
-            // query writes nothing, so the surviving state is still what
-            // the journal describes and a resend re-executes cleanly.
-            Err(_) if req.is_shardable() => {
-                stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                retryable("the op panicked; resend the op")
-            }
-            // A panic mid-transition leaves the engine in an unknown
-            // state, so it is never trusted again: rebuild from the
-            // journal, which recorded this very op before it ran, so
-            // the client's resend hits the dedupe window — exactly once.
-            Err(_) => {
-                stats.rebuilds.fetch_add(1, Ordering::Relaxed);
-                match self.pipeline.rebuild() {
-                    Ok(()) => retryable("barrier interrupted; state rebuilt from the journal"),
-                    Err(err) => {
-                        eprintln!(
-                            "rebuild from the journal failed ({err}); shutting down — \
-                             restart with --recover"
-                        );
-                        self.halted = true;
-                        retryable("barrier interrupted and the rebuild failed; shutting down")
-                    }
-                }
-            }
+            Err(_) => Response::Retryable {
+                reason: "journal append failed; resend the op".to_string(),
+            },
         };
-        stats.mirror(&self.pipeline, !req.is_shardable());
+        self.ctx.stats.mirror(&self.pipeline, !req.is_shardable());
         self.answer(reply, &resp);
-        if self.halted {
+        if self.pipeline.halted() {
             // Flush before severing, or the client never learns why.
             self.flush();
             self.ctx.trigger_shutdown();
@@ -433,7 +399,6 @@ struct ConnCtx {
     shutdown: AtomicBool,
     conns: Mutex<Vec<(u64, TcpStream)>>,
     local_addr: SocketAddr,
-    retry_after_ms: u32,
     #[cfg(feature = "fault-inject")]
     fault: Arc<FaultPlan>,
 }
@@ -441,7 +406,7 @@ struct ConnCtx {
 impl ConnCtx {
     /// Flip the shutdown flag, poke the acceptor awake, and unblock
     /// every connection thread's pending read. Called for a client's
-    /// `shutdown` frame, and by the dispatcher when a rebuild fails.
+    /// `shutdown` frame, and by the dispatcher when the pipeline halts.
     fn trigger_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(self.local_addr);
@@ -572,7 +537,7 @@ fn connection_loop(stream: &TcpStream, admission_tx: SyncSender<Job>, ctx: &Arc<
                             let _ = send(&ServerFrame::Resp {
                                 seq,
                                 response: Response::Busy {
-                                    retry_after_ms: ctx.retry_after_ms,
+                                    retry_after_ms: RETRY_AFTER_MS,
                                 },
                             });
                         }

@@ -14,8 +14,6 @@ pub(super) struct StatsInner {
     pub(super) malformed: AtomicU64,
     pub(super) completed: AtomicU64,
     pub(super) retryable: AtomicU64,
-    pub(super) worker_panics: AtomicU64,
-    pub(super) rebuilds: AtomicU64,
     /// Frames queued for a socket, and the `write` calls that carried
     /// them (one per flush of a connection's out-buffer).
     pub(super) frames_out: AtomicU64,
@@ -25,6 +23,8 @@ pub(super) struct StatsInner {
     // engine. `tail_len` and `open_sessions` are gauges.
     journaled: AtomicU64,
     deduped: AtomicU64,
+    worker_panics: AtomicU64,
+    rebuilds: AtomicU64,
     checkpoints: AtomicU64,
     truncated_ops: AtomicU64,
     tail_len: AtomicU64,
@@ -109,6 +109,8 @@ impl StatsInner {
         let put = |cell: &AtomicU64, value: u64| cell.store(value, Ordering::Relaxed);
         put(&self.journaled, pipeline.journaled());
         put(&self.deduped, pipeline.deduped());
+        put(&self.worker_panics, pipeline.worker_panics());
+        put(&self.rebuilds, pipeline.rebuilds());
         put(&self.checkpoints, pipeline.checkpoints());
         put(&self.truncated_ops, pipeline.truncated_ops());
         put(&self.tail_len, pipeline.tail_ops());

@@ -29,7 +29,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::ServiceEngine;
-use crate::request::{combined_digest, Request, Response, ServiceAlgorithm, SessionSpec};
+use crate::request::{Request, Response, ServiceAlgorithm, SessionSpec};
 
 const TAG_TRACE: u64 = 0x7c_01;
 const TAG_WORLD: u64 = 0x7c_02;
@@ -239,11 +239,6 @@ impl Trace {
     /// Replay on a fresh engine; answers come back in op order.
     pub fn replay(&self) -> Vec<Response> {
         ServiceEngine::new().execute(&self.ops)
-    }
-
-    /// Replay and fold the answers into one digest.
-    pub fn replay_digest(&self) -> u64 {
-        combined_digest(&self.replay())
     }
 
     /// Serialize to the `byzscore-trace/v1` line format.

@@ -102,7 +102,6 @@ fn overload_answers_busy_and_loses_nothing() {
     const PROBES: u64 = 48;
     let addr = spawn_server(NetConfig {
         queue_depth: 1,
-        retry_after_ms: 1,
         ..NetConfig::default()
     });
 
@@ -511,7 +510,6 @@ fn pipelined_burst(queue_depth: usize, slow_barrier: bool, read_timeout: Duratio
     const BURST: usize = 64;
     let addr = spawn_server(NetConfig {
         queue_depth,
-        retry_after_ms: 1,
         ..NetConfig::default()
     });
     let mut lines = vec!["open 64 128 4 4 11 calculate 6 2 2000 13".to_string()];

@@ -6,6 +6,7 @@
 //! absorbed by the reconnect/deadline machinery — with every retried
 //! mutation applied exactly once.
 
+use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -14,7 +15,9 @@ use std::time::Duration;
 
 use byzscore_board::par::set_thread_limit;
 use byzscore_service::checkpoint::{checkpoint_path, previous_checkpoint_path};
-use byzscore_service::net::{replay_with_options, request_shutdown, request_stats, ReplayOptions};
+use byzscore_service::net::{
+    replay_with_options, request_shutdown, request_stats, serve_lines, ReplayOptions,
+};
 use byzscore_service::wire::{read_frame, write_frame, ClientFrame, ServerFrame};
 use byzscore_service::{
     combined_digest, format_op, parse_op, CompactionPolicy, FaultPlan, JournaledEngine, NetConfig,
@@ -51,18 +54,21 @@ fn ops(lines: &[&str]) -> Vec<Request> {
 /// schedule addresses specific shapes — probes at 1/2/5, queries at
 /// 3/6, barriers at 0/4/7/8.
 fn fault_script() -> Vec<Request> {
-    ops(&[
-        "open 24 48 3 3 11 naive 4 1 2000 13",
-        "probe 0 3 1,2,9",
-        "probe 0 5 0,4",
-        "query 0 1,3 -",
-        "churn 0 2 2",
-        "probe 0 1 7",
-        "query 0 0,2 -",
-        "epoch 0",
-        "close 0",
-    ])
+    ops(&FAULT_SCRIPT)
 }
+
+/// The lines of [`fault_script`].
+const FAULT_SCRIPT: [&str; 9] = [
+    "open 24 48 3 3 11 naive 4 1 2000 13",
+    "probe 0 3 1,2,9",
+    "probe 0 5 0,4",
+    "query 0 1,3 -",
+    "churn 0 2 2",
+    "probe 0 1 7",
+    "query 0 0,2 -",
+    "epoch 0",
+    "close 0",
+];
 
 /// Kill-anywhere determinism at the socket level: replay a prefix of a
 /// generated trace against a journaled server, abandon it (the journal
@@ -397,7 +403,7 @@ fn compaction_recovery_is_thread_count_invariant() {
         )
         .expect("recovery bind succeeds");
         assert_eq!(
-            recovered.recovery_source(),
+            recovered.recovery().map(|r| r.source),
             Some(RecoverySource::Checkpoint),
             "with every=4 compaction the prefix leaves a covering checkpoint"
         );
@@ -463,7 +469,7 @@ fn torn_primary_checkpoint_falls_back_to_previous_generation() {
     )
     .expect("recovery tolerates the torn primary");
     assert_eq!(
-        recovered.recovery_source(),
+        recovered.recovery().map(|r| r.source),
         Some(RecoverySource::PreviousCheckpoint),
         "the torn footer forced the previous-generation fallback"
     );
@@ -493,8 +499,9 @@ fn durable_checkpoint_over_an_untruncated_journal_skips_covered_ops() {
 
     let mut responses = Vec::with_capacity(trace.ops.len());
     {
-        let mut engine = JournaledEngine::create_with(&path, CompactionPolicy::default())
-            .expect("journal create succeeds");
+        let (mut engine, _) =
+            JournaledEngine::open(Some(&path), false, CompactionPolicy::default())
+                .expect("journal create succeeds");
         for (seq, op) in trace.ops[..cut].iter().enumerate() {
             responses.push(
                 engine
@@ -511,10 +518,13 @@ fn durable_checkpoint_over_an_untruncated_journal_skips_covered_ops() {
         std::fs::write(&path, pre_compaction).expect("restore the untruncated journal");
     }
 
-    let (mut engine, report) = JournaledEngine::recover(&path).expect("recovery succeeds");
+    let (mut engine, report) =
+        JournaledEngine::open(Some(&path), true, CompactionPolicy::default())
+            .expect("recovery succeeds");
     let mutating = trace.ops[..cut].iter().filter(|o| o.is_mutating()).count();
     assert_eq!(
-        report, 0,
+        report.map(|r| r.replayed),
+        Some(0),
         "every journal entry was already covered by the checkpoint"
     );
     assert_eq!(
@@ -641,7 +651,8 @@ fn socket_and_in_process_pipelines_write_identical_bytes() {
         every: Some(every),
         bytes: None,
     };
-    let mut local = JournaledEngine::create_with(&local_path, policy).expect("create journal");
+    let (mut local, _) =
+        JournaledEngine::open(Some(&local_path), false, policy).expect("create journal");
     let local_answers: Vec<Response> = trace
         .ops
         .iter()
@@ -697,4 +708,100 @@ fn socket_and_in_process_pipelines_write_identical_bytes() {
     assert!(prev == served_prev, "previous-checkpoint bytes differ");
     scrub(&local_path);
     scrub(&served_path);
+}
+
+/// Drive `lines` through the stdin line transport on `pipeline`: the
+/// answer lines it wrote and its verdict.
+fn serve_text(pipeline: &mut JournaledEngine, lines: &[&str]) -> (Vec<String>, io::Result<()>) {
+    let mut out = Vec::new();
+    let served = serve_lines(pipeline, lines.join("\n").as_bytes(), &mut out);
+    let text = String::from_utf8(out).expect("answers are UTF-8");
+    (text.lines().map(String::from).collect(), served)
+}
+
+/// The line the stdin transport prints for `resp`.
+fn answer_line(resp: &Response) -> String {
+    format!("{:016x} {resp:?}", resp.digest())
+}
+
+/// A line that is not an op answers a typed `Malformed` on the stdin
+/// transport, and serving goes on; blank and comment lines answer
+/// nothing.
+#[test]
+fn stdin_transport_answers_malformed_lines_typed() {
+    let (mut pipeline, _) = NetConfig::default()
+        .open_pipeline()
+        .expect("a journal-less pipeline opens");
+    let lines = [FAULT_SCRIPT[0], "not an op line", "", "# note", "close 0"];
+    let (answers, served) = serve_text(&mut pipeline, &lines);
+    served.expect("the transport serves to EOF");
+    let expected = ServiceEngine::new().execute(&ops(&[FAULT_SCRIPT[0], "close 0"]));
+    assert_eq!(answers.len(), 3, "{answers:?}");
+    assert_eq!(answers[0], answer_line(&expected[0]));
+    assert!(answers[1].contains("Malformed"), "{}", answers[1]);
+    assert_eq!(answers[2], answer_line(&expected[1]));
+}
+
+/// `--fault` on stdin: a barrier that panics answers one `Retryable`
+/// line, the pipeline rebuilds from the journal (which holds the
+/// barrier), and every later line answers what the in-process engine
+/// does.
+#[test]
+fn stdin_transport_rebuilds_through_a_barrier_panic() {
+    let path = temp_journal("stdin_panic_barrier");
+    scrub(&path);
+    let (mut pipeline, _) = NetConfig {
+        journal: Some(path.clone()),
+        fault: Arc::new(FaultPlan::parse("panic-barrier@4").expect("plan parses")),
+        ..NetConfig::default()
+    }
+    .open_pipeline()
+    .expect("journal create succeeds");
+    let (answers, served) = serve_text(&mut pipeline, &FAULT_SCRIPT);
+    served.expect("the transport serves to EOF");
+    let expected = ServiceEngine::new().execute(&fault_script());
+    assert_eq!(answers.len(), expected.len());
+    for (seq, (got, want)) in answers.iter().zip(&expected).enumerate() {
+        if seq == 4 {
+            assert!(got.contains("Retryable"), "op 4: {got}");
+        } else {
+            assert_eq!(*got, answer_line(want), "op {seq}");
+        }
+    }
+    assert_eq!(pipeline.rebuilds(), 1);
+    scrub(&path);
+}
+
+/// A barrier panic whose rebuild cannot recover — a compacted journal
+/// with both checkpoint generations gone — stops the stdin transport
+/// with an error after the `Retryable` line, reading nothing further.
+#[test]
+fn stdin_transport_halts_when_the_rebuild_fails() {
+    let path = temp_journal("stdin_failed_rebuild");
+    scrub(&path);
+    let (mut pipeline, _) = NetConfig {
+        journal: Some(path.clone()),
+        compact_every: Some(1),
+        fault: Arc::new(FaultPlan::parse("panic-barrier@4").expect("plan parses")),
+        ..NetConfig::default()
+    }
+    .open_pipeline()
+    .expect("journal create succeeds");
+    let (answers, served) = serve_text(&mut pipeline, &FAULT_SCRIPT[..4]);
+    served.expect("the ops before the fault serve");
+    assert_eq!(answers.len(), 4);
+    std::fs::remove_file(checkpoint_path(&path)).expect("primary checkpoint exists");
+    let _ = std::fs::remove_file(previous_checkpoint_path(&path));
+
+    let (answers, served) = serve_text(&mut pipeline, &FAULT_SCRIPT[4..]);
+    let err = served.expect_err("a halted pipeline stops the transport");
+    assert!(err.to_string().contains("--recover"), "{err}");
+    assert_eq!(
+        answers.len(),
+        1,
+        "nothing is read past the halt: {answers:?}"
+    );
+    assert!(answers[0].contains("Retryable"), "{}", answers[0]);
+    assert!(pipeline.halted());
+    scrub(&path);
 }
