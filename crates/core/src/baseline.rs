@@ -32,9 +32,11 @@ use crate::ProtocolParams;
 ///
 /// Unlike Figure 2, the naive sample `R` is drawn **once** — the z-vectors
 /// are the same for every diameter guess, only the edge threshold `τ`
-/// changes. So hash-grouping is done once in a [`GroupCache`] and each
-/// guess merely re-bands the group representatives for its `τ`, instead of
-/// redoing the full `n`-row discovery `guesses` times.
+/// changes. So the [`GroupCache`] groups the vectors and tabulates the
+/// representative distances once, and each guess only thresholds that
+/// table at its `τ` (or re-bands the representatives, past
+/// `AUTO_EXACT_MAX`), instead of redoing the full `n`-row discovery
+/// `guesses` times.
 pub fn naive_sampling(ctx: &Ctx<'_>, params: &ProtocolParams) -> Vec<BitVec> {
     let n = ctx.n();
     let m = ctx.oracle.objects();
@@ -57,7 +59,8 @@ pub fn naive_sampling(ctx: &Ctx<'_>, params: &ProtocolParams) -> Vec<BitVec> {
         }
     });
 
-    // Group the z-vectors ONCE — they are guess-invariant (see above).
+    // Group the z-vectors and tabulate their distances ONCE — they are
+    // guess-invariant (see above).
     let cache = GroupCache::build(&zvecs, params.neighbor_strategy);
 
     // Doubling diameter guesses on raw sample distances; share work with

@@ -116,11 +116,6 @@ pub struct Outcome {
     /// Bulletin-board traffic: post counts and the peak live-slot counts
     /// from scope-lifecycle accounting.
     pub board: BoardStats,
-    /// Whether probe counts used memoized accounting (repeats free) or the
-    /// paper's literal per-call accounting. The oracle auto-degrades to
-    /// literal accounting past its memo-bitmap cap, so scale sweeps must
-    /// not compare probe counts across a mode boundary.
-    pub memoized_probes: bool,
     /// Wall-clock duration of the protocol run.
     pub elapsed: Duration,
     /// Robust-mode election log (empty for other algorithms).
@@ -349,7 +344,6 @@ impl Session {
             probes,
             max_honest_probes,
             board: board.stats(),
-            memoized_probes: oracle.is_memoized(),
             elapsed,
             repetitions,
             dishonest_count: behaviors.dishonest_count(),

@@ -1,5 +1,5 @@
 //! `NeighborIndex` equivalence: the one discovery pipeline — bit-identical
-//! vectors grouped, the representatives indexed (materialized exact pass,
+//! vectors grouped, the representatives indexed (exact distance table,
 //! sound banded prune with single-bit-flip multi-probing at mid-`τ`, or a
 //! popcount-prefiltered scan), one peel over the group graph — must
 //! produce the *identical* Lemma-8 edge set and the identical `Clustering`
@@ -143,7 +143,9 @@ proptest! {
     /// sweep of thresholds must yield, at every τ and for every strategy,
     /// the identical edge set and identical `Clustering` as an index built
     /// fresh from the same z-vectors — the pinned contract behind the
-    /// naive baseline's guess-loop fusion.
+    /// naive baseline's guess-loop fusion. Both read the same kind of
+    /// distance table, so each clustering is also held to the player-level
+    /// reference, and the sweep runs past `len` into the complete guesses.
     #[test]
     fn group_cache_rebanding_equals_fresh_build(seed in 400u64..440, n in 2usize..34, len in 8usize..260) {
         let spread = (len / 16).max(1);
@@ -151,9 +153,10 @@ proptest! {
         let min_size = (n / 4).max(1);
         for strategy in [NeighborStrategy::Auto, NeighborStrategy::Banded, NeighborStrategy::Exact] {
             let cache = GroupCache::build(&zvecs, strategy);
-            // Doubling τ sweep, like the diameter-guess loop.
+            // Doubling τ sweep, like the diameter-guess loop, up to the
+            // first τ > len.
             let mut tau = 1usize;
-            while tau <= len + 1 {
+            while tau < 2 * (len + 1) {
                 let fresh = NeighborIndex::build(&zvecs, tau, strategy);
                 let cached = cache.index(tau);
                 prop_assert_eq!(
@@ -165,6 +168,12 @@ proptest! {
                 let b = fresh.peel(min_size);
                 prop_assert_eq!(&a.assignment, &b.assignment);
                 prop_assert_eq!(&a.clusters, &b.clusters);
+                let reference = peel_clusters(&zvecs, &neighbor_graph(&zvecs, tau), min_size);
+                prop_assert_eq!(
+                    &a, &reference,
+                    "{:?} cached clustering diverges from the reference at n={} len={} τ={}",
+                    strategy, n, len, tau
+                );
                 tau *= 2;
             }
         }
@@ -216,6 +225,62 @@ proptest! {
     }
 }
 
+/// Rows longer than `u16::MAX` bits: the exact index's distance cells
+/// saturate there, so pairs placed just below, at and just above 65 535
+/// apart, with `τ` on both sides of each, pin the rule that keeps every
+/// edge decision exact (a saturated cell is re-verified once `τ` reaches
+/// it). Fresh and cached indexes, under `Exact` and `Auto`, must equal
+/// the player-level reference.
+#[test]
+fn exact_index_is_exact_past_u16_distances() {
+    let len = 70_000usize;
+    let flipped = |count: usize| {
+        let mut v = BitVec::zeros(len);
+        for i in 0..count {
+            v.flip(i);
+        }
+        v
+    };
+    // Distances from row 0: 65 534, 65 535, 65 536, 65 537 and 70 000;
+    // rows 0 and 2 carry a duplicate each, so groups have multiplicity.
+    let zvecs = vec![
+        flipped(0),
+        flipped(65_534),
+        flipped(65_535),
+        flipped(65_536),
+        flipped(65_537),
+        flipped(len),
+        flipped(0),
+        flipped(65_535),
+    ];
+    assert_eq!(zvecs[0].hamming(&zvecs[2]), usize::from(u16::MAX));
+    let taus = [
+        3usize, 4_464, 65_533, 65_534, 65_535, 65_536, 65_537, 69_999, 70_000,
+    ];
+    for strategy in [NeighborStrategy::Exact, NeighborStrategy::Auto] {
+        let cache = GroupCache::build(&zvecs, strategy);
+        for tau in taus {
+            let adjacency = neighbor_graph(&zvecs, tau);
+            for idx in [
+                NeighborIndex::build(&zvecs, tau, strategy),
+                cache.index(tau),
+            ] {
+                let mode = if tau < len { "exact" } else { "complete" };
+                assert_eq!(idx.mode_name(), mode, "{strategy:?} τ={tau}");
+                assert_eq!(idx.adjacency(), adjacency, "{strategy:?} τ={tau}");
+                // 9 > n: no seed qualifies, so every player is a leftover.
+                for min_size in [1usize, 3, 5, 8, 9] {
+                    assert_eq!(
+                        idx.peel(min_size),
+                        peel_clusters(&zvecs, &adjacency, min_size),
+                        "{strategy:?} τ={tau} min={min_size}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Deterministic large-ish case that forces the *banded* bucket mode
 /// (wide bands) with multiple peels and leftovers.
 #[test]
@@ -261,7 +326,7 @@ fn multiprobe_and_scan_modes_multi_peel() {
 }
 
 /// Deterministic case with duplicates spread across camps: ~330 groups,
-/// so `Auto` materializes the representatives.
+/// so `Auto` tabulates the representative distances.
 #[test]
 fn grouped_bucket_mode_multi_peel() {
     let mut zvecs = mixed_zvecs(11, 380, 640, 6);
@@ -294,7 +359,7 @@ fn grouped_bucket_mode_multi_peel() {
 /// (center + 12 single-bit variants), centers duplicated ×2 ⇒ n = 6000,
 /// G = 5200 > 4096. τ = 6 with 512-bit vectors keeps the τ+1 bands 73
 /// bits wide — the banded bucket path. Pinned against the forced
-/// materialized index over the same representatives, which the other
+/// exact index over the same representatives, which the other
 /// tests pin against brute force.
 #[test]
 fn grouped_with_banded_inner_index() {
