@@ -80,8 +80,8 @@ pub fn e13_scale_frontier(scale: Scale) -> Vec<Table> {
         "NaiveSampling is uncapped (was n≤10⁴): discovery groups \
          bit-identical z-vectors first (planted clusters collapse sample \
          outputs, so the group graph is far smaller than n), prunes the \
-         group graph with τ+1 bit-bands — single-bit-flip multi-probe \
-         bands at mid-τ, popcount-prefiltered scan beyond — and peels \
+         group graph with τ+1 exact-match bit-bands while bands stay at \
+         least 8 bits wide, a popcount-prefiltered scan beyond — and peels \
          lazily: per-player adjacency is never materialized, so each \
          planted cluster's clique (~{:.1}e8 adjacency-list entries at \
          n=100000) costs no memory. Dense truth at n=100000, m={m} would \

@@ -26,14 +26,11 @@
 //!    * *banded* — a **sound** bit-bucketing prefilter: the `|S|` sample
 //!      coordinates are split into `τ + 1` disjoint bands, and by
 //!      pigeonhole any pair within distance `τ` agrees **exactly** on at
-//!      least one band. Only pairs sharing a band bucket are candidates.
-//!      When `τ + 1` bands would be narrower than `MIN_BAND_BITS` it
-//!      *multi-probes* instead: `⌊τ/2⌋ + 1` wider bands, of which some
-//!      band differs in at most one bit, so probing the exact bucket plus
-//!      every single-bit-flip bucket keeps the prune sound;
-//!    * *scan* — even probe bands too narrow: every pair is checked on
-//!      demand behind a per-band popcount prefilter (the L1 distance of
-//!      two popcount profiles lower-bounds the Hamming distance).
+//!      least one band. Only pairs sharing a band bucket are candidates;
+//!    * *scan* — `τ + 1` bands narrower than `MIN_BAND_BITS`: every pair
+//!      is checked on demand behind a per-band popcount prefilter (the L1
+//!      distance of two popcount profiles lower-bounds the Hamming
+//!      distance).
 //!
 //!    Every candidate any prefilter lets through is verified with an exact
 //!    [`hamming_within`](byzscore_bitset::Bits::hamming_within) — the
@@ -41,9 +38,9 @@
 //!    `u16::MAX` is re-verified the same way once `τ` reaches it, so all
 //!    four produce the identical edge set. [`NeighborStrategy::Auto`]
 //!    tabulates up to [`AUTO_EXACT_MAX`] representatives (a table of
-//!    `2·G²` bytes, 32 MiB at the cap) and picks among banded /
-//!    multi-probe / scan by band width beyond; `Exact` and `Banded` force
-//!    the choice (how tests reach each kind).
+//!    `2·G²` bytes, 32 MiB at the cap) and picks banded or scan by band
+//!    width beyond; `Exact` and `Banded` force the choice (how tests reach
+//!    each kind).
 //! 3. **Peel once**, over the group graph ([`NeighborIndex::peel`]):
 //!    groups live and die wholesale and carry their multiplicity as
 //!    weight, so the output is identical to the player-level reference
@@ -64,7 +61,7 @@
 //! | `run_all` quick scale (CI's bench gate), 21 837 builds | 8 455 | players materialized (`n ≤ 4096`) |
 //! | | 7 928 | complete (`τ ≥ len`, the empty-sample case) |
 //! | | 20 | grouped, representatives materialized (n = 10⁴, G 2 310–2 628) |
-//! | | 1 / 1 / 3 | grouped, representatives banded / multi-probe / scan (e13 n = 10⁵, G = 18 427) |
+//! | | 2 / 3 | grouped, representatives banded / scan (e13 n = 10⁵, G = 18 427) |
 //! | | 2 702 | the service shard map's grouping at `τ = 0` |
 //! | | **0** | weak-collapse fallback |
 //! | | **0** | a player-level banded / scan index |
@@ -126,27 +123,33 @@ impl Clustering {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NeighborStrategy {
     /// Pick per input shape: tabulate up to [`AUTO_EXACT_MAX`]
-    /// representatives, band (or multi-probe, or scan, by band width)
-    /// beyond.
+    /// representatives, band (or scan, by band width) beyond.
     #[default]
     Auto,
     /// Force the exact index: the `O(G²)` representative distance table,
     /// thresholded at each `τ`.
     Exact,
-    /// Force the banded family (banded / multi-probe / scan by band
-    /// width); no distance table is built.
+    /// Force the banded family (banded or scan by band width); no
+    /// distance table is built.
     Banded,
 }
 
 /// Largest representative count for which [`NeighborStrategy::Auto`] still
 /// picks the exact index, whose distance table is built once per grouping
-/// (`2·G²` bytes: 32 MiB at this cap).
+/// (`2·G²` bytes: 32 MiB at this cap). A memory cap, not a time crossing:
+/// at e13's n = 10⁴ (G = 2 310) thresholding the table and peeling takes
+/// 2–7 ms per guess against 36–55 ms with bands and 127–335 ms scanned,
+/// but at its n = 10⁵ (G = 18 427) the table would be 679 MB.
 pub const AUTO_EXACT_MAX: usize = 4096;
 
-/// Minimum band width (bits) for the banded prefilter to be worth its
-/// bucket overhead; below this the prune keeps nearly every pair and the
-/// index degrades to an unmaterialized blocked scan.
-const MIN_BAND_BITS: usize = 16;
+/// Minimum band width (bits) for exact-match bands to beat the
+/// prefiltered scan. Measured on e13's n = 10⁵ representatives
+/// (G = 18 427, |S| = 185, one thread, index build plus peel): 8-bit
+/// bands 7.5 s against the scan's 11.2 s, 7-bit 12.3 s against 16.4 s,
+/// 6-bit 13.3 s against 12.7 s (DESIGN.md §4.8). The crossing lies
+/// between 6 and 7 bits; the floor keeps one bit of margin above it,
+/// since each bit less doubles a band's expected bucket occupancy.
+const MIN_BAND_BITS: usize = 8;
 
 /// Width (bits) of the popcount-profile bands backing the scan-mode
 /// prefilter.
@@ -159,63 +162,40 @@ enum RepIndex {
     Complete,
     /// The grouping's [`Distances`] table, thresholded at `τ` row by row.
     Exact,
-    /// Banded prefilter: per-band hash buckets prune candidate pairs
-    /// (exact-match bands, or wider multi-probe bands at mid-range `τ`).
+    /// Banded prefilter: per-band hash buckets of `τ + 1` exact-match
+    /// bands prune candidate pairs.
     Banded(Bands),
-    /// Bands too narrow even for multi-probe: verify every pair on demand
+    /// Bands narrower than `MIN_BAND_BITS`: verify every pair on demand
     /// with the blocked kernel behind a per-band popcount prefilter; never
     /// materialize.
     Scan(PopFilter),
 }
 
 struct Bands {
-    /// Number of bands (`threshold + 1`, or `⌊threshold/2⌋ + 1` when
-    /// multi-probing).
+    /// Number of bands (`threshold + 1`).
     k: usize,
-    /// Vector length (needed to recompute band boundaries for probing).
-    len: usize,
-    /// Single-bit-flip probing active (mid-`τ` mode).
-    probe: bool,
     /// `keys[g * k + j]` = FNV hash of row `g`'s bits in band `j`.
     keys: Vec<u64>,
-    /// Raw band contents (`≤ 64` bits each); only filled when probing,
-    /// where flipped-key computation needs them.
-    contents: Vec<u64>,
     /// Per-band: band key → rows carrying it (ascending, by build order).
     buckets: Vec<HashMap<u64, Vec<u32>>>,
 }
 
 impl Bands {
-    fn build(rows: &BitMatrix, k: usize, probe: bool) -> Bands {
+    fn build(rows: &BitMatrix, k: usize) -> Bands {
         let n = rows.rows();
         let len = rows.cols();
         let mut keys = Vec::with_capacity(n * k);
-        let mut contents = Vec::with_capacity(if probe { n * k } else { 0 });
         let mut buckets: Vec<HashMap<u64, Vec<u32>>> = (0..k).map(|_| HashMap::new()).collect();
         for p in 0..n {
             let words = rows.row(p);
             for (j, bucket) in buckets.iter_mut().enumerate() {
                 let (start, end) = band_range(len, k, j);
-                let key = if probe {
-                    debug_assert!(end - start <= 64, "multi-probe bands must fit one word");
-                    let content = extract_bits(words.words(), start, end - start);
-                    contents.push(content);
-                    fnv_u64(content)
-                } else {
-                    band_key(words.words(), start, end)
-                };
+                let key = band_key(words.words(), start, end);
                 keys.push(key);
                 bucket.entry(key).or_default().push(p as u32);
             }
         }
-        Bands {
-            k,
-            len,
-            probe,
-            keys,
-            contents,
-            buckets,
-        }
+        Bands { k, keys, buckets }
     }
 
     #[inline]
@@ -234,44 +214,15 @@ impl Bands {
     /// Visit every distinct candidate `q ≠ p` sharing at least one band
     /// bucket with `p`, exactly once.
     fn for_candidates(&self, p: usize, mut f: impl FnMut(usize)) {
-        if !self.probe {
-            for (j, bucket_map) in self.buckets.iter().enumerate() {
-                let Some(bucket) = bucket_map.get(&self.key(p, j)) else {
-                    continue;
-                };
-                for &q32 in bucket {
-                    let q = q32 as usize;
-                    if q != p && !self.shares_band_before(p, q, j) {
-                        f(q);
-                    }
-                }
-            }
-            return;
-        }
-        // Multi-probe: with `k = ⌊τ/2⌋ + 1` bands a pair within `τ` has
-        // some band differing in at most `⌊τ/k⌋ ≤ 1` bits, so its bucket is
-        // reached either by the exact key or by flipping exactly one bit of
-        // `p`'s band content. A candidate can surface through several
-        // probes; collect + sort + dedup, order never matters to callers.
-        let mut cands: Vec<u32> = Vec::new();
         for (j, bucket_map) in self.buckets.iter().enumerate() {
-            if let Some(bucket) = bucket_map.get(&self.key(p, j)) {
-                cands.extend_from_slice(bucket);
-            }
-            let (start, end) = band_range(self.len, self.k, j);
-            let content = self.contents[p * self.k + j];
-            for bit in 0..(end - start) {
-                if let Some(bucket) = bucket_map.get(&fnv_u64(content ^ (1u64 << bit))) {
-                    cands.extend_from_slice(bucket);
+            let Some(bucket) = bucket_map.get(&self.key(p, j)) else {
+                continue;
+            };
+            for &q32 in bucket {
+                let q = q32 as usize;
+                if q != p && !self.shares_band_before(p, q, j) {
+                    f(q);
                 }
-            }
-        }
-        cands.sort_unstable();
-        cands.dedup();
-        for q32 in cands {
-            let q = q32 as usize;
-            if q != p {
-                f(q);
             }
         }
     }
@@ -318,18 +269,11 @@ impl PopFilter {
 }
 
 /// The banded-family index for this shape: exact-match bands when `τ+1`
-/// bands are wide enough, multi-probe bands at mid-`τ`, prefiltered scan
-/// beyond.
+/// bands are at least `MIN_BAND_BITS` wide, prefiltered scan otherwise.
 fn banded_mode(rows: &BitMatrix, threshold: usize) -> RepIndex {
-    let len = rows.cols();
-    let k_exact = threshold + 1;
-    let k_probe = threshold / 2 + 1;
-    if len / k_exact >= MIN_BAND_BITS {
-        RepIndex::Banded(Bands::build(rows, k_exact, false))
-    } else if len / k_probe >= MIN_BAND_BITS {
-        // `len < MIN·(τ+1) ≤ 2·MIN·k_probe` here, so probe bands are
-        // < 2·MIN = 32 bits — they fit one word.
-        RepIndex::Banded(Bands::build(rows, k_probe, true))
+    let k = threshold + 1;
+    if rows.cols() / k >= MIN_BAND_BITS {
+        RepIndex::Banded(Bands::build(rows, k))
     } else {
         RepIndex::Scan(PopFilter::build(rows))
     }
@@ -494,13 +438,6 @@ fn extract_bits(words: &[u64], start: usize, count: usize) -> u64 {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// One-chunk FNV-1a — [`band_key`] specialized to a `≤ 64`-bit band, the
-/// form multi-probe flips recompute per candidate key.
-#[inline]
-fn fnv_u64(v: u64) -> u64 {
-    (FNV_OFFSET ^ v).wrapping_mul(FNV_PRIME)
-}
-
 /// FNV-1a hash of the band's bits, in 64-bit chunks. Equal band contents
 /// always hash equal, so bucketing by hash key keeps the prune sound;
 /// hash collisions only add candidates, which verification discards.
@@ -580,13 +517,11 @@ impl NeighborIndex {
     }
 
     /// Which representative index answers queries (`"complete"`,
-    /// `"exact"`, `"banded"`, `"multiprobe"`, or `"scan"`) — for logs and
-    /// bench labels.
+    /// `"exact"`, `"banded"`, or `"scan"`) — for logs and bench labels.
     pub fn mode_name(&self) -> &'static str {
         match &self.reps {
             RepIndex::Complete => "complete",
             RepIndex::Exact => "exact",
-            RepIndex::Banded(bands) if bands.probe => "multiprobe",
             RepIndex::Banded(_) => "banded",
             RepIndex::Scan(_) => "scan",
         }
@@ -1165,15 +1100,15 @@ mod tests {
         assert_eq!(c.cluster_of(0), &[0]);
     }
 
-    /// Every representative index (complete / exact / banded / multiprobe
-    /// / scan), forced and under `Auto`, against the all-pairs player
-    /// reference, on structured and random inputs.
+    /// Every representative index (complete / exact / banded / scan),
+    /// forced and under `Auto`, against the all-pairs player reference,
+    /// on structured and random inputs.
     #[test]
     fn banded_modes_match_exact() {
         let mut rng = SmallRng::seed_from_u64(6);
         let cases: Vec<(Vec<BitVec>, usize)> = vec![
             (two_camps(256, 10, 7), 4),   // banded (wide bands)
-            (two_camps(256, 10, 10), 24), // multiprobe (mid-τ)
+            (two_camps(256, 10, 10), 24), // banded (10-bit bands)
             (two_camps(64, 6, 8), 12),    // scan (bands too narrow)
             (two_camps(32, 5, 9), 40),    // complete (τ ≥ len)
             ((0..14).map(|_| BitVec::random(&mut rng, 96)).collect(), 3),
@@ -1203,20 +1138,21 @@ mod tests {
     }
 
     #[test]
-    fn multiprobe_triggers_and_is_sound() {
-        // len=256, τ=24: 25 exact-match bands would be 10 bits (< 16), but
-        // ⌊τ/2⌋+1 = 13 multiprobe bands are 19 bits — the mid-τ regime
-        // that used to fall to the blocked scan.
+    fn narrow_bands_down_to_the_floor_are_sound() {
+        // len=256: τ=24 splits into 25 exact-match bands of 10 bits, and
+        // τ=31 into 32 bands of exactly MIN_BAND_BITS.
         let zs = two_camps(256, 12, 11);
-        let idx = NeighborIndex::build(&zs, 24, NeighborStrategy::Banded);
-        assert_eq!(idx.mode_name(), "multiprobe");
-        assert_eq!(idx.adjacency(), neighbor_graph(&zs, 24));
+        for threshold in [24, 31] {
+            let idx = NeighborIndex::build(&zs, threshold, NeighborStrategy::Banded);
+            assert_eq!(idx.mode_name(), "banded", "τ={threshold}");
+            assert_eq!(idx.adjacency(), neighbor_graph(&zs, threshold));
+        }
     }
 
     #[test]
     fn scan_mode_carries_popcount_prefilter() {
-        // len=64, τ=12: neither 13 exact bands (4 bits) nor 7 probe bands
-        // (9 bits) reach MIN_BAND_BITS — the prefiltered scan regime.
+        // len=64, τ=12: 13 exact-match bands would be 4 bits, under
+        // MIN_BAND_BITS — the prefiltered scan regime.
         let zs = two_camps(64, 6, 12);
         let idx = NeighborIndex::build(&zs, 12, NeighborStrategy::Banded);
         assert_eq!(idx.mode_name(), "scan");

@@ -377,6 +377,18 @@ fn observe(
     }
 }
 
+/// Planted metadata of a procedural cluster spec (assignment, members,
+/// centers), identical to what the dense twin would record.
+pub fn procedural_planted(source: &ProceduralTruth) -> Planted {
+    Planted {
+        assignment: source.assignment(),
+        clusters: source.clusters(),
+        centers: source.centers().to_vec(),
+        target_diameter: source.spec().diameter,
+        special_objects: None,
+    }
+}
+
 /// Planted metadata of the pool, viewed through the identity map: slot
 /// assignments inherit from the underlying identities, cluster member
 /// lists hold *slots* (what corruption targeting and skyline baselines
@@ -417,7 +429,7 @@ impl DynamicWorldBuilder {
     /// [`DynamicWorldBuilder::active`] to leave join headroom.
     pub fn pool(mut self, spec: ClusterSpec) -> Self {
         let source = ProceduralTruth::new(spec);
-        self.pool_planted = Some(planted_of(&source));
+        self.pool_planted = Some(procedural_planted(&source));
         self.pool = Some(Arc::new(source));
         self
     }
@@ -427,7 +439,7 @@ impl DynamicWorldBuilder {
     /// and dense-only metrics.
     pub fn pool_dense(mut self, spec: ClusterSpec) -> Self {
         let source = ProceduralTruth::new(spec);
-        self.pool_planted = Some(planted_of(&source));
+        self.pool_planted = Some(procedural_planted(&source));
         self.pool = Some(Arc::new(DenseTruth::new(source.materialize())));
         self
     }
@@ -498,18 +510,6 @@ impl DynamicWorldBuilder {
             drift: self.drift,
             sink: self.sink,
         }
-    }
-}
-
-/// Planted metadata of a procedural pool (same shape the static
-/// `SessionBuilder::procedural` records).
-fn planted_of(source: &ProceduralTruth) -> Planted {
-    Planted {
-        assignment: source.assignment(),
-        clusters: source.clusters(),
-        centers: source.centers().to_vec(),
-        target_diameter: source.spec().diameter,
-        special_objects: None,
     }
 }
 

@@ -18,6 +18,7 @@ use byzscore_model::metrics::ErrorReport;
 use byzscore_model::{Instance, Planted};
 use byzscore_random::Beacon;
 
+use crate::dynamic::procedural_planted;
 use crate::robust::RepetitionLog;
 use crate::{baseline, calculate_preferences, robust_calculate_preferences, ProtocolParams};
 
@@ -494,18 +495,6 @@ impl SessionBuilder {
                 .unwrap_or_else(|| Arc::new(GreedyInfiltrate) as Arc<dyn BinStrategy>),
             sink: self.sink,
         })
-    }
-}
-
-/// Planted metadata of a procedural cluster spec (assignment, members,
-/// centers), identical to what the dense twin would record.
-fn procedural_planted(source: &ProceduralTruth) -> Planted {
-    Planted {
-        assignment: source.assignment(),
-        clusters: source.clusters(),
-        centers: source.centers().to_vec(),
-        target_diameter: source.spec().diameter,
-        special_objects: None,
     }
 }
 

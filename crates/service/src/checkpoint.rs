@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 
 use byzscore_bitset::{BitMatrix, BitVec, Bits};
 
-use crate::engine::{ServiceEngine, SessionImage};
+use crate::engine::{scorable, ServiceEngine, SessionImage};
 use crate::journal::{sync_parent_dir, DedupeWindow};
 use crate::request::{mix, Request};
 use crate::wire::{format_response, parse_response};
@@ -461,10 +461,13 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
 /// restore indexes or folds anything with it: every map entry and
 /// `next_fresh` must lie in the `2 × players` pool, every probed index in
 /// the pool's `pool · objects` pairs, the score rows must be
-/// `map.len() × objects`, and the epoch and churn counts cannot exceed
+/// `map.len() × objects`, the epoch and churn counts cannot exceed
 /// the covered `ops` (each epoch or churn is one journaled mutating op,
-/// which also bounds restore's per-epoch fold).
+/// which also bounds restore's per-epoch fold), and the population must
+/// exceed the corrupt count, as `open` and `churn` keep it.
 fn check_image(sid: u64, image: &SessionImage, ops: u64) -> Result<(), String> {
+    scorable("restore", image.map.len(), image.spec.corrupt)
+        .map_err(|e| format!("session {sid}: {e}"))?;
     let pool = (image.spec.players.max(1) as u64).saturating_mul(2);
     if let Some(id) = image.map.iter().find(|&&id| u64::from(id) >= pool) {
         return Err(format!(
@@ -794,6 +797,36 @@ mod tests {
                 .to_string()
         });
         assert!(corrupt_reason(&short_map).contains("rows are"));
+    }
+
+    /// A session whose population does not exceed its corrupt count could
+    /// never be scored (`open` and `churn` refuse to leave one), so a map
+    /// cut to `corrupt` ids, with rows to match and a valid footer, is
+    /// corrupt: restored, its next barrier would score zero honest players.
+    #[test]
+    fn an_unscorable_population_is_corrupt() {
+        let (engine, dedupe, ops, _) = driven_engine(35, 11);
+        let text = encode_checkpoint(&engine, &dedupe, ops);
+        let (sid, image) = &engine.images()[0];
+        let keep = image.spec.corrupt;
+        assert!(keep > 0 && keep < image.map.len());
+        let words = image.rows.cols().div_ceil(64);
+        let cut_map = reforge(&text, &format!("map {sid} "), |line| {
+            let (head, ids) = line.rsplit_once(' ').expect("map line has ids");
+            let kept: Vec<&str> = ids.split(',').take(keep).collect();
+            format!("{head} {}", kept.join(","))
+        });
+        let hostile = reforge(&cut_map, &format!("rows {sid} "), |line| {
+            let fields: Vec<&str> = line.split(' ').collect();
+            let hex = &fields[4][..keep * words * 16];
+            format!("rows {sid} {keep} {} {hex}", fields[3])
+        });
+        let reason = corrupt_reason(&hostile);
+        assert!(
+            reason.contains(&format!("population {keep}"))
+                && reason.contains(&format!("corrupt {keep}")),
+            "{reason}"
+        );
     }
 
     /// Each epoch or churn is one journaled mutating op, so neither count

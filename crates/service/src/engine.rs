@@ -47,8 +47,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use byzscore::{
-    churn_counts, churn_step, remap_planted, DriftSchedule, ProceduralTruth, ProtocolParams,
-    Session, TruthSource,
+    churn_counts, churn_step, procedural_planted, remap_planted, DriftSchedule, ProceduralTruth,
+    ProtocolParams, Session, TruthSource,
 };
 use byzscore_adversary::{Corruption, Inverter};
 use byzscore_bitset::{BitMatrix, Bits};
@@ -260,8 +260,8 @@ impl ServiceEngine {
 
     fn open(&mut self, spec: SessionSpec) -> Response {
         let players = spec.players.max(1);
-        if let Err(e) = scorable("open", players, spec.corrupt) {
-            return Response::Rejected(e);
+        if let Err(message) = scorable("open", players, spec.corrupt) {
+            return Response::Rejected(ServiceError::Malformed { message });
         }
         let sid = self.next_sid;
         let mut state =
@@ -285,8 +285,8 @@ impl ServiceEngine {
         let pool_rows = state.world.rows() as u32;
         let active = state.map.len();
         let (retiring, joining) = churn_counts(active, state.next_fresh, pool_rows, retire, join);
-        if let Err(e) = scorable("churn", active - retiring + joining, state.spec.corrupt) {
-            return Response::Rejected(e);
+        if let Err(message) = scorable("churn", active - retiring + joining, state.spec.corrupt) {
+            return Response::Rejected(ServiceError::Malformed { message });
         }
         state.churns += 1;
         let mut rng = SmallRng::seed_from_u64(derive_seed(
@@ -345,16 +345,15 @@ impl ServiceEngine {
 
 /// A session can be scored only while its population exceeds its corrupt
 /// count: the adversary corrupts exactly `corrupt` players and the error
-/// report needs at least one honest one. `op` would leave `population`.
-fn scorable(op: &str, population: usize, corrupt: usize) -> Result<(), ServiceError> {
+/// report needs at least one honest one. `op` would leave `population`;
+/// the error message names all three.
+pub(crate) fn scorable(op: &str, population: usize, corrupt: usize) -> Result<(), String> {
     if population > corrupt {
         return Ok(());
     }
-    Err(ServiceError::Malformed {
-        message: format!(
-            "{op} leaves population {population}, which must exceed corrupt {corrupt}"
-        ),
-    })
+    Err(format!(
+        "{op} leaves population {population}, which must exceed corrupt {corrupt}"
+    ))
 }
 
 /// The procedural identity pool (capacity `2 × players`) a spec denotes.
@@ -394,14 +393,7 @@ fn pool_of(spec: &SessionSpec, drift: Option<&DriftSchedule>, epoch: u64) -> (Bi
             drift.fold_epoch(e, &mut world);
         }
     }
-    let pool_planted = Planted {
-        assignment: source.assignment(),
-        clusters: source.clusters(),
-        centers: source.centers().to_vec(),
-        target_diameter: source.spec().diameter,
-        special_objects: None,
-    };
-    (world, pool_planted)
+    (world, procedural_planted(&source))
 }
 
 /// The world the active slots see: row `map[slot]` of the resident pool

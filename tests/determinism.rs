@@ -401,10 +401,11 @@ fn fused_rselect_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn banded_clustering_is_bit_identical_across_thread_counts() {
-    // Banded neighbor discovery parallelizes its degree pass and (in scan
-    // mode) its per-peel degree updates; the resulting `Clustering` must be
-    // bit-identical under 1, 2, and 8 worker threads, and identical to the
-    // materialized exact path — worker count can only change speed.
+    // Neighbor discovery runs inline on the calling thread (only
+    // `par_map_coarse` forks, and only whole runs), so the worker limit
+    // must change nothing: the banded `Clustering` must be bit-identical
+    // under 1, 2, and 8 worker threads, and identical to the exact
+    // distance-table path.
     use byzscore::cluster::{NeighborIndex, NeighborStrategy};
     use byzscore_bitset::Bits;
     use byzscore_board::par::set_thread_limit;
@@ -412,7 +413,8 @@ fn banded_clustering_is_bit_identical_across_thread_counts() {
     let _gate = THREAD_LIMIT_GATE
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    // Big enough (≥ 32 players) that par_map_players actually fans out.
+    // 512-bit rows: τ = 14 splits into 15 bands of 34 bits and τ = 40
+    // into 41 bands of 12 bits, both exact-match banded.
     let inst = Workload::PlantedClusters {
         players: 640,
         objects: 512,
@@ -426,6 +428,7 @@ fn banded_clustering_is_bit_identical_across_thread_counts() {
     for threshold in [14usize, 40] {
         let exact = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Exact);
         let banded = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Banded);
+        assert_eq!(banded.mode_name(), "banded", "τ={threshold}");
         let reference = exact.peel(40);
         for threads in [1usize, 2, 8] {
             set_thread_limit(Some(threads));

@@ -1,7 +1,7 @@
 //! `NeighborIndex` equivalence: the one discovery pipeline — bit-identical
 //! vectors grouped, the representatives indexed (exact distance table,
-//! sound banded prune with single-bit-flip multi-probing at mid-`τ`, or a
-//! popcount-prefiltered scan), one peel over the group graph — must
+//! sound exact-match banded prune, or a popcount-prefiltered scan), one
+//! peel over the group graph — must
 //! produce the *identical* Lemma-8 edge set and the identical `Clustering`
 //! as the all-pairs definition over players (`brute_adjacency`,
 //! `neighbor_graph` + `peel_clusters`), whichever representative index is
@@ -69,14 +69,16 @@ fn make_distinct(zvecs: &mut [BitVec]) {
     assert_eq!(cache.group_count(), Some(n));
 }
 
-/// The forced representative indexes other than `Exact`, plus `Auto`.
+/// The strategies checked against `Exact` and the reference: `Banded`
+/// (exact-match bands or the scan, by band width) and `Auto` (which at
+/// these sizes tabulates like `Exact`).
 const LAZY: [NeighborStrategy; 2] = [NeighborStrategy::Banded, NeighborStrategy::Auto];
 
 proptest! {
     /// Edge sets are identical across strategies and match brute force,
     /// across random sizes, lengths, and thresholds — covering all
-    /// representative indexes (exact / banded / multiprobe / scan /
-    /// complete), with duplicates (`distinct == 0`) and without.
+    /// representative indexes (exact / banded / scan / complete), with
+    /// duplicates (`distinct == 0`) and without.
     #[test]
     fn lazy_edge_sets_equal_exact(seed in 0u64..60, n in 2usize..36, len in 1usize..300, t_raw in 0usize..330, distinct in 0usize..2) {
         let spread = (len / 16).max(1);
@@ -299,21 +301,23 @@ fn banded_bucket_mode_multi_peel() {
     }
 }
 
-/// Deterministic mid-`τ` case that forces multi-probe bucketing (bands too
-/// narrow for exact matching, wide enough for single-bit-flip probes) with
-/// multiple peels, and the same world one regime further (scan + popcount
+/// Deterministic mid-`τ` cases with multiple peels on either side of the
+/// band-width floor: narrow exact-match bands down to 8 bits, then the
+/// same world one bit narrower and far beyond (scan + popcount
 /// prefilter).
 #[test]
-fn multiprobe_and_scan_modes_multi_peel() {
+fn narrow_bands_and_scan_modes_multi_peel() {
     let zvecs = mixed_zvecs(9, 300, 640, 10);
-    // 640/(45+1) = 13 < 16 exact-match bands; 640/(22+1) = 27-bit probe
-    // bands ⇒ multiprobe.
-    let probe = NeighborIndex::build(&zvecs, 45, NeighborStrategy::Banded);
-    assert_eq!(probe.mode_name(), "multiprobe");
-    // 640/(160+1) = 3 and 640/(80+1) = 7 ⇒ both too narrow ⇒ scan.
-    let scan = NeighborIndex::build(&zvecs, 160, NeighborStrategy::Banded);
-    assert_eq!(scan.mode_name(), "scan");
-    for (idx, threshold) in [(probe, 45usize), (scan, 160)] {
+    // 640/(τ+1) bits per band: 13 at τ = 45 and 8 at τ = 79 ⇒ banded;
+    // 7 at τ = 80 and 3 at τ = 160 ⇒ scan.
+    for (threshold, mode) in [
+        (45usize, "banded"),
+        (79, "banded"),
+        (80, "scan"),
+        (160, "scan"),
+    ] {
+        let idx = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Banded);
+        assert_eq!(idx.mode_name(), mode, "τ={threshold}");
         let exact = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Exact);
         assert_eq!(idx.adjacency(), exact.adjacency(), "τ={threshold}");
         for min_size in [3usize, 30, 80] {
