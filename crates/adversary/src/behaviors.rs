@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 use byzscore_bitset::BitVec;
 use byzscore_board::TruthSource;
 
-use crate::strategy::{AdvCtx, CollusionState, Phase, Strategy, Truthful};
+use crate::strategy::{AdvCtx, Phase, Strategy, Truthful};
 
 static TRUTHFUL: Truthful = Truthful;
 
@@ -21,7 +21,6 @@ pub struct Behaviors<'a> {
     truth: &'a dyn TruthSource,
     dishonest: Vec<bool>,
     strategy: &'a dyn Strategy,
-    collusion: CollusionState,
     majority_cell: OnceLock<BitVec>,
 }
 
@@ -37,7 +36,6 @@ impl<'a> Behaviors<'a> {
             truth,
             dishonest,
             strategy,
-            collusion: CollusionState::new(),
             majority_cell: OnceLock::new(),
         }
     }
@@ -68,18 +66,8 @@ impl<'a> Behaviors<'a> {
         self.dishonest.iter().filter(|&&d| d).count()
     }
 
-    /// Installed strategy's name.
-    pub fn strategy_name(&self) -> &'static str {
-        self.strategy.name()
-    }
-
     fn ctx(&self) -> AdvCtx<'_> {
-        AdvCtx::new(
-            self.truth,
-            &self.dishonest,
-            &self.collusion,
-            &self.majority_cell,
-        )
+        AdvCtx::new(self.truth, &self.dishonest, &self.majority_cell)
     }
 
     /// The bit a **dishonest** `player` posts about `object` in `phase`.
@@ -130,7 +118,6 @@ mod tests {
         assert!(!b.is_dishonest(1));
         assert_eq!(b.dishonest_count(), 0);
         assert_eq!(b.honest_mask(), vec![true, true]);
-        assert_eq!(b.strategy_name(), "truthful");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! We implement the strongest admissible adversary: **omniscient** (reads
 //! the whole hidden truth matrix and the set of corrupted players) and
-//! **coordinated** (strategies share a [`CollusionState`] scratchpad). The
-//! paper's guarantees must — and, per experiment E9, do — hold against it.
+//! **coordinated** (every strategy decides with the same omniscient view,
+//! [`AdvCtx`], so colluders need no channel to agree). The paper's
+//! guarantees must — and, per experiment E9, do — hold against it.
 //!
 //! * [`Corruption`] selects *which* players are dishonest (random fraction,
 //!   exact count, targeted inside a planted cluster for hijack experiments,
@@ -39,6 +40,5 @@ pub use adaptive::{AdaptiveCorruption, AdaptivePolicy, Observation};
 pub use behaviors::Behaviors;
 pub use corruption::Corruption;
 pub use strategy::{
-    AdvCtx, AntiMajority, ClusterHijacker, CollusionState, Inverter, Phase, RandomLiar, Sleeper,
-    Strategy, Truthful,
+    AdvCtx, AntiMajority, ClusterHijacker, Inverter, Phase, RandomLiar, Sleeper, Strategy, Truthful,
 };

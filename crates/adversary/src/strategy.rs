@@ -1,11 +1,9 @@
 //! Dishonest-player strategies.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use byzscore_bitset::{BitVec, Bits, ColumnCounter};
 use byzscore_board::TruthSource;
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,33 +24,6 @@ pub enum Phase {
     Other,
 }
 
-/// Shared scratchpad for colluding strategies.
-///
-/// The paper explicitly allows the dishonest players to collude (§7.2); this
-/// mutex-guarded state is their coordination channel. Keys are
-/// strategy-defined.
-#[derive(Default)]
-pub struct CollusionState {
-    notes: Mutex<HashMap<u64, u64>>,
-}
-
-impl CollusionState {
-    /// Fresh empty state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a note (last write wins).
-    pub fn put(&self, key: u64, value: u64) {
-        self.notes.lock().insert(key, value);
-    }
-
-    /// Read a note.
-    pub fn get(&self, key: u64) -> Option<u64> {
-        self.notes.lock().get(&key).copied()
-    }
-}
-
 /// Read-only world view handed to strategies: the omniscient adversary.
 ///
 /// Dishonest players know the full hidden truth (strictly stronger than any
@@ -65,8 +36,6 @@ pub struct AdvCtx<'a> {
     pub truth: &'a dyn TruthSource,
     /// Dishonest mask over players.
     pub dishonest: &'a [bool],
-    /// Collusion scratchpad.
-    pub collusion: &'a CollusionState,
     /// Cache cell for the honest-majority vector (owned by the caller so it
     /// survives across per-call context construction).
     majority_cell: &'a OnceLock<BitVec>,
@@ -77,13 +46,11 @@ impl<'a> AdvCtx<'a> {
     pub fn new(
         truth: &'a dyn TruthSource,
         dishonest: &'a [bool],
-        collusion: &'a CollusionState,
         majority_cell: &'a OnceLock<BitVec>,
     ) -> Self {
         AdvCtx {
             truth,
             dishonest,
-            collusion,
             majority_cell,
         }
     }
@@ -294,8 +261,7 @@ mod tests {
     #[test]
     fn truthful_is_identity() {
         let (m, d, cell) = setup();
-        let cs = CollusionState::new();
-        let ctx = AdvCtx::new(&m, &d, &cs, &cell);
+        let ctx = AdvCtx::new(&m, &d, &cell);
         assert!(Truthful.claim_bit(&ctx, Phase::Other, 3, 0, true));
         assert!(!Truthful.claim_bit(&ctx, Phase::Other, 3, 0, false));
     }
@@ -303,8 +269,7 @@ mod tests {
     #[test]
     fn inverter_flips() {
         let (m, d, cell) = setup();
-        let cs = CollusionState::new();
-        let ctx = AdvCtx::new(&m, &d, &cs, &cell);
+        let ctx = AdvCtx::new(&m, &d, &cell);
         assert!(!Inverter.claim_bit(&ctx, Phase::Other, 3, 0, true));
         assert!(Inverter.claim_bit(&ctx, Phase::Other, 3, 0, false));
     }
@@ -312,8 +277,7 @@ mod tests {
     #[test]
     fn random_liar_extremes() {
         let (m, d, cell) = setup();
-        let cs = CollusionState::new();
-        let ctx = AdvCtx::new(&m, &d, &cs, &cell);
+        let ctx = AdvCtx::new(&m, &d, &cell);
         let always = RandomLiar { flip_prob: 1.0 };
         let never = RandomLiar { flip_prob: 0.0 };
         for o in 0..4 {
@@ -325,8 +289,7 @@ mod tests {
     #[test]
     fn random_liar_is_deterministic_per_object() {
         let (m, d, cell) = setup();
-        let cs = CollusionState::new();
-        let ctx = AdvCtx::new(&m, &d, &cs, &cell);
+        let ctx = AdvCtx::new(&m, &d, &cell);
         let liar = RandomLiar { flip_prob: 0.5 };
         let a = liar.claim_bit(&ctx, Phase::Other, 3, 7, true);
         let b = liar.claim_bit(&ctx, Phase::Other, 3, 7, true);
@@ -336,8 +299,7 @@ mod tests {
     #[test]
     fn anti_majority_opposes_honest_consensus() {
         let (m, d, cell) = setup();
-        let cs = CollusionState::new();
-        let ctx = AdvCtx::new(&m, &d, &cs, &cell);
+        let ctx = AdvCtx::new(&m, &d, &cell);
         // Honest rows: objects 0 and 1 are majority-liked (2–3 of 3 ones on
         // object 0; object 1: 2 of 3). Object 3: 0 of 3.
         assert!(!AntiMajority.claim_bit(&ctx, Phase::WorkSharing, 3, 0, true));
@@ -347,8 +309,7 @@ mod tests {
     #[test]
     fn hijacker_mimics_then_poisons() {
         let (m, d, cell) = setup();
-        let cs = CollusionState::new();
-        let ctx = AdvCtx::new(&m, &d, &cs, &cell);
+        let ctx = AdvCtx::new(&m, &d, &cell);
         let h = ClusterHijacker { victim: 0 };
         // Victim 0 likes object 0.
         assert!(h.claim_bit(&ctx, Phase::ClusterFormation, 3, 0, false));
@@ -361,8 +322,7 @@ mod tests {
     #[test]
     fn sleeper_wakes_for_work_sharing() {
         let (m, d, cell) = setup();
-        let cs = CollusionState::new();
-        let ctx = AdvCtx::new(&m, &d, &cs, &cell);
+        let ctx = AdvCtx::new(&m, &d, &cell);
         assert!(Sleeper.claim_bit(&ctx, Phase::ClusterFormation, 3, 0, true));
         assert!(!Sleeper.claim_bit(&ctx, Phase::WorkSharing, 3, 0, true));
     }
@@ -370,21 +330,10 @@ mod tests {
     #[test]
     fn claim_vector_uses_claim_bit() {
         let (m, d, cell) = setup();
-        let cs = CollusionState::new();
-        let ctx = AdvCtx::new(&m, &d, &cs, &cell);
+        let ctx = AdvCtx::new(&m, &d, &cell);
         let truth = BitVec::from_bools(&[true, false]);
         let v = Inverter.claim_vector(&ctx, Phase::Other, 3, &[0, 2], &truth);
         assert!(!v.get(0));
         assert!(v.get(1));
-    }
-
-    #[test]
-    fn collusion_state_roundtrip() {
-        let cs = CollusionState::new();
-        assert!(cs.get(1).is_none());
-        cs.put(1, 99);
-        assert_eq!(cs.get(1), Some(99));
-        cs.put(1, 100);
-        assert_eq!(cs.get(1), Some(100));
     }
 }

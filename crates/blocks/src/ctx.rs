@@ -1,5 +1,7 @@
 //! Execution context and tunable protocol constants.
 
+use std::cell::Cell;
+
 use byzscore_adversary::Behaviors;
 use byzscore_board::{Board, Oracle};
 use byzscore_random::Beacon;
@@ -111,12 +113,11 @@ impl BlockParams {
 /// The streaming `RSelect` tournaments track, per player, the peak number
 /// of resident candidate bytes; summing those per-player peaks gives a
 /// deterministic (order-independent) measure of how much candidate storage
-/// a run needed at its worst. The sum lives behind an atomic only so
-/// parallel phases can add their players' peaks without coordination — the
-/// final value does not depend on thread count or timing.
+/// a run needed at its worst. One meter serves one run, on the thread that
+/// runs it, so the sum is a plain cell.
 #[derive(Debug, Default)]
 pub struct CandidateMeter {
-    peak_bytes: std::sync::atomic::AtomicU64,
+    peak_bytes: Cell<u64>,
 }
 
 impl CandidateMeter {
@@ -127,13 +128,12 @@ impl CandidateMeter {
 
     /// Add one player's peak resident candidate bytes.
     pub fn add_peak(&self, bytes: u64) {
-        self.peak_bytes
-            .fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
+        self.peak_bytes.set(self.peak_bytes.get() + bytes);
     }
 
     /// Sum of per-player peaks recorded so far.
     pub fn peak_bytes(&self) -> u64 {
-        self.peak_bytes.load(std::sync::atomic::Ordering::Relaxed)
+        self.peak_bytes.get()
     }
 }
 

@@ -1,8 +1,7 @@
 //! The bulletin board as a communication meter: post counts per scope.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
 
 /// The paper's public bulletin board (§2), kept as a meter: each step of
 /// Figures 1–2 hands its outputs to the next in memory and posts only a
@@ -13,9 +12,12 @@ use parking_lot::Mutex;
 /// releases a finished subtree, so live slots track the current step's
 /// working set and [`BoardStats`] keeps the peaks. Posts to an unregistered
 /// id count but are never retired.
+///
+/// Like the probe ledger, the board meters one run on the thread that
+/// entered it, so its counts sit in a plain `RefCell`.
 #[derive(Default)]
 pub struct Board {
-    state: Mutex<State>,
+    state: RefCell<State>,
 }
 
 #[derive(Default)]
@@ -88,7 +90,7 @@ impl Board {
     /// the id derivation. Re-opening a path returns an equivalent handle.
     pub fn scope(&self, path: &[u64]) -> ScopeHandle<'_> {
         let id = scope_id(path);
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         let scope = state.scopes.entry(id).or_default();
         scope.path.get_or_insert_with(|| path.to_vec());
         ScopeHandle { board: self, id }
@@ -101,7 +103,7 @@ impl Board {
     }
 
     fn post(&self, id: u64, vectors: u64, claims: u64) {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         let State { scopes, stats } = &mut *state;
         let scope = scopes.entry(id).or_default();
         scope.vectors += vectors;
@@ -116,7 +118,7 @@ impl Board {
 
     /// Retire (and unregister) every registered scope under `prefix`.
     pub fn retire_prefix(&self, prefix: &[u64]) {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         let State { scopes, stats } = &mut *state;
         scopes.retain(|_, scope| {
             let hit = scope.path.as_deref().is_some_and(|p| p.starts_with(prefix));
@@ -131,7 +133,7 @@ impl Board {
 
     /// Traffic and memory counters.
     pub fn stats(&self) -> BoardStats {
-        self.state.lock().stats
+        self.state.borrow().stats
     }
 }
 
@@ -248,19 +250,16 @@ mod tests {
 
     #[test]
     fn concurrent_posts_all_land() {
+        // Eight authors posting in the same rounds, interleaved as one
+        // synchronous phase issues them.
         let b = Board::new();
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let b = &b;
-                s.spawn(move || {
-                    let scope = b.scope(&[t]);
-                    for i in 0..50u32 {
-                        scope.post_vectors(1);
-                        b.post_claim(8, t as u32, i, true);
-                    }
-                });
+        let scopes: Vec<ScopeHandle<'_>> = (0..8u64).map(|t| b.scope(&[t])).collect();
+        for i in 0..50u32 {
+            for (t, scope) in scopes.iter().enumerate() {
+                scope.post_vectors(1);
+                b.post_claim(8, t as u32, i, true);
             }
-        });
+        }
         let s = b.stats();
         assert_eq!(
             (s.vector_posts, s.live_vector_slots, s.peak_vector_slots),

@@ -1,15 +1,17 @@
 //! Per-player probe accounting.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Lock-free per-player probe counters.
+/// Per-player probe counters for one run.
 ///
 /// The paper's budget statements ("each player makes `O(B log^{O(1)} n)`
 /// probes, whp" — Lemmas 10–11) are *per-player maxima*, so the ledger keeps
-/// one relaxed atomic counter per player; totals and maxima are computed on
-/// demand from snapshots.
+/// one counter per player; totals and maxima are computed on demand from
+/// snapshots. A run executes on the thread that entered it, so the counters
+/// are plain cells: the ledger (and the [`crate::Oracle`] that owns it) can
+/// move between threads but not be shared by them.
 pub struct ProbeLedger {
-    counts: Vec<AtomicU64>,
+    counts: Vec<Cell<u64>>,
 }
 
 /// Point-in-time copy of all counters.
@@ -22,7 +24,7 @@ impl ProbeLedger {
     /// Ledger for `players` players, all counters zero.
     pub fn new(players: usize) -> Self {
         ProbeLedger {
-            counts: (0..players).map(|_| AtomicU64::new(0)).collect(),
+            counts: vec![Cell::new(0); players],
         }
     }
 
@@ -34,44 +36,30 @@ impl ProbeLedger {
     /// Record one probe by `player`.
     #[inline]
     pub fn record(&self, player: u32) {
-        self.counts[player as usize].fetch_add(1, Ordering::Relaxed);
+        let count = &self.counts[player as usize];
+        count.set(count.get() + 1);
     }
 
     /// Current count for `player`.
     pub fn count(&self, player: u32) -> u64 {
-        self.counts[player as usize].load(Ordering::Relaxed)
+        self.counts[player as usize].get()
     }
 
     /// Largest per-player count — the quantity the paper's probe bounds
     /// constrain.
     pub fn max(&self) -> u64 {
-        self.counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
+        self.counts.iter().map(Cell::get).max().unwrap_or(0)
     }
 
     /// Total probes across all players.
     pub fn total(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        self.counts.iter().map(Cell::get).sum()
     }
 
     /// Copy all counters.
     pub fn snapshot(&self) -> LedgerSnapshot {
         LedgerSnapshot {
-            counts: self
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
+            counts: self.counts.iter().map(Cell::get).collect(),
         }
     }
 }
@@ -152,14 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes() {
-        let l = ProbeLedger::new(2);
-        l.record(1);
-        l.reset();
-        assert_eq!(l.total(), 0);
-    }
-
-    #[test]
     fn max_where_masks() {
         let l = ProbeLedger::new(3);
         for _ in 0..5 {
@@ -174,17 +154,14 @@ mod tests {
 
     #[test]
     fn concurrent_recording() {
+        // Four players probing in the same rounds, interleaved as one
+        // synchronous phase records them.
         let l = ProbeLedger::new(4);
-        std::thread::scope(|s| {
+        for _ in 0..1000 {
             for t in 0..4u32 {
-                let l = &l;
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        l.record(t);
-                    }
-                });
+                l.record(t);
             }
-        });
+        }
         assert_eq!(l.total(), 4000);
         assert_eq!(l.max(), 1000);
     }

@@ -19,21 +19,24 @@
 //!   map — each snapshot stays immutable, so the purity contract (and every
 //!   determinism test) survives time-varying scenarios.
 //! * [`Oracle`] — the only path to the hidden truth; every probe is
-//!   counted against the probing player in a lock-free [`ProbeLedger`].
+//!   counted against the probing player in a [`ProbeLedger`].
 //!   Probe complexity is the paper's sole cost measure, so the ledger is the
 //!   measurement instrument for every experiment.
 //! * [`Board`] — the bulletin board as a communication meter. Each step
 //!   hands its outputs to the next in memory and posts only a count: one
 //!   vector post per `(scope, author)`, one claim post per
-//!   `(scope, object, author)`. One mutex guards the per-scope counts and
-//!   the [`BoardStats`] totals. Scopes opened with [`Board::scope`] are
+//!   `(scope, object, author)`, kept as plain per-scope counts beside the
+//!   [`BoardStats`] totals. Scopes opened with [`Board::scope`] are
 //!   *retired* by path prefix when their step completes, so the live
 //!   counts track the current step's working set and the stats keep the
 //!   peak.
-//! * [`par`] — "all players do X" phase helpers that run in order on the
-//!   calling thread, plus [`par::par_map_coarse`], the workspace's one
-//!   compute fork (whole runs and sweep points, under one thread budget)
-//!   with index-ordered results: speed without giving up reproducibility.
+//! * [`par`] — [`par::par_map_coarse`], the workspace's one compute fork
+//!   (whole runs and sweep points, under one thread budget) with
+//!   index-ordered results: speed without giving up reproducibility.
+//!
+//! A run executes on the thread that entered it, so the oracle's ledger
+//! and memo and the board are single-thread cells: they move between
+//! threads with their run but cannot be shared by two.
 //!
 //! Synchrony is modeled at *phase* granularity rather than per-probe
 //! lockstep: every protocol step of Figures 1–2 is a bulk "all players do X,

@@ -1,6 +1,6 @@
 //! The probe oracle: metered access to hidden preferences.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::{IntoTruthSource, LedgerSnapshot, ProbeLedger, TruthSource};
@@ -36,11 +36,29 @@ pub const MEMO_LIMIT_BITS: usize = 1 << 28;
 /// accounting so giant streaming worlds stay `O(n)`-memory.
 /// [`Oracle::new_uncached`] forces raw per-call accounting for analyses
 /// that want the paper's literal counting.
+///
+/// # One run, one thread
+///
+/// The ledger and the memo are plain cells: a run executes on the thread
+/// that entered it, so an oracle may move to another thread but cannot be
+/// shared between threads. This does not compile:
+///
+/// ```compile_fail,E0277
+/// use byzscore_bitset::BitMatrix;
+/// use byzscore_board::Oracle;
+///
+/// let truth = BitMatrix::zeros(2, 2);
+/// let oracle = Oracle::new(&truth);
+/// std::thread::scope(|s| {
+///     s.spawn(|| oracle.probe(0, 0));
+///     oracle.probe(1, 1);
+/// });
+/// ```
 pub struct Oracle {
     truth: Arc<dyn TruthSource>,
     ledger: ProbeLedger,
     /// One bit per (player, object): probed before? `None` = uncached mode.
-    seen: Option<Vec<AtomicU64>>,
+    seen: Option<Vec<Cell<u64>>>,
     cols: usize,
 }
 
@@ -50,8 +68,7 @@ impl Oracle {
     pub fn new(truth: impl IntoTruthSource) -> Self {
         let truth = truth.into_truth_source();
         let bits = truth.players() * truth.objects();
-        let seen = (bits <= MEMO_LIMIT_BITS)
-            .then(|| (0..bits.div_ceil(64)).map(|_| AtomicU64::new(0)).collect());
+        let seen = (bits <= MEMO_LIMIT_BITS).then(|| vec![Cell::new(0); bits.div_ceil(64)]);
         Oracle {
             ledger: ProbeLedger::new(truth.players()),
             seen,
@@ -91,13 +108,9 @@ impl Oracle {
     /// Player `player` probes `object`, learning its own true preference.
     /// Charged to the ledger (first evaluation only, in memoized mode).
     ///
-    /// In memoized mode the seen bit is read with a plain load first: a
-    /// repeat (most calls in a protocol run) is then one load and no
-    /// read-modify-write. Seen bits are only ever set, so a set bit is
-    /// final; when the load sees it clear, the `fetch_or` decides the
-    /// charge, so a first evaluation is charged exactly once even when
-    /// threads race on it. A seen bit publishes no other data, so both
-    /// accesses are `Relaxed`.
+    /// In memoized mode a repeat (most calls in a protocol run) is one
+    /// load of the seen word and no store; the bit is set only on a first
+    /// evaluation.
     #[inline]
     pub fn probe(&self, player: u32, object: u32) -> bool {
         let charge = match &self.seen {
@@ -106,23 +119,18 @@ impl Oracle {
                 let bit = player as usize * self.cols + object as usize;
                 let mask = 1u64 << (bit % 64);
                 let word = &seen[bit / 64];
-                word.load(Ordering::Relaxed) & mask == 0
-                    && word.fetch_or(mask, Ordering::Relaxed) & mask == 0
+                let bits = word.get();
+                let first = bits & mask == 0;
+                if first {
+                    word.set(bits | mask);
+                }
+                first
             }
         };
         if charge {
             self.ledger.record(player);
         }
         self.truth.value(player, object)
-    }
-
-    /// Whether repeat probes are deduplicated (memoized mode) or charged
-    /// per call (literal accounting). [`Oracle::new`] picks memoized while
-    /// the seen-bitmap fits; consumers comparing probe counts across world
-    /// sizes should check this so a mode switch is never mistaken for a
-    /// probe-complexity knee.
-    pub fn is_memoized(&self) -> bool {
-        self.seen.is_some()
     }
 
     /// Probe accounting.
@@ -206,22 +214,19 @@ mod tests {
 
     #[test]
     fn memoized_concurrent_charging_is_exact() {
+        // Four players each sweep the same 256 objects three times,
+        // interleaved probe by probe as one synchronous phase issues them.
         let truth = BitMatrix::zeros(4, 256);
         let o = Oracle::new(&truth);
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let o = &o;
-                s.spawn(move || {
-                    for rep in 0..3 {
-                        let _ = rep;
-                        for obj in 0..256u32 {
-                            o.probe(t, obj);
-                        }
-                    }
-                });
+        for _rep in 0..3 {
+            for obj in 0..256u32 {
+                for t in 0..4u32 {
+                    o.probe(t, obj);
+                }
             }
-        });
-        // Each player touched 256 distinct objects, three times each.
+        }
+        // Each player touched 256 distinct objects, three times each: a
+        // repeat probe is not charged.
         for p in 0..4 {
             assert_eq!(o.ledger().count(p), 256);
         }

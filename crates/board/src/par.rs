@@ -1,14 +1,15 @@
-//! Phases run inline; one coarse fan-out forks, under one thread budget.
+//! Runs execute inline; one coarse fan-out forks, under one thread budget.
 //!
 //! Every step of Figures 1–2 has the shape "all players do X". The paper
 //! counts *probes*, not wall-clock, and its phases are synchronous over a
 //! free billboard, so the order a phase visits its players in carries no
-//! semantics. The rule here: **a phase runs on the thread that entered
-//! it** — [`par_map_players`], [`par_map_items`] and [`par_update_items`]
-//! are in-order loops that keep the "all players do X" reading at their
-//! call sites — and [`par_map_coarse`] is the only place the workspace
-//! forks for compute (CI enforces it). A phase-level fork never paid on
-//! any measured workload (DESIGN.md §4.10 has the numbers).
+//! semantics. The rule here: **a run executes on the thread that entered
+//! it**. Its phases are plain loops, and its meters (the oracle's ledger
+//! and memo, the board, the candidate meter) are single-thread cells, so
+//! the compiler rejects sharing one run between threads. [`par_map_coarse`]
+//! is the only place the workspace forks for compute, over whole runs and
+//! sweep points (CI enforces it). A phase-level fork never paid on any
+//! measured workload (DESIGN.md §4.10).
 //!
 //! # The budget
 //!
@@ -135,34 +136,32 @@ where
         .collect()
 }
 
-/// Apply `f` to every player index in `0..n`, in player order, on the
-/// calling thread.
+/// `f` over `0..n`, in order. Kept only because the `perf/` benchmark
+/// still calls it; product code writes the loop.
+#[doc(hidden)]
 pub fn par_map_players<T, F>(n: usize, f: F) -> Vec<T>
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: FnMut(usize) -> T,
 {
     (0..n).map(f).collect()
 }
 
-/// Apply `f` to each item of `items`, in order, on the calling thread.
+/// `f` over `items`, in order. Kept only because the `perf/` benchmark
+/// still calls it; product code writes the loop.
+#[doc(hidden)]
 pub fn par_map_items<I, T, F>(items: &[I], f: F) -> Vec<T>
 where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
+    F: FnMut(&I) -> T,
 {
     items.iter().map(f).collect()
 }
 
-/// Mutate every item of `items` in place: `f(i, &mut items[i])`, in
-/// order, on the calling thread. The in-place sibling of
-/// [`par_map_items`] for phases that advance per-player state (the fused
-/// `RSelect` tournaments) instead of producing fresh vectors.
-pub fn par_update_items<T, F>(items: &mut [T], f: F)
+/// `f(i, &mut items[i])` for every item, in order. Kept only because the
+/// `perf/` benchmark still calls it; product code writes the loop.
+#[doc(hidden)]
+pub fn par_update_items<T, F>(items: &mut [T], mut f: F)
 where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
+    F: FnMut(usize, &mut T),
 {
     for (i, item) in items.iter_mut().enumerate() {
         f(i, item);

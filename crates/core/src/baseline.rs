@@ -19,7 +19,6 @@
 use byzscore_adversary::Phase;
 use byzscore_bitset::{BitVec, ColumnCounter};
 use byzscore_blocks::Ctx;
-use byzscore_board::par::par_map_players;
 use byzscore_model::Planted;
 use byzscore_random::{choose_k, tags};
 
@@ -49,15 +48,16 @@ pub fn naive_sampling(ctx: &Ctx<'_>, params: &ProtocolParams) -> Vec<BitVec> {
     let sample = choose_k(&mut rng, m, r_size);
 
     // Every player probes all of R directly.
-    let zvecs: Vec<BitVec> = par_map_players(n, |p| {
-        let p32 = p as u32;
-        if ctx.behaviors.is_dishonest(p32) {
-            ctx.behaviors
-                .vector_claim(Phase::ClusterFormation, p32, &sample)
-        } else {
-            BitVec::from_fn(sample.len(), |k| ctx.oracle.probe(p32, sample[k]))
-        }
-    });
+    let zvecs: Vec<BitVec> = (0..n as u32)
+        .map(|p| {
+            if ctx.behaviors.is_dishonest(p) {
+                ctx.behaviors
+                    .vector_claim(Phase::ClusterFormation, p, &sample)
+            } else {
+                BitVec::from_fn(sample.len(), |k| ctx.oracle.probe(p, sample[k]))
+            }
+        })
+        .collect();
 
     // Group the z-vectors and tabulate their distances ONCE — they are
     // guess-invariant (see above).
@@ -91,22 +91,23 @@ pub fn solo(ctx: &Ctx<'_>, params: &ProtocolParams) -> Vec<BitVec> {
     let budget = ((params.budget() as f64 * ln_n).ceil() as usize).clamp(1, m);
 
     // Everyone probes their own random objects and posts the results.
-    let probes: Vec<Vec<(u32, bool)>> = par_map_players(n, |p| {
-        let p32 = p as u32;
-        let mut rng = ctx.player_rng(p32, &[0x5010]);
-        let picks = choose_k(&mut rng, m, budget);
-        picks
-            .into_iter()
-            .map(|o| {
-                let v = if ctx.behaviors.is_dishonest(p32) {
-                    ctx.behaviors.bit_claim(Phase::WorkSharing, p32, o)
-                } else {
-                    ctx.oracle.probe(p32, o)
-                };
-                (o, v)
-            })
-            .collect()
-    });
+    let probes: Vec<Vec<(u32, bool)>> = (0..n as u32)
+        .map(|p| {
+            let mut rng = ctx.player_rng(p, &[0x5010]);
+            let picks = choose_k(&mut rng, m, budget);
+            picks
+                .into_iter()
+                .map(|o| {
+                    let v = if ctx.behaviors.is_dishonest(p) {
+                        ctx.behaviors.bit_claim(Phase::WorkSharing, p, o)
+                    } else {
+                        ctx.oracle.probe(p, o)
+                    };
+                    (o, v)
+                })
+                .collect()
+        })
+        .collect();
 
     ctx.board
         .scope(&[0x5010])
@@ -121,13 +122,16 @@ pub fn solo(ctx: &Ctx<'_>, params: &ProtocolParams) -> Vec<BitVec> {
     }
     let majority = counter.majority(false);
 
-    par_map_players(n, |p| {
-        let mut out = majority.clone();
-        for &(o, v) in &probes[p] {
-            out.set(o as usize, v);
-        }
-        out
-    })
+    probes
+        .iter()
+        .map(|player_probes| {
+            let mut out = majority.clone();
+            for &(o, v) in player_probes {
+                out.set(o as usize, v);
+            }
+            out
+        })
+        .collect()
 }
 
 /// Majority vote over the whole population for every object.

@@ -80,7 +80,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use byzscore_bitset::{BitMatrix, BitVec, Bits};
-use byzscore_board::par::par_map_players;
 
 /// A clustering of the players.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -604,22 +603,24 @@ impl NeighborIndex {
     /// Degrees are below `n`, which `u32` player ids bound.
     fn group_degrees(&self) -> Vec<u32> {
         let sizes = &self.groups.sizes;
-        par_map_players(sizes.len(), |g| {
-            if let Some(row) = self.decisive_row(g) {
-                // The diagonal (distance 0) adds `|g|`: one more than the
-                // mates.
-                let limit = self.threshold as u16;
-                let within: u32 = row
-                    .iter()
-                    .zip(sizes)
-                    .map(|(&d, &size)| if d <= limit { size } else { 0 })
-                    .sum();
-                return within - 1;
-            }
-            let mut deg = sizes[g] - 1;
-            self.for_each_adjacent_group(g, |h| deg += sizes[h]);
-            deg
-        })
+        (0..sizes.len())
+            .map(|g| {
+                if let Some(row) = self.decisive_row(g) {
+                    // The diagonal (distance 0) adds `|g|`: one more than
+                    // the mates.
+                    let limit = self.threshold as u16;
+                    let within: u32 = row
+                        .iter()
+                        .zip(sizes)
+                        .map(|(&d, &size)| if d <= limit { size } else { 0 })
+                        .sum();
+                    return within - 1;
+                }
+                let mut deg = sizes[g] - 1;
+                self.for_each_adjacent_group(g, |h| deg += sizes[h]);
+                deg
+            })
+            .collect()
     }
 
     /// Degree of every player (neighbor counts).
@@ -635,7 +636,7 @@ impl NeighborIndex {
     /// Materialize the full player adjacency (sorted rows). Intended for
     /// tests and small inputs; defeats the purpose of the index at scale.
     pub fn adjacency(&self) -> Vec<Vec<u32>> {
-        par_map_players(self.n(), |p| self.neighbors_of(p))
+        (0..self.n()).map(|p| self.neighbors_of(p)).collect()
     }
 
     /// Greedy peeling of §6.5 over the group graph — output is identical
@@ -784,16 +785,15 @@ impl NeighborIndex {
 /// rows.
 fn materialize(rows: &BitMatrix, threshold: usize) -> Vec<Vec<u32>> {
     let n = rows.rows();
-    par_map_players(n, |p| {
-        let zp = rows.row(p);
-        let mut adj = Vec::new();
-        for q in 0..n {
-            if q != p && zp.hamming_within(&rows.row(q), threshold).is_some() {
-                adj.push(q as u32);
-            }
-        }
-        adj
-    })
+    (0..n)
+        .map(|p| {
+            let zp = rows.row(p);
+            (0..n)
+                .filter(|&q| q != p && zp.hamming_within(&rows.row(q), threshold).is_some())
+                .map(|q| q as u32)
+                .collect()
+        })
+        .collect()
 }
 
 /// The neighbor graph straight from the definition: `(p, q)` is an edge

@@ -21,8 +21,9 @@
 //! — so every per-round guarantee, metric, and determinism property of
 //! the static machinery carries over unchanged, on dense and procedural
 //! pools alike. The whole trajectory is a pure function of
-//! `(pool, schedules, master seed)`: `tests/determinism.rs` pins
-//! bit-identity across 1/2/8 worker threads and across substrates.
+//! `(pool, schedules, master seed)`: `tests/determinism.rs` pins that a
+//! rerun is bit-identical, and `tests/dynamic_world.rs` pins it across
+//! substrates.
 
 use std::sync::Arc;
 

@@ -17,7 +17,6 @@
 use byzscore_adversary::Phase;
 use byzscore_bitset::BitVec;
 use byzscore_blocks::{Ctx, StreamingRSelect};
-use byzscore_board::par::par_update_items;
 use rand::rngs::SmallRng;
 
 /// An honest player's in-flight tournament: the streaming selector plus
@@ -48,42 +47,34 @@ impl FusedSelect {
     /// Feed one guess's candidates (one per player) into the tournaments.
     pub(crate) fn absorb(&mut self, ctx: &Ctx<'_>, w_d: Vec<BitVec>, objects: &[u32]) {
         assert_eq!(w_d.len(), self.states.len(), "one candidate per player");
-        let mut pairs: Vec<(Option<BitVec>, &mut PlayerState)> = w_d
-            .into_iter()
-            .map(Some)
-            .zip(self.states.iter_mut())
-            .collect();
-        par_update_items(&mut pairs, |p, (w, state)| {
+        for (p, (cand, state)) in w_d.into_iter().zip(&mut self.states).enumerate() {
             if let Some((sel, rng)) = state.as_mut() {
-                let cand = w.take().expect("candidate consumed once");
                 sel.push(ctx, p as u32, cand, objects, rng);
             }
-        });
+        }
     }
 
     /// Close every tournament and return the per-player winners. Records
     /// the summed per-player peak candidate residency into `ctx.meter`
-    /// when one is attached (the sum of deterministic per-player peaks is
-    /// itself deterministic, whatever the thread count).
+    /// when one is attached.
     pub(crate) fn finish(self, ctx: &Ctx<'_>, objects: &[u32]) -> Vec<BitVec> {
-        type Slot = (PlayerState, Option<BitVec>, u64);
-        let mut slots: Vec<Slot> = self.states.into_iter().map(|s| (s, None, 0)).collect();
-        par_update_items(&mut slots, |p, (state, out, peak)| match state.as_mut() {
-            Some((sel, rng)) => {
-                let (_, winner) = sel.finish_round(ctx, p as u32, objects, rng);
-                *peak = sel.peak_bytes();
-                *out = Some(winner);
-            }
-            None => {
-                *out = Some(ctx.behaviors.vector_claim(Phase::Other, p as u32, objects));
-            }
-        });
-        if let Some(meter) = ctx.meter {
-            meter.add_peak(slots.iter().map(|(_, _, peak)| peak).sum());
-        }
-        slots
+        let mut peak_bytes = 0;
+        let winners = self
+            .states
             .into_iter()
-            .map(|(_, out, _)| out.expect("every player produced an output"))
-            .collect()
+            .enumerate()
+            .map(|(p, state)| match state {
+                Some((mut sel, mut rng)) => {
+                    let (_, winner) = sel.finish_round(ctx, p as u32, objects, &mut rng);
+                    peak_bytes += sel.peak_bytes();
+                    winner
+                }
+                None => ctx.behaviors.vector_claim(Phase::Other, p as u32, objects),
+            })
+            .collect();
+        if let Some(meter) = ctx.meter {
+            meter.add_peak(peak_bytes);
+        }
+        winners
     }
 }

@@ -12,7 +12,6 @@
 use byzscore_adversary::Phase;
 use byzscore_bitset::{BitVec, ColumnCounter};
 use byzscore_blocks::Ctx;
-use byzscore_board::par::par_map_items;
 use byzscore_board::scope_id;
 use byzscore_random::{choose_k, tags};
 
@@ -36,18 +35,12 @@ pub fn share_work(
     scope_path: &[u64],
     rig: bool,
 ) -> Vec<BitVec> {
-    let indexed: Vec<usize> = (0..clustering.clusters.len()).collect();
-    let per_cluster: Vec<BitVec> = par_map_items(&indexed, |&ci| {
-        cluster_majority(
-            ctx,
-            &clustering.clusters[ci],
-            ci,
-            n_objects,
-            reps,
-            scope_path,
-            rig,
-        )
-    });
+    let per_cluster: Vec<BitVec> = clustering
+        .clusters
+        .iter()
+        .enumerate()
+        .map(|(ci, members)| cluster_majority(ctx, members, ci, n_objects, reps, scope_path, rig))
+        .collect();
 
     clustering
         .assignment

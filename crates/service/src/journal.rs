@@ -593,9 +593,13 @@ pub struct CompactionPolicy {
 }
 
 impl CompactionPolicy {
-    /// True when the current tail crosses a threshold.
+    /// True when the current tail crosses a threshold. An empty tail is
+    /// never due: there is nothing to compact, so a zero threshold runs a
+    /// cycle after each mutating op, not after every read.
     pub fn due(&self, tail_ops: u64, tail_bytes: u64) -> bool {
-        self.every.is_some_and(|n| tail_ops >= n) || self.bytes.is_some_and(|b| tail_bytes >= b)
+        tail_ops > 0
+            && (self.every.is_some_and(|n| tail_ops >= n)
+                || self.bytes.is_some_and(|b| tail_bytes >= b))
     }
 }
 
@@ -1111,6 +1115,34 @@ mod tests {
             .expect("open");
         je.submit(1, &parse_op("epoch 0").unwrap()).expect("epoch");
         je
+    }
+
+    /// A zero threshold compacts after each mutating op only: reads
+    /// leave the tail empty, so they never run a checkpoint cycle.
+    #[test]
+    fn zero_threshold_skips_cycles_on_an_empty_tail() {
+        let path = temp_path("zero_every");
+        let policy = CompactionPolicy {
+            every: Some(0),
+            bytes: None,
+        };
+        let mut je = create(&path, policy).expect("create");
+        je.submit(0, &parse_op("open 8 16 2 2 5 naive 2 0 0 7").unwrap())
+            .expect("open");
+        for seq in 1..3 {
+            je.submit(seq, &parse_op("query 0 0,1,2 -").unwrap())
+                .expect("query");
+        }
+        assert_eq!(je.checkpoints(), 1, "only the open left a tail to compact");
+        assert_eq!(je.tail_ops(), 0);
+        drop(je);
+        for file in [
+            path.clone(),
+            checkpoint::checkpoint_path(&path),
+            checkpoint::previous_checkpoint_path(&path),
+        ] {
+            let _ = std::fs::remove_file(file);
+        }
     }
 
     /// A torn tail — partial bytes after the last newline, written at

@@ -5,7 +5,7 @@
 //! seed); [`Trace::to_text`] / [`Trace::from_text`] round-trip it
 //! through the `byzscore-trace/v1` line format, so a committed trace
 //! file replays bit-identically anywhere (`tests/determinism.rs` pins
-//! this across 1/2/8 worker threads).
+//! the round trip and the replay).
 //!
 //! # Format (`byzscore-trace/v1`)
 //!

@@ -208,17 +208,10 @@ fn elections_are_deterministic_and_seed_sensitive() {
 static THREAD_LIMIT_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
-fn results_are_identical_across_worker_thread_counts() {
-    // The engine's `--threads` override must never change results: a
-    // `Robust` run (elections + repetitions + RSelect, the maximal
-    // par_map_players consumer) has to be bit-identical under 1, 2, and 8
-    // worker threads. This is the regression fence for the par.rs
-    // invariant that outputs are collected by player index.
-    use byzscore_board::par::{par_map_players, set_thread_limit};
-
-    let _gate = THREAD_LIMIT_GATE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+fn robust_run_repeats_bit_identically() {
+    // A `Robust` run (elections + repetitions + RSelect) is a pure
+    // function of its inputs: a rerun reproduces the output, the probe
+    // ledger and the election transcript.
     let inst = world(8);
     let run = || {
         Session::builder()
@@ -231,41 +224,24 @@ fn results_are_identical_across_worker_thread_counts() {
 
     let reference = run();
     let ref_leaders: Vec<u32> = reference.repetitions.iter().map(|r| r.leader).collect();
-    let ref_direct = par_map_players(257, |p| p.wrapping_mul(0x9e37_79b9) ^ 0x5bd1);
-
-    for threads in [1usize, 2, 8] {
-        set_thread_limit(Some(threads));
-        let out = run();
-        assert_eq!(
-            out.output, reference.output,
-            "Robust output differs at {threads} worker thread(s)"
-        );
-        assert_eq!(
-            out.probes.counts(),
-            reference.probes.counts(),
-            "probe ledger differs at {threads} worker thread(s)"
-        );
-        let leaders: Vec<u32> = out.repetitions.iter().map(|r| r.leader).collect();
-        assert_eq!(
-            leaders, ref_leaders,
-            "election transcript differs at {threads} worker thread(s)"
-        );
-        assert_eq!(
-            par_map_players(257, |p| p.wrapping_mul(0x9e37_79b9) ^ 0x5bd1),
-            ref_direct,
-            "par_map_players order differs at {threads} worker thread(s)"
-        );
-    }
-    set_thread_limit(None);
+    let out = run();
+    assert_eq!(out.output, reference.output, "Robust output differs");
+    assert_eq!(
+        out.probes.counts(),
+        reference.probes.counts(),
+        "probe ledger differs"
+    );
+    let leaders: Vec<u32> = out.repetitions.iter().map(|r| r.leader).collect();
+    assert_eq!(leaders, ref_leaders, "election transcript differs");
 }
 
 #[test]
 fn run_sweep_is_bit_identical_across_thread_counts() {
     // Parallel sweep points must not perturb per-point RNG streams: a
     // `run_sweep` over mixed algorithms has to match sequential `run` calls
-    // and be bit-identical under 1, 2, and 8 worker threads (the same fence
-    // `results_are_identical_across_worker_thread_counts` provides for
-    // intra-run phase parallelism).
+    // and be bit-identical under 1, 2, and 8 worker threads. Sweep points
+    // are what `par_map_coarse` forks, so this sweep really runs them on
+    // different workers.
     use byzscore::ClusterSpec;
     use byzscore_board::par::set_thread_limit;
 
@@ -343,18 +319,12 @@ fn run_sweep_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn fused_rselect_is_bit_identical_across_thread_counts() {
+fn fused_rselect_reruns_bit_identically() {
     // The streaming RSelect tournaments advance inside the guess loop and
-    // record per-player peak candidate residency; both the outputs and the
-    // summed `peak_candidate_bytes` must be bit-identical under 1, 2, and
-    // 8 worker threads for every fused consumer (Figure 2's per-guess
-    // tournament, the naive baseline's, and the robust wrapper's final
-    // cross-repetition one).
-    use byzscore_board::par::set_thread_limit;
-
-    let _gate = THREAD_LIMIT_GATE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    // record per-player peak candidate residency; a rerun reproduces both
+    // the outputs and the summed `peak_candidate_bytes` for every fused
+    // consumer (Figure 2's per-guess tournament, the naive baseline's, and
+    // the robust wrapper's final cross-repetition one).
     let inst = world(14);
     let session = Session::builder()
         .instance(&inst)
@@ -373,46 +343,35 @@ fn fused_rselect_is_bit_identical_across_thread_counts() {
             "{}: fused tournaments should meter candidate residency",
             alg.name()
         );
-        for threads in [1usize, 2, 8] {
-            set_thread_limit(Some(threads));
-            let out = session.run(alg, 55);
-            assert_eq!(
-                out.output,
-                reference.output,
-                "{} output differs at {threads} worker thread(s)",
-                alg.name()
-            );
-            assert_eq!(
-                out.probes.counts(),
-                reference.probes.counts(),
-                "{} probe ledger differs at {threads} worker thread(s)",
-                alg.name()
-            );
-            assert_eq!(
-                out.peak_candidate_bytes,
-                reference.peak_candidate_bytes,
-                "{} peak candidate bytes differ at {threads} worker thread(s)",
-                alg.name()
-            );
-        }
-        set_thread_limit(None);
+        let out = session.run(alg, 55);
+        assert_eq!(
+            out.output,
+            reference.output,
+            "{} output differs",
+            alg.name()
+        );
+        assert_eq!(
+            out.probes.counts(),
+            reference.probes.counts(),
+            "{} probe ledger differs",
+            alg.name()
+        );
+        assert_eq!(
+            out.peak_candidate_bytes,
+            reference.peak_candidate_bytes,
+            "{} peak candidate bytes differ",
+            alg.name()
+        );
     }
 }
 
 #[test]
-fn banded_clustering_is_bit_identical_across_thread_counts() {
-    // Neighbor discovery runs inline on the calling thread (only
-    // `par_map_coarse` forks, and only whole runs), so the worker limit
-    // must change nothing: the banded `Clustering` must be bit-identical
-    // under 1, 2, and 8 worker threads, and identical to the exact
-    // distance-table path.
+fn banded_clustering_matches_the_exact_index() {
+    // The banded `Clustering` is identical to the exact distance-table
+    // path, and peeling the same banded index again reproduces it.
     use byzscore::cluster::{NeighborIndex, NeighborStrategy};
     use byzscore_bitset::Bits;
-    use byzscore_board::par::set_thread_limit;
 
-    let _gate = THREAD_LIMIT_GATE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     // 512-bit rows: τ = 14 splits into 15 bands of 34 bits and τ = 40
     // into 41 bands of 12 bits, both exact-match banded.
     let inst = Workload::PlantedClusters {
@@ -430,19 +389,17 @@ fn banded_clustering_is_bit_identical_across_thread_counts() {
         let banded = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Banded);
         assert_eq!(banded.mode_name(), "banded", "τ={threshold}");
         let reference = exact.peel(40);
-        for threads in [1usize, 2, 8] {
-            set_thread_limit(Some(threads));
+        for _ in 0..2 {
             let got = banded.peel(40);
             assert_eq!(
                 got.assignment, reference.assignment,
-                "banded assignment differs at {threads} worker thread(s), τ={threshold}"
+                "banded assignment differs, τ={threshold}"
             );
             assert_eq!(
                 got.clusters, reference.clusters,
-                "banded clusters differ at {threads} worker thread(s), τ={threshold}"
+                "banded clusters differ, τ={threshold}"
             );
         }
-        set_thread_limit(None);
     }
 }
 
@@ -532,20 +489,15 @@ fn error_stream_sink_matches_dense_sink() {
 }
 
 #[test]
-fn dynamic_world_is_bit_identical_across_thread_counts() {
+fn dynamic_world_reruns_bit_identically() {
     // The dynamic-world trajectory — drifting truth, churn remapping, and
     // an adaptive adversary re-targeting between rounds — must be a pure
-    // function of (pool, schedules, master seed): per-round outputs, probe
-    // ledgers, churn decisions, and adaptive targets all bit-identical
-    // under 1, 2, and 8 worker threads. Rounds are sequential, but each
-    // round's phases fan out through par.rs — this is the fence for e14–e16.
+    // function of (pool, schedules, master seed): a rerun reproduces the
+    // per-round outputs, probe ledgers, churn decisions, and adaptive
+    // targets. This is the fence for e14–e16.
     use byzscore::{ChurnSchedule, ClusterSpec, DriftLocality, DriftSchedule, DynamicWorld};
     use byzscore_adversary::{AdaptiveCorruption, AdaptivePolicy};
-    use byzscore_board::par::set_thread_limit;
 
-    let _gate = THREAD_LIMIT_GATE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let build = || {
         DynamicWorld::builder()
             .pool(ClusterSpec {
@@ -575,29 +527,25 @@ fn dynamic_world_is_bit_identical_across_thread_counts() {
     };
 
     let reference = build().run(Algorithm::CalculatePreferences, 3, 0xd3);
-    for threads in [1usize, 2, 8] {
-        set_thread_limit(Some(threads));
-        let got = build().run(Algorithm::CalculatePreferences, 3, 0xd3);
-        assert_eq!(got.rounds.len(), reference.rounds.len());
-        for (g, r) in got.rounds.iter().zip(&reference.rounds) {
-            assert_eq!(
-                g.outcome.output, r.outcome.output,
-                "round {} output differs at {threads} worker thread(s)",
-                r.round
-            );
-            assert_eq!(
-                g.outcome.probes.counts(),
-                r.outcome.probes.counts(),
-                "round {} probe ledger differs at {threads} worker thread(s)",
-                r.round
-            );
-            assert_eq!(g.outcome.errors, r.outcome.errors);
-            assert_eq!(g.retired, r.retired, "churn differs at {threads} threads");
-            assert_eq!(g.joined, r.joined);
-            assert_eq!(g.target_group, r.target_group);
-        }
+    let got = build().run(Algorithm::CalculatePreferences, 3, 0xd3);
+    assert_eq!(got.rounds.len(), reference.rounds.len());
+    for (g, r) in got.rounds.iter().zip(&reference.rounds) {
+        assert_eq!(
+            g.outcome.output, r.outcome.output,
+            "round {} output differs",
+            r.round
+        );
+        assert_eq!(
+            g.outcome.probes.counts(),
+            r.outcome.probes.counts(),
+            "round {} probe ledger differs",
+            r.round
+        );
+        assert_eq!(g.outcome.errors, r.outcome.errors);
+        assert_eq!(g.retired, r.retired, "churn differs");
+        assert_eq!(g.joined, r.joined);
+        assert_eq!(g.target_group, r.target_group);
     }
-    set_thread_limit(None);
 
     // The graded drift trajectory obeys the same invariant.
     use byzscore::graded::{score_graded_drift, DriftingGrades, GradeMatrix};
@@ -605,31 +553,23 @@ fn dynamic_world_is_bit_identical_across_thread_counts() {
     let world = DriftingGrades::new(&base, &DriftSchedule::uniform(0.01, 0xd4));
     let params = byzscore::ProtocolParams::with_budget(4);
     let reference = score_graded_drift(&world, &params, Algorithm::CalculatePreferences, 2, 0xd5);
-    for threads in [1usize, 8] {
-        set_thread_limit(Some(threads));
-        let got = score_graded_drift(&world, &params, Algorithm::CalculatePreferences, 2, 0xd5);
-        for (g, r) in got.iter().zip(&reference) {
-            assert_eq!(
-                g.predicted, r.predicted,
-                "graded drift differs at {threads} worker thread(s)"
-            );
-            assert_eq!(g.max_l1, r.max_l1);
-        }
+    let got = score_graded_drift(&world, &params, Algorithm::CalculatePreferences, 2, 0xd5);
+    for (g, r) in got.iter().zip(&reference) {
+        assert_eq!(g.predicted, r.predicted, "graded drift differs");
+        assert_eq!(g.max_l1, r.max_l1);
     }
-    set_thread_limit(None);
 }
 
 #[test]
-fn committed_service_trace_replays_identically_across_thread_counts() {
+fn committed_service_trace_replays_to_its_pinned_digest() {
     // The repo carries a recorded service workload (traces/service_quick
     // .trace); replaying it must reproduce the digest pinned in
-    // traces/DIGESTS, per-op, at 1, 2, and 8 worker threads. Any engine
-    // change that shifts responses has to regenerate the trace and the
-    // manifest together — that is the point: the pair is the
+    // traces/DIGESTS, and a second engine must reproduce it per op. Any
+    // engine change that shifts responses has to regenerate the trace and
+    // the manifest together — that is the point: the pair is the
     // compatibility fence for the byzscore-trace/v1 format and the
     // service's answer semantics. CI's bench-gate and service-e2e jobs
     // read the same manifest, so a trace rotation is a one-file edit.
-    use byzscore_board::par::set_thread_limit;
     use byzscore_service::{combined_digest, parse_digests, ServiceEngine, Trace};
 
     let manifest_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../traces/DIGESTS");
@@ -641,9 +581,6 @@ fn committed_service_trace_replays_identically_across_thread_counts() {
         .map(|(_, digest)| digest)
         .expect("service_quick.trace pinned in traces/DIGESTS");
 
-    let _gate = THREAD_LIMIT_GATE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../traces/service_quick.trace");
     let text = std::fs::read_to_string(path).expect("committed trace readable");
     let trace = Trace::from_text(&text).expect("committed trace parses");
@@ -657,27 +594,19 @@ fn committed_service_trace_replays_identically_across_thread_counts() {
     );
     let ref_digests: Vec<u64> = reference.iter().map(|r| r.digest()).collect();
 
-    for threads in [1usize, 2, 8] {
-        set_thread_limit(Some(threads));
-        let got: Vec<u64> = ServiceEngine::new()
-            .execute(&trace.ops)
-            .iter()
-            .map(|r| r.digest())
-            .collect();
-        assert_eq!(
-            got, ref_digests,
-            "per-op digests differ at {threads} worker thread(s)"
-        );
-    }
-    set_thread_limit(None);
+    let got: Vec<u64> = ServiceEngine::new()
+        .execute(&trace.ops)
+        .iter()
+        .map(|r| r.digest())
+        .collect();
+    assert_eq!(got, ref_digests, "per-op digests differ");
 }
 
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
     /// Trace round trip: a generated workload survives serialize →
     /// deserialize exactly, and the deserialized copy replays to the
-    /// same per-op response digests as the original at 1, 2, and 8
-    /// worker threads.
+    /// same per-op response digests as the original.
     #[test]
     fn service_trace_round_trips_and_replays_bit_identically(
         seed in 0u64..1000,
@@ -687,7 +616,6 @@ proptest::proptest! {
         churn_w in 0u32..4,
         epoch_w in 0u32..3,
     ) {
-        use byzscore_board::par::set_thread_limit;
         use byzscore_service::{
             CompactionPolicy, JournaledEngine, OpMix, ServiceAlgorithm, Trace, TraceSpec,
         };
@@ -713,16 +641,9 @@ proptest::proptest! {
         let parsed = Trace::from_text(&text).expect("generated trace parses back");
         prop_assert_eq!(&parsed, &trace);
 
-        let _gate = THREAD_LIMIT_GATE
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let reference: Vec<u64> = trace.replay().iter().map(|r| r.digest()).collect();
-        for threads in [1usize, 2, 8] {
-            set_thread_limit(Some(threads));
-            let got: Vec<u64> = parsed.replay().iter().map(|r| r.digest()).collect();
-            prop_assert_eq!(&got, &reference);
-        }
-        set_thread_limit(None);
+        let got: Vec<u64> = parsed.replay().iter().map(|r| r.digest()).collect();
+        prop_assert_eq!(&got, &reference);
 
         // The journal-less op pipeline (what an unjournaled server and
         // `scored serve` drive) is one more executor that must agree,

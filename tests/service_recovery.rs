@@ -13,7 +13,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use byzscore_board::par::set_thread_limit;
 use byzscore_service::checkpoint::{checkpoint_path, previous_checkpoint_path};
 use byzscore_service::net::{
     replay_with_options, request_shutdown, request_stats, serve_lines, ReplayOptions,
@@ -369,65 +368,60 @@ fn stalled_admission_trips_the_deadline_and_dedupes() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Checkpoint round-trip through the socket server, killed mid-trace,
-/// at 1/2/8 worker threads: the recovered server must come up from a
-/// checkpoint (not a full-journal replay) and the concatenated answers
-/// must match the uninterrupted in-process run bit-for-bit at every
-/// thread count — the warm≡cold pin extended to snapshot state.
+/// Checkpoint round-trip through the socket server, killed mid-trace:
+/// the recovered server must come up from a checkpoint (not a
+/// full-journal replay) and the concatenated answers must match the
+/// uninterrupted in-process run bit-for-bit — the warm≡cold pin extended
+/// to snapshot state.
 #[test]
-fn compaction_recovery_is_thread_count_invariant() {
+fn checkpointed_crash_recovers_with_identical_answers() {
     let trace = Trace::generate(&TraceSpec::small(31));
     let expected = trace.replay();
     let cut = 2 * trace.ops.len() / 3;
-    for threads in [1usize, 2, 8] {
-        set_thread_limit(Some(threads));
-        let path = temp_journal(&format!("ckpt_threads{threads}"));
-        scrub(&path);
+    let path = temp_journal("ckpt_recovery");
+    scrub(&path);
 
-        let before = spawn_server(NetConfig {
+    let before = spawn_server(NetConfig {
+        journal: Some(path.clone()),
+        compact_every: Some(4),
+        ..NetConfig::default()
+    });
+    let first = replay_with_options(before, &trace.ops[..cut], ReplayOptions::default())
+        .expect("prefix replay succeeds");
+
+    let recovered = Server::bind(
+        "127.0.0.1:0",
+        NetConfig {
             journal: Some(path.clone()),
+            recover: true,
             compact_every: Some(4),
             ..NetConfig::default()
-        });
-        let first = replay_with_options(before, &trace.ops[..cut], ReplayOptions::default())
-            .expect("prefix replay succeeds");
+        },
+    )
+    .expect("recovery bind succeeds");
+    assert_eq!(
+        recovered.recovery().map(|r| r.source),
+        Some(RecoverySource::Checkpoint),
+        "with every=4 compaction the prefix leaves a covering checkpoint"
+    );
+    let mutating = trace.ops[..cut].iter().filter(|o| o.is_mutating()).count();
+    assert!(
+        recovered.recovered_ops() < mutating,
+        "the checkpoint bounded the tail below a full replay ({} vs {mutating})",
+        recovered.recovered_ops()
+    );
+    let after = recovered.local_addr();
+    thread::spawn(move || recovered.run());
+    let rest = replay_with_options(after, &trace.ops[cut..], ReplayOptions::default())
+        .expect("post-recovery replay succeeds");
 
-        let recovered = Server::bind(
-            "127.0.0.1:0",
-            NetConfig {
-                journal: Some(path.clone()),
-                recover: true,
-                compact_every: Some(4),
-                ..NetConfig::default()
-            },
-        )
-        .expect("recovery bind succeeds");
-        assert_eq!(
-            recovered.recovery().map(|r| r.source),
-            Some(RecoverySource::Checkpoint),
-            "with every=4 compaction the prefix leaves a covering checkpoint"
-        );
-        let mutating = trace.ops[..cut].iter().filter(|o| o.is_mutating()).count();
-        assert!(
-            recovered.recovered_ops() < mutating,
-            "the checkpoint bounded the tail below a full replay \
-             ({} vs {mutating} at {threads} threads)",
-            recovered.recovered_ops()
-        );
-        let after = recovered.local_addr();
-        thread::spawn(move || recovered.run());
-        let rest = replay_with_options(after, &trace.ops[cut..], ReplayOptions::default())
-            .expect("post-recovery replay succeeds");
-
-        let mut all = first.responses;
-        all.extend(rest.responses);
-        assert_eq!(
-            all, expected,
-            "answers diverged across a checkpointed crash at {threads} threads"
-        );
-        scrub(&path);
-    }
-    set_thread_limit(None);
+    let mut all = first.responses;
+    all.extend(rest.responses);
+    assert_eq!(
+        all, expected,
+        "answers diverged across a checkpointed crash"
+    );
+    scrub(&path);
 }
 
 /// A primary checkpoint that lost its footer (the partial-write tear
