@@ -79,10 +79,11 @@ pub fn e13_scale_frontier(scale: Scale) -> Vec<Table> {
     table.note(format!(
         "NaiveSampling is uncapped (was n≤10⁴): discovery groups \
          bit-identical z-vectors first (planted clusters collapse sample \
-         outputs, so the group graph is far smaller than n), prunes the \
-         group graph with τ+1 exact-match bit-bands while bands stay at \
-         least 8 bits wide, a popcount-prefiltered scan beyond — and peels \
-         lazily: per-player adjacency is never materialized, so each \
+         outputs, so the group graph is far smaller than n), tabulates \
+         representative distances up to 4096 groups and past that \
+         computes each representative's distance row when the peel reads \
+         it — and peels lazily: per-player adjacency is never \
+         materialized, so each \
          planted cluster's clique (~{:.1}e8 adjacency-list entries at \
          n=100000) costs no memory. Dense truth at n=100000, m={m} would \
          be {:.1} MB per run; the procedural backend stores only {b} \

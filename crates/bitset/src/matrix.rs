@@ -2,6 +2,7 @@
 
 use rand::Rng;
 
+use crate::kernel::hamming_words;
 use crate::{tail_mask, words_for, BitVec, Bits, WORD_BITS};
 
 /// A dense binary matrix stored row-major with word-aligned rows.
@@ -134,6 +135,16 @@ impl BitMatrix {
         self.row(a).hamming(&self.row(b))
     }
 
+    /// Hamming distance from row `r` to every row, in row order: exactly
+    /// [`rows`](Self::rows) items (all 0 at zero width). Reads the packed
+    /// words straight through the [`hamming_words`] kernel, with no
+    /// per-row view — the inner loop of an all-pairs pass.
+    pub fn distances_from(&self, r: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let a = self.row(r).words;
+        let stride = self.stride;
+        (0..self.rows).map(move |h| hamming_words(a, &self.data[h * stride..(h + 1) * stride]))
+    }
+
     /// Mutable words of row `r` (internal; callers must preserve the tail
     /// invariant).
     #[inline]
@@ -218,6 +229,32 @@ mod tests {
         let b = BitVec::random(&mut rng, 333);
         let m = BitMatrix::from_rows(&[a.clone(), b.clone()]);
         assert_eq!(m.row_distance(0, 1), a.hamming(&b));
+    }
+
+    #[test]
+    fn distances_from_matches_row_hamming() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        for cols in [1, 63, 64, 65, 185, 196, 1024] {
+            let mut m = BitMatrix::random(&mut rng, 6, cols);
+            // All-zero rows, at either end and between random ones.
+            for r in [0, 3, 5] {
+                m.set_row(r, &BitVec::zeros(cols));
+            }
+            for r in 0..m.rows() {
+                let got: Vec<usize> = m.distances_from(r).collect();
+                let want: Vec<usize> = (0..m.rows()).map(|h| m.row(r).hamming(&m.row(h))).collect();
+                assert_eq!(got, want, "cols={cols} r={r}");
+            }
+        }
+    }
+
+    #[test]
+    fn distances_from_zero_width_yields_every_row() {
+        // No words to walk, yet one distance per row: a short iterator
+        // would silently truncate a caller's `zip`.
+        let m = BitMatrix::zeros(4, 0);
+        assert_eq!(m.distances_from(2).len(), 4);
+        assert_eq!(m.distances_from(2).collect::<Vec<_>>(), [0; 4]);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::ProtocolParams;
 /// are the same for every diameter guess, only the edge threshold `τ`
 /// changes. So the [`GroupCache`] groups the vectors and tabulates the
 /// representative distances once, and each guess only thresholds that
-/// table at its `τ` (or re-bands the representatives, past
+/// table at its `τ` (or computes the rows its peel reads, past
 /// `AUTO_EXACT_MAX`), instead of redoing the full `n`-row discovery
 /// `guesses` times.
 pub fn naive_sampling(ctx: &Ctx<'_>, params: &ProtocolParams) -> Vec<BitVec> {

@@ -14,33 +14,27 @@
 //!    part shrinks by `(G/n)²`; when nothing collapses (`G = n`) the group
 //!    graph *is* the player graph and the pipeline costs one extra hash
 //!    pass.
-//! 2. **Index the representatives.** One of four representative indexes
-//!    answers "which groups are within `τ` of group `g`":
+//! 2. **Index the representatives.** The peel reads, for each
+//!    representative `g`, its `u16` distance row to every representative,
+//!    from one of three representative indexes:
 //!    * *complete* — `τ ≥ |S|`, every pair is an edge (the empty-sample
-//!      sabotage case); nothing is stored;
+//!      sabotage case); nothing is stored or computed;
 //!    * *exact* — a `G × G` table of exact representative distances
-//!      (`u16` cells, each unordered pair computed once), built with the
-//!      grouping and thresholded at `τ` row by row: a [`GroupCache`] pays
-//!      the quadratic pass once per set of `z`-vectors, not once per
-//!      guess, and the peel's degree passes are masked sums over rows;
-//!    * *banded* — a **sound** bit-bucketing prefilter: the `|S|` sample
-//!      coordinates are split into `τ + 1` disjoint bands, and by
-//!      pigeonhole any pair within distance `τ` agrees **exactly** on at
-//!      least one band. Only pairs sharing a band bucket are candidates;
-//!    * *scan* — `τ + 1` bands narrower than `MIN_BAND_BITS`: every pair
-//!      is checked on demand behind a per-band popcount prefilter (the L1
-//!      distance of two popcount profiles lower-bounds the Hamming
-//!      distance).
+//!      (each unordered pair computed once), built with the grouping: a
+//!      [`GroupCache`] pays the quadratic pass once per set of
+//!      `z`-vectors, not once per guess, and each `τ` thresholds its rows;
+//!    * *scan* — no table: row `g` is computed on demand with the same
+//!      word kernel when the peel asks for it.
 //!
-//!    Every candidate any prefilter lets through is verified with an exact
-//!    [`hamming_within`](byzscore_bitset::Bits::hamming_within) — the
-//!    prefilters only prune, never decide — and a table cell saturated at
-//!    `u16::MAX` is re-verified the same way once `τ` reaches it, so all
-//!    four produce the identical edge set. [`NeighborStrategy::Auto`]
-//!    tabulates up to [`AUTO_EXACT_MAX`] representatives (a table of
-//!    `2·G²` bytes, 32 MiB at the cap) and picks banded or scan by band
-//!    width beyond; `Exact` and `Banded` force the choice (how tests reach
-//!    each kind).
+//!    Both kinds of row saturate a distance of `u16::MAX` or more, and a
+//!    saturated cell is re-verified with an exact
+//!    [`hamming_within`](byzscore_bitset::Bits::hamming_within) once `τ`
+//!    reaches it, so all three produce the identical edge set and the
+//!    peel's degree and residual passes are one masked sum over a row for
+//!    either. [`NeighborStrategy::Auto`] tabulates up to
+//!    [`AUTO_EXACT_MAX`] representatives (a table of `2·G²` bytes, 32 MiB
+//!    at the cap) and scans beyond; `Exact` and `Scan` force the choice
+//!    (how tests reach each kind).
 //! 3. **Peel once**, over the group graph ([`NeighborIndex::peel`]):
 //!    groups live and die wholesale and carry their multiplicity as
 //!    weight, so the output is identical to the player-level reference
@@ -61,10 +55,10 @@
 //! | `run_all` quick scale (CI's bench gate), 21 837 builds | 8 455 | players materialized (`n ≤ 4096`) |
 //! | | 7 928 | complete (`τ ≥ len`, the empty-sample case) |
 //! | | 20 | grouped, representatives materialized (n = 10⁴, G 2 310–2 628) |
-//! | | 2 / 3 | grouped, representatives banded / scan (e13 n = 10⁵, G = 18 427) |
+//! | | 5 | grouped, representatives scanned (e13 n = 10⁵, G = 18 427) |
 //! | | 2 702 | the service shard map's grouping at `τ = 0` |
 //! | | **0** | weak-collapse fallback |
-//! | | **0** | a player-level banded / scan index |
+//! | | **0** | a player-level index |
 //! | `perf` `batch_paper` (n = 512) | 63 / 17 | players materialized / complete |
 //! | `perf` `batch_scale` (n = 8192) | 60 / 24 | grouped, G 1 963–2 052, representatives materialized / complete (since: one distance table per run, thresholded per guess; a complete guess is one cluster with no scan) |
 //! | `perf` serve / socket workloads (n ≈ 96) | 3 + 3 + 1 per recompute | materialized, complete, shard map |
@@ -74,7 +68,10 @@
 //! (`G ≤ n`), so the player-level paths are gone and the same input takes
 //! the same code path at every size. The census's service "shard map"
 //! rows are gone too: the service engine answers in one ordered pass
-//! and groups nothing outside the scoring run.
+//! and groups nothing outside the scoring run. Two of the five e13 builds
+//! then took exact-match bands, and the scan sat behind a popcount
+//! prefilter; both cost more than the exact word kernel they guarded
+//! (DESIGN.md §4.8) and are gone.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -122,37 +119,23 @@ impl Clustering {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NeighborStrategy {
     /// Pick per input shape: tabulate up to [`AUTO_EXACT_MAX`]
-    /// representatives, band (or scan, by band width) beyond.
+    /// representatives, scan beyond.
     #[default]
     Auto,
     /// Force the exact index: the `O(G²)` representative distance table,
     /// thresholded at each `τ`.
     Exact,
-    /// Force the banded family (banded or scan by band width); no
-    /// distance table is built.
-    Banded,
+    /// Force the scan: no distance table is built, and each row is
+    /// computed when the peel reads it.
+    Scan,
 }
 
 /// Largest representative count for which [`NeighborStrategy::Auto`] still
 /// picks the exact index, whose distance table is built once per grouping
 /// (`2·G²` bytes: 32 MiB at this cap). A memory cap, not a time crossing:
-/// at e13's n = 10⁴ (G = 2 310) thresholding the table and peeling takes
-/// 2–7 ms per guess against 36–55 ms with bands and 127–335 ms scanned,
-/// but at its n = 10⁵ (G = 18 427) the table would be 679 MB.
+/// at e13's n = 10⁵ (G = 18 427) the table would be 679 MB, so each guess
+/// computes the rows it reads instead.
 pub const AUTO_EXACT_MAX: usize = 4096;
-
-/// Minimum band width (bits) for exact-match bands to beat the
-/// prefiltered scan. Measured on e13's n = 10⁵ representatives
-/// (G = 18 427, |S| = 185, one thread, index build plus peel): 8-bit
-/// bands 7.5 s against the scan's 11.2 s, 7-bit 12.3 s against 16.4 s,
-/// 6-bit 13.3 s against 12.7 s (DESIGN.md §4.8). The crossing lies
-/// between 6 and 7 bits; the floor keeps one bit of margin above it,
-/// since each bit less doubles a band's expected bucket occupancy.
-const MIN_BAND_BITS: usize = 8;
-
-/// Width (bits) of the popcount-profile bands backing the scan-mode
-/// prefilter.
-const PC_BAND_BITS: usize = 8;
 
 /// Index over the pairwise-distinct representative rows; answers only
 /// "which groups are within `τ` of group `g`".
@@ -161,121 +144,8 @@ enum RepIndex {
     Complete,
     /// The grouping's [`Distances`] table, thresholded at `τ` row by row.
     Exact,
-    /// Banded prefilter: per-band hash buckets of `τ + 1` exact-match
-    /// bands prune candidate pairs.
-    Banded(Bands),
-    /// Bands narrower than `MIN_BAND_BITS`: verify every pair on demand
-    /// with the blocked kernel behind a per-band popcount prefilter; never
-    /// materialize.
-    Scan(PopFilter),
-}
-
-struct Bands {
-    /// Number of bands (`threshold + 1`).
-    k: usize,
-    /// `keys[g * k + j]` = FNV hash of row `g`'s bits in band `j`.
-    keys: Vec<u64>,
-    /// Per-band: band key → rows carrying it (ascending, by build order).
-    buckets: Vec<HashMap<u64, Vec<u32>>>,
-}
-
-impl Bands {
-    fn build(rows: &BitMatrix, k: usize) -> Bands {
-        let n = rows.rows();
-        let len = rows.cols();
-        let mut keys = Vec::with_capacity(n * k);
-        let mut buckets: Vec<HashMap<u64, Vec<u32>>> = (0..k).map(|_| HashMap::new()).collect();
-        for p in 0..n {
-            let words = rows.row(p);
-            for (j, bucket) in buckets.iter_mut().enumerate() {
-                let (start, end) = band_range(len, k, j);
-                let key = band_key(words.words(), start, end);
-                keys.push(key);
-                bucket.entry(key).or_default().push(p as u32);
-            }
-        }
-        Bands { k, keys, buckets }
-    }
-
-    #[inline]
-    fn key(&self, p: usize, j: usize) -> u64 {
-        self.keys[p * self.k + j]
-    }
-
-    /// True iff `p` and `q` share a band key strictly before band `j` —
-    /// the dedup rule: a candidate pair is processed only at its *first*
-    /// shared band.
-    #[inline]
-    fn shares_band_before(&self, p: usize, q: usize, j: usize) -> bool {
-        (0..j).any(|i| self.key(p, i) == self.key(q, i))
-    }
-
-    /// Visit every distinct candidate `q ≠ p` sharing at least one band
-    /// bucket with `p`, exactly once.
-    fn for_candidates(&self, p: usize, mut f: impl FnMut(usize)) {
-        for (j, bucket_map) in self.buckets.iter().enumerate() {
-            let Some(bucket) = bucket_map.get(&self.key(p, j)) else {
-                continue;
-            };
-            for &q32 in bucket {
-                let q = q32 as usize;
-                if q != p && !self.shares_band_before(p, q, j) {
-                    f(q);
-                }
-            }
-        }
-    }
-}
-
-/// Per-band popcount profiles: the L1 distance between two rows' profiles
-/// lower-bounds their Hamming distance (each band contributes at least
-/// `|pc_j(p) − pc_j(q)|` differing bits), so scan-mode pair checks reject
-/// far pairs from a handful of byte-sized counters.
-struct PopFilter {
-    k: usize,
-    counts: Vec<u16>,
-}
-
-impl PopFilter {
-    fn build(rows: &BitMatrix) -> PopFilter {
-        let n = rows.rows();
-        let len = rows.cols();
-        let k = (len / PC_BAND_BITS).clamp(1, 64);
-        let mut counts = Vec::with_capacity(n * k);
-        for p in 0..n {
-            let words = rows.row(p);
-            for j in 0..k {
-                let (start, end) = band_range(len, k, j);
-                counts.push(popcount_range(words.words(), start, end) as u16);
-            }
-        }
-        PopFilter { k, counts }
-    }
-
-    /// True iff the popcount lower bound does not already exceed
-    /// `threshold` (a `false` is a proven non-edge; a `true` still needs
-    /// exact verification).
-    #[inline]
-    fn admits(&self, p: usize, q: usize, threshold: usize) -> bool {
-        let a = &self.counts[p * self.k..(p + 1) * self.k];
-        let b = &self.counts[q * self.k..(q + 1) * self.k];
-        let mut l1 = 0usize;
-        for (x, y) in a.iter().zip(b) {
-            l1 += x.abs_diff(*y) as usize;
-        }
-        l1 <= threshold
-    }
-}
-
-/// The banded-family index for this shape: exact-match bands when `τ+1`
-/// bands are at least `MIN_BAND_BITS` wide, prefiltered scan otherwise.
-fn banded_mode(rows: &BitMatrix, threshold: usize) -> RepIndex {
-    let k = threshold + 1;
-    if rows.cols() / k >= MIN_BAND_BITS {
-        RepIndex::Banded(Bands::build(rows, k))
-    } else {
-        RepIndex::Scan(PopFilter::build(rows))
-    }
+    /// No table: each row is computed on demand, saturated like the table.
+    Scan,
 }
 
 /// The `τ`-independent half of discovery: which players carry
@@ -296,7 +166,7 @@ struct Groups {
     sizes: Vec<u32>,
     /// Representative distances when `strategy` picks the exact index
     /// (`Exact`, or `Auto` with `G ≤ AUTO_EXACT_MAX`); `None` where the
-    /// banded family answers instead or no `τ < |S|` will be asked.
+    /// scan answers instead or no `τ < |S|` will be asked.
     dist: Option<Distances>,
 }
 
@@ -313,7 +183,7 @@ impl Groups {
         let exact = match strategy {
             NeighborStrategy::Auto => members.len() <= AUTO_EXACT_MAX,
             NeighborStrategy::Exact => true,
-            NeighborStrategy::Banded => false,
+            NeighborStrategy::Scan => false,
         };
         let dist = (tabulate && exact).then(|| Distances::build(&reps));
         Groups {
@@ -334,9 +204,7 @@ impl Groups {
 /// Exact pairwise distances between the `G` representatives, one
 /// `G × G` row-major table of `u16` (`2·G²` bytes). Each unordered pair
 /// is computed once and mirrored; a distance of `u16::MAX` or more is
-/// stored saturated, and a saturated cell is re-verified with
-/// [`hamming_within`](byzscore_bitset::Bits::hamming_within) whenever
-/// `τ ≥ u16::MAX`, so every edge decision stays exact at any `|S|`.
+/// stored [saturated](saturate).
 struct Distances {
     g: usize,
     cells: Vec<u16>,
@@ -347,9 +215,9 @@ impl Distances {
         let g = reps.rows();
         let mut cells = vec![0u16; g * g];
         for p in 0..g {
-            let zp = reps.row(p);
-            for q in p + 1..g {
-                let d = u16::try_from(zp.hamming(&reps.row(q))).unwrap_or(u16::MAX);
+            // Row `p` against the rows before it, mirrored.
+            for (q, d) in reps.distances_from(p).take(p).enumerate() {
+                let d = saturate(d);
                 cells[p * g + q] = d;
                 cells[q * g + p] = d;
             }
@@ -362,6 +230,15 @@ impl Distances {
     fn row(&self, p: usize) -> &[u16] {
         &self.cells[p * self.g..(p + 1) * self.g]
     }
+}
+
+/// A distance as a row cell: exact below `u16::MAX`, saturated at it. A
+/// saturated cell is re-verified with
+/// [`hamming_within`](byzscore_bitset::Bits::hamming_within) whenever
+/// `τ ≥ u16::MAX`, so every edge decision stays exact at any `|S|`.
+#[inline]
+fn saturate(d: usize) -> u16 {
+    u16::try_from(d).unwrap_or(u16::MAX)
 }
 
 /// Visit every `h` with `row[h] ≤ limit`, ascending: 32 cells at a time
@@ -412,58 +289,6 @@ fn group_rows(rows: &BitMatrix) -> (Vec<u32>, Vec<Vec<u32>>) {
     (group_of, members)
 }
 
-/// Band `j` of a `k`-band split covers bits `[j·len/k, (j+1)·len/k)`.
-#[inline]
-fn band_range(len: usize, k: usize, j: usize) -> (usize, usize) {
-    (j * len / k, (j + 1) * len / k)
-}
-
-/// `count ≤ 64` bits of `words` starting at bit `start`, as a `u64`.
-#[inline]
-fn extract_bits(words: &[u64], start: usize, count: usize) -> u64 {
-    debug_assert!((1..=64).contains(&count));
-    let w = start / 64;
-    let off = start % 64;
-    let mut v = words[w] >> off;
-    if off + count > 64 {
-        v |= words[w + 1] << (64 - off);
-    }
-    if count < 64 {
-        v &= (1u64 << count) - 1;
-    }
-    v
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-/// FNV-1a hash of the band's bits, in 64-bit chunks. Equal band contents
-/// always hash equal, so bucketing by hash key keeps the prune sound;
-/// hash collisions only add candidates, which verification discards.
-fn band_key(words: &[u64], start: usize, end: usize) -> u64 {
-    let mut h: u64 = FNV_OFFSET;
-    let mut pos = start;
-    while pos < end {
-        let take = (end - pos).min(64);
-        h ^= extract_bits(words, pos, take);
-        h = h.wrapping_mul(FNV_PRIME);
-        pos += take;
-    }
-    h
-}
-
-/// Set bits in `words[start..end)` (bit positions).
-fn popcount_range(words: &[u64], start: usize, end: usize) -> usize {
-    let mut count = 0usize;
-    let mut pos = start;
-    while pos < end {
-        let take = (end - pos).min(64);
-        count += extract_bits(words, pos, take).count_ones() as usize;
-        pos += take;
-    }
-    count
-}
-
 /// Neighbor discovery over sample vectors: the Lemma-8 edge set
 /// `(p, q) ⇔ |z(p) − z(q)| ≤ threshold`, held as a grouping of the
 /// players plus an index over the group representatives (see the module
@@ -488,15 +313,14 @@ impl NeighborIndex {
     }
 
     /// Index the representatives of an existing grouping at `threshold`:
-    /// threshold its distance table when it has one, band it otherwise.
+    /// threshold its distance table when it has one, scan otherwise.
     fn over(groups: Arc<Groups>, threshold: usize) -> NeighborIndex {
-        let rows = &groups.reps;
-        let reps = if threshold >= rows.cols() {
+        let reps = if threshold >= groups.reps.cols() {
             RepIndex::Complete
         } else if groups.dist.is_some() {
             RepIndex::Exact
         } else {
-            banded_mode(rows, threshold)
+            RepIndex::Scan
         };
         NeighborIndex {
             threshold,
@@ -516,57 +340,68 @@ impl NeighborIndex {
     }
 
     /// Which representative index answers queries (`"complete"`,
-    /// `"exact"`, `"banded"`, or `"scan"`) — for logs and bench labels.
+    /// `"exact"` or `"scan"`) — for logs and bench labels.
     pub fn mode_name(&self) -> &'static str {
-        match &self.reps {
+        match self.reps {
             RepIndex::Complete => "complete",
             RepIndex::Exact => "exact",
-            RepIndex::Banded(_) => "banded",
-            RepIndex::Scan(_) => "scan",
+            RepIndex::Scan => "scan",
         }
     }
 
-    /// Enumerate the groups adjacent to group `g` (representatives within
-    /// `τ`, exact-verified), each exactly once, in unspecified order —
-    /// the primitive every query shares.
-    fn for_each_adjacent_group(&self, g: usize, mut f: impl FnMut(usize)) {
-        let rows = &self.groups.reps;
-        let within = |h: usize| {
-            rows.row(g)
-                .hamming_within(&rows.row(h), self.threshold)
-                .is_some()
-        };
-        match &self.reps {
-            RepIndex::Complete => (0..rows.rows()).filter(|&h| h != g).for_each(f),
-            RepIndex::Exact => {
-                let dist = self
-                    .groups
-                    .dist
-                    .as_ref()
-                    .expect("an exact index has a table");
-                // A cell below `u16::MAX` is the exact distance; a
-                // saturated one decides only for `τ < u16::MAX`.
-                let limit = self.threshold.min(u16::MAX as usize) as u16;
-                let row = dist.row(g);
-                for_each_within(row, limit, |h| {
-                    if h != g && (row[h] < u16::MAX || within(h)) {
-                        f(h);
-                    }
-                });
+    /// Distances from representative `g` to every representative, each
+    /// [saturated](saturate): the table's row, or the same row computed
+    /// into `buf`. A complete index reads as a row of zeros.
+    fn row<'a>(&'a self, g: usize, buf: &'a mut Vec<u16>) -> &'a [u16] {
+        match self.reps {
+            RepIndex::Exact => self
+                .groups
+                .dist
+                .as_ref()
+                .expect("an exact index has a table")
+                .row(g),
+            RepIndex::Complete => {
+                buf.clear();
+                buf.resize(self.groups.sizes.len(), 0);
+                buf
             }
-            RepIndex::Banded(bands) => bands.for_candidates(g, |h| {
-                if within(h) {
-                    f(h);
-                }
-            }),
-            RepIndex::Scan(filter) => {
-                for h in 0..rows.rows() {
-                    if h != g && filter.admits(g, h, self.threshold) && within(h) {
-                        f(h);
-                    }
-                }
+            RepIndex::Scan => {
+                buf.clear();
+                buf.extend(self.groups.reps.distances_from(g).map(saturate));
+                buf
             }
         }
+    }
+
+    /// `τ` as a row-cell limit when every cell decides its edge alone
+    /// (`τ < u16::MAX`, so no saturated cell needs re-verifying): the
+    /// peel's weighted passes then run as branch-free masked sums over
+    /// whole rows, which the compiler vectorizes, instead of one callback
+    /// per adjacent group.
+    fn decisive_limit(&self) -> Option<u16> {
+        u16::try_from(self.threshold).ok().filter(|&t| t < u16::MAX)
+    }
+
+    /// Enumerate the groups adjacent to group `g` (representatives within
+    /// `τ`, exact-verified), each exactly once, ascending — the primitive
+    /// every query shares.
+    fn for_each_adjacent_group(&self, g: usize, mut f: impl FnMut(usize)) {
+        let mut buf = Vec::new();
+        let row = self.row(g, &mut buf);
+        let reps = &self.groups.reps;
+        // A cell below `u16::MAX` is the exact distance; a saturated one
+        // decides only for `τ < u16::MAX`.
+        let limit = self.threshold.min(u16::MAX as usize) as u16;
+        for_each_within(row, limit, |h| {
+            let within = || {
+                reps.row(g)
+                    .hamming_within(&reps.row(h), self.threshold)
+                    .is_some()
+            };
+            if h != g && (row[h] < u16::MAX || within()) {
+                f(h);
+            }
+        });
     }
 
     /// All neighbors of `p`, ascending — identical across strategies:
@@ -584,32 +419,19 @@ impl NeighborIndex {
         out
     }
 
-    /// Row `g` of the distance table when each of its cells decides its
-    /// edge alone (an exact index at `τ < u16::MAX`, so no saturated cell
-    /// needs re-verifying): the peel's weighted passes then run as
-    /// branch-free masked sums over the whole row, which the compiler
-    /// vectorizes, instead of one callback per adjacent group.
-    fn decisive_row(&self, g: usize) -> Option<&[u16]> {
-        match (&self.reps, &self.groups.dist) {
-            (RepIndex::Exact, Some(dist)) if self.threshold < u16::MAX as usize => {
-                Some(dist.row(g))
-            }
-            _ => None,
-        }
-    }
-
     /// Per-group degree: every member of a group has the same neighbor
     /// count (`|group| − 1` mates plus each adjacent group's multiplicity).
     /// Degrees are below `n`, which `u32` player ids bound.
     fn group_degrees(&self) -> Vec<u32> {
         let sizes = &self.groups.sizes;
+        let mut buf = Vec::new();
         (0..sizes.len())
             .map(|g| {
-                if let Some(row) = self.decisive_row(g) {
+                if let Some(limit) = self.decisive_limit() {
                     // The diagonal (distance 0) adds `|g|`: one more than
                     // the mates.
-                    let limit = self.threshold as u16;
-                    let within: u32 = row
+                    let within: u32 = self
+                        .row(g, &mut buf)
                         .iter()
                         .zip(sizes)
                         .map(|(&d, &size)| if d <= limit { size } else { 0 })
@@ -672,6 +494,7 @@ impl NeighborIndex {
         let need = min_size.saturating_sub(1);
 
         let mut gdeg = self.group_degrees();
+        let mut buf = Vec::new();
         let mut alive = vec![true; g_n];
         let mut alive_left = g_n;
         let mut assignment: Vec<Option<u32>> = vec![None; n];
@@ -716,8 +539,8 @@ impl NeighborIndex {
             if alive_left > 0 {
                 for &g in &peeled {
                     let lost = groups.sizes[g as usize];
-                    if let Some(row) = self.decisive_row(g as usize) {
-                        let limit = self.threshold as u16;
+                    if let Some(limit) = self.decisive_limit() {
+                        let row = self.row(g as usize, &mut buf);
                         for ((deg, &d), &live) in gdeg.iter_mut().zip(row).zip(&alive) {
                             *deg = deg.saturating_sub(if live & (d <= limit) { lost } else { 0 });
                         }
@@ -925,8 +748,8 @@ pub fn cluster_players(zvecs: &[BitVec], threshold: usize, min_size: usize) -> C
 /// exact index is picked, the representative distance table — is computed
 /// once here; [`GroupCache::index`] then builds a per-`τ`
 /// [`NeighborIndex`] sharing it. With a table that index is a threshold
-/// over it and costs nothing to build; without one (`Banded`, or `Auto`
-/// past [`AUTO_EXACT_MAX`]) each `τ` bands the representatives afresh. A
+/// over it and costs nothing to build; without one (`Scan`, or `Auto`
+/// past [`AUTO_EXACT_MAX`]) each `τ`'s peel computes the rows it reads. A
 /// cached index and a fresh [`NeighborIndex::build`] read the same kind of
 /// table, so `tests/neighbor_index.rs` also pins both against the
 /// player-level reference.
@@ -1100,17 +923,17 @@ mod tests {
         assert_eq!(c.cluster_of(0), &[0]);
     }
 
-    /// Every representative index (complete / exact / banded / scan),
-    /// forced and under `Auto`, against the all-pairs player reference,
-    /// on structured and random inputs.
+    /// Every representative index (complete / exact / scan), forced and
+    /// under `Auto`, against the all-pairs player reference, on
+    /// structured and random inputs.
     #[test]
-    fn banded_modes_match_exact() {
+    fn every_index_matches_the_player_reference() {
         let mut rng = SmallRng::seed_from_u64(6);
         let cases: Vec<(Vec<BitVec>, usize)> = vec![
-            (two_camps(256, 10, 7), 4),   // banded (wide bands)
-            (two_camps(256, 10, 10), 24), // banded (10-bit bands)
-            (two_camps(64, 6, 8), 12),    // scan (bands too narrow)
-            (two_camps(32, 5, 9), 40),    // complete (τ ≥ len)
+            (two_camps(256, 10, 7), 4),
+            (two_camps(256, 10, 10), 24),
+            (two_camps(64, 6, 8), 12),
+            (two_camps(32, 5, 9), 40), // complete (τ ≥ len)
             ((0..14).map(|_| BitVec::random(&mut rng, 96)).collect(), 3),
         ];
         for (zs, threshold) in cases {
@@ -1118,7 +941,7 @@ mod tests {
             let degrees: Vec<usize> = adjacency.iter().map(Vec::len).collect();
             for strategy in [
                 NeighborStrategy::Exact,
-                NeighborStrategy::Banded,
+                NeighborStrategy::Scan,
                 NeighborStrategy::Auto,
             ] {
                 let idx = NeighborIndex::build(&zs, threshold, strategy);
@@ -1139,22 +962,26 @@ mod tests {
 
     #[test]
     fn narrow_bands_down_to_the_floor_are_sound() {
-        // len=256: τ=24 splits into 25 exact-match bands of 10 bits, and
-        // τ=31 into 32 bands of exactly MIN_BAND_BITS.
+        // len=256 at τ = 24 / 31: the thresholds that once split into
+        // exact-match bands of 10 and 8 bits (the old band floor), now
+        // read by the forced scan.
         let zs = two_camps(256, 12, 11);
         for threshold in [24, 31] {
-            let idx = NeighborIndex::build(&zs, threshold, NeighborStrategy::Banded);
-            assert_eq!(idx.mode_name(), "banded", "τ={threshold}");
-            assert_eq!(idx.adjacency(), neighbor_graph(&zs, threshold));
+            let idx = NeighborIndex::build(&zs, threshold, NeighborStrategy::Scan);
+            assert_eq!(idx.mode_name(), "scan", "τ={threshold}");
+            let adjacency = neighbor_graph(&zs, threshold);
+            assert_eq!(idx.adjacency(), adjacency, "τ={threshold}");
+            assert_eq!(idx.peel(6), peel_clusters(&zs, &adjacency, 6));
         }
     }
 
     #[test]
     fn scan_mode_carries_popcount_prefilter() {
-        // len=64, τ=12: 13 exact-match bands would be 4 bits, under
-        // MIN_BAND_BITS — the prefiltered scan regime.
+        // len=64, τ=12: the regime the popcount-prefiltered scan once
+        // served; the scan that replaced it must give the same edges and
+        // peel.
         let zs = two_camps(64, 6, 12);
-        let idx = NeighborIndex::build(&zs, 12, NeighborStrategy::Banded);
+        let idx = NeighborIndex::build(&zs, 12, NeighborStrategy::Scan);
         assert_eq!(idx.mode_name(), "scan");
         let adjacency = neighbor_graph(&zs, 12);
         assert_eq!(idx.adjacency(), adjacency);
@@ -1169,7 +996,7 @@ mod tests {
         let distinct: Vec<BitVec> = (0..5).map(|_| BitVec::random(&mut rng, 128)).collect();
         let zs: Vec<BitVec> = (0..40).map(|i| distinct[i % 5].clone()).collect();
         let adjacency = neighbor_graph(&zs, 8);
-        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Banded] {
+        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Scan] {
             let idx = NeighborIndex::build(&zs, 8, strategy);
             assert_eq!(idx.groups.group_of[..7], [0, 1, 2, 3, 4, 0, 1]);
             assert_eq!(idx.groups.members.len(), 5);
@@ -1187,7 +1014,7 @@ mod tests {
         let zs = vec![BitVec::zeros(0); 9];
         for strategy in [
             NeighborStrategy::Exact,
-            NeighborStrategy::Banded,
+            NeighborStrategy::Scan,
             NeighborStrategy::Auto,
         ] {
             let idx = NeighborIndex::build(&zs, 0, strategy);
@@ -1200,9 +1027,9 @@ mod tests {
     }
 
     #[test]
-    fn banded_prune_is_sound_near_threshold() {
-        // Pairs at distance exactly τ and τ+1: the band pigeonhole must
-        // keep the former and may only drop the latter.
+    fn scan_keeps_tau_and_drops_tau_plus_one() {
+        // Pairs at distance exactly τ and τ+1: the former is an edge, the
+        // latter is not.
         let len = 160;
         let tau = 6;
         let mut rng = SmallRng::seed_from_u64(11);
@@ -1216,8 +1043,8 @@ mod tests {
             past_tau.flip(i * 17);
         }
         let zs = vec![base, at_tau, past_tau];
-        let idx = NeighborIndex::build(&zs, tau, NeighborStrategy::Banded);
-        assert_eq!(idx.mode_name(), "banded");
+        let idx = NeighborIndex::build(&zs, tau, NeighborStrategy::Scan);
+        assert_eq!(idx.mode_name(), "scan");
         assert_eq!(idx.neighbors_of(0), vec![1]);
         assert_eq!(idx.neighbors_of(2), vec![1]); // dist(1,2)=1
     }

@@ -56,8 +56,9 @@ pub struct ProtocolParams {
     /// must absorb it.
     pub leader_sabotage: bool,
     /// Which index step 1.d builds over the distinct `z`-vectors to
-    /// discover the Lemma-8 neighbor graph: the exact all-pairs pass, the
-    /// sound banded prefilter, or a per-size automatic choice. All
+    /// discover the Lemma-8 neighbor graph: the exact distance table, a
+    /// scan that computes each table row on demand, or a per-size
+    /// automatic choice. All
     /// strategies produce the identical edge set; this only trades
     /// discovery time and memory. `Auto` at every construction site — the
     /// other two exist so tests and benches can force an index kind.

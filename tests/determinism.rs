@@ -366,14 +366,14 @@ fn fused_rselect_reruns_bit_identically() {
 }
 
 #[test]
-fn banded_clustering_matches_the_exact_index() {
-    // The banded `Clustering` is identical to the exact distance-table
-    // path, and peeling the same banded index again reproduces it.
+fn scanned_clustering_matches_the_exact_index() {
+    // The scanned `Clustering` (each row computed, no table) is identical
+    // to the exact distance-table path, and peeling the same scanned index
+    // again reproduces it.
     use byzscore::cluster::{NeighborIndex, NeighborStrategy};
     use byzscore_bitset::Bits;
 
-    // 512-bit rows: τ = 14 splits into 15 bands of 34 bits and τ = 40
-    // into 41 bands of 12 bits, both exact-match banded.
+    // 512-bit rows at τ = 14 and τ = 40.
     let inst = Workload::PlantedClusters {
         players: 640,
         objects: 512,
@@ -386,18 +386,18 @@ fn banded_clustering_matches_the_exact_index() {
 
     for threshold in [14usize, 40] {
         let exact = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Exact);
-        let banded = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Banded);
-        assert_eq!(banded.mode_name(), "banded", "τ={threshold}");
+        let scanned = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Scan);
+        assert_eq!(scanned.mode_name(), "scan", "τ={threshold}");
         let reference = exact.peel(40);
         for _ in 0..2 {
-            let got = banded.peel(40);
+            let got = scanned.peel(40);
             assert_eq!(
                 got.assignment, reference.assignment,
-                "banded assignment differs, τ={threshold}"
+                "scanned assignment differs, τ={threshold}"
             );
             assert_eq!(
                 got.clusters, reference.clusters,
-                "banded clusters differ, τ={threshold}"
+                "scanned clusters differ, τ={threshold}"
             );
         }
     }

@@ -1,7 +1,7 @@
 //! `NeighborIndex` equivalence: the one discovery pipeline — bit-identical
-//! vectors grouped, the representatives indexed (exact distance table,
-//! sound exact-match banded prune, or a popcount-prefiltered scan), one
-//! peel over the group graph — must
+//! vectors grouped, the representatives indexed (an exact distance
+//! table, or each table row computed on demand), one peel over the group
+//! graph — must
 //! produce the *identical* Lemma-8 edge set and the identical `Clustering`
 //! as the all-pairs definition over players (`brute_adjacency`,
 //! `neighbor_graph` + `peel_clusters`), whichever representative index is
@@ -69,15 +69,15 @@ fn make_distinct(zvecs: &mut [BitVec]) {
     assert_eq!(cache.group_count(), Some(n));
 }
 
-/// The strategies checked against `Exact` and the reference: `Banded`
-/// (exact-match bands or the scan, by band width) and `Auto` (which at
-/// these sizes tabulates like `Exact`).
-const LAZY: [NeighborStrategy; 2] = [NeighborStrategy::Banded, NeighborStrategy::Auto];
+/// The strategies checked against `Exact` and the reference: `Scan`
+/// (no table; each row computed when the peel reads it) and `Auto`
+/// (which at these sizes tabulates like `Exact`).
+const LAZY: [NeighborStrategy; 2] = [NeighborStrategy::Scan, NeighborStrategy::Auto];
 
 proptest! {
     /// Edge sets are identical across strategies and match brute force,
     /// across random sizes, lengths, and thresholds — covering all
-    /// representative indexes (exact / banded / scan / complete), with
+    /// representative indexes (exact / scan / complete), with
     /// duplicates (`distinct == 0`) and without.
     #[test]
     fn lazy_edge_sets_equal_exact(seed in 0u64..60, n in 2usize..36, len in 1usize..300, t_raw in 0usize..330, distinct in 0usize..2) {
@@ -153,7 +153,7 @@ proptest! {
         let spread = (len / 16).max(1);
         let zvecs = mixed_zvecs(seed, n, len, spread);
         let min_size = (n / 4).max(1);
-        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Banded, NeighborStrategy::Exact] {
+        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Scan, NeighborStrategy::Exact] {
             let cache = GroupCache::build(&zvecs, strategy);
             // Doubling τ sweep, like the diameter-guess loop, up to the
             // first τ > len.
@@ -187,7 +187,7 @@ proptest! {
     #[test]
     fn group_cache_refresh_equals_cold_build(seed in 500u64..530, n in 4usize..30, len in 16usize..200, touched in 1usize..6) {
         let zvecs = mixed_zvecs(seed, n, len, (len / 16).max(1));
-        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Banded] {
+        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Scan] {
             let mut cache = GroupCache::build(&zvecs, strategy);
             let mut drifted = zvecs.clone();
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xd21f7);
@@ -227,12 +227,13 @@ proptest! {
     }
 }
 
-/// Rows longer than `u16::MAX` bits: the exact index's distance cells
-/// saturate there, so pairs placed just below, at and just above 65 535
-/// apart, with `τ` on both sides of each, pin the rule that keeps every
-/// edge decision exact (a saturated cell is re-verified once `τ` reaches
-/// it). Fresh and cached indexes, under `Exact` and `Auto`, must equal
-/// the player-level reference.
+/// Rows longer than `u16::MAX` bits: distance cells saturate there, in
+/// the exact index's table and in the rows the scan computes alike, so
+/// pairs placed just below, at and just above 65 535 apart, with `τ` on
+/// both sides of each, pin the rule that keeps every edge decision exact
+/// (a saturated cell is re-verified once `τ` reaches it). Fresh and
+/// cached indexes, under `Exact`, `Auto` and `Scan`, must equal the
+/// player-level reference.
 #[test]
 fn exact_index_is_exact_past_u16_distances() {
     let len = 70_000usize;
@@ -259,7 +260,11 @@ fn exact_index_is_exact_past_u16_distances() {
     let taus = [
         3usize, 4_464, 65_533, 65_534, 65_535, 65_536, 65_537, 69_999, 70_000,
     ];
-    for strategy in [NeighborStrategy::Exact, NeighborStrategy::Auto] {
+    for strategy in [
+        NeighborStrategy::Exact,
+        NeighborStrategy::Auto,
+        NeighborStrategy::Scan,
+    ] {
         let cache = GroupCache::build(&zvecs, strategy);
         for tau in taus {
             let adjacency = neighbor_graph(&zvecs, tau);
@@ -267,7 +272,11 @@ fn exact_index_is_exact_past_u16_distances() {
                 NeighborIndex::build(&zvecs, tau, strategy),
                 cache.index(tau),
             ] {
-                let mode = if tau < len { "exact" } else { "complete" };
+                let mode = match strategy {
+                    _ if tau >= len => "complete",
+                    NeighborStrategy::Scan => "scan",
+                    _ => "exact",
+                };
                 assert_eq!(idx.mode_name(), mode, "{strategy:?} τ={tau}");
                 assert_eq!(idx.adjacency(), adjacency, "{strategy:?} τ={tau}");
                 // 9 > n: no seed qualifies, so every player is a leftover.
@@ -283,41 +292,35 @@ fn exact_index_is_exact_past_u16_distances() {
     }
 }
 
-/// Deterministic large-ish case that forces the *banded* bucket mode
-/// (wide bands) with multiple peels and leftovers.
+/// Deterministic large-ish forced-scan case with multiple peels and
+/// leftovers, at the low `τ` that once took wide (20-bit) exact-match
+/// bands: 640-bit world, τ = 30.
 #[test]
 fn banded_bucket_mode_multi_peel() {
     let zvecs = mixed_zvecs(7, 400, 640, 8);
-    let threshold = 30; // 640 / 31 = 20-bit bands ⇒ banded bucket mode
-    let banded = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Banded);
-    assert_eq!(banded.mode_name(), "banded");
+    let threshold = 30;
+    let scan = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Scan);
+    assert_eq!(scan.mode_name(), "scan");
     let exact = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Exact);
-    assert_eq!(banded.adjacency(), exact.adjacency());
+    assert_eq!(scan.adjacency(), exact.adjacency());
     for min_size in [3usize, 40, 90] {
-        let a = banded.peel(min_size);
+        let a = scan.peel(min_size);
         let b = peel_clusters(&zvecs, &exact.adjacency(), min_size);
         assert_eq!(a.assignment, b.assignment, "min_size={min_size}");
         assert_eq!(a.clusters, b.clusters, "min_size={min_size}");
     }
 }
 
-/// Deterministic mid-`τ` cases with multiple peels on either side of the
-/// band-width floor: narrow exact-match bands down to 8 bits, then the
-/// same world one bit narrower and far beyond (scan + popcount
-/// prefilter).
+/// Deterministic mid-`τ` forced-scan cases with multiple peels: 640-bit
+/// world at thresholds that once split into exact-match bands of 13 and
+/// 8 bits (τ = 45, 79) and, one bit narrower and far beyond, went to the
+/// popcount-prefiltered scan (τ = 80, 160).
 #[test]
 fn narrow_bands_and_scan_modes_multi_peel() {
     let zvecs = mixed_zvecs(9, 300, 640, 10);
-    // 640/(τ+1) bits per band: 13 at τ = 45 and 8 at τ = 79 ⇒ banded;
-    // 7 at τ = 80 and 3 at τ = 160 ⇒ scan.
-    for (threshold, mode) in [
-        (45usize, "banded"),
-        (79, "banded"),
-        (80, "scan"),
-        (160, "scan"),
-    ] {
-        let idx = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Banded);
-        assert_eq!(idx.mode_name(), mode, "τ={threshold}");
+    for threshold in [45usize, 79, 80, 160] {
+        let idx = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Scan);
+        assert_eq!(idx.mode_name(), "scan", "τ={threshold}");
         let exact = NeighborIndex::build(&zvecs, threshold, NeighborStrategy::Exact);
         assert_eq!(idx.adjacency(), exact.adjacency(), "τ={threshold}");
         for min_size in [3usize, 30, 80] {
@@ -359,14 +362,13 @@ fn grouped_bucket_mode_multi_peel() {
 }
 
 /// The production-scale case e13 hits: more than `AUTO_EXACT_MAX` groups
-/// survive dedup, so `Auto` bands the representatives. 400 camps ×
-/// (center + 12 single-bit variants), centers duplicated ×2 ⇒ n = 6000,
-/// G = 5200 > 4096. τ = 6 with 512-bit vectors keeps the τ+1 bands 73
-/// bits wide — the banded bucket path. Pinned against the forced
-/// exact index over the same representatives, which the other
-/// tests pin against brute force.
+/// survive dedup, so `Auto` builds no table and scans the
+/// representatives. 400 camps × (center + 12 single-bit variants),
+/// centers duplicated ×2 ⇒ n = 6000, G = 5200 > 4096, at τ = 6 over
+/// 512-bit vectors. Pinned against the forced exact index over the same
+/// representatives, which the other tests pin against brute force.
 #[test]
-fn grouped_with_banded_inner_index() {
+fn grouped_with_scanned_inner_index() {
     let len = 512usize;
     let mut rng = SmallRng::seed_from_u64(17);
     let mut zvecs: Vec<BitVec> = Vec::new();
@@ -386,7 +388,7 @@ fn grouped_with_banded_inner_index() {
     let cache = GroupCache::build(&zvecs, NeighborStrategy::Auto);
     assert_eq!(cache.group_count(), Some(5200));
     let grouped = cache.index(tau);
-    assert_eq!(grouped.mode_name(), "banded");
+    assert_eq!(grouped.mode_name(), "scan");
     let exact = NeighborIndex::build(&zvecs, tau, NeighborStrategy::Exact);
     assert_eq!(exact.mode_name(), "exact");
     assert_eq!(grouped.degrees(), exact.degrees());
