@@ -9,15 +9,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// Maximum (0 for empty input).
 pub fn max(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(0.0, f64::max)
@@ -54,8 +45,6 @@ mod tests {
     fn basic_moments() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-        assert_eq!(std_dev(&[5.0]), 0.0);
         assert_eq!(max(&[1.0, 9.0, 3.0]), 9.0);
     }
 

@@ -73,23 +73,6 @@ impl ColumnCounter {
     pub fn balance(&self, column: usize) -> i32 {
         self.balance[column]
     }
-
-    /// Columns whose absolute balance is at most `margin` — the "contested"
-    /// objects an adversary can swing (Lemma 13's *strange* objects).
-    pub fn contested(&self, margin: i32) -> Vec<u32> {
-        self.balance
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b.abs() <= margin)
-            .map(|(i, _)| i as u32)
-            .collect()
-    }
-
-    /// Reset all balances to zero, keeping the column count.
-    pub fn reset(&mut self) {
-        self.balance.iter_mut().for_each(|b| *b = 0);
-        self.total_weight = 0;
-    }
 }
 
 /// Majority-fold a non-empty collection of equal-length vectors:
@@ -221,26 +204,6 @@ mod tests {
         assert!(!m.get(0));
         assert!(m.get(1));
         assert!(!m.get(2));
-    }
-
-    #[test]
-    fn contested_columns() {
-        let mut c = ColumnCounter::new(3);
-        c.add(&BitVec::from_bools(&[true, true, false]), 5);
-        c.add(&BitVec::from_bools(&[true, false, false]), 4);
-        // balances: +9, +1, −9
-        assert_eq!(c.contested(1), vec![1]);
-        assert_eq!(c.contested(9), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut c = ColumnCounter::new(2);
-        c.add(&BitVec::from_bools(&[true, true]), 7);
-        c.reset();
-        assert_eq!(c.total_weight(), 0);
-        assert_eq!(c.balance(0), 0);
-        assert_eq!(c.balance(1), 0);
     }
 
     #[test]

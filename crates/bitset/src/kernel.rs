@@ -1,5 +1,5 @@
-//! Word-level distance kernels: u64×4-unrolled scalar loops, with a
-//! `std::simd` variant behind the `unstable-simd` feature (nightly only).
+//! Word-level distance kernels: u64×4-unrolled scalar loops on stable Rust,
+//! one implementation per kernel in every build.
 //!
 //! These are the innermost loops of every quantitative step in the paper —
 //! neighbor-graph thresholding (Lemma 8), `RSelect` candidate elimination,
@@ -14,7 +14,6 @@
 
 /// XOR-popcount over two equal-length word slices: the Hamming distance of
 /// the bit strings they pack. Callers guarantee `a.len() == b.len()`.
-#[cfg(not(feature = "unstable-simd"))]
 #[inline]
 pub fn hamming_words(a: &[u64], b: &[u64]) -> usize {
     let quads = a.len() / 4 * 4;
@@ -34,29 +33,6 @@ pub fn hamming_words(a: &[u64], b: &[u64]) -> usize {
         .map(|(x, y)| (x ^ y).count_ones() as usize)
         .sum();
     acc[0] + acc[1] + acc[2] + acc[3] + tail
-}
-
-/// `std::simd` variant of [`hamming_words`] (nightly, `unstable-simd`).
-#[cfg(feature = "unstable-simd")]
-#[inline]
-pub fn hamming_words(a: &[u64], b: &[u64]) -> usize {
-    use std::simd::num::SimdUint;
-    use std::simd::u64x4;
-    let quads = a.len() / 4 * 4;
-    let (a4, at) = a.split_at(quads);
-    let (b4, bt) = b.split_at(quads);
-    let mut acc = 0u64;
-    for (ca, cb) in a4.chunks_exact(4).zip(b4.chunks_exact(4)) {
-        let va = u64x4::from_slice(ca);
-        let vb = u64x4::from_slice(cb);
-        acc += (va ^ vb).count_ones().reduce_sum();
-    }
-    let tail: u64 = at
-        .iter()
-        .zip(bt)
-        .map(|(x, y)| (x ^ y).count_ones() as u64)
-        .sum();
-    (acc + tail) as usize
 }
 
 /// Bounded Hamming distance over word slices: `Some(d)` if `d <= limit`,

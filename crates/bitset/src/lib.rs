@@ -24,14 +24,12 @@
 //! All kernels are branch-light loops over `u64` words so LLVM can keep them
 //! in registers and auto-vectorize; the innermost XOR-popcount loops live in
 //! [`kernel`] as explicit u64×4-unrolled passes (four independent popcount
-//! accumulators), with `std::simd` variants behind the nightly-only
-//! `unstable-simd` feature. Distance computations on 4096-bit rows are a few
-//! dozen `popcnt`s; [`majority_fold`] is bit-sliced (plane-encoded column
-//! counts with word-wide ripple-carry).
+//! accumulators) that every build compiles on stable Rust. Distance
+//! computations on 4096-bit rows are a few dozen `popcnt`s; [`majority_fold`]
+//! is bit-sliced (plane-encoded column counts with word-wide ripple-carry).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "unstable-simd", feature(portable_simd))]
 
 mod bits;
 mod counter;

@@ -104,11 +104,6 @@ impl BitVec {
         }
     }
 
-    /// Random vector where each bit is 1 independently with probability `p`.
-    pub fn random_dense<R: Rng + ?Sized>(rng: &mut R, len: usize, p: f64) -> Self {
-        BitVec::from_fn(len, |_| rng.gen_bool(p))
-    }
-
     /// Set bit `i` to `value`. Panics if `i >= len`.
     #[inline]
     pub fn set(&mut self, i: usize, value: bool) {
@@ -158,22 +153,6 @@ impl BitVec {
         }
     }
 
-    /// In-place AND with `other`. Panics if lengths differ.
-    pub fn and_with<B: Bits + ?Sized>(&mut self, other: &B) {
-        assert_eq!(self.len, other.len());
-        for (w, o) in self.words.iter_mut().zip(other.words()) {
-            *w &= o;
-        }
-    }
-
-    /// In-place OR with `other`. Panics if lengths differ.
-    pub fn or_with<B: Bits + ?Sized>(&mut self, other: &B) {
-        assert_eq!(self.len, other.len());
-        for (w, o) in self.words.iter_mut().zip(other.words()) {
-            *w |= o;
-        }
-    }
-
     /// Bitwise complement (within `len`).
     pub fn complement(&self) -> BitVec {
         let mut words: Vec<u64> = self.words.iter().map(|w| !w).collect();
@@ -183,18 +162,6 @@ impl BitVec {
         BitVec {
             len: self.len,
             words: words.into_boxed_slice(),
-        }
-    }
-
-    /// Write the bits of compact `src` (length `indices.len()`) into `self`
-    /// at positions `indices`: the inverse of [`Bits::project`].
-    ///
-    /// Used to paste a recursion node's output back into a full-length
-    /// vector.
-    pub fn scatter_from<B: Bits + ?Sized>(&mut self, src: &B, indices: &[u32]) {
-        assert_eq!(src.len(), indices.len(), "source/index length mismatch");
-        for (k, &i) in indices.iter().enumerate() {
-            self.set(i as usize, src.get(k));
         }
     }
 
@@ -278,38 +245,12 @@ mod tests {
     }
 
     #[test]
-    fn scatter_inverts_project() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let v = BitVec::random(&mut rng, 128);
-        let idx: Vec<u32> = vec![3, 17, 64, 90, 127];
-        let proj = v.project(&idx);
-        let mut back = BitVec::zeros(128);
-        back.scatter_from(&proj, &idx);
-        for &i in &idx {
-            assert_eq!(back.get(i as usize), v.get(i as usize));
-        }
-    }
-
-    #[test]
     fn boolean_ops() {
         let a = BitVec::from_bools(&[true, true, false, false]);
         let b = BitVec::from_bools(&[true, false, true, false]);
         let mut x = a.clone();
         x.xor_with(&b);
         assert!(x.bits_eq(&BitVec::from_bools(&[false, true, true, false])));
-        let mut y = a.clone();
-        y.and_with(&b);
-        assert!(y.bits_eq(&BitVec::from_bools(&[true, false, false, false])));
-        let mut z = a.clone();
-        z.or_with(&b);
-        assert!(z.bits_eq(&BitVec::from_bools(&[true, true, true, false])));
-    }
-
-    #[test]
-    fn random_dense_extremes() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        assert_eq!(BitVec::random_dense(&mut rng, 64, 0.0).count_ones(), 0);
-        assert_eq!(BitVec::random_dense(&mut rng, 64, 1.0).count_ones(), 64);
     }
 
     proptest! {

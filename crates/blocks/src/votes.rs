@@ -37,15 +37,6 @@ impl VoteTally {
         }
     }
 
-    /// Vectors supported by at least `threshold` voters.
-    pub fn at_least(&self, threshold: usize) -> Vec<BitVec> {
-        self.entries
-            .iter()
-            .take_while(|(_, c)| *c >= threshold)
-            .map(|(v, _)| v.clone())
-            .collect()
-    }
-
     /// How many leading entries have at least `threshold` (≥ 1) voters.
     fn supported(&self, threshold: usize) -> usize {
         self.entries
@@ -124,15 +115,6 @@ mod tests {
         assert_eq!(t.entries[1].1, 1);
         assert!(t.entries[0].0.bits_eq(&v(&[true, false])));
         assert_eq!(t.total_votes(), 4);
-    }
-
-    #[test]
-    fn at_least_filters() {
-        let votes = [v(&[true]), v(&[true]), v(&[false])];
-        let t = VoteTally::tally(votes.iter());
-        assert_eq!(t.at_least(2).len(), 1);
-        assert_eq!(t.at_least(1).len(), 2);
-        assert_eq!(t.at_least(3).len(), 0);
     }
 
     #[test]

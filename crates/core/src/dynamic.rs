@@ -111,16 +111,6 @@ pub struct DynamicOutcome {
     pub rounds: Vec<RoundReport>,
 }
 
-impl DynamicOutcome {
-    /// Max honest error per round.
-    pub fn max_err_trajectory(&self) -> Vec<u64> {
-        self.rounds
-            .iter()
-            .map(|r| r.outcome.errors.max as u64)
-            .collect()
-    }
-}
-
 /// An executable dynamic world: a pool substrate plus the change laws.
 ///
 /// Build with [`DynamicWorld::builder`]; run with [`DynamicWorld::run`].

@@ -9,7 +9,7 @@
 //! scored serve [--listen ADDR] [--queue-depth N]
 //!              [--journal PATH | --recover PATH]
 //!              [--compact-every N] [--compact-bytes N]
-//!              [--read-timeout-ms N] [--write-timeout-ms N]
+//!              [--read-timeout-ms N] [--write-timeout-ms N] [--fault SPEC]
 //! scored client <ADDR> <in.trace> [--connections N] [--shutdown]
 //!              [--deadline-ms N] [--retry-seed S] [--throttle-ms N]
 //! scored compact <journal>
@@ -35,9 +35,9 @@
 //! it, and CI's `service-chaos` job gates that a `kill -9` mid-replay
 //! plus `--recover` still lands the pinned digest. The journal is a
 //! valid `byzscore-trace/v1` file followed by zero padding, which trace
-//! readers skip: `scored replay wal.journal` works. Fault-injected
-//! builds (`--features fault-inject`) add `serve --fault SPEC` with
-//! deterministic kill/panic/drop/stall schedules.
+//! readers skip: `scored replay wal.journal` works. `serve --fault SPEC`
+//! installs a deterministic kill/panic/drop/stall schedule; stdin `serve`
+//! rejects the socket-only `drop-conn` and `stall` slots with usage.
 //!
 //! Compaction: `--compact-every N` / `--compact-bytes B` bound the
 //! journal tail — once the threshold is crossed, the server writes a
@@ -63,7 +63,7 @@ fn usage() -> ! {
          \u{20}      scored serve [--listen ADDR] [--queue-depth N]\n\
          \u{20}                   [--journal PATH | --recover PATH]\n\
          \u{20}                   [--compact-every N] [--compact-bytes N]\n\
-         \u{20}                   [--read-timeout-ms N] [--write-timeout-ms N]\n\
+         \u{20}                   [--read-timeout-ms N] [--write-timeout-ms N] [--fault SPEC]\n\
          \u{20}      scored client <ADDR> <in.trace> [--connections N] [--shutdown]\n\
          \u{20}                   [--deadline-ms N] [--retry-seed S] [--throttle-ms N]\n\
          \u{20}      scored compact <journal>"
@@ -207,7 +207,6 @@ fn serve(args: &[String]) {
             "--compact-bytes" => config.compact_bytes = Some(parse_num(&mut it, flag)),
             "--read-timeout-ms" => config.read_timeout_ms = parse_num(&mut it, flag),
             "--write-timeout-ms" => config.write_timeout_ms = parse_num(&mut it, flag),
-            #[cfg(feature = "fault-inject")]
             "--fault" => {
                 let spec = it.next().map(String::as_str).unwrap_or("");
                 match byzscore_service::FaultPlan::parse(spec) {
@@ -223,7 +222,13 @@ fn serve(args: &[String]) {
     }
     match listen {
         Some(addr) => serve_socket(&addr, config),
-        None => serve_stdin(&config),
+        None => {
+            if let Some(slot) = config.fault.socket_only_slot() {
+                eprintln!("scored: fault slot {slot} fires only with --listen");
+                usage();
+            }
+            serve_stdin(&config)
+        }
     }
 }
 

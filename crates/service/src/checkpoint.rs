@@ -541,7 +541,6 @@ pub fn save_checkpoint(
 /// (the footer never lands), as a crash mid-`write_all` would leave
 /// behind if the tmp file had already been renamed by a buggy ordering.
 /// Recovery must detect the tear and fall back.
-#[cfg(feature = "fault-inject")]
 pub fn save_torn_checkpoint(
     journal: &Path,
     engine: &ServiceEngine,

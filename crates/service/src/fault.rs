@@ -7,9 +7,8 @@
 //! single client connection the op indices are the trace indices, so a
 //! fault schedule is as reproducible as the trace itself.
 //!
-//! The plan type and parser are always compiled (and unit-tested); the
-//! hooks in `journal.rs`/`net/server.rs` only exist under the
-//! `fault-inject` cargo feature, so a production build carries no injection branches.
+//! Every build compiles the hooks in `journal.rs` and `net/server.rs`;
+//! under the default empty plan ([`FaultPlan::none`]) none of them fires.
 //!
 //! # Spec grammar
 //!
@@ -194,6 +193,16 @@ impl FaultPlan {
             .is_some()
     }
 
+    /// The first slot only the socket transport fires (`drop-conn`,
+    /// `stall`), in spec syntax: stdin `scored serve` rejects such a plan.
+    pub fn socket_only_slot(&self) -> Option<String> {
+        self.slots.iter().find_map(|slot| match slot.kind {
+            FaultKind::DropConn => Some(format!("drop-conn@{}", slot.at)),
+            FaultKind::Stall(d) => Some(format!("stall@{}:{}", slot.at, d.as_millis())),
+            _ => None,
+        })
+    }
+
     /// True when no slots are scheduled.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
@@ -234,6 +243,21 @@ mod tests {
         let bare = FaultPlan::parse("kill@checkpoint").unwrap();
         assert!(!bare.is_empty());
         assert!(!bare.torn_checkpoint_at(0), "kinds do not cross-fire");
+    }
+
+    #[test]
+    fn socket_only_slots_are_named_in_spec_syntax() {
+        let plan = FaultPlan::parse("panic-worker@1,stall@3:600,drop-conn@5").unwrap();
+        assert_eq!(plan.socket_only_slot().as_deref(), Some("stall@3:600"));
+        let plan = FaultPlan::parse("kill@2, drop-conn@5").unwrap();
+        assert_eq!(plan.socket_only_slot().as_deref(), Some("drop-conn@5"));
+        for pipeline_only in [
+            "",
+            "kill@7,panic-barrier@4,torn-checkpoint@1,kill@checkpoint",
+        ] {
+            let plan = FaultPlan::parse(pipeline_only).unwrap();
+            assert_eq!(plan.socket_only_slot(), None, "{pipeline_only:?}");
+        }
     }
 
     #[test]

@@ -85,12 +85,10 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-#[cfg(feature = "fault-inject")]
 use std::sync::Arc;
 
 use crate::checkpoint::{self, RecoverySource};
 use crate::engine::ServiceEngine;
-#[cfg(feature = "fault-inject")]
 use crate::fault::FaultPlan;
 use crate::request::{mix, Request, Response};
 use crate::workload::{format_op, parse_op, strip_padding, TraceError, TRACE_VERSION};
@@ -653,10 +651,8 @@ pub struct JournaledEngine {
     checkpoints: u64,
     /// Journal entries removed by those cycles.
     truncated_ops: u64,
-    #[cfg(feature = "fault-inject")]
     fault: Arc<FaultPlan>,
     /// `submit` calls so far: the op index the fault plan is keyed by.
-    #[cfg(feature = "fault-inject")]
     submitted: u64,
 }
 
@@ -677,9 +673,7 @@ impl JournaledEngine {
             halted: false,
             checkpoints: 0,
             truncated_ops: 0,
-            #[cfg(feature = "fault-inject")]
             fault: Arc::new(FaultPlan::none()),
-            #[cfg(feature = "fault-inject")]
             submitted: 0,
         }
     }
@@ -814,7 +808,6 @@ impl JournaledEngine {
     /// exactly once. The engine is quiescent between ops, so every
     /// post-op point is a safe checkpoint point.
     fn run_op(&mut self, seq: u64, op: &Request) -> io::Result<Response> {
-        #[cfg(feature = "fault-inject")]
         let index = {
             let index = self.submitted;
             self.submitted += 1;
@@ -835,7 +828,6 @@ impl JournaledEngine {
                 self.journaled += 1;
             }
         }
-        #[cfg(feature = "fault-inject")]
         if op.is_shardable() {
             if self.fault.worker_panic_at(index) {
                 panic!("fault-inject: panic before a shardable op executes");
@@ -871,7 +863,6 @@ impl JournaledEngine {
                 "no journal to compact",
             ));
         };
-        #[cfg(feature = "fault-inject")]
         if self.fault.torn_checkpoint_at(self.checkpoints) {
             checkpoint::save_torn_checkpoint(
                 &journal.path,
@@ -891,7 +882,6 @@ impl JournaledEngine {
         self.base = self.ops_applied;
         self.tail_bytes = 0;
         self.checkpoints += 1;
-        #[cfg(feature = "fault-inject")]
         self.fault.kill_checkpoint_at(self.checkpoints - 1);
         Ok(())
     }
@@ -950,20 +940,17 @@ impl JournaledEngine {
     }
 
     /// Install the fault schedule `submit` and `compact` fire from.
-    #[cfg(feature = "fault-inject")]
     pub(crate) fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
         self.fault = plan;
     }
 
     /// The op index the next `submit` call will carry.
-    #[cfg(feature = "fault-inject")]
     pub(crate) fn submitted(&self) -> u64 {
         self.submitted
     }
 
     /// Fault-injection hook: journal an op *without* executing it, the
     /// on-disk state a crash between append and execute leaves behind.
-    #[cfg(feature = "fault-inject")]
     pub fn journal_without_execute(&mut self, seq: u64, op: &Request) -> io::Result<()> {
         match &mut self.journal {
             Some(journal) => journal.append(seq, op).map(|_| ()),
@@ -1363,7 +1350,6 @@ mod tests {
 
     /// The op shapes the supervision tests address by index: a probe at
     /// 1 and 4, a query at 2, barriers at 0, 3, 5 and 6.
-    #[cfg(feature = "fault-inject")]
     const SUPERVISED: [&str; 7] = [
         "open 24 48 3 3 11 naive 4 1 2000 13",
         "probe 0 3 1,2,9",
@@ -1377,7 +1363,6 @@ mod tests {
     /// Drive [`SUPERVISED`] through a journaled pipeline carrying `plan`,
     /// resending op `faulted` once after its `Retryable`: every final
     /// answer must be the plain engine's.
-    #[cfg(feature = "fault-inject")]
     fn supervised_run(tag: &str, plan: &str, faulted: usize) -> JournaledEngine {
         let ops: Vec<Request> = SUPERVISED.iter().map(|l| parse_op(l).unwrap()).collect();
         let expected = ServiceEngine::new().execute(&ops);
@@ -1401,7 +1386,6 @@ mod tests {
 
     /// A probe that panics inside `submit` answers `Ok(Retryable)`, not
     /// an unwind, and its resend executes as if nothing happened.
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn a_panicking_probe_answers_retryable_and_its_resend_executes() {
         let je = supervised_run("panic_worker", "panic-worker@1", 1);
@@ -1412,7 +1396,6 @@ mod tests {
     /// A barrier that panics after its append rebuilds the engine from
     /// the journal; the resend answers from the dedupe window, so the
     /// churn applies exactly once.
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn a_panicking_barrier_rebuilds_and_its_resend_is_deduped() {
         let je = supervised_run("panic_barrier", "panic-barrier@3", 3);
@@ -1424,7 +1407,6 @@ mod tests {
     /// both checkpoint generations are gone — halts the pipeline: every
     /// later `submit` answers `Retryable` and leaves the journal as it
     /// was.
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn a_failed_rebuild_halts_without_appending_or_executing() {
         let path = temp_path("halt");

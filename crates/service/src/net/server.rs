@@ -14,7 +14,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use super::stats::StatsInner;
-#[cfg(feature = "fault-inject")]
 use crate::fault::FaultPlan;
 use crate::journal::{CompactionPolicy, JournaledEngine, RecoveryReport};
 use crate::request::{Request, Response, ServiceError};
@@ -60,9 +59,8 @@ pub struct NetConfig {
     /// Checkpoint + truncate the journal once this many bytes
     /// accumulate past the last checkpoint (`--compact-bytes`).
     pub compact_bytes: Option<u64>,
-    /// Deterministic fault schedule (test builds only; the default
+    /// Deterministic fault schedule (`scored serve --fault`; the default
     /// empty plan makes every hook a no-op).
-    #[cfg(feature = "fault-inject")]
     pub fault: Arc<FaultPlan>,
 }
 
@@ -76,7 +74,6 @@ impl Default for NetConfig {
             recover: false,
             compact_every: None,
             compact_bytes: None,
-            #[cfg(feature = "fault-inject")]
             fault: Arc::new(FaultPlan::none()),
         }
     }
@@ -85,17 +82,15 @@ impl Default for NetConfig {
 impl NetConfig {
     /// Open the pipeline this configuration describes: the journal,
     /// its recovery when [`NetConfig::recover`] is set, the compaction
-    /// policy and, in `fault-inject` builds, the fault plan. Every
-    /// front-end opens its pipeline here.
+    /// policy and the fault plan. Every front-end opens its pipeline
+    /// here.
     pub fn open_pipeline(&self) -> io::Result<(JournaledEngine, Option<RecoveryReport>)> {
         let policy = CompactionPolicy {
             every: self.compact_every,
             bytes: self.compact_bytes,
         };
-        #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
         let (mut pipeline, recovery) =
             JournaledEngine::open(self.journal.as_deref(), self.recover, policy)?;
-        #[cfg(feature = "fault-inject")]
         pipeline.set_fault_plan(self.fault.clone());
         Ok((pipeline, recovery))
     }
@@ -166,7 +161,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             local_addr,
-            #[cfg(feature = "fault-inject")]
             fault: config.fault.clone(),
         });
 
@@ -307,7 +301,6 @@ impl ReplyTo {
     }
 
     /// Sever the underlying socket (drop-connection fault injection).
-    #[cfg(feature = "fault-inject")]
     fn sever(&self) {
         let conn = lock_ok(&self.conn);
         let _ = conn.stream.shutdown(Shutdown::Both);
@@ -353,7 +346,6 @@ impl Dispatcher {
     /// pipeline supervises the op itself; once it halts, the server
     /// flushes and shuts down.
     fn handle(&mut self, req: Request, reply: ReplyTo) {
-        #[cfg(feature = "fault-inject")]
         if self.ctx.fault.drop_conn_at(self.pipeline.submitted()) {
             // Sever the client's socket; the op still executes and its
             // answer write fails silently — exactly what a mid-flight
@@ -399,7 +391,6 @@ struct ConnCtx {
     shutdown: AtomicBool,
     conns: Mutex<Vec<(u64, TcpStream)>>,
     local_addr: SocketAddr,
-    #[cfg(feature = "fault-inject")]
     fault: Arc<FaultPlan>,
 }
 
@@ -513,7 +504,6 @@ fn connection_loop(stream: &TcpStream, admission_tx: SyncSender<Job>, ctx: &Arc<
                     // Fault-injection: wedge this connection thread for
                     // a while before admission, as if the server ground
                     // to a halt — the client's deadline should fire.
-                    #[cfg(feature = "fault-inject")]
                     if let Some(stall) = ctx
                         .fault
                         .stall_at(ctx.stats.admitted.load(Ordering::Relaxed))
