@@ -41,8 +41,9 @@
 //!
 //! Compaction: `--compact-every N` / `--compact-bytes B` bound the
 //! journal tail — once the threshold is crossed, the server writes a
-//! fsynced `byzscore-ckpt/v2` snapshot of the full engine state next to
-//! the journal and atomically truncates the journal to an empty tail,
+//! fsynced `byzscore-ckpt/v3` snapshot of what the engine cannot
+//! recompute (restore re-scores each open session) next to the journal
+//! and atomically truncates the journal to an empty tail,
 //! so recovery replays at most one threshold's worth of ops instead of
 //! the whole history. `scored compact <journal>` runs one offline
 //! cycle on an idle journal. The recovery print names its source

@@ -1,24 +1,25 @@
 //! Versioned engine checkpoints: the compaction half of the durability
 //! story (DESIGN.md §4.16).
 //!
-//! A checkpoint file (`byzscore-ckpt/v2`) captures the full resident
-//! state of a [`ServiceEngine`] plus its [`DedupeWindow`] at a known
-//! op count: per open session the spec, the slot→identity map, the
-//! churn/epoch counters, the cached score rows (verbatim, hex words),
-//! and the probed set (one `probed` line of ascending indices
+//! A checkpoint file (`byzscore-ckpt/v3`) captures what the engine
+//! cannot recompute, at a known op count: per open session the spec,
+//! the slot→identity map, the `next_fresh`/epoch/churn counters and the
+//! probed set (one `probed` line of ascending indices
 //! `slot · objects + object`, `-` when empty); plus every dedupe entry
 //! in FIFO order. Everything else resident — the identity pool re-folded
-//! to its epoch, the active world probes read — is a pure function of
-//! those fields and is *recomputed* at restore, so a checkpoint is small
-//! and loading one never re-runs the scoring algorithm. `decode` rejects
-//! fields the engine could not have written (more session ids than
-//! covered ops, map entries or probed indices outside the pool,
-//! mis-shaped score rows, more epochs than covered ops) as
-//! [`CheckpointError::Corrupt`] before anything allocates or indexes
-//! with them. The reader ignores unknown `meta` keys, so files that
-//! still carry a `shards=` key restore too. It reads only `v2`: a `v1`
-//! file (per-claim `claim` lines) is corrupt, and recovery falls back
-//! as it does for any checkpoint that does not load.
+//! to its epoch, the active world probes read, and the score rows
+//! queries read — is a pure function of those fields and is
+//! *recomputed* at restore: each open session is re-scored exactly as
+//! its last barrier scored it. `decode` rejects fields the engine could
+//! not have written (more session ids than covered ops, map entries
+//! that are repeated or not below `next_fresh`, `next_fresh` or probed
+//! indices outside the pool, an unscorable population, more epochs than
+//! covered ops) as [`CheckpointError::Corrupt`] before anything
+//! allocates, indexes or scores with them. The reader ignores unknown
+//! `meta` keys, so files that still carry a `shards=` key restore too.
+//! It reads only `v3`: a `v1` (per-claim `claim` lines) or `v2` (hex
+//! score `rows` lines) file is corrupt, and recovery falls back as it
+//! does for any checkpoint that does not load.
 //!
 //! # Torn-write detection
 //!
@@ -36,8 +37,6 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use byzscore_bitset::{BitMatrix, BitVec, Bits};
-
 use crate::engine::{scorable, ServiceEngine, SessionImage};
 use crate::journal::{sync_parent_dir, DedupeWindow};
 use crate::request::{mix, Request};
@@ -45,7 +44,7 @@ use crate::wire::{format_response, parse_response};
 use crate::workload::{format_op, parse_op};
 
 /// Version header of the checkpoint format.
-pub const CKPT_VERSION: &str = "byzscore-ckpt/v2";
+pub const CKPT_VERSION: &str = "byzscore-ckpt/v3";
 
 /// Where a recovered engine's state came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,7 +130,7 @@ fn body_digest(body: &[u8]) -> u64 {
 }
 
 /// Serialize `engine` + `dedupe` at `ops` applied mutating ops into a
-/// complete `byzscore-ckpt/v2` file body (footer included).
+/// complete `byzscore-ckpt/v3` file body (footer included).
 pub fn encode_checkpoint(engine: &ServiceEngine, dedupe: &DedupeWindow, ops: u64) -> String {
     let mut out = String::new();
     out.push_str(CKPT_VERSION);
@@ -147,17 +146,11 @@ pub fn encode_checkpoint(engine: &ServiceEngine, dedupe: &DedupeWindow, ops: u64
             .expect("open ops format with the open verb");
         out.push_str(&format!("session {sid} {spec_tail}\n"));
         out.push_str(&format!(
-            "state {sid} {} {} {} {}\n",
-            image.next_fresh, image.epoch, image.churns, image.last_max_err
+            "state {sid} {} {} {}\n",
+            image.next_fresh, image.epoch, image.churns
         ));
         let map: Vec<String> = image.map.iter().map(|id| id.to_string()).collect();
         out.push_str(&format!("map {sid} {}\n", map.join(",")));
-        out.push_str(&format!(
-            "rows {sid} {} {} {}\n",
-            image.rows.rows(),
-            image.rows.cols(),
-            encode_rows(&image.rows)
-        ));
         let probed: Vec<String> = image.probed.iter().map(|i| i.to_string()).collect();
         let probed = if probed.is_empty() {
             "-".to_string()
@@ -178,53 +171,12 @@ pub fn encode_checkpoint(engine: &ServiceEngine, dedupe: &DedupeWindow, ops: u64
     out
 }
 
-/// Score rows as one hex string: row-major `u64` words, 16 hex digits
-/// each ("-" for an empty matrix).
-fn encode_rows(rows: &BitMatrix) -> String {
-    if rows.rows() == 0 {
-        return "-".to_string();
-    }
-    let mut hex = String::with_capacity(rows.rows() * rows.cols().div_ceil(64) * 16);
-    for r in 0..rows.rows() {
-        for word in rows.row(r).to_bitvec().words() {
-            hex.push_str(&format!("{word:016x}"));
-        }
-    }
-    hex
-}
-
-fn decode_rows(hex: &str, nrows: usize, ncols: usize) -> Result<BitMatrix, String> {
-    if nrows == 0 {
-        return Ok(BitMatrix::zeros(0, ncols));
-    }
-    let per_row = ncols.div_ceil(64);
-    if hex.len() != nrows * per_row * 16 {
-        return Err(format!(
-            "rows hex length {} != {nrows}x{per_row} words",
-            hex.len()
-        ));
-    }
-    let mut parsed = Vec::with_capacity(nrows);
-    let bytes = hex.as_bytes();
-    for r in 0..nrows {
-        let mut words = Vec::with_capacity(per_row);
-        for w in 0..per_row {
-            let at = (r * per_row + w) * 16;
-            let digits = std::str::from_utf8(&bytes[at..at + 16]).map_err(|_| "non-ascii hex")?;
-            words.push(u64::from_str_radix(digits, 16).map_err(|e| format!("bad row word: {e}"))?);
-        }
-        parsed.push(BitVec::from_words(words, ncols));
-    }
-    Ok(BitMatrix::from_rows(&parsed))
-}
-
 /// One session's fields accumulated while parsing.
 #[derive(Default)]
 struct PartialImage {
     spec: Option<crate::request::SessionSpec>,
-    state: Option<(u32, u64, u64, u64)>,
+    state: Option<(u32, u64, u64)>,
     map: Option<Vec<u32>>,
-    rows: Option<BitMatrix>,
     probed: Vec<u64>,
 }
 
@@ -324,21 +276,20 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
             }
             "state" => {
                 let toks: Vec<&str> = rest.split_whitespace().collect();
-                if toks.len() != 5 {
-                    return Err(corrupt(format!("state line wants 5 fields: {line:?}")));
+                if toks.len() != 4 {
+                    return Err(corrupt(format!("state line wants 4 fields: {line:?}")));
                 }
                 let sid: u64 = toks[0]
                     .parse()
                     .map_err(|e| corrupt(format!("bad state id: {e}")))?;
-                let parse4 = || -> Result<(u32, u64, u64, u64), String> {
+                let parse3 = || -> Result<(u32, u64, u64), String> {
                     Ok((
                         toks[1].parse().map_err(|e| format!("next_fresh: {e}"))?,
                         toks[2].parse().map_err(|e| format!("epoch: {e}"))?,
                         toks[3].parse().map_err(|e| format!("churns: {e}"))?,
-                        toks[4].parse().map_err(|e| format!("max_err: {e}"))?,
                     ))
                 };
-                partials.entry(sid).or_default().state = Some(parse4().map_err(corrupt)?);
+                partials.entry(sid).or_default().state = Some(parse3().map_err(corrupt)?);
             }
             "map" => {
                 let (sid, ids) = rest
@@ -350,23 +301,6 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
                 let map: Result<Vec<u32>, _> = ids.trim().split(',').map(|t| t.parse()).collect();
                 partials.entry(sid).or_default().map =
                     Some(map.map_err(|e| corrupt(format!("bad map entry: {e}")))?);
-            }
-            "rows" => {
-                let toks: Vec<&str> = rest.split_whitespace().collect();
-                if toks.len() != 4 {
-                    return Err(corrupt(format!("rows line wants 4 fields: {line:?}")));
-                }
-                let sid: u64 = toks[0]
-                    .parse()
-                    .map_err(|e| corrupt(format!("bad rows id: {e}")))?;
-                let nrows: usize = toks[1]
-                    .parse()
-                    .map_err(|e| corrupt(format!("bad row count: {e}")))?;
-                let ncols: usize = toks[2]
-                    .parse()
-                    .map_err(|e| corrupt(format!("bad col count: {e}")))?;
-                partials.entry(sid).or_default().rows =
-                    Some(decode_rows(toks[3], nrows, ncols).map_err(corrupt)?);
             }
             "probed" => {
                 let (sid, indices) = rest
@@ -425,15 +359,12 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
         let spec = partial
             .spec
             .ok_or_else(|| corrupt(format!("session {sid} missing spec")))?;
-        let (next_fresh, epoch, churns, last_max_err) = partial
+        let (next_fresh, epoch, churns) = partial
             .state
             .ok_or_else(|| corrupt(format!("session {sid} missing state")))?;
         let map = partial
             .map
             .ok_or_else(|| corrupt(format!("session {sid} missing map")))?;
-        let rows = partial
-            .rows
-            .ok_or_else(|| corrupt(format!("session {sid} missing rows")))?;
         if sid >= slots {
             return Err(corrupt(format!("session {sid} outside {slots} slots")));
         }
@@ -443,8 +374,6 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
             next_fresh,
             epoch,
             churns,
-            last_max_err,
-            rows,
             probed: partial.probed,
         };
         check_image(sid, &image, ops).map_err(corrupt)?;
@@ -458,42 +387,40 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
 }
 
 /// Reject a session image the engine could not have written, before
-/// restore indexes or folds anything with it: every map entry and
-/// `next_fresh` must lie in the `2 × players` pool, every probed index in
-/// the pool's `pool · objects` pairs, the score rows must be
-/// `map.len() × objects`, the epoch and churn counts cannot exceed
-/// the covered `ops` (each epoch or churn is one journaled mutating op,
+/// restore indexes, folds or scores anything with it: `next_fresh` must
+/// lie in the `2 × players` pool, and the map must hold distinct ids
+/// below it (the engine hands each fresh id out once), so the map is
+/// never longer than the pool; every probed index must lie in the pool's
+/// `pool · objects` pairs, the epoch and churn counts cannot exceed the
+/// covered `ops` (each epoch or churn is one journaled mutating op,
 /// which also bounds restore's per-epoch fold), and the population must
 /// exceed the corrupt count, as `open` and `churn` keep it.
 fn check_image(sid: u64, image: &SessionImage, ops: u64) -> Result<(), String> {
     scorable("restore", image.map.len(), image.spec.corrupt)
         .map_err(|e| format!("session {sid}: {e}"))?;
     let pool = (image.spec.players.max(1) as u64).saturating_mul(2);
-    if let Some(id) = image.map.iter().find(|&&id| u64::from(id) >= pool) {
-        return Err(format!(
-            "session {sid} map entry {id} outside its {pool}-row pool"
-        ));
-    }
     if u64::from(image.next_fresh) > pool {
         return Err(format!(
             "session {sid} next_fresh {} past its {pool}-row pool",
             image.next_fresh
         ));
     }
+    if let Some(id) = image.map.iter().find(|&&id| id >= image.next_fresh) {
+        return Err(format!(
+            "session {sid} map entry {id} not below next_fresh {}",
+            image.next_fresh
+        ));
+    }
+    let mut ids = image.map.clone();
+    ids.sort_unstable();
+    if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(format!("session {sid} map entry {} repeats", pair[0]));
+    }
     let objects = image.spec.objects.max(1);
     let pairs = pool.saturating_mul(objects as u64);
     if let Some(index) = image.probed.iter().find(|&&index| index >= pairs) {
         return Err(format!(
             "session {sid} probed index {index} outside its {pairs} pool pairs"
-        ));
-    }
-    let shape = (image.rows.rows(), image.rows.cols());
-    if shape != (image.map.len(), objects) {
-        return Err(format!(
-            "session {sid} rows are {}x{}, want {}x{objects}",
-            shape.0,
-            shape.1,
-            image.map.len()
         ));
     }
     if image.epoch > ops || image.churns > ops {
@@ -580,7 +507,7 @@ pub fn load_latest(journal: &Path) -> Option<(RestoredCheckpoint, RecoverySource
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::combined_digest;
+    use crate::request::Response;
     use crate::workload::{Trace, TraceSpec};
 
     /// Drive a fresh engine over a generated trace, recording responses
@@ -602,23 +529,42 @@ mod tests {
         (engine, dedupe, mutating, trace.ops)
     }
 
+    /// At every cut of the trace, a checkpoint re-encodes to itself after
+    /// a decode, and the restored engine (every open session re-scored)
+    /// answers the rest of the trace exactly as the live engine did —
+    /// including cuts right after a churn and right after an epoch, whose
+    /// restore re-scores with that transition's seed.
     #[test]
     fn checkpoint_round_trips_and_future_answers_match() {
-        let (engine, dedupe, ops, all) = driven_engine(31, 9);
-        let text = encode_checkpoint(&engine, &dedupe, ops);
-        let restored = decode(&text).expect("round trip decodes");
-        assert_eq!(restored.ops, ops);
-        assert_eq!(restored.dedupe.len(), dedupe.len());
-        // The restored engine must answer the rest of the trace exactly
-        // as the original would — including recomputes (churn/epoch)
-        // that re-derive the world from the restored fields.
-        let mut original = engine;
-        let mut recovered = restored.engine;
-        let tail = &all[9..];
-        assert_eq!(
-            combined_digest(&original.execute(tail)),
-            combined_digest(&recovered.execute(tail)),
-            "restored engine diverged on the tail"
+        let all = Trace::generate(&TraceSpec::small(31)).ops;
+        let live = ServiceEngine::new().execute(&all);
+        let mut after_churn = false;
+        let mut after_epoch = false;
+        for cut in 0..=all.len() {
+            let (engine, dedupe, ops, _) = driven_engine(31, cut);
+            let text = encode_checkpoint(&engine, &dedupe, ops);
+            let restored = decode(&text).expect("round trip decodes");
+            assert_eq!(restored.ops, ops);
+            assert_eq!(
+                encode_checkpoint(&restored.engine, &restored.dedupe, restored.ops),
+                text,
+                "cut {cut}: encode(decode(x)) != x"
+            );
+            let mut recovered = restored.engine;
+            assert_eq!(
+                recovered.execute(&all[cut..]),
+                live[cut..],
+                "cut {cut}: the restored engine diverged on the tail"
+            );
+            match cut.checked_sub(1).map(|last| &live[last]) {
+                Some(Response::Churned { .. }) => after_churn = true,
+                Some(Response::Epoch { .. }) => after_epoch = true,
+                _ => {}
+            }
+        }
+        assert!(
+            after_churn && after_epoch,
+            "the trace must cut after both transitions"
         );
     }
 
@@ -714,9 +660,11 @@ mod tests {
     }
 
     /// A map entry past the `2 × players` pool is corrupt, not a panic
-    /// when restore gathers the active world; so is a probed index past
-    /// the pool's `pool · objects` pairs, not a panic when restore sets
-    /// its bit, and a probed index that is not a number.
+    /// when restore gathers the active world; so is a map longer than the
+    /// pool (its repeated ids would let a probe past the pool pass
+    /// validation and panic setting its bit), a probed index past the
+    /// pool's `pool · objects` pairs, not a panic when restore sets its
+    /// bit, and a probed index that is not a number.
     #[test]
     fn a_map_entry_past_the_pool_is_corrupt() {
         let (engine, dedupe, ops, _) = driven_engine(35, 11);
@@ -729,6 +677,14 @@ mod tests {
         assert!(corrupt_reason(&hostile).contains("map entry 4000000000"));
 
         let spec = engine.images()[0].1.spec;
+        let pool = 2 * spec.players.max(1);
+        let zeros = vec!["0"; pool + 1].join(",");
+        let hostile = reforge(&text, "map ", |line| {
+            let (head, _) = line.rsplit_once(' ').expect("map line has ids");
+            format!("{head} {zeros}")
+        });
+        assert!(corrupt_reason(&hostile).contains("map entry 0 repeats"));
+
         let pairs = 2 * spec.players.max(1) as u64 * spec.objects.max(1) as u64;
         for (index, reason) in [
             (pairs.to_string(), format!("probed index {pairs}")),
@@ -780,28 +736,11 @@ mod tests {
         assert!(corrupt_reason(&hostile).contains("next_fresh 4000000000"));
     }
 
-    /// Score rows must be `map.len() × objects`: a matrix one column wide
-    /// (same hex length at 64 objects) or one row short is corrupt, not a
-    /// panic on the first query past it.
-    #[test]
-    fn score_rows_of_the_wrong_shape_are_corrupt() {
-        let (engine, dedupe, ops, _) = driven_engine(35, 11);
-        let text = encode_checkpoint(&engine, &dedupe, ops);
-        let narrow = reforge(&text, "rows ", |line| with_field(line, 3, "1"));
-        assert!(corrupt_reason(&narrow).contains("rows are"));
-        let short_map = reforge(&text, "map ", |line| {
-            line.rsplit_once(',')
-                .expect("map has two ids")
-                .0
-                .to_string()
-        });
-        assert!(corrupt_reason(&short_map).contains("rows are"));
-    }
-
     /// A session whose population does not exceed its corrupt count could
     /// never be scored (`open` and `churn` refuse to leave one), so a map
-    /// cut to `corrupt` ids, with rows to match and a valid footer, is
-    /// corrupt: restored, its next barrier would score zero honest players.
+    /// cut to `corrupt` ids under a valid footer is corrupt, and decode
+    /// says so before restore re-scores the session with zero honest
+    /// players.
     #[test]
     fn an_unscorable_population_is_corrupt() {
         let (engine, dedupe, ops, _) = driven_engine(35, 11);
@@ -809,16 +748,10 @@ mod tests {
         let (sid, image) = &engine.images()[0];
         let keep = image.spec.corrupt;
         assert!(keep > 0 && keep < image.map.len());
-        let words = image.rows.cols().div_ceil(64);
-        let cut_map = reforge(&text, &format!("map {sid} "), |line| {
+        let hostile = reforge(&text, &format!("map {sid} "), |line| {
             let (head, ids) = line.rsplit_once(' ').expect("map line has ids");
             let kept: Vec<&str> = ids.split(',').take(keep).collect();
             format!("{head} {}", kept.join(","))
-        });
-        let hostile = reforge(&cut_map, &format!("rows {sid} "), |line| {
-            let fields: Vec<&str> = line.split(' ').collect();
-            let hex = &fields[4][..keep * words * 16];
-            format!("rows {sid} {keep} {} {hex}", fields[3])
         });
         let reason = corrupt_reason(&hostile);
         assert!(
@@ -866,6 +799,15 @@ mod tests {
         let (fallback, source) = load_latest(&journal).expect("previous still loads");
         assert_eq!(source, RecoverySource::PreviousCheckpoint);
         assert_eq!(fallback.ops, ops, "rotated file is the older snapshot");
+
+        // A complete v2 file (hex score rows) is corrupt, and falls back
+        // the same way.
+        let v2 = reforge(&text, CKPT_VERSION, |_| "byzscore-ckpt/v2".to_string());
+        assert!(corrupt_reason(&v2).contains("bad header"));
+        std::fs::write(&current, &v2).expect("rewrite current as v2");
+        let (fallback, source) = load_latest(&journal).expect("previous still loads");
+        assert_eq!(source, RecoverySource::PreviousCheckpoint);
+        assert_eq!(fallback.ops, ops);
 
         let _ = std::fs::remove_file(checkpoint_path(&journal));
         let _ = std::fs::remove_file(previous_checkpoint_path(&journal));

@@ -93,7 +93,6 @@ struct SessionState {
     /// One bit per `(slot, object)` pair probed while the session was
     /// open, in the pool's shape (`map.len() ≤ next_fresh ≤` pool rows).
     probed: BitMatrix,
-    last_max_err: u64,
 }
 
 impl SessionState {
@@ -129,25 +128,25 @@ impl SessionState {
             churns,
             session,
             rows: BitMatrix::zeros(0, 0),
-            last_max_err: 0,
         }
     }
 
-    /// Run the scoring algorithm on the current world and cache the
-    /// score rows queries read.
-    fn score(&mut self) {
+    /// Run the scoring algorithm on the current world, cache the score
+    /// rows queries read, and return the run's `max_err`. The run is a
+    /// pure function of the spec, the map, the epoch and the churn count.
+    fn score(&mut self) -> u64 {
         let seed = derive_seed(self.spec.score_seed, &[TAG_SCORE, self.epoch, self.churns]);
         let outcome = self.session.run(self.spec.algorithm.core(), seed);
-        self.last_max_err = outcome.errors.max as u64;
         self.rows = outcome.output.expect("service sessions use the dense sink");
+        outcome.errors.max as u64
     }
 
     /// After a world transition: evolve the session onto the new active
-    /// world and rescore it.
-    fn recompute(&mut self) {
+    /// world and rescore it, returning the run's `max_err`.
+    fn recompute(&mut self) -> u64 {
         let (truth, planted) = active_world(&self.world, &self.pool_planted, &self.map);
         self.session = self.session.evolved(truth, Some(planted));
-        self.score();
+        self.score()
     }
 }
 
@@ -266,11 +265,11 @@ impl ServiceEngine {
         let sid = self.next_sid;
         let mut state =
             SessionState::new(spec, (0..players as u32).collect(), players as u32, 0, 0);
-        state.score();
+        let max_err = state.score();
         let response = Response::Opened {
             session: sid,
             players: state.map.len(),
-            max_err: state.last_max_err,
+            max_err,
         };
         self.sessions.insert(sid, state);
         self.next_sid += 1;
@@ -301,13 +300,13 @@ impl ServiceEngine {
             join,
             &mut rng,
         );
-        state.recompute();
+        let max_err = state.recompute();
         Response::Churned {
             session: sid,
             retired,
             joined,
             players: state.map.len(),
-            max_err: state.last_max_err,
+            max_err,
         }
     }
 
@@ -320,11 +319,11 @@ impl ServiceEngine {
         if let Some(drift) = &state.drift {
             drift.fold_epoch(state.epoch, &mut state.world);
         }
-        state.recompute();
+        let max_err = state.recompute();
         Response::Epoch {
             session: sid,
             epoch: state.epoch,
-            max_err: state.last_max_err,
+            max_err,
         }
     }
 
@@ -479,20 +478,16 @@ fn preferences(
 
 /// The durable slice of one resident session — everything a checkpoint
 /// must carry to reconstruct [`SessionState`] without replaying its
-/// history. The resident world (the pool drifted to `epoch`) and the
-/// active world probes read are pure functions of these fields, so they
-/// are *recomputed* at restore rather than serialized: a folded world is
-/// `2 · players · objects` bits and the fold is cheap next to the scorer.
-/// The score rows are carried verbatim so restore never re-runs the
-/// scoring algorithm.
+/// history. The resident world (the pool drifted to `epoch`), the active
+/// world probes read and the score rows queries read are pure functions
+/// of these fields, so they are *recomputed* at restore rather than
+/// serialized; only the probed set is not derivable.
 pub(crate) struct SessionImage {
     pub spec: SessionSpec,
     pub map: Vec<u32>,
     pub next_fresh: u32,
     pub epoch: u64,
     pub churns: u64,
-    pub last_max_err: u64,
-    pub rows: BitMatrix,
     /// The probed set as ascending indices `slot · objects + object`.
     pub probed: Vec<u64>,
 }
@@ -521,8 +516,6 @@ impl ServiceEngine {
                     next_fresh: state.next_fresh,
                     epoch: state.epoch,
                     churns: state.churns,
-                    last_max_err: state.last_max_err,
-                    rows: state.rows.clone(),
                     probed,
                 };
                 (sid, image)
@@ -531,13 +524,15 @@ impl ServiceEngine {
     }
 
     /// Rebuild an engine from checkpoint images: `slots` ids assigned,
-    /// then each image installed at its id. Each session is rebuilt by
-    /// [`SessionState::new`] exactly as `open` builds one (pool folded to
-    /// the image's epoch, session evolved onto the active world), then
-    /// takes the image's score rows and probed set, so nothing re-runs
-    /// the scorer. Restore costs the checkpoint size plus one fold per
-    /// past epoch and pool bit (`decode` bounds each epoch count by the
-    /// covered ops, and every probed index by the pool).
+    /// then each image installed at its id. Each session is rebuilt
+    /// exactly as `open` builds one: [`SessionState::new`] (pool folded
+    /// to the image's epoch, session on the active world), then
+    /// [`SessionState::score`] with the seed of its epoch and churn
+    /// count, then the image's probed set. Restore costs one fold per
+    /// past epoch and pool bit plus one scorer run per open session
+    /// (about 1 ms for a `naive` session at 96 × 192); `decode` bounds
+    /// each epoch count by the covered ops and every probed index by the
+    /// pool, and rejects an unscorable population, before this runs.
     pub(crate) fn from_images(slots: u64, images: Vec<(u64, SessionImage)>) -> ServiceEngine {
         let sessions = images
             .into_iter()
@@ -549,8 +544,7 @@ impl ServiceEngine {
                     image.epoch,
                     image.churns,
                 );
-                state.rows = image.rows;
-                state.last_max_err = image.last_max_err;
+                state.score();
                 let objects = state.probed.cols() as u64;
                 for index in image.probed {
                     state
@@ -847,6 +841,7 @@ mod tests {
                 for (live, back) in engine.sessions.values().zip(restored.sessions.values()) {
                     assert_eq!(back.world, live.world, "restore re-folds the world");
                     assert_eq!(back.probed, live.probed, "restore keeps the probed set");
+                    assert_eq!(back.rows, live.rows, "restore re-scores the same rows");
                     let (a, b) = (live.session.truth(), back.session.truth());
                     assert_eq!(a.players(), b.players());
                     for p in 0..live.map.len() as u32 {

@@ -38,7 +38,7 @@ use std::time::Duration;
 
 /// One kind of injected fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
+enum FaultKind {
     /// Abort the process (the in-process stand-in for `kill -9`).
     Kill,
     /// Panic a probe or query before it executes.
@@ -202,11 +202,6 @@ impl FaultPlan {
             _ => None,
         })
     }
-
-    /// True when no slots are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +220,8 @@ mod tests {
         assert_eq!(plan.stall_at(7), None);
         assert!(plan.barrier_panic_at(9));
         assert!(!plan.drop_conn_at(9), "kinds do not cross-fire");
-        assert!(FaultPlan::parse("").unwrap().is_empty());
+        let empty = FaultPlan::parse("").unwrap();
+        assert!((0..10).all(|at| empty.fire(at, |_| true).is_none()));
     }
 
     #[test]
@@ -238,11 +234,14 @@ mod tests {
         // cycles; cycle 2 itself is exercised end-to-end in CI chaos.
         plan.kill_checkpoint_at(0);
         plan.kill_checkpoint_at(1);
-        // Bare kill@checkpoint defaults to cycle 0 — verify via parse
-        // round-trip against the non-aborting torn kind's key space.
+        // Bare kill@checkpoint defaults to cycle 0: claim its slot through
+        // `fire`, which does not abort.
         let bare = FaultPlan::parse("kill@checkpoint").unwrap();
-        assert!(!bare.is_empty());
         assert!(!bare.torn_checkpoint_at(0), "kinds do not cross-fire");
+        assert_eq!(
+            bare.fire(0, |k| k == FaultKind::KillCheckpoint),
+            Some(FaultKind::KillCheckpoint)
+        );
     }
 
     #[test]

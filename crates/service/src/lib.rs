@@ -35,9 +35,9 @@ mod request;
 pub mod wire;
 pub mod workload;
 
-pub use checkpoint::{CheckpointError, RecoverySource, CKPT_VERSION};
+pub use checkpoint::{CheckpointError, RecoverySource};
 pub use engine::{ServiceEngine, DEFAULT_SHARDS};
-pub use fault::{FaultKind, FaultPlan};
+pub use fault::FaultPlan;
 pub use journal::{
     CompactionPolicy, DedupeWindow, Journal, JournaledEngine, Recovered, RecoveryReport,
 };

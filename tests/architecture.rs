@@ -6,6 +6,15 @@
 //! build, a `-p` build of one crate and the out-of-workspace `perf/`
 //! benchmark (outside this rule) compile the same program. The scan is
 //! plain `str::contains` over every file: comments and tests count too.
+//!
+//! Served world is resident (DESIGN.md §4.13): a served session folds its
+//! drifted pool once per `AdvanceEpoch`, gathers each barrier's world from
+//! those bits, and checkpoint restore re-scores on the same world. A read
+//! routed back through the drift/remap adapters answers identically, so
+//! no answer test would fail; only the benchmark would notice. So no line
+//! of `crates/service/src` above a file's first `#[cfg(test)]` names
+//! them; below it, a unit test pins the resident world to the adapter
+//! composition.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,6 +29,12 @@ const FEATURE_CFGS: [&str; 3] = [
 
 /// A manifest line that declares cargo features.
 const FEATURES_TABLE: &str = concat!("[", "features]");
+
+/// The drift/remap adapters a served session must not read through.
+const ADAPTERS: [&str; 3] = ["DriftingTruth", "RemappedTruth", "byzscore::compose_world"];
+
+/// Where a source file's unit tests begin.
+const CFG_TEST: &str = "#[cfg(test)]";
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -53,6 +68,24 @@ fn violations(path: &Path, text: &str) -> Vec<String> {
         .iter()
         .filter(|p| text.contains(*p))
         .map(|p| format!("{}: {p}", path.display()))
+        .collect()
+}
+
+/// `text` up to the line holding its first `#[cfg(test)]`.
+fn above_tests(text: &str) -> &str {
+    match text.find(CFG_TEST) {
+        Some(at) => &text[..text[..at].rfind('\n').map_or(0, |nl| nl + 1)],
+        None => text,
+    }
+}
+
+/// Lines above the tests that name an adapter, as `path:line: text`.
+fn adapter_reads(path: &Path, text: &str) -> Vec<String> {
+    above_tests(text)
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| ADAPTERS.iter().any(|a| line.contains(a)))
+        .map(|(at, line)| format!("{}:{}: {line}", path.display(), at + 1))
         .collect()
 }
 
@@ -96,4 +129,46 @@ fn the_scanner_catches_each_fork() {
     let injected = format!("[package]\nname = \"x\"\n\n{FEATURES_TABLE}\nfast = []\n");
     assert_eq!(violations(manifest, &injected).len(), 1);
     assert!(violations(manifest, "[dependencies]\nrand = {}\n").is_empty());
+}
+
+#[test]
+fn served_world_is_resident() {
+    let mut files = Vec::new();
+    walk(&workspace_root().join("crates/service/src"), &mut files);
+    files.retain(|f| f.extension().is_some_and(|e| e == "rs"));
+    assert!(files.len() > 10, "scanned only {} sources", files.len());
+    let found: Vec<String> = files
+        .iter()
+        .flat_map(|f| {
+            let text =
+                fs::read_to_string(f).unwrap_or_else(|e| panic!("read {}: {e}", f.display()));
+            adapter_reads(f, &text)
+        })
+        .collect();
+    assert!(
+        found.is_empty(),
+        "served sessions read their resident world, not the drift/remap adapters \
+         (DESIGN.md §4.13):\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn the_resident_scan_catches_an_adapter_above_the_tests() {
+    let path = workspace_root().join("crates/service/src/engine.rs");
+    let text = fs::read_to_string(&path).expect("read engine.rs");
+    let cut = text.find(CFG_TEST).expect("engine.rs has unit tests");
+    assert!(
+        text[cut..].contains(ADAPTERS[2]),
+        "the unit test below the cut names the composition"
+    );
+    for adapter in ADAPTERS {
+        let line = format!("    let world = {adapter}(pool, drift, epoch, map);\n");
+        let above = format!("{}{line}{}", &text[..cut], &text[cut..]);
+        let found = adapter_reads(&path, &above);
+        assert_eq!(found.len(), 1, "{adapter}: {found:?}");
+        assert!(found[0].ends_with(line.trim_end()), "{}", found[0]);
+        let below = format!("{text}{line}");
+        assert!(adapter_reads(&path, &below).is_empty(), "{adapter}");
+    }
 }
