@@ -8,9 +8,9 @@ use crate::Scale;
 
 /// **E13 / ROADMAP "scale the substrate past simulation sizes"** — sweep
 /// `n` up to 10⁵ players (2·10⁵ at full scale) on
-/// [`byzscore::ProceduralTruth`]: truth bits are regenerated on demand from
-/// `(seed, cluster model)`, so no `n × m` truth matrix is ever
-/// materialized, and outcomes stream per-player errors
+/// [`byzscore::ProceduralTruth`]: truth bits are derived from
+/// `(seed, cluster model)` through the `k` centers and each player's flip
+/// list, so no `n × m` truth matrix is ever materialized, and outcomes stream per-player errors
 /// ([`byzscore::OutputSink::ErrorStream`]) instead of holding dense output
 /// matrices. `GlobalMajority` and `NaiveSampling` run at every size;
 /// neighbor discovery goes through `NeighborIndex`'s one pipeline —

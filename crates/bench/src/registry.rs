@@ -123,7 +123,7 @@ pub static REGISTRY: &[Experiment] = &[
         id: "e13",
         name: "scale_frontier",
         description:
-            "Scale frontier: procedural O(1)-memory truth backend sweeps n up to 1e5 players",
+            "Scale frontier: procedural truth backend (no n×m matrix) sweeps n up to 1e5 players",
         tags: &["scale", "baselines", "perf"],
         runner: e::e13_scale_frontier,
     },

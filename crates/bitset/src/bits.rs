@@ -1,6 +1,8 @@
 //! The [`Bits`] read-only view trait and its distance/query kernels.
 
-use crate::kernel::{hamming_masked_words, hamming_within_words, hamming_words};
+use crate::kernel::{
+    diff_at_ranks_words, hamming_masked_words, hamming_within_words, hamming_words,
+};
 use crate::{tail_mask, BitVec, WORD_BITS};
 
 /// Read-only view of a packed bit sequence.
@@ -96,6 +98,20 @@ pub trait Bits {
             }
         }
         out
+    }
+
+    /// For each rank `r` in `ranks`, the `r`-th index where the two views
+    /// differ: `diff_indices(other)[r]`, without building the disagreement
+    /// set. `ranks` must be strictly increasing and below
+    /// `hamming(other)`. Panics if lengths differ.
+    ///
+    /// `RSelect` step 2 samples `X` as ranks in `[0, |X|)` and maps them
+    /// to objects here, in one walk of the
+    /// [`diff_at_ranks_words`](crate::kernel::diff_at_ranks_words) kernel.
+    #[inline]
+    fn diff_at_ranks<B: Bits + ?Sized>(&self, other: &B, ranks: &[u32]) -> Vec<u32> {
+        assert_eq!(self.len(), other.len());
+        diff_at_ranks_words(self.words(), other.words(), ranks)
     }
 
     /// Iterator over indices of set bits, in increasing order.
@@ -262,6 +278,8 @@ mod tests {
         let a = bv(&[true, false, true, false, true]);
         let b = bv(&[false, false, true, true, true]);
         assert_eq!(a.diff_indices(&b), vec![0, 3]);
+        assert_eq!(a.diff_at_ranks(&b, &[0, 1]), vec![0, 3]);
+        assert_eq!(a.diff_at_ranks(&b, &[1]), vec![3]);
     }
 
     #[test]

@@ -79,6 +79,40 @@ pub fn hamming_masked_words(a: &[u64], b: &[u64], m: &[u64]) -> usize {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
+/// Rank select over the disagreement set of two equal-length word slices:
+/// `out[i]` is the index of the `ranks[i]`-th (0-based) set bit of `a ^ b`.
+///
+/// `ranks` must be strictly increasing and below the Hamming distance of
+/// `a` and `b` (a rank past it panics). One forward walk serves all of them:
+/// a word whose popcount stays below the next rank is skipped whole, so the
+/// cost is one XOR-popcount per word plus a few bit clears per rank, and
+/// the disagreement set is never materialized.
+#[inline]
+pub fn diff_at_ranks_words(a: &[u64], b: &[u64], ranks: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(ranks.len());
+    let (mut wi, mut word) = (0usize, a.first().map_or(0, |&x| x ^ b[0]));
+    // Rank of the lowest bit still set in `word`.
+    let mut below = 0usize;
+    for &r in ranks {
+        let r = r as usize;
+        debug_assert!(r >= below, "ranks must be strictly increasing");
+        let mut ones = word.count_ones() as usize;
+        while below + ones <= r {
+            below += ones;
+            wi += 1;
+            word = a[wi] ^ b[wi];
+            ones = word.count_ones() as usize;
+        }
+        for _ in below..r {
+            word &= word - 1;
+        }
+        out.push((wi * crate::WORD_BITS + word.trailing_zeros() as usize) as u32);
+        word &= word - 1;
+        below = r + 1;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,6 +137,13 @@ mod tests {
         assert_eq!(hamming_words(&[], &[]), 0);
         assert_eq!(hamming_within_words(&[], &[], 0), Some(0));
         assert_eq!(hamming_masked_words(&[], &[], &[]), 0);
+        assert!(diff_at_ranks_words(&[], &[], &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn diff_at_ranks_past_the_distance_panics() {
+        diff_at_ranks_words(&[0b101], &[0], &[2]);
     }
 
     proptest! {

@@ -124,25 +124,25 @@ impl BitVec {
         self.words[i / WORD_BITS] ^= 1u64 << (i % WORD_BITS);
     }
 
-    /// Flip exactly `k` *distinct* random positions (Fisher–Yates over a
-    /// reservoir of indices). Panics if `k > len`.
+    /// Flip exactly `k` *distinct* random positions (Floyd's algorithm).
+    /// Panics if `k > len`.
     ///
     /// This is how planted workloads place a member at exact Hamming
-    /// distance `k` from its cluster center.
+    /// distance `k` from its cluster center. A scratch bitmap of `len` bits
+    /// records the chosen positions, so a step is one bit test; the flips
+    /// commute and land in one XOR at the end.
     pub fn flip_random_distinct<R: Rng + ?Sized>(&mut self, rng: &mut R, k: usize) {
         assert!(
             k <= self.len,
             "cannot flip {k} distinct bits of {}",
             self.len
         );
-        // Floyd's algorithm: k distinct samples from [0, len).
-        let mut chosen = std::collections::HashSet::with_capacity(k);
+        let mut chosen = BitVec::zeros(self.len);
         for j in (self.len - k)..self.len {
             let t = rng.gen_range(0..=j);
-            let pick = if chosen.contains(&t) { j } else { t };
-            chosen.insert(pick);
-            self.flip(pick);
+            chosen.set(if chosen.get(t) { j } else { t }, true);
         }
+        self.xor_with(&chosen);
     }
 
     /// In-place XOR with `other`. Panics if lengths differ.
@@ -299,6 +299,16 @@ mod tests {
             // Indices sorted and in range.
             prop_assert!(d.windows(2).all(|w| w[0] < w[1]));
             prop_assert!(d.iter().all(|&i| (i as usize) < len));
+        }
+
+        #[test]
+        fn prop_diff_at_ranks_indexes_diff_indices(s1 in 0u64..100, s2 in 0u64..100, len in 1usize..1100, stride in 1usize..9) {
+            let a = BitVec::random(&mut SmallRng::seed_from_u64(s1), len);
+            let b = BitVec::random(&mut SmallRng::seed_from_u64(s2 + 500), len);
+            let d = a.diff_indices(&b);
+            let ranks: Vec<u32> = (0..d.len() as u32).step_by(stride).collect();
+            let want: Vec<u32> = ranks.iter().map(|&r| d[r as usize]).collect();
+            prop_assert_eq!(a.diff_at_ranks(&b, &ranks), want);
         }
 
         #[test]

@@ -11,7 +11,8 @@ use crate::Ctx;
 /// `RSelect(w₁, …, w_k)_p` — Figure 1, top block (Theorem 3).
 ///
 /// For every pair of surviving candidates, probe `Θ(log n)` random objects
-/// on which they differ; a candidate that agrees with at least 2/3 of the
+/// on which they differ (sampled as ranks in the disagreement set, see
+/// [`StreamingRSelect`]); a candidate that agrees with at least 2/3 of the
 /// probed objects eliminates its opponent. Any survivor is returned (its
 /// index into `candidates`).
 ///
@@ -54,6 +55,11 @@ pub fn rselect(
 ///   later pairs `(i, j')` with `j' > j` are skipped for this `i`;
 /// * a **duplicate `j`** (`diff` empty) dies without an RNG draw and the
 ///   inner loop continues.
+///
+/// The reference indexes `diff_indices` with `choose_k` ranks. The machine
+/// draws the same ranks from `[0, d)`, `d` the pair's Hamming distance,
+/// and maps them to coordinates with one [`Bits::diff_at_ranks`] walk, so a
+/// pair comparison allocates only its sample.
 ///
 /// The only way the batch traversal depends on the final candidate count
 /// `k` is through the loop bounds. The machine therefore advances the
@@ -215,18 +221,21 @@ impl StreamingRSelect {
             }
             let ci = self.cands[self.i].as_ref().expect("alive i resident");
             let cj = self.cands[self.j].as_ref().expect("alive j resident");
-            let diff = ci.diff_indices(cj);
-            if diff.is_empty() {
+            let d = ci.hamming(cj);
+            if d == 0 {
                 let j = self.j;
                 self.kill(j); // exact duplicate, no draw
                 self.j += 1;
                 continue;
             }
-            let t = self.sample.min(diff.len()).max(1);
-            let picks = choose_k(rng, diff.len(), t);
+            // Sample ranks in the disagreement set, then map them to
+            // coordinates in one walk: the same draws and probes as
+            // indexing `diff_indices`, without building it.
+            let t = self.sample.min(d).max(1);
+            let picks = ci.diff_at_ranks(cj, &choose_k(rng, d, t));
             let mut agree_i = 0usize;
-            for &x in &picks {
-                let coord = diff[x as usize] as usize;
+            for &coord in &picks {
+                let coord = coord as usize;
                 let truth = ctx.oracle.probe(player, objects[coord]);
                 if ci.get(coord) == truth {
                     agree_i += 1;
@@ -699,45 +708,17 @@ mod tests {
         );
     }
 
-    /// The streaming machine must replay the batch tournament draw for
-    /// draw: same winner, same probe count, and the private RNG left in
-    /// the same state (checked by drawing one more value from each).
-    #[test]
-    fn streaming_replays_batch_draw_for_draw() {
+    /// Run every candidate list in `cases` through the batch reference and
+    /// the streaming machine over a one-player world whose truth is
+    /// `truth`, and check they agree draw for draw.
+    fn assert_replays(truth: &BitVec, cases: Vec<Vec<BitVec>>) {
         use rand::RngCore;
-        let mut rng = SmallRng::seed_from_u64(17);
-        let truth = BitVec::random(&mut rng, 300);
         let (m, params) = world(truth.clone());
         let oracle_a = Oracle::new(&m);
         let oracle_b = Oracle::new(&m);
         let board = Board::new();
         let behaviors = Behaviors::all_honest(&m);
-        let objects = all_objects(300);
-
-        // Candidate shapes that exercise every branch: duplicates (no
-        // draw), a far candidate (eliminated), a near one, the truth, and
-        // duplicates of earlier entries appearing late.
-        let mut far = truth.clone();
-        far.flip_random_distinct(&mut rng, 140);
-        let mut near = truth.clone();
-        near.flip_random_distinct(&mut rng, 3);
-        let mut mid = truth.clone();
-        mid.flip_random_distinct(&mut rng, 40);
-        let cases: Vec<Vec<BitVec>> = vec![
-            vec![truth.clone()],
-            vec![far.clone(), truth.clone()],
-            vec![far.clone(), far.clone(), near.clone()],
-            vec![
-                far.clone(),
-                truth.clone(),
-                near.clone(),
-                far.clone(),
-                mid.clone(),
-                near.clone(),
-            ],
-            vec![mid.clone(), mid.clone(), mid.clone()],
-            vec![near.clone(), far.clone(), mid.clone(), truth.clone()],
-        ];
+        let objects = all_objects(truth.len());
 
         for (case_no, cands) in cases.into_iter().enumerate() {
             let ctx_a = Ctx::new(&oracle_a, &board, &behaviors, Beacon::honest(1), &params);
@@ -770,6 +751,79 @@ mod tests {
                 stream_rng.next_u64(),
                 "case {case_no}: RNG streams diverged (extra or missing draws)"
             );
+        }
+    }
+
+    /// The streaming machine must replay the batch tournament draw for
+    /// draw: same winner, same probe count, and the private RNG left in
+    /// the same state (checked by drawing one more value from each).
+    #[test]
+    fn streaming_replays_batch_draw_for_draw() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        let truth = BitVec::random(&mut rng, 300);
+        // Candidate shapes that exercise every branch: duplicates (no
+        // draw), a far candidate (eliminated), a near one, the truth, and
+        // duplicates of earlier entries appearing late.
+        let mut far = truth.clone();
+        far.flip_random_distinct(&mut rng, 140);
+        let mut near = truth.clone();
+        near.flip_random_distinct(&mut rng, 3);
+        let mut mid = truth.clone();
+        mid.flip_random_distinct(&mut rng, 40);
+        let cases: Vec<Vec<BitVec>> = vec![
+            vec![truth.clone()],
+            vec![far.clone(), truth.clone()],
+            vec![far.clone(), far.clone(), near.clone()],
+            vec![
+                far.clone(),
+                truth.clone(),
+                near.clone(),
+                far.clone(),
+                mid.clone(),
+                near.clone(),
+            ],
+            vec![mid.clone(), mid.clone(), mid.clone()],
+            vec![near.clone(), far.clone(), mid.clone(), truth.clone()],
+        ];
+
+        assert_replays(&truth, cases);
+
+        // Lengths around the word size: candidates that disagree with the
+        // truth on the first and last bit of a word and in a partial last
+        // word, so the rank walk crosses every word edge.
+        for len in [1usize, 63, 64, 65, 1024] {
+            let truth = BitVec::random(&mut rng, len);
+            let flipped = |at: &[usize]| {
+                let mut v = truth.clone();
+                for &i in at.iter().filter(|&&i| i < len) {
+                    v.set(i, !truth.get(i)); // a repeated index stays flipped
+                }
+                v
+            };
+            let edges = flipped(&[0, 63, 64, 127, 960, 1023, len - 1]);
+            let first = flipped(&[0]);
+            let last = flipped(&[len - 1]);
+            let far = truth.complement();
+            let cases: Vec<Vec<BitVec>> = vec![
+                vec![edges.clone(), truth.clone()],
+                vec![
+                    far.clone(),
+                    last.clone(),
+                    truth.clone(),
+                    first.clone(),
+                    edges.clone(),
+                ],
+                vec![first.clone(), first.clone(), last.clone()],
+                vec![
+                    truth.clone(),
+                    far.clone(),
+                    edges.clone(),
+                    last.clone(),
+                    far.clone(),
+                ],
+                vec![far.clone(), edges, first, last, truth.clone()],
+            ];
+            assert_replays(&truth, cases);
         }
     }
 

@@ -9,9 +9,10 @@
 //!   substrate, `players × objects` bits of storage. Right for `n ≲ 10⁴`
 //!   and whenever experiments need whole-matrix metrics (OPT bounds,
 //!   planted-diameter audits).
-//! * [`ProceduralTruth`] — regenerates planted-cluster bits on the fly from
-//!   a [`ClusterSpec`] (seed + cluster model). Storage is `O(k·m)` for the
-//!   `k` cluster centers — independent of the player count — which opens
+//! * [`ProceduralTruth`] — derives planted-cluster bits from a
+//!   [`ClusterSpec`] (seed + cluster model) without a `players × objects`
+//!   matrix. Storage is `O(k·m)` for the `k` cluster centers plus each
+//!   player's flip positions (at most `n·⌊D/2⌋` of them), which opens
 //!   `n ≥ 10⁵` workloads the dense backend cannot hold.
 //!
 //! The two backends are *bit-identical* for the same spec:
@@ -118,8 +119,8 @@ impl TruthSource for DenseTruth {
 /// Hamming distance is at most `diameter`, matching the structure of
 /// Definition 1 / Lemma 12 exactly like `Workload::PlantedClusters`.
 ///
-/// Every bit is a pure function of `(seed, player, object)`, so a
-/// [`ProceduralTruth`] over this spec needs no per-player state at all.
+/// Every bit is a pure function of `(seed, player, object)`: a player's
+/// row is its cluster's center with the player's flip draws applied.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterSpec {
     /// Number of players `n`.
@@ -158,7 +159,7 @@ impl ClusterSpec {
         }
     }
 
-    /// Number of center bits `player` flips (0 ..= diameter/2).
+    /// Number of flip draws of `player` (0 ..= diameter/2).
     fn flip_count(&self, player: u32) -> usize {
         let budget = self.diameter / 2;
         if budget == 0 {
@@ -194,20 +195,27 @@ impl ClusterSpec {
     }
 }
 
-/// The streaming backend: truth bits computed on demand from a
-/// [`ClusterSpec`].
+/// The procedural backend: truth bits derived from a [`ClusterSpec`].
 ///
-/// Only the `clusters × objects` center bits are cached (they are shared by
+/// The `clusters × objects` center bits are cached (they are shared by
 /// every member, and caching them makes `value` one XOR instead of one hash
-/// per center bit); everything per-*player* is recomputed per probe, so
-/// memory is independent of `n`.
+/// per center bit), and so is each player's set of flipped objects, derived
+/// once at construction: `value` reads it instead of re-hashing the flip
+/// draws on every probe. Memory is `O(k·m + Σ flip counts)`, the sum at
+/// most `n·⌊D/2⌋`, against `n·m` bits for the dense twin.
 pub struct ProceduralTruth {
     spec: ClusterSpec,
     centers: Vec<BitVec>,
+    /// Player `p`'s flipped objects are `flips[starts[p]..starts[p + 1]]`.
+    starts: Vec<usize>,
+    /// Each player's flipped objects, ascending. A position drawn an even
+    /// number of times cancels and is not listed.
+    flips: Vec<u32>,
 }
 
 impl ProceduralTruth {
-    /// Build the source (computes the `k` center rows, `O(k·m)`).
+    /// Build the source: the `k` center rows (`O(k·m)`) and every player's
+    /// flipped objects (`O(Σ flip counts)` hashes).
     pub fn new(spec: ClusterSpec) -> Self {
         assert!(spec.clusters >= 1, "need at least one cluster");
         assert!(
@@ -218,7 +226,31 @@ impl ProceduralTruth {
         let centers = (0..spec.clusters as u32)
             .map(|c| BitVec::from_fn(spec.objects, |o| spec.center_bit(c, o as u32)))
             .collect();
-        ProceduralTruth { spec, centers }
+        let mut starts = Vec::with_capacity(spec.players + 1);
+        let mut flips = Vec::new();
+        let mut drawn = Vec::new();
+        starts.push(0);
+        for p in 0..spec.players as u32 {
+            drawn.clear();
+            drawn.extend((0..spec.flip_count(p)).map(|i| spec.flip_pos(p, i)));
+            drawn.sort_unstable();
+            let from = flips.len();
+            for &o in &drawn {
+                // Flips are a parity: a position drawn twice cancels.
+                if flips.len() > from && flips.last() == Some(&o) {
+                    flips.pop();
+                } else {
+                    flips.push(o);
+                }
+            }
+            starts.push(flips.len());
+        }
+        ProceduralTruth {
+            spec,
+            centers,
+            starts,
+            flips,
+        }
     }
 
     /// The generating spec.
@@ -252,18 +284,11 @@ impl ProceduralTruth {
         self.spec.materialize()
     }
 
-    /// Whether `player`'s preference for `object` differs from its center
-    /// (parity over the flip draws, so a position drawn twice cancels).
+    /// The objects on which `player` differs from its center, ascending.
     #[inline]
-    fn flipped(&self, player: u32, object: u32) -> bool {
-        let f = self.spec.flip_count(player);
-        let mut flip = false;
-        for i in 0..f {
-            if self.spec.flip_pos(player, i) == object {
-                flip = !flip;
-            }
-        }
-        flip
+    fn flipped(&self, player: u32) -> &[u32] {
+        let p = player as usize;
+        &self.flips[self.starts[p]..self.starts[p + 1]]
     }
 }
 
@@ -279,13 +304,13 @@ impl TruthSource for ProceduralTruth {
     #[inline]
     fn value(&self, player: u32, object: u32) -> bool {
         let c = self.spec.cluster_of(player) as usize;
-        self.centers[c].get(object as usize) ^ self.flipped(player, object)
+        self.centers[c].get(object as usize) ^ self.flipped(player).binary_search(&object).is_ok()
     }
 
     fn row(&self, player: u32) -> BitVec {
         let mut row = self.centers[self.spec.cluster_of(player) as usize].clone();
-        for i in 0..self.spec.flip_count(player) {
-            row.flip(self.spec.flip_pos(player, i) as usize);
+        for &o in self.flipped(player) {
+            row.flip(o as usize);
         }
         row
     }
@@ -457,6 +482,65 @@ mod tests {
                 assert_eq!(t.value(p, o), m.get(p as usize, o as usize));
             }
         }
+    }
+
+    /// The per-probe formula the flip table caches: `player`'s center bit,
+    /// inverted once per flip draw that lands on `object`.
+    fn reference_value(spec: &ClusterSpec, player: u32, object: u32) -> bool {
+        let mut bit = spec.center_bit(spec.cluster_of(player), object);
+        for i in 0..spec.flip_count(player) {
+            if spec.flip_pos(player, i) == object {
+                bit = !bit;
+            }
+        }
+        bit
+    }
+
+    #[test]
+    fn flip_table_matches_the_per_probe_formula() {
+        // Four objects under D = 17 (eight draws) force repeated flip
+        // positions, whose parity must cancel.
+        for (objects, diameter) in [(40, 0), (40, 1), (40, 2), (130, 17), (4, 17)] {
+            let s = ClusterSpec {
+                players: 24,
+                objects,
+                clusters: 3,
+                diameter,
+                seed: 0x5eed + diameter as u64,
+            };
+            let t = ProceduralTruth::new(s.clone());
+            let dense = s.materialize();
+            assert_eq!(t.materialize(), dense);
+            for p in 0..24u32 {
+                let want = BitVec::from_fn(objects, |o| reference_value(&s, p, o as u32));
+                assert_eq!(t.row(p), want, "D={diameter} row {p}");
+                assert_eq!(
+                    dense.row_to_bitvec(p as usize),
+                    want,
+                    "D={diameter} row {p}"
+                );
+                for o in 0..objects as u32 {
+                    assert_eq!(
+                        t.value(p, o),
+                        reference_value(&s, p, o),
+                        "D={diameter} ({p}, {o})"
+                    );
+                }
+            }
+        }
+        let s = ClusterSpec {
+            players: 24,
+            objects: 4,
+            clusters: 3,
+            diameter: 17,
+            seed: 0x5eed + 17,
+        };
+        let repeats = (0..24u32).any(|p| {
+            let mut drawn: Vec<u32> = (0..s.flip_count(p)).map(|i| s.flip_pos(p, i)).collect();
+            drawn.sort_unstable();
+            drawn.windows(2).any(|w| w[0] == w[1])
+        });
+        assert!(repeats, "some flip position must repeat");
     }
 
     #[test]

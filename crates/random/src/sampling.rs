@@ -15,20 +15,24 @@ pub fn bernoulli_subset<R: Rng + ?Sized>(rng: &mut R, n: usize, p: f64) -> Vec<u
 ///
 /// Used for probe assignments ("choose Θ(log n) of the players from the
 /// cluster uniformly at random") and `RSelect`'s coordinate samples.
+///
+/// Every element chosen before step `j` is below `j`, so the sorted output
+/// doubles as the membership set: a drawn `t` already present means `j`,
+/// which belongs at the end; otherwise `t` goes in at its sorted position.
+/// No hashing and no final sort; a step costs one binary search plus an
+/// insertion shift, `O(k²)` moves in all, which is nothing at the
+/// `Θ(log n)`-sized samples the protocol draws.
 pub fn choose_k<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<u32> {
     assert!(k <= n, "cannot choose {k} from {n}");
-    let mut chosen = std::collections::HashSet::with_capacity(k);
+    let mut chosen: Vec<u32> = Vec::with_capacity(k);
     for j in (n - k)..n {
         let t = rng.gen_range(0..=j) as u32;
-        if chosen.contains(&t) {
-            chosen.insert(j as u32);
-        } else {
-            chosen.insert(t);
+        match chosen.binary_search(&t) {
+            Ok(_) => chosen.push(j as u32),
+            Err(at) => chosen.insert(at, t),
         }
     }
-    let mut out: Vec<u32> = chosen.into_iter().collect();
-    out.sort_unstable();
-    out
+    chosen
 }
 
 /// Random halving of `items`: each element lands in the left or right part

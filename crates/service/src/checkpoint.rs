@@ -714,9 +714,10 @@ mod tests {
         }
     }
 
-    /// A session spec whose pool passes the oracle's memo cap, or whose
-    /// pool size overflows, is corrupt: the `session` line is rejected as
-    /// it parses, before restore sizes anything by it.
+    /// A session spec whose pool or flip table passes the oracle's memo
+    /// cap, or whose size overflows, is corrupt: the `session` line is
+    /// rejected as it parses, before restore sizes or hashes anything by
+    /// it.
     #[test]
     fn an_oversized_session_spec_is_corrupt() {
         let (engine, dedupe, ops, _) = driven_engine(35, 11);
@@ -724,6 +725,13 @@ mod tests {
         for objects in ["268435456", "9223372036854775807"] {
             let hostile = reforge(&text, "session ", |line| with_field(line, 3, objects));
             assert!(corrupt_reason(&hostile).contains("pool bits"), "{objects}");
+        }
+        for diameter in ["1000000000000", "18446744073709551615"] {
+            let hostile = reforge(&text, "session ", |line| with_field(line, 5, diameter));
+            assert!(
+                corrupt_reason(&hostile).contains("flip table"),
+                "{diameter}"
+            );
         }
     }
 

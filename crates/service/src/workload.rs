@@ -435,20 +435,32 @@ pub fn parse_op(line: &str) -> Result<Request, String> {
 
 /// A session's resident pool is `2 · players · objects` bits, its probed
 /// set is the same size, and its active world never has more rows than
-/// the pool. Capping the pool at [`MEMO_LIMIT_BITS`] (32 MB) bounds all
-/// three per admitted session and turns a hostile spec into a typed
-/// rejection rather than an allocation failure.
+/// the pool. The procedural pool it is derived from holds up to
+/// `⌊diameter/2⌋` `u32` flip positions per pool row, and hashes each one.
+/// Capping both the pool bits and the flip table bits at
+/// [`MEMO_LIMIT_BITS`] (32 MB) bounds all of them per admitted session and
+/// turns a hostile spec into a typed rejection rather than an allocation
+/// failure or a hang.
 fn check_pool_bits(spec: &SessionSpec) -> Result<(), String> {
-    let bits = (spec.players.max(1))
-        .checked_mul(2)
-        .and_then(|rows| rows.checked_mul(spec.objects.max(1)));
-    match bits {
-        Some(bits) if bits <= MEMO_LIMIT_BITS => Ok(()),
-        _ => Err(format!(
+    let rows = spec.players.max(1).checked_mul(2);
+    let within = |bits: Option<usize>| bits.is_some_and(|bits| bits <= MEMO_LIMIT_BITS);
+    if !within(rows.and_then(|rows| rows.checked_mul(spec.objects.max(1)))) {
+        return Err(format!(
             "open {}x{}: 2·players·objects pool bits exceed {MEMO_LIMIT_BITS}",
             spec.players, spec.objects
-        )),
+        ));
     }
+    let flip_bits = rows
+        .and_then(|rows| rows.checked_mul(spec.diameter / 2))
+        .and_then(|flips| flips.checked_mul(32));
+    if !within(flip_bits) {
+        return Err(format!(
+            "open {} players, diameter {}: 2·players·⌊diameter/2⌋ u32 flip table bits exceed \
+             {MEMO_LIMIT_BITS}",
+            spec.players, spec.diameter
+        ));
+    }
+    Ok(())
 }
 
 /// Parse the committed `traces/DIGESTS` manifest: one
@@ -523,12 +535,19 @@ mod tests {
             "open 16384 8193 2 2 1 naive 4 0 0 1",
             "open 18446744073709551615 2 2 2 1 naive 4 0 0 1",
             "open 2 9223372036854775807 2 2 1 naive 4 0 0 1",
+            // A flip table of 2·4·5·10¹¹ u32s, then one a row past 2^28
+            // bits, then 2·players·⌊diameter/2⌋ overflowing.
+            "open 4 8 1 1000000000000 1 naive 1 0 0 1",
+            "open 4 8 1 2097154 1 naive 1 0 0 1",
+            "open 4 8 1 18446744073709551615 1 naive 1 0 0 1",
         ] {
             let text = format!("{TRACE_VERSION}\n{bad}\n");
             assert!(Trace::from_text(&text).is_err(), "accepted {bad:?}");
         }
-        // A pool of exactly 2^28 bits is admitted.
+        // A pool of exactly 2^28 bits is admitted, and so is a flip table
+        // of exactly 2^28 bits (2·4·2^20 u32s).
         assert!(parse_op("open 16384 8192 2 2 1 naive 4 0 0 1").is_ok());
+        assert!(parse_op("open 4 8 1 2097152 1 naive 1 0 0 1").is_ok());
     }
 
     #[test]

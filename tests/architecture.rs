@@ -15,6 +15,14 @@
 //! of `crates/service/src` above a file's first `#[cfg(test)]` names
 //! them; below it, a unit test pins the resident world to the adapter
 //! composition.
+//!
+//! Metered truth (DESIGN.md §4.2): a probe is how a player learns its own
+//! bit, and the ledger charges it there. A read of the truth source from
+//! the building blocks or the Figure 2 pipeline (say, to "batch" a
+//! `Select` round) would stop charging probes without failing any test.
+//! So no line of `crates/blocks/src` or of the pipeline files in
+//! `crates/core/src` above its first `#[cfg(test)]` names the truth
+//! source; tests may read the truth to check results.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,6 +40,12 @@ const FEATURES_TABLE: &str = concat!("[", "features]");
 
 /// The drift/remap adapters a served session must not read through.
 const ADAPTERS: [&str; 3] = ["DriftingTruth", "RemappedTruth", "byzscore::compose_world"];
+
+/// Reads of the truth source that bypass `Oracle::probe`.
+const TRUTH_READS: [&str; 3] = [".truth()", "TruthSource", ".value("];
+
+/// The Figure 2 pipeline files of `crates/core/src` that must probe.
+const PIPELINE: [&str; 5] = ["protocol", "share", "fused", "robust", "baseline"];
 
 /// Where a source file's unit tests begin.
 const CFG_TEST: &str = "#[cfg(test)]";
@@ -79,14 +93,36 @@ fn above_tests(text: &str) -> &str {
     }
 }
 
-/// Lines above the tests that name an adapter, as `path:line: text`.
-fn adapter_reads(path: &Path, text: &str) -> Vec<String> {
+/// Lines above the tests that contain any of `patterns`, as
+/// `path:line: text`.
+fn lines_naming(path: &Path, text: &str, patterns: &[&str]) -> Vec<String> {
     above_tests(text)
         .lines()
         .enumerate()
-        .filter(|(_, line)| ADAPTERS.iter().any(|a| line.contains(a)))
+        .filter(|(_, line)| patterns.iter().any(|p| line.contains(p)))
         .map(|(at, line)| format!("{}:{}: {line}", path.display(), at + 1))
         .collect()
+}
+
+/// Lines above the tests that name an adapter, as `path:line: text`.
+fn adapter_reads(path: &Path, text: &str) -> Vec<String> {
+    lines_naming(path, text, &ADAPTERS)
+}
+
+/// Lines above the tests that read the truth source, as `path:line: text`.
+fn truth_reads(path: &Path, text: &str) -> Vec<String> {
+    lines_naming(path, text, &TRUTH_READS)
+}
+
+/// The protocol files the metered-truth rule covers.
+fn metered_files() -> Vec<PathBuf> {
+    let root = workspace_root();
+    let mut files = Vec::new();
+    walk(&root.join("crates/blocks/src"), &mut files);
+    files.retain(|f| f.extension().is_some_and(|e| e == "rs"));
+    files.extend(PIPELINE.map(|f| root.join(format!("crates/core/src/{f}.rs"))));
+    files.sort();
+    files
 }
 
 #[test]
@@ -170,5 +206,48 @@ fn the_resident_scan_catches_an_adapter_above_the_tests() {
         assert!(found[0].ends_with(line.trim_end()), "{}", found[0]);
         let below = format!("{text}{line}");
         assert!(adapter_reads(&path, &below).is_empty(), "{adapter}");
+    }
+}
+
+#[test]
+fn protocol_code_reads_the_truth_only_through_probes() {
+    let files = metered_files();
+    assert!(
+        files.len() > PIPELINE.len(),
+        "scanned only {} sources",
+        files.len()
+    );
+    let found: Vec<String> = files
+        .iter()
+        .flat_map(|f| {
+            let text =
+                fs::read_to_string(f).unwrap_or_else(|e| panic!("read {}: {e}", f.display()));
+            truth_reads(f, &text)
+        })
+        .collect();
+    assert!(
+        found.is_empty(),
+        "protocol code reads the truth only through Oracle::probe (DESIGN.md §4.2):\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn the_metered_scan_catches_a_truth_read_above_the_tests() {
+    let path = workspace_root().join("crates/blocks/src/tournament.rs");
+    let text = fs::read_to_string(&path).expect("read tournament.rs");
+    let cut = text.find(CFG_TEST).expect("tournament.rs has unit tests");
+    let reads = [
+        "    let truth = ctx.oracle.truth().value(player, object);\n",
+        "    let source: &dyn TruthSource = world;\n",
+        "    let bit = source.value(player, object);\n",
+    ];
+    for line in reads {
+        let above = format!("{}{line}{}", &text[..cut], &text[cut..]);
+        let found = truth_reads(&path, &above);
+        assert_eq!(found.len(), 1, "{line:?}: {found:?}");
+        assert!(found[0].ends_with(line.trim_end()), "{}", found[0]);
+        let below = format!("{text}{line}");
+        assert!(truth_reads(&path, &below).is_empty(), "{line:?}");
     }
 }
