@@ -2,11 +2,12 @@
 //!
 //! The robustness claim behind the journaled service: **a crash at any
 //! point, and any injected fault, changes no answer**. Table 1 kills an
-//! in-process journaled engine at a seeded schedule of op indices over
-//! the committed quick trace — in both crash phases: between ops, and
-//! after an op's journal append but before its execution — recovers
-//! from the journal, finishes the trace, and gates the concatenated
-//! response digest against the `traces/DIGESTS` pin. Table 2 drives
+//! in-process journaled engine over the committed quick trace in both
+//! crash phases — between ops, at a seeded schedule of op indices, and
+//! after a barrier's journal append but before its execution, at barrier
+//! indices spread over the trace — recovers from the journal, finishes
+//! the trace, and gates the concatenated response digest against the
+//! `traces/DIGESTS` pin. Table 2 drives
 //! the TCP front-end through the deterministic fault plans (worker
 //! panic, barrier panic, connection drop, admission stall) with the
 //! resilient client and gates the same digest plus the typed-retry
@@ -52,10 +53,10 @@ fn journal_path(tag: &str) -> PathBuf {
 
 /// Kill the engine at op `kill_at`, recover, finish — returning the
 /// full response vector and how many ops the recovery replayed. With
-/// `mid_op`, the crash lands *after* op `kill_at`'s journal append but
-/// *before* its execution (the window the durability contract exists
-/// for); the client-side resend of that op must then dedupe instead of
-/// double-applying.
+/// `mid_op`, op `kill_at` must be journaled, and the crash lands *after*
+/// its journal append but *before* its execution (the window the
+/// durability contract exists for); the client-side resend of that op
+/// must then dedupe instead of double-applying.
 fn killed_run(ops: &[Request], kill_at: usize, mid_op: bool, tag: &str) -> (Vec<Response>, usize) {
     let path = journal_path(tag);
     let _ = std::fs::remove_file(&path);
@@ -71,7 +72,8 @@ fn killed_run(ops: &[Request], kill_at: usize, mid_op: bool, tag: &str) -> (Vec<
                     .expect("journal append succeeds"),
             );
         }
-        if mid_op && ops[kill_at].is_mutating() {
+        if mid_op {
+            assert!(ops[kill_at].is_mutating(), "a query is not journaled");
             engine
                 .journal_without_execute(kill_at as u64, &ops[kill_at])
                 .expect("journal append succeeds");
@@ -142,8 +144,12 @@ pub fn e18_fault_recovery(scale: Scale) -> Vec<Table> {
     let len = ops.len();
 
     // Table 1 — crash recovery: boundary kill points (right after the
-    // first op, right before the last) plus a seeded interior schedule,
-    // each in both crash phases.
+    // first op, right before the last; both are barriers) plus an
+    // interior schedule, in both crash phases. Between ops, the interior
+    // points are seeded op indices. Mid-op, they are as many barrier
+    // indices, spread evenly over the trace's interior barriers: a query
+    // has no journal append to crash after, and a barrier's resend must
+    // dedupe, the window this phase exists for.
     let mut kill_points = vec![1, len - 1];
     let interior = scale.pick(4, 8);
     for i in 0..interior {
@@ -151,6 +157,16 @@ pub fn e18_fault_recovery(scale: Scale) -> Vec<Table> {
     }
     kill_points.sort_unstable();
     kill_points.dedup();
+    let barriers: Vec<usize> = (2..len - 1).filter(|&k| !ops[k].is_shardable()).collect();
+    let picks = kill_points.len() - 2;
+    assert!(picks <= barriers.len(), "the trace has enough barriers");
+    let mut mid_points = vec![1, len - 1];
+    mid_points.extend((0..picks).map(|i| barriers[i * barriers.len() / picks]));
+    mid_points.sort_unstable();
+    assert!(
+        mid_points.iter().all(|&k| !ops[k].is_shardable()),
+        "a mid-op kill lands on a barrier"
+    );
 
     let mut rec = Table::new(
         "E18: crash recovery from the journal (committed trace, kill @ op k)",
@@ -169,8 +185,11 @@ pub fn e18_fault_recovery(scale: Scale) -> Vec<Table> {
         format!("{pinned:016x}"),
         "yes".into(),
     ]);
-    for &k in &kill_points {
-        for (mid_op, phase) in [(false, "between ops"), (true, "mid-op (journaled)")] {
+    for (&between, &mid) in kill_points.iter().zip(&mid_points) {
+        for (k, mid_op, phase) in [
+            (between, false, "between ops"),
+            (mid, true, "mid-op (journaled)"),
+        ] {
             let tag = format!("kill{k}_{}", if mid_op { "mid" } else { "between" });
             let (responses, replayed) = killed_run(ops, k, mid_op, &tag);
             let digest = combined_digest(&responses);

@@ -123,7 +123,7 @@ pub fn e17_service_throughput(scale: Scale) -> Vec<Table> {
 }
 
 /// Table 3 — socket replay: the committed quick trace through the
-/// `byzscore-wire/v1` TCP front-end (loopback) at one and four client
+/// `byzscore-wire/v2` TCP front-end (loopback) at one and four client
 /// connections. The digest must equal the manifest pin in
 /// traces/DIGESTS — the same cell the in-process replay, the
 /// determinism suite, and CI's service-e2e job gate — proving the

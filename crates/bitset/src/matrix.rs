@@ -124,11 +124,6 @@ impl BitMatrix {
         self.row_words_mut(r).copy_from_slice(v.words());
     }
 
-    /// Number of set entries.
-    pub fn count_ones(&self) -> usize {
-        self.data.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Hamming distance between rows `a` and `b`.
     #[inline]
     pub fn row_distance(&self, a: usize, b: usize) -> usize {
@@ -205,10 +200,9 @@ mod tests {
         m.set(0, 3, true);
         assert!(m.get(1, 69));
         assert!(!m.get(0, 69));
-        assert_eq!(m.count_ones(), 2, "a repeated set counts once");
+        assert!(m.get(0, 3), "a repeated set stays set");
         m.set(1, 69, false);
         assert!(!m.get(1, 69));
-        assert_eq!(m.count_ones(), 1);
     }
 
     #[test]

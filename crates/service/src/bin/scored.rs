@@ -18,7 +18,7 @@
 //! `gen` writes a deterministic trace file; `replay` executes one and
 //! prints the op count and combined digest (the digest is the cell CI
 //! gates); `serve` without `--listen` reads op lines from stdin and
-//! answers one line per op on stdout, while `--listen` starts the `byzscore-wire/v1` TCP
+//! answers one line per op on stdout, while `--listen` starts the `byzscore-wire/v2` TCP
 //! front-end (bounded admission, one dispatch lane) and prints
 //! its stats counters at shutdown. Both are transports over the same
 //! supervised pipeline: on stdin too, a panicking op answers
@@ -41,7 +41,7 @@
 //!
 //! Compaction: `--compact-every N` / `--compact-bytes B` bound the
 //! journal tail — once the threshold is crossed, the server writes a
-//! fsynced `byzscore-ckpt/v3` snapshot of what the engine cannot
+//! fsynced `byzscore-ckpt/v4` snapshot of what the engine cannot
 //! recompute (restore re-scores each open session) next to the journal
 //! and atomically truncates the journal to an empty tail,
 //! so recovery replays at most one threshold's worth of ops instead of

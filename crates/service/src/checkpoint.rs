@@ -1,25 +1,24 @@
 //! Versioned engine checkpoints: the compaction half of the durability
 //! story (DESIGN.md §4.16).
 //!
-//! A checkpoint file (`byzscore-ckpt/v3`) captures what the engine
-//! cannot recompute, at a known op count: per open session the spec,
-//! the slot→identity map, the `next_fresh`/epoch/churn counters and the
-//! probed set (one `probed` line of ascending indices
-//! `slot · objects + object`, `-` when empty); plus every dedupe entry
-//! in FIFO order. Everything else resident — the identity pool re-folded
-//! to its epoch, the active world probes read, and the score rows
-//! queries read — is a pure function of those fields and is
-//! *recomputed* at restore: each open session is re-scored exactly as
-//! its last barrier scored it. `decode` rejects fields the engine could
-//! not have written (more session ids than covered ops, map entries
-//! that are repeated or not below `next_fresh`, `next_fresh` or probed
-//! indices outside the pool, an unscorable population, more epochs than
-//! covered ops) as [`CheckpointError::Corrupt`] before anything
-//! allocates, indexes or scores with them. The reader ignores unknown
-//! `meta` keys, so files that still carry a `shards=` key restore too.
-//! It reads only `v3`: a `v1` (per-claim `claim` lines) or `v2` (hex
-//! score `rows` lines) file is corrupt, and recovery falls back as it
-//! does for any checkpoint that does not load.
+//! A checkpoint file (`byzscore-ckpt/v4`) captures what the engine
+//! cannot recompute, at a known count of journaled ops: per open
+//! session the spec, the slot→identity map and the
+//! `next_fresh`/epoch/churn counters; plus every dedupe entry in FIFO
+//! order. Everything else resident — the identity pool re-folded to its
+//! epoch, the active world probes read, and the score rows queries read
+//! — is a pure function of those fields and is *recomputed* at restore:
+//! each open session is re-scored exactly as its last barrier scored it.
+//! `decode` rejects fields the engine could not have written (more
+//! session ids than covered ops, map entries that are repeated or not
+//! below `next_fresh`, `next_fresh` outside the pool, an unscorable
+//! population, more epochs than covered ops) as
+//! [`CheckpointError::Corrupt`] before anything allocates, indexes or
+//! scores with them. The reader ignores unknown `meta` keys, so files
+//! that still carry a `shards=` key restore too. It reads only `v4`: a
+//! `v1` (per-claim `claim` lines), `v2` (hex score `rows` lines) or `v3`
+//! (`probed` lines) file is corrupt, and recovery falls back as it does
+//! for any checkpoint that does not load.
 //!
 //! # Torn-write detection
 //!
@@ -44,7 +43,7 @@ use crate::wire::{format_response, parse_response};
 use crate::workload::{format_op, parse_op};
 
 /// Version header of the checkpoint format.
-pub const CKPT_VERSION: &str = "byzscore-ckpt/v3";
+pub const CKPT_VERSION: &str = "byzscore-ckpt/v4";
 
 /// Where a recovered engine's state came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,7 +129,7 @@ fn body_digest(body: &[u8]) -> u64 {
 }
 
 /// Serialize `engine` + `dedupe` at `ops` applied mutating ops into a
-/// complete `byzscore-ckpt/v3` file body (footer included).
+/// complete `byzscore-ckpt/v4` file body (footer included).
 pub fn encode_checkpoint(engine: &ServiceEngine, dedupe: &DedupeWindow, ops: u64) -> String {
     let mut out = String::new();
     out.push_str(CKPT_VERSION);
@@ -151,13 +150,6 @@ pub fn encode_checkpoint(engine: &ServiceEngine, dedupe: &DedupeWindow, ops: u64
         ));
         let map: Vec<String> = image.map.iter().map(|id| id.to_string()).collect();
         out.push_str(&format!("map {sid} {}\n", map.join(",")));
-        let probed: Vec<String> = image.probed.iter().map(|i| i.to_string()).collect();
-        let probed = if probed.is_empty() {
-            "-".to_string()
-        } else {
-            probed.join(",")
-        };
-        out.push_str(&format!("probed {sid} {probed}\n"));
     }
     for (partition, seq, key, resp) in dedupe.entries() {
         let part = partition.map_or_else(|| "-".to_string(), |p| p.to_string());
@@ -177,7 +169,6 @@ struct PartialImage {
     spec: Option<crate::request::SessionSpec>,
     state: Option<(u32, u64, u64)>,
     map: Option<Vec<u32>>,
-    probed: Vec<u64>,
 }
 
 /// Verify the footer and split off the body, or report the file torn.
@@ -302,25 +293,6 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
                 partials.entry(sid).or_default().map =
                     Some(map.map_err(|e| corrupt(format!("bad map entry: {e}")))?);
             }
-            "probed" => {
-                let (sid, indices) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| corrupt(format!("short probed line {line:?}")))?;
-                let sid: u64 = sid
-                    .parse()
-                    .map_err(|e| corrupt(format!("bad probed id: {e}")))?;
-                let probed = &mut partials.entry(sid).or_default().probed;
-                let indices = indices.trim();
-                if indices != "-" {
-                    for index in indices.split(',') {
-                        probed.push(
-                            index
-                                .parse()
-                                .map_err(|e| corrupt(format!("bad probed index: {e}")))?,
-                        );
-                    }
-                }
-            }
             "dedupe" => {
                 let toks: Vec<&str> = rest.splitn(4, ' ').collect();
                 if toks.len() != 4 {
@@ -374,7 +346,6 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
             next_fresh,
             epoch,
             churns,
-            probed: partial.probed,
         };
         check_image(sid, &image, ops).map_err(corrupt)?;
         images.push((sid, image));
@@ -390,9 +361,8 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
 /// restore indexes, folds or scores anything with it: `next_fresh` must
 /// lie in the `2 × players` pool, and the map must hold distinct ids
 /// below it (the engine hands each fresh id out once), so the map is
-/// never longer than the pool; every probed index must lie in the pool's
-/// `pool · objects` pairs, the epoch and churn counts cannot exceed the
-/// covered `ops` (each epoch or churn is one journaled mutating op,
+/// never longer than the pool; the epoch and churn counts cannot exceed
+/// the covered `ops` (each epoch or churn is one journaled op,
 /// which also bounds restore's per-epoch fold), and the population must
 /// exceed the corrupt count, as `open` and `churn` keep it.
 fn check_image(sid: u64, image: &SessionImage, ops: u64) -> Result<(), String> {
@@ -415,13 +385,6 @@ fn check_image(sid: u64, image: &SessionImage, ops: u64) -> Result<(), String> {
     ids.sort_unstable();
     if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
         return Err(format!("session {sid} map entry {} repeats", pair[0]));
-    }
-    let objects = image.spec.objects.max(1);
-    let pairs = pool.saturating_mul(objects as u64);
-    if let Some(index) = image.probed.iter().find(|&&index| index >= pairs) {
-        return Err(format!(
-            "session {sid} probed index {index} outside its {pairs} pool pairs"
-        ));
     }
     if image.epoch > ops || image.churns > ops {
         return Err(format!(
@@ -662,9 +625,8 @@ mod tests {
     /// A map entry past the `2 × players` pool is corrupt, not a panic
     /// when restore gathers the active world; so is a map longer than the
     /// pool (its repeated ids would let a probe past the pool pass
-    /// validation and panic setting its bit), a probed index past the
-    /// pool's `pool · objects` pairs, not a panic when restore sets its
-    /// bit, and a probed index that is not a number.
+    /// validation and read past the active world), and so is a `v3`-style
+    /// `probed` line under a `v4` header.
     #[test]
     fn a_map_entry_past_the_pool_is_corrupt() {
         let (engine, dedupe, ops, _) = driven_engine(35, 11);
@@ -685,19 +647,9 @@ mod tests {
         });
         assert!(corrupt_reason(&hostile).contains("map entry 0 repeats"));
 
-        let pairs = 2 * spec.players.max(1) as u64 * spec.objects.max(1) as u64;
-        for (index, reason) in [
-            (pairs.to_string(), format!("probed index {pairs}")),
-            ("7x".to_string(), "bad probed index".to_string()),
-        ] {
-            let hostile = reforge(&text, "probed ", |line| with_field(line, 2, &index));
-            assert!(corrupt_reason(&hostile).contains(&reason), "{index}");
-        }
-        // The last pair of the pool is a valid index.
-        let last = reforge(&text, "probed ", |line| {
-            with_field(line, 2, &(pairs - 1).to_string())
-        });
-        assert!(decode(&last).is_ok());
+        let sid = engine.images()[0].0;
+        let hostile = reforge(&text, "map ", |line| format!("{line}\nprobed {sid} 1,2"));
+        assert!(corrupt_reason(&hostile).contains("unknown checkpoint verb \"probed\""));
     }
 
     /// Every session id was assigned by one journaled `open`, so a
@@ -808,14 +760,16 @@ mod tests {
         assert_eq!(source, RecoverySource::PreviousCheckpoint);
         assert_eq!(fallback.ops, ops, "rotated file is the older snapshot");
 
-        // A complete v2 file (hex score rows) is corrupt, and falls back
-        // the same way.
-        let v2 = reforge(&text, CKPT_VERSION, |_| "byzscore-ckpt/v2".to_string());
-        assert!(corrupt_reason(&v2).contains("bad header"));
-        std::fs::write(&current, &v2).expect("rewrite current as v2");
-        let (fallback, source) = load_latest(&journal).expect("previous still loads");
-        assert_eq!(source, RecoverySource::PreviousCheckpoint);
-        assert_eq!(fallback.ops, ops);
+        // A complete v2 (hex score rows) or v3 (probed lines) file is
+        // corrupt, and falls back the same way.
+        for old in ["byzscore-ckpt/v2", "byzscore-ckpt/v3"] {
+            let stale = reforge(&text, CKPT_VERSION, |_| old.to_string());
+            assert!(corrupt_reason(&stale).contains("bad header"), "{old}");
+            std::fs::write(&current, &stale).expect("rewrite current as an old version");
+            let (fallback, source) = load_latest(&journal).expect("previous still loads");
+            assert_eq!(source, RecoverySource::PreviousCheckpoint, "{old}");
+            assert_eq!(fallback.ops, ops, "{old}");
+        }
 
         let _ = std::fs::remove_file(checkpoint_path(&journal));
         let _ = std::fs::remove_file(previous_checkpoint_path(&journal));

@@ -7,11 +7,10 @@
 //! [`ServiceEngine::execute`] is that call over a batch, in order: a
 //! probe or query is validated and answered on the spot, and a barrier
 //! op (open/churn/epoch/close) runs where it stands. Probes and queries
-//! commute with each other between barriers (a probe reads the resident
-//! world and sets bits in the session's probed set, and setting a bit is
-//! idempotent and order-free; queries read the cached score rows), so
-//! answers are a pure function of the session history and never depend
-//! on how a trace is split into `execute` calls.
+//! are reads (a probe reads the active world, a query the cached score
+//! rows) and only barriers write, so answers are a pure function of the
+//! barrier history and never depend on how a trace is split into
+//! `execute` calls.
 //!
 //! # Resident world
 //!
@@ -26,14 +25,6 @@
 //! composition denotes (what `DynamicWorld` still runs), and a unit test
 //! below pins the two barrier by barrier. The cost is
 //! `2 · players · objects` bits per session (4.6 KB at 96 × 192).
-//!
-//! # Probed set
-//!
-//! The only trace a probe leaves is one bit per probed `(slot, object)`
-//! pair, in a second matrix of the pool's shape. `close` answers with
-//! its population count (`freed_slots`), and a checkpoint carries it as
-//! a list of indices: `close` reads which pairs were probed, never their
-//! values or order.
 //!
 //! # Recompute
 //!
@@ -90,17 +81,13 @@ struct SessionState {
     session: Session,
     /// Cached scores of the current world.
     rows: BitMatrix,
-    /// One bit per `(slot, object)` pair probed while the session was
-    /// open, in the pool's shape (`map.len() ≤ next_fresh ≤` pool rows).
-    probed: BitMatrix,
 }
 
 impl SessionState {
     /// A session at `epoch` with the given churn history: its pool folded
     /// to `epoch` and a session with the spec's parameters and adversary
-    /// on the active world, with no scores and nothing probed yet. `open`
-    /// and checkpoint restore both start here, so both derive identical
-    /// worlds.
+    /// on the active world, with no scores yet. `open` and checkpoint
+    /// restore both start here, so both derive identical worlds.
     fn new(spec: SessionSpec, map: Vec<u32>, next_fresh: u32, epoch: u64, churns: u64) -> Self {
         let drift = drift_of(&spec);
         let (world, pool_planted) = pool_of(&spec, drift.as_ref(), epoch);
@@ -118,7 +105,6 @@ impl SessionState {
             .build();
         SessionState {
             spec,
-            probed: BitMatrix::zeros(world.rows(), world.cols()),
             world,
             drift,
             pool_planted,
@@ -331,14 +317,8 @@ impl ServiceEngine {
         if let Err(e) = self.session_mut(sid) {
             return Response::Rejected(e);
         }
-        let probed = self
-            .sessions
-            .remove(&sid)
-            .map_or(0, |s| s.probed.count_ones());
-        Response::Closed {
-            session: sid,
-            freed_slots: probed as u64,
-        }
+        self.sessions.remove(&sid);
+        Response::Closed { session: sid }
     }
 }
 
@@ -411,23 +391,15 @@ fn active_world(
     (truth, remap_planted(pool_planted, map))
 }
 
-/// Execute one probe op against a session: every probed bit is read from
-/// the session's active world and its `(player, object)` pair is marked
-/// in the probed set. Setting a bit twice is setting it once, so probes
-/// between two barriers produce the same final state and per-op answers
-/// in any order, and a resent probe changes nothing.
-fn probe_response(
-    state: &mut SessionState,
-    session: u64,
-    player: u32,
-    objects: &[u32],
-) -> Response {
+/// Answer one probe op: every probed bit is read from the session's
+/// active world, and nothing is written, so a probe's answer depends only
+/// on the barriers before it and a resent probe answers the same.
+fn probe_response(state: &SessionState, session: u64, player: u32, objects: &[u32]) -> Response {
     let truth = state.session.truth();
     let mut ones = 0u32;
     let mut digest = 0x920beu64;
     for &o in objects.iter() {
         let bit = truth.value(player, o);
-        state.probed.set(player as usize, o as usize, true);
         ones += bit as u32;
         digest = mix(digest, mix(o as u64, bit as u64));
     }
@@ -481,15 +453,13 @@ fn preferences(
 /// history. The resident world (the pool drifted to `epoch`), the active
 /// world probes read and the score rows queries read are pure functions
 /// of these fields, so they are *recomputed* at restore rather than
-/// serialized; only the probed set is not derivable.
+/// serialized.
 pub(crate) struct SessionImage {
     pub spec: SessionSpec,
     pub map: Vec<u32>,
     pub next_fresh: u32,
     pub epoch: u64,
     pub churns: u64,
-    /// The probed set as ascending indices `slot · objects + object`.
-    pub probed: Vec<u64>,
 }
 
 impl ServiceEngine {
@@ -504,19 +474,12 @@ impl ServiceEngine {
         self.sessions
             .iter()
             .map(|(&sid, state)| {
-                let objects = state.probed.cols() as u64;
-                let mut probed = Vec::new();
-                for slot in 0..state.probed.rows() {
-                    let base = slot as u64 * objects;
-                    probed.extend(state.probed.row(slot).iter_ones().map(|o| base + o as u64));
-                }
                 let image = SessionImage {
                     spec: state.spec,
                     map: state.map.clone(),
                     next_fresh: state.next_fresh,
                     epoch: state.epoch,
                     churns: state.churns,
-                    probed,
                 };
                 (sid, image)
             })
@@ -528,11 +491,10 @@ impl ServiceEngine {
     /// exactly as `open` builds one: [`SessionState::new`] (pool folded
     /// to the image's epoch, session on the active world), then
     /// [`SessionState::score`] with the seed of its epoch and churn
-    /// count, then the image's probed set. Restore costs one fold per
-    /// past epoch and pool bit plus one scorer run per open session
-    /// (about 1 ms for a `naive` session at 96 × 192); `decode` bounds
-    /// each epoch count by the covered ops and every probed index by the
-    /// pool, and rejects an unscorable population, before this runs.
+    /// count. Restore costs one fold per past epoch and pool bit plus one
+    /// scorer run per open session (about 1 ms for a `naive` session at
+    /// 96 × 192); `decode` bounds each epoch count by the covered ops and
+    /// rejects an unscorable population before this runs.
     pub(crate) fn from_images(slots: u64, images: Vec<(u64, SessionImage)>) -> ServiceEngine {
         let sessions = images
             .into_iter()
@@ -545,12 +507,6 @@ impl ServiceEngine {
                     image.churns,
                 );
                 state.score();
-                let objects = state.probed.cols() as u64;
-                for index in image.probed {
-                    state
-                        .probed
-                        .set((index / objects) as usize, (index % objects) as usize, true);
-                }
                 (sid, state)
             })
             .collect();
@@ -655,62 +611,34 @@ mod tests {
         assert_eq!(engine.open_sessions(), 0);
     }
 
-    /// `freed_slots` counts distinct `(slot, object)` pairs: a repeated
-    /// probe, a repeat inside one op, and a slot re-probed after a churn
-    /// each count once, and a checkpoint taken between the probes and the
-    /// close carries the count exactly.
+    /// A probe is a read: an engine that ran the first half of a trace
+    /// and one that ran it without its probes checkpoint to the same bytes
+    /// and answer the second half the same.
     #[test]
-    fn closing_a_session_reports_each_probed_pair_once() {
-        use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
+    fn a_probe_changes_no_engine_state() {
+        use crate::checkpoint::encode_checkpoint;
         use crate::journal::DedupeWindow;
+        use crate::workload::{Trace, TraceSpec};
 
-        let probe = |session, player, objects: &[u32]| Request::SubmitProbes {
-            session,
-            player,
-            objects: objects.to_vec(),
-        };
-        let ops = [
-            Request::Open(spec(2)),
-            Request::Open(spec(3)),
-            probe(1, 0, &[1, 2, 3, 4, 5]),
-            probe(1, 0, &[5, 4, 1]),
-            probe(1, 9, &[1, 8, 8]),
-            Request::ApplyChurn {
-                session: 1,
-                retire: 3,
-                join: 2,
-            },
-            probe(1, 9, &[1, 8, 10]),
-            probe(0, 9, &[7]),
-        ];
-        let mut engine = ServiceEngine::new();
-        let answers = engine.execute(&ops);
-        assert!(answers.iter().all(|r| !matches!(r, Response::Rejected(_))));
-        let mutating = ops.iter().filter(|op| op.is_mutating()).count() as u64;
-        let text = encode_checkpoint(&engine, &DedupeWindow::new(), mutating);
-        let mut restored = decode_checkpoint(&text, 1)
-            .expect("checkpoint decodes")
-            .engine;
-
-        let close = |session| [Request::CloseSession { session }];
-        let live = engine.execute(&close(1));
+        let trace = Trace::generate(&TraceSpec::small(29));
+        let (head, tail) = trace.ops.split_at(trace.ops.len() / 2);
+        let without_probes: Vec<Request> = head
+            .iter()
+            .filter(|op| !matches!(op, Request::SubmitProbes { .. }))
+            .cloned()
+            .collect();
+        assert!(without_probes.len() < head.len(), "the first half probes");
+        let (mut live, mut unprobed) = (ServiceEngine::new(), ServiceEngine::new());
+        live.execute(head);
+        unprobed.execute(&without_probes);
+        assert!(live.open_sessions() > 0, "sessions are open at the cut");
+        let dedupe = DedupeWindow::new();
         assert_eq!(
-            live[0],
-            Response::Closed {
-                session: 1,
-                freed_slots: 5 + 2 + 1,
-            }
+            encode_checkpoint(&live, &dedupe, head.len() as u64),
+            encode_checkpoint(&unprobed, &dedupe, head.len() as u64),
+            "a probe changed checkpointed state"
         );
-        assert_eq!(restored.execute(&close(1)), live, "restore kept the set");
-        // Session 0's probed set is its own.
-        assert_eq!(
-            engine.execute(&close(0))[0],
-            Response::Closed {
-                session: 0,
-                freed_slots: 1,
-            }
-        );
-        assert_eq!(engine.open_sessions(), 0);
+        assert_eq!(live.execute(tail), unprobed.execute(tail));
     }
 
     #[test]
@@ -840,7 +768,6 @@ mod tests {
                 assert!(restored.sessions.keys().eq(engine.sessions.keys()));
                 for (live, back) in engine.sessions.values().zip(restored.sessions.values()) {
                     assert_eq!(back.world, live.world, "restore re-folds the world");
-                    assert_eq!(back.probed, live.probed, "restore keeps the probed set");
                     assert_eq!(back.rows, live.rows, "restore re-scores the same rows");
                     let (a, b) = (live.session.truth(), back.session.truth());
                     assert_eq!(a.players(), b.players());

@@ -1,11 +1,12 @@
-//! Write-ahead op journal and the idempotent-resend dedupe window.
+//! Write-ahead op journal and the resend dedupe window.
 //!
 //! # The journal is a trace file
 //!
 //! Ops are already `byzscore-trace/v1` text, so the journal reuses the
-//! format verbatim: the header line, then one op line per mutating op,
-//! each preceded by a `# wal seq=N` comment carrying the client's wire
-//! sequence number. Comments are ignored by [`Trace::from_text`](crate::workload::Trace::from_text), so a
+//! format verbatim: the header line, then one op line per journaled op
+//! (every op except a preference query), each preceded by a
+//! `# wal seq=N` comment carrying the client's wire sequence number.
+//! Comments are ignored by [`Trace::from_text`](crate::workload::Trace::from_text), so a
 //! journal *is* a valid trace — `scored replay wal.journal` replays a
 //! crashed server's history directly, and recovery is nothing more than
 //! the engine's single-op `execute_one` over each parsed op (the call
@@ -33,7 +34,7 @@
 //!
 //! * journaled + executed, answer maybe lost — recovery re-applies it;
 //!   the client's resend is answered from the rebuilt [`DedupeWindow`]
-//!   (barriers) or by idempotent re-execution (probes).
+//!   (barriers) or by re-executing the read (probes).
 //! * journaled, never executed — recovery applies it for the first
 //!   time; identical outcome by engine determinism.
 //! * torn tail (the crash landed mid-append) — the partial last line is
@@ -44,13 +45,15 @@
 //!
 //! Queries are *not* journaled: they read score rows that change only
 //! at barriers, so they are pure functions of the journaled history.
+//! Probes are journaled although they are reads too: a probe reads the
+//! active world, which also changes only at barriers, so replaying one
+//! changes nothing. The compaction thresholds count them; a journal of
+//! barriers only is ROADMAP direction 16.
 //!
 //! # Why resends never double-apply
 //!
-//! Probes are naturally idempotent — a probe sets one bit per probed
-//! `(slot, object)` pair in its session's probed set, and setting a bit
-//! again changes nothing, so re-executing a probe changes nothing
-//! (including the `freed_slots` a later close reports). Barriers are *not* idempotent
+//! A resent probe or query runs again and reads the same answer: it
+//! writes nothing. Barriers are *not* idempotent
 //! (a churn retires players each time), so the engine keeps a bounded
 //! per-session [`DedupeWindow`]: a resent barrier whose `(seq, op)`
 //! pair was already answered gets the recorded response back without
@@ -63,8 +66,8 @@
 //! panic never reaches a front-end:
 //!
 //! * a panicking probe or query answers `Ok(Retryable)` and counts
-//!   [`worker_panics`](JournaledEngine::worker_panics): the state it
-//!   may have touched is still what the journal describes;
+//!   [`worker_panics`](JournaledEngine::worker_panics): neither one
+//!   writes, so the state is still what the journal describes;
 //! * a panicking barrier rebuilds the engine and dedupe window from the
 //!   journal (which recorded the barrier before it ran), answers
 //!   `Ok(Retryable)` and counts [`rebuilds`](JournaledEngine::rebuilds);
@@ -285,7 +288,7 @@ impl Journal {
         Ok(())
     }
 
-    /// Append one mutating op (seq annotation + op line, one write) and
+    /// Append one journaled op (seq annotation + op line, one write) and
     /// fsync before returning — the caller only executes the op once
     /// this succeeds. Returns the bytes appended (for byte-threshold
     /// compaction accounting).
@@ -582,7 +585,7 @@ fn recover_journal(path: &Path) -> io::Result<Recovered> {
 /// stays bounded by whichever threshold is set.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CompactionPolicy {
-    /// Compact once this many mutating ops accumulate past the last
+    /// Compact once this many journaled ops accumulate past the last
     /// checkpoint (`--compact-every`).
     pub every: Option<u64>,
     /// Compact once this many bytes accumulate past the last
@@ -612,9 +615,10 @@ pub struct RecoveryReport {
     pub history_ops: u64,
 }
 
-/// The op state machine, implemented once: dedupe lookup → journal
-/// append + `sync_data` → execute → dedupe record → compact if due,
-/// supervised by the failure policy in [`JournaledEngine::submit`].
+/// The op state machine, implemented once: dedupe lookup (barriers) →
+/// journal append + `sync_data` (every op but a query) → execute →
+/// dedupe record → compact if due, supervised by the failure policy in
+/// [`JournaledEngine::submit`].
 /// Every front-end drives this type — the socket dispatcher, the stdin
 /// line transport, `scored compact`, and the e18/e19 experiments — so
 /// the durability and failure arguments are made in one place. Without a journal
@@ -765,8 +769,8 @@ impl JournaledEngine {
         } else {
             match catch_unwind(AssertUnwindSafe(|| self.run_op(seq, op))) {
                 Ok(answer) => return answer,
-                // A probe only sets bits a resend sets again and a query
-                // writes nothing, so the state still matches the journal.
+                // A probe or query writes nothing, so the state still
+                // matches the journal and needs no rebuild.
                 Err(_) if op.is_shardable() => {
                     self.worker_panics += 1;
                     "the op panicked; resend the op"
@@ -799,10 +803,9 @@ impl JournaledEngine {
     ///
     /// Barriers are deduped before journaling: a resend of an already-
     /// executed barrier must answer the recorded response, not re-apply
-    /// the world transition. Probes and queries skip the window — probes
-    /// are idempotent (they only set probed-set bits) and queries are
-    /// pure reads.
-    /// A mutating op then hits the fsynced journal *before* it
+    /// the world transition. Probes and queries skip the window: both are
+    /// reads, so a resend answers the same.
+    /// A journaled op then hits the fsynced journal *before* it
     /// executes: crash after the append and recovery applies it; crash
     /// before and the client's resend runs it fresh — either way
     /// exactly once. The engine is quiescent between ops, so every

@@ -47,17 +47,15 @@
 //!
 //! # Why answers stay bit-identical to the in-process replay
 //!
-//! The engine's contract is: probes and preference queries commute —
+//! The engine's contract is: probes and preference queries are reads —
 //! they may execute in any order between *barriers* (open, churn,
 //! epoch, close), which serialize. One serial lane trivially honours
 //! it, and it is the same lane every other front-end drives — the
 //! dispatcher owns a [`JournaledEngine`](crate::JournaledEngine) and
 //! calls `submit` once per admitted op, in admission order:
 //!
-//! * A probe's only side effect is setting bits in its session's
-//!   probed set, which commutes, and queries are pure reads, so the
-//!   order in which several connections' probes and queries reach the
-//!   queue is unobservable.
+//! * Probes and queries write nothing, so the order in which several
+//!   connections' probes and queries reach the queue is unobservable.
 //! * Every op admitted before a barrier is fully applied before the
 //!   world transition, because it was dequeued before it.
 //! * Overload is refused *at admission*: a full queue answers a typed

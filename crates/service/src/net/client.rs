@@ -1,12 +1,13 @@
 //! The socket replay client: pipelined, resilient trace replay over
-//! `byzscore-wire/v1`, plus the one-shot stats and shutdown requests.
+//! `byzscore-wire/v2`, plus the one-shot stats and shutdown requests.
 //!
 //! The client supplies its half of the ordering argument in the
 //! [module docs](super): all ops of a session ride one connection,
 //! opens are globally serialized (session ids are assigned in open
 //! order), and a session's barrier is only sent after all its earlier
-//! ops have been answered. Busy retries therefore reorder shardable ops
-//! only within a barrier-free window, where order does not matter.
+//! ops have been answered. Busy retries therefore reorder probes and
+//! queries only within a barrier-free window, where order does not
+//! matter.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
@@ -35,7 +36,7 @@ pub struct SocketReplay {
     pub reconnects: u64,
 }
 
-/// Max in-flight shardable ops per connection before the client reaps
+/// Max in-flight probes and queries per connection before the client reaps
 /// answers.
 const PIPELINE_WINDOW: usize = 64;
 
@@ -81,7 +82,7 @@ impl Default for ReplayOptions {
 /// the connection `session_id % connections`; an `Open` drains all
 /// connections and is awaited (ids are assigned in open order, so the
 /// k-th open of a fresh server gets id k); any other barrier drains and
-/// is awaited on its session's connection; shardable ops pipeline up to
+/// is awaited on its session's connection; probes and queries pipeline up to
 /// `PIPELINE_WINDOW` deep. `Busy` and `Retryable` answers are retried
 /// with capped exponential backoff and never appear in `responses`.
 pub fn replay_over_socket(
@@ -103,8 +104,8 @@ pub fn replay_over_socket(
 /// reconnect-and-resend, seeded backoff, and an inter-op throttle.
 ///
 /// Resends are safe end to end: the server dedupes resent barriers by
-/// `(session, seq, op)` and probe re-execution is idempotent, so a
-/// retried mutation applies exactly once no matter how many times the
+/// `(session, seq, op)` and probes and queries write nothing, so a
+/// retried barrier applies exactly once no matter how many times the
 /// connection died under it.
 pub fn replay_with_options(
     addr: impl ToSocketAddrs,

@@ -104,7 +104,7 @@ impl StatsInner {
     /// each op, before the answer goes out, so a client that has its
     /// answer already sees the op in the stats). Only a barrier — or the
     /// rebuild it can force — changes the open-session count, so the
-    /// scan behind that gauge is skipped for shardable ops.
+    /// scan behind that gauge is skipped for probes and queries.
     pub(super) fn mirror(&self, pipeline: &JournaledEngine, barrier: bool) {
         let put = |cell: &AtomicU64, value: u64| cell.store(value, Ordering::Relaxed);
         put(&self.journaled, pipeline.journaled());

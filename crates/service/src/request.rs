@@ -101,8 +101,8 @@ impl ServiceAlgorithm {
 pub enum Request {
     /// Open a session; answers [`Response::Opened`] with its id.
     Open(SessionSpec),
-    /// One player probes a set of objects against the hidden truth; each
-    /// `(player, object)` pair joins the session's probed set.
+    /// One player probes a set of objects against the hidden truth: a
+    /// read of the session's active world that changes nothing.
     SubmitProbes {
         /// Target session.
         session: u64,
@@ -157,9 +157,11 @@ impl Request {
         }
     }
 
-    /// True for the ops that commute with every other op between barriers
-    /// (preference reads and probe writes); false for the barrier ops
-    /// that mutate session worlds and must serialize.
+    /// True for probes and queries, the reads: a probe reads the
+    /// session's active world and a query its cached score rows, so they
+    /// commute with each other between barriers. False for the barriers
+    /// (`open`, `churn`, `epoch`, `close`), the only ops that change engine
+    /// state, which must serialize.
     pub fn is_shardable(&self) -> bool {
         matches!(
             self,
@@ -167,10 +169,10 @@ impl Request {
         )
     }
 
-    /// True for ops that change engine state and therefore must be
-    /// journaled before execution (everything except preference reads).
-    /// Probes mutate too — their probed pairs feed the `freed_slots`
-    /// count a later `close` answers with.
+    /// True for ops a journal records before they execute: everything
+    /// except preference queries. A probe writes nothing, yet it is still
+    /// journaled, and the compaction thresholds count it; a journal of
+    /// barriers only is ROADMAP direction 16.
     pub fn is_mutating(&self) -> bool {
         !matches!(self, Request::QueryPreferences { .. })
     }
@@ -239,9 +241,6 @@ pub enum Response {
     Closed {
         /// Session answered.
         session: u64,
-        /// Distinct `(slot, object)` pairs probed while the session was
-        /// open.
-        freed_slots: u64,
     },
     /// The request was rejected; the engine state is unchanged.
     Rejected(ServiceError),
@@ -256,10 +255,10 @@ pub enum Response {
     },
     /// The op was admitted but its execution was interrupted by an
     /// infrastructure fault (a panicked worker, an engine rebuild). The
-    /// op may or may not have been applied; because every mutation is
-    /// either idempotent (probes) or deduplicated by `(seq, op)` on the
-    /// server, resending it verbatim is always safe and yields the real
-    /// answer. Like `Busy`, this never enters a replay digest — clients
+    /// op may or may not have been applied; because probes and queries
+    /// write nothing and every barrier is deduplicated by `(seq, op)` on
+    /// the server, resending it verbatim is always safe and yields the
+    /// real answer. Like `Busy`, this never enters a replay digest — clients
     /// retry until a final answer arrives.
     Retryable {
         /// What faulted, human-readable and deterministic.
@@ -430,10 +429,7 @@ impl Response {
                 epoch,
                 max_err,
             } => mix(mix(mix(mix(0x5d, 5), *session), *epoch), *max_err),
-            Response::Closed {
-                session,
-                freed_slots,
-            } => mix(mix(mix(0x5d, 6), *session), *freed_slots),
+            Response::Closed { session } => mix(mix(0x5d, 6), *session),
             Response::Rejected(e) => mix(mix(0x5d, 7), Self::error_digest(e)),
             Response::Busy { retry_after_ms } => mix(mix(0x5d, 8), *retry_after_ms as u64),
             Response::Retryable { reason } => fold_text(mix(0x5d, 9), reason),
@@ -479,10 +475,7 @@ mod tests {
             players: 64,
             max_err: 4,
         };
-        let c = Response::Closed {
-            session: 0,
-            freed_slots: 0,
-        };
+        let c = Response::Closed { session: 0 };
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a.digest(), c.digest());
         assert_eq!(a.digest(), a.clone().digest());

@@ -1,4 +1,4 @@
-//! `byzscore-wire/v1` — the length-prefixed frame protocol of the
+//! `byzscore-wire/v2` — the length-prefixed frame protocol of the
 //! socket front-end.
 //!
 //! # Framing
@@ -19,7 +19,7 @@
 //! # Envelopes
 //!
 //! The first frame each way is the version handshake
-//! (`hello byzscore-wire/v1`). After that, client frames are
+//! (`hello byzscore-wire/v2`). After that, client frames are
 //! [`ClientFrame`]: `req <seq> <op line>`, `stats <seq>`, or
 //! `shutdown <seq>`. Server frames are [`ServerFrame`]: `resp <seq>
 //! <response line>`, `stats <seq> <k=v …>`, `bye <seq>`, or `err <seq>
@@ -28,6 +28,10 @@
 //! the ops still queued ahead of it), and the sequence number is how
 //! the client reassembles request order — nothing in the protocol
 //! forces the server to answer in-order.
+//!
+//! `v2` differs from `v1` in one response line: `closed <session>` no
+//! longer carries a probed-pair count. A `v1` peer could not parse the
+//! shorter frame, so it fails the handshake instead of mid-stream.
 //!
 //! # Determinism
 //!
@@ -42,7 +46,7 @@ use crate::request::{Response, ServiceError};
 use crate::workload::{join_ids, num, split_ids};
 
 /// Version string exchanged in the opening handshake frames.
-pub const WIRE_VERSION: &str = "byzscore-wire/v1";
+pub const WIRE_VERSION: &str = "byzscore-wire/v2";
 
 /// Hard cap on a frame payload. Large enough for any op line the trace
 /// generator emits (a full-row query on a 10⁵-object session is ~600 KB);
@@ -450,10 +454,7 @@ pub fn format_response(resp: &Response) -> String {
             epoch,
             max_err,
         } => format!("epoch {session} {epoch} {max_err}"),
-        Response::Closed {
-            session,
-            freed_slots,
-        } => format!("closed {session} {freed_slots}"),
+        Response::Closed { session } => format!("closed {session}"),
         Response::Busy { retry_after_ms } => format!("busy {retry_after_ms}"),
         Response::Retryable { reason } => format!("retryable {reason}"),
         Response::Rejected(e) => match e {
@@ -511,7 +512,6 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         },
         "closed" => Response::Closed {
             session: num(toks.next(), "session")?,
-            freed_slots: num(toks.next(), "freed_slots")?,
         },
         "busy" => Response::Busy {
             retry_after_ms: num(toks.next(), "retry_after_ms")?,
@@ -629,10 +629,7 @@ mod tests {
                 epoch: 12,
                 max_err: 3,
             },
-            Response::Closed {
-                session: 5,
-                freed_slots: 992,
-            },
+            Response::Closed { session: 5 },
             Response::Busy { retry_after_ms: 5 },
             Response::Retryable {
                 reason: "the op panicked".to_string(),
@@ -674,6 +671,7 @@ mod tests {
             "",
             "opened 1",             // missing fields
             "opened 1 2 3 4",       // trailing token
+            "closed 5 992",         // a v1 close, with its count
             "probed 0 1 x 2",       // bad number
             "churned 0 1,2 3 4",    // missing field
             "rejected",             // missing kind
@@ -700,6 +698,7 @@ mod tests {
             assert_eq!(ClientFrame::decode(&text).as_ref(), Ok(&f), "{text:?}");
         }
         assert!(ClientFrame::decode("hello byzscore-wire/v0").is_err());
+        assert!(ClientFrame::decode("hello byzscore-wire/v1").is_err());
         assert!(ClientFrame::decode("req 1").is_err(), "op line required");
         assert!(ClientFrame::decode("req x probe").is_err(), "bad seq");
         assert!(ClientFrame::decode("warble 3").is_err());
@@ -758,13 +757,13 @@ mod tests {
     #[test]
     fn frames_round_trip_through_a_byte_stream() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello byzscore-wire/v1").unwrap();
+        write_frame(&mut buf, b"hello byzscore-wire/v2").unwrap();
         write_frame(&mut buf, b"").unwrap();
         write_frame(&mut buf, "req 1 epoch 0".as_bytes()).unwrap();
         let mut cursor = io::Cursor::new(buf);
         assert_eq!(
             read_frame(&mut cursor).unwrap().as_deref(),
-            Some(&b"hello byzscore-wire/v1"[..])
+            Some(&b"hello byzscore-wire/v2"[..])
         );
         assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(&b""[..]));
         assert_eq!(

@@ -433,9 +433,8 @@ pub fn parse_op(line: &str) -> Result<Request, String> {
     Ok(op)
 }
 
-/// A session's resident pool is `2 · players · objects` bits, its probed
-/// set is the same size, and its active world never has more rows than
-/// the pool. The procedural pool it is derived from holds up to
+/// A session's resident pool is `2 · players · objects` bits, and its
+/// active world never has more rows than the pool. The procedural pool it is derived from holds up to
 /// `⌊diameter/2⌋` `u32` flip positions per pool row, and hashes each one.
 /// Capping both the pool bits and the flip table bits at
 /// [`MEMO_LIMIT_BITS`] (32 MB) bounds all of them per admitted session and

@@ -23,6 +23,26 @@
 //! So no line of `crates/blocks/src` or of the pipeline files in
 //! `crates/core/src` above its first `#[cfg(test)]` names the truth
 //! source; tests may read the truth to check results.
+//!
+//! One fork point (DESIGN.md §4.10): phases run inline and
+//! `board::par::par_map_coarse` is the only compute fork, so no line of a
+//! `crates/*/src` file above its first `#[cfg(test)]` starts a thread,
+//! comment lines aside (the oracle's `compile_fail` doctest shares one
+//! into a scope to show that it cannot). The socket front-end and the
+//! two experiments that host a `Server` thread are the I/O exceptions.
+//!
+//! Perf-only names (DESIGN.md §4.10–§4.13): a handful of names are
+//! ignored, rebuild cold or merely negate another predicate, and exist
+//! only because `perf/` still compiles against them. Above its first
+//! `#[cfg(test)]`, only their definitions and the `lib.rs` re-exports
+//! may name them, and `scored` takes no `--shards`.
+//!
+//! Single-thread meters (DESIGN.md §4.6): a run executes on the thread
+//! that entered it, so the probe ledger, the probe memo, the board and
+//! the candidate meter are plain cells. An atomic or a lock above the
+//! tests of `board`, `blocks` or `adversary` would guard a concurrency no
+//! caller has; `board/src/par.rs` is exempt, because `par_map_coarse` is
+//! the one fork.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -49,6 +69,65 @@ const PIPELINE: [&str; 5] = ["protocol", "share", "fused", "robust", "baseline"]
 
 /// Where a source file's unit tests begin.
 const CFG_TEST: &str = "#[cfg(test)]";
+
+/// A thread started outside the one fork point.
+const FORKS: [&str; 2] = ["thread::scope", "thread::spawn"];
+
+/// The one compute fork, `board::par::par_map_coarse`.
+const PAR: &str = "crates/board/src/par.rs";
+
+/// The files that may start threads: the one compute fork, the socket
+/// front-end (a directory) and the two experiments that host a `Server`.
+const FORK_HOSTS: [&str; 4] = [
+    PAR,
+    "crates/service/src/net/",
+    "crates/bench/src/experiments/service_exp.rs",
+    "crates/bench/src/experiments/recovery_exp.rs",
+];
+
+/// Names that exist only because `perf/` still compiles against them.
+const PERF_ONLY: [&str; 10] = [
+    "with_shards",
+    "DEFAULT_SHARDS",
+    "WarmStart",
+    "warm_start(",
+    "last_reused_rows",
+    ".refresh(",
+    ".post_claim(",
+    "par_map_players",
+    "par_map_items",
+    "par_update_items",
+];
+
+/// The lines allowed to name a perf-only name: `(file, fragment)`, where
+/// a fragment starting `^` must begin the line and any other fragment may
+/// sit anywhere in it.
+const PERF_ONLY_DEFINITIONS: [(&str, &str); 11] = [
+    (PAR, "pub fn par_map_players<"),
+    (PAR, "pub fn par_map_items<"),
+    (PAR, "pub fn par_update_items<"),
+    ("crates/service/src/engine.rs", "pub fn with_shards"),
+    ("crates/service/src/engine.rs", "pub const DEFAULT_SHARDS"),
+    ("crates/service/src/lib.rs", "^pub use engine::"),
+    ("crates/core/src/cluster.rs", "^pub struct WarmStart"),
+    ("crates/core/src/cluster.rs", "^impl WarmStart"),
+    ("crates/core/src/cluster.rs", "pub fn last_reused_rows("),
+    ("crates/core/src/runner.rs", "pub fn warm_start("),
+    ("crates/core/src/lib.rs", "^pub use cluster::WarmStart;"),
+];
+
+/// The binary that must not take a `--shards` flag.
+const SCORED: &str = "crates/service/src/bin/scored.rs";
+
+/// The crates whose run meters are single-thread cells.
+const METERED_CRATES: [&str; 3] = [
+    "crates/board/src",
+    "crates/blocks/src",
+    "crates/adversary/src",
+];
+
+/// Shared-state primitives a single-thread meter never needs.
+const LOCKS: [&str; 4] = ["Atomic", "Mutex", "RwLock", "parking_lot"];
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -102,6 +181,107 @@ fn lines_naming(path: &Path, text: &str, patterns: &[&str]) -> Vec<String> {
         .filter(|(_, line)| patterns.iter().any(|p| line.contains(p)))
         .map(|(at, line)| format!("{}:{}: {line}", path.display(), at + 1))
         .collect()
+}
+
+/// Every `.rs` file under `dirs`, as paths relative to the workspace
+/// root with `/` separators, sorted.
+fn crate_sources<S: AsRef<str>>(dirs: &[S]) -> Vec<String> {
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for dir in dirs {
+        walk(&root.join(dir.as_ref()), &mut files);
+    }
+    let mut sources: Vec<String> = files
+        .iter()
+        .filter(|f| f.extension().is_some_and(|e| e == "rs"))
+        .map(|f| {
+            let rel = f.strip_prefix(&root).expect("under the root");
+            rel.to_string_lossy().replace('\\', "/")
+        })
+        .collect();
+    sources.sort();
+    sources
+}
+
+/// Every crate's `src` directory, relative to the workspace root.
+fn crate_src_dirs() -> Vec<String> {
+    let root = workspace_root();
+    let mut dirs: Vec<String> = fs::read_dir(root.join("crates"))
+        .expect("read crates/")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.join("src").is_dir())
+        .map(|path| format!("crates/{}/src", path.file_name().unwrap().to_string_lossy()))
+        .collect();
+    dirs.sort();
+    dirs
+}
+
+/// The findings of `rule` over `files`, each read from the root.
+fn scan(files: &[String], rule: fn(&str, &str) -> Vec<String>) -> Vec<String> {
+    let root = workspace_root();
+    files
+        .iter()
+        .flat_map(|rel| {
+            let path = root.join(rel);
+            let text = fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+            rule(rel, &text)
+        })
+        .collect()
+}
+
+/// Lines of `rel` above the tests that start a thread, comment lines
+/// skipped, as `path:line: text`; none in a fork host.
+fn forks(rel: &str, text: &str) -> Vec<String> {
+    if FORK_HOSTS.iter().any(|host| rel.starts_with(host)) {
+        return Vec::new();
+    }
+    above_tests(text)
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| {
+            !line.trim_start().starts_with("//") && FORKS.iter().any(|p| line.contains(p))
+        })
+        .map(|(at, line)| format!("{rel}:{}: {line}", at + 1))
+        .collect()
+}
+
+/// Lines of `rel` above the tests that name a perf-only name outside its
+/// definitions, plus any `"--shards"` in `scored`, as `path:line: text`.
+fn perf_only_callers(rel: &str, text: &str) -> Vec<String> {
+    let allowed = |line: &str| {
+        PERF_ONLY_DEFINITIONS.iter().any(|&(file, fragment)| {
+            file == rel
+                && match fragment.strip_prefix('^') {
+                    Some(start) => line.starts_with(start),
+                    None => line.contains(fragment),
+                }
+        })
+    };
+    let mut found: Vec<String> = above_tests(text)
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| PERF_ONLY.iter().any(|p| line.contains(p)) && !allowed(line))
+        .map(|(at, line)| format!("{rel}:{}: {line}", at + 1))
+        .collect();
+    if rel == SCORED {
+        found.extend(
+            text.lines()
+                .enumerate()
+                .filter(|(_, line)| line.contains("\"--shards\""))
+                .map(|(at, line)| format!("{rel}:{}: {line}", at + 1)),
+        );
+    }
+    found
+}
+
+/// Lines of `rel` above the tests that name an atomic or a lock, as
+/// `path:line: text`; none in `board/src/par.rs`.
+fn shared_meters(rel: &str, text: &str) -> Vec<String> {
+    if rel == PAR {
+        return Vec::new();
+    }
+    lines_naming(Path::new(rel), text, &LOCKS)
 }
 
 /// Lines above the tests that name an adapter, as `path:line: text`.
@@ -249,5 +429,119 @@ fn the_metered_scan_catches_a_truth_read_above_the_tests() {
         assert!(found[0].ends_with(line.trim_end()), "{}", found[0]);
         let below = format!("{text}{line}");
         assert!(truth_reads(&path, &below).is_empty(), "{line:?}");
+    }
+}
+
+#[test]
+fn one_fork_point() {
+    let files = crate_sources(&crate_src_dirs());
+    assert!(files.len() > 50, "scanned only {} sources", files.len());
+    let found = scan(&files, forks);
+    assert!(
+        found.is_empty(),
+        "compute forks only through board::par::par_map_coarse (DESIGN.md §4.10):\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn the_fork_scan_catches_a_thread_above_the_tests() {
+    let rel = "crates/core/src/runner.rs";
+    let text = fs::read_to_string(workspace_root().join(rel)).expect("read runner.rs");
+    let cut = text.find(CFG_TEST).expect("runner.rs has unit tests");
+    for fork in FORKS {
+        let line = format!("    let handle = std::{fork}(|| ());\n");
+        let above = format!("{}{line}{}", &text[..cut], &text[cut..]);
+        let found = forks(rel, &above);
+        assert_eq!(found.len(), 1, "{fork}: {found:?}");
+        assert!(found[0].ends_with(line.trim_end()), "{}", found[0]);
+        let comment = format!(
+            "{}    // {}{}",
+            &text[..cut],
+            line.trim_start(),
+            &text[cut..]
+        );
+        assert!(forks(rel, &comment).is_empty(), "a comment line: {fork}");
+        assert!(
+            forks(rel, &format!("{text}{line}")).is_empty(),
+            "below the tests"
+        );
+        assert!(forks(FORK_HOSTS[1], &above).is_empty(), "a fork host");
+    }
+}
+
+#[test]
+fn perf_only_names_stay_in_their_definitions() {
+    let files = crate_sources(&crate_src_dirs());
+    for (file, _) in PERF_ONLY_DEFINITIONS {
+        assert!(files.iter().any(|f| f == file), "{file} is scanned");
+    }
+    let found = scan(&files, perf_only_callers);
+    assert!(
+        found.is_empty(),
+        "these are ignored perf-only names and scored takes no --shards \
+         (DESIGN.md §4.12, §4.13):\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn the_perf_only_scan_catches_a_product_caller() {
+    let rel = "crates/service/src/journal.rs";
+    let text = fs::read_to_string(workspace_root().join(rel)).expect("read journal.rs");
+    let cut = text.find(CFG_TEST).expect("journal.rs has unit tests");
+    for name in PERF_ONLY {
+        let line = format!("        let x = {name};\n");
+        let above = format!("{}{line}{}", &text[..cut], &text[cut..]);
+        let found = perf_only_callers(rel, &above);
+        assert_eq!(found.len(), 1, "{name}: {found:?}");
+        assert!(found[0].ends_with(line.trim_end()), "{}", found[0]);
+        assert!(
+            perf_only_callers(rel, &format!("{text}{line}")).is_empty(),
+            "{name}"
+        );
+    }
+    // A definition is allowed only in its own file.
+    let definition = "    pub fn with_shards(_shards: usize) -> ServiceEngine {\n";
+    let engine = "crates/service/src/engine.rs";
+    assert!(perf_only_callers(engine, definition).is_empty());
+    assert_eq!(perf_only_callers(rel, definition).len(), 1);
+    // scored takes no --shards, in any line of the file.
+    let flag = "        \"--shards\" => shards = value,\n";
+    assert!(perf_only_callers(SCORED, "fn main() {}\n").is_empty());
+    assert_eq!(
+        perf_only_callers(SCORED, &format!("{CFG_TEST}\n{flag}")).len(),
+        1
+    );
+}
+
+#[test]
+fn run_meters_are_single_thread() {
+    let files = crate_sources(&METERED_CRATES);
+    assert!(files.len() > 10, "scanned only {} sources", files.len());
+    let found = scan(&files, shared_meters);
+    assert!(
+        found.is_empty(),
+        "a run's meters are single-thread cells; only par_map_coarse forks (DESIGN.md §4.6):\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn the_meter_scan_catches_a_lock_above_the_tests() {
+    let rel = "crates/blocks/src/tournament.rs";
+    let text = fs::read_to_string(workspace_root().join(rel)).expect("read tournament.rs");
+    let cut = text.find(CFG_TEST).expect("tournament.rs has unit tests");
+    for lock in LOCKS {
+        let line = format!("use std::sync::{lock};\n");
+        let above = format!("{}{line}{}", &text[..cut], &text[cut..]);
+        let found = shared_meters(rel, &above);
+        assert_eq!(found.len(), 1, "{lock}: {found:?}");
+        assert!(found[0].ends_with(line.trim_end()), "{}", found[0]);
+        assert!(
+            shared_meters(rel, &format!("{text}{line}")).is_empty(),
+            "{lock}"
+        );
+        assert!(shared_meters(PAR, &above).is_empty(), "par.rs is exempt");
     }
 }

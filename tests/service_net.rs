@@ -1,4 +1,4 @@
-//! Wire-layer integration tests for the `byzscore-wire/v1` TCP
+//! Wire-layer integration tests for the `byzscore-wire/v2` TCP
 //! front-end: loopback round-trips of every request type, admission
 //! backpressure (typed `Busy`, zero accepted-op loss), and a
 //! malformed-frame property — garbage on the wire gets a typed answer,
