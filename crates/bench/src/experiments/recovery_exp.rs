@@ -233,7 +233,7 @@ pub fn e18_fault_recovery(scale: Scale) -> Vec<Table> {
     );
 
     let mut faults = Table::new(
-        "E18: injected faults vs the resilient client (byzscore-wire/v1 loopback)",
+        "E18: injected faults vs the resilient client (byzscore-wire/v2 loopback)",
         &[
             "fault",
             "retryable retries",

@@ -147,7 +147,7 @@ fn socket_replay_table() -> Table {
         .expect("service_quick.trace pinned in traces/DIGESTS");
 
     let mut tab = Table::new(
-        "E17: socket replay of the committed trace (byzscore-wire/v1 loopback)",
+        "E17: socket replay of the committed trace (byzscore-wire/v2 loopback)",
         &[
             "connections",
             "ops",

@@ -1,7 +1,7 @@
 //! The [`Bits`] read-only view trait and its distance/query kernels.
 
 use crate::kernel::{
-    diff_at_ranks_words, hamming_masked_words, hamming_within_words, hamming_words,
+    diff_at_rank_bits_words, hamming_masked_words, hamming_within_words, hamming_words,
 };
 use crate::{tail_mask, BitVec, WORD_BITS};
 
@@ -100,18 +100,20 @@ pub trait Bits {
         out
     }
 
-    /// For each rank `r` in `ranks`, the `r`-th index where the two views
-    /// differ: `diff_indices(other)[r]`, without building the disagreement
-    /// set. `ranks` must be strictly increasing and below
-    /// `hamming(other)`. Panics if lengths differ.
+    /// For each rank `r` set in the bitmap `ranks` (bit `r % 64` of word
+    /// `r / 64`), the `r`-th index where the two views differ, in
+    /// increasing order: `diff_indices(other)` at those ranks, without
+    /// building the disagreement set. Panics if a set rank is at or past
+    /// `hamming(other)`, or if lengths differ.
     ///
-    /// `RSelect` step 2 samples `X` as ranks in `[0, |X|)` and maps them
-    /// to objects here, in one walk of the
-    /// [`diff_at_ranks_words`](crate::kernel::diff_at_ranks_words) kernel.
+    /// `RSelect` step 2 samples `X` as a rank bitmap over `[0, |X|)` and
+    /// maps it to objects here, in one walk of the
+    /// [`diff_at_rank_bits_words`](crate::kernel::diff_at_rank_bits_words)
+    /// kernel.
     #[inline]
-    fn diff_at_ranks<B: Bits + ?Sized>(&self, other: &B, ranks: &[u32]) -> Vec<u32> {
+    fn diff_at_rank_bits<B: Bits + ?Sized>(&self, other: &B, ranks: &[u64]) -> Vec<u32> {
         assert_eq!(self.len(), other.len());
-        diff_at_ranks_words(self.words(), other.words(), ranks)
+        diff_at_rank_bits_words(self.words(), other.words(), ranks)
     }
 
     /// Iterator over indices of set bits, in increasing order.
@@ -278,8 +280,8 @@ mod tests {
         let a = bv(&[true, false, true, false, true]);
         let b = bv(&[false, false, true, true, true]);
         assert_eq!(a.diff_indices(&b), vec![0, 3]);
-        assert_eq!(a.diff_at_ranks(&b, &[0, 1]), vec![0, 3]);
-        assert_eq!(a.diff_at_ranks(&b, &[1]), vec![3]);
+        assert_eq!(a.diff_at_rank_bits(&b, &[0b11]), vec![0, 3]);
+        assert_eq!(a.diff_at_rank_bits(&b, &[0b10]), vec![3]);
     }
 
     #[test]

@@ -79,36 +79,88 @@ pub fn hamming_masked_words(a: &[u64], b: &[u64], m: &[u64]) -> usize {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
-/// Rank select over the disagreement set of two equal-length word slices:
-/// `out[i]` is the index of the `ranks[i]`-th (0-based) set bit of `a ^ b`.
+/// `SELECT_IN_BYTE[b][k]` is the position of the `k`-th (0-based) set bit
+/// of the byte `b`; entries past `b`'s popcount are 0 and never read.
+static SELECT_IN_BYTE: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut bit, mut k) = (0, 0);
+        while bit < 8 {
+            if (b >> bit) & 1 == 1 {
+                table[b][k] = bit as u8;
+                k += 1;
+            }
+            bit += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+const L8: u64 = 0x0101_0101_0101_0101;
+const H8: u64 = 0x8080_8080_8080_8080;
+
+/// Position of the `k`-th (0-based) set bit of `w`; `k` must be below
+/// `w.count_ones()`.
 ///
-/// `ranks` must be strictly increasing and below the Hamming distance of
-/// `a` and `b` (a rank past it panics). One forward walk serves all of them:
-/// a word whose popcount stays below the next rank is skipped whole, so the
-/// cost is one XOR-popcount per word plus a few bit clears per rank, and
-/// the disagreement set is never materialized.
+/// Broadword select (Vigna, "Broadword Implementation of Rank/Select
+/// Queries", WEA 2008), without a branch: SWAR byte popcounts, their
+/// prefix sums by one multiply, a bytewise `≤ k` compare whose true lanes
+/// count the bytes before the answer's, and a table lookup for the rank
+/// left inside that byte.
 #[inline]
-pub fn diff_at_ranks_words(a: &[u64], b: &[u64], ranks: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(ranks.len());
-    let (mut wi, mut word) = (0usize, a.first().map_or(0, |&x| x ^ b[0]));
-    // Rank of the lowest bit still set in `word`.
-    let mut below = 0usize;
-    for &r in ranks {
-        let r = r as usize;
-        debug_assert!(r >= below, "ranks must be strictly increasing");
-        let mut ones = word.count_ones() as usize;
-        while below + ones <= r {
-            below += ones;
-            wi += 1;
-            word = a[wi] ^ b[wi];
-            ones = word.count_ones() as usize;
+pub fn select_in_word(w: u64, k: u32) -> u32 {
+    debug_assert!(k < w.count_ones(), "rank {k} past the word's popcount");
+    let mut s = w - ((w >> 1) & 0x5555_5555_5555_5555);
+    s = (s & 0x3333_3333_3333_3333) + ((s >> 2) & 0x3333_3333_3333_3333);
+    s = (s + (s >> 4)) & 0x0f0f_0f0f_0f0f_0f0f;
+    // Byte `i` of `prefix`: the set bits in bytes `0..=i` (at most 64).
+    let prefix = s.wrapping_mul(L8);
+    // High bit of lane `i` set iff `prefix_i ≤ k`; lanes never borrow
+    // because `k | 0x80 ≥ 128 > 64 ≥ prefix_i`.
+    let le = ((u64::from(k) * L8) | H8).wrapping_sub(prefix) & H8;
+    let byte = ((le >> 7).wrapping_mul(L8) >> 56) as u32;
+    let shift = byte * 8;
+    let before = ((prefix << 8) >> shift) as u32 & 0xff;
+    let in_byte = ((w >> shift) & 0xff) as usize;
+    shift + u32::from(SELECT_IN_BYTE[in_byte][(k - before) as usize])
+}
+
+/// Rank select over the disagreement set of two equal-length word slices:
+/// the index of every set bit of `a ^ b` whose rank (0-based, in
+/// increasing order) is set in the bitmap `ranks`, in increasing order.
+///
+/// A set rank at or past the Hamming distance of `a` and `b` panics. One
+/// forward walk serves all ranks: a word `w` of `a ^ b` takes the next
+/// `popcount(w)` bits of `ranks` (a window that may straddle two rank
+/// words) and maps each set one, `k`, to [`select_in_word`]`(w, k)`. Each
+/// select reads the same `w`, so the selects of one word are independent.
+/// The walk stops after the last rank, so it costs `O(len/64 + t)` for
+/// `t` ranks and never materializes the disagreement set.
+#[inline]
+pub fn diff_at_rank_bits_words(a: &[u64], b: &[u64], ranks: &[u64]) -> Vec<u32> {
+    let want: usize = ranks.iter().map(|r| r.count_ones() as usize).sum();
+    let mut out = Vec::with_capacity(want);
+    // Rank of the first disagreement in word `wi`.
+    let (mut wi, mut below) = (0usize, 0usize);
+    while out.len() < want {
+        let w = a[wi] ^ b[wi];
+        let ones = w.count_ones() as usize;
+        let (q, s) = (below / 64, below % 64);
+        let lo = ranks.get(q).copied().unwrap_or(0);
+        let hi = ranks.get(q + 1).copied().unwrap_or(0);
+        // Bits `below..below + ones` of `ranks`; `(hi << 1) << (63 - s)`
+        // is `hi << (64 - s)` without a 64-bit shift at `s = 0`.
+        let mut window = ((lo >> s) | ((hi << 1) << (63 - s)))
+            & u64::MAX.checked_shr(64 - ones as u32).unwrap_or(0);
+        let base = (wi * crate::WORD_BITS) as u32;
+        while window != 0 {
+            out.push(base + select_in_word(w, window.trailing_zeros()));
+            window &= window - 1;
         }
-        for _ in below..r {
-            word &= word - 1;
-        }
-        out.push((wi * crate::WORD_BITS + word.trailing_zeros() as usize) as u32);
-        word &= word - 1;
-        below = r + 1;
+        below += ones;
+        wi += 1;
     }
     out
 }
@@ -137,13 +189,33 @@ mod tests {
         assert_eq!(hamming_words(&[], &[]), 0);
         assert_eq!(hamming_within_words(&[], &[], 0), Some(0));
         assert_eq!(hamming_masked_words(&[], &[], &[]), 0);
-        assert!(diff_at_ranks_words(&[], &[], &[]).is_empty());
+        assert!(diff_at_rank_bits_words(&[], &[], &[]).is_empty());
     }
 
     #[test]
     #[should_panic]
-    fn diff_at_ranks_past_the_distance_panics() {
-        diff_at_ranks_words(&[0b101], &[0], &[2]);
+    fn diff_at_rank_bits_past_the_distance_panics() {
+        diff_at_rank_bits_words(&[0b101], &[0], &[0b100]);
+    }
+
+    /// `select_in_word` by clearing the lowest set bit `k` times.
+    fn select_naive(mut w: u64, k: u32) -> u32 {
+        for _ in 0..k {
+            w &= w - 1;
+        }
+        w.trailing_zeros()
+    }
+
+    #[test]
+    fn select_in_word_matches_naive_at_every_rank() {
+        let mut cases = words(7, 64);
+        cases.extend([!0, 1 << 63, 1 | 1 << 63, 0x8000_0000_0000_0001 | 0xff << 24]);
+        cases.extend((0..64).map(|bit| 1u64 << bit));
+        for w in cases {
+            for k in 0..w.count_ones() {
+                assert_eq!(select_in_word(w, k), select_naive(w, k), "w={w:#x} k={k}");
+            }
+        }
     }
 
     proptest! {

@@ -302,13 +302,17 @@ mod tests {
         }
 
         #[test]
-        fn prop_diff_at_ranks_indexes_diff_indices(s1 in 0u64..100, s2 in 0u64..100, len in 1usize..1100, stride in 1usize..9) {
+        fn prop_diff_at_rank_bits_indexes_diff_indices(s1 in 0u64..100, s2 in 0u64..100, len in 1usize..1100, stride in 1usize..9) {
             let a = BitVec::random(&mut SmallRng::seed_from_u64(s1), len);
             let b = BitVec::random(&mut SmallRng::seed_from_u64(s2 + 500), len);
             let d = a.diff_indices(&b);
             let ranks: Vec<u32> = (0..d.len() as u32).step_by(stride).collect();
             let want: Vec<u32> = ranks.iter().map(|&r| d[r as usize]).collect();
-            prop_assert_eq!(a.diff_at_ranks(&b, &ranks), want);
+            let mut bitmap = vec![0u64; d.len().div_ceil(64)];
+            for &r in &ranks {
+                bitmap[r as usize / 64] |= 1 << (r % 64);
+            }
+            prop_assert_eq!(a.diff_at_rank_bits(&b, &bitmap), want);
         }
 
         #[test]

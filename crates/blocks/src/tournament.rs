@@ -2,7 +2,7 @@
 //! reconstructed `Select`.
 
 use byzscore_bitset::{disagreement_indices, words_for, BitVec, Bits, WORD_BITS};
-use byzscore_random::choose_k;
+use byzscore_random::choose_k_bits;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 
@@ -57,16 +57,20 @@ pub fn rselect(
 ///   inner loop continues.
 ///
 /// The reference indexes `diff_indices` with `choose_k` ranks. The machine
-/// draws the same ranks from `[0, d)`, `d` the pair's Hamming distance,
-/// and maps them to coordinates with one [`Bits::diff_at_ranks`] walk, so a
-/// pair comparison allocates only its sample.
+/// draws the same ranks from `[0, d)`, `d` the pair's Hamming distance, as
+/// a `d`-bit bitmap ([`choose_k_bits`]: Floyd's loop with the bitmap as its
+/// membership set) and maps them to coordinates with one
+/// [`Bits::diff_at_rank_bits`] walk over the XOR words (a select per rank,
+/// never a bit-by-bit scan). With `d ≤ |V|`, a pair comparison costs
+/// `O(|V|/64 + t)` for `t` samples, not `O(d)`, and allocates only the
+/// bitmap and its sample.
 ///
 /// The only way the batch traversal depends on the final candidate count
 /// `k` is through the loop bounds. The machine therefore advances the
 /// cursor until the next pair would need a candidate that has not arrived
 /// yet, stalls there, and resumes on [`StreamingRSelect::push`];
 /// [`StreamingRSelect::finish`] resolves the remaining bound checks. Every
-/// pair decision and every `choose_k` draw happens in the batch order, so
+/// pair decision and every rank draw happens in the batch order, so
 /// the RNG stream, the probe sequence, and the winner are bit-identical to
 /// the batch loop over the full candidate list.
 ///
@@ -232,7 +236,7 @@ impl StreamingRSelect {
             // coordinates in one walk: the same draws and probes as
             // indexing `diff_indices`, without building it.
             let t = self.sample.min(d).max(1);
-            let picks = ci.diff_at_ranks(cj, &choose_k(rng, d, t));
+            let picks = ci.diff_at_rank_bits(cj, &choose_k_bits(rng, d, t));
             let mut agree_i = 0usize;
             for &coord in &picks {
                 let coord = coord as usize;
@@ -464,7 +468,7 @@ mod tests {
     use byzscore_adversary::Behaviors;
     use byzscore_bitset::BitMatrix;
     use byzscore_board::{Board, Oracle};
-    use byzscore_random::Beacon;
+    use byzscore_random::{choose_k, Beacon};
     use rand::SeedableRng;
 
     /// Build a 1-player world whose truth row is `truth`, plus harness.

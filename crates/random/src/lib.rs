@@ -29,5 +29,5 @@ mod sampling;
 mod splitmix;
 
 pub use beacon::{tags, Beacon, Provenance};
-pub use sampling::{bernoulli_subset, choose_k, halve, partition_into, shuffled};
+pub use sampling::{bernoulli_subset, choose_k, choose_k_bits, halve, partition_into, shuffled};
 pub use splitmix::{derive_seed, derive_step, SplitMix64};
