@@ -20,7 +20,7 @@ use crate::Scale;
 /// **E14 / ROADMAP "scenario growth" (churn)** — population turnover
 /// between repetitions: each round retires a seeded slice of the active
 /// players and joins fresh pool identities under deterministic remapping
-/// ([`byzscore::RemappedTruth`], cf. Solidago's churning-population
+/// ([`byzscore::ResidentPool::churn`], cf. Solidago's churning-population
 /// pipeline). Every round is a full static execution over the current
 /// population, so the per-round guarantee holds *for clustered players* —
 /// what churn actually moves is the cluster balance: joiners from a taste
@@ -185,12 +185,15 @@ pub fn e15_adaptive_corruption(scale: Scale) -> Vec<Table> {
 }
 
 /// **E16 / ROADMAP "TruthSource backend with drifting preferences"** —
-/// time-varying truth on the procedural `@scale` backend, plus the
+/// time-varying truth over a procedural `@scale` pool, plus the
 /// multi-bit graded drift trajectory. Round `r` executes at drift epoch
 /// `r`: preferences flip per epoch at a seeded rate inside a locality
 /// window, so the planted structure erodes while the protocol keeps
-/// scoring against the *current* world
-/// ([`byzscore::DriftingTruth::materialize_at`] is the pinned dense twin).
+/// scoring against the *current* world. Each run materializes the pool
+/// once into a [`byzscore::ResidentPool`] and folds one epoch per round
+/// (pool rows × m bits: 12.8 MB at full scale's n = 10⁵);
+/// `tests/dynamic_world.rs` pins it to the drift/remap adapter
+/// composition step by step.
 pub fn e16_drifting_truth(scale: Scale) -> Vec<Table> {
     let m = 1024usize;
     let b = 8usize;

@@ -23,8 +23,10 @@
 //! A holder of a *mutable* dense world ages it with
 //! [`DriftSchedule::fold_epoch`] instead: one epoch's flips per call, so
 //! each bit pays one hash step per epoch once, rather than a replay of
-//! every past epoch on every read. The service engine's resident
-//! sessions and [`DriftingTruth::materialize_trajectory`] take this path.
+//! every past epoch on every read. Every run path takes this one: core's
+//! `ResidentPool` (dynamic worlds and the service engine's sessions) and
+//! graded drift's bit planes; a [`DriftingTruth`] is the reference they
+//! are tested against.
 
 use std::sync::Arc;
 
@@ -258,27 +260,6 @@ impl DriftingTruth {
             .collect();
         BitMatrix::from_rows(&rows)
     }
-
-    /// All epochs `0..=epochs` materialized in one incremental replay:
-    /// `out[t]` is bit-identical to [`DriftingTruth::materialize_at`]`(t)`,
-    /// but the base is materialized once and then
-    /// [`DriftSchedule::fold_epoch`] applies one epoch at a time, so the
-    /// whole trajectory costs `O(players · locality · epochs)` hash steps
-    /// instead of the `O(… · epochs²)` that `epochs` separate
-    /// `materialize_at` calls pay — each of those replays `1..=t` from
-    /// scratch, as does every single [`TruthSource::value`] probe (the
-    /// price of the pure `O(1)`-memory law). Dense trajectory consumers
-    /// (graded drift, equivalence tests) should take this path.
-    pub fn materialize_trajectory(&self, epochs: u64) -> Vec<BitMatrix> {
-        let mut world = self.materialize_at(0);
-        let mut out = Vec::with_capacity(epochs as usize + 1);
-        out.push(world.clone());
-        for e in 1..=epochs {
-            self.schedule.fold_epoch(e, &mut world);
-            out.push(world.clone());
-        }
-        out
-    }
 }
 
 impl TruthSource for DriftingTruth {
@@ -417,22 +398,6 @@ mod tests {
             assert_eq!(m.row_to_bitvec(p as usize), snap.row(p), "row {p}");
             for o in (0..64u32).step_by(5) {
                 assert_eq!(m.get(p as usize, o as usize), snap.value(p, o));
-            }
-        }
-    }
-
-    #[test]
-    fn trajectory_matches_per_epoch_materialization() {
-        for locality in [
-            DriftLocality::Global,
-            DriftLocality::Window { start: 10, len: 30 },
-            DriftLocality::Mask(BitVec::from_fn(64, |o| o % 2 == 0)),
-        ] {
-            let w = world(0.15, locality);
-            let trajectory = w.materialize_trajectory(4);
-            assert_eq!(trajectory.len(), 5);
-            for (t, m) in trajectory.iter().enumerate() {
-                assert_eq!(m, &w.materialize_at(t as u64), "epoch {t}");
             }
         }
     }

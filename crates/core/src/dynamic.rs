@@ -5,36 +5,34 @@
 //! runs a *sequence* of executions ("rounds") over a world that changes
 //! between them along three independent axes:
 //!
-//! * **drift** — the hidden preferences move per epoch
-//!   ([`byzscore_board::DriftingTruth`]; round `r` runs at epoch `r`);
+//! * **drift** — the hidden preferences move per epoch under a
+//!   [`DriftSchedule`] (round `r` runs at epoch `r`);
 //! * **churn** — players retire and fresh identities join between rounds
-//!   ([`ChurnSchedule`], realized as an identity remap over a fixed pool
-//!   source via [`byzscore_board::RemappedTruth`], cf. Solidago's
-//!   churning-population pipeline);
+//!   ([`ChurnSchedule`], realized as an identity map over a fixed pool,
+//!   cf. Solidago's churning-population pipeline);
 //! * **adaptivity** — the adversary observes each completed round
 //!   (surviving group sizes, honest error scores) and re-targets its
 //!   corruption budget for the next one
 //!   ([`byzscore_adversary::AdaptiveCorruption`]).
 //!
-//! Each round is an ordinary immutable [`Session`] execution — drift and
-//! churn are *adapters composed over the truth substrate*, never mutation
-//! — so every per-round guarantee, metric, and determinism property of
-//! the static machinery carries over unchanged, on dense and procedural
-//! pools alike. The whole trajectory is a pure function of
-//! `(pool, schedules, master seed)`: `tests/determinism.rs` pins that a
-//! rerun is bit-identical, and `tests/dynamic_world.rs` pins it across
-//! substrates.
+//! Both world axes live in one [`ResidentPool`], the pool as bits folded
+//! forward an epoch at a time plus the churn map over it; the scoring
+//! service ages its sessions through the same type. Each round is an
+//! ordinary immutable [`Session`] execution over the pool's gathered
+//! active rows — time passes *between* rounds — so every per-round
+//! guarantee, metric, and determinism property of the static machinery
+//! carries over unchanged. The drift/remap adapter composition stays as
+//! the reference tests compare against. The whole trajectory is a pure
+//! function of `(pool, schedules, master seed)` (`tests/determinism.rs`
+//! pins reruns bit-identical).
 
 use std::sync::Arc;
 
 use byzscore_adversary::{
     AdaptiveCorruption, AdaptivePolicy, Corruption, Observation, Strategy, Truthful,
 };
-use byzscore_bitset::Bits;
-use byzscore_board::{
-    ClusterSpec, DenseTruth, DriftSchedule, DriftingTruth, ProceduralTruth, RemappedTruth,
-    TruthSource,
-};
+use byzscore_bitset::{BitMatrix, Bits};
+use byzscore_board::{ClusterSpec, DenseTruth, DriftSchedule, ProceduralTruth, TruthSource};
 use byzscore_model::Planted;
 use byzscore_random::derive_seed;
 use rand::rngs::SmallRng;
@@ -140,8 +138,8 @@ pub struct DynamicOutcome {
 /// assert!(run.rounds[1].target_group.is_some(), "adversary adapted");
 /// ```
 pub struct DynamicWorld {
-    pool: Arc<dyn TruthSource>,
-    pool_planted: Option<Planted>,
+    pool: ProceduralTruth,
+    pool_planted: Planted,
     active: usize,
     params: ProtocolParams,
     corruption: AdaptiveCorruption,
@@ -156,7 +154,6 @@ impl DynamicWorld {
     pub fn builder() -> DynamicWorldBuilder {
         DynamicWorldBuilder {
             pool: None,
-            pool_planted: None,
             active: None,
             params: None,
             corruption: AdaptiveCorruption::off(Corruption::None),
@@ -179,53 +176,50 @@ impl DynamicWorld {
     /// adaptive adversary sees the observations of all completed rounds
     /// (bounded by its window). Rounds are sequential by construction —
     /// each depends on the last — and the trajectory is bit-identical at
-    /// any thread count.
+    /// any thread count. The pool is materialized once per run into a
+    /// [`ResidentPool`] and aged in place.
     pub fn run(&self, algorithm: Algorithm, rounds: usize, seed: u64) -> DynamicOutcome {
-        let mut map: Vec<u32> = (0..self.active as u32).collect();
-        let mut next_fresh = self.active as u32;
-        let pool_rows = self.pool.players() as u32;
+        let mut world = ResidentPool::new(
+            &self.pool,
+            self.pool_planted.clone(),
+            self.drift.clone(),
+            self.active,
+        );
         let mut history: Vec<Observation> = Vec::new();
         let mut reports = Vec::new();
 
         for round in 0..rounds {
-            // Churn is applied entering every round after the first.
+            // Churn and drift are applied entering every round after the
+            // first; without a drift schedule the epoch stays 0.
             let (retired, joined) = match &self.churn {
                 Some(churn) if round > 0 => {
                     let seed = derive_seed(churn.seed, &[TAG_CHURN, round as u64]);
-                    churn_step(
-                        &mut map,
-                        &mut next_fresh,
-                        pool_rows,
-                        churn.retire,
-                        churn.join,
-                        &mut SmallRng::seed_from_u64(seed),
-                    )
+                    world.churn(churn.retire, churn.join, &mut SmallRng::seed_from_u64(seed))
                 }
                 _ => (Vec::new(), Vec::new()),
             };
-            let n = map.len();
-
-            let epoch = self.drift.as_ref().map_or(0, |_| round as u64);
-            let truth = compose_world(&self.pool, self.drift.as_ref(), epoch, &map);
-            let planted = self.pool_planted.as_ref().map(|p| remap_planted(p, &map));
+            if round > 0 && self.drift.is_some() {
+                world.advance_epoch();
+            }
+            let (truth, planted) = world.active();
+            let n = world.map.len();
 
             let round_seed = derive_seed(seed, &[TAG_ROUND, round as u64]);
             let (mask, target_group) =
                 self.corruption
-                    .select_mask_with_target(n, planted.as_ref(), round_seed, &history);
+                    .select_mask_with_target(n, Some(&planted), round_seed, &history);
 
-            let mut builder = Session::builder()
+            let outcome = Session::builder()
                 .truth(truth.clone())
+                .planted(planted.clone())
                 .params(self.params.clone())
                 .adversary_shared(
                     Corruption::Explicit { mask: mask.clone() },
                     self.strategy.clone(),
                 )
-                .output_sink(self.sink);
-            if let Some(p) = planted.clone() {
-                builder = builder.planted(p);
-            }
-            let outcome = builder.build().run(algorithm, round_seed);
+                .output_sink(self.sink)
+                .build()
+                .run(algorithm, round_seed);
 
             // A window-0 adversary can never consult the history, and the
             // mean-error half of an observation (a full hamming pass over
@@ -233,17 +227,11 @@ impl DynamicWorld {
             // — skip what nothing will look at.
             if self.corruption.window > 0 {
                 let with_scores = self.corruption.policy == AdaptivePolicy::HighestError;
-                history.push(observe(
-                    &outcome,
-                    planted.as_ref(),
-                    &mask,
-                    truth.as_ref(),
-                    with_scores,
-                ));
+                history.push(observe(&outcome, &planted, &mask, &*truth, with_scores));
             }
             reports.push(RoundReport {
                 round,
-                epoch,
+                epoch: world.epoch,
                 players: n,
                 retired,
                 joined,
@@ -255,58 +243,183 @@ impl DynamicWorld {
     }
 }
 
-/// The churn law, one step: retire `retire` active slots of `map` (chosen
-/// by shuffle under `rng`; never below one player) and append up to `join`
-/// fresh pool identities starting at `next_fresh` (stopping when the
-/// `pool_rows`-row pool is exhausted — the world then stops growing).
-/// Survivors keep relative order and joiners take the tail, so the remap
-/// is deterministic and auditable. Returns the retired and joined pool
-/// identities. [`DynamicWorld`] and the scoring service both step their
-/// populations through this function; only their seeds differ.
-pub fn churn_step(
-    map: &mut Vec<u32>,
-    next_fresh: &mut u32,
-    pool_rows: u32,
-    retire: usize,
-    join: usize,
-    rng: &mut impl Rng,
-) -> (Vec<u32>, Vec<u32>) {
-    let (retire, join) = churn_counts(map.len(), *next_fresh, pool_rows, retire, join);
-    let mut slots: Vec<usize> = (0..map.len()).collect();
-    slots.shuffle(rng);
-    let mut retiring: Vec<usize> = slots[..retire].to_vec();
-    retiring.sort_unstable();
-    let retired: Vec<u32> = retiring.iter().map(|&s| map[s]).collect();
-    for &s in retiring.iter().rev() {
-        map.remove(s);
+/// A fixed identity pool kept resident as bits and aged in place — the
+/// world [`DynamicWorld`] rounds and the scoring service's sessions run
+/// on. An epoch folds its flips into the bits ([`DriftSchedule::fold_epoch`]),
+/// churn moves only the slot → identity map, and [`ResidentPool::active`]
+/// gathers the active rows: the bits of the pool → drift → identity remap
+/// adapter composition, at one bit per pool identity and object. The
+/// public fields are for reading; the methods keep map ids distinct and
+/// below `next_fresh`, `next_fresh` within the pool, and the bits at `epoch`.
+#[derive(Debug, PartialEq)]
+pub struct ResidentPool {
+    bits: BitMatrix,
+    planted: Planted,
+    /// The drift law (`None`: the world never drifts).
+    pub drift: Option<DriftSchedule>,
+    /// Active slot → pool identity.
+    pub map: Vec<u32>,
+    /// The next identity a join hands out.
+    pub next_fresh: u32,
+    /// Epochs folded into the bits (counted with or without a drift law).
+    pub epoch: u64,
+}
+
+/// Why [`ResidentPool::restore`] refused a map or a `next_fresh` that no
+/// sequence of churns could leave.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum PoolError {
+    /// `next_fresh` (first) lies past a pool of that many identities.
+    FreshPastPool(u32, usize),
+    /// A map entry (first) no join has handed out: not below `next_fresh`.
+    NotYetJoined(u32, u32),
+    /// A map entry names the same identity as another.
+    Repeated(u32),
+}
+
+impl std::fmt::Display for PoolError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PoolError::FreshPastPool(n, rows) => {
+                write!(f, "next_fresh {n} past its {rows}-row pool")
+            }
+            PoolError::NotYetJoined(id, n) => write!(f, "map entry {id} not below next_fresh {n}"),
+            PoolError::Repeated(id) => write!(f, "map entry {id} repeats"),
+        }
     }
-    let joined: Vec<u32> = (*next_fresh..*next_fresh + join as u32).collect();
-    map.extend_from_slice(&joined);
-    *next_fresh += join as u32;
-    (retired, joined)
 }
 
-/// How many players one [`churn_step`] over `active` players retires and
-/// admits: at most `retire`, never leaving fewer than one player, and at
-/// most `join`, stopping when the `pool_rows`-row pool has no fresh
-/// identity left at `next_fresh`.
-pub fn churn_counts(
-    active: usize,
-    next_fresh: u32,
-    pool_rows: u32,
-    retire: usize,
-    join: usize,
-) -> (usize, usize) {
-    (
-        retire.min(active.saturating_sub(1)),
-        join.min(pool_rows.saturating_sub(next_fresh) as usize),
-    )
+impl std::error::Error for PoolError {}
+
+impl ResidentPool {
+    /// Materialize `source` at epoch 0 with identities `0..active` in
+    /// slots `0..active`. Panics if `active` exceeds the pool.
+    pub fn new(
+        source: &dyn TruthSource,
+        planted: Planted,
+        drift: Option<DriftSchedule>,
+        active: usize,
+    ) -> Self {
+        let map = (0..active as u32).collect();
+        ResidentPool::restore(source, planted, drift, map, active as u32, 0)
+            .unwrap_or_else(|e| panic!("active population {active} outside the pool: {e}"))
+    }
+
+    /// The pool as `map` and `next_fresh` after `epoch` epochs: `source`
+    /// materialized and epochs `1..=epoch` folded (one hash step per
+    /// driftable bit and epoch — bound an `epoch` from outside). First
+    /// checks that `next_fresh` lies in the pool and that the map holds
+    /// distinct identities below it, as every churn leaves them.
+    pub fn restore(
+        source: &dyn TruthSource,
+        planted: Planted,
+        drift: Option<DriftSchedule>,
+        map: Vec<u32>,
+        next_fresh: u32,
+        epoch: u64,
+    ) -> Result<Self, PoolError> {
+        let rows = source.players();
+        if next_fresh as usize > rows {
+            return Err(PoolError::FreshPastPool(next_fresh, rows));
+        }
+        let mut seen = vec![false; next_fresh as usize];
+        for &id in &map {
+            match seen.get_mut(id as usize) {
+                None => return Err(PoolError::NotYetJoined(id, next_fresh)),
+                Some(true) => return Err(PoolError::Repeated(id)),
+                Some(seen) => *seen = true,
+            }
+        }
+        let mut bits = BitMatrix::zeros(rows, source.objects());
+        for p in 0..rows {
+            bits.set_row(p, &source.row(p as u32));
+        }
+        if let Some(drift) = &drift {
+            for e in 1..=epoch {
+                drift.fold_epoch(e, &mut bits);
+            }
+        }
+        Ok(ResidentPool {
+            bits,
+            planted,
+            drift,
+            map,
+            next_fresh,
+            epoch,
+        })
+    }
+
+    /// How many players [`ResidentPool::churn`] would retire and admit:
+    /// at most `retire`, never leaving fewer than one player, and at most
+    /// `join`, stopping when the pool has no fresh identity left.
+    pub fn churn_counts(&self, retire: usize, join: usize) -> (usize, usize) {
+        (
+            retire.min(self.map.len().saturating_sub(1)),
+            join.min(self.bits.rows().saturating_sub(self.next_fresh as usize)),
+        )
+    }
+
+    /// The churn law, one step: retire slots chosen by shuffle under
+    /// `rng` and append fresh identities, as [`ResidentPool::churn_counts`]
+    /// allows; survivors keep order, joiners take the tail. Returns the
+    /// retired and joined identities.
+    pub fn churn(
+        &mut self,
+        retire: usize,
+        join: usize,
+        rng: &mut impl Rng,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let (retire, join) = self.churn_counts(retire, join);
+        let mut slots: Vec<usize> = (0..self.map.len()).collect();
+        slots.shuffle(rng);
+        let mut retiring: Vec<usize> = slots[..retire].to_vec();
+        retiring.sort_unstable();
+        let retired: Vec<u32> = retiring.iter().map(|&s| self.map[s]).collect();
+        for &s in retiring.iter().rev() {
+            self.map.remove(s);
+        }
+        let joined: Vec<u32> = (self.next_fresh..self.next_fresh + join as u32).collect();
+        self.map.extend_from_slice(&joined);
+        self.next_fresh += join as u32;
+        (retired, joined)
+    }
+
+    /// Move to the next epoch, folding its flips into the pool in place.
+    pub fn advance_epoch(&mut self) {
+        self.epoch += 1;
+        if let Some(drift) = &self.drift {
+            drift.fold_epoch(self.epoch, &mut self.bits);
+        }
+    }
+
+    /// The active world: row `map[slot]` of the pool per slot, gathered
+    /// into one dense truth, and the planted structure by slot (clusters
+    /// list slots; centers and diameter describe epoch 0, DESIGN.md §4.11).
+    pub fn active(&self) -> (Arc<dyn TruthSource>, Planted) {
+        let pool = &self.planted;
+        let mut active = BitMatrix::zeros(self.map.len(), self.bits.cols());
+        let mut assignment = Vec::with_capacity(self.map.len());
+        let mut clusters = vec![Vec::new(); pool.clusters.len()];
+        for (slot, &id) in self.map.iter().enumerate() {
+            active.set_row(slot, &self.bits.row(id as usize));
+            let cluster = pool.assignment[id as usize];
+            assignment.push(cluster);
+            clusters[cluster as usize].push(slot as u32);
+        }
+        let planted = Planted {
+            assignment,
+            clusters,
+            centers: pool.centers.clone(),
+            target_diameter: pool.target_diameter,
+            special_objects: pool.special_objects.clone(),
+        };
+        (Arc::new(DenseTruth::new(active)), planted)
+    }
 }
 
-/// The world active slots see at `epoch`: `pool` → drift to `epoch` (when
-/// a schedule is given) → identity remap through `map` (active slot →
-/// pool identity). Adapters composed over the truth substrate, never
-/// mutation. [`remap_planted`] gives the matching planted metadata.
+/// The world active slots see at `epoch`, read by read: `pool` → drift
+/// to `epoch` → identity remap through `map`. Each read replays epochs
+/// `1..=epoch`; the reference tests hold a [`ResidentPool`] against.
 pub fn compose_world(
     pool: &Arc<dyn TruthSource>,
     drift: Option<&DriftSchedule>,
@@ -314,12 +427,12 @@ pub fn compose_world(
     map: &[u32],
 ) -> Arc<dyn TruthSource> {
     let stepped: Arc<dyn TruthSource> = match drift {
-        Some(schedule) => {
-            Arc::new(DriftingTruth::new(pool.clone(), schedule.clone()).at_epoch(epoch))
-        }
+        Some(schedule) => Arc::new(
+            byzscore_board::DriftingTruth::new(pool.clone(), schedule.clone()).at_epoch(epoch),
+        ),
         None => pool.clone(),
     };
-    Arc::new(RemappedTruth::new(stepped, map.to_vec()))
+    Arc::new(byzscore_board::RemappedTruth::new(stepped, map.to_vec()))
 }
 
 /// Distill the adversary's between-round observation from a completed
@@ -327,14 +440,11 @@ pub fn compose_world(
 /// output matrix was materialized) mean honest error per group.
 fn observe(
     outcome: &Outcome,
-    planted: Option<&Planted>,
+    planted: &Planted,
     dishonest: &[bool],
     truth: &dyn TruthSource,
     with_scores: bool,
 ) -> Observation {
-    let Some(planted) = planted else {
-        return Observation::sizes(Vec::new());
-    };
     let survivors: Vec<usize> = planted
         .clusters
         .iter()
@@ -380,31 +490,10 @@ pub fn procedural_planted(source: &ProceduralTruth) -> Planted {
     }
 }
 
-/// Planted metadata of the pool, viewed through the identity map: slot
-/// assignments inherit from the underlying identities, cluster member
-/// lists hold *slots* (what corruption targeting and skyline baselines
-/// operate on). Centers and diameter describe the base epoch — drift
-/// perturbs the live world around them (DESIGN.md §4.11).
-pub fn remap_planted(pool: &Planted, map: &[u32]) -> Planted {
-    let assignment: Vec<u32> = map.iter().map(|&id| pool.assignment[id as usize]).collect();
-    let mut clusters = vec![Vec::new(); pool.clusters.len()];
-    for (slot, &c) in assignment.iter().enumerate() {
-        clusters[c as usize].push(slot as u32);
-    }
-    Planted {
-        assignment,
-        clusters,
-        centers: pool.centers.clone(),
-        target_diameter: pool.target_diameter,
-        special_objects: pool.special_objects.clone(),
-    }
-}
-
 /// Builder for [`DynamicWorld`] — pool substrate first, then the change
 /// laws, then [`DynamicWorldBuilder::build`].
 pub struct DynamicWorldBuilder {
-    pool: Option<Arc<dyn TruthSource>>,
-    pool_planted: Option<Planted>,
+    pool: Option<ProceduralTruth>,
     active: Option<usize>,
     params: Option<ProtocolParams>,
     corruption: AdaptiveCorruption,
@@ -415,23 +504,11 @@ pub struct DynamicWorldBuilder {
 }
 
 impl DynamicWorldBuilder {
-    /// Procedural pool over `spec` (`O(1)` memory in the pool size). The
-    /// spec's `players` is the *pool* capacity; combine with
-    /// [`DynamicWorldBuilder::active`] to leave join headroom.
+    /// Procedural pool over `spec`. The spec's `players` is the *pool*
+    /// capacity; combine with [`DynamicWorldBuilder::active`] to leave
+    /// join headroom. Each run materializes the pool as bits.
     pub fn pool(mut self, spec: ClusterSpec) -> Self {
-        let source = ProceduralTruth::new(spec);
-        self.pool_planted = Some(procedural_planted(&source));
-        self.pool = Some(Arc::new(source));
-        self
-    }
-
-    /// Dense twin of [`DynamicWorldBuilder::pool`]: identical bits and
-    /// metadata on a materialized matrix, for substrate-equivalence checks
-    /// and dense-only metrics.
-    pub fn pool_dense(mut self, spec: ClusterSpec) -> Self {
-        let source = ProceduralTruth::new(spec);
-        self.pool_planted = Some(procedural_planted(&source));
-        self.pool = Some(Arc::new(DenseTruth::new(source.materialize())));
+        self.pool = Some(ProceduralTruth::new(spec));
         self
     }
 
@@ -487,8 +564,8 @@ impl DynamicWorldBuilder {
             pool.players()
         );
         DynamicWorld {
+            pool_planted: procedural_planted(&pool),
             pool,
-            pool_planted: self.pool_planted,
             active,
             params: self
                 .params

@@ -16,7 +16,7 @@
 //! transfers.
 
 use byzscore_bitset::{BitMatrix, BitVec, Bits};
-use byzscore_board::{DriftSchedule, DriftingTruth};
+use byzscore_board::DriftSchedule;
 use byzscore_model::Instance;
 use byzscore_random::derive_seed;
 use rand::Rng;
@@ -209,15 +209,17 @@ const TAG_EPOCH: u64 = 0x6e_e0;
 /// A multi-bit world whose *grades* drift over epochs — the graded half
 /// of the dynamic-world plane (DESIGN.md §4.11).
 ///
-/// Each bit plane of the base [`GradeMatrix`] becomes a
-/// [`DriftingTruth`] under a plane-derived drift seed, so planes drift
-/// independently while sharing one rate/locality law. A grade's
-/// trajectory is therefore a bounded random walk in `0..2^bits`:
-/// flipping plane `j` at some epoch moves the score by `±2^j`, and
-/// [`DriftingGrades::at_epoch`] reconstructs the exact matrix at any `t`
-/// (pure, bit-reproducible — the dense replay of every plane's schedule).
+/// Each bit plane of the base [`GradeMatrix`] drifts under the shared
+/// rate/locality law re-seeded with a plane derivation, so planes drift
+/// independently. A grade's trajectory is therefore a bounded random walk
+/// in `0..2^bits`: flipping plane `j` at some epoch moves the score by
+/// `±2^j`. Planes age as resident bits ([`DriftSchedule::fold_epoch`],
+/// one epoch at a time), so [`DriftingGrades::at_epoch`] and
+/// [`DriftingGrades::trajectory`] reconstruct the exact matrices (pure,
+/// bit-reproducible).
 pub struct DriftingGrades {
-    planes: Vec<DriftingTruth>,
+    /// Each plane's base bits and its plane-seeded schedule.
+    planes: Vec<(BitMatrix, DriftSchedule)>,
     bits: u32,
 }
 
@@ -232,7 +234,7 @@ impl DriftingGrades {
             .map(|(j, plane)| {
                 let mut s = schedule.clone();
                 s.seed = derive_seed(schedule.seed, &[TAG_PLANE_SEED, j as u64]);
-                DriftingTruth::new(plane, s)
+                (plane, s)
             })
             .collect();
         DriftingGrades {
@@ -248,27 +250,20 @@ impl DriftingGrades {
 
     /// The exact grade matrix at epoch `t` (epoch 0 is the base).
     pub fn at_epoch(&self, t: u64) -> GradeMatrix {
-        let planes: Vec<BitMatrix> = self.planes.iter().map(|p| p.materialize_at(t)).collect();
-        GradeMatrix::from_planes(&planes)
+        let mut trajectory = self.trajectory(t + 1);
+        trajectory.pop().expect("a trajectory through epoch t")
     }
 
-    /// The grade matrices of epochs `0..epochs`, reconstructed in one
-    /// incremental per-plane replay
-    /// ([`DriftingTruth::materialize_trajectory`]): entry `t` is
-    /// bit-identical to [`DriftingGrades::at_epoch`]`(t)`, at `O(epochs)`
-    /// total replay cost instead of `O(epochs²)`.
+    /// The grade matrices of epochs `0..epochs`, from one pass that folds
+    /// each epoch into every plane once.
     pub fn trajectory(&self, epochs: u64) -> Vec<GradeMatrix> {
-        if epochs == 0 {
-            return Vec::new();
-        }
-        let per_plane: Vec<Vec<BitMatrix>> = self
-            .planes
-            .iter()
-            .map(|p| p.materialize_trajectory(epochs - 1))
-            .collect();
-        (0..epochs as usize)
+        let mut planes: Vec<BitMatrix> = self.planes.iter().map(|(base, _)| base.clone()).collect();
+        (0..epochs)
             .map(|t| {
-                let planes: Vec<BitMatrix> = per_plane.iter().map(|v| v[t].clone()).collect();
+                // Folding epoch 0 changes nothing: entry 0 is the base.
+                for (plane, (_, schedule)) in planes.iter_mut().zip(&self.planes) {
+                    schedule.fold_epoch(t, plane);
+                }
                 GradeMatrix::from_planes(&planes)
             })
             .collect()
@@ -404,6 +399,17 @@ mod tests {
             assert_eq!(g, &world.at_epoch(t as u64), "epoch {t}");
         }
         assert!(world.trajectory(0).is_empty());
+        // Each plane is the drift adapter's read-by-read replay.
+        for (j, (base_plane, schedule)) in world.planes.iter().enumerate() {
+            let reference = byzscore_board::DriftingTruth::new(base_plane, schedule.clone());
+            for (t, g) in traj.iter().enumerate() {
+                assert_eq!(
+                    g.planes()[j],
+                    reference.materialize_at(t as u64),
+                    "plane {j} epoch {t}"
+                );
+            }
+        }
     }
 
     #[test]

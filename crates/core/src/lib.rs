@@ -65,10 +65,10 @@
 //!
 //! Beyond the paper's static model, the [`dynamic`] module runs *sequences*
 //! of executions over worlds that change between rounds — drifting truth
-//! ([`DriftingTruth`]), population churn ([`ChurnSchedule`]), and
-//! adversaries that re-target after observing each round
-//! (`byzscore_adversary::AdaptiveCorruption`) — and [`graded`] extends the
-//! plane to multi-bit scores, drifting or not.
+//! ([`DriftSchedule`]) and population churn ([`ChurnSchedule`]), both aged
+//! in one [`ResidentPool`], and adversaries that re-target after observing
+//! each round (`byzscore_adversary::AdaptiveCorruption`) — and [`graded`]
+//! extends the plane to multi-bit scores, drifting or not.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -92,8 +92,8 @@ pub use byzscore_board::{
 pub use cluster::WarmStart;
 pub use cluster::{cluster_players_with, Clustering, GroupCache, NeighborIndex, NeighborStrategy};
 pub use dynamic::{
-    churn_counts, churn_step, compose_world, procedural_planted, remap_planted, ChurnSchedule,
-    DynamicOutcome, DynamicWorld, DynamicWorldBuilder, RoundReport,
+    compose_world, procedural_planted, ChurnSchedule, DynamicOutcome, DynamicWorld,
+    DynamicWorldBuilder, PoolError, ResidentPool, RoundReport,
 };
 pub use params::ProtocolParams;
 pub use protocol::calculate_preferences;

@@ -623,13 +623,14 @@ mod tests {
             .build();
         let map: Vec<u32> = (4..64).chain([1, 0]).collect();
         let drift = byzscore_board::DriftSchedule::uniform(0.02, 9);
-        let changed = crate::compose_world(sys.truth(), Some(&drift), 3, &map);
+        let planted = inst.planted().cloned().expect("a planted instance");
+        let (changed, remapped) =
+            crate::ResidentPool::restore(sys.truth().as_ref(), planted, Some(drift), map, 64, 3)
+                .expect("a map churn could leave")
+                .active();
         let worlds = [
             (sys.truth().clone(), inst.planted().cloned()),
-            (
-                changed,
-                inst.planted().map(|p| crate::remap_planted(p, &map)),
-            ),
+            (changed, Some(remapped)),
         ];
         for (truth, planted) in worlds {
             let evolved = sys.evolved(truth.clone(), planted.clone());

@@ -7,7 +7,7 @@ use byzscore_bitset::{BitMatrix, BitVec};
 /// Workload generators record what they planted so experiments can measure
 /// cluster recovery (Lemmas 8–9) and compare achieved error against the
 /// planted diameter (Lemma 12 / Theorem 14).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Planted {
     /// For each player, the index of the cluster it was planted in.
     pub assignment: Vec<u32>,

@@ -10,12 +10,12 @@
 //! — is a pure function of those fields and is *recomputed* at restore:
 //! each open session is re-scored exactly as its last barrier scored it.
 //! `decode` rejects fields the engine could not have written (more
-//! session ids than covered ops, map entries that are repeated or not
-//! below `next_fresh`, `next_fresh` outside the pool, an unscorable
-//! population, more epochs than covered ops) as
-//! [`CheckpointError::Corrupt`] before anything allocates, indexes or
-//! scores with them. The reader ignores unknown `meta` keys, so files
-//! that still carry a `shards=` key restore too. It reads only `v4`: a
+//! session ids than covered ops, an unscorable population, more epochs
+//! than covered ops, and — the restored pool's own precondition — map
+//! entries that are repeated or not below `next_fresh`, `next_fresh`
+//! outside the pool) as [`CheckpointError::Corrupt`] before anything
+//! indexes or scores with them. The reader ignores unknown `meta` keys,
+//! so files that still carry a `shards=` key restore too. It reads only `v4`: a
 //! `v1` (per-claim `claim` lines), `v2` (hex score `rows` lines) or `v3`
 //! (`probed` lines) file is corrupt, and recovery falls back as it does
 //! for any checkpoint that does not load.
@@ -340,6 +340,15 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
         if sid >= slots {
             return Err(corrupt(format!("session {sid} outside {slots} slots")));
         }
+        // Each epoch or churn is one journaled op (this also bounds the
+        // restore fold); `ResidentPool::restore` checks map and next_fresh.
+        scorable("restore", map.len(), spec.corrupt)
+            .map_err(|e| corrupt(format!("session {sid}: {e}")))?;
+        if epoch > ops || churns > ops {
+            return Err(corrupt(format!(
+                "session {sid} epoch {epoch} / churns {churns} exceed the {ops} covered ops"
+            )));
+        }
         let image = SessionImage {
             spec,
             map,
@@ -347,52 +356,15 @@ fn decode(text: &str) -> Result<RestoredCheckpoint, CheckpointError> {
             epoch,
             churns,
         };
-        check_image(sid, &image, ops).map_err(corrupt)?;
         images.push((sid, image));
     }
+    let engine = ServiceEngine::from_images(slots, images)
+        .map_err(|(sid, why)| corrupt(format!("session {sid} {why}")))?;
     Ok(RestoredCheckpoint {
-        engine: ServiceEngine::from_images(slots, images),
+        engine,
         dedupe,
         ops,
     })
-}
-
-/// Reject a session image the engine could not have written, before
-/// restore indexes, folds or scores anything with it: `next_fresh` must
-/// lie in the `2 × players` pool, and the map must hold distinct ids
-/// below it (the engine hands each fresh id out once), so the map is
-/// never longer than the pool; the epoch and churn counts cannot exceed
-/// the covered `ops` (each epoch or churn is one journaled op,
-/// which also bounds restore's per-epoch fold), and the population must
-/// exceed the corrupt count, as `open` and `churn` keep it.
-fn check_image(sid: u64, image: &SessionImage, ops: u64) -> Result<(), String> {
-    scorable("restore", image.map.len(), image.spec.corrupt)
-        .map_err(|e| format!("session {sid}: {e}"))?;
-    let pool = (image.spec.players.max(1) as u64).saturating_mul(2);
-    if u64::from(image.next_fresh) > pool {
-        return Err(format!(
-            "session {sid} next_fresh {} past its {pool}-row pool",
-            image.next_fresh
-        ));
-    }
-    if let Some(id) = image.map.iter().find(|&&id| id >= image.next_fresh) {
-        return Err(format!(
-            "session {sid} map entry {id} not below next_fresh {}",
-            image.next_fresh
-        ));
-    }
-    let mut ids = image.map.clone();
-    ids.sort_unstable();
-    if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
-        return Err(format!("session {sid} map entry {} repeats", pair[0]));
-    }
-    if image.epoch > ops || image.churns > ops {
-        return Err(format!(
-            "session {sid} epoch {} / churns {} exceed the {ops} covered ops",
-            image.epoch, image.churns
-        ));
-    }
-    Ok(())
 }
 
 /// Durably install `text` as the current checkpoint beside `journal`:

@@ -14,16 +14,13 @@
 //!
 //! # Resident world
 //!
-//! Each session keeps its whole identity pool as bits: a `2 × players`
-//! by `objects` [`BitMatrix`], drifted to the session's current epoch.
-//! `AdvanceEpoch` folds that epoch's flips into it in place
-//! ([`DriftSchedule::fold_epoch`], one hash step per pool bit), churn
-//! leaves it untouched, and every barrier gathers the active slots' rows
-//! through the churn map into one [`DenseTruth`]. Probes and the scorer
-//! therefore read bits, never the procedural formula or a replay of past
-//! epochs. The bits are the ones core's pool → drift → remap adapter
-//! composition denotes (what `DynamicWorld` still runs), and a unit test
-//! below pins the two barrier by barrier. The cost is
+//! Each session ages its identity pool (`2 × players` rows by `objects`)
+//! as bits in a [`ResidentPool`], the type `DynamicWorld` rounds run on
+//! too: `AdvanceEpoch` folds that epoch's flips in place, churn moves only
+//! the map, and every barrier gathers the active rows into one dense
+//! truth. Probes and the scorer read bits, never the procedural formula or
+//! a replay of past epochs; a unit test below pins the gathered world to
+//! the drift/remap adapter composition barrier by barrier. The cost is
 //! `2 · players · objects` bits per session (4.6 KB at 96 × 192).
 //!
 //! # Recompute
@@ -35,16 +32,15 @@
 //! leaves nothing worth carrying from the previous run (DESIGN.md §4.12).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::ops::Deref;
 
 use byzscore::{
-    churn_counts, churn_step, procedural_planted, remap_planted, DriftSchedule, ProceduralTruth,
-    ProtocolParams, Session, TruthSource,
+    procedural_planted, DriftSchedule, PoolError, ProceduralTruth, ProtocolParams, ResidentPool,
+    Session,
 };
 use byzscore_adversary::{Corruption, Inverter};
 use byzscore_bitset::{BitMatrix, Bits};
-use byzscore_board::{ClusterSpec, DenseTruth};
-use byzscore_model::Planted;
+use byzscore_board::ClusterSpec;
 use byzscore_random::derive_seed;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -60,20 +56,13 @@ const TAG_SCORE: u64 = 0x5e_c3;
 #[doc(hidden)]
 pub const DEFAULT_SHARDS: usize = 1;
 
-/// Everything resident for one open session.
+/// Everything resident for one open session. The pool's fields (`map`,
+/// `epoch`, ...) read through [`Deref`] and change through `world`.
 struct SessionState {
     spec: SessionSpec,
-    /// The fixed identity pool (capacity `2 × players` rows) as bits,
-    /// drifted to `epoch`. Never serialized: restore rebuilds it by
-    /// folding epochs `1..=epoch`.
-    world: BitMatrix,
-    /// The session's drift law (`None` at 0 ppm), built once at open.
-    drift: Option<DriftSchedule>,
-    pool_planted: Planted,
-    /// Active slot → pool identity.
-    map: Vec<u32>,
-    next_fresh: u32,
-    epoch: u64,
+    /// The identity pool drifted to its epoch. Never serialized: restore
+    /// rebuilds it by folding epochs `1..=epoch`.
+    world: ResidentPool,
     /// Churn transitions applied so far (feeds churn + score seeds).
     churns: u64,
     /// The current evolved session; its truth is the active world probes
@@ -83,15 +72,24 @@ struct SessionState {
     rows: BitMatrix,
 }
 
+impl Deref for SessionState {
+    type Target = ResidentPool;
+
+    fn deref(&self) -> &ResidentPool {
+        &self.world
+    }
+}
+
 impl SessionState {
-    /// A session at `epoch` with the given churn history: its pool folded
-    /// to `epoch` and a session with the spec's parameters and adversary
-    /// on the active world, with no scores yet. `open` and checkpoint
-    /// restore both start here, so both derive identical worlds.
-    fn new(spec: SessionSpec, map: Vec<u32>, next_fresh: u32, epoch: u64, churns: u64) -> Self {
-        let drift = drift_of(&spec);
-        let (world, pool_planted) = pool_of(&spec, drift.as_ref(), epoch);
-        let (truth, planted) = active_world(&world, &pool_planted, &map);
+    /// The unscored session an image describes (its pool restored, the
+    /// spec's parameters and adversary on the active world), or why no
+    /// churn history leaves that pool. `open` and restore both start here.
+    fn new(img: SessionImage) -> Result<Self, PoolError> {
+        let (spec, source) = (img.spec, pool_source(&img.spec));
+        let (planted, drift) = (procedural_planted(&source), drift_of(&spec));
+        let world =
+            ResidentPool::restore(&source, planted, drift, img.map, img.next_fresh, img.epoch)?;
+        let (truth, planted) = world.active();
         let session = Session::builder()
             .truth(truth)
             .planted(planted)
@@ -103,18 +101,13 @@ impl SessionState {
                 Inverter,
             )
             .build();
-        SessionState {
+        Ok(SessionState {
             spec,
             world,
-            drift,
-            pool_planted,
-            map,
-            next_fresh,
-            epoch,
-            churns,
+            churns: img.churns,
             session,
             rows: BitMatrix::zeros(0, 0),
-        }
+        })
     }
 
     /// Run the scoring algorithm on the current world, cache the score
@@ -130,7 +123,7 @@ impl SessionState {
     /// After a world transition: evolve the session onto the new active
     /// world and rescore it, returning the run's `max_err`.
     fn recompute(&mut self) -> u64 {
-        let (truth, planted) = active_world(&self.world, &self.pool_planted, &self.map);
+        let (truth, planted) = self.world.active();
         self.session = self.session.evolved(truth, Some(planted));
         self.score()
     }
@@ -249,8 +242,14 @@ impl ServiceEngine {
             return Response::Rejected(ServiceError::Malformed { message });
         }
         let sid = self.next_sid;
-        let mut state =
-            SessionState::new(spec, (0..players as u32).collect(), players as u32, 0, 0);
+        let image = SessionImage {
+            spec,
+            map: (0..players as u32).collect(),
+            next_fresh: players as u32,
+            epoch: 0,
+            churns: 0,
+        };
+        let mut state = SessionState::new(image).expect("a fresh pool holds its first players");
         let max_err = state.score();
         let response = Response::Opened {
             session: sid,
@@ -267,10 +266,9 @@ impl ServiceEngine {
             Ok(s) => s,
             Err(e) => return Response::Rejected(e),
         };
-        let pool_rows = state.world.rows() as u32;
-        let active = state.map.len();
-        let (retiring, joining) = churn_counts(active, state.next_fresh, pool_rows, retire, join);
-        if let Err(message) = scorable("churn", active - retiring + joining, state.spec.corrupt) {
+        let (retiring, joining) = state.churn_counts(retire, join);
+        let population = state.map.len() - retiring + joining;
+        if let Err(message) = scorable("churn", population, state.spec.corrupt) {
             return Response::Rejected(ServiceError::Malformed { message });
         }
         state.churns += 1;
@@ -278,14 +276,7 @@ impl ServiceEngine {
             state.spec.world_seed,
             &[TAG_CHURN, state.churns],
         ));
-        let (retired, joined) = churn_step(
-            &mut state.map,
-            &mut state.next_fresh,
-            pool_rows,
-            retire,
-            join,
-            &mut rng,
-        );
+        let (retired, joined) = state.world.churn(retire, join, &mut rng);
         let max_err = state.recompute();
         Response::Churned {
             session: sid,
@@ -301,10 +292,7 @@ impl ServiceEngine {
             Ok(s) => s,
             Err(e) => return Response::Rejected(e),
         };
-        state.epoch += 1;
-        if let Some(drift) = &state.drift {
-            drift.fold_epoch(state.epoch, &mut state.world);
-        }
+        state.world.advance_epoch();
         let max_err = state.recompute();
         Response::Epoch {
             session: sid,
@@ -355,40 +343,6 @@ fn drift_of(spec: &SessionSpec) -> Option<DriftSchedule> {
             derive_seed(spec.world_seed, &[TAG_DRIFT]),
         )
     })
-}
-
-/// The pool as bits, drifted to `epoch` by folding epochs `1..=epoch`,
-/// and its planted structure — a pure function of the spec and the
-/// epoch, so `open` (epoch 0) and checkpoint restore derive identical
-/// worlds.
-fn pool_of(spec: &SessionSpec, drift: Option<&DriftSchedule>, epoch: u64) -> (BitMatrix, Planted) {
-    let source = pool_source(spec);
-    let mut world = BitMatrix::zeros(source.players(), source.objects());
-    for p in 0..world.rows() {
-        world.set_row(p, &source.row(p as u32));
-    }
-    if let Some(drift) = drift {
-        for e in 1..=epoch {
-            drift.fold_epoch(e, &mut world);
-        }
-    }
-    (world, procedural_planted(&source))
-}
-
-/// The world the active slots see: row `map[slot]` of the resident pool
-/// (already drifted to the session's epoch) for each slot, gathered into
-/// one dense truth, plus the remapped planted structure.
-fn active_world(
-    world: &BitMatrix,
-    pool_planted: &Planted,
-    map: &[u32],
-) -> (Arc<dyn TruthSource>, Planted) {
-    let mut active = BitMatrix::zeros(map.len(), world.cols());
-    for (slot, &id) in map.iter().enumerate() {
-        active.set_row(slot, &world.row(id as usize));
-    }
-    let truth = Arc::new(DenseTruth::new(active)) as Arc<dyn TruthSource>;
-    (truth, remap_planted(pool_planted, map))
 }
 
 /// Answer one probe op: every probed bit is read from the session's
@@ -487,33 +441,29 @@ impl ServiceEngine {
     }
 
     /// Rebuild an engine from checkpoint images: `slots` ids assigned,
-    /// then each image installed at its id. Each session is rebuilt
-    /// exactly as `open` builds one: [`SessionState::new`] (pool folded
-    /// to the image's epoch, session on the active world), then
-    /// [`SessionState::score`] with the seed of its epoch and churn
-    /// count. Restore costs one fold per past epoch and pool bit plus one
-    /// scorer run per open session (about 1 ms for a `naive` session at
-    /// 96 × 192); `decode` bounds each epoch count by the covered ops and
-    /// rejects an unscorable population before this runs.
-    pub(crate) fn from_images(slots: u64, images: Vec<(u64, SessionImage)>) -> ServiceEngine {
-        let sessions = images
+    /// each image's session built as `open` builds one, then — once all
+    /// pools restored — each scored with its epoch and churn seed: one fold
+    /// per past epoch and pool bit plus ~1 ms per `naive` session at
+    /// 96 × 192. `decode` has bounded the epochs and populations.
+    pub(crate) fn from_images(
+        slots: u64,
+        images: Vec<(u64, SessionImage)>,
+    ) -> Result<ServiceEngine, (u64, PoolError)> {
+        let mut sessions = images
             .into_iter()
             .map(|(sid, image)| {
-                let mut state = SessionState::new(
-                    image.spec,
-                    image.map,
-                    image.next_fresh,
-                    image.epoch,
-                    image.churns,
-                );
-                state.score();
-                (sid, state)
+                SessionState::new(image)
+                    .map(|s| (sid, s))
+                    .map_err(|e| (sid, e))
             })
-            .collect();
-        ServiceEngine {
+            .collect::<Result<BTreeMap<u64, SessionState>, _>>()?;
+        for state in sessions.values_mut() {
+            state.score();
+        }
+        Ok(ServiceEngine {
             sessions,
             next_sid: slots,
-        }
+        })
     }
 }
 
@@ -554,6 +504,8 @@ fn validate(
 mod tests {
     use super::*;
     use crate::request::ServiceAlgorithm;
+    use byzscore::TruthSource;
+    use std::sync::Arc;
 
     fn spec(seed: u64) -> SessionSpec {
         SessionSpec {

@@ -7,14 +7,17 @@
 //! benchmark (outside this rule) compile the same program. The scan is
 //! plain `str::contains` over every file: comments and tests count too.
 //!
-//! Served world is resident (DESIGN.md §4.13): a served session folds its
-//! drifted pool once per `AdvanceEpoch`, gathers each barrier's world from
-//! those bits, and checkpoint restore re-scores on the same world. A read
-//! routed back through the drift/remap adapters answers identically, so
-//! no answer test would fail; only the benchmark would notice. So no line
-//! of `crates/service/src` above a file's first `#[cfg(test)]` names
-//! them; below it, a unit test pins the resident world to the adapter
-//! composition.
+//! One aged world (DESIGN.md §4.11, §4.13): a served session and a
+//! `DynamicWorld` round both age their pool as resident bits
+//! (`byzscore::ResidentPool`: one fold per epoch, each barrier's or
+//! round's world gathered from those bits), and checkpoint restore
+//! re-scores on the same world. A read routed back through the
+//! drift/remap adapters answers identically, so no answer test would
+//! fail; only the benchmark would notice. So no line of
+//! `crates/service/src`, `core`'s `dynamic.rs` or `graded.rs` above a
+//! file's first `#[cfg(test)]` names them, except inside
+//! `compose_world`'s own definition; below it, tests pin the resident
+//! pool to the adapter composition.
 //!
 //! Metered truth (DESIGN.md §4.2): a probe is how a player learns its own
 //! bit, and the ledger charges it there. A read of the truth source from
@@ -58,8 +61,19 @@ const FEATURE_CFGS: [&str; 3] = [
 /// A manifest line that declares cargo features.
 const FEATURES_TABLE: &str = concat!("[", "features]");
 
-/// The drift/remap adapters a served session must not read through.
-const ADAPTERS: [&str; 3] = ["DriftingTruth", "RemappedTruth", "byzscore::compose_world"];
+/// The drift/remap adapters no run path reads through.
+const ADAPTERS: [&str; 3] = ["DriftingTruth", "RemappedTruth", "compose_world"];
+
+/// Core's dynamic-world file, home of the adapter composition.
+const DYNAMIC: &str = "crates/core/src/dynamic.rs";
+
+/// The files that age a world, beside every file of `crates/service/src`.
+const AGING: [&str; 2] = [DYNAMIC, "crates/core/src/graded.rs"];
+
+/// The items allowed to name an adapter: `(file, fragment)`, where the
+/// line starting with `fragment` opens the item and every line up to its
+/// closing `}` at the start of a line belongs to it.
+const ADAPTER_DEFINITIONS: [(&str, &str); 1] = [(DYNAMIC, "pub fn compose_world(")];
 
 /// Reads of the truth source that bypass `Oracle::probe`.
 const TRUTH_READS: [&str; 3] = [".truth()", "TruthSource", ".value("];
@@ -284,9 +298,28 @@ fn shared_meters(rel: &str, text: &str) -> Vec<String> {
     lines_naming(Path::new(rel), text, &LOCKS)
 }
 
-/// Lines above the tests that name an adapter, as `path:line: text`.
-fn adapter_reads(path: &Path, text: &str) -> Vec<String> {
-    lines_naming(path, text, &ADAPTERS)
+/// Lines of `rel` above the tests that name an adapter outside an
+/// allowed definition, as `path:line: text`.
+fn adapter_reads(rel: &str, text: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut in_definition = false;
+    for (at, line) in above_tests(text).lines().enumerate() {
+        in_definition |= ADAPTER_DEFINITIONS
+            .iter()
+            .any(|&(file, start)| file == rel && line.starts_with(start));
+        if !in_definition && ADAPTERS.iter().any(|p| line.contains(p)) {
+            found.push(format!("{rel}:{}: {line}", at + 1));
+        }
+        in_definition &= line != "}";
+    }
+    found
+}
+
+/// The files the one-aged-world rule scans.
+fn aging_files() -> Vec<String> {
+    let mut files = crate_sources(&["crates/service/src"]);
+    files.extend(AGING.map(String::from));
+    files
 }
 
 /// Lines above the tests that read the truth source, as `path:line: text`.
@@ -349,30 +382,21 @@ fn the_scanner_catches_each_fork() {
 
 #[test]
 fn served_world_is_resident() {
-    let mut files = Vec::new();
-    walk(&workspace_root().join("crates/service/src"), &mut files);
-    files.retain(|f| f.extension().is_some_and(|e| e == "rs"));
+    let files = aging_files();
     assert!(files.len() > 10, "scanned only {} sources", files.len());
-    let found: Vec<String> = files
-        .iter()
-        .flat_map(|f| {
-            let text =
-                fs::read_to_string(f).unwrap_or_else(|e| panic!("read {}: {e}", f.display()));
-            adapter_reads(f, &text)
-        })
-        .collect();
+    let found = scan(&files, adapter_reads);
     assert!(
         found.is_empty(),
-        "served sessions read their resident world, not the drift/remap adapters \
-         (DESIGN.md §4.13):\n{}",
+        "served sessions and dynamic worlds read their resident pool, not the drift/remap \
+         adapters (DESIGN.md §4.11, §4.13):\n{}",
         found.join("\n")
     );
 }
 
 #[test]
 fn the_resident_scan_catches_an_adapter_above_the_tests() {
-    let path = workspace_root().join("crates/service/src/engine.rs");
-    let text = fs::read_to_string(&path).expect("read engine.rs");
+    let rel = "crates/service/src/engine.rs";
+    let text = fs::read_to_string(workspace_root().join(rel)).expect("read engine.rs");
     let cut = text.find(CFG_TEST).expect("engine.rs has unit tests");
     assert!(
         text[cut..].contains(ADAPTERS[2]),
@@ -381,11 +405,42 @@ fn the_resident_scan_catches_an_adapter_above_the_tests() {
     for adapter in ADAPTERS {
         let line = format!("    let world = {adapter}(pool, drift, epoch, map);\n");
         let above = format!("{}{line}{}", &text[..cut], &text[cut..]);
-        let found = adapter_reads(&path, &above);
+        let found = adapter_reads(rel, &above);
         assert_eq!(found.len(), 1, "{adapter}: {found:?}");
         assert!(found[0].ends_with(line.trim_end()), "{}", found[0]);
         let below = format!("{text}{line}");
-        assert!(adapter_reads(&path, &below).is_empty(), "{adapter}");
+        assert!(adapter_reads(rel, &below).is_empty(), "{adapter}");
+        // The definition allowance belongs to core's dynamic.rs alone.
+        let defined = format!("pub fn compose_world(\n{line}}}\n");
+        assert_eq!(adapter_reads(rel, &defined).len(), 2, "{adapter}");
+        assert!(adapter_reads(DYNAMIC, &defined).is_empty(), "{adapter}");
+    }
+}
+
+/// An adapter call inside `DynamicWorld::run` is caught, and so is one
+/// just past the closing brace of `compose_world`'s own definition.
+#[test]
+fn the_resident_scan_catches_an_adapter_in_a_dynamic_world_round() {
+    let text = fs::read_to_string(workspace_root().join(DYNAMIC)).expect("read dynamic.rs");
+    assert!(adapter_reads(DYNAMIC, &text).is_empty());
+    let run = text.find("    pub fn run(").expect("DynamicWorld::run");
+    let in_run = run + text[run..].find('\n').expect("a signature line") + 1;
+    let definition = text
+        .find(ADAPTER_DEFINITIONS[0].1)
+        .expect("compose_world is defined in dynamic.rs");
+    let past_definition = definition + text[definition..].find("\n}\n").expect("its end") + 3;
+    assert!(in_run < definition && past_definition < text.find(CFG_TEST).expect("unit tests"));
+    for call in [
+        "        let truth = compose_world(&self.pool, self.drift.as_ref(), round as u64, &map);\n",
+        "        let truth = byzscore_board::RemappedTruth::new(stepped, map.to_vec());\n",
+        "        let stepped = DriftingTruth::new(pool.clone(), schedule.clone()).at_epoch(1);\n",
+    ] {
+        for at in [in_run, past_definition] {
+            let injected = format!("{}{call}{}", &text[..at], &text[at..]);
+            let found = adapter_reads(DYNAMIC, &injected);
+            assert_eq!(found.len(), 1, "{call:?} at byte {at}: {found:?}");
+            assert!(found[0].ends_with(call.trim_end()), "{}", found[0]);
+        }
     }
 }
 

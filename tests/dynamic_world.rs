@@ -1,18 +1,21 @@
 //! Dynamic-world contracts: the drift law has exactly one dense replay,
 //! adaptive corruption degrades exactly to its static base, churn
-//! remapping is a permutation-free identity view, and whole trajectories
-//! are substrate-agnostic (dense pool ≡ procedural pool, bit for bit).
+//! remapping is a permutation-free identity view, and the resident pool
+//! every run ages is the drift/remap adapter composition, step by step.
 
 use std::sync::Arc;
 
 use byzscore::{
-    Algorithm, ChurnSchedule, ClusterSpec, DriftLocality, DriftSchedule, DriftingTruth,
-    DynamicWorld, ProceduralTruth, ProtocolParams, RemappedTruth, TruthSource,
+    compose_world, procedural_planted, Algorithm, ChurnSchedule, ClusterSpec, DriftLocality,
+    DriftSchedule, DriftingTruth, DynamicWorld, ProceduralTruth, ProtocolParams, RemappedTruth,
+    ResidentPool, TruthSource,
 };
 use byzscore_adversary::{AdaptiveCorruption, AdaptivePolicy, Corruption, Inverter, Observation};
 use byzscore_bitset::{BitMatrix, BitVec};
-use byzscore_model::{Balance, Workload};
+use byzscore_model::{Balance, Planted, Workload};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn spec(players: usize, objects: usize, seed: u64) -> ClusterSpec {
     ClusterSpec {
@@ -22,6 +25,51 @@ fn spec(players: usize, objects: usize, seed: u64) -> ClusterSpec {
         diameter: 4,
         seed,
     }
+}
+
+/// Each drift locality shape over `objects` columns: global, a window,
+/// and a mask shorter than the object axis (its tail is frozen).
+fn locality(kind: u8, objects: usize) -> DriftLocality {
+    match kind {
+        0 => DriftLocality::Global,
+        1 => DriftLocality::Window {
+            start: objects / 3,
+            len: objects / 2 + 1,
+        },
+        _ => DriftLocality::Mask(BitVec::from_fn(objects - objects / 4, |o| o % 3 != 1)),
+    }
+}
+
+/// Assert that `world` is the adapter composition over `pool` at its
+/// epoch and map: every active row, and the planted structure viewed
+/// through the map (slot assignments from identities, members as slots).
+fn assert_composed(world: &ResidentPool, pool: &Arc<dyn TruthSource>, planted: &Planted) {
+    let reference = compose_world(pool, world.drift.as_ref(), world.epoch, &world.map);
+    let (truth, remapped) = world.active();
+    assert_eq!(truth.players(), reference.players());
+    for slot in 0..reference.players() as u32 {
+        assert_eq!(
+            truth.row(slot),
+            reference.row(slot),
+            "slot {slot} at epoch {}",
+            world.epoch
+        );
+    }
+    let assignment: Vec<u32> = world
+        .map
+        .iter()
+        .map(|&id| planted.assignment[id as usize])
+        .collect();
+    let mut clusters = vec![Vec::new(); planted.clusters.len()];
+    for (slot, &c) in assignment.iter().enumerate() {
+        clusters[c as usize].push(slot as u32);
+    }
+    let expected = Planted {
+        assignment,
+        clusters,
+        ..planted.clone()
+    };
+    assert_eq!(remapped, expected, "planted at epoch {}", world.epoch);
 }
 
 proptest! {
@@ -169,13 +217,7 @@ proptest! {
     ) {
         let objects = [1, 63, 64, 65, 130][cols_ix];
         let rate = [0.0, 1e-3, 0.3, 1.0][rate_ix];
-        let locality = match kind {
-            0 => DriftLocality::Global,
-            1 => DriftLocality::Window { start: objects / 3, len: objects / 2 + 1 },
-            // Shorter than the object axis: the tail beyond it is frozen.
-            _ => DriftLocality::Mask(BitVec::from_fn(objects - objects / 4, |o| o % 3 != 1)),
-        };
-        let schedule = DriftSchedule::new(rate, locality, seed ^ 0xf01d);
+        let schedule = DriftSchedule::new(rate, locality(kind, objects), seed ^ 0xf01d);
         let world = DriftingTruth::new(
             ProceduralTruth::new(spec(players, objects, seed)),
             schedule.clone(),
@@ -188,6 +230,52 @@ proptest! {
         }
         prop_assert_eq!(&folded, &world.materialize_at(k), "epoch {}", k);
     }
+
+    /// The resident pool is the adapter composition, step by step: a
+    /// `ResidentPool` and `compose_world` over the same procedural pool,
+    /// stepped through the same seeded sequence of churns and epochs,
+    /// agree on every active row and on the remapped planted structure
+    /// after every step — for every locality shape and column counts on
+    /// both sides of the word boundaries. The sequence ends with a churn
+    /// that runs the pool out of fresh identities and one that finds none.
+    #[test]
+    fn resident_pool_is_the_adapter_composition(
+        seed in 0u64..1000,
+        cols_ix in 0usize..5,
+        kind in 0u8..3,
+        rows in 4usize..24,
+        headroom in 0usize..8,
+        steps in 1usize..7,
+    ) {
+        let objects = [1, 63, 64, 65, 130][cols_ix];
+        let schedule = DriftSchedule::new(0.2, locality(kind, objects), seed ^ 0x7e5);
+        let source = ProceduralTruth::new(spec(rows, objects, seed));
+        let planted = procedural_planted(&source);
+        let active = rows - headroom.min(rows - 1);
+        let mut world = ResidentPool::new(&source, planted.clone(), Some(schedule), active);
+        let pool: Arc<dyn TruthSource> = Arc::new(source);
+        assert_composed(&world, &pool, &planted);
+
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xc4);
+        for _ in 0..steps {
+            if rng.gen_bool(0.5) {
+                let (retire, join) = (rng.gen_range(0..active + 2), rng.gen_range(0..4));
+                world.churn(retire, join, &mut rng);
+            } else {
+                world.advance_epoch();
+            }
+            assert_composed(&world, &pool, &planted);
+        }
+        let fresh = rows - world.next_fresh as usize;
+        let (_, joined) = world.churn(1, rows, &mut rng);
+        prop_assert_eq!(joined.len(), fresh, "the pool's last identities join");
+        prop_assert_eq!(world.next_fresh as usize, rows);
+        assert_composed(&world, &pool, &planted);
+        let (_, joined) = world.churn(1, 1, &mut rng);
+        prop_assert!(joined.is_empty(), "an exhausted pool admits no one");
+        world.advance_epoch();
+        assert_composed(&world, &pool, &planted);
+    }
 }
 
 #[test]
@@ -199,53 +287,6 @@ fn remapped_truth_is_an_identity_view() {
     assert_eq!(view.players(), 5);
     for (slot, &id) in map.iter().enumerate() {
         assert_eq!(view.row(slot as u32), dense.row_to_bitvec(id as usize));
-    }
-}
-
-/// The full dynamic trajectory — churn + drift + adaptive corruption —
-/// is substrate-agnostic: a procedural pool and its materialized dense
-/// twin produce bit-identical rounds (outputs, errors, probe ledgers,
-/// churn decisions, adaptive targets).
-#[test]
-fn dynamic_trajectory_is_substrate_agnostic() {
-    let pool_spec = spec(60, 64, 0x77);
-    let build = |dense: bool| {
-        let b = DynamicWorld::builder();
-        let b = if dense {
-            b.pool_dense(pool_spec.clone())
-        } else {
-            b.pool(pool_spec.clone())
-        };
-        b.active(48)
-            .params(ProtocolParams::with_budget(4))
-            .churn(ChurnSchedule::replacement(5, 0xc0))
-            .drift(DriftSchedule::new(
-                0.002,
-                DriftLocality::Window { start: 8, len: 40 },
-                0xdd,
-            ))
-            .adversary(
-                AdaptiveCorruption::new(
-                    Corruption::Count { count: 4 },
-                    2,
-                    AdaptivePolicy::SmallestGroup,
-                ),
-                Inverter,
-            )
-            .build()
-    };
-    for algorithm in [Algorithm::GlobalMajority, Algorithm::CalculatePreferences] {
-        let proc_run = build(false).run(algorithm, 3, 0x99);
-        let dense_run = build(true).run(algorithm, 3, 0x99);
-        assert_eq!(proc_run.rounds.len(), dense_run.rounds.len());
-        for (p, d) in proc_run.rounds.iter().zip(&dense_run.rounds) {
-            assert_eq!(p.outcome.output, d.outcome.output, "round {}", p.round);
-            assert_eq!(p.outcome.errors, d.outcome.errors);
-            assert_eq!(p.outcome.probes.counts(), d.outcome.probes.counts());
-            assert_eq!(p.retired, d.retired);
-            assert_eq!(p.joined, d.joined);
-            assert_eq!(p.target_group, d.target_group);
-        }
     }
 }
 
